@@ -158,6 +158,8 @@ class TheoremRuns:
     does, so no op inherits a CSR or oracle cache from an earlier one.
     """
 
+    distinct = 3
+
     def __init__(
         self,
         name: str,
@@ -168,7 +170,6 @@ class TheoremRuns:
         edge_probability,
         op_seconds: float,
         require_found: bool,
-        distinct: int = 3,
     ) -> None:
         self.name = name
         self.algorithm = algorithm
@@ -178,7 +179,6 @@ class TheoremRuns:
         self.edge_probability = edge_probability
         self.op_seconds = op_seconds
         self.require_found = require_found
-        self.distinct = distinct
 
     def setup(self, seed: int, seconds: int, tiny: bool) -> Dict[str, Any]:
         n = self.tiny_nodes if tiny else self.num_nodes
