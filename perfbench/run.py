@@ -222,8 +222,26 @@ def run_all(args) -> int:
     return 0 if summary["correct"] else 1
 
 
+def stop_resource_tracker() -> None:
+    """Stop and reap the resource tracker, if shared memory started one.
+
+    ``multiprocessing`` starts it as a separate process on the first
+    shared-memory segment and leaves it to exit on its own once this
+    interpreter has gone, so without this it outlives the benchmark.
+    """
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is not None:
+        tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    try:
+        return run(parse_args(argv))
+    finally:
+        stop_resource_tracker()
+
+
+def run(args) -> int:
     import_program()
     if args.workload == "all":
         return run_all(args)
