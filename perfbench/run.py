@@ -32,7 +32,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
 WORKLOADS = ("thm1-sparse", "thm2-dense", "query-stream", "sweep-store")
 #: Fresh interpreters whose set-up time is measured; setup_s is their median.
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 END_TO_END_UNITS = {"setup_s": "s", "norm_wall_s": "s", "norm_ops_per_s": "1/s", "peak_rss_mb": "MB"}
 

@@ -21,6 +21,7 @@ import random
 import resource
 import shutil
 import statistics
+import struct
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -70,14 +71,34 @@ class Outcome:
 REFERENCE_KERNEL_S = 0.06
 
 
-def reference_kernel_s() -> float:
+def reference_kernel_s(processes: int = 1) -> float:
     """Time a fixed mix of interpreted Python and numpy work, like the ops'.
 
     It touches 2 MB, so it barely moves a workload's peak RSS.  The faster
     of two back-to-back runs is taken: the first run after an op can pay
-    for that op's cache and allocator state.
+    for that op's cache and allocator state.  With ``processes`` above 1
+    the kernel runs in that many processes at once (this one and forked
+    children, each waited for) and their mean time is returned, for work
+    that spreads over several cores.
     """
-    return min(_kernel_once(), _kernel_once())
+    children = []
+    for _ in range(processes - 1):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_fd, struct.pack("d", min(_kernel_once(), _kernel_once())))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        children.append((pid, read_fd))
+    times = [min(_kernel_once(), _kernel_once())]
+    for pid, read_fd in children:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        os.waitpid(pid, 0)
+        times.append(struct.unpack("d", data)[0])
+    return statistics.fmean(times)
 
 
 def _kernel_once() -> float:
@@ -106,10 +127,11 @@ class Stopwatch:
     two kernel times around it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, processes: int = 1) -> None:
+        self.processes = processes
         self.segments: List[float] = []
         self.norm_segments: List[float] = []
-        self._kernel_s = reference_kernel_s()
+        self.kernels: List[float] = [reference_kernel_s(processes)]
         self._start = 0.0
 
     @property
@@ -123,7 +145,8 @@ class Stopwatch:
     def summary(self) -> str:
         raw = " ".join(f"{x:.3f}" for x in self.segments)
         norm = " ".join(f"{x:.3f}" for x in self.norm_segments)
-        return f"timed segments (s): raw {raw}; rescaled {norm}"
+        kernels = " ".join(f"{x * 1e3:.1f}" for x in self.kernels)
+        return f"timed segments (s): raw {raw}; rescaled {norm}; reference kernel (ms): {kernels}"
 
     def start(self) -> None:
         self._start = time.perf_counter()
@@ -133,10 +156,10 @@ class Stopwatch:
 
     def add(self, seconds: float) -> None:
         """Record a segment of ``seconds`` that has just ended."""
-        kernel_s = reference_kernel_s()
+        kernel_s = reference_kernel_s(self.processes)
         self.segments.append(seconds)
-        self.norm_segments.append(seconds * REFERENCE_KERNEL_S * 2 / (self._kernel_s + kernel_s))
-        self._kernel_s = kernel_s
+        self.norm_segments.append(seconds * REFERENCE_KERNEL_S * 2 / (self.kernels[-1] + kernel_s))
+        self.kernels.append(kernel_s)
 
 
 def _derived_seeds(label: str, seed: int, count: int) -> List[int]:
@@ -221,8 +244,7 @@ class TheoremRuns:
                 canonical_json(record.to_dict()).encode("utf-8")
             ).hexdigest()
             notes.append(
-                f"{where}: record sha256 {digest[:16]}, {clock.segments[-1]:.3f} s "
-                f"({clock.norm_segments[-1]:.3f} s rescaled)"
+                f"{where}: record sha256 {digest[:16]}, {clock.segments[-1]:.3f} s"
             )
             problems = []
             if not record.sound:
@@ -450,7 +472,7 @@ class SweepStore:
         failed_ops = set()
         cold_bytes: Dict[int, bytes] = {}
         try:
-            clock = Stopwatch()
+            clock = Stopwatch(processes=workers)
             for op in range(state["ops"]):
                 clock.start()
                 try:
