@@ -44,6 +44,7 @@ from repro.analysis.experiments import (
     SweepRunner,
 )
 from repro.congest.metrics import AlgorithmCost
+from repro.core import TriangleOutput
 from repro.graphs import Graph, gnp_random_graph
 
 from _bench_utils import record_json, record_table, run_once
@@ -73,8 +74,9 @@ class _ProbeResult:
     truncated: bool
     triangles: FrozenSet[tuple]
 
-    def triangles_found(self) -> FrozenSet[tuple]:
-        return self.triangles
+    @property
+    def output(self) -> TriangleOutput:
+        return TriangleOutput({0: self.triangles})
 
 
 @dataclass(frozen=True)

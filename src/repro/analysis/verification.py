@@ -18,16 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
-from ..core.output import AlgorithmResult
+import numpy as np
+
+from ..core.output import AlgorithmResult, _compare_with_truth, _keyed_union
 from ..errors import VerificationError
 from ..graphs.graph import Graph
-from ..graphs.triangles import (
-    heavy_triangles,
-    light_triangles,
-    list_triangles,
-    triangles_through_node,
-)
-from ..types import Triangle, make_triangle
+from ..graphs.triangles import heaviness_threshold, triangles_through_node
+from ..types import Triangle, make_triangle, triangle_keys
 
 
 @dataclass(frozen=True)
@@ -99,26 +96,24 @@ def verify_result(result: AlgorithmResult, graph: Graph) -> VerificationReport:
     raise on spurious triples: it records them, so experiment sweeps can
     aggregate failures instead of aborting.  (The test suite separately
     asserts that no algorithm in this repository ever produces a spurious
-    triple.)
+    triple.)  The comparison runs on int64 triangle keys; only the missed
+    and spurious triples are decoded into tuples.
     """
-    truth = frozenset(list_triangles(graph))
-    reported = result.triangles_found()
-    spurious = frozenset(t for t in reported if t not in truth)
-    missed = truth - reported
-    recall = 1.0 if not truth else (len(truth) - len(missed)) / len(truth)
-    sound = not spurious
-    solves_finding = bool(reported & truth) if truth else not reported
-    solves_listing = sound and not missed
+    comparison = _compare_with_truth(result.output, graph)
+    missed = comparison.decode(comparison.missed)
+    spurious = comparison.decode(comparison.spurious)
+    # With no triangle in G, every reported triple is spurious.
+    solves_finding = bool(comparison.found) if comparison.total_truth else not spurious
     return VerificationReport(
         algorithm=result.algorithm,
-        sound=sound,
-        total_truth=len(truth),
-        total_reported=len(reported & truth),
-        recall=recall,
+        sound=not spurious,
+        total_truth=comparison.total_truth,
+        total_reported=comparison.found,
+        recall=comparison.recall,
         missed=missed,
         spurious=spurious,
         solves_finding=solves_finding,
-        solves_listing=solves_listing,
+        solves_listing=not spurious and not missed,
     )
 
 
@@ -142,16 +137,22 @@ def recall_by_heaviness(
     of the split (A2 covers heavy triangles, A3 covers light ones); this
     breakdown is what the component benchmarks report.
     """
-    reported = result.triangles_found()
-    heavy = heavy_triangles(graph, epsilon)
-    light = light_triangles(graph, epsilon)
-    heavy_recall = (
-        1.0 if not heavy else sum(1 for t in heavy if t in reported) / len(heavy)
-    )
-    light_recall = (
-        1.0 if not light else sum(1 for t in light if t in reported) / len(light)
-    )
-    return {"heavy": heavy_recall, "light": light_recall}
+    threshold = heaviness_threshold(graph.num_nodes, epsilon)
+    triangles, heavy = graph.csr().heavy_triangle_mask(threshold)
+    key_space, reported = _keyed_union(result.output, graph)
+    keys = triangle_keys(triangles[:, 0], triangles[:, 1], triangles[:, 2], key_space)
+    hit = np.isin(keys, reported, assume_unique=True)
+    return {
+        "heavy": _fraction(hit[heavy]),
+        "light": _fraction(hit[~heavy]),
+    }
+
+
+def _fraction(hit: np.ndarray) -> float:
+    """Share of ``True`` in ``hit`` (1.0 when empty: nothing to miss)."""
+    if not hit.shape[0]:
+        return 1.0
+    return int(np.count_nonzero(hit)) / hit.shape[0]
 
 
 def local_listing_complete(result: AlgorithmResult, graph: Graph) -> bool:
@@ -194,7 +195,7 @@ def duplication_factor(result: AlgorithmResult) -> float:
     the duplication factor quantifies the redundancy of a run.  Returns 0.0
     when nothing was reported.
     """
-    distinct = result.triangles_found()
+    distinct = result.output.union_keys().shape[0]
     if not distinct:
         return 0.0
-    return result.output.total_reported() / len(distinct)
+    return result.output.total_reported() / distinct

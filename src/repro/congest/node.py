@@ -29,6 +29,7 @@ from ..types import (
     Triangle,
     decode_triangle_keys,
     make_triangle,
+    sorted_unique,
     triangle_keys,
 )
 from .runtime import (
@@ -492,7 +493,7 @@ class NodeContext:
         """
         if self._output_frozen is None:
             if self._output_key_chunks:
-                keys = np.unique(np.concatenate(self._output_key_chunks))
+                keys = sorted_unique(*self._output_key_chunks)
                 a, b, c = decode_triangle_keys(keys, self.num_nodes)
                 combined = set(zip(a.tolist(), b.tolist(), c.tolist()))
                 combined.update(self._output)

@@ -22,24 +22,30 @@ reductions, so an end-to-end run never builds a tuple it does not return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
 from ..errors import VerificationError
 from ..graphs.graph import Graph
-from ..graphs.triangles import list_triangles
-from ..types import NodeId, Triangle, decode_triangle_keys, triangle_keys
-
-_EMPTY_KEYS = np.empty(0, dtype=np.int64)
+from ..types import NodeId, Triangle, decode_triangle_keys, sorted_unique, triangle_keys
 
 
 def _encode_triples(triples: Iterable[Triangle], num_nodes: int) -> np.ndarray:
-    """Encode an iterable of canonical tuples into sorted unique keys."""
-    rows = np.asarray(sorted(triples), dtype=np.int64)
-    if rows.shape[0] == 0:
-        return _EMPTY_KEYS
+    """Encode an iterable of canonical tuples into (unsorted) keys."""
+    rows = np.array(list(triples), dtype=np.int64).reshape(-1, 3)
     return triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], num_nodes)
 
 
@@ -167,9 +173,7 @@ class TriangleOutput:
         triples = self._sets.get(node)
         if triples:
             pieces.append(_encode_triples(triples, self._key_space()))
-        keys = (
-            np.unique(np.concatenate(pieces)) if pieces else _EMPTY_KEYS
-        )
+        keys = sorted_unique(*pieces)
         self._node_keys[node] = keys
         return keys
 
@@ -195,12 +199,17 @@ class TriangleOutput:
     # aggregates
     # ------------------------------------------------------------------
     def union_keys(self) -> np.ndarray:
-        """Return the union ``T`` as a sorted unique int64 key array."""
-        pieces = [self.node_keys(node) for node in self._nodes]
-        pieces = [piece for piece in pieces if piece.shape[0]]
-        if not pieces:
-            return _EMPTY_KEYS
-        return np.unique(np.concatenate(pieces))
+        """Return the union ``T`` as a sorted unique int64 key array.
+
+        Every raw chunk and every encoded scalar set is deduplicated in one
+        pass — never node by node first.
+        """
+        pieces = [chunk for chunks in self._chunks.values() for chunk in chunks]
+        key_space = self._key_space()
+        pieces.extend(
+            _encode_triples(triples, key_space) for triples in self._sets.values()
+        )
+        return sorted_unique(*pieces)
 
     def union(self) -> FrozenSet[Triangle]:
         """Return ``T``, the union of all per-node outputs."""
@@ -287,6 +296,68 @@ def _key_space(collections: Iterable[Iterable[Triangle]]) -> int:
     return largest + 1
 
 
+def _recode(keys: np.ndarray, from_nodes: int, to_nodes: int) -> np.ndarray:
+    """Move triangle keys from one key space to another (order is kept)."""
+    if from_nodes == to_nodes:
+        return keys
+    a, b, c = decode_triangle_keys(keys, from_nodes)
+    return triangle_keys(a, b, c, to_nodes)
+
+
+@dataclass(frozen=True)
+class _TruthComparison:
+    """A reported union set against ``T(G)``, as int64 keys in one key space."""
+
+    #: The ``n`` both sides are keyed with.
+    num_nodes: int
+    total_truth: int
+    #: How many distinct reported triples are triangles of G.
+    found: int
+    #: Keys of the triangles nobody reported, and of the reported non-triangles.
+    missed: np.ndarray
+    spurious: np.ndarray
+
+    @property
+    def recall(self) -> float:
+        if not self.total_truth:
+            return 1.0
+        return (self.total_truth - self.missed.shape[0]) / self.total_truth
+
+    def decode(self, keys: np.ndarray) -> FrozenSet[Triangle]:
+        return _decode_keys(keys, self.num_nodes)
+
+
+def _keyed_union(output: TriangleOutput, graph: Graph) -> Tuple[int, np.ndarray]:
+    """Return ``(n, keys)``: the union of ``output`` keyed for comparison with ``graph``.
+
+    The key space is ``max(graph.num_nodes, output's n)``, so a legacy
+    output keyed with a smaller ``n`` is re-encoded and reported ids
+    outside the graph stay representable.
+    """
+    num_nodes = max(graph.num_nodes, output._key_space())
+    return num_nodes, _recode(output.union_keys(), output._key_space(), num_nodes)
+
+
+def _compare_with_truth(output: TriangleOutput, graph: Graph) -> _TruthComparison:
+    """Compare ``output``'s union with the triangle oracle of ``graph``.
+
+    No tuple is built: only the (usually empty) missed and spurious key
+    arrays are ever decoded, by the caller.
+    """
+    num_nodes, reported = _keyed_union(output, graph)
+    rows = graph.csr().triangles()
+    truth = triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], num_nodes)
+    hit = np.isin(reported, truth, assume_unique=True)
+    missed = truth[~np.isin(truth, reported, assume_unique=True)]
+    return _TruthComparison(
+        num_nodes=num_nodes,
+        total_truth=int(truth.shape[0]),
+        found=int(np.count_nonzero(hit)),
+        missed=missed,
+        spurious=reported[~hit],
+    )
+
+
 @dataclass
 class AlgorithmResult:
     """Everything produced by one run of a distributed triangle algorithm."""
@@ -318,13 +389,23 @@ class AlgorithmResult:
         One-sidedness is an unconditional requirement of the output model
         (Section 2), so a violation is a bug, not a statistical failure.
         """
-        for node, triples in self.output.per_node.items():
-            for a, b, c in triples:
-                if not (graph.has_edge(a, b) and graph.has_edge(a, c) and graph.has_edge(b, c)):
-                    raise VerificationError(
-                        f"node {node} reported ({a}, {b}, {c}) which is not a "
-                        f"triangle of the input graph"
-                    )
+        self._require_sound(_compare_with_truth(self.output, graph))
+
+    def _require_sound(self, comparison: _TruthComparison) -> None:
+        """Raise naming the lowest offending node and its smallest bad triple."""
+        if not comparison.spurious.shape[0]:
+            return
+        key_space = self.output._key_space()
+        spurious = _recode(comparison.spurious, comparison.num_nodes, key_space)
+        for node in sorted(self.output._nodes):
+            keys = self.output.node_keys(node)
+            bad = keys[np.isin(keys, spurious, assume_unique=True)]
+            if bad.shape[0]:
+                a, b, c = map(int, decode_triangle_keys(bad[0], key_space))
+                raise VerificationError(
+                    f"node {node} reported ({a}, {b}, {c}) which is not a "
+                    f"triangle of the input graph"
+                )
 
     def listing_recall(self, graph: Graph) -> float:
         """Return the fraction of ``T(G)`` present in the reported union.
@@ -333,15 +414,12 @@ class AlgorithmResult:
         recall below 1.0 quantifies how far a single (un-amplified) run is
         from full listing.
         """
-        truth = set(list_triangles(graph))
-        if not truth:
-            return 1.0
-        return len(self.triangles_found() & truth) / len(truth)
+        return _compare_with_truth(self.output, graph).recall
 
     def missed_triangles(self, graph: Graph) -> FrozenSet[Triangle]:
         """Return the triangles of ``G`` absent from the reported union."""
-        truth = frozenset(list_triangles(graph))
-        return truth - self.triangles_found()
+        comparison = _compare_with_truth(self.output, graph)
+        return comparison.decode(comparison.missed)
 
     def solves_finding(self, graph: Graph) -> bool:
         """Return ``True`` when this run solves the finding problem on ``graph``.
@@ -349,21 +427,22 @@ class AlgorithmResult:
         Finding requires a reported triangle when ``T(G)`` is non-empty and
         an empty output otherwise (the "not found" answer).
         """
-        self.check_soundness(graph)
-        truth = list_triangles(graph)
-        if truth:
+        comparison = _compare_with_truth(self.output, graph)
+        self._require_sound(comparison)
+        if comparison.total_truth:
             return self.found_any()
         return not self.found_any()
 
     def solves_listing(self, graph: Graph) -> bool:
         """Return ``True`` when this run solves the listing problem on ``graph``."""
-        self.check_soundness(graph)
-        return self.listing_recall(graph) == 1.0
+        comparison = _compare_with_truth(self.output, graph)
+        self._require_sound(comparison)
+        return not comparison.missed.shape[0]
 
     def summary(self) -> str:
         """Return a one-line human-readable summary of the run."""
         return (
             f"{self.algorithm} [{self.model}]: rounds={self.cost.rounds}, "
-            f"reported={len(self.triangles_found())} distinct triangles"
+            f"reported={self.output.union_keys().shape[0]} distinct triangles"
             + (", truncated" if self.truncated else "")
         )

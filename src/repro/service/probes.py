@@ -26,6 +26,7 @@ from typing import FrozenSet, Tuple
 
 from ..api.registry import get_algorithm, register_algorithm
 from ..congest.metrics import AlgorithmCost
+from ..core.output import TriangleOutput
 from ..errors import AnalysisError
 from ..graphs import Graph
 
@@ -45,8 +46,9 @@ class _ProbeResult:
     truncated: bool
     triangles: FrozenSet[Tuple[int, ...]]
 
-    def triangles_found(self) -> FrozenSet[Tuple[int, ...]]:
-        return self.triangles
+    @property
+    def output(self) -> TriangleOutput:
+        return TriangleOutput({0: self.triangles})
 
 
 @dataclass(frozen=True)

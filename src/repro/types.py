@@ -38,6 +38,37 @@ def triangle_keys(
     return (a * n + b) * n + c
 
 
+def sorted_unique(*chunks: np.ndarray) -> np.ndarray:
+    """Return the distinct values across int64 key arrays in ascending order.
+
+    ``sorted_unique(keys)`` equals ``np.unique(keys)`` without calling it:
+    from numpy 2.3 on, ``np.unique`` on integers deduplicates through a
+    hash table before sorting, which on multi-million-key triangle unions
+    is many times slower than the two order-based paths here.  When every
+    key lies in ``[0, 8·total)`` — dense listing outputs, where each
+    triangle is reported many times — a presence table no larger than the
+    keys themselves marks each chunk in place and is read back in order,
+    so the chunks are never concatenated.  Otherwise the concatenated keys
+    are sorted and each value that differs from its predecessor is kept.
+    """
+    chunks = tuple(chunk for chunk in chunks if chunk.shape[0])
+    total = sum(chunk.shape[0] for chunk in chunks)
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    largest = max(int(chunk.max()) for chunk in chunks)
+    if largest < 8 * total and min(int(chunk.min()) for chunk in chunks) >= 0:
+        seen = np.zeros(largest + 1, dtype=bool)
+        for chunk in chunks:
+            seen[chunk] = True
+        return np.flatnonzero(seen).astype(np.int64, copy=False)
+    ordered = np.concatenate(chunks)
+    ordered.sort()
+    keep = np.empty(total, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def decode_triangle_keys(
     keys: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
