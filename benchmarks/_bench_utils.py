@@ -11,19 +11,24 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 def peak_rss_bytes() -> Optional[int]:
-    """Return this process's peak resident set size in bytes, if knowable.
+    """Return the peak resident set size in bytes, if knowable.
 
-    Uses ``resource.getrusage`` where available (``ru_maxrss`` is kilobytes
-    on Linux, bytes on macOS); falls back to the tracemalloc high-water
-    mark when a tracemalloc trace is running, and ``None`` otherwise (the
-    caller omits the metric rather than recording a lie).
+    The larger of this process's peak and that of its largest waited-for
+    child, so the pool benchmarks count their sweep workers too.  Uses
+    ``resource.getrusage`` where available (``ru_maxrss`` is kilobytes on
+    Linux, bytes on macOS); falls back to the tracemalloc high-water mark
+    when a tracemalloc trace is running, and ``None`` otherwise (the caller
+    omits the metric rather than recording a lie).
     """
     try:
         import resource
     except ImportError:
         resource = None
     if resource is not None:
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak = max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
         if peak > 0:
             return int(peak) if sys.platform == "darwin" else int(peak) * 1024
     import tracemalloc

@@ -16,10 +16,10 @@ measured curve stays under it.)
 
 The sweep grid is declared as :class:`repro.api.RunSpec` documents (one per
 size) resolved through the algorithm/workload registries and runs on
-:class:`repro.analysis.SweepRunner`.  The kernel backend and chunk budget
-are threaded through the same registry parameters — set ``REPRO_BACKEND=numba``
-and/or ``REPRO_CHUNK_BYTES=<n>`` to sweep under a different backend (the
-records must not change; that is the backends' differential contract).
+:class:`repro.analysis.SweepRunner`.  The chunk budget is threaded through
+the same registry parameters — set ``REPRO_CHUNK_BYTES=<n>`` to sweep under
+a different one (the records must not change; that is the chunk bound's
+differential contract).
 
 Set ``SCALING_QUICK=1`` (CI does) to drop the two largest sizes.
 
@@ -53,9 +53,8 @@ SIZES = [600, 1500] if QUICK else [600, 1500, 4000, 10000]
 SHAPE_CONSTANT = 6.0
 #: Worker processes for the sweep grid.
 SWEEP_WORKERS = min(4, os.cpu_count() or 1)
-#: Kernel backend / chunk budget for every cell (differentially pinned:
-#: any backend must reproduce the numpy records byte-identically).
-BACKEND = os.environ.get("REPRO_BACKEND", "numpy")
+#: Chunk budget for every cell (differentially pinned: any budget must
+#: reproduce the default records byte-identically).
 CHUNK_BYTES = (
     int(os.environ["REPRO_CHUNK_BYTES"])
     if os.environ.get("REPRO_CHUNK_BYTES")
@@ -67,7 +66,6 @@ FINDING_ALGORITHM = AlgorithmSpec(
     {
         "repetitions": 1,
         "epsilon": finding_epsilon_asymptotic(),
-        "backend": BACKEND,
         "chunk_bytes": CHUNK_BYTES,
     },
 )
@@ -138,7 +136,7 @@ def test_finding_scaling_against_theorem1_bound(benchmark):
     fit = fit_power_law([float(n) for n in SIZES], [float(r) for r in measured])
     table = render_scaling_table(
         "S-THM1: Theorem 1 finding on G(n, √n/n) "
-        f"(√n degree schedule, backend={BACKEND}, quick={QUICK}), 1 repetition",
+        f"(√n degree schedule, quick={QUICK}), 1 repetition",
         SIZES,
         [float(r) for r in measured],
         reference,
@@ -151,8 +149,7 @@ def test_finding_scaling_against_theorem1_bound(benchmark):
         {
             "benchmark": "finding_scaling",
             "quick": QUICK,
-            "backend": BACKEND,
-            "chunk_bytes": CHUNK_BYTES,
+                "chunk_bytes": CHUNK_BYTES,
             "sizes": SIZES,
             "edge_probabilities": [edge_probability(n) for n in SIZES],
             "measured_rounds": [float(r) for r in measured],

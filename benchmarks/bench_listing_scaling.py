@@ -14,11 +14,10 @@ recall is expected to sit at (not just near) 1.0.
 
 The sweep grid is declared as :class:`repro.api.RunSpec` documents resolved
 through the algorithm/workload registries and runs on
-:class:`repro.analysis.SweepRunner`.  The kernel backend and chunk budget
-thread through the same registry parameters — ``REPRO_BACKEND=numba`` /
-``REPRO_CHUNK_BYTES=<n>`` sweep under a different backend, which must not
-change a single record.  Set ``SCALING_QUICK=1`` (CI does) to drop the two
-largest sizes.
+:class:`repro.analysis.SweepRunner`.  The chunk budget threads through the
+same registry parameters — ``REPRO_CHUNK_BYTES=<n>`` sweeps under a
+different one, which must not change a single record.  Set
+``SCALING_QUICK=1`` (CI does) to drop the two largest sizes.
 
 A single pass is measured (rather than the full ``⌈c log n⌉`` repetitions)
 so that the per-pass shape is visible; the repetition factor is a known
@@ -56,8 +55,7 @@ SIZES = [600, 1500] if QUICK else [600, 1500, 4000, 10000]
 SHAPE_CONSTANT = 6.0
 #: Worker processes for the sweep grid.
 SWEEP_WORKERS = min(4, os.cpu_count() or 1)
-#: Kernel backend / chunk budget for every cell (differentially pinned).
-BACKEND = os.environ.get("REPRO_BACKEND", "numpy")
+#: Chunk budget for every cell (differentially pinned).
 CHUNK_BYTES = (
     int(os.environ["REPRO_CHUNK_BYTES"])
     if os.environ.get("REPRO_CHUNK_BYTES")
@@ -69,7 +67,6 @@ LISTING_ALGORITHM = AlgorithmSpec(
     {
         "repetitions": 1,
         "epsilon": listing_epsilon_asymptotic(),
-        "backend": BACKEND,
         "chunk_bytes": CHUNK_BYTES,
     },
 )
@@ -78,7 +75,6 @@ FINDING_ALGORITHM = AlgorithmSpec(
     {
         "repetitions": 1,
         "epsilon": finding_epsilon_asymptotic(),
-        "backend": BACKEND,
         "chunk_bytes": CHUNK_BYTES,
     },
 )
@@ -137,7 +133,7 @@ def test_listing_scaling_against_theorem2_bound(benchmark):
     fit = fit_power_law([float(n) for n in SIZES], measured)
     table = render_scaling_table(
         "S-THM2: Theorem 2 listing on G(n, √n/n) "
-        f"(√n degree schedule, backend={BACKEND}, quick={QUICK}), 1 repetition "
+        f"(√n degree schedule, quick={QUICK}), 1 repetition "
         f"(per-pass recalls: {', '.join(f'{r:.2f}' for r in recalls)})",
         SIZES,
         measured,
@@ -151,8 +147,7 @@ def test_listing_scaling_against_theorem2_bound(benchmark):
         {
             "benchmark": "listing_scaling",
             "quick": QUICK,
-            "backend": BACKEND,
-            "chunk_bytes": CHUNK_BYTES,
+                "chunk_bytes": CHUNK_BYTES,
             "sizes": SIZES,
             "edge_probabilities": [edge_probability(n) for n in SIZES],
             "measured_rounds": measured,
@@ -200,7 +195,6 @@ def test_full_listing_recall_with_amplification(benchmark):
             "theorem2-listing",
             {
                 "epsilon": listing_epsilon_asymptotic(),
-                "backend": BACKEND,
                 "chunk_bytes": CHUNK_BYTES,
             },
         ).build().run(graph, seed=9)

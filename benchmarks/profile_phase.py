@@ -10,7 +10,7 @@ Usage::
 
     python benchmarks/profile_phase.py --protocol theorem2 --nodes 300
     python benchmarks/profile_phase.py --protocol a2 --nodes 600 --top 40
-    python benchmarks/profile_phase.py --protocol dolev --kernel pernode
+    python benchmarks/profile_phase.py --protocol dolev --kernel reference
     python benchmarks/profile_phase.py --protocol a3 --top-allocs 10
 
 ``--top-allocs N`` additionally snapshots tracemalloc at every phase
@@ -49,7 +49,6 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 def _tuning(args) -> dict:
     return {
         "kernel": args.kernel,
-        "backend": args.backend,
         "chunk_bytes": args.chunk_bytes,
     }
 
@@ -131,15 +130,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="theorem2")
     parser.add_argument("--kernel", default="batched",
-                        choices=("batched", "pernode", "reference"))
+                        choices=("batched", "reference"))
     parser.add_argument("--nodes", type=int, default=300)
     parser.add_argument("--probability", type=float, default=0.5)
     parser.add_argument("--epsilon", type=float, default=0.6)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--top", type=int, default=25,
                         help="cProfile rows to report (by cumulative time)")
-    parser.add_argument("--backend", default="numpy", choices=("numpy", "numba"),
-                        help="kernel backend for the hot inner loops")
     parser.add_argument("--chunk-bytes", type=int, default=None,
                         help="chunked-evaluation budget (bytes per block)")
     parser.add_argument("--top-allocs", type=int, default=0,

@@ -29,17 +29,9 @@ from .node import NodeContext
 from .routing import LenzenRouter, RoutingRequest
 from .backends import (
     DEFAULT_CHUNK_BYTES,
-    VALID_BACKENDS,
-    KernelBackend,
-    active_backend,
     active_chunk_bytes,
-    available_backends,
     chunk_rows,
-    get_backend,
-    numba_available,
-    register_backend,
-    use_backend,
-    validate_backend,
+    use_chunk_bytes,
     validate_chunk_bytes,
 )
 from .runtime import (
@@ -50,7 +42,6 @@ from .runtime import (
     PhaseArena,
     PhaseTraffic,
     TypedChannel,
-    TypedInboxView,
     group_channel,
     set_allocation_hook,
 )
@@ -90,17 +81,9 @@ __all__ = [
     "LenzenRouter",
     "RoutingRequest",
     "DEFAULT_CHUNK_BYTES",
-    "VALID_BACKENDS",
-    "KernelBackend",
-    "active_backend",
     "active_chunk_bytes",
-    "available_backends",
     "chunk_rows",
-    "get_backend",
-    "numba_available",
-    "register_backend",
-    "use_backend",
-    "validate_backend",
+    "use_chunk_bytes",
     "validate_chunk_bytes",
     "CongestRuntime",
     "DeliveredChannel",
@@ -109,7 +92,6 @@ __all__ = [
     "PhaseArena",
     "PhaseTraffic",
     "TypedChannel",
-    "TypedInboxView",
     "group_channel",
     "set_allocation_hook",
     "CongestSimulator",

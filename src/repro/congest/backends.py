@@ -1,28 +1,20 @@
-"""Pluggable kernel backends for the hot inner loops.
+"""The hot inner loops of the batched kernels, and their chunk bound.
 
-The batched phase kernels funnel their innermost array programs through a
-small set of named operations — sorted-key membership (``CSRGraph.has_edges``),
-packed-row popcount reductions (the chunked triangle-matrix rows of the dense
-oracle), Horner evaluation of k-wise hash descriptors (A2), and the Δ(X)
-landmark-incidence build (A3).  This module gives each operation a *backend*:
-
-* ``backend="numpy"`` — the reference implementation, always available.  It
-  is byte-for-byte the code that previously lived inline at the call sites.
-* ``backend="numba"`` — optional JIT twins of the same loops.  ``numba`` is
-  an optional dependency (``pip install repro[numba]``); when it is absent
-  the registry degrades to the numpy backend with a single warning, so a
-  ``backend="numba"`` run spec is portable across environments.
-
-Backends are selected the same way ``kernel="pernode"|"batched"`` already
-is: algorithms take a ``backend=`` constructor parameter (validated by
-:func:`validate_backend`) and wrap their execution in :func:`use_backend`.
-The active backend is thread-local, so sweep workers with different
-settings never interfere.
+The batched phase kernels funnel their innermost array programs through
+four operations — sorted-key membership (``CSRGraph.has_edges``), packed-row
+popcount reductions (the chunked triangle-matrix rows of the dense oracle),
+Horner evaluation of k-wise hash descriptors (A2), and the Δ(X)
+landmark-incidence build (A3).  Each has exactly one numpy implementation
+here, called directly from its call sites.
 
 The module also owns the ``chunk_bytes`` knob: the bound on the working-set
 size of the streamed row blocks used by the chunked phase evaluators (dense
 Δ(X) disjointness, fused ``has_edges`` receiver sweeps, packed popcount
 reductions).  The default is sized to stay L2/L3-resident on current cores.
+Algorithms take a ``chunk_bytes=`` constructor parameter (validated by
+:func:`validate_chunk_bytes`) and wrap their execution in
+:func:`use_chunk_bytes`.  The bound is thread-local, so sweep workers with
+different settings never interfere.
 
 This module must not import anything from :mod:`repro` — it sits below both
 ``repro.graphs`` and ``repro.core`` in the import graph.
@@ -33,14 +25,9 @@ from __future__ import annotations
 import contextlib
 import operator
 import threading
-import warnings
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
-
-#: The backend names algorithms accept, mirroring ``VALID_KERNELS``.
-VALID_BACKENDS: Tuple[str, ...] = ("numpy", "numba")
 
 #: Default bound (bytes) on the per-block working set of chunked phase
 #: evaluation.  2 MiB keeps a row block plus its outputs L2-resident on
@@ -51,38 +38,9 @@ DEFAULT_CHUNK_BYTES = 2 * 1024 * 1024
 _POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class KernelBackend:
-    """A named implementation of the four hot inner-loop operations.
-
-    Every operation has identical semantics across backends; the
-    differential suite pins numpy and numba executions byte-for-byte on
-    every workload family.
-    """
-
-    name: str
-    #: ``(sorted_keys, queries) -> bool[queries]`` — membership of each
-    #: query in an ascending int64 key array (binary search).
-    sorted_membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    #: ``(coefficient_rows, points, prime, range_size) -> bool[rows, points]``
-    #: — Horner evaluation of each descriptor row at each point over
-    #: GF(prime), testing ``h(x) % range_size == 0`` (A2's bucket-zero test).
-    hash_zero_block: Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
-    #: ``(indptr, indices, landmarks, num_nodes) -> int64[num_nodes, len(landmarks)]``
-    #: — the Δ(X) landmark-incidence matrix: entry ``(v, j)`` is 1 iff
-    #: vertex ``v`` is adjacent to landmark ``landmarks[j]``.
-    landmark_incidence: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
-    #: ``(packed, edge_u, edge_v) -> int64[edges]`` — per-edge common
-    #: neighbourhood sizes from bit-packed adjacency rows (AND + popcount).
-    edge_support_chunk: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-# ----------------------------------------------------------------------
-# numpy reference implementations
-# ----------------------------------------------------------------------
-
-
-def _np_sorted_membership(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def sorted_membership(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``bool[queries]``: membership of each query in an ascending int64 key
+    array (binary search)."""
     positions = np.searchsorted(sorted_keys, queries)
     found = np.zeros(queries.shape, dtype=bool)
     in_range = positions < sorted_keys.shape[0]
@@ -90,9 +48,16 @@ def _np_sorted_membership(sorted_keys: np.ndarray, queries: np.ndarray) -> np.nd
     return found
 
 
-def _np_hash_zero_block(
+def hash_zero_block(
     coefficient_rows: np.ndarray, points: np.ndarray, prime: int, range_size: int
 ) -> np.ndarray:
+    """``bool[rows, points]``: Horner evaluation of each descriptor row at
+    each point over GF(prime), testing ``h(x) % range_size == 0`` (A2's
+    bucket-zero test).
+
+    Intermediate products stay below ``prime²`` (< 2⁶³ for every realistic
+    ``n``), so plain int64 arithmetic is exact.
+    """
     reduced_points = (points % prime)[None, :]
     accumulator = np.zeros(
         (coefficient_rows.shape[0], points.shape[0]), dtype=np.int64
@@ -104,175 +69,25 @@ def _np_hash_zero_block(
     return (accumulator % range_size) == 0
 
 
-def _np_landmark_incidence(
+def landmark_incidence(
     indptr: np.ndarray, indices: np.ndarray, landmarks: np.ndarray, num_nodes: int
 ) -> np.ndarray:
+    """``int64[num_nodes, len(landmarks)]``: the Δ(X) landmark-incidence
+    matrix — entry ``(v, j)`` is 1 iff vertex ``v`` is adjacent to landmark
+    ``landmarks[j]``."""
     incidence = np.zeros((num_nodes, landmarks.shape[0]), dtype=np.int64)
     for column, landmark in enumerate(landmarks.tolist()):
         incidence[indices[indptr[landmark] : indptr[landmark + 1]], column] = 1
     return incidence
 
 
-def _np_edge_support_chunk(
+def edge_support_chunk(
     packed: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray
 ) -> np.ndarray:
+    """``int64[edges]``: per-edge common neighbourhood sizes from bit-packed
+    adjacency rows (AND + popcount)."""
     both = packed[edge_u] & packed[edge_v]
     return _POPCOUNT[both].sum(axis=1)
-
-
-_NUMPY_BACKEND = KernelBackend(
-    name="numpy",
-    sorted_membership=_np_sorted_membership,
-    hash_zero_block=_np_hash_zero_block,
-    landmark_incidence=_np_landmark_incidence,
-    edge_support_chunk=_np_edge_support_chunk,
-)
-
-
-# ----------------------------------------------------------------------
-# optional numba twins
-# ----------------------------------------------------------------------
-
-
-def _build_numba_backend() -> Optional[KernelBackend]:
-    try:
-        import numba  # type: ignore[import-not-found]
-    except Exception:  # pragma: no cover - exercised only without numba
-        return None
-
-    njit = numba.njit(cache=False, nogil=True)
-
-    @njit
-    def nb_sorted_membership(sorted_keys, queries):  # pragma: no cover - jit
-        found = np.zeros(queries.shape[0], dtype=np.bool_)
-        size = sorted_keys.shape[0]
-        for index in range(queries.shape[0]):
-            query = queries[index]
-            low, high = 0, size
-            while low < high:
-                mid = (low + high) >> 1
-                if sorted_keys[mid] < query:
-                    low = mid + 1
-                else:
-                    high = mid
-            if low < size and sorted_keys[low] == query:
-                found[index] = True
-        return found
-
-    @njit
-    def nb_hash_zero_block(
-        coefficient_rows, points, prime, range_size
-    ):  # pragma: no cover - jit
-        rows = coefficient_rows.shape[0]
-        order = coefficient_rows.shape[1]
-        count = points.shape[0]
-        zero = np.empty((rows, count), dtype=np.bool_)
-        for row in range(rows):
-            for column in range(count):
-                point = points[column] % prime
-                accumulator = np.int64(0)
-                for index in range(order - 1, -1, -1):
-                    accumulator = (
-                        accumulator * point + coefficient_rows[row, index]
-                    ) % prime
-                zero[row, column] = (accumulator % range_size) == 0
-        return zero
-
-    @njit
-    def nb_landmark_incidence(
-        indptr, indices, landmarks, num_nodes
-    ):  # pragma: no cover - jit
-        incidence = np.zeros((num_nodes, landmarks.shape[0]), dtype=np.int64)
-        for column in range(landmarks.shape[0]):
-            landmark = landmarks[column]
-            for position in range(indptr[landmark], indptr[landmark + 1]):
-                incidence[indices[position], column] = 1
-        return incidence
-
-    popcount_table = _POPCOUNT.copy()
-
-    @njit
-    def nb_edge_support_chunk(packed, edge_u, edge_v):  # pragma: no cover - jit
-        width = packed.shape[1]
-        support = np.zeros(edge_u.shape[0], dtype=np.int64)
-        for index in range(edge_u.shape[0]):
-            total = np.int64(0)
-            for byte in range(width):
-                total += popcount_table[packed[edge_u[index], byte] & packed[edge_v[index], byte]]
-            support[index] = total
-        return support
-
-    def sorted_membership(sorted_keys, queries):
-        return nb_sorted_membership(
-            np.ascontiguousarray(sorted_keys, dtype=np.int64),
-            np.ascontiguousarray(queries, dtype=np.int64).ravel(),
-        ).reshape(np.shape(queries))
-
-    def hash_zero_block(coefficient_rows, points, prime, range_size):
-        return nb_hash_zero_block(
-            np.ascontiguousarray(coefficient_rows, dtype=np.int64),
-            np.ascontiguousarray(points, dtype=np.int64),
-            np.int64(prime),
-            np.int64(range_size),
-        )
-
-    def landmark_incidence(indptr, indices, landmarks, num_nodes):
-        return nb_landmark_incidence(
-            np.ascontiguousarray(indptr, dtype=np.int64),
-            np.ascontiguousarray(indices, dtype=np.int64),
-            np.ascontiguousarray(landmarks, dtype=np.int64),
-            np.int64(num_nodes),
-        )
-
-    def edge_support_chunk(packed, edge_u, edge_v):
-        return nb_edge_support_chunk(
-            np.ascontiguousarray(packed),
-            np.ascontiguousarray(edge_u, dtype=np.int64),
-            np.ascontiguousarray(edge_v, dtype=np.int64),
-        )
-
-    return KernelBackend(
-        name="numba",
-        sorted_membership=sorted_membership,
-        hash_zero_block=hash_zero_block,
-        landmark_incidence=landmark_incidence,
-        edge_support_chunk=edge_support_chunk,
-    )
-
-
-# ----------------------------------------------------------------------
-# registry and thread-local selection
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, KernelBackend] = {"numpy": _NUMPY_BACKEND}
-_numba_backend_built = False
-_numba_fallback_warned = False
-
-
-def register_backend(backend: KernelBackend) -> None:
-    """Register (or replace) a backend under its name."""
-    _REGISTRY[backend.name] = backend
-
-
-def numba_available() -> bool:
-    """True when the numba backend imported and registered successfully."""
-    _ensure_numba()
-    return "numba" in _REGISTRY
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The names that resolve without fallback, in registration order."""
-    _ensure_numba()
-    return tuple(_REGISTRY)
-
-
-def validate_backend(backend: str) -> str:
-    """Validate a ``backend=`` constructor argument (mirrors ``validate_kernel``)."""
-    if backend not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {VALID_BACKENDS}"
-        )
-    return backend
 
 
 def validate_chunk_bytes(chunk_bytes: Optional[int]) -> Optional[int]:
@@ -290,54 +105,14 @@ def validate_chunk_bytes(chunk_bytes: Optional[int]) -> Optional[int]:
     return value
 
 
-def _ensure_numba() -> None:
-    global _numba_backend_built
-    if not _numba_backend_built:
-        _numba_backend_built = True
-        backend = _build_numba_backend()
-        if backend is not None:  # pragma: no cover - requires numba installed
-            _REGISTRY[backend.name] = backend
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Resolve a backend name, degrading ``numba -> numpy`` when absent.
-
-    The degradation emits a single :class:`RuntimeWarning` per process; the
-    resolved numpy backend is the reference implementation, so results are
-    unchanged — only speed differs.
-    """
-    global _numba_fallback_warned
-    validate_backend(name)
-    _ensure_numba()
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        if not _numba_fallback_warned:
-            _numba_fallback_warned = True
-            warnings.warn(
-                "backend='numba' requested but numba is not importable; "
-                "falling back to the numpy backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        backend = _REGISTRY["numpy"]
-    return backend
-
-
 class _ActiveState(threading.local):
-    backend: Optional[str]
     chunk_bytes: int
 
     def __init__(self) -> None:  # called once per thread
-        self.backend = None
         self.chunk_bytes = DEFAULT_CHUNK_BYTES
 
 
 _ACTIVE = _ActiveState()
-
-
-def active_backend() -> KernelBackend:
-    """The backend the current thread's phase kernels dispatch to."""
-    return get_backend(_ACTIVE.backend or "numpy")
 
 
 def active_chunk_bytes() -> int:
@@ -351,23 +126,16 @@ def chunk_rows(row_bytes: int, minimum: int = 1) -> int:
 
 
 @contextlib.contextmanager
-def use_backend(
-    backend: Optional[str] = None, chunk_bytes: Optional[int] = None
-) -> Iterator[None]:
-    """Select the backend / chunk size for the duration of a ``with`` block.
+def use_chunk_bytes(chunk_bytes: Optional[int] = None) -> Iterator[None]:
+    """Set the chunk bound for the duration of a ``with`` block.
 
-    ``None`` leaves the corresponding setting untouched, so algorithms can
-    thread just the knobs they carry.  Settings are thread-local and restored
-    on exit even when the block raises.
+    ``None`` leaves the current bound untouched.  The setting is
+    thread-local and restored on exit even when the block raises.
     """
-    previous_backend = _ACTIVE.backend
     previous_chunk = _ACTIVE.chunk_bytes
-    if backend is not None:
-        _ACTIVE.backend = validate_backend(backend)
     if chunk_bytes is not None:
         _ACTIVE.chunk_bytes = validate_chunk_bytes(chunk_bytes)
     try:
         yield
     finally:
-        _ACTIVE.backend = previous_backend
         _ACTIVE.chunk_bytes = previous_chunk

@@ -36,8 +36,6 @@ from .runtime import (
     EMPTY_INBOX,
     Inbox,
     MessagePlane,
-    TypedInboxView,
-    inbox_columns,
     inbox_pairs,
     repeated_payload,
 )
@@ -403,16 +401,6 @@ class NodeContext:
     def received_senders(self) -> Set[NodeId]:
         """Return the set of nodes that delivered something in the last phase."""
         return {source for source, _ in inbox_pairs(self._inbox)}
-
-    def received_columns(self, schema: WireSchema) -> TypedInboxView:
-        """Return the typed column view of last phase's ``schema`` messages.
-
-        The zero-copy fast path for batched kernels: instead of decoding
-        ``(sender, payload)`` objects, consumers read the delivered element
-        columns (and the per-message offsets) directly.  Empty when no
-        typed traffic of this kind arrived.
-        """
-        return inbox_columns(self._inbox, schema)
 
     # ------------------------------------------------------------------
     # output

@@ -129,29 +129,6 @@ class LenzenRouter:
         traffic = PhaseTraffic(src=src, dst=dst, bits=bits, payloads=payloads)
         return self._deliver_instance(traffic, name)
 
-    def route_columns(
-        self,
-        schema: WireSchema,
-        src: np.ndarray,
-        dst: np.ndarray,
-        data: dict,
-        lengths: Optional[np.ndarray] = None,
-        bits: Optional[np.ndarray | int] = None,
-        name: str = "lenzen-routing",
-    ) -> PhaseReport:
-        """Deliver a columnar routing instance under a typed wire schema.
-
-        The batched counterpart of :meth:`route`: the whole instance
-        arrives as ``(src, dst, columns)`` arrays, per-message sizes come
-        from ``schema.bit_size`` (one vectorized reduction), and receivers
-        consume the delivered element columns through
-        ``inbox.columns(schema)`` — no per-request Python objects anywhere.
-        Round accounting is identical to :meth:`route` for the same
-        messages.
-        """
-        traffic = self._columnar_instance(schema, src, dst, data, lengths, bits)
-        return self._deliver_instance(traffic, name)
-
     def route_columns_direct(
         self,
         schema: WireSchema,
@@ -164,8 +141,11 @@ class LenzenRouter:
     ) -> DeliveredPhase:
         """Route a columnar instance on the **direct-exchange** path.
 
-        Identical round/bit accounting to :meth:`route_columns` for the
-        same messages, but the delivered edges come back as a
+        The batched counterpart of :meth:`route`: the whole instance
+        arrives as ``(src, dst, columns)`` arrays, per-message sizes come
+        from ``schema.bit_size`` (one vectorized reduction), and round/bit
+        accounting is identical to :meth:`route` for the same messages.
+        The delivered edges come back as a
         :class:`~repro.congest.runtime.DeliveredPhase` of destination-
         grouped channel arrays — no per-node inbox objects are built.
         """

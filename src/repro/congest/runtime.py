@@ -26,17 +26,17 @@ kernel both engines now sit on:
   phase's destination-sorted arrays; the ``(sender, payload)`` pair list is
   materialized lazily on first read, so phases whose inboxes are only
   partially consumed (BFS frontiers, sparse responders) never pay for the
-  rest.  Typed traffic arrives as :class:`TypedInboxView` column views
-  (``inbox.columns(schema)``); object payloads for typed messages are only
-  decoded if some consumer actually asks for the pair list.
+  rest.  Typed traffic stays columnar in its destination-grouped channel;
+  object payloads for typed messages are only decoded if some consumer
+  actually asks for the pair list.
 * :class:`DeliveredChannel` / :class:`DeliveredPhase` — the **direct
   exchange** path.  When a batched phase kernel drives the network it does
   not need per-node inboxes at all: :meth:`CongestRuntime.deliver_direct`
   hands the kernel each typed channel's destination-grouped arrays
   (``dst``-sorted senders, grouped element offsets, grouped columns) and
-  never materializes an :class:`InboxSlice`, a :class:`TypedInboxView` or
-  the per-receiver dict.  Grouping is lazy per schema kind — announcement
-  channels nobody reads are never grouped.  Accounting (the flat
+  never materializes an :class:`InboxSlice` or the per-receiver dict.
+  Grouping is lazy per schema kind — announcement channels nobody reads
+  are never grouped.  Accounting (the flat
   ``src``/``dst``/``bits`` arrays, link-bit maxima,
   :class:`~repro.congest.metrics.ExecutionMetrics`) is shared with the
   inbox path, so both paths charge byte-identical CONGEST costs.
@@ -72,9 +72,9 @@ from .wire import WireSchema, default_bit_size
 EMPTY_INBOX: Tuple[Tuple[int, Any], ...] = ()
 
 #: Optional instrumentation hook: when set, called with the class name every
-#: time a per-node delivery object (:class:`InboxSlice`,
-#: :class:`TypedInboxView`) is created.  The allocation regression tests use
-#: it to prove the direct-exchange path builds none of them.
+#: time a per-node delivery object (:class:`InboxSlice`) or a pooled arena
+#: buffer is created.  The allocation regression tests use it to prove the
+#: direct-exchange path builds no inbox objects.
 _allocation_hook: Optional[Callable[[str], None]] = None
 
 
@@ -289,8 +289,8 @@ def build_typed_channel(
     """Validate and assemble one columnar batch into a :class:`TypedChannel`.
 
     The single staging door shared by :meth:`MessagePlane.extend_columns`
-    and :meth:`~repro.congest.routing.LenzenRouter.route_columns`: source
-    broadcasting, offset construction, column-layout checks and schema
+    and :meth:`~repro.congest.routing.LenzenRouter.route_columns_direct`:
+    source broadcasting, offset construction, column-layout checks and schema
     sizing all live here.  Returns ``None`` for an empty batch.  The
     derived flat arrays (offsets, broadcast source/length/size fills) are
     leased from ``arena`` when one is given; caller-staged column data is
@@ -395,83 +395,15 @@ def _merge_typed_segments(
     )
 
 
-class TypedInboxView:
-    """One receiver's slice of a typed channel: zero-copy column views.
-
-    ``senders[i]`` sent the message whose elements are rows
-    ``offsets[i]:offsets[i+1]`` of every column — the same flattened layout
-    as :class:`TypedChannel`, restricted to this receiver.  Batched phase
-    kernels consume these views directly; :meth:`decode_pairs` exists for
-    the reference pair-list path and the differential tests.
-    """
-
-    __slots__ = ("schema", "senders", "offsets", "data")
-
-    def __init__(
-        self,
-        schema: WireSchema,
-        senders: np.ndarray,
-        offsets: np.ndarray,
-        data: Dict[str, np.ndarray],
-    ) -> None:
-        if _allocation_hook is not None:
-            _allocation_hook("TypedInboxView")
-        self.schema = schema
-        self.senders = senders
-        self.offsets = offsets
-        self.data = data
-
-    @classmethod
-    def empty(cls, schema: WireSchema) -> "TypedInboxView":
-        """Return an empty view under ``schema`` (zero messages)."""
-        return cls(
-            schema,
-            _EMPTY_INT,
-            np.zeros(1, dtype=np.int64),
-            {name: _EMPTY_INT for name in schema.columns},
-        )
-
-    @property
-    def count(self) -> int:
-        """Number of messages in the view."""
-        return int(self.senders.shape[0])
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Per-message element counts."""
-        return np.diff(self.offsets)
-
-    def column(self, name: str) -> np.ndarray:
-        """Return one flattened element column (all messages concatenated)."""
-        return self.data[name]
-
-    def decode_pairs(self) -> List[Tuple[int, Any]]:
-        """Materialize the ``(sender, payload)`` list via the schema codec."""
-        offsets = self.offsets
-        return [
-            (
-                int(sender),
-                self.schema.decode(
-                    {
-                        name: column[offsets[index] : offsets[index + 1]]
-                        for name, column in self.data.items()
-                    }
-                ),
-            )
-            for index, sender in enumerate(self.senders.tolist())
-        ]
-
-
 class InboxSlice:
     """One node's delivered inbox, backed by views into the phase arrays.
 
     Materializing the ``(sender, payload)`` pair list costs one C-level
     ``zip`` per inbox and happens only when the node program actually reads
-    its messages.  Typed traffic is attached as per-schema
-    :class:`TypedInboxView` blocks: :meth:`columns` hands them to batched
-    kernels untouched, while :meth:`pairs` decodes them through the schema
-    codec so reference-path consumers see the same ``(sender, payload)``
-    messages either way.
+    its messages.  Typed traffic is attached as ``(channel, group)``
+    references into the destination-grouped :class:`DeliveredChannel` of
+    each schema kind; :meth:`pairs` decodes them through the schema codec,
+    so node programs see ``(sender, payload)`` messages either way.
     """
 
     __slots__ = ("_senders", "_payloads", "_pairs", "_typed")
@@ -482,33 +414,12 @@ class InboxSlice:
         self._senders = senders
         self._payloads = payloads
         self._pairs: Optional[List[Tuple[int, Any]]] = None
-        self._typed: Optional[Dict[str, TypedInboxView]] = None
+        self._typed: Tuple[Tuple["DeliveredChannel", int], ...] = ()
 
     @classmethod
     def empty(cls) -> "InboxSlice":
         """Return an inbox with no object-payload messages."""
         return cls(_EMPTY_INT, _EMPTY_OBJ)
-
-    def _attach_typed(self, view: TypedInboxView) -> None:
-        if self._typed is None:
-            self._typed = {}
-        self._typed[view.schema.kind] = view
-        self._pairs = None
-
-    def columns(self, schema: WireSchema | str) -> TypedInboxView:
-        """Return this inbox's typed view for ``schema`` (empty if none).
-
-        Accepts the schema object or its kind string.  The returned view is
-        zero-copy over the phase's destination-grouped column blocks.
-        """
-        kind = schema if isinstance(schema, str) else schema.kind
-        if self._typed is not None and kind in self._typed:
-            return self._typed[kind]
-        if isinstance(schema, str):
-            from .wire import schema_for
-
-            schema = schema_for(schema)
-        return TypedInboxView.empty(schema)
 
     def pairs(self) -> List[Tuple[int, Any]]:
         """Return (and cache) the ``(sender, payload)`` list.
@@ -518,16 +429,16 @@ class InboxSlice:
         """
         if self._pairs is None:
             pairs = list(zip(self._senders.tolist(), self._payloads.tolist()))
-            if self._typed is not None:
-                for view in self._typed.values():
-                    pairs.extend(view.decode_pairs())
+            for channel, which in self._typed:
+                pairs.extend(channel.decode_pairs(which))
             self._pairs = pairs
         return self._pairs
 
     def __len__(self) -> int:
         count = int(self._senders.shape[0])
-        if self._typed is not None:
-            count += sum(view.count for view in self._typed.values())
+        for channel, which in self._typed:
+            bounds = channel.message_bounds
+            count += int(bounds[which + 1] - bounds[which])
         return count
 
     def __iter__(self):
@@ -544,17 +455,6 @@ def inbox_pairs(inbox: Inbox) -> Sequence[Tuple[int, Any]]:
     if isinstance(inbox, InboxSlice):
         return inbox.pairs()
     return inbox
-
-
-def inbox_columns(inbox: Inbox, schema: WireSchema) -> TypedInboxView:
-    """Return the typed view of ``inbox`` for ``schema`` (empty if none).
-
-    Plain pair-list inboxes (the shared empty inbox, legacy explicit lists)
-    carry no columnar traffic, so they yield the empty view.
-    """
-    if isinstance(inbox, InboxSlice):
-        return inbox.columns(schema)
-    return TypedInboxView.empty(schema)
 
 
 class MessagePlane:
@@ -837,10 +737,10 @@ class DeliveredChannel:
     """One typed channel reordered into destination groups.
 
     The direct-exchange consumable: batched phase kernels read these arrays
-    in place instead of per-node :class:`TypedInboxView` objects.  Message
-    ``i`` (rows grouped so ``dst`` is ascending, ties in staged order) was
-    sent by ``src[i]`` and owns element rows ``offsets[i]:offsets[i+1]`` of
-    every column in ``data``.  The messages of ``receivers[g]`` are rows
+    in place instead of per-node inbox objects.  Message ``i`` (rows
+    grouped so ``dst`` is ascending, ties in staged order) was sent by
+    ``src[i]`` and owns element rows ``offsets[i]:offsets[i+1]`` of every
+    column in ``data``.  The messages of ``receivers[g]`` are rows
     ``message_bounds[g]:message_bounds[g+1]``.
     """
 
@@ -883,24 +783,28 @@ class DeliveredChannel:
         """Per-element sending node (aligned with the columns)."""
         return np.repeat(self.src, self.lengths)
 
-    def view_for(self, which: int) -> TypedInboxView:
-        """Build the ``which``-th receiver's :class:`TypedInboxView` slice.
+    def decode_pairs(self, which: int) -> List[Tuple[int, Any]]:
+        """Decode the ``which``-th receiver's messages into ``(sender, payload)``
+        pairs via the schema codec.
 
         Only the inbox delivery path calls this; direct-exchange consumers
         read the grouped arrays without per-receiver objects.
         """
+        offsets = self.offsets
         start = int(self.message_bounds[which])
         end = int(self.message_bounds[which + 1])
-        element_start = int(self.offsets[start])
-        return TypedInboxView(
-            self.schema,
-            self.src[start:end],
-            self.offsets[start : end + 1] - element_start,
-            {
-                name: column[element_start : int(self.offsets[end])]
-                for name, column in self.data.items()
-            },
-        )
+        return [
+            (
+                int(self.src[index]),
+                self.schema.decode(
+                    {
+                        name: column[offsets[index] : offsets[index + 1]]
+                        for name, column in self.data.items()
+                    }
+                ),
+            )
+            for index in range(start, end)
+        ]
 
 
 def group_channel(
@@ -964,7 +868,7 @@ def group_channel(
 
 
 def _deliver_channel(slices: Dict[int, InboxSlice], channel: TypedChannel) -> None:
-    """Group one typed channel by destination and attach per-receiver views."""
+    """Group one typed channel by destination and attach it to each receiver."""
     if channel.count == 0:
         return
     grouped = group_channel(channel)
@@ -973,7 +877,7 @@ def _deliver_channel(slices: Dict[int, InboxSlice], channel: TypedChannel) -> No
         if inbox is None:
             inbox = InboxSlice.empty()
             slices[receiver] = inbox
-        inbox._attach_typed(grouped.view_for(which))
+        inbox._typed += ((grouped, which),)
 
 
 class DeliveredPhase:
@@ -1005,8 +909,7 @@ class DeliveredPhase:
     def channel(self, schema: WireSchema | str) -> DeliveredChannel:
         """Return (grouping on first use) the delivered channel for ``schema``.
 
-        Unknown kinds yield an empty channel, mirroring
-        :meth:`InboxSlice.columns` on the inbox path.
+        Unknown kinds yield an empty channel.
         """
         kind = schema if isinstance(schema, str) else schema.kind
         grouped = self._grouped.get(kind)

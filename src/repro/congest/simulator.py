@@ -267,7 +267,7 @@ class CongestSimulator:
         per-node inboxes the phase's channels come back as a
         :class:`~repro.congest.runtime.DeliveredPhase`: the driving batched
         kernel consumes the destination-grouped channel arrays in place,
-        and no per-node ``InboxSlice``/``TypedInboxView`` objects (nor the
+        and no per-node ``InboxSlice`` objects (nor the
         receiver dict) are ever materialized.  Object-payload messages, if
         any were queued, are still delivered as inboxes.
 

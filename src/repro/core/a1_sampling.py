@@ -19,11 +19,11 @@ identifiers per edge, i.e. ``O(n^{1-ε})`` rounds.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..congest.backends import validate_chunk_bytes
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A1_SAMPLE_SCHEMA, id_bits
@@ -49,9 +49,8 @@ class HeavySamplingFinder(TriangleAlgorithm):
         ``"batched"`` (default) stages every node's sample broadcast as one
         columnar batch and runs detection as a single whole-network
         membership test over the direct-exchange channel arrays;
-        ``"pernode"`` keeps the per-node inbox views and receiver loops of
-        the previous batched generation; ``"reference"`` runs the per-node
-        closures.  Identical executions for the same seed.
+        ``"reference"`` runs the per-node closures.  Identical executions
+        for the same seed.
     """
 
     name = "A1-heavy-sampling"
@@ -62,7 +61,6 @@ class HeavySamplingFinder(TriangleAlgorithm):
         epsilon: float,
         sample_cap_constant: float = 4.0,
         kernel: str = "batched",
-        backend: str = "numpy",
         chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
@@ -74,14 +72,13 @@ class HeavySamplingFinder(TriangleAlgorithm):
         self._epsilon = epsilon
         self._sample_cap_constant = sample_cap_constant
         self._kernel = validate_kernel(kernel)
-        self._set_tuning(backend, chunk_bytes)
+        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
         return {
             "epsilon": self._epsilon,
             "sample_cap_constant": self._sample_cap_constant,
             "kernel": self._kernel,
-            "backend": self.backend,
             "chunk_bytes": self.chunk_bytes,
         }
 
@@ -96,8 +93,6 @@ class HeavySamplingFinder(TriangleAlgorithm):
         ) * a1_sample_cap(num_nodes, self._epsilon)
         if self._kernel == "batched":
             return self._execute_direct(simulator, probability, cap)
-        if self._kernel == "pernode":
-            return self._execute_pernode(simulator, probability, cap)
         return self._execute_reference(simulator, probability, cap)
 
     def _execute_reference(
@@ -146,8 +141,7 @@ class HeavySamplingFinder(TriangleAlgorithm):
         Per-node randomness is drawn exactly as the reference closure draws
         it (one ``rng.random(degree)`` mask over the sorted neighbour row),
         so seeded runs coincide; the whole phase's traffic lands on the
-        plane in one ``stage_columns`` call.  Shared by the ``pernode`` and
-        direct-exchange kernels, which differ only in consumption.
+        plane in one ``stage_columns`` call.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
@@ -200,38 +194,12 @@ class HeavySamplingFinder(TriangleAlgorithm):
                 bits=np.repeat(sizes * node_id_bits, degrees),
             )
 
-    def _execute_pernode(
-        self, simulator: CongestSimulator, probability: float, cap: float
-    ) -> bool:
-        """Columnar staging + per-node inbox-view detection loops."""
-        csr = simulator.graph.csr()
-        indptr, indices = csr.indptr, csr.indices
-        self._stage_samples(simulator, probability, cap)
-        simulator.run_phase("A1:send-samples")
-
-        for context in simulator.contexts:
-            view = context.received_columns(A1_SAMPLE_SCHEMA)
-            if view.count == 0:
-                continue
-            node = context.node_id
-            row = indices[indptr[node] : indptr[node + 1]]
-            candidates = view.column("member")
-            senders_per_candidate = np.repeat(view.senders, view.lengths)
-            hits = (candidates != node) & np.isin(candidates, row)
-            if hits.any():
-                context.output_triangles(
-                    senders_per_candidate[hits],
-                    np.full(int(hits.sum()), node, dtype=np.int64),
-                    candidates[hits],
-                )
-        return False
-
     def _execute_direct(
         self, simulator: CongestSimulator, probability: float, cap: float
     ) -> bool:
         """The direct-exchange kernel: fused whole-network detection.
 
-        Same staged traffic as :meth:`_execute_pernode`; delivery comes
+        Same traffic as the reference closures; delivery comes
         back as destination-grouped channel arrays and the ``N(k) ∩ S_j``
         test runs as a vectorized edge-membership query over the
         (receiver, candidate) elements — no per-node inboxes or loops,

@@ -20,7 +20,7 @@ common neighbour catches it with constant probability.  The communication
 cost is dominated by step 2: at most ``8 + 4n/⌊n^{ε/2}⌋`` edges per link,
 i.e. ``O(n^{1-ε/2})`` rounds.
 
-Three execution kernels implement the protocol:
+Two execution kernels implement the protocol:
 
 * the **batched kernel** (default) evaluates every node's 3-wise hash over
   the CSR neighbour rows as one array program — each family member is
@@ -31,15 +31,12 @@ Three execution kernels implement the protocol:
   whole-network grouped oracle call
   (:func:`repro.graphs.csr.triangles_by_group`) over the
   destination-grouped channel columns — no per-node inboxes, views or
-  receiver loops exist anywhere in the run,
-* the **pernode kernel** is the previous batched generation (per-node
-  inbox views, one local CSR oracle per receiver), kept as the
-  benchmark baseline for the direct-exchange speedup, and
+  receiver loops exist anywhere in the run, and
 * the **reference kernel** keeps the paper-shaped per-node closures over
   object payloads.
 
-All kernels draw per-node randomness identically, so a seeded run produces
-the same round counts, link-bit maxima and triangle outputs on any path;
+Both kernels draw per-node randomness identically, so a seeded run produces
+the same round counts, link-bit maxima and triangle outputs on either path;
 the differential suite (``tests/core/test_batched_kernels.py``) enforces
 this on every workload family.
 """
@@ -50,12 +47,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..congest.backends import active_backend, chunk_rows
+from ..congest.backends import chunk_rows, hash_zero_block, validate_chunk_bytes
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A2_EDGE_SCHEMA, HashDescriptorSchema, edge_bits
-from ..graphs.csr import CSRGraph, triangles_by_group
-from ..graphs.graph import Graph
+from ..graphs.csr import triangles_by_group
 from ..hashing.kwise import KWiseIndependentFamily
 from ..types import Edge, make_edge, triangle_keys
 from .base import TriangleAlgorithm, dense_pair_matrix_worthwhile, validate_kernel
@@ -88,7 +84,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         epsilon: float,
         independence: int = 3,
         kernel: str = "batched",
-        backend: str = "numpy",
         chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
@@ -98,14 +93,13 @@ class HeavyHashingLister(TriangleAlgorithm):
         self._epsilon = epsilon
         self._independence = independence
         self._kernel = validate_kernel(kernel)
-        self._set_tuning(backend, chunk_bytes)
+        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
         return {
             "epsilon": self._epsilon,
             "independence": self._independence,
             "kernel": self._kernel,
-            "backend": self.backend,
             "chunk_bytes": self.chunk_bytes,
         }
 
@@ -126,8 +120,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         )
         if self._kernel == "batched":
             return self._execute_direct(simulator, family, edge_cap)
-        if self._kernel == "pernode":
-            return self._execute_pernode(simulator, family, edge_cap)
         return self._execute_reference(simulator, family, edge_cap)
 
     def _execute_reference(
@@ -273,7 +265,7 @@ class HeavyHashingLister(TriangleAlgorithm):
             if zero_mask is not None:
                 filters = zero_mask[np.ix_(row, row)]
             else:
-                filters = _hash_zero_block(
+                filters = hash_zero_block(
                     coefficients[row], row, family.prime, family.range_size
                 )
             kept_per_target = filters.sum(axis=1)
@@ -310,54 +302,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         )
         return zero_mask, senders, targets
 
-    def _execute_pernode(
-        self,
-        simulator: CongestSimulator,
-        family: KWiseIndependentFamily,
-        edge_cap: float,
-    ) -> bool:
-        """The per-node batched kernel: columnar staging, inbox-view receivers.
-
-        Identical execution to :meth:`_execute_reference` (same per-node RNG
-        draws, same messages, same sizes); message production is array work
-        but every receiver still consumes its own ``TypedInboxView`` and
-        runs its own local CSR oracle.
-        """
-        num_nodes = simulator.num_nodes
-        coefficients = self._stage_hashes(simulator, family)
-        simulator.run_phase("A2:send-hash-functions")
-        self._stage_filtered_edges(simulator, family, coefficients, edge_cap)
-        simulator.run_phase("A2:send-filtered-edges")
-
-        # Step 3: list triangles inside each node's received edge columns.
-        # Each inbox defines a small graph F_i; its triangles come from the
-        # vectorized CSR oracle, per receiver.  Endpoints are remapped to a
-        # compact vertex set first so the per-inbox graph (and the oracle's
-        # strategy choice) is sized by the inbox, not by n.
-        for context in simulator.contexts:
-            view = context.received_columns(A2_EDGE_SCHEMA)
-            if view.count == 0:
-                continue
-            keys = view.column("u") * np.int64(num_nodes) + view.column("v")
-            unique_keys = np.unique(keys)
-            endpoint_u = unique_keys // num_nodes
-            endpoint_v = unique_keys % num_nodes
-            vertices = np.unique(np.concatenate((endpoint_u, endpoint_v)))
-            local_graph = CSRGraph.from_edge_arrays(
-                int(vertices.shape[0]),
-                np.searchsorted(vertices, endpoint_u),
-                np.searchsorted(vertices, endpoint_v),
-            )
-            listed = local_graph.triangles()
-            if listed.shape[0]:
-                context.output_triangles(
-                    vertices[listed[:, 0]],
-                    vertices[listed[:, 1]],
-                    vertices[listed[:, 2]],
-                    canonical=True,
-                )
-        return False
-
     def _execute_direct(
         self,
         simulator: CongestSimulator,
@@ -366,11 +310,11 @@ class HeavyHashingLister(TriangleAlgorithm):
     ) -> bool:
         """The direct-exchange kernel: fused whole-network receivers.
 
-        Same staged traffic as :meth:`_execute_pernode`, but both phases
-        run on the direct-exchange path and no per-node inbox objects
-        exist.  On dense graphs (where step 2 precomputed the all-pairs
-        hash-zero matrix) step 3 does not even group the delivered
-        channel: the received set ``F_i`` is a pure function of the
+        Same traffic as :meth:`_execute_reference`, but both phases run
+        on the direct-exchange path and no per-node inbox objects exist.
+        On dense graphs (where step 2 precomputed the all-pairs hash-zero
+        matrix) step 3 does not even group the delivered channel: the
+        received set ``F_i`` is a pure function of the
         hash-zero matrix ``Z``, the shipping mask ``S`` and the adjacency
         — an edge ``{u, v}`` is in ``F_i`` iff one endpoint shipped to
         ``i`` and the other hashes to zero — so the kernel enumerates
@@ -502,21 +446,6 @@ def _triangles_in_edge_set(edges: Set[Edge]) -> List[Tuple[int, int, int]]:
     return triangles
 
 
-def _hash_zero_block(
-    coefficient_rows: np.ndarray, points: np.ndarray, prime: int, range_size: int
-) -> np.ndarray:
-    """Return ``Z[i, j] = (h_i(points[j]) == 0)`` for the given functions.
-
-    One Horner pass per coefficient, vectorized over the whole block.
-    Intermediate products stay below ``prime²`` (< 2⁶³ for every realistic
-    ``n``), so plain int64 arithmetic is exact.  Dispatches to the active
-    kernel backend (numpy reference or the numba twin).
-    """
-    return active_backend().hash_zero_block(
-        coefficient_rows, points, int(prime), int(range_size)
-    )
-
-
 def _hash_zero_matrix(
     coefficients: np.ndarray, prime: int, range_size: int, num_nodes: int
 ) -> np.ndarray:
@@ -532,7 +461,7 @@ def _hash_zero_matrix(
     row_chunk = chunk_rows(8 * num_nodes)
     for start in range(0, num_nodes, row_chunk):
         end = min(num_nodes, start + row_chunk)
-        zero[start:end] = _hash_zero_block(
+        zero[start:end] = hash_zero_block(
             coefficients[start:end], points, prime, range_size
         )
     return zero

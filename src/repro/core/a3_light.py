@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
 
-from ..congest.backends import active_backend, chunk_rows
+from ..congest.backends import chunk_rows, landmark_incidence, validate_chunk_bytes
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import (
@@ -100,10 +100,8 @@ def run_axr(
         batches, evaluates the ∆(X) tests as one disjointness matrix, and
         consumes the S/V/announcement phases on the direct-exchange path
         (whole-network edge-membership oracle calls, no per-node inboxes);
-        ``"pernode"`` keeps the previous batched generation's per-node
-        inbox views and receiver loops; ``"reference"`` runs the per-node
-        closures.  All kernels execute identically (same rounds, bits and
-        outputs).
+        ``"reference"`` runs the per-node closures.  Both kernels execute
+        identically (same rounds, bits and outputs).
 
     Returns
     -------
@@ -114,8 +112,6 @@ def run_axr(
     validate_kernel(kernel)
     if kernel == "batched":
         return _run_axr_direct(simulator, goodness_threshold, max_iterations)
-    if kernel == "pernode":
-        return _run_axr_pernode(simulator, goodness_threshold, max_iterations)
     return _run_axr_reference(simulator, goodness_threshold, max_iterations)
 
 
@@ -303,9 +299,7 @@ def _landmark_incidence(
     landmarks = np.flatnonzero(in_x)
     if landmarks.shape[0] == 0:
         return None
-    return active_backend().landmark_incidence(
-        indptr, indices, landmarks, num_nodes
-    )
+    return landmark_incidence(indptr, indices, landmarks, num_nodes)
 
 
 def _make_disjointness(
@@ -358,233 +352,6 @@ def _make_disjointness(
         return (rows @ rows.T) == 0
 
     return block, None
-
-
-def _run_axr_pernode(
-    simulator: CongestSimulator,
-    goodness_threshold: float,
-    max_iterations: Optional[int] = None,
-) -> bool:
-    """The per-node batched kernel: columnar phases, matrix ∆(X), inbox views.
-
-    Phase for phase the same execution as :func:`_run_axr_reference` (the
-    differential suite enforces identical round counts, link-bit maxima and
-    outputs); message production runs as array programs over the CSR rows
-    but every receiver still consumes its own typed inbox view.
-    """
-    num_nodes = simulator.num_nodes
-    node_id_bits = id_bits(num_nodes)
-    if max_iterations is None:
-        max_iterations = _axr_max_iterations(num_nodes)
-    csr = simulator.graph.csr()
-    indptr, indices = csr.indptr, csr.indices
-    degrees = np.diff(indptr)
-    contexts = simulator.contexts
-    all_nodes = np.arange(num_nodes, dtype=np.int64)
-    broadcast_src = np.repeat(all_nodes, degrees)
-
-    in_x = np.fromiter(
-        (bool(context.state.get("in_X", False)) for context in contexts),
-        dtype=bool,
-        count=num_nodes,
-    )
-
-    # Step 1: announce landmark membership (one bit per incident edge).
-    if broadcast_src.shape[0]:
-        simulator.stage_columns(
-            A3_IN_X_SCHEMA,
-            broadcast_src,
-            indices,
-            {"flag": in_x[broadcast_src].astype(np.int64)},
-        )
-    simulator.run_phase("A(X,r):1-announce-X")
-
-    # Step 2: ship N(k) ∩ X to every neighbour.  Every node's landmark
-    # neighbourhood is its sorted CSR row filtered through the step-1
-    # flags, tiled once per neighbour.
-    landmark_rows = [
-        indices[indptr[node] : indptr[node + 1]][
-            in_x[indices[indptr[node] : indptr[node + 1]]]
-        ]
-        for node in range(num_nodes)
-    ]
-    landmark_counts = np.asarray(
-        [row.shape[0] for row in landmark_rows], dtype=np.int64
-    )
-    if broadcast_src.shape[0]:
-        tiled = [
-            np.tile(landmark_rows[node], int(degrees[node]))
-            for node in range(num_nodes)
-            if degrees[node]
-        ]
-        simulator.stage_columns(
-            A3_NX_SCHEMA,
-            broadcast_src,
-            indices,
-            {
-                "member": np.concatenate(tiled)
-                if tiled
-                else np.empty(0, dtype=np.int64)
-            },
-            lengths=landmark_counts[broadcast_src],
-        )
-    simulator.run_phase("A(X,r):2-send-X-neighbourhoods")
-
-    # The ∆(X) membership test, as a per-block evaluator (precomputed for
-    # all pairs on dense graphs, on demand on sparse ones).
-    disjoint_block, _ = _make_disjointness(
-        _landmark_incidence(indptr, indices, in_x), num_nodes, degrees
-    )
-
-    in_u = np.ones(num_nodes, dtype=bool)
-    truncated_by_progress = False
-    for _ in range(max_iterations):
-        if not in_u.any():
-            break
-        active_nodes = np.flatnonzero(in_u)
-        active_rows = {
-            int(node): indices[indptr[node] : indptr[node + 1]][
-                in_u[indices[indptr[node] : indptr[node + 1]]]
-            ]
-            for node in active_nodes.tolist()
-        }
-
-        # Step 4.1 — compute and ship the S(j, k) sets.
-        sender_nodes: List[int] = []
-        sender_counts: List[int] = []
-        target_chunks: List[np.ndarray] = []
-        length_chunks: List[np.ndarray] = []
-        member_chunks: List[np.ndarray] = []
-        for node in active_nodes.tolist():
-            active_neighbors = active_rows[node]
-            if active_neighbors.shape[0] == 0:
-                continue
-            candidate = disjoint_block(active_neighbors)
-            np.fill_diagonal(candidate, False)
-            set_sizes = candidate.sum(axis=1)
-            shipped = set_sizes <= goodness_threshold
-            if not shipped.any():
-                continue
-            sender_nodes.append(node)
-            targets = active_neighbors[shipped]
-            sender_counts.append(int(targets.shape[0]))
-            target_chunks.append(targets)
-            length_chunks.append(set_sizes[shipped])
-            member_chunks.append(
-                active_neighbors[np.nonzero(candidate[shipped])[1]]
-            )
-        if sender_nodes:
-            lengths = np.concatenate(length_chunks)
-            simulator.stage_columns(
-                A3_S_SCHEMA,
-                np.repeat(
-                    np.asarray(sender_nodes, dtype=np.int64),
-                    np.asarray(sender_counts, dtype=np.int64),
-                ),
-                np.concatenate(target_chunks),
-                {
-                    "member": np.concatenate(member_chunks)
-                    if lengths.sum()
-                    else np.empty(0, dtype=np.int64)
-                },
-                lengths=lengths,
-                bits=np.maximum(lengths * node_id_bits, 1),
-            )
-        simulator.run_phase("A(X,r):4.1-send-S")
-
-        # Receivers list revealed triangles and compute V(j) (step 4.2).
-        is_good = np.zeros(num_nodes, dtype=bool)
-        withholding_sets: Dict[int, np.ndarray] = {}
-        for node in active_nodes.tolist():
-            context = contexts[node]
-            row = indices[indptr[node] : indptr[node + 1]]
-            view = context.received_columns(A3_S_SCHEMA)
-            if view.count:
-                thirds = view.column("member")
-                senders_per_third = np.repeat(view.senders, view.lengths)
-                revealed = (thirds != node) & np.isin(thirds, row)
-                if revealed.any():
-                    context.output_triangles(
-                        np.full(int(revealed.sum()), node, dtype=np.int64),
-                        senders_per_third[revealed],
-                        thirds[revealed],
-                    )
-            active_neighbors = active_rows[node]
-            withheld = active_neighbors[
-                np.isin(active_neighbors, view.senders, invert=True)
-            ]
-            withholding_sets[node] = withheld
-            is_good[node] = withheld.shape[0] <= goodness_threshold
-
-        # Step 4.3 — r-good nodes ship V(j) to their active neighbours.
-        sender_nodes = []
-        sender_counts = []
-        target_chunks = []
-        member_chunks = []
-        set_size_list: List[int] = []
-        for node in active_nodes.tolist():
-            if not is_good[node]:
-                continue
-            withheld = withholding_sets[node]
-            if withheld.shape[0] == 0:
-                continue
-            active_neighbors = active_rows[node]
-            if active_neighbors.shape[0] == 0:
-                continue
-            sender_nodes.append(node)
-            sender_counts.append(int(active_neighbors.shape[0]))
-            target_chunks.append(active_neighbors)
-            member_chunks.append(np.tile(withheld, active_neighbors.shape[0]))
-            set_size_list.append(int(withheld.shape[0]))
-        if sender_nodes:
-            counts = np.asarray(sender_counts, dtype=np.int64)
-            sizes = np.asarray(set_size_list, dtype=np.int64)
-            simulator.stage_columns(
-                A3_V_SCHEMA,
-                np.repeat(np.asarray(sender_nodes, dtype=np.int64), counts),
-                np.concatenate(target_chunks),
-                {"member": np.concatenate(member_chunks)},
-                lengths=np.repeat(sizes, counts),
-                bits=np.repeat(np.maximum(sizes * node_id_bits, 1), counts),
-            )
-        simulator.run_phase("A(X,r):4.3-send-V")
-
-        for node in active_nodes.tolist():
-            context = contexts[node]
-            view = context.received_columns(A3_V_SCHEMA)
-            if view.count == 0:
-                continue
-            row = indices[indptr[node] : indptr[node + 1]]
-            thirds = view.column("member")
-            senders_per_third = np.repeat(view.senders, view.lengths)
-            revealed = (thirds != node) & np.isin(thirds, row)
-            if revealed.any():
-                context.output_triangles(
-                    np.full(int(revealed.sum()), node, dtype=np.int64),
-                    senders_per_third[revealed],
-                    thirds[revealed],
-                )
-
-        # Steps 4.4 / 4.5 — good nodes retire; everyone announces membership.
-        retired_any = bool((in_u & is_good).any())
-        in_u = in_u & ~is_good
-        if broadcast_src.shape[0]:
-            simulator.stage_columns(
-                A3_IN_U_SCHEMA,
-                broadcast_src,
-                indices,
-                {"flag": in_u[broadcast_src].astype(np.int64)},
-            )
-        simulator.run_phase("A(X,r):4.5-announce-U")
-
-        if not retired_any:
-            # No node was r-good: the configuration is now static and more
-            # iterations cannot reveal anything new (the landmark set failed
-            # Lemma 3's guarantee).  Stop rather than loop until the budget.
-            truncated_by_progress = True
-            break
-
-    return truncated_by_progress
 
 
 #: Approximate bytes of intermediates per element in the fused receiver
@@ -668,9 +435,9 @@ def _run_axr_direct(
 ) -> bool:
     """The direct-exchange kernel for ``A(X, r)``: fused receivers throughout.
 
-    Same staged traffic, phase for phase, as :func:`_run_axr_pernode` — the
-    differential suite pins all three kernels together — but every phase
-    runs through :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`:
+    Same traffic, phase for phase, as :func:`_run_axr_reference` — the
+    differential suite pins both kernels together — but every phase runs
+    through :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`:
 
     * the ``in_X``/``in_U`` announcements and the ``N(k) ∩ X``
       neighbourhoods are staged for accounting and never grouped, let
@@ -773,8 +540,8 @@ def _run_axr_direct(
             # out of the same pass), and the flat nonzero positions are
             # the member column, already in destination-ascending staged
             # order — the delivered channel groups with zero copies.  The
-            # staged message multiset is identical to the pernode kernel's
-            # sender-major build.
+            # staged message multiset is identical to the sender-major
+            # build below.
             stage_src_chunks: List[np.ndarray] = []
             stage_dst_chunks: List[np.ndarray] = []
             stage_length_chunks: List[np.ndarray] = []
@@ -825,8 +592,7 @@ def _run_axr_direct(
                 else np.empty(0, dtype=np.int64)
             )
         else:
-            # Step 4.1, sender-major (sparse fallback — identical to the
-            # pernode kernel's build).
+            # Step 4.1, sender-major (sparse fallback).
             sender_nodes: List[int] = []
             sender_counts: List[int] = []
             target_chunks: List[np.ndarray] = []
@@ -900,8 +666,8 @@ def _run_axr_direct(
         is_good[active_nodes] = withheld_counts[active_nodes] <= goodness_threshold
 
         # Step 4.3 — r-good nodes ship V(j) to their active neighbours.
-        # ``withheld_j`` is ascending (CSR order), so the staged batch
-        # matches the pernode kernel's node-ascending build exactly.
+        # ``withheld_j`` is ascending (CSR order), so the staged batch is
+        # built node-ascending, as the reference closures send it.
         sender_nodes = []
         sender_counts = []
         target_chunks = []
@@ -979,8 +745,7 @@ class LightTrianglesLister(TriangleAlgorithm):
         the untruncated behaviour of unlucky runs).
     kernel:
         ``"batched"`` (default) runs the direct-exchange fused ``A(X, r)``
-        kernel; ``"pernode"`` the previous per-node batched generation;
-        ``"reference"`` the per-node closures.  Identical executions for
+        kernel; ``"reference"`` the per-node closures.  Identical executions for
         the same seed.
     """
 
@@ -995,7 +760,6 @@ class LightTrianglesLister(TriangleAlgorithm):
         goodness_threshold: Optional[float] = None,
         enforce_budget: bool = True,
         kernel: str = "batched",
-        backend: str = "numpy",
         chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
@@ -1006,7 +770,7 @@ class LightTrianglesLister(TriangleAlgorithm):
         self._goodness_threshold = goodness_threshold
         self._enforce_budget = enforce_budget
         self._kernel = validate_kernel(kernel)
-        self._set_tuning(backend, chunk_bytes)
+        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
         self._num_nodes_hint: Optional[int] = None
 
     def describe_parameters(self) -> Dict[str, Any]:
@@ -1017,7 +781,6 @@ class LightTrianglesLister(TriangleAlgorithm):
             "goodness_threshold": self._goodness_threshold,
             "enforce_budget": self._enforce_budget,
             "kernel": self._kernel,
-            "backend": self.backend,
             "chunk_bytes": self.chunk_bytes,
         }
 

@@ -22,12 +22,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..congest.backends import (
-    VALID_BACKENDS,
-    use_backend,
-    validate_backend,
-    validate_chunk_bytes,
-)
+from ..congest.backends import use_chunk_bytes
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
 from ..congest.simulator import CongestSimulator
 from ..graphs.graph import Graph
@@ -41,16 +36,12 @@ from .output import AlgorithmResult, TriangleOutput
 #:   per phase, delivery consumed straight off the destination-grouped
 #:   channel arrays, receiver processing fused into whole-network
 #:   CSR-oracle calls.
-#: * ``"pernode"`` — the previous generation of batched kernels, kept as
-#:   the benchmark baseline for the direct-exchange path: staging is
-#:   columnar but each node still receives an inbox view and runs its own
-#:   receiver loop.
 #: * ``"reference"`` — the paper-shaped per-node closures over object
 #:   payloads, the semantic ground truth.
 #:
-#: All three produce identical executions for the same seed; the
-#: differential suite enforces this on every workload family.
-VALID_KERNELS = ("batched", "pernode", "reference")
+#: Both produce identical executions for the same seed; the differential
+#: suite enforces this on every workload family.
+VALID_KERNELS = ("batched", "reference")
 
 #: Memory ceiling for a precomputed n×n pair matrix (bool entries).
 DENSE_PAIR_MATRIX_MAX_BYTES = 1 << 28
@@ -80,8 +71,7 @@ def validate_kernel(kernel: str) -> str:
     Raises
     ------
     ValueError
-        For anything other than ``"batched"``, ``"pernode"`` or
-        ``"reference"``.
+        For anything other than ``"batched"`` or ``"reference"``.
     """
     if kernel not in VALID_KERNELS:
         raise ValueError(
@@ -102,24 +92,11 @@ class TriangleAlgorithm(abc.ABC):
     name: str = "abstract"
     #: The communication model the algorithm runs in.
     model: str = "CONGEST"
-    #: Inner-loop backend (``"numpy"`` or ``"numba"``); constructors that
-    #: accept ``backend=`` overwrite this with the validated value.
-    backend: str = "numpy"
     #: Bound on chunked-evaluation working sets; ``None`` keeps the
     #: process-wide default (:data:`repro.congest.backends.DEFAULT_CHUNK_BYTES`).
+    #: Constructors validate it with ``validate_chunk_bytes`` and :meth:`run`
+    #: activates it for the duration of the execution.
     chunk_bytes: Optional[int] = None
-
-    def _set_tuning(
-        self, backend: str = "numpy", chunk_bytes: Optional[int] = None
-    ) -> None:
-        """Validate and store the ``backend=``/``chunk_bytes=`` knobs.
-
-        Called from subclass constructors, mirroring ``validate_kernel`` for
-        the ``kernel=`` knob.  :meth:`run` activates the stored settings for
-        the duration of the execution.
-        """
-        self.backend = validate_backend(backend)
-        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     @abc.abstractmethod
     def _execute(self, simulator: CongestSimulator) -> bool:
@@ -150,7 +127,7 @@ class TriangleAlgorithm(abc.ABC):
         self, graph: Graph, seed: Optional[int | np.random.Generator] = None
     ) -> AlgorithmResult:
         """Run the algorithm on ``graph`` and return the packaged result."""
-        with use_backend(self.backend, self.chunk_bytes):
+        with use_chunk_bytes(self.chunk_bytes):
             simulator = self._build_simulator(graph, seed)
             truncated = self._execute(simulator)
         output = TriangleOutput.from_contexts(simulator.contexts, simulator.num_nodes)

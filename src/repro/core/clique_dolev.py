@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..congest.backends import use_backend, validate_backend, validate_chunk_bytes
+from ..congest.backends import use_chunk_bytes, validate_chunk_bytes
 from ..congest.clique import CliqueSimulator
 from ..congest.metrics import AlgorithmCost
 from ..congest.node import emit_grouped_keys
@@ -95,11 +95,9 @@ class DolevCliqueListing:
         programs over the canonical CSR edge arrays, routes it through the
         typed columnar plane on the direct-exchange path, and lists every
         responsible node's edges with one grouped oracle call over the
-        delivered channel columns; ``"pernode"`` keeps the previous
-        batched generation's per-node inbox views and listing loops;
-        ``"reference"`` builds per-message
+        delivered channel columns; ``"reference"`` builds per-message
         :class:`~repro.congest.routing.RoutingRequest` objects.  Identical
-        executions on every path.
+        executions on both paths.
     """
 
     name = "Dolev-clique-listing"
@@ -110,7 +108,6 @@ class DolevCliqueListing:
         group_count: Optional[int] = None,
         routing_constant: int = 2,
         kernel: str = "batched",
-        backend: str = "numpy",
         chunk_bytes: Optional[int] = None,
     ) -> None:
         if group_count is not None and group_count < 1:
@@ -125,7 +122,6 @@ class DolevCliqueListing:
         self._group_count = group_count
         self._routing_constant = routing_constant
         self._kernel = validate_kernel(kernel)
-        self._backend = validate_backend(backend)
         self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
@@ -133,7 +129,6 @@ class DolevCliqueListing:
             "group_count": self._group_count,
             "routing_constant": self._routing_constant,
             "kernel": self._kernel,
-            "backend": self._backend,
             "chunk_bytes": self._chunk_bytes,
         }
 
@@ -141,7 +136,7 @@ class DolevCliqueListing:
         self, graph: Graph, seed: Optional[int | np.random.Generator] = None
     ) -> AlgorithmResult:
         """Run the clique listing algorithm and return the packaged result."""
-        with use_backend(self._backend, self._chunk_bytes):
+        with use_chunk_bytes(self._chunk_bytes):
             return self._run(graph, seed)
 
     def _run(
@@ -178,11 +173,6 @@ class DolevCliqueListing:
             self._execute_direct(
                 graph, simulator, router, groups, triples, triple_owner, pair_to_triples
             )
-        elif self._kernel == "pernode":
-            self._route_pernode(
-                graph, simulator, router, groups, triples, triple_owner, pair_to_triples
-            )
-            self._list_pernode(simulator, groups, triples)
         else:
             self._route_reference(
                 graph, simulator, router, groups, triple_owner, pair_to_triples
@@ -248,117 +238,17 @@ class DolevCliqueListing:
                 ):
                     context.output_triangle(*triangle)
 
-    def _route_pernode(
-        self, graph, simulator, router, groups, triples, triple_owner, pair_to_triples
-    ) -> None:
-        """Build and route the instance as arrays over the CSR edge lists.
-
-        Each group pair selects its edges with one mask over the canonical
-        ``(edge_u, edge_v)`` arrays; per-triple owners and the owner's own
-        incident edges (which skip routing, as in the reference) fall out of
-        the same masks.  The whole instance then ships through
-        :meth:`~repro.congest.routing.LenzenRouter.route_columns` as one
-        typed channel.
-        """
-        num_nodes = graph.num_nodes
-        csr = graph.csr()
-        edge_u, edge_v = csr.edges_array()
-        groups_arr = np.asarray(groups, dtype=np.int64)
-        pair_low = np.minimum(groups_arr[edge_u], groups_arr[edge_v])
-        pair_high = np.maximum(groups_arr[edge_u], groups_arr[edge_v])
-        triple_index = {triple: index for index, triple in enumerate(triples)}
-
-        src_chunks: List[np.ndarray] = []
-        owner_list: List[int] = []
-        owner_counts: List[int] = []
-        u_chunks: List[np.ndarray] = []
-        v_chunks: List[np.ndarray] = []
-        t_list: List[int] = []
-        for (low, high), bucket in pair_to_triples.items():
-            selected = np.flatnonzero((pair_low == low) & (pair_high == high))
-            if selected.shape[0] == 0:
-                continue
-            pair_u = edge_u[selected]
-            pair_v = edge_v[selected]
-            for triple in bucket:
-                owner = triple_owner[triple]
-                own = pair_u == owner
-                if own.any():
-                    # The owner already knows its incident edges; no routing
-                    # message is needed for them.
-                    stored = simulator.context(owner).state.setdefault(
-                        "edges", set()
-                    )
-                    for u, v in zip(
-                        pair_u[own].tolist(), pair_v[own].tolist()
-                    ):
-                        stored.add(((u, v), triple))
-                routed = ~own
-                count = int(routed.sum())
-                if count == 0:
-                    continue
-                src_chunks.append(pair_u[routed])
-                owner_list.append(owner)
-                owner_counts.append(count)
-                u_chunks.append(pair_u[routed])
-                v_chunks.append(pair_v[routed])
-                t_list.append(triple_index[triple])
-        schema = RoutedEdgeSchema(triples)
-        if src_chunks:
-            counts = np.asarray(owner_counts, dtype=np.int64)
-            router.route_columns(
-                schema,
-                np.concatenate(src_chunks),
-                np.repeat(np.asarray(owner_list, dtype=np.int64), counts),
-                {
-                    "u": np.concatenate(u_chunks),
-                    "v": np.concatenate(v_chunks),
-                    "triple": np.repeat(np.asarray(t_list, dtype=np.int64), counts),
-                },
-                bits=edge_bits(num_nodes),
-                name="dolev:route-edges",
-            )
-        else:
-            router.route([], name="dolev:route-edges")
-
-    def _list_pernode(self, simulator, groups, triples) -> None:
-        """Local listing over the delivered routed-edge columns, per node."""
-        schema = RoutedEdgeSchema(triples)
-        for context in simulator.contexts:
-            edges_by_triple: Dict[Tuple[int, int, int], Set[Edge]] = {}
-            for stored_edge, triple in context.state.get("edges", set()):
-                edges_by_triple.setdefault(triple, set()).add(stored_edge)
-            view = context.received_columns(schema)
-            if view.count:
-                received_u = view.column("u")
-                received_v = view.column("v")
-                received_t = view.column("triple")
-                for index in np.unique(received_t).tolist():
-                    triple = triples[index]
-                    members = received_t == index
-                    edges_by_triple.setdefault(triple, set()).update(
-                        zip(
-                            received_u[members].tolist(),
-                            received_v[members].tolist(),
-                        )
-                    )
-            for triple, edge_set in edges_by_triple.items():
-                for triangle in _triangles_with_group_signature(
-                    edge_set, groups, triple
-                ):
-                    context.output_triangle(*triangle)
-
     def _execute_direct(
         self, graph, simulator, router, groups, triples, triple_owner, pair_to_triples
     ) -> None:
         """The direct-exchange kernel: grouped routing, fused listing.
 
         Identical routed instance (and therefore identical Lenzen round
-        accounting) to the pernode kernel, but the delivery comes back as
+        accounting) to the reference kernel, but the delivery comes back as
         destination-grouped channel arrays and the owners' local listing
         runs as one grouped oracle call keyed by (owner, triple) — no
         per-node inboxes, edge sets or Python listing walks.  The owners'
-        own incident edges, which skip routing in every kernel, ride along
+        own incident edges, which skip routing in both kernels, ride along
         as arrays instead of per-context state.
         """
         num_nodes = graph.num_nodes

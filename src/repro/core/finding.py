@@ -26,7 +26,7 @@ from ..errors import ProtocolError
 from ..graphs.graph import Graph
 from .a1_sampling import HeavySamplingFinder
 from .a3_light import LightTrianglesLister
-from ..congest.backends import validate_backend, validate_chunk_bytes
+from ..congest.backends import validate_chunk_bytes
 from .base import combine_results, validate_kernel
 from .output import AlgorithmResult
 from .parameters import FindingParameters
@@ -49,9 +49,11 @@ class TriangleFinding:
         theorem describes.
     kernel:
         Execution kernel for the A1/A3 passes: ``"batched"`` (default)
-        runs the direct-exchange fused kernels, ``"pernode"`` the previous
-        per-node batched generation, ``"reference"`` the per-node
-        closures.  Identical executions for the same seed.
+        runs the direct-exchange fused kernels, ``"reference"`` the
+        per-node closures.  Identical executions for the same seed.
+    backend:
+        Accepted only as ``"numpy"``, the one inner-loop implementation, so
+        that run specs written when there was a second one still load.
     """
 
     name = "Theorem1-finding"
@@ -86,7 +88,8 @@ class TriangleFinding:
         self._stop_on_success = stop_on_success
         self._epsilon = epsilon
         self._kernel = validate_kernel(kernel)
-        self._backend = validate_backend(backend)
+        if backend != "numpy":
+            raise ValueError(f"backend must be 'numpy', got {backend!r}")
         self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def parameters_for(self, graph: Graph) -> FindingParameters:
@@ -117,14 +120,12 @@ class TriangleFinding:
             heavy_pass = HeavySamplingFinder(
                 epsilon=parameters.epsilon,
                 kernel=self._kernel,
-                backend=self._backend,
                 chunk_bytes=self._chunk_bytes,
             )
             light_pass = LightTrianglesLister(
                 epsilon=parameters.epsilon,
                 budget_constant=self._budget_constant,
                 kernel=self._kernel,
-                backend=self._backend,
                 chunk_bytes=self._chunk_bytes,
             )
             heavy_result = heavy_pass.run(graph, seed=rng)
@@ -151,7 +152,6 @@ class TriangleFinding:
             "round_budget_per_pass": parameters.round_budget,
             "stop_on_success": self._stop_on_success,
             "kernel": self._kernel,
-            "backend": self._backend,
             "chunk_bytes": self._chunk_bytes,
         }
 

@@ -23,7 +23,7 @@ from ..errors import ProtocolError
 from ..graphs.graph import Graph
 from .a2_heavy import HeavyHashingLister
 from .a3_light import LightTrianglesLister
-from ..congest.backends import validate_backend, validate_chunk_bytes
+from ..congest.backends import validate_chunk_bytes
 from .base import combine_results, validate_kernel
 from .output import AlgorithmResult
 from .parameters import ListingParameters
@@ -43,9 +43,8 @@ class TriangleListing:
         Constant for A3's round budget.
     kernel:
         Execution kernel for the A2/A3 passes: ``"batched"`` (default)
-        runs the direct-exchange fused kernels, ``"pernode"`` the previous
-        per-node batched generation, ``"reference"`` the per-node
-        closures.  Identical executions for the same seed.
+        runs the direct-exchange fused kernels, ``"reference"`` the
+        per-node closures.  Identical executions for the same seed.
     """
 
     name = "Theorem2-listing"
@@ -58,7 +57,6 @@ class TriangleListing:
         budget_constant: float = 8.0,
         epsilon: Optional[float] = None,
         kernel: str = "batched",
-        backend: str = "numpy",
         chunk_bytes: Optional[int] = None,
     ) -> None:
         if repetitions is not None and repetitions < 1:
@@ -84,7 +82,6 @@ class TriangleListing:
         self._budget_constant = budget_constant
         self._epsilon = epsilon
         self._kernel = validate_kernel(kernel)
-        self._backend = validate_backend(backend)
         self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def parameters_for(self, graph: Graph) -> ListingParameters:
@@ -116,14 +113,12 @@ class TriangleListing:
             heavy_pass = HeavyHashingLister(
                 epsilon=parameters.epsilon,
                 kernel=self._kernel,
-                backend=self._backend,
                 chunk_bytes=self._chunk_bytes,
             )
             light_pass = LightTrianglesLister(
                 epsilon=parameters.epsilon,
                 budget_constant=self._budget_constant,
                 kernel=self._kernel,
-                backend=self._backend,
                 chunk_bytes=self._chunk_bytes,
             )
             sub_results.append(heavy_pass.run(graph, seed=rng))
@@ -144,7 +139,6 @@ class TriangleListing:
             "repetitions": parameters.repetitions,
             "round_budget_per_pass": parameters.round_budget,
             "kernel": self._kernel,
-            "backend": self._backend,
             "chunk_bytes": self._chunk_bytes,
         }
 

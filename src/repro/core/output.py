@@ -55,7 +55,7 @@ def _decode_keys(keys: np.ndarray, num_nodes: int) -> FrozenSet[Triangle]:
     return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
-class _LazyPerNode(Mapping):
+class _LazyNodeSets(Mapping):
     """Read-only mapping view over a :class:`TriangleOutput`'s node sets.
 
     Keeps the historical ``output.per_node`` contract (a mapping of node id
@@ -155,7 +155,7 @@ class TriangleOutput:
     @property
     def per_node(self) -> Mapping[NodeId, FrozenSet[Triangle]]:
         """Mapping view of the tuple (lazy per-node materialisation)."""
-        return _LazyPerNode(self)
+        return _LazyNodeSets(self)
 
     def node_keys(self, node: NodeId) -> np.ndarray:
         """Return ``T_i`` as a sorted, deduplicated int64 key array.

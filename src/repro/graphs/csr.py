@@ -58,22 +58,15 @@ DENSE_MIN_FILL_DIVISOR = 64
 #: ``chunk_bytes`` knob in :mod:`repro.congest.backends` sets the ceiling).
 _MIN_EDGE_CHUNK = 256
 
-#: Popcount lookup table for packed-``uint8`` rows.
-_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
-
-
-def _backend():
-    """The active kernel backend (imported lazily: :mod:`repro.congest`
-    imports this module at package-init time, so a module-level import of
-    ``repro.congest.backends`` here would be circular)."""
-    from ..congest.backends import active_backend
-
-    return active_backend()
-
 
 def _edge_chunk(row_bytes: int) -> int:
     """Edges per block so one ``(chunk, row_bytes)`` intermediate stays
-    within the active ``chunk_bytes`` bound."""
+    within the active ``chunk_bytes`` bound.
+
+    :mod:`repro.congest.backends` is imported lazily here and below:
+    :mod:`repro.congest` imports this module at package-init time, so a
+    module-level import would be circular.
+    """
     from ..congest.backends import chunk_rows
 
     return chunk_rows(row_bytes, minimum=_MIN_EDGE_CHUNK)
@@ -217,7 +210,9 @@ class CSRGraph:
         if self._use_dense():
             return self._bool_matrix()[u, v]
         keys = np.minimum(u, v) * np.int64(max(self.num_nodes, 1)) + np.maximum(u, v)
-        return _backend().sorted_membership(self._edge_key_array(), keys)
+        from ..congest.backends import sorted_membership
+
+        return sorted_membership(self._edge_key_array(), keys)
 
     def common_neighbors(self, u: int, v: int) -> np.ndarray:
         """Return ``N(u) ∩ N(v)`` as a sorted array."""
@@ -281,12 +276,13 @@ class CSRGraph:
         support = np.zeros(m, dtype=np.int64)
         if m:
             if self._use_dense():
+                from ..congest.backends import edge_support_chunk
+
                 packed = self._packed_matrix()
-                backend = _backend()
                 chunk = _edge_chunk(packed.shape[1])
                 for start in range(0, m, chunk):
                     end = min(start + chunk, m)
-                    support[start:end] = backend.edge_support_chunk(
+                    support[start:end] = edge_support_chunk(
                         packed, self.edge_u[start:end], self.edge_v[start:end]
                     )
             else:

@@ -161,13 +161,10 @@ class KWiseIndependentFamily:
 
         ``coefficient_rows`` holds one transmitted descriptor per row (shape
         ``(functions, independence)``).  The Horner evaluation over GF(p)
-        dispatches to the active kernel backend
-        (:func:`repro.congest.backends.active_backend`), so the same call
-        runs the numpy reference or the numba twin — byte-identical results
-        either way.  This is the batch form of ``h(x) == 0`` that A2's
-        fused receivers consume.
+        is :func:`repro.congest.backends.hash_zero_block`.  This is the
+        batch form of ``h(x) == 0`` that A2's fused receivers consume.
         """
-        from ..congest.backends import active_backend
+        from ..congest.backends import hash_zero_block
 
         rows = np.ascontiguousarray(coefficient_rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self._independence:
@@ -175,7 +172,7 @@ class KWiseIndependentFamily:
                 f"expected descriptor rows of {self._independence} "
                 f"coefficients, got shape {rows.shape}"
             )
-        return active_backend().hash_zero_block(
+        return hash_zero_block(
             rows,
             np.ascontiguousarray(points, dtype=np.int64),
             self._prime,

@@ -247,16 +247,17 @@ class TestReviewRegressions:
         # `kernel` is a valid parameter name, so registry validation passes
         # and the failure surfaces as the constructor's ValueError; the CLI
         # must still turn it into exit code 2, not a traceback.
-        code, _, err = _run(
-            capsys,
-            "run",
-            "--algorithm", "theorem1-finding",
-            "--algorithm-params", '{"kernel": "turbo"}',
-            "--workload", "gnp",
-            "--workload-params", '{"num_nodes": 10, "edge_probability": 0.5}',
-        )
-        assert code == 2
-        assert "kernel" in err
+        for kernel in ("turbo", "pernode"):
+            code, _, err = _run(
+                capsys,
+                "run",
+                "--algorithm", "theorem1-finding",
+                "--algorithm-params", json.dumps({"kernel": kernel}),
+                "--workload", "gnp",
+                "--workload-params", '{"num_nodes": 10, "edge_probability": 0.5}',
+            )
+            assert code == 2
+            assert "kernel" in err
 
     def test_run_spec_missing_workload_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

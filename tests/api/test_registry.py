@@ -76,7 +76,6 @@ class TestSchemas:
             "epsilon",
             "sample_cap_constant",
             "kernel",
-            "backend",
             "chunk_bytes",
         ]
         required = [p.name for p in entry.parameters if p.required]

@@ -33,7 +33,6 @@ class TestA2Basics:
             "epsilon": 0.5,
             "independence": 3,
             "kernel": "batched",
-            "backend": "numpy",
             "chunk_bytes": None,
         }
 

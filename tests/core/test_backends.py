@@ -1,32 +1,27 @@
-"""Differential tests: the numpy and numba kernel backends.
+"""Tests of the inner-loop kernels and the ``chunk_bytes`` bound.
 
-The backend registry (:mod:`repro.congest.backends`) must be a pure
-performance knob: switching ``backend="numpy"`` to ``backend="numba"``
-(or shrinking ``chunk_bytes`` to force many tiny evaluation blocks) must
-leave every ExperimentRecord byte-identical.  These tests pin that
-contract over every workload family, and cover the graceful degradation
-path — when numba is not importable, ``backend="numba"`` falls back to
-the numpy kernels with a single RuntimeWarning per process.
+``chunk_bytes`` (:mod:`repro.congest.backends`) must be a pure performance
+knob: shrinking it to force many tiny evaluation blocks must leave every
+ExperimentRecord byte-identical.  These tests pin that contract over every
+workload family, and pin each of the four inner-loop functions against a
+naive evaluation.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_single
-from repro.congest import backends
 from repro.congest.backends import (
     DEFAULT_CHUNK_BYTES,
-    active_backend,
     active_chunk_bytes,
-    available_backends,
     chunk_rows,
-    get_backend,
-    numba_available,
-    use_backend,
-    validate_backend,
+    edge_support_chunk,
+    hash_zero_block,
+    landmark_incidence,
+    sorted_membership,
+    use_chunk_bytes,
     validate_chunk_bytes,
 )
 from repro.core import (
@@ -70,60 +65,50 @@ WORKLOADS = [
 
 def record_bytes(make_algorithm, graph, seed, **tuning):
     """Run once and serialize the full ExperimentRecord deterministically."""
-    with warnings.catch_warnings():
-        # The numba backend may legitimately fall back (one RuntimeWarning
-        # per process); the differential contract is about the record bytes.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        record = run_single(
-            "backend-differential",
-            make_algorithm(**tuning),
-            graph,
-            seed=seed,
-        )
+    record = run_single(
+        "chunk-differential",
+        make_algorithm(**tuning),
+        graph,
+        seed=seed,
+    )
     return json.dumps(record.to_dict(), sort_keys=True).encode()
 
 
-def assert_backend_identical(make_algorithm, graph, seeds=(0, 3)):
-    """Byte-identical records across backends and chunk sizes."""
+def assert_chunk_identical(make_algorithm, graph, seeds=(0, 3)):
+    """Byte-identical records at the default and a tiny chunk size."""
     for seed in seeds:
-        baseline = record_bytes(make_algorithm, graph, seed, backend="numpy")
-        assert (
-            record_bytes(make_algorithm, graph, seed, backend="numba") == baseline
-        )
+        baseline = record_bytes(make_algorithm, graph, seed)
         # A pathologically small budget forces many tiny evaluation blocks.
-        assert (
-            record_bytes(make_algorithm, graph, seed, backend="numpy", chunk_bytes=4096)
-            == baseline
-        )
+        assert record_bytes(make_algorithm, graph, seed, chunk_bytes=4096) == baseline
 
 
 @pytest.mark.parametrize("make_graph", WORKLOADS)
 class TestBackendEquivalence:
     def test_a1_sampling(self, make_graph):
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: HeavySamplingFinder(epsilon=0.3, **tuning),
             make_graph(),
         )
 
     def test_a2_heavy_hashing(self, make_graph):
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: HeavyHashingLister(epsilon=0.4, **tuning),
             make_graph(),
         )
 
     def test_a3_light_listing(self, make_graph):
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: LightTrianglesLister(epsilon=0.3, **tuning),
             make_graph(),
         )
 
     def test_dolev_clique_baseline(self, make_graph):
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: DolevCliqueListing(**tuning), make_graph(), seeds=(0,)
         )
 
     def test_theorem2_listing(self, make_graph):
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: TriangleListing(repetitions=2, epsilon=0.5, **tuning),
             make_graph(),
             seeds=(1,),
@@ -133,7 +118,7 @@ class TestBackendEquivalence:
 class TestCompositions:
     def test_theorem1_finding_identical(self):
         graph = gnp_random_graph(36, 0.3, seed=21)
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: TriangleFinding(repetitions=2, epsilon=0.4, **tuning),
             graph,
             seeds=(2,),
@@ -142,31 +127,16 @@ class TestCompositions:
     def test_sparse_fallback_paths_identical(self):
         # Sparse enough that CSR membership takes the sorted-merge path.
         graph = gnp_random_graph(120, 0.03, seed=9)
-        assert_backend_identical(
+        assert_chunk_identical(
             lambda **tuning: LightTrianglesLister(epsilon=0.2, **tuning),
             graph,
             seeds=(0,),
         )
 
 
-class TestRegistry:
-    def test_available_backends(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert ("numba" in names) == numba_available()
-
-    def test_numpy_backend_is_default(self):
-        assert active_backend().name == "numpy"
+class TestChunkBound:
+    def test_default_chunk_bytes(self):
         assert active_chunk_bytes() == DEFAULT_CHUNK_BYTES
-
-    def test_get_backend_numpy(self):
-        assert get_backend("numpy").name == "numpy"
-
-    def test_validate_backend(self):
-        assert validate_backend("numpy") == "numpy"
-        assert validate_backend("numba") == "numba"
-        with pytest.raises(ValueError, match="backend"):
-            validate_backend("cython")
 
     def test_validate_chunk_bytes(self):
         assert validate_chunk_bytes(None) is None
@@ -175,73 +145,46 @@ class TestRegistry:
             with pytest.raises(ValueError):
                 validate_chunk_bytes(bad)
 
-    def test_invalid_backend_rejected_by_algorithms(self):
-        with pytest.raises(ValueError):
-            HeavySamplingFinder(epsilon=0.3, backend="fortran")
-        with pytest.raises(ValueError):
-            TriangleListing(backend="fortran")
-        with pytest.raises(ValueError):
-            DolevCliqueListing(backend="fortran")
+    def test_invalid_tuning_rejected_by_algorithms(self):
+        with pytest.raises(TypeError):
+            HeavySamplingFinder(epsilon=0.3, backend="numpy")
+        with pytest.raises(TypeError):
+            TriangleListing(backend="numpy")
+        with pytest.raises(TypeError):
+            DolevCliqueListing(backend="numpy")
+        with pytest.raises(ValueError, match="backend"):
+            TriangleFinding(backend="numba")
         with pytest.raises(ValueError):
             HeavyHashingLister(epsilon=0.4, chunk_bytes=0)
 
-    def test_use_backend_restores_state(self):
-        outer = active_backend()
-        with use_backend("numpy", chunk_bytes=1 << 12):
+    def test_use_chunk_bytes_restores_state(self):
+        with use_chunk_bytes(1 << 12):
             assert active_chunk_bytes() == 1 << 12
             assert chunk_rows(1 << 10) == 4
-        assert active_backend() is outer
         assert active_chunk_bytes() == DEFAULT_CHUNK_BYTES
 
     def test_chunk_rows_minimum(self):
-        with use_backend("numpy", chunk_bytes=16):
+        with use_chunk_bytes(16):
             assert chunk_rows(1 << 20) == 1
             assert chunk_rows(1 << 20, minimum=64) == 64
 
 
-@pytest.mark.skipif(numba_available(), reason="numba importable: no fallback")
-class TestMissingNumbaFallback:
-    def test_single_warning_then_silence(self):
-        previous = backends._numba_fallback_warned
-        backends._numba_fallback_warned = False
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                backend = get_backend("numba")
-            assert backend.name == "numpy"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert get_backend("numba").name == "numpy"
-        finally:
-            backends._numba_fallback_warned = previous
-
-    def test_numba_not_available(self):
-        assert not numba_available()
-
-
 class TestKernelOps:
-    """Unit-level pins of each backend op against naive evaluations."""
-
-    def backend_pairs(self):
-        names = ["numpy"]
-        if numba_available():
-            names.append("numba")
-        return [get_backend(name) for name in names]
+    """Unit-level pins of each inner-loop function against naive evaluations."""
 
     def test_sorted_membership(self):
         rng = np.random.default_rng(0)
         keys = np.unique(rng.integers(0, 500, size=64))
         queries = rng.integers(-5, 510, size=256)
         expected = np.isin(queries, keys)
-        for backend in self.backend_pairs():
-            got = backend.sorted_membership(keys, queries)
-            assert got.dtype == np.bool_
-            np.testing.assert_array_equal(got, expected)
+        got = sorted_membership(keys, queries)
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, expected)
 
     def test_sorted_membership_empty(self):
         empty = np.empty(0, dtype=np.int64)
-        for backend in self.backend_pairs():
-            assert backend.sorted_membership(empty, np.array([3, 4])).sum() == 0
-            assert backend.sorted_membership(np.array([1, 2]), empty).shape == (0,)
+        assert sorted_membership(empty, np.array([3, 4])).sum() == 0
+        assert sorted_membership(np.array([1, 2]), empty).shape == (0,)
 
     def test_hash_zero_block_matches_scalar_functions(self):
         family = KWiseIndependentFamily(domain_size=97, range_size=9, independence=3)
@@ -252,11 +195,8 @@ class TestKernelOps:
         expected = np.array(
             [[f(int(x)) == 0 for x in points] for f in functions], dtype=bool
         )
-        for backend in self.backend_pairs():
-            got = backend.hash_zero_block(
-                rows, points, family.prime, family.range_size
-            )
-            np.testing.assert_array_equal(got, expected)
+        got = hash_zero_block(rows, points, family.prime, family.range_size)
+        np.testing.assert_array_equal(got, expected)
 
     def test_family_zero_block_dispatches(self):
         family = KWiseIndependentFamily(domain_size=50, range_size=5, independence=3)
@@ -278,17 +218,13 @@ class TestKernelOps:
         for column, landmark in enumerate(landmarks):
             start, end = csr.indptr[landmark], csr.indptr[landmark + 1]
             expected[csr.indices[start:end], column] = True
-        for backend in self.backend_pairs():
-            got = backend.landmark_incidence(
-                csr.indptr, csr.indices, landmarks, 30
-            )
-            np.testing.assert_array_equal(got, expected)
+        got = landmark_incidence(csr.indptr, csr.indices, landmarks, 30)
+        np.testing.assert_array_equal(got, expected)
 
     def test_edge_support_chunk(self):
         graph = gnp_random_graph(24, 0.5, seed=6)
         csr = graph.csr()
         expected = csr.edge_support()
         packed = csr._packed_matrix()
-        for backend in self.backend_pairs():
-            got = backend.edge_support_chunk(packed, csr.edge_u, csr.edge_v)
-            np.testing.assert_array_equal(got, expected)
+        got = edge_support_chunk(packed, csr.edge_u, csr.edge_v)
+        np.testing.assert_array_equal(got, expected)

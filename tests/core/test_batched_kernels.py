@@ -2,15 +2,16 @@
 
 The CONGEST accounting discipline must not drift when a protocol's message
 production moves from per-node Python closures to whole-network array
-programs over the typed columnar plane.  These tests pin all three kernels
-together on every workload family — ``reference`` (per-node closures),
-``pernode`` (columnar staging, per-node inbox views) and ``batched`` (the
-direct-exchange path with fused whole-network receivers) — asserting
+programs over the typed columnar plane.  These tests pin both kernels
+together on every workload family — ``reference`` (per-node closures) and
+``batched`` (the direct-exchange path with fused whole-network receivers) —
+asserting
 identical per-phase round counts, link-bit maxima, message counts and bit
 totals, and identical per-node triangle output sets, for the same seed.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     DolevCliqueListing,
@@ -51,36 +52,25 @@ WORKLOADS = [
 ]
 
 
-def assert_identical_execution(
-    make_algorithm, graph, seeds=(0, 3), kernels=("batched", "pernode")
-):
-    """Run every kernel and assert the executions are indistinguishable."""
+def phase_rows(result):
+    """Per-phase ``(name, rounds, max_link_bits, bits, messages)`` rows."""
+    return [
+        (phase.name, phase.rounds, phase.max_link_bits, phase.bits, phase.messages)
+        for phase in result.metrics.phases
+    ]
+
+
+def assert_identical_execution(make_algorithm, graph, seeds=(0, 3)):
+    """Run both kernels and assert the executions are indistinguishable."""
     for seed in seeds:
         reference = make_algorithm("reference").run(graph, seed=seed)
-        reference_phases = [
-            (phase.name, phase.rounds, phase.max_link_bits, phase.bits, phase.messages)
-            for phase in reference.metrics.phases
-        ]
-        for kernel in kernels:
-            run = make_algorithm(kernel).run(graph, seed=seed)
-            assert run.cost == reference.cost, kernel
-            assert run.truncated == reference.truncated, kernel
-            run_phases = [
-                (
-                    phase.name,
-                    phase.rounds,
-                    phase.max_link_bits,
-                    phase.bits,
-                    phase.messages,
-                )
-                for phase in run.metrics.phases
-            ]
-            assert run_phases == reference_phases, kernel
-            assert run.output.union() == reference.output.union(), kernel
-            for node in range(graph.num_nodes):
-                assert run.output.node_output(node) == reference.output.node_output(
-                    node
-                ), kernel
+        run = make_algorithm("batched").run(graph, seed=seed)
+        assert run.cost == reference.cost
+        assert run.truncated == reference.truncated
+        assert phase_rows(run) == phase_rows(reference)
+        assert run.output.union() == reference.output.union()
+        for node in range(graph.num_nodes):
+            assert run.output.node_output(node) == reference.output.node_output(node)
 
 
 @pytest.mark.parametrize("make_graph", WORKLOADS)
@@ -169,23 +159,8 @@ class TestCompositionsAndEdgeCases:
             HeavyHashingLister(epsilon=0.4, kernel="vectorised")
         with pytest.raises(ValueError):
             TriangleListing(kernel="fast")
-
-    def test_axr_pernode_explicit_landmarks_identical(self):
-        # Drive A(X, r) with a fixed landmark set on all three kernels.
-        graph = gnp_random_graph(24, 0.35, seed=8)
-        results = {}
-        for kernel in ("reference", "pernode", "batched"):
-            simulator = CongestSimulator(graph, seed=5)
-            for context in simulator.contexts:
-                context.state["in_X"] = context.node_id in {0, 3, 7}
-            stopped = run_axr(simulator, goodness_threshold=6.0, kernel=kernel)
-            results[kernel] = (
-                stopped,
-                simulator.total_rounds,
-                simulator.collect_outputs(),
-            )
-        assert results["batched"] == results["reference"]
-        assert results["pernode"] == results["reference"]
+        with pytest.raises(ValueError):
+            LightTrianglesLister(epsilon=0.3, kernel="pernode")
 
     def test_a3_sparse_fallback_matches_reference(self):
         # A workload sparse enough that the direct kernel takes the
@@ -203,4 +178,54 @@ class TestCompositionsAndEdgeCases:
             lambda kernel: HeavyHashingLister(epsilon=0.2, kernel=kernel),
             graph,
             seeds=(0,),
+        )
+
+
+#: Every protocol with a ``kernel=`` switch, one repetition each.
+DIFFERENTIAL_ALGORITHMS = {
+    "a1": lambda epsilon, kernel: HeavySamplingFinder(epsilon=epsilon, kernel=kernel),
+    "a2": lambda epsilon, kernel: HeavyHashingLister(epsilon=epsilon, kernel=kernel),
+    "a3": lambda epsilon, kernel: LightTrianglesLister(epsilon=epsilon, kernel=kernel),
+    "dolev": lambda epsilon, kernel: DolevCliqueListing(kernel=kernel),
+    "theorem1": lambda epsilon, kernel: TriangleFinding(
+        repetitions=1, epsilon=epsilon, kernel=kernel
+    ),
+    "theorem2": lambda epsilon, kernel: TriangleListing(
+        repetitions=1, epsilon=epsilon, kernel=kernel
+    ),
+}
+
+
+@st.composite
+def random_graphs(draw) -> Graph:
+    """Graphs on up to 24 nodes at any density, edgeless and disconnected
+    ones included."""
+    num_nodes = draw(st.integers(min_value=1, max_value=24))
+    density = draw(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    )
+    return gnp_random_graph(num_nodes, density, seed=draw(st.integers(0, 2**16)))
+
+
+@pytest.mark.parametrize("algorithm", sorted(DIFFERENTIAL_ALGORITHMS))
+@given(
+    graph=random_graphs(),
+    epsilon=st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_reference_and_batched_agree_on_random_graphs(algorithm, graph, epsilon, seed):
+    make = DIFFERENTIAL_ALGORITHMS[algorithm]
+    reference = make(epsilon, "reference").run(graph, seed=seed)
+    batched = make(epsilon, "batched").run(graph, seed=seed)
+    assert batched.cost == reference.cost
+    assert phase_rows(batched) == phase_rows(reference)
+    assert (
+        batched.output.union_keys().tolist() == reference.output.union_keys().tolist()
+    )
+    # The union hides a triangle dropped at one node but listed by another.
+    for node in range(graph.num_nodes):
+        assert (
+            batched.output.node_keys(node).tolist()
+            == reference.output.node_keys(node).tolist()
         )
