@@ -15,10 +15,19 @@ array would otherwise make repeats free); the reference loop is timed once
 (it is the slow side — repeating it only burns minutes).  Set
 ``GRAPH_ORACLE_QUICK=1`` (CI does) for a reduced-size run with a relaxed
 bar, so perf regressions stay visible in PRs without burning minutes.
+
+A second case covers the sparse side of the oracle, where ``has_edges``
+probes a packed adjacency bitset and triangles come from windowed
+forward-wedge closure: ``G(n, √n/n)`` (``n = 3000``, the Theorem-1
+benchmark regime; ``n = 1200`` in quick mode, the smallest round size
+above ``n = 1024``, where this density leaves the dense path), timing
+``triangles()`` plus ``edge_support()`` on a fresh view against the
+reference enumeration, gated at ≥5x in both modes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -35,6 +44,9 @@ EDGE_PROBABILITY = 0.25
 REQUIRED_SPEEDUP = 5.0 if QUICK else 10.0
 #: Timing repetitions for the CSR path; the minimum is compared.
 REPEATS = 3
+#: The sparse case: G(n, √n/n), and its required speedup in both modes.
+SPARSE_NUM_NODES = 1200 if QUICK else 3000
+SPARSE_REQUIRED_SPEEDUP = 5.0
 
 
 def _seed_style_count(graph) -> int:
@@ -95,6 +107,64 @@ def test_triangle_oracle_speedup(benchmark):
         },
     )
     assert speedup >= REQUIRED_SPEEDUP, table
+
+
+def test_sparse_oracle_speedup(benchmark):
+    """Sparse G(n, √n/n): bitset membership plus wedge closure must beat
+    the reference enumeration ≥5x on triangles *and* per-edge supports."""
+    probability = math.sqrt(SPARSE_NUM_NODES) / SPARSE_NUM_NODES
+    graph = gnp_random_graph(SPARSE_NUM_NODES, probability, seed=42)
+
+    def compare():
+        csr_seconds = []
+        for _ in range(REPEATS):
+            # A fresh snapshot per repeat, built outside the timer: only the
+            # oracle calls are timed.
+            view = CSRGraph.from_graph(graph)
+            start = time.perf_counter()
+            triangles = view.triangles()
+            supports = view.edge_support()
+            csr_seconds.append(time.perf_counter() - start)
+        assert not view._use_dense() and view._use_bitset()
+
+        start = time.perf_counter()
+        reference = list(iter_triangles_reference(graph))
+        seed_seconds = time.perf_counter() - start
+
+        assert [tuple(row) for row in triangles.tolist()] == reference
+        assert int(supports.sum()) == 3 * len(reference)
+        return len(reference), view.num_edges, min(csr_seconds), seed_seconds
+
+    count, edges, csr_seconds, seed_seconds = run_once(benchmark, compare)
+    speedup = seed_seconds / csr_seconds
+
+    table = "\n".join(
+        [
+            f"sparse triangle-oracle microbenchmark (n={SPARSE_NUM_NODES}, "
+            f"p=sqrt(n)/n, m={edges}, quick={QUICK})",
+            f"  triangles:                      {count}",
+            f"  reference enumeration:          {seed_seconds * 1000:.1f} ms",
+            f"  CSR triangles + edge_support:   {csr_seconds * 1000:.1f} ms",
+            f"  speedup:                        {speedup:.2f}x "
+            f"(required ≥{SPARSE_REQUIRED_SPEEDUP}x)",
+        ]
+    )
+    record_table("graph_oracle_sparse", table)
+    record_json(
+        "graph_oracle_sparse",
+        {
+            "benchmark": "graph_oracle_sparse",
+            "quick": QUICK,
+            "num_nodes": SPARSE_NUM_NODES,
+            "num_edges": edges,
+            "triangles": count,
+            "seed_seconds": seed_seconds,
+            "csr_seconds": csr_seconds,
+            "speedup": speedup,
+            "required_speedup": SPARSE_REQUIRED_SPEEDUP,
+        },
+    )
+    assert speedup >= SPARSE_REQUIRED_SPEEDUP, table
 
 
 def test_edge_support_matches_reference_on_sample(benchmark):

@@ -1,17 +1,19 @@
 """The hot inner loops of the batched kernels, and their chunk bound.
 
 The batched phase kernels funnel their innermost array programs through
-four operations — sorted-key membership (``CSRGraph.has_edges``), packed-row
-popcount reductions (the chunked triangle-matrix rows of the dense oracle),
-Horner evaluation of k-wise hash descriptors (A2), and the Δ(X)
-landmark-incidence build (A3).  Each has exactly one numpy implementation
-here, called directly from its call sites.
+four operations — sorted-key membership (``CSRGraph.has_edges`` on graphs
+too large or too sparse for its dense-matrix and packed-bitset paths),
+packed-row popcount reductions (the chunked triangle-matrix rows of the
+dense oracle), Horner evaluation of k-wise hash descriptors (A2), and the
+Δ(X) landmark-incidence build (A3).  Each has exactly one numpy
+implementation here, called directly from its call sites.
 
 The module also owns the ``chunk_bytes`` knob: the bound on the working-set
 size of the streamed row blocks used by the chunked phase evaluators (dense
 Δ(X) disjointness, fused ``has_edges`` receiver sweeps, packed popcount
-reductions).  The default is sized to stay L2/L3-resident on current cores.
-Algorithms take a ``chunk_bytes=`` constructor parameter (validated by
+reductions, the triangle oracle's wedge-closure windows).  The default is
+sized to stay L2/L3-resident on current cores.  Algorithms take a
+``chunk_bytes=`` constructor parameter (validated by
 :func:`validate_chunk_bytes`) and wrap their execution in
 :func:`use_chunk_bytes`.  The bound is thread-local, so sweep workers with
 different settings never interfere.

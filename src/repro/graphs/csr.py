@@ -15,23 +15,36 @@ Invariants (relied on throughout, asserted by the test suite):
 * **immutability** — all arrays are created with ``writeable=False``; a
   :class:`CSRGraph` never changes after construction,
 * **sorted neighbours** — every ``indices`` row is strictly increasing,
-  which is what makes merge/intersection-based triangle enumeration and
-  ``np.searchsorted`` membership correct,
+  which is what makes forward-wedge enumeration come out in canonical
+  order and ``np.searchsorted`` membership correct,
 * **mutation invalidation** — :meth:`Graph.csr` hands out a snapshot that
   is dropped on the next ``add_edge``/``remove_edge``, so a stale view can
   never alias a mutated graph.
 
-The triangle oracle picks between two execution strategies:
+Edge membership (:meth:`CSRGraph.has_edges`) has three strategies, picked
+per snapshot from ``n`` and ``m`` alone:
 
-* a **dense bitset path** for graphs whose ``n x n`` boolean adjacency
-  matrix fits in :data:`DENSE_ADJACENCY_MAX_BYTES` — per-edge common
-  neighbourhoods become packed-``uint8`` AND + popcount reductions, and
-  triangle listing becomes chunked boolean-matrix row intersections,
-* a **sorted-merge path** for everything larger — per-edge
-  ``np.intersect1d`` / ``searchsorted`` over the sorted CSR slices.
+* **dense** — graphs whose ``n x n`` boolean adjacency matrix fits in
+  :data:`DENSE_ADJACENCY_MAX_BYTES` and is filled to at least one edge per
+  :data:`DENSE_MIN_FILL_DIVISOR` cells: a query is one bool-matrix gather,
+* **bitset** — sparser graphs whose ``n²``-bit packed adjacency still meets
+  that fill floor counted in bits (``n² <= 8 * DENSE_MIN_FILL_DIVISOR * m``)
+  and fits the same byte cap: a query is one gather, one shift and one mask
+  at bit ``u * n + v``,
+* **sorted-key** — everything larger or sparser: one binary search of the
+  sorted canonical edge keys ``u * n + v``.
 
-Both produce identical results (differentially tested against the
-pure-Python reference in :mod:`repro.graphs.triangles`).
+The triangle oracle (triangles, per-edge supports, existence) runs
+chunked packed-row AND + popcount reductions on the dense path.  Off it,
+it closes forward wedges: every canonical edge ``(u, v)`` is paired with
+each ``w > v`` of ``v``'s sorted row, and a whole window of wedges is
+closed by one :meth:`CSRGraph.has_edges` call (Chiba–Nishizeki 1985;
+Latapy 2008, "compact-forward").  Windows follow the ``chunk_bytes`` bound
+of :mod:`repro.congest.backends`, and since edges and rows are sorted the
+closed wedges come out in canonical ``(u < v < w)`` order.
+
+All strategies produce identical results (differentially tested against
+the pure-Python reference in :mod:`repro.graphs.triangles`).
 """
 
 from __future__ import annotations
@@ -43,19 +56,24 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graph import Graph
 
-#: Largest boolean adjacency matrix (in bytes) the oracle will materialise
-#: for the dense bitset strategy.  Above this the sorted-merge path is used.
+#: Largest adjacency structure (in bytes) a snapshot will materialise: the
+#: ``n²``-byte boolean matrix of the dense strategy, and the ``n² / 8``-byte
+#: packed bitset of the bitset strategy.  Above it the sorted-key path is
+#: used.
 DENSE_ADJACENCY_MAX_BYTES = 256 * 1024 * 1024
 
-#: Minimum edge fill for the dense strategy: the bitset rows cost O(n) each
-#: regardless of sparsity, so the dense path must also see at least
-#: ``n² / DENSE_MIN_FILL_DIVISOR`` edges (average degree ``>= n/32``) before
-#: its O(n²) build amortises.  A 10k-node sparse graph (m ~ n^{3/2}) stays
-#: on the sorted-merge path instead of materialising a 100 MB matrix.
+#: Minimum edge fill, in cells per edge: an adjacency structure costs O(n²)
+#: to build regardless of sparsity, so it must buy at least one edge per
+#: ``DENSE_MIN_FILL_DIVISOR`` of its bytes.  The dense matrix (one byte a
+#: cell) needs ``m >= n² / 64`` (average degree ``>= n/32``); the packed
+#: bitset (one bit a cell) needs ``m >= n² / 512``.  A 10k-node path stays
+#: on the sorted-key path instead of materialising a 100 MB matrix or a
+#: 12.5 MB bitset for 10k edges.
 DENSE_MIN_FILL_DIVISOR = 64
 
-#: Floor on rows per chunk for the chunked dense reductions (the
-#: ``chunk_bytes`` knob in :mod:`repro.congest.backends` sets the ceiling).
+#: Floor on rows per chunk for the chunked dense reductions and on wedges
+#: per wedge-closure window (the ``chunk_bytes`` knob in
+#: :mod:`repro.congest.backends` sets the ceiling).
 _MIN_EDGE_CHUNK = 256
 
 
@@ -99,6 +117,7 @@ class CSRGraph:
         "_triangles",
         "_dense_bool",
         "_dense_packed",
+        "_adjacency_bits",
         # Weak referenceability: the shared-memory plane (repro.graphs.shm)
         # ties segment-mapping lifetime to attached snapshots with
         # weakref.finalize.
@@ -123,6 +142,7 @@ class CSRGraph:
         self._triangles: Optional[np.ndarray] = None
         self._dense_bool: Optional[np.ndarray] = None
         self._dense_packed: Optional[np.ndarray] = None
+        self._adjacency_bits: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -197,19 +217,31 @@ class CSRGraph:
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized edge-membership test for arbitrary vertex pairs.
 
-        The whole-network membership oracle the fused phase kernels use in
-        place of per-node ``np.isin`` row scans: on graphs whose boolean
-        adjacency matrix is materialisable (the dense oracle strategy) the
-        batch is one cache-resident fancy gather; otherwise one binary
-        search of the sorted canonical edge keys answers it.  Pair order
-        does not matter and ``u == v`` pairs are ``False`` (simple graphs
-        carry no self-loops).
+        The whole-network membership oracle the fused phase kernels and the
+        sparse triangle oracle use: a bool-matrix gather on the dense path,
+        a packed-bitset probe on the bitset path, and otherwise one binary
+        search of the sorted canonical edge keys.  Pair order does not
+        matter and ``u == v`` pairs are ``False`` (simple graphs carry no
+        self-loops).  Raises :class:`ValueError` naming the first id outside
+        ``[0, n)``.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
+        n = self.num_nodes
+        if u.size and v.size and (
+            min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n
+        ):
+            # Pair order, u before v.
+            ids = np.stack(np.broadcast_arrays(u, v), axis=-1).ravel()
+            bad = int(ids[(ids < 0) | (ids >= n)][0])
+            raise ValueError(f"has_edges got node id {bad} outside [0, {n})")
         if self._use_dense():
             return self._bool_matrix()[u, v]
-        keys = np.minimum(u, v) * np.int64(max(self.num_nodes, 1)) + np.maximum(u, v)
+        if self._use_bitset():
+            cells = u * np.int64(n) + v
+            shift = (cells & 7).astype(np.uint8)
+            return ((self._bit_matrix()[cells >> 3] >> shift) & 1).astype(bool)
+        keys = np.minimum(u, v) * np.int64(max(n, 1)) + np.maximum(u, v)
         from ..congest.backends import sorted_membership
 
         return sorted_membership(self._edge_key_array(), keys)
@@ -225,7 +257,7 @@ class CSRGraph:
         return self.edge_u, self.edge_v
 
     # ------------------------------------------------------------------
-    # dense-strategy internals
+    # membership-strategy internals
     # ------------------------------------------------------------------
     def _use_dense(self) -> bool:
         if self.num_nodes <= 0 or self.num_edges == 0:
@@ -233,10 +265,36 @@ class CSRGraph:
         matrix_bytes = self.num_nodes * self.num_nodes
         if matrix_bytes > DENSE_ADJACENCY_MAX_BYTES:
             return False
-        # Each bitset row is O(n) regardless of how many of its bits are
+        # Each matrix row is O(n) regardless of how many of its cells are
         # set: demand a minimum edge fill so sparse large-n graphs use the
-        # sorted-merge path instead of an O(n²) matrix build.
+        # bitset or sorted-key path instead of an O(n²) matrix build.
         return self.num_edges * DENSE_MIN_FILL_DIVISOR >= matrix_bytes
+
+    def _use_bitset(self) -> bool:
+        """Off the dense path, whether :meth:`has_edges` probes the packed
+        bitset: the same fill floor and byte cap, counted in bits."""
+        cells = self.num_nodes * self.num_nodes
+        return (
+            self.num_edges > 0
+            and not self._use_dense()
+            and cells <= 8 * DENSE_MIN_FILL_DIVISOR * self.num_edges
+            and cells // 8 <= DENSE_ADJACENCY_MAX_BYTES
+        )
+
+    def _bit_matrix(self) -> np.ndarray:
+        """Flat packed adjacency: bit ``u * n + v`` (little-endian within
+        each byte) is set iff ``{u, v}`` is an edge, both orientations."""
+        if self._adjacency_bits is None:
+            n = np.int64(self.num_nodes)
+            cells_total = self.num_nodes * self.num_nodes
+            bits = np.zeros((cells_total + 7) // 8, dtype=np.uint8)
+            for a, b in ((self.edge_u, self.edge_v), (self.edge_v, self.edge_u)):
+                cells = a * n + b
+                np.bitwise_or.at(
+                    bits, cells >> 3, np.left_shift(1, cells & 7).astype(np.uint8)
+                )
+            self._adjacency_bits = _frozen(bits)
+        return self._adjacency_bits
 
     def _bool_matrix(self) -> np.ndarray:
         """The full boolean adjacency matrix (dense strategy only)."""
@@ -286,19 +344,12 @@ class CSRGraph:
                         packed, self.edge_u[start:end], self.edge_v[start:end]
                     )
             else:
-                indptr, indices = self.indptr, self.indices
-                u_list = self.edge_u.tolist()
-                v_list = self.edge_v.tolist()
-                for index, (u, v) in enumerate(zip(u_list, v_list)):
-                    row_u = indices[indptr[u] : indptr[u + 1]]
-                    row_v = indices[indptr[v] : indptr[v + 1]]
-                    if row_u.shape[0] > row_v.shape[0]:
-                        row_u, row_v = row_v, row_u
-                    positions = np.searchsorted(row_v, row_u)
-                    positions[positions == row_v.shape[0]] = 0
-                    support[index] = int(
-                        np.count_nonzero(row_v[positions] == row_u)
-                    )
+                # Each triangle adds one to each of its three edges; the
+                # cached listing is reused when there is one.
+                for chunk in self.iter_triangle_chunks():
+                    a, b, c = chunk.T
+                    for x, y in ((a, b), (a, c), (b, c)):
+                        np.add.at(support, self._edge_positions(x, y), 1)
         self._support = _frozen(support)
         return self._support
 
@@ -326,13 +377,7 @@ class CSRGraph:
                 if both.any():
                     return True
             return False
-        indptr, indices = self.indptr, self.indices
-        for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-            row_u = indices[indptr[u] : indptr[u + 1]]
-            row_v = indices[indptr[v] : indptr[v + 1]]
-            if np.intersect1d(row_u, row_v, assume_unique=True).shape[0]:
-                return True
-        return False
+        return next(self.iter_triangle_chunks(), None) is not None
 
     def iter_triangle_chunks(self) -> "Iterator[np.ndarray]":
         """Yield triangles as ``(k, 3)`` int64 chunks, lazily, in canonical
@@ -369,20 +414,18 @@ class CSRGraph:
                         (u_chunk[edge_index], v_chunk[edge_index], w)
                     )
         else:
-            indptr, indices = self.indptr, self.indices
-            for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-                row_u = indices[indptr[u] : indptr[u + 1]]
-                row_v = indices[indptr[v] : indptr[v + 1]]
-                common = np.intersect1d(row_u, row_v, assume_unique=True)
-                common = common[common > v]
-                if common.shape[0]:
-                    yield np.column_stack(
-                        (
-                            np.full(common.shape[0], u, dtype=np.int64),
-                            np.full(common.shape[0], v, dtype=np.int64),
-                            common,
-                        )
-                    )
+            # Wedge closure: pair each edge (u, v) with the forward part of
+            # v's sorted row (its neighbours above v).
+            forward = np.bincount(self.edge_u, minlength=self.num_nodes)
+            forward_lo = self.indptr[1:] - forward
+            chunk = _edge_chunk(64)  # ~8 int64 temporaries per edge
+            for start in range(0, m, chunk):
+                u_chunk = self.edge_u[start : start + chunk]
+                v_chunk = self.edge_v[start : start + chunk]
+                for edge, w in self._closed_pairs(
+                    u_chunk, forward_lo[v_chunk], forward[v_chunk]
+                ):
+                    yield np.column_stack((u_chunk[edge], v_chunk[edge], w))
 
     def triangles(self) -> np.ndarray:
         """Return all triangles as one ``(t, 3)`` int64 array (cached).
@@ -402,31 +445,10 @@ class CSRGraph:
     def triangles_through(self, node: int) -> np.ndarray:
         """Return the triangles containing ``node`` as a ``(t, 3)`` array of
         canonical (row-sorted) triples, lexicographically ordered."""
-        nbrs = self.neighbor_slice(node)
-        if nbrs.shape[0] < 2:
+        pairs = [np.column_stack(pair) for pair in self._neighbour_pairs(node)]
+        if not pairs:
             return np.empty((0, 3), dtype=np.int64)
-        if self._use_dense():
-            sub = self._bool_matrix()[np.ix_(nbrs, nbrs)]
-            first, second = np.nonzero(np.triu(sub, k=1))
-            pairs = np.column_stack((nbrs[first], nbrs[second]))
-        else:
-            indptr, indices = self.indptr, self.indices
-            rows = []
-            for u in nbrs.tolist():
-                row_u = indices[indptr[u] : indptr[u + 1]]
-                partners = np.intersect1d(row_u, nbrs, assume_unique=True)
-                partners = partners[partners > u]
-                if partners.shape[0]:
-                    rows.append(
-                        np.column_stack(
-                            (np.full(partners.shape[0], u, dtype=np.int64), partners)
-                        )
-                    )
-            if not rows:
-                return np.empty((0, 3), dtype=np.int64)
-            pairs = np.concatenate(rows, axis=0)
-        if pairs.shape[0] == 0:
-            return np.empty((0, 3), dtype=np.int64)
+        pairs = np.concatenate(pairs, axis=0)
         triples = np.column_stack(
             (np.full(pairs.shape[0], node, dtype=np.int64), pairs)
         )
@@ -438,9 +460,7 @@ class CSRGraph:
         """Vectorized per-pair support lookup for canonical pairs ``a < b``
         that are edges of the graph (positions found by binary search in the
         sorted canonical edge keys)."""
-        keys = a * np.int64(max(self.num_nodes, 1)) + b
-        positions = np.searchsorted(self._edge_key_array(), keys)
-        return self.edge_support()[positions]
+        return self.edge_support()[self._edge_positions(a, b)]
 
     def heavy_edge_mask(self, threshold: float) -> np.ndarray:
         """Boolean mask over canonical edges with ``#(e) >= threshold``."""
@@ -487,8 +507,8 @@ class CSRGraph:
         ]
         if landmark_array.shape[0] == 0:
             return np.ones(m, dtype=bool)
-        mask = np.empty(m, dtype=bool)
         if self._use_dense():
+            mask = np.empty(m, dtype=bool)
             landmark_flags = np.zeros(self.num_nodes, dtype=bool)
             landmark_flags[landmark_array] = True
             matrix = self._bool_matrix()
@@ -498,20 +518,68 @@ class CSRGraph:
                 both = matrix[self.edge_u[start:end]] & matrix[self.edge_v[start:end]]
                 mask[start:end] = ~(both & landmark_flags[None, :]).any(axis=1)
         else:
-            landmark_sorted = np.unique(landmark_array)
-            indptr, indices = self.indptr, self.indices
-            for index, (u, v) in enumerate(
-                zip(self.edge_u.tolist(), self.edge_v.tolist())
-            ):
-                common = np.intersect1d(
-                    indices[indptr[u] : indptr[u + 1]],
-                    indices[indptr[v] : indptr[v + 1]],
-                    assume_unique=True,
-                )
-                mask[index] = not np.isin(
-                    common, landmark_sorted, assume_unique=True
-                ).any()
+            # An edge leaves ∆(X) exactly when it joins two neighbours of
+            # some landmark.
+            mask = np.ones(m, dtype=bool)
+            for landmark in np.unique(landmark_array).tolist():
+                for a, b in self._neighbour_pairs(landmark):
+                    mask[self._edge_positions(a, b)] = False
         return mask
+
+    # ------------------------------------------------------------------
+    # wedge closure (the oracle off the dense path)
+    # ------------------------------------------------------------------
+    def _edge_positions(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Canonical edge positions of edges ``(a, b)``, ``a < b`` (binary
+        search of the sorted canonical edge keys)."""
+        keys = a * np.int64(max(self.num_nodes, 1)) + b
+        return np.searchsorted(self._edge_key_array(), keys)
+
+    def _closed_pairs(
+        self, first: np.ndarray, lo: np.ndarray, count: np.ndarray
+    ) -> "Iterator[Tuple[np.ndarray, np.ndarray]]":
+        """Yield ``(item, other)`` for each pair ``(first[item], other)``,
+        ``other`` in ``indices[lo[item] : lo[item] + count[item]]``, that is
+        an edge, in ``(item, position)`` order.
+
+        The pairs are laid end to end and closed window by window, one
+        :meth:`has_edges` call per window.  A window's temporaries fit the
+        ``chunk_bytes`` bound together, and a window may split an item's
+        run.  Windows without an edge yield nothing.
+        """
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.shape[0] else 0
+        starts = ends - count
+        shift = lo - starts
+        window = _edge_chunk(64)  # ~8 int64 temporaries per pair
+        for start in range(0, total, window):
+            end = min(start + window, total)
+            low = int(np.searchsorted(ends, start, side="right"))
+            high = int(np.searchsorted(ends, end - 1, side="right")) + 1
+            spans = np.minimum(ends[low:high], end) - np.maximum(
+                starts[low:high], start
+            )
+            item = np.repeat(np.arange(low, high), spans)
+            positions = np.repeat(shift[low:high], spans) + np.arange(start, end)
+            other = self.indices[positions]
+            closed = self.has_edges(first[item], other)
+            if closed.any():
+                yield item[closed], other[closed]
+
+    def _neighbour_pairs(
+        self, node: int
+    ) -> "Iterator[Tuple[np.ndarray, np.ndarray]]":
+        """Yield ``(a, b)`` per window: the adjacent pairs ``a < b`` of
+        ``node``'s neighbours, in lexicographic order (see
+        :meth:`_closed_pairs`)."""
+        row_start, row_end = int(self.indptr[node]), int(self.indptr[node + 1])
+        nbrs = self.indices[row_start:row_end]
+        for item, other in self._closed_pairs(
+            nbrs,
+            np.arange(row_start + 1, row_end + 1, dtype=np.int64),
+            np.arange(row_end - row_start - 1, -1, -1, dtype=np.int64),
+        ):
+            yield nbrs[item], other
 
     def __repr__(self) -> str:
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

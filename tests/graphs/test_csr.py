@@ -6,14 +6,19 @@ identical* to the pure-Python set-intersection reference
 every workload family the generators produce.  These tests enumerate that
 equivalence — triangles, counts, per-edge supports, the heavy/light
 partition, and ``∆(X)`` membership — on random G(n, p) (dense and sparse),
-Barabási–Albert, random-regular and lollipop graphs, on both oracle
-strategies (dense bitset and sorted-merge).
+Barabási–Albert, random-regular and lollipop graphs, on all three
+membership strategies (dense matrix, packed bitset and sorted keys).
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.graphs.csr as csr_module
+from repro.congest.backends import use_chunk_bytes
 from repro.graphs import (
     CSRGraph,
     Graph,
@@ -55,21 +60,50 @@ WORKLOADS = workload_graphs()
 WORKLOAD_IDS = [name for name, _ in WORKLOADS]
 
 
-@pytest.fixture(params=[False, True], ids=["dense-path", "merge-path"])
-def strategy_toggle(request, monkeypatch):
-    """Run each differential test on both oracle strategies."""
-    if request.param:
-        monkeypatch.setattr(csr_module, "DENSE_ADJACENCY_MAX_BYTES", 0)
-    return request.param
+STRATEGIES = ["dense", "bitset", "sorted-key"]
+
+
+@contextlib.contextmanager
+def forced_strategy(strategy):
+    """Put every non-empty corpus graph on ``strategy`` (the corpus is
+    dense enough for all three)."""
+    if strategy == "bitset":
+        with mock.patch.object(CSRGraph, "_use_dense", lambda self: False):
+            yield
+    elif strategy == "sorted-key":
+        with mock.patch.object(csr_module, "DENSE_ADJACENCY_MAX_BYTES", 0):
+            yield
+    else:
+        yield
+
+
+def membership_strategy(view: CSRGraph) -> str:
+    """The strategy ``has_edges`` takes on ``view``."""
+    if view._use_dense():
+        return "dense"
+    return "bitset" if view._use_bitset() else "sorted-key"
+
+
+@pytest.fixture(params=STRATEGIES, ids=["dense-path", "bitset-path", "merge-path"])
+def strategy_toggle(request):
+    """Run each differential test on all three membership strategies (the
+    sorted-key path keeps its old test id, ``merge-path``)."""
+    with forced_strategy(request.param):
+        yield request.param
 
 
 def fresh_view(graph: Graph) -> CSRGraph:
     """A snapshot built under the current strategy toggle (bypass the cache,
-    which may hold a view built under the other strategy)."""
+    which may hold a view built under another strategy)."""
     return CSRGraph.from_graph(graph)
 
 
 class TestDifferentialOracle:
+    @pytest.mark.parametrize("name,graph", WORKLOADS, ids=WORKLOAD_IDS)
+    def test_toggle_selects_its_strategy(self, name, graph, strategy_toggle):
+        if graph.num_edges:
+            assert membership_strategy(fresh_view(graph)) == strategy_toggle
+
     @pytest.mark.parametrize("name,graph", WORKLOADS, ids=WORKLOAD_IDS)
     def test_triangles_match_reference(self, name, graph, strategy_toggle):
         expected = list(iter_triangles_reference(graph))
@@ -155,6 +189,65 @@ class TestDifferentialOracle:
                 t for t in iter_triangles_reference(graph) if probe in t
             )
             assert through == expected
+
+
+@st.composite
+def hub_graphs(draw):
+    """Stars and lollipops around a hub with a mid-range id, plus random
+    chords.  A mid-range hub has many neighbours on both sides, so forward
+    enumeration pairs each lower edge into it with every higher neighbour:
+    the wedge-heavy worst case of the forward order."""
+    num_nodes = draw(st.integers(3, 48))
+    hub = draw(st.integers(num_nodes // 4, (3 * num_nodes) // 4))
+    others = [node for node in range(num_nodes) if node != hub]
+    edges = set()
+    if draw(st.booleans()):
+        edges.update((hub, node) for node in others)
+    else:
+        order = draw(st.permutations(others))
+        head = draw(st.integers(1, len(order)))
+        clique = [hub] + list(order[:head])
+        edges.update(
+            (a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]
+        )
+        path = [hub] + list(order[head:])
+        edges.update(zip(path, path[1:]))
+    pairs = st.tuples(
+        st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)
+    )
+    edges.update(
+        (a, b) for a, b in draw(st.lists(pairs, max_size=num_nodes)) if a != b
+    )
+    return Graph(num_nodes, edges), hub
+
+
+class TestWedgeClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=hub_graphs(),
+        strategy=st.sampled_from(STRATEGIES),
+        chunk_bytes=st.sampled_from([1, 8, 40, 1024]),
+    )
+    def test_windows_match_reference(self, case, strategy, chunk_bytes):
+        graph, hub = case
+        expected = list(iter_triangles_reference(graph))
+        # Windows as small as one wedge: drop the floor on rows per chunk.
+        with forced_strategy(strategy), mock.patch.object(
+            csr_module, "_MIN_EDGE_CHUNK", 1
+        ), use_chunk_bytes(chunk_bytes):
+            view = fresh_view(graph)
+            assert membership_strategy(view) == strategy
+            chunks = list(view.iter_triangle_chunks())
+            listed = np.concatenate(chunks).tolist() if chunks else []
+            assert [tuple(row) for row in listed] == expected
+            assert view.edge_support().tolist() == [
+                len(graph.neighbors(u) & graph.neighbors(v))
+                for u, v in zip(view.edge_u.tolist(), view.edge_v.tolist())
+            ]
+            assert fresh_view(graph).has_triangle() == bool(expected)
+            assert [tuple(row) for row in view.triangles_through(hub).tolist()] == [
+                t for t in expected if hub in t
+            ]
 
 
 class TestTriangleEnumerationCaching:
@@ -352,6 +445,27 @@ class TestBulkEdgeMembership:
         csr = gnp_random_graph(6, 1.0, seed=0).csr()
         nodes = np.arange(6)
         assert not csr.has_edges(nodes, nodes).any()
+
+    def test_out_of_range_ids_raise(self, strategy_toggle):
+        # Key 0 * 8 + 10 equals the key of edge (1, 2): without the range
+        # check the sorted-key path would report (0, 10) as an edge.
+        view = fresh_view(Graph(8, [(1, 2), (3, 4)]))
+        assert membership_strategy(view) == strategy_toggle
+        with pytest.raises(ValueError, match=r"node id 10 outside \[0, 8\)"):
+            view.has_edges([0], [10])
+        with pytest.raises(ValueError, match="node id -1 outside"):
+            view.has_edges([1, 2], [2, -1])
+        # The first offending pair is named, its u before its v.
+        with pytest.raises(ValueError, match="node id 9 outside"):
+            view.has_edges([0, 9, 3], [1, -5, 4])
+        assert view.has_edges([1, 4, 0], [2, 3, 7]).tolist() == [True, True, False]
+
+    def test_sparse_alias_from_the_bug_report(self):
+        csr = Graph(100, [(1, 2), (3, 4)]).csr()
+        assert membership_strategy(csr) == "sorted-key"
+        assert not csr.has_edge(0, 102)
+        with pytest.raises(ValueError, match="node id 102"):
+            csr.has_edges([0], [102])
 
 
 class TestTrianglesByGroup:
