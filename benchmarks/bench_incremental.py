@@ -16,6 +16,13 @@ wall-clock.  Set ``INCREMENTAL_QUICK=1`` (CI does) for a reduced-size run
 with a relaxed bar.  The initial index build is identical work on both
 sides (one full oracle pass) and is excluded from the timed region: the
 quantity under test is steady-state update throughput.
+
+A second case measures the overlay at steady state: the six batches above
+start from an empty overlay, so they never see what a grown one costs.  It
+warms the oracle with ``STEADY_WARM_BATCHES`` batches (an overlay of about
+3,000 keys, below the default compaction threshold of 4096), then times
+the next ``STEADY_TIMED_BATCHES`` against recompute-per-batch, gated at
+≥50x at full size and ≥5x in quick mode.
 """
 
 from __future__ import annotations
@@ -41,9 +48,13 @@ DELETES_PER_BATCH = 40
 #: Required speedup of batch updates over full recomputation per batch.
 REQUIRED_SPEEDUP = 5.0 if QUICK else 10.0
 SEED = 2017
+#: Steady-state case: batches applied untimed, then batches timed.
+STEADY_WARM_BATCHES = 30
+STEADY_TIMED_BATCHES = 10
+STEADY_REQUIRED_SPEEDUP = 5.0 if QUICK else 50.0
 
 
-def _build_batches(graph, rng):
+def _build_batches(graph, rng, num_batches=NUM_BATCHES):
     """A deterministic mixed insert/delete batch sequence.
 
     Deletes are drawn from the edges live at that point in the stream;
@@ -53,7 +64,7 @@ def _build_batches(graph, rng):
     """
     edges = set(graph.edges())
     batches = []
-    for _ in range(NUM_BATCHES):
+    for _ in range(num_batches):
         live = sorted(edges)
         picks = rng.choice(len(live), size=DELETES_PER_BATCH, replace=False)
         delete = [live[int(i)] for i in picks]
@@ -160,3 +171,84 @@ def test_incremental_batch_update_speedup(benchmark):
         },
     )
     assert speedup >= REQUIRED_SPEEDUP, table
+
+
+def test_incremental_steady_state_speedup(benchmark):
+    """With a warm overlay of ~3,000 keys, batched updates must still beat
+    recompute-per-batch ≥50x at full size."""
+    graph = gnp_random_graph(NUM_NODES, EDGE_PROBABILITY, seed=SEED)
+    batches = _build_batches(
+        graph, np.random.default_rng(SEED), STEADY_WARM_BATCHES + STEADY_TIMED_BATCHES
+    )
+    warm, timed = batches[:STEADY_WARM_BATCHES], batches[STEADY_WARM_BATCHES:]
+
+    def compare():
+        oracle = IncrementalTriangleOracle(graph)
+        edges = set(graph.edges())
+        for insert, delete in warm:
+            oracle.apply_batch(insert=insert, delete=delete)
+            edges = (edges - set(delete)) | set(insert)
+        overlay = oracle.snapshot.overlay_size
+        incremental_totals = []
+        start = time.perf_counter()
+        for insert, delete in timed:
+            delta = oracle.apply_batch(insert=insert, delete=delete)
+            incremental_totals.append(delta.triangles_after)
+        incremental_seconds = time.perf_counter() - start
+        assert oracle.graph.compactions == 0, "the timed batches must not compact"
+
+        edge_sets = []
+        for insert, delete in timed:
+            edges = (edges - set(delete)) | set(insert)
+            edge_sets.append(frozenset(edges))
+        recompute_results = []
+        start = time.perf_counter()
+        for snapshot_edges in edge_sets:
+            recompute_results.append(_full_recompute(NUM_NODES, snapshot_edges))
+        recompute_seconds = time.perf_counter() - start
+
+        for step, (total, _, _) in enumerate(recompute_results):
+            assert incremental_totals[step] == total, f"timed batch {step}: total diverged"
+        assert np.array_equal(oracle.node_counts(), recompute_results[-1][1])
+        n = max(NUM_NODES, 1)
+        assert oracle.support_map() == {
+            (key // n, key % n): value for key, value in recompute_results[-1][2].items()
+        }
+        return incremental_totals[-1], overlay, incremental_seconds, recompute_seconds
+
+    triangles, overlay, incremental_seconds, recompute_seconds = run_once(benchmark, compare)
+    speedup = recompute_seconds / incremental_seconds
+    per_batch = 1000 / STEADY_TIMED_BATCHES
+
+    table = "\n".join(
+        [
+            f"incremental-oracle steady state (n={NUM_NODES}, p={EDGE_PROBABILITY}, "
+            f"warm={STEADY_WARM_BATCHES}, timed={STEADY_TIMED_BATCHES}, quick={QUICK})",
+            f"  overlay after warm-up:  {overlay} keys",
+            f"  final triangles:        {triangles}",
+            f"  recompute per batch:    {recompute_seconds * per_batch:.1f} ms/batch",
+            f"  incremental updates:    {incremental_seconds * per_batch:.2f} ms/batch",
+            f"  speedup:                {speedup:.2f}x (required ≥{STEADY_REQUIRED_SPEEDUP}x)",
+        ]
+    )
+    record_table("incremental_steady", table)
+    record_json(
+        "incremental_steady",
+        {
+            "benchmark": "incremental_steady",
+            "quick": QUICK,
+            "num_nodes": NUM_NODES,
+            "edge_probability": EDGE_PROBABILITY,
+            "warm_batches": STEADY_WARM_BATCHES,
+            "timed_batches": STEADY_TIMED_BATCHES,
+            "inserts_per_batch": INSERTS_PER_BATCH,
+            "deletes_per_batch": DELETES_PER_BATCH,
+            "overlay_keys": overlay,
+            "final_triangles": triangles,
+            "recompute_seconds": recompute_seconds,
+            "incremental_seconds": incremental_seconds,
+            "speedup": speedup,
+            "required_speedup": STEADY_REQUIRED_SPEEDUP,
+        },
+    )
+    assert speedup >= STEADY_REQUIRED_SPEEDUP, table

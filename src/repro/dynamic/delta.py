@@ -12,14 +12,25 @@ base:
 * ``removed_keys`` — tombstones: base edges deleted from the snapshot.
 
 Both arrays are sorted ``int64`` and disjoint from each other, so
-membership tests are ``searchsorted`` and the effective edge set is a pair
-of set operations away.  Once the overlay grows past a threshold the
-snapshot is *compacted* back into a fresh ``CSRGraph``; because edge keys
-are canonical (``u < v``, sorted ascending) compaction is byte-deterministic
-— the same logical graph always produces identical CSR arrays no matter
-which batch sequence produced it.
+membership tests are ``searchsorted`` and every set operation on them is
+a ``searchsorted`` insertion or deletion, never numpy's hash-based ``unique``.
+Row reads see each overlay as a small columnar adjacency: a CSR over just
+the nodes the overlay touches (a sorted owner array plus
+``indptr``/``indices``), built from one sort of the symmetric keys on the
+first read that needs it, so its size tracks the overlay rather than
+``n``.  :meth:`DeltaSnapshot.has_edges` answers effective membership for
+whole arrays of pairs and :meth:`DeltaSnapshot.gather_neighbors` reads
+the effective rows of many nodes at once; the incremental oracle closes a
+batch's wedges with those two calls.
 
-:class:`DeltaSnapshot` is immutable and safe to hand to concurrent readers;
+Once the overlay grows past a threshold the snapshot is *compacted* back
+into a fresh ``CSRGraph``; because edge keys are canonical (``u < v``,
+sorted ascending) compaction is byte-deterministic — the same logical
+graph always produces identical CSR arrays no matter which batch sequence
+produced it.
+
+:class:`DeltaSnapshot` is immutable and safe to hand to concurrent readers
+(its lazily built rows are idempotent caches);
 :class:`DeltaGraph` owns the current snapshot and serializes batch
 application, bumping a monotone version per batch so readers can pin the
 exact state an answer was computed against.
@@ -28,14 +39,14 @@ exact state an answer was computed against.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from ..errors import GraphError
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
-from ..types import Edge
+from ..types import Edge, sorted_unique
 
 __all__ = [
     "DEFAULT_COMPACT_THRESHOLD",
@@ -46,13 +57,19 @@ __all__ = [
 ]
 
 #: Overlay size (``len(added) + len(removed)``) above which ``apply_batch``
-#: folds the overlay into a fresh CSR base.  Kept deliberately modest: the
-#: per-batch oracle walk touches overlay adjacency dicts, and a bounded
-#: overlay keeps those dicts cache-resident.
+#: folds the overlay into a fresh CSR base.  Every snapshot re-sorts its
+#: overlay keys into columnar rows on first read and every batch probes
+#: them by binary search, so a bounded overlay keeps both small next to
+#: the O(m) compaction it defers.
 DEFAULT_COMPACT_THRESHOLD = 4096
 
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 _EMPTY_KEYS.setflags(write=False)
+
+#: An overlay's symmetric adjacency over the nodes it touches, as
+#: ``(owners, indptr, indices)``: the sorted row of ``owners[i]`` is
+#: ``indices[indptr[i] : indptr[i + 1]]``.
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _frozen_keys(array: np.ndarray) -> np.ndarray:
@@ -75,34 +92,61 @@ def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_keys(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Canonical edge keys ``min·n + max`` of the pairs ``(u[i], v[i])``."""
+    return np.minimum(u, v) * np.int64(max(num_nodes, 1)) + np.maximum(u, v)
+
+
+def _insert_sorted(keys: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Sorted union of sorted ``keys`` and sorted ``extra`` disjoint from it."""
+    return np.insert(keys, np.searchsorted(keys, extra), extra)
+
+
+def _delete_sorted(keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """Sorted ``keys`` without the sorted subset ``drop``."""
+    return np.delete(keys, np.searchsorted(keys, drop))
+
+
+def _is_int_pair(pair: object) -> bool:
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        return False
+    return all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (u, v)
+    )
+
+
 def canonical_batch_keys(edges: Iterable[Tuple[int, int]], num_nodes: int) -> np.ndarray:
     """Validate and canonicalize a batch of edges into sorted unique keys.
 
-    Raises :class:`~repro.errors.GraphError` on self-loops or endpoints
-    outside ``[0, num_nodes)``.  Duplicate pairs within a batch collapse to
-    one key — applying ``(u, v)`` twice in one batch is idempotent.
+    Raises :class:`~repro.errors.GraphError` naming the pair on anything
+    but ``(u, v)`` pairs of ints or numpy integers (``bool`` included: no
+    float, string or truth value is coerced into a node id), and on
+    self-loops or endpoints outside ``[0, num_nodes)``.  Duplicate pairs
+    within a batch collapse to one key — applying ``(u, v)`` twice in one
+    batch is idempotent.
     """
     pairs = list(edges)
     if not pairs:
         return _EMPTY_KEYS
+    for pair in pairs:
+        if not _is_int_pair(pair):
+            raise GraphError(f"edge batch must be a sequence of integer (u, v) pairs, got {pair!r}")
     try:
-        arr = np.asarray(pairs, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphError(f"edge batch must be a sequence of integer (u, v) pairs: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError("edge batch must be a sequence of (u, v) pairs")
-    u = arr[:, 0]
-    v = arr[:, 1]
-    if u.size and (int(arr.min()) < 0 or int(arr.max()) >= num_nodes):
+        arr = np.array(pairs, dtype=np.int64)
+    except OverflowError as exc:
+        raise GraphError(f"edge endpoint out of range for graph with {num_nodes} nodes") from exc
+    u, v = arr[:, 0], arr[:, 1]
+    bad = np.flatnonzero((np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes))
+    if bad.size:
         raise GraphError(
-            f"edge endpoint out of range for graph with {num_nodes} nodes"
+            f"edge {pairs[bad[0]]!r}: endpoint out of range for graph with {num_nodes} nodes"
         )
-    if bool((u == v).any()):
-        raise GraphError("self-loops are not allowed in edge batches")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = lo * np.int64(max(num_nodes, 1)) + hi
-    return _frozen_keys(np.unique(keys))
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise GraphError(f"edge {pairs[loops[0]]!r}: self-loops are not allowed in edge batches")
+    return _frozen_keys(sorted_unique(pair_keys(u, v, num_nodes)))
 
 
 def decode_edge_keys(keys: np.ndarray, num_nodes: int) -> List[Edge]:
@@ -111,20 +155,44 @@ def decode_edge_keys(keys: np.ndarray, num_nodes: int) -> List[Edge]:
     return [(int(k) // n, int(k) % n) for k in np.asarray(keys, dtype=np.int64)]
 
 
-def _overlay_adjacency(keys: np.ndarray, num_nodes: int) -> Dict[int, np.ndarray]:
-    """Symmetric per-node adjacency for a (small) overlay key array."""
-    n = max(num_nodes, 1)
-    lists: Dict[int, List[int]] = {}
-    for key in keys.tolist():
-        u, v = key // n, key % n
-        lists.setdefault(u, []).append(v)
-        lists.setdefault(v, []).append(u)
-    out: Dict[int, np.ndarray] = {}
-    for node, neigh in lists.items():
-        arr = np.array(sorted(neigh), dtype=np.int64)
-        arr.setflags(write=False)
-        out[node] = arr
-    return out
+def _overlay_rows(keys: np.ndarray, num_nodes: int) -> _Rows:
+    """Columnar symmetric adjacency of an overlay key array: one sort of
+    the keys in both orientations, split into rows where the owner
+    changes."""
+    if not keys.size:
+        return _EMPTY_KEYS, np.zeros(1, dtype=np.int64), _EMPTY_KEYS
+    n = np.int64(max(num_nodes, 1))
+    sym = np.concatenate((keys, keys % n * n + keys // n))
+    sym.sort()
+    owner = sym // n
+    first = np.empty(sym.size, dtype=bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return owner[starts], np.append(starts, sym.size), sym % n
+
+
+def _row_spans(rows: _Rows, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(start, length)`` of each node's row in ``rows``; untouched nodes
+    get length 0."""
+    owners, indptr, _ = rows
+    slot = np.searchsorted(owners, nodes)
+    start = indptr[slot]
+    return start, indptr[slot + in_sorted(owners, nodes)] - start
+
+
+def _row(rows: _Rows, node: int) -> np.ndarray:
+    start, length = _row_spans(rows, np.array([node], dtype=np.int64))
+    return rows[2][start[0] : start[0] + length[0]]
+
+
+def _expand(start: np.ndarray, length: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item, position)`` for positions ``start[item] + j``,
+    ``j < length[item]``, laid end to end in item order."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if ends.size else 0
+    item = np.repeat(np.arange(length.size), length)
+    return item, np.arange(total) + np.repeat(start - ends + length, length)
 
 
 class DeltaSnapshot:
@@ -133,7 +201,8 @@ class DeltaSnapshot:
     The overlay invariants (established by :class:`DeltaGraph`, assumed
     here): ``added_keys`` and ``removed_keys`` are sorted, unique, mutually
     disjoint; ``added_keys`` is disjoint from the base edge set and
-    ``removed_keys`` is a subset of it.
+    ``removed_keys`` is a subset of it.  The columnar rows of each overlay
+    are built on the first read that needs them.
     """
 
     __slots__ = (
@@ -141,8 +210,8 @@ class DeltaSnapshot:
         "version",
         "added_keys",
         "removed_keys",
-        "_added_adj",
-        "_removed_adj",
+        "_added_rows",
+        "_removed_rows",
         "__weakref__",
     )
 
@@ -157,8 +226,8 @@ class DeltaSnapshot:
         self.version = int(version)
         self.added_keys = _frozen_keys(added_keys if added_keys is not None else _EMPTY_KEYS)
         self.removed_keys = _frozen_keys(removed_keys if removed_keys is not None else _EMPTY_KEYS)
-        self._added_adj = _overlay_adjacency(self.added_keys, base.num_nodes)
-        self._removed_adj = _overlay_adjacency(self.removed_keys, base.num_nodes)
+        self._added_rows: _Rows | None = None
+        self._removed_rows: _Rows | None = None
 
     # -- basic shape -------------------------------------------------------
 
@@ -177,6 +246,23 @@ class DeltaSnapshot:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.base.num_nodes:
             raise GraphError(f"node {node} out of range for graph with {self.base.num_nodes} nodes")
+
+    def _check_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        bad = nodes[(nodes < 0) | (nodes >= self.base.num_nodes)]
+        if bad.size:
+            self._check_node(int(bad[0]))
+        return nodes
+
+    def _added(self) -> _Rows:
+        if self._added_rows is None:
+            self._added_rows = _overlay_rows(self.added_keys, self.base.num_nodes)
+        return self._added_rows
+
+    def _removed(self) -> _Rows:
+        if self._removed_rows is None:
+            self._removed_rows = _overlay_rows(self.removed_keys, self.base.num_nodes)
+        return self._removed_rows
 
     # -- queries -----------------------------------------------------------
 
@@ -198,27 +284,73 @@ class DeltaSnapshot:
             return False
         return self.base.has_edge(u, v)
 
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorized effective edge membership for arrays of pairs.
+
+        The base CSR's :meth:`~repro.graphs.csr.CSRGraph.has_edges` (dense,
+        bitset or sorted-key), minus tombstones, plus additions.  Pair order
+        does not matter and ``u == v`` pairs are ``False``; ids outside
+        ``[0, n)`` raise :class:`ValueError` as on the base.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        present = self.base.has_edges(u, v)
+        if self.overlay_size:
+            keys = pair_keys(u, v, self.base.num_nodes)
+            # Tombstones only ever hide base edges.
+            present[present] = ~in_sorted(self.removed_keys, keys[present])
+            present |= in_sorted(self.added_keys, keys)
+        return present
+
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted effective neighbourhood: base row minus tombstones plus adds."""
         self._check_node(node)
         row = self.base.neighbor_slice(node)
-        removed = self._removed_adj.get(node)
-        if removed is not None:
-            row = np.setdiff1d(row, removed, assume_unique=True)
-        added = self._added_adj.get(node)
-        if added is not None:
-            row = np.union1d(row, added)
+        gone = _row(self._removed(), node)
+        if gone.size:
+            row = _delete_sorted(row, gone)
+        new = _row(self._added(), node)
+        if new.size:
+            row = _insert_sorted(row, new)
         return row
+
+    def gather_neighbors(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Effective rows of many nodes in one pass.
+
+        Returns ``(item, neighbour)`` arrays holding one entry per
+        neighbour of ``nodes[item]``: the live base entries of every row,
+        then the overlay additions.  Entries within a row are not sorted.
+        """
+        nodes = self._check_nodes(nodes)
+        indptr = self.base.indptr
+        item, position = _expand(indptr[nodes], indptr[nodes + 1] - indptr[nodes])
+        other = self.base.indices[position]
+        if self.removed_keys.size:
+            keys = pair_keys(nodes[item], other, self.base.num_nodes)
+            live = ~in_sorted(self.removed_keys, keys)
+            item, other = item[live], other[live]
+        if self.added_keys.size:
+            rows = self._added()
+            added_item, added_position = _expand(*_row_spans(rows, nodes))
+            item = np.concatenate((item, added_item))
+            other = np.concatenate((other, rows[2][added_position]))
+        return item, other
+
+    def degrees(self, nodes: np.ndarray) -> np.ndarray:
+        """Effective degree of each node: its base, tombstone and addition
+        row lengths."""
+        nodes = self._check_nodes(nodes)
+        indptr = self.base.indptr
+        return (
+            indptr[nodes + 1]
+            - indptr[nodes]
+            - _row_spans(self._removed(), nodes)[1]
+            + _row_spans(self._added(), nodes)[1]
+        )
 
     def degree(self, node: int) -> int:
         self._check_node(node)
-        removed = self._removed_adj.get(node)
-        added = self._added_adj.get(node)
-        return (
-            self.base.degree(node)
-            - (0 if removed is None else int(removed.size))
-            + (0 if added is None else int(added.size))
-        )
+        return int(self.degrees(np.array([node], dtype=np.int64))[0])
 
     def common_neighbors(self, u: int, v: int) -> np.ndarray:
         return np.intersect1d(self.neighbors(u), self.neighbors(v), assume_unique=True)
@@ -227,12 +359,8 @@ class DeltaSnapshot:
 
     def edge_keys(self) -> np.ndarray:
         """Sorted canonical keys of the effective edge set."""
-        base_keys = self.base._edge_key_array()
-        if self.removed_keys.size:
-            base_keys = np.setdiff1d(base_keys, self.removed_keys, assume_unique=True)
-        if self.added_keys.size:
-            return np.union1d(base_keys, self.added_keys)
-        return base_keys
+        base_keys = _delete_sorted(self.base._edge_key_array(), self.removed_keys)
+        return _insert_sorted(base_keys, self.added_keys)
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         keys = self.edge_keys()
@@ -332,7 +460,7 @@ class DeltaGraph:
         num_nodes = self._snapshot.num_nodes
         ins_keys = canonical_batch_keys(insert, num_nodes)
         del_keys = canonical_batch_keys(delete, num_nodes)
-        both = np.intersect1d(ins_keys, del_keys, assume_unique=True)
+        both = ins_keys[in_sorted(del_keys, ins_keys)]
         if both.size:
             u, v = decode_edge_keys(both[:1], num_nodes)[0]
             raise GraphError(f"edge ({u}, {v}) appears in both insert and delete sets of one batch")
@@ -354,14 +482,10 @@ class DeltaGraph:
             eff_del = del_keys[del_present]
             eff_del_in_added = del_in_added[del_present]
 
-            added = snap.added_keys
-            removed = snap.removed_keys
-            if eff_del.size:
-                added = np.setdiff1d(added, eff_del[eff_del_in_added], assume_unique=True)
-                removed = np.union1d(removed, eff_del[~eff_del_in_added])
-            if eff_ins.size:
-                removed = np.setdiff1d(removed, eff_ins[eff_ins_in_base], assume_unique=True)
-                added = np.union1d(added, eff_ins[~eff_ins_in_base])
+            added = _delete_sorted(snap.added_keys, eff_del[eff_del_in_added])
+            removed = _insert_sorted(snap.removed_keys, eff_del[~eff_del_in_added])
+            removed = _delete_sorted(removed, eff_ins[eff_ins_in_base])
+            added = _insert_sorted(added, eff_ins[~eff_ins_in_base])
 
             version = snap.version + 1
             if int(added.size) + int(removed.size) > self._compact_threshold:

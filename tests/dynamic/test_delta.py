@@ -1,5 +1,8 @@
 """Unit tests for the delta/overlay layer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,67 @@ class TestDeltaSnapshot:
         snap = DeltaGraph(triangle_graph()).snapshot
         with pytest.raises(GraphError, match="out of range"):
             snap.neighbors(4)
+        with pytest.raises(GraphError, match="node 4 out of range"):
+            snap.gather_neighbors([0, 4])
+        with pytest.raises(GraphError, match="node -1 out of range"):
+            snap.degrees([-1])
+        with pytest.raises(ValueError, match="node id 4 outside"):
+            snap.has_edges([0], [4])
+
+    def test_vectorized_reads(self):
+        delta = DeltaGraph(triangle_graph())
+        snap, _, _ = delta.apply_batch(insert=[(0, 3), (2, 3)], delete=[(0, 1)])
+        assert snap.has_edges([0, 1, 3, 0, 2], [3, 0, 2, 2, 2]).tolist() == [
+            True, False, True, True, False
+        ]
+        assert snap.degrees([0, 1, 2, 3]).tolist() == [2, 1, 3, 2]
+        item, other = snap.gather_neighbors([3, 0])
+        assert sorted(zip(item.tolist(), other.tolist())) == [(0, 0), (0, 2), (1, 2), (1, 3)]
+
+    def test_overlay_rows_built_on_first_read(self):
+        delta = DeltaGraph(Graph(30, [(10, 11)]), compact_threshold=3)
+        assert delta.snapshot._added_rows is None
+        snap, _, _ = delta.apply_batch(insert=[(0, 1), (0, 2)], delete=[(10, 11)])
+        assert snap._added_rows is None and snap._removed_rows is None
+        assert snap.neighbors(0).tolist() == [1, 2]
+        assert snap._added_rows is not None and snap._removed_rows is not None
+        # A compacting batch leaves a fresh snapshot with nothing built.
+        snap, _, _ = delta.apply_batch(insert=[(0, 3), (0, 4)])
+        assert delta.compactions == 1
+        assert snap._added_rows is None and snap._removed_rows is None
+
+    def test_concurrent_first_reads_agree(self):
+        delta = DeltaGraph(gnp_random_graph(60, 0.2, seed=3))
+        delta.apply_batch(insert=[(0, 1), (2, 3), (4, 59)], delete=[(0, 2), (5, 6)])
+        expected = [delta.snapshot.neighbors(node).tolist() for node in range(60)]
+        nodes = np.arange(60)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                # A fresh snapshot per round, so its rows are built under the race.
+                snap, _, _ = delta.apply_batch()
+                barrier = threading.Barrier(8)
+
+                def read():
+                    barrier.wait(timeout=10)
+                    rows = [snap.neighbors(node).tolist() for node in range(60)]
+                    degrees = snap.degrees(nodes).tolist()
+                    results.append((rows, degrees))
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 40
+        for rows, degrees in results:
+            assert rows == expected
+            assert degrees == [len(row) for row in expected]
 
 
 class TestApplyBatch:

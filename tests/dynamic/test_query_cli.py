@@ -167,6 +167,13 @@ class TestErrorContract:
         code, _, err = _run(capsys, "query", "--graph", graph_file, "--apply", str(batch))
         assert code == 2 and "unknown fields" in err
 
+    @pytest.mark.parametrize("pair", [[0, 2.7], [True, 3], ["1", "4"]], ids=["float", "bool", "str"])
+    def test_non_integer_batch_endpoint_exits_2(self, capsys, graph_file, tmp_path, pair):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"insert": [pair]}), encoding="utf-8")
+        code, out, err = _run(capsys, "query", "--graph", graph_file, "--apply", str(batch))
+        assert code == 2 and "integer (u, v) pairs" in err and "applied batch" not in out
+
     def test_no_source_no_root_exits_2(self, capsys):
         code, _, err = _run(capsys, "query")
         assert code == 2 and "nothing to query" in err

@@ -62,6 +62,26 @@ class TestQueries:
             engine.query({"kind": "count"})
 
 
+class TestBatchEndpoints:
+    @pytest.mark.parametrize(
+        "pair", [(0, 2.7), (True, 3), ("1", "4"), (0, None)], ids=["float", "bool", "str", "none"]
+    )
+    def test_non_integer_endpoints_rejected(self, pair):
+        engine = TriangleQueryEngine(Graph(5, [(0, 1), (1, 2)]))
+        with pytest.raises(GraphError, match="integer") as excinfo:
+            engine.apply_batch(insert=[(0, 4), pair])
+        assert repr(pair) in str(excinfo.value)
+        # Nothing was applied: the batch is rejected whole.
+        assert engine.version == 0
+        assert engine.snapshot.num_edges == 2
+
+    def test_numpy_integers_accepted(self):
+        engine = TriangleQueryEngine(Graph(5, [(0, 1), (1, 2)]))
+        delta = engine.apply_batch(insert=[(np.int32(0), np.uint8(2))], delete=[np.array([1, 0])])
+        assert delta.inserted == ((0, 2),)
+        assert delta.deleted == ((0, 1),)
+
+
 class TestDeltaSince:
     def test_reports_batches_after_version(self):
         engine = TriangleQueryEngine(k4_minus_one(), listing=True)

@@ -72,6 +72,16 @@ class TestRoundTrip:
                 client.request({"type": "apply", "insert": [[0, 1, 2]], "delete": []})
 
 
+    def test_non_integer_endpoint_answers_error_frame(self, server):
+        with QueryClient.connect(server.root, timeout=10) as client:
+            for pair in ([0, 2.5], [True, 3], ["1", "3"]):
+                with pytest.raises(ServiceError, match="integer"):
+                    client.request({"type": "apply", "insert": [pair], "delete": []})
+            # Nothing was applied and the same connection still answers.
+            count = client.query(QuerySpec(kind="count"))
+            assert count.version == 0 and count.payload["num_edges"] == 3
+
+
 class TestLifecycle:
     def test_shutdown_removes_discovery(self, tmp_path):
         engine = TriangleQueryEngine(Graph(3, [(0, 1)]))

@@ -10,7 +10,6 @@ Barabási–Albert, random-regular and lollipop graphs, on all three
 membership strategies (dense matrix, packed bitset and sorted keys).
 """
 
-import contextlib
 from unittest import mock
 
 import numpy as np
@@ -41,6 +40,8 @@ from repro.graphs import (
     union_of_cliques,
 )
 
+from csr_strategies import STRATEGIES, forced_strategy, membership_strategy
+
 
 def workload_graphs():
     """The differential-test corpus: one graph per workload family."""
@@ -58,30 +59,6 @@ def workload_graphs():
 
 WORKLOADS = workload_graphs()
 WORKLOAD_IDS = [name for name, _ in WORKLOADS]
-
-
-STRATEGIES = ["dense", "bitset", "sorted-key"]
-
-
-@contextlib.contextmanager
-def forced_strategy(strategy):
-    """Put every non-empty corpus graph on ``strategy`` (the corpus is
-    dense enough for all three)."""
-    if strategy == "bitset":
-        with mock.patch.object(CSRGraph, "_use_dense", lambda self: False):
-            yield
-    elif strategy == "sorted-key":
-        with mock.patch.object(csr_module, "DENSE_ADJACENCY_MAX_BYTES", 0):
-            yield
-    else:
-        yield
-
-
-def membership_strategy(view: CSRGraph) -> str:
-    """The strategy ``has_edges`` takes on ``view``."""
-    if view._use_dense():
-        return "dense"
-    return "bitset" if view._use_bitset() else "sorted-key"
 
 
 @pytest.fixture(params=STRATEGIES, ids=["dense-path", "bitset-path", "merge-path"])
