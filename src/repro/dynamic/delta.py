@@ -39,7 +39,7 @@ exact state an answer was computed against.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,21 +107,26 @@ def _delete_sorted(keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
     return np.delete(keys, np.searchsorted(keys, drop))
 
 
-def _is_int_pair(pair: object) -> bool:
+def _int_pair(pair: object) -> Optional[Tuple[int, int]]:
+    """``pair`` unpacked, or ``None`` unless it is a sequence (or 1-D array)
+    of exactly two ints or numpy integers other than ``bool``."""
+    if type(pair) is not tuple and not isinstance(pair, (Sequence, np.ndarray)):
+        return None
     try:
         u, v = pair
     except (TypeError, ValueError):
-        return False
-    return all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (u, v)
-    )
+        return None
+    for x in (u, v):
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            return None
+    return u, v
 
 
 def canonical_batch_keys(edges: Iterable[Tuple[int, int]], num_nodes: int) -> np.ndarray:
     """Validate and canonicalize a batch of edges into sorted unique keys.
 
     Raises :class:`~repro.errors.GraphError` naming the pair on anything
-    but ``(u, v)`` pairs of ints or numpy integers (``bool`` included: no
+    but ``(u, v)`` pairs of ints or numpy integers (``bool`` rejected: no
     float, string or truth value is coerced into a node id), and on
     self-loops or endpoints outside ``[0, num_nodes)``.  Duplicate pairs
     within a batch collapse to one key — applying ``(u, v)`` twice in one
@@ -130,11 +135,14 @@ def canonical_batch_keys(edges: Iterable[Tuple[int, int]], num_nodes: int) -> np
     pairs = list(edges)
     if not pairs:
         return _EMPTY_KEYS
+    checked = []
     for pair in pairs:
-        if not _is_int_pair(pair):
+        endpoints = _int_pair(pair)
+        if endpoints is None:
             raise GraphError(f"edge batch must be a sequence of integer (u, v) pairs, got {pair!r}")
+        checked.append(endpoints)
     try:
-        arr = np.array(pairs, dtype=np.int64)
+        arr = np.array(checked, dtype=np.int64)
     except OverflowError as exc:
         raise GraphError(f"edge endpoint out of range for graph with {num_nodes} nodes") from exc
     u, v = arr[:, 0], arr[:, 1]

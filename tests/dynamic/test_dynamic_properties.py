@@ -21,7 +21,7 @@ often holds several edges of one triangle.
 from hypothesis import given, settings, strategies as st
 import numpy as np
 
-from csr_strategies import STRATEGIES, forced_strategy, membership_strategy
+from csr_strategies import STRATEGIES, membership_strategy, pinned_strategy
 from repro.congest.backends import use_chunk_bytes
 from repro.dynamic import DeltaGraph, IncrementalTriangleOracle
 from repro.dynamic.oracle import _affected_triangles
@@ -150,7 +150,7 @@ def assert_reads_match(snapshot, edge_set, strategy):
 @settings(max_examples=120, deadline=None)
 def test_oracle_matches_recompute_after_every_batch(case, compact_threshold, chunk_bytes):
     for strategy in STRATEGIES:
-        with forced_strategy(strategy), use_chunk_bytes(chunk_bytes):
+        with pinned_strategy(strategy), use_chunk_bytes(chunk_bytes):
             check_oracle_against_recompute(case, compact_threshold, strategy)
 
 
@@ -209,7 +209,7 @@ def check_oracle_against_recompute(case, compact_threshold, strategy):
 def test_delta_graph_matches_set_semantics(case):
     num_nodes, start, batches = case
     for strategy in STRATEGIES:
-        with forced_strategy(strategy):
+        with pinned_strategy(strategy):
             delta = DeltaGraph(Graph(num_nodes, start), compact_threshold=3)
             edge_set = set(start)
             for version, (insert, delete) in enumerate(batches, start=1):

@@ -75,6 +75,17 @@ class TestBatchEndpoints:
         assert engine.version == 0
         assert engine.snapshot.num_edges == 2
 
+    @pytest.mark.parametrize(
+        "make_pair", [lambda: {1, 3}, lambda: iter((1, 3))], ids=["set", "iterator"]
+    )
+    def test_non_sequence_pairs_rejected(self, make_pair):
+        # Both unpack to two ints, but neither is a (u, v) sequence.
+        engine = TriangleQueryEngine(Graph(5, [(0, 1), (1, 2)]))
+        with pytest.raises(GraphError, match="integer"):
+            engine.apply_batch(insert=[(0, 4), make_pair()])
+        assert engine.version == 0
+        assert engine.snapshot.num_edges == 2
+
     def test_numpy_integers_accepted(self):
         engine = TriangleQueryEngine(Graph(5, [(0, 1), (1, 2)]))
         delta = engine.apply_batch(insert=[(np.int32(0), np.uint8(2))], delete=[np.array([1, 0])])

@@ -572,3 +572,18 @@ class TestDenseCrossover:
         # An equally small but near-empty graph does not.
         sparse = Graph(64, [(0, 1), (2, 3)]).csr()
         assert sparse._use_dense() is False
+
+    @pytest.mark.parametrize("name,graph", WORKLOADS, ids=WORKLOAD_IDS)
+    def test_corpus_graphs_pick_dense_unforced(self, name, graph):
+        if graph.num_edges:
+            assert membership_strategy(fresh_view(graph)) == "dense"
+
+    @pytest.mark.parametrize(
+        "num_edges,expected",
+        [(64, "dense"), (63, "bitset"), (8, "bitset"), (7, "sorted-key")],
+    )
+    def test_fill_floor_boundaries_unforced(self, num_edges, expected):
+        # 64 nodes: 4096 cells.  The dense floor is 4096 / 64 = 64 edges,
+        # the bitset floor 4096 / (8 * 64) = 8 edges.
+        edges = [(i, j) for i in range(64) for j in range(i + 1, 64)][:num_edges]
+        assert membership_strategy(Graph(64, edges).csr()) == expected
