@@ -137,8 +137,10 @@ def test_service_fleet_speedup(benchmark):
                 # per-process workload cache leak warmth between sweeps.
                 _experiments._GRAPH_CACHE.clear()
                 sweep_start = time.perf_counter()
-                with SweepRunner(max_workers=WORKERS, plane="shm") as runner:
+                with SweepRunner(max_workers=WORKERS) as runner:
                     run_sweep(spec, out, runner=runner)
+                    # Never time the pickle fallback by accident.
+                    assert runner.last_plane["plane"] == "shm", runner.last_plane
                 cold_sweep_seconds.append(time.perf_counter() - sweep_start)
             cold_seconds = time.perf_counter() - cold_start
 
@@ -152,7 +154,6 @@ def test_service_fleet_speedup(benchmark):
                 tmp_path / "svc",
                 workers=WORKERS,
                 preload=PRELOAD,
-                plane="shm",
             ) as dispatcher:
                 with ServiceClient.connect(dispatcher.root) as client:
                     warmup = client.submit(
@@ -164,6 +165,7 @@ def test_service_fleet_speedup(benchmark):
                     for spec, out in zip(specs, fleet_outs):
                         job = client.submit(spec.to_dict(), out=out)
                         job = client.wait_job(job["id"], timeout=600)
+                        assert job["plane"] == "shm", job
                         first_record_seconds.append(job["first_record_seconds"])
                     warm_seconds = time.perf_counter() - warm_start
 

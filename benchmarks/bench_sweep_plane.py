@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import FrozenSet, List
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     PrebuiltGraphFactory,
     SweepCell,
@@ -171,7 +172,7 @@ def _record_keys(records) -> List[bytes]:
     return [pickle.dumps(record, protocol=4) for record in records]
 
 
-def test_sweep_plane_speedup(benchmark):
+def test_sweep_plane_speedup(benchmark, monkeypatch):
     """shm plane ≥2x over factory-pickle, at handle-sized cell payloads."""
 
     def compare():
@@ -182,23 +183,27 @@ def test_sweep_plane_speedup(benchmark):
         # fork from this process, so running the reference first would
         # hand every worker a pre-warmed workload cache and erase exactly
         # the rebuild cost the factory path is being timed on.
-        with SweepRunner(max_workers=WORKERS, plane="pickle") as runner:
-            runner.run_cells(_warmup_cells())
-            start = time.perf_counter()
-            records = runner.run_cells(_factory_cells())
-            timings["factory_pickle"] = time.perf_counter() - start
-            planes["factory_pickle"] = dict(runner.last_plane)
-            keys["factory_pickle"] = _record_keys(records)
+        with monkeypatch.context() as patch:
+            # The pickle legs see shared memory as unusable, the path
+            # platforms without it take.
+            patch.setattr(experiments, "shm_available", lambda: False)
+            with SweepRunner(max_workers=WORKERS) as runner:
+                runner.run_cells(_warmup_cells())
+                start = time.perf_counter()
+                records = runner.run_cells(_factory_cells())
+                timings["factory_pickle"] = time.perf_counter() - start
+                planes["factory_pickle"] = dict(runner.last_plane)
+                keys["factory_pickle"] = _record_keys(records)
 
-        with SweepRunner(max_workers=WORKERS, plane="pickle") as runner:
-            runner.run_cells(_warmup_cells())
-            start = time.perf_counter()
-            records = runner.run_cells(_prebuilt_cells())
-            timings["prebuilt_pickle"] = time.perf_counter() - start
-            planes["prebuilt_pickle"] = dict(runner.last_plane)
-            keys["prebuilt_pickle"] = _record_keys(records)
+            with SweepRunner(max_workers=WORKERS) as runner:
+                runner.run_cells(_warmup_cells())
+                start = time.perf_counter()
+                records = runner.run_cells(_prebuilt_cells())
+                timings["prebuilt_pickle"] = time.perf_counter() - start
+                planes["prebuilt_pickle"] = dict(runner.last_plane)
+                keys["prebuilt_pickle"] = _record_keys(records)
 
-        with SweepRunner(max_workers=WORKERS, plane="shm") as runner:
+        with SweepRunner(max_workers=WORKERS) as runner:
             runner.run_cells(_warmup_cells())
             start = time.perf_counter()
             records = runner.run_cells(_prebuilt_cells())
@@ -257,6 +262,8 @@ def test_sweep_plane_speedup(benchmark):
             "required_speedup": REQUIRED_SPEEDUP,
         },
     )
+    assert planes["factory_pickle"]["plane"] == "pickle", planes["factory_pickle"]
+    assert planes["prebuilt_pickle"]["plane"] == "pickle", planes["prebuilt_pickle"]
     assert planes["shm"]["plane"] == "shm", planes["shm"]
     assert shm_bytes < MAX_SHM_BYTES_PER_CELL, table
     assert prebuilt_bytes > MIN_PREBUILT_BYTES_PER_CELL, table

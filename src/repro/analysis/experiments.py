@@ -34,7 +34,6 @@ Two properties keep large sweeps cheap:
 
 from __future__ import annotations
 
-import os
 import pickle
 import weakref
 from collections import OrderedDict
@@ -61,17 +60,6 @@ from ..graphs.graph import Graph
 from ..graphs.shm import SharedGraphHandle, SharedGraphOwner, share_csr, shm_available
 from ..graphs.triangles import count_triangles
 from .verification import VerificationReport, verify_result
-
-#: Environment knob selecting the workload transport for parallel sweeps:
-#: ``auto`` (default) uses shared memory where available and falls back to
-#: pickling cells, ``shm`` *requires* shared memory (raising when the
-#: platform or the workloads cannot support it), ``pickle`` forces the
-#: fallback path — the knob CI uses to keep the fallback differentially
-#: tested.  Read at :class:`SweepRunner` construction; the ``plane``
-#: constructor argument overrides it.
-SWEEP_PLANE_ENV = "REPRO_SWEEP_PLANE"
-
-_PLANE_MODES = ("auto", "shm", "pickle")
 
 
 class RunnableAlgorithm(Protocol):
@@ -396,18 +384,6 @@ class SweepRunner:
         Size of the worker pool.  ``None`` or any value below 2 runs the
         sweep serially in-process (no pool is created); values above 1 fan
         the cells out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-    chunk_size:
-        Cells per pool task (``chunksize`` of :meth:`Executor.map`).  Raise
-        it for sweeps of many cheap cells to amortise pickling overhead.
-    plane:
-        Workload transport for parallel sweeps: ``"auto"`` (materialise
-        each distinct workload once in the parent and ship shared-memory
-        handles, falling back to pickled cells where shm or a workload
-        does not support it), ``"shm"`` (require the shared plane, raise
-        otherwise), or ``"pickle"`` (force the fallback).  ``None`` reads
-        the :data:`SWEEP_PLANE_ENV` environment knob, defaulting to
-        ``"auto"``.  The plane changes transport cost only — records are
-        byte-identical across serial, pickle and shm execution.
 
     The pool is created lazily on the first parallel sweep and **persists**
     across ``run_*`` calls on the same runner; use the runner as a context
@@ -415,9 +391,12 @@ class SweepRunner:
     Workers memoise workload construction per process (see
     :func:`_cell_graph`), so grids that revisit the same (workload, seed)
     cells — e.g. several algorithms over one workload list via
-    :meth:`run_grid` — rebuild each graph at most once per worker.  On the
-    shm plane even that per-worker rebuild collapses to a zero-copy
-    segment attach, with the triangle oracle pre-computed by the parent.
+    :meth:`run_grid` — rebuild each graph at most once per worker.
+
+    A parallel sweep ships each workload through shared memory where it
+    can and by pickled cell otherwise (the rule is in :meth:`_plan_plane`);
+    the transport changes cost only, and records are byte-identical across
+    serial, pickled and shared execution.
 
     Because every cell carries its own explicit seed and cells share no
     state, the parallel path reproduces the serial path exactly: same
@@ -430,26 +409,10 @@ class SweepRunner:
     benchmark reads it instead of re-instrumenting the scheduler.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_size: int = 1,
-        plane: Optional[str] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise AnalysisError(f"max_workers must be positive, got {max_workers}")
-        if chunk_size < 1:
-            raise AnalysisError(f"chunk_size must be positive, got {chunk_size}")
-        if plane is None:
-            plane = os.environ.get(SWEEP_PLANE_ENV) or "auto"
-        if plane not in _PLANE_MODES:
-            raise AnalysisError(
-                f"plane must be one of {_PLANE_MODES}, got {plane!r} "
-                f"(check the {SWEEP_PLANE_ENV} environment variable)"
-            )
         self._max_workers = max_workers
-        self._chunk_size = chunk_size
-        self._plane = plane
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
         #: Diagnostics of the most recent sweep (see class docstring).
@@ -459,11 +422,6 @@ class SweepRunner:
     def parallel(self) -> bool:
         """``True`` when sweeps run on a process pool."""
         return self._max_workers is not None and self._max_workers > 1
-
-    @property
-    def plane(self) -> str:
-        """The configured workload transport (``auto`` / ``shm`` / ``pickle``)."""
-        return self._plane
 
     def _executor(self) -> ProcessPoolExecutor:
         """Return the persistent pool, creating it on first use.
@@ -544,33 +502,20 @@ class SweepRunner:
     ) -> "tuple[List[SweepCell], List[SharedGraphOwner]]":
         """Choose the workload transport for one parallel sweep.
 
-        On the shm plane, each distinct workload among ``cells`` is built
-        (through the same per-process cache workers use) and materialised
-        **once** in the parent — triangle oracle included, since
-        verification needs it for every cell — and the cells are rewritten
-        to carry segment handles instead of their original factories.
-        Rewriting happens before the picklability check, so a prebuilt
-        graph shipped over shm is never pickled at all.  Returns the cells
-        to execute plus the segment owners the caller must close when the
-        sweep finishes (normally, by interruption, or through the
-        broken-pool path alike).
-
-        Fallback matrix: ``plane="pickle"`` — or unavailable shared
-        memory, or a workload that cannot be grouped/materialised/shared —
-        leaves the affected cells on the pickle path; ``plane="shm"``
-        turns those silent fallbacks into errors (the CI leg that pins the
-        shm plane uses it).
+        When shared memory is usable, each distinct workload among
+        ``cells`` is built (through the same per-process cache workers
+        use) and materialised **once** in the parent — triangle oracle
+        included, since verification needs it for every cell — and the
+        cells are rewritten to carry segment handles instead of their
+        original factories.  Rewriting happens before the picklability
+        check, so a prebuilt graph shipped over shm is never pickled at
+        all.  A workload that cannot be grouped, built or shared keeps its
+        cells on the pickle path, and so does every cell when shared
+        memory is unusable.  Returns the cells to execute plus the segment
+        owners the caller must close when the sweep finishes (normally, by
+        interruption, or through the broken-pool path alike).
         """
-        mode = self._plane
-        if mode != "pickle" and not shm_available():
-            if mode == "shm":
-                raise AnalysisError(
-                    "plane='shm' was requested but shared memory is not "
-                    "usable on this platform; use plane='auto' to fall "
-                    "back to pickled workloads"
-                )
-            mode = "pickle"
-        if mode == "pickle":
+        if not shm_available():
             info["plane"] = "pickle"
             return list(cells), []
         groups: Dict[Any, List[int]] = {}
@@ -582,17 +527,10 @@ class SweepRunner:
         owners: List[SharedGraphOwner] = []
         try:
             for indices in groups.values():
-                first = cells[indices[0]]
                 try:
-                    graph = _cell_graph(first)
-                    owner = share_csr(graph.csr(), oracle="materialize")
-                except Exception as exc:
-                    if mode == "shm":
-                        raise AnalysisError(
-                            f"plane='shm' cannot share the workload of cell "
-                            f"(experiment={first.experiment!r}, "
-                            f"seed={first.seed}): {exc}"
-                        ) from exc
+                    graph = _cell_graph(cells[indices[0]])
+                    owner = share_csr(graph.csr())
+                except Exception:
                     continue  # non-CSR or unshareable workload: pickle path
                 owners.append(owner)
                 factory = _SharedWorkloadFactory(handle=owner.handle)
@@ -670,7 +608,7 @@ class SweepRunner:
             pool = self._executor()
             try:
                 results = iter(
-                    pool.map(_execute_cell, exec_cells, chunksize=self._chunk_size)
+                    pool.map(_execute_cell, exec_cells, chunksize=1)
                 )
                 for index in range(len(cells)):
                     if index in hits:

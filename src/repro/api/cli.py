@@ -10,7 +10,7 @@ Installed as the ``repro`` console script (and reachable as
 * ``repro sweep`` — an (algorithms × seeds) grid from a JSON sweep-spec
   document, recorded to an append-only JSONL store with ``--resume``;
   ``--cache DIR`` serves already-computed cells from a content-addressed
-  result cache and ``--plane`` pins the parallel workload transport,
+  result cache,
 * ``repro cache`` — inspect a result cache (entry count, size, entries)
   and evict or clear entries,
 * ``repro table1`` — the paper's Table-1 predictions at a given ``n``,
@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..analysis.complexity import predicted_round_complexities
-from ..analysis.experiments import SWEEP_PLANE_ENV, SweepRunner
+from ..analysis.experiments import SweepRunner
 from ..analysis.tables import render_records_table, render_table, render_table1
 from .._version import __version__
 from ..errors import AnalysisError, ReproError
@@ -283,7 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         sys.stderr.flush()
 
-    runner = SweepRunner(max_workers=args.workers, plane=args.plane)
+    runner = SweepRunner(max_workers=args.workers)
     with runner:
         stored = run_sweep(
             spec,
@@ -533,14 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         "computed cells from it, file fresh records back",
     )
     sweep_parser.add_argument(
-        "--plane",
-        choices=["auto", "shm", "pickle"],
-        default=None,
-        help="parallel workload transport: auto (shared memory when "
-        "usable, default), shm (require it), pickle (force the fallback); "
-        f"defaults to ${SWEEP_PLANE_ENV} when set",
-    )
-    sweep_parser.add_argument(
         "--retries",
         type=int,
         default=0,
@@ -594,12 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="idle shared-memory workloads kept warm across jobs (default 4)",
-    )
-    serve_parser.add_argument(
-        "--plane",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help="workload transport to workers (default: auto)",
     )
     serve_parser.add_argument(
         "--preload",

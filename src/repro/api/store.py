@@ -611,12 +611,14 @@ def run_sweep(
 
     Returns the complete (or, with ``max_cells``, partial) stored sweep.
     """
+    if retries < 0:
+        raise AnalysisError(f"retries must be non-negative, got {retries}")
+    if max_cells is not None and max_cells < 0:
+        raise AnalysisError(f"max_cells must be non-negative, got {max_cells}")
     writer = SweepStoreWriter(spec, path, resume=resume)
     cells = spec.cells()
     pending = writer.pending()
     if max_cells is not None:
-        if max_cells < 0:
-            raise AnalysisError(f"max_cells must be non-negative, got {max_cells}")
         pending = pending[:max_cells]
     if progress is not None:
         progress(len(writer.done), writer.num_cells)

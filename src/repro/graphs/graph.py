@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import GraphError
 from ..types import Edge, NodeId, make_edge
 from .csr import CSRGraph
-from .shm import SharedGraphHandle, SharedGraphOwner, attach_shared_graph, share_csr
+from .shm import SharedGraphHandle, attach_shared_graph
 
 
 class Graph:
@@ -50,7 +50,6 @@ class Graph:
         "_adjacency",
         "_num_edges",
         "_csr_cache",
-        "_shared_owner",
         "_lock",
         "__weakref__",
     )
@@ -62,7 +61,6 @@ class Graph:
         self._adjacency: List[Set[NodeId]] = [set() for _ in range(num_nodes)]
         self._num_edges = 0
         self._csr_cache: Optional[CSRGraph] = None
-        self._shared_owner: Optional[SharedGraphOwner] = None
         # Serializes mutation against the lazy CSR build, so a reader
         # thread never snapshots a half-applied edge update (the
         # concurrent reader/ingest pattern of repro.dynamic).
@@ -165,38 +163,9 @@ class Graph:
     # ------------------------------------------------------------------
     # shared-memory plane
     # ------------------------------------------------------------------
-    def to_shared(self, *, oracle: str = "keep") -> SharedGraphHandle:
-        """Materialise this graph into shared memory and return the handle.
-
-        The handle is picklable in O(manifest bytes) and another process —
-        or this one — rebuilds the graph zero-copy with
-        :meth:`from_shared`.  The backing segment is cached like
-        :meth:`csr`: repeated calls return the same handle, and any
-        mutation (:meth:`add_edge`, :meth:`remove_edge`) invalidates it by
-        *unlinking* the segment — already-attached views stay valid (POSIX
-        unlink-while-mapped), but the stale handle can no longer be
-        attached, so a mutated graph is never observed through an old
-        name.  ``oracle`` is forwarded to
-        :func:`repro.graphs.shm.share_csr` (``"keep"`` shares the triangle
-        oracle caches that happen to exist; ``"materialize"`` computes
-        them first; ``"omit"`` shares the bare CSR arrays).
-
-        Release the segment deterministically with :meth:`release_shared`;
-        a dropped graph releases it at garbage collection.
-        """
-        if self._shared_owner is None or self._shared_owner.closed:
-            self._shared_owner = share_csr(self.csr(), oracle=oracle)
-        return self._shared_owner.handle
-
-    def release_shared(self) -> None:
-        """Unlink this graph's shared segment, if any (idempotent)."""
-        if self._shared_owner is not None:
-            self._shared_owner.close()
-            self._shared_owner = None
-
     @classmethod
     def from_shared(cls, handle: SharedGraphHandle) -> "Graph":
-        """Rebuild a graph from a :meth:`to_shared` handle, zero-copy.
+        """Rebuild a graph from a :func:`~repro.graphs.shm.share_csr` handle.
 
         The CSR view (and any oracle caches the sharer included) are
         attached as read-only views over the shared segment — no graph
@@ -261,7 +230,6 @@ class Graph:
             self._adjacency[v].add(u)
             self._num_edges += 1
             self._csr_cache = None
-            self.release_shared()
             return True
 
     def remove_edge(self, u: NodeId, v: NodeId) -> bool:
@@ -281,7 +249,6 @@ class Graph:
             self._adjacency[v].discard(u)
             self._num_edges -= 1
             self._csr_cache = None
-            self.release_shared()
             return True
 
     # ------------------------------------------------------------------
@@ -342,8 +309,7 @@ class Graph:
         raise TypeError("Graph objects are mutable and therefore unhashable")
 
     def __getstate__(self):
-        # Segment ownership is a process-local resource: a pickled copy
-        # must not carry (let alone later unlink) the original's segment.
+        # The mutation lock cannot be pickled; a copy gets a fresh one.
         return {
             "_num_nodes": self._num_nodes,
             "_adjacency": self._adjacency,
@@ -354,7 +320,6 @@ class Graph:
     def __setstate__(self, state) -> None:
         for slot in ("_num_nodes", "_adjacency", "_num_edges", "_csr_cache"):
             setattr(self, slot, state[slot])
-        self._shared_owner = None
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:

@@ -9,8 +9,8 @@ once per workload *per worker*.  This module materialises a
 :class:`~repro.graphs.csr.CSRGraph`'s arrays into one
 :mod:`multiprocessing.shared_memory` segment instead:
 
-* :func:`share_csr` (parent side) copies the CSR arrays — and, optionally,
-  the already-computed oracle caches — into a fresh segment and returns a
+* :func:`share_csr` (parent side) computes the triangle oracle and copies
+  it, with the CSR arrays, into a fresh segment and returns a
   :class:`SharedGraphOwner` whose :class:`SharedGraphHandle` is picklable
   in O(bytes of the manifest), not O(bytes of the graph);
 * :func:`attach_shared_graph` (worker side) maps the segment and rebuilds
@@ -40,8 +40,9 @@ leaves it alone (see :func:`_open_untracked`), and passes ``track=False``
 where the real fix landed (3.13+).
 
 Platforms without ``multiprocessing.shared_memory`` (or without a usable
-``/dev/shm``) degrade cleanly: :func:`shm_available` probes once and the
-sweep scheduler falls back to the pickle plane.
+``/dev/shm``) degrade cleanly: :func:`shm_available` probes once, and
+the sweep scheduler and the service dispatcher then ship workloads by
+pickle or run spec instead.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class SharedGraphHandle:
     The handle carries no graph data: pickling one costs O(manifest
     bytes) regardless of graph size, which is what lets the sweep
     scheduler ship a 10k-node workload to every worker for a few hundred
-    bytes.  :meth:`attach` (or :func:`attach_shared_graph`) rebuilds the
+    bytes.  :func:`attach_shared_graph` rebuilds the
     :class:`~repro.graphs.csr.CSRGraph` as zero-copy read-only views.
     """
 
@@ -171,10 +172,6 @@ class SharedGraphHandle:
             )
         if len(set(fields)) != len(fields):
             raise GraphError(f"shared graph handle repeats arrays: {fields}")
-
-    def attach(self) -> CSRGraph:
-        """Attach and return the shared :class:`CSRGraph` (zero-copy)."""
-        return attach_shared_graph(self)
 
     def to_dict(self) -> dict:
         """Return the JSON-ready manifest document (inverse of :meth:`from_dict`).
@@ -384,38 +381,24 @@ class SharedGraphOwner:
         return f"SharedGraphOwner(segment={self.handle.segment!r}, {state})"
 
 
-def share_csr(csr: CSRGraph, *, oracle: str = "keep") -> SharedGraphOwner:
-    """Materialise ``csr`` into one shared segment and return its owner.
+def share_csr(csr: CSRGraph) -> SharedGraphOwner:
+    """Materialise ``csr`` and its triangle oracle into one shared segment.
 
-    Parameters
-    ----------
-    csr:
-        The immutable CSR snapshot to share.
-    oracle:
-        What to do with the triangle-oracle caches (``edge_support`` /
-        ``triangles``): ``"keep"`` shares whatever is already computed,
-        ``"materialize"`` computes both here so no worker ever will, and
-        ``"omit"`` shares the bare CSR arrays only.  The sweep scheduler
-        uses ``"materialize"`` — verification needs the oracle for every
-        cell, so paying it once in the parent is always a net win.
+    The oracle caches (``edge_support`` / ``triangles``) are computed here
+    if they are not already, so no attached worker ever recomputes them:
+    verification needs the oracle for every cell, so paying it once in
+    the parent is always a net win.  Returns the segment's owner.
     """
     _require_shm()
-    if oracle not in ("keep", "materialize", "omit"):
-        raise GraphError(
-            f"oracle must be 'keep', 'materialize' or 'omit', got {oracle!r}"
-        )
-    if oracle == "materialize":
-        csr.edge_support()
-        csr.triangles()
+    csr.edge_support()
+    csr.triangles()
 
     payload: List[Tuple[str, np.ndarray]] = [
         (field, getattr(csr, field)) for field in _REQUIRED_FIELDS
     ]
-    if oracle != "omit":
-        for field, slot in _ORACLE_FIELDS.items():
-            cached = getattr(csr, slot)
-            if cached is not None:
-                payload.append((field, cached))
+    payload.extend(
+        (field, getattr(csr, slot)) for field, slot in _ORACLE_FIELDS.items()
+    )
 
     specs: List[SharedArraySpec] = []
     offset = 0

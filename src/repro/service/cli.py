@@ -80,7 +80,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_timeout=args.heartbeat_timeout,
         max_segments=args.max_segments,
-        plane=args.plane,
         preload=tuple(args.preload or ()),
     )
     dispatcher.start()
@@ -192,7 +191,6 @@ def _render_status(payload: Dict[str, Any]) -> str:
     service = payload["service"]
     lines = [
         f"service {service['root']} (pid {service['pid']}, "
-        f"plane={service['plane']}, "
         f"{len(payload['workers'])} workers connected, "
         f"{service['evictions']} evictions)"
         + (" [draining]" if service.get("draining") else "")

@@ -326,12 +326,14 @@ class Dispatcher:
         the cell is requeued.
     heartbeat_interval / heartbeat_timeout:
         Workers heartbeat every ``interval`` seconds; one silent for
-        ``timeout`` seconds is evicted (default: 5x the interval).
+        ``timeout`` seconds is evicted (default: 5x the interval).  The
+        timeout must exceed the interval, or healthy workers — silent for
+        a whole interval between heartbeats — would be evicted.
     max_segments:
-        Idle shared-memory workloads kept warm across jobs.
-    plane:
-        ``"auto"`` (shared memory when usable, per-workload fallback),
-        ``"shm"`` (require it), or ``"pickle"`` (never share).
+        Idle shared-memory workloads kept warm across jobs.  Each job's
+        workloads go to workers through shared memory when it is usable
+        and the workload can be shared, and by run spec otherwise (see
+        :meth:`_plan_segments`).
     max_cell_attempts:
         Quarantine threshold ``K``: a cell whose execution fails (its
         worker errors, dies, or is evicted while holding it) this many
@@ -355,7 +357,6 @@ class Dispatcher:
         heartbeat_interval: float = 2.0,
         heartbeat_timeout: Optional[float] = None,
         max_segments: int = 4,
-        plane: str = "auto",
         preload: Tuple[str, ...] = (),
         max_cell_attempts: int = 3,
         restart_budget: int = 12,
@@ -377,23 +378,18 @@ class Dispatcher:
             raise ServiceError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
             )
-        if plane not in ("auto", "shm", "pickle"):
-            raise ServiceError(f"plane must be auto|shm|pickle, got {plane!r}")
-        if plane == "shm" and not shm_available():
+        if heartbeat_timeout is None:
+            heartbeat_timeout = 5.0 * heartbeat_interval
+        if heartbeat_timeout <= heartbeat_interval:
             raise ServiceError(
-                "plane='shm' was requested but shared memory is not usable "
-                "on this platform"
+                f"heartbeat_timeout must exceed heartbeat_interval "
+                f"({heartbeat_interval}), got {heartbeat_timeout}"
             )
         self.root = Path(root)
         self._num_workers = workers
         self._lease_timeout = lease_timeout
         self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = (
-            heartbeat_timeout
-            if heartbeat_timeout is not None
-            else 5.0 * heartbeat_interval
-        )
-        self._plane = plane
+        self._heartbeat_timeout = heartbeat_timeout
         self._preload = tuple(preload)
         self._clock = clock
         self._lock = threading.RLock()
@@ -796,11 +792,6 @@ class Dispatcher:
                 frame["shm"] = self._segments.acquire(
                     segment_key, job.id, lambda: self._build_segment(run)
                 )
-                if frame["shm"] is None and self._plane == "shm":
-                    raise ServiceError(
-                        f"plane='shm' cannot share the workload of job "
-                        f"{job.id} cell {lease.cell}"
-                    )
             with worker.send_lock:
                 send_frame(worker.sock, frame)
             worker.last_seen = self._clock()
@@ -822,7 +813,7 @@ class Dispatcher:
     @staticmethod
     def _build_segment(run: RunSpec) -> Any:
         graph = run.workload.build(seed=run.seed)
-        return share_csr(graph.csr(), oracle="materialize")
+        return share_csr(graph.csr())
 
     def _handle_record(self, worker: _WorkerConn, frame: Dict[str, Any]) -> None:
         with self._lock:
@@ -1116,13 +1107,15 @@ class Dispatcher:
             return job.describe(self._clock)
 
     def _plan_segments(self, job: _Job) -> None:
-        """Assign each cell its shared-workload pool key (or none)."""
-        if self._plane == "pickle" or not shm_available():
-            if self._plane == "shm":
-                raise ServiceError(
-                    "plane='shm' was requested but shared memory is not "
-                    "usable on this platform"
-                )
+        """Assign each cell its shared-workload pool key (or none).
+
+        Without usable shared memory every cell travels by run spec alone
+        and workers rebuild the workload.  Otherwise each cell is keyed
+        by its effective workload; a workload whose segment cannot be
+        built still falls back to the run spec, per lease, in
+        :meth:`_try_assign`.
+        """
+        if not shm_available():
             job.plane = "pickle"
             return
         workload = job.spec.workload
@@ -1172,7 +1165,6 @@ class Dispatcher:
                 "lease_timeout": self._lease_timeout,
                 "heartbeat_interval": self._heartbeat_interval,
                 "heartbeat_timeout": self._heartbeat_timeout,
-                "plane": self._plane,
                 "managed_workers": self._num_workers,
                 "evictions": self._evictions,
                 "draining": self._draining,

@@ -2,19 +2,21 @@
 
 One worker process connects to the dispatcher in a service root, then
 loops: announce ``ready``, receive a ``lease`` (one sweep cell as a
-:class:`~repro.api.specs.RunSpec` document plus, on the shm plane, a
-shared-memory graph handle), execute it, send the ``record`` back, and
-announce ready again — until the dispatcher says ``shutdown`` or the
-connection drops.
+:class:`~repro.api.specs.RunSpec` document plus, when the dispatcher
+could share the workload, a shared-memory graph handle), execute it,
+send the ``record`` back, and announce ready again — until the
+dispatcher says ``shutdown`` or the connection drops.
 
 Warmth is the point.  The process persists across cells, jobs and whole
 sweeps, so everything expensive happens once per worker instead of once
 per sweep:
 
-* on the shm plane, attached workload graphs are cached per segment
-  (:data:`_ATTACH_CACHE`), so a worker attaches each distinct workload
-  once no matter how many cells — of how many sweeps — use it;
-* off the shm plane, execution goes through the same
+* leases carrying a segment handle attach their workload zero-copy, and
+  attached graphs are cached per segment (:data:`_ATTACH_CACHE`), so a
+  worker attaches each distinct workload once no matter how many cells —
+  of how many sweeps — use it;
+* leases without one (shared memory unusable, or the workload could not
+  be shared) go through the same
   :func:`~repro.analysis.experiments._execute_cell` path (and the same
   per-process workload cache) the process-pool sweep uses, so repeated
   workloads are rebuilt at most once per worker *lifetime*, not per
@@ -110,11 +112,11 @@ def _attached_graph(handle_doc: Dict[str, Any]) -> Graph:
 def execute_lease(frame: Dict[str, Any]) -> ExperimentRecord:
     """Execute one lease frame's cell and return its record.
 
-    The shm path attaches the dispatcher-materialised workload zero-copy
-    and runs the algorithm on it; any attach failure (the segment was
-    evicted between lease and attach) falls back to rebuilding the
-    workload from the run spec — the records are identical either way,
-    by the plane's byte-identity contract.
+    A frame with a segment handle attaches the dispatcher-materialised
+    workload zero-copy and runs the algorithm on it; a frame without one,
+    or any attach failure (the segment was evicted between lease and
+    attach), rebuilds the workload from the run spec — the records are
+    identical either way, by the transport's byte-identity contract.
     """
     spec = RunSpec.from_dict(frame["run"])
     handle_doc = frame.get("shm")

@@ -180,8 +180,6 @@ class TestSweepRunner:
         with pytest.raises(AnalysisError):
             SweepRunner(max_workers=0)
         with pytest.raises(AnalysisError):
-            SweepRunner(chunk_size=0)
-        with pytest.raises(AnalysisError):
             SweepRunner().run_repeated("x", _naive_algorithm, _gnp_workload, seeds=[])
         with pytest.raises(AnalysisError):
             SweepRunner().run_size_sweep("x", _naive_algorithm, _gnp_workload, sizes=[])

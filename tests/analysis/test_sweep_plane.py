@@ -1,4 +1,4 @@
-"""Tests for the sweep workload plane (shm transport, fallbacks, cache LRU)."""
+"""Tests for the sweep workload transport (shm, pickle fallback, cache LRU)."""
 
 import functools
 import os
@@ -7,7 +7,7 @@ import pickle
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.analysis import PrebuiltGraphFactory, SWEEP_PLANE_ENV, SweepCell, SweepRunner
+from repro.analysis import PrebuiltGraphFactory, SweepCell, SweepRunner
 from repro.analysis import experiments as experiments_module
 from repro.analysis.experiments import (
     _GRAPH_CACHE,
@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     _cell_graph,
 )
 from repro.core import NaiveTwoHopListing, TriangleListing
-from repro.errors import AnalysisError
 from repro.graphs import gnp_random_graph, segment_exists, shm_available
 
 
@@ -58,8 +57,8 @@ class _SegmentRecorder:
         self.segments = []
         self._real = experiments_module.share_csr
 
-    def __call__(self, csr, **kwargs):
-        owner = self._real(csr, **kwargs)
+    def __call__(self, csr):
+        owner = self._real(csr)
         self.segments.append(owner.handle.segment)
         return owner
 
@@ -77,76 +76,40 @@ needs_shm = pytest.mark.skipif(
 
 
 class TestPlaneSelection:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(SWEEP_PLANE_ENV, raising=False)
-        assert SweepRunner().plane == "auto"
-
-    def test_env_knob_sets_default(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_PLANE_ENV, "pickle")
-        assert SweepRunner().plane == "pickle"
-
-    def test_explicit_plane_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_PLANE_ENV, "pickle")
-        assert SweepRunner(plane="auto").plane == "auto"
-
-    def test_invalid_plane_rejected(self):
-        with pytest.raises(AnalysisError, match="plane"):
-            SweepRunner(plane="carrier-pigeon")
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_PLANE_ENV, "bogus")
-        with pytest.raises(AnalysisError, match=SWEEP_PLANE_ENV):
-            SweepRunner()
-
-    def test_shm_plane_unavailable_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(experiments_module, "shm_available", lambda: False)
-        with SweepRunner(max_workers=2, plane="shm") as runner:
-            with pytest.raises(AnalysisError, match="shared memory"):
-                runner.run_cells(_grid_cells())
-
     def test_auto_plane_falls_back_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(experiments_module, "shm_available", lambda: False)
-        with SweepRunner(max_workers=2, plane="auto") as runner:
+        with SweepRunner(max_workers=2) as runner:
             runner.run_cells(_grid_cells())
             assert runner.last_plane["plane"] == "pickle"
             assert runner.last_plane["workloads_shared"] == 0
 
     def test_auto_plane_falls_back_when_sharing_fails(self, monkeypatch):
-        def broken_share(csr, **kwargs):
+        def broken_share(csr):
             raise RuntimeError("no segments today")
 
         monkeypatch.setattr(experiments_module, "share_csr", broken_share)
-        with SweepRunner(max_workers=2, plane="auto") as runner:
+        with SweepRunner(max_workers=2) as runner:
             records = runner.run_cells(_grid_cells())
             assert len(records) == 6
             assert runner.last_plane["plane"] == "pickle"
 
-    def test_shm_plane_sharing_failure_is_an_error(self, monkeypatch):
-        def broken_share(csr, **kwargs):
-            raise RuntimeError("no segments today")
 
-        monkeypatch.setattr(experiments_module, "share_csr", broken_share)
-        with SweepRunner(max_workers=2, plane="shm") as runner:
-            with pytest.raises(AnalysisError, match="cannot share"):
-                runner.run_cells(_grid_cells())
-
-
-@needs_shm
 class TestShmPlaneRecords:
-    def test_all_planes_byte_identical(self):
+    def test_all_planes_byte_identical(self, transport):
         cells = _grid_cells()
         reference = [pickle.dumps(r, protocol=4) for r in SweepRunner().run_cells(cells)]
-        for plane in ("pickle", "shm"):
-            with SweepRunner(max_workers=2, plane=plane) as runner:
-                records = runner.run_cells(cells)
-                assert [pickle.dumps(r, protocol=4) for r in records] == reference
-                assert runner.last_plane["plane"] == plane
+        with SweepRunner(max_workers=2) as runner:
+            records = runner.run_cells(cells)
+            assert [pickle.dumps(r, protocol=4) for r in records] == reference
+            assert runner.last_plane["plane"] == transport
 
+    @needs_shm
     def test_last_plane_diagnostics(self):
         cells = _grid_cells()
-        with SweepRunner(max_workers=2, plane="shm") as runner:
+        with SweepRunner(max_workers=2) as runner:
             runner.run_cells(cells)
             info = runner.last_plane
+            assert info["plane"] == "shm"
             assert info["cells"] == 6
             assert info["executed"] == 6
             assert info["cache_hits"] == 0
@@ -155,6 +118,7 @@ class TestShmPlaneRecords:
             assert info["workloads_shared"] == 3
             assert 0 < info["pickled_bytes_per_cell"] < 4096
 
+    @needs_shm
     def test_prebuilt_factory_groups_by_graph_identity(self):
         graph = _gnp_workload(24, 7)
         cells = [
@@ -167,27 +131,30 @@ class TestShmPlaneRecords:
             for factory in (_naive_algorithm, _listing_algorithm)
         ]
         serial = SweepRunner().run_cells(cells)
-        with SweepRunner(max_workers=2, plane="shm") as runner:
+        with SweepRunner(max_workers=2) as runner:
             records = runner.run_cells(cells)
             assert runner.last_plane["workloads_shared"] == 1
             assert records == serial
 
+    @needs_shm
     def test_segments_released_after_sweep(self, record_segments):
-        with SweepRunner(max_workers=2, plane="shm") as runner:
+        with SweepRunner(max_workers=2) as runner:
             runner.run_cells(_grid_cells())
         assert len(record_segments.segments) == 3
         assert not any(segment_exists(s) for s in record_segments.segments)
 
+    @needs_shm
     def test_segments_released_when_consumer_abandons_stream(self, record_segments):
         # A KeyboardInterrupt unwinds the for-loop consuming iter_cells;
         # generator close() runs the same finally block.
-        with SweepRunner(max_workers=2, plane="shm") as runner:
+        with SweepRunner(max_workers=2) as runner:
             stream = runner.iter_cells(_grid_cells())
             next(stream)
             stream.close()
         assert record_segments.segments
         assert not any(segment_exists(s) for s in record_segments.segments)
 
+    @needs_shm
     def test_segments_released_after_worker_crash(self, record_segments):
         cells = [
             SweepCell(
@@ -198,7 +165,7 @@ class TestShmPlaneRecords:
             )
             for seed in (1, 2)
         ]
-        with SweepRunner(max_workers=2, plane="shm") as runner:
+        with SweepRunner(max_workers=2) as runner:
             with pytest.raises(BrokenProcessPool):
                 runner.run_cells(cells)
             # The broken-pool recovery path still applies: the next sweep

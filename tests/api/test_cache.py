@@ -236,6 +236,22 @@ class TestSweepCacheIntegration:
             assert runner.last_plane["cache_hits"] == len(spec.cells())
         assert len(stored.entries) == len(spec.cells())
 
+    def test_parallel_sweep_over_partial_cache_matches_serial_bytes(
+        self, tmp_path, transport
+    ):
+        spec = _sweep_spec()
+        run_sweep(spec, tmp_path / "serial.jsonl")
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(spec, tmp_path / "warmup.jsonl", cache=cache, max_cells=1)
+        with SweepRunner(max_workers=2) as runner:
+            run_sweep(spec, tmp_path / "mixed.jsonl", runner=runner, cache=cache)
+            assert runner.last_plane["plane"] == transport
+            assert runner.last_plane["cache_hits"] == 1
+            assert runner.last_plane["executed"] == len(spec.cells()) - 1
+        assert filecmp.cmp(
+            tmp_path / "serial.jsonl", tmp_path / "mixed.jsonl", shallow=False
+        )
+
     def test_cache_hits_reproduce_store_byte_for_byte(self, tmp_path):
         spec = _sweep_spec()
         cache = ResultCache(tmp_path / "cache")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import filecmp
 import json
 
+import pytest
+
 from repro.api import AlgorithmSpec, RunSpec, SweepSpec, WorkloadSpec
 from repro.api.cli import main
 
@@ -178,6 +180,22 @@ class TestSweep:
         code, _, err = _run(capsys, "sweep", str(path))
         assert code == 2
         assert "repro run" in err
+
+    @pytest.mark.parametrize("flag", ["--retries", "--max-cells"])
+    def test_sweep_rejects_negative_counts_before_writing(
+        self, capsys, tmp_path, flag
+    ):
+        spec_path = _sweep_spec_file(tmp_path, seeds=(1,))
+        out_file = tmp_path / "records.jsonl"
+        code, _, err = _run(
+            capsys,
+            "sweep", str(spec_path), "--out", str(out_file),
+            "--workers", "2", flag, "-1",
+        )
+        assert code == 2
+        assert flag.lstrip("-").replace("-", "_") in err
+        # No header-only store is left behind to block the next run.
+        assert not out_file.exists()
 
     def test_missing_spec_file_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, "sweep", str(tmp_path / "nope.json"))

@@ -44,7 +44,12 @@ class TestShareAttach:
     def test_round_trip_arrays_and_oracle(self):
         graph = gnp_random_graph(80, 0.2, seed=3)
         csr = graph.csr()
-        with share_csr(csr, oracle="materialize") as owner:
+        with share_csr(csr) as owner:
+            # The oracle was not computed before sharing; share_csr
+            # computes it so every handle carries it.
+            assert {spec.field for spec in owner.handle.arrays} == {
+                "indptr", "indices", "edge_u", "edge_v", "support", "triangles"
+            }
             attached = attach_shared_graph(owner.handle)
             assert attached.num_nodes == csr.num_nodes
             assert attached.num_edges == csr.num_edges
@@ -64,31 +69,9 @@ class TestShareAttach:
             with pytest.raises(ValueError):
                 attached.indices[0] = 99
 
-    def test_oracle_omit_shares_bare_csr(self):
-        graph = gnp_random_graph(30, 0.3, seed=1)
-        csr = graph.csr()
-        csr.edge_support()
-        with share_csr(csr, oracle="omit") as owner:
-            fields = {spec.field for spec in owner.handle.arrays}
-            assert fields == {"indptr", "indices", "edge_u", "edge_v"}
-
-    def test_oracle_keep_shares_only_computed_caches(self):
-        graph = gnp_random_graph(30, 0.3, seed=1)
-        csr = graph.csr()
-        csr.edge_support()  # computed; triangles() is not
-        with share_csr(csr, oracle="keep") as owner:
-            fields = {spec.field for spec in owner.handle.arrays}
-            assert "support" in fields
-            assert "triangles" not in fields
-
-    def test_invalid_oracle_mode_rejected(self):
-        graph = gnp_random_graph(10, 0.3, seed=1)
-        with pytest.raises(GraphError, match="oracle"):
-            share_csr(graph.csr(), oracle="bogus")
-
     def test_handle_pickles_small(self):
         graph = gnp_random_graph(400, 0.1, seed=5)
-        with share_csr(graph.csr(), oracle="materialize") as owner:
+        with share_csr(graph.csr()) as owner:
             handle_bytes = pickle.dumps(owner.handle, protocol=4)
             graph_bytes = pickle.dumps(graph, protocol=4)
             assert len(handle_bytes) < 1024
@@ -186,7 +169,7 @@ class TestOwnerLifecycle:
         # POSIX unlink-while-mapped: releasing the *name* must not tear
         # down mappings that are already live.
         graph = gnp_random_graph(40, 0.3, seed=2)
-        owner = share_csr(graph.csr(), oracle="materialize")
+        owner = share_csr(graph.csr())
         attached = attach_shared_graph(owner.handle)
         owner.close()
         assert not segment_exists(owner.handle.segment)
@@ -227,38 +210,10 @@ class TestAttachmentRefcounts:
 class TestGraphIntegration:
     def test_from_shared_round_trips_graph(self):
         graph = gnp_random_graph(50, 0.25, seed=9)
-        with share_csr(graph.csr(), oracle="materialize") as owner:
+        with share_csr(graph.csr()) as owner:
             clone = Graph.from_shared(owner.handle)
             assert clone == graph
             assert clone.num_edges == graph.num_edges
             np.testing.assert_array_equal(
                 clone.csr().triangles(), graph.csr().triangles()
             )
-
-    def test_to_shared_caches_handle_until_release(self):
-        graph = gnp_random_graph(30, 0.3, seed=4)
-        handle = graph.to_shared()
-        assert graph.to_shared() is handle
-        assert segment_exists(handle.segment)
-        graph.release_shared()
-        assert not segment_exists(handle.segment)
-        graph.release_shared()  # idempotent
-
-    def test_mutation_invalidates_shared_segment(self):
-        graph = gnp_random_graph(30, 0.3, seed=4)
-        handle = graph.to_shared()
-        graph.add_edge(0, 1) if not graph.has_edge(0, 1) else graph.remove_edge(0, 1)
-        assert not segment_exists(handle.segment)
-        fresh = graph.to_shared()
-        assert fresh.segment != handle.segment
-        graph.release_shared()
-
-    def test_pickled_graph_does_not_adopt_segment(self):
-        graph = gnp_random_graph(30, 0.3, seed=4)
-        handle = graph.to_shared()
-        clone = pickle.loads(pickle.dumps(graph, protocol=4))
-        # The copy neither owns nor can unlink the original's segment.
-        del clone
-        gc.collect()
-        assert segment_exists(handle.segment)
-        graph.release_shared()

@@ -20,6 +20,7 @@ from repro.api.specs import AlgorithmSpec, SweepSpec, WorkloadSpec
 from repro.api.store import ResultCache, load_sweep, run_sweep
 from repro.errors import ServiceError
 from repro.service import Dispatcher, ServiceClient
+from repro.service import dispatcher as dispatcher_module
 from repro.service.protocol import recv_frame, send_frame
 
 # "fleet-test-only-probe" (used by the failure-path tests below) is
@@ -55,19 +56,42 @@ class TestByteIdentity:
         assert filecmp.cmp(serial, out, shallow=False)
 
     def test_pickle_plane_fleet_matches_serial_bytes(
-        self, service_root, tmp_path, probe_spec, serial_store, probe_preload
+        self, service_root, tmp_path, probe_spec, serial_store, probe_preload,
+        transport,
     ):
         spec = probe_spec(seeds=(1, 2))
         serial = serial_store(spec, tmp_path / "serial.jsonl")
         out = tmp_path / "fleet.jsonl"
         with Dispatcher(
-            service_root, workers=1, preload=probe_preload, plane="pickle"
+            service_root, workers=1, preload=probe_preload
         ) as dispatcher:
             with ServiceClient.connect(dispatcher.root) as client:
                 job = client.submit(spec.to_dict(), out=out)
                 job = client.wait_job(job["id"], timeout=60)
+                segments = client.status()["segments"]
         assert job["state"] == "done"
-        assert job["plane"] == "pickle"
+        assert job["plane"] == transport
+        assert segments["built"] == (2 if transport == "shm" else 0)
+        assert filecmp.cmp(serial, out, shallow=False)
+
+    def test_fleet_falls_back_when_sharing_fails(
+        self, service_root, tmp_path, probe_spec, serial_store, probe_preload,
+        monkeypatch,
+    ):
+        def broken_share(csr):
+            raise RuntimeError("no segments today")
+
+        monkeypatch.setattr(dispatcher_module, "share_csr", broken_share)
+        spec = probe_spec(seeds=(1, 2))
+        serial = serial_store(spec, tmp_path / "serial.jsonl")
+        out = tmp_path / "fleet.jsonl"
+        with Dispatcher(service_root, workers=1, preload=probe_preload) as dispatcher:
+            with ServiceClient.connect(dispatcher.root) as client:
+                job = client.submit(spec.to_dict(), out=out)
+                job = client.wait_job(job["id"], timeout=60)
+                segments = client.status()["segments"]
+        assert job["state"] == "done"
+        assert segments["built"] == 0
         assert filecmp.cmp(serial, out, shallow=False)
 
     def test_second_job_reuses_warm_workers_and_segments(
@@ -330,6 +354,15 @@ class TestControlPlane:
             with pytest.raises(ServiceError, match="already exists"):
                 client.submit(spec.to_dict(), out=out)
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, 2.0])
+    def test_heartbeat_timeout_must_exceed_interval(self, service_root, timeout):
+        # A timeout at or below the interval evicts even healthy workers,
+        # which are silent for a whole interval between heartbeats.
+        with pytest.raises(ServiceError, match="heartbeat_timeout"):
+            Dispatcher(
+                service_root, heartbeat_interval=2.0, heartbeat_timeout=timeout
+            )
+
     def test_unknown_job_is_an_error(self, fleet):
         with ServiceClient.connect(fleet.root) as client:
             with pytest.raises(ServiceError, match="no such job"):
@@ -360,7 +393,7 @@ class TestControlPlane:
             status = client.status()
         service = status["service"]
         assert service["protocol"] == 1
-        assert service["plane"] == "auto"
+        assert "plane" not in service
         assert service["managed_workers"] == 2
         assert {"workers", "jobs", "segments"} <= set(status)
         assert {"active", "idle", "bytes", "built", "reused"} == set(

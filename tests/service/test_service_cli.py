@@ -146,6 +146,16 @@ class TestServiceCliErrors:
         assert code == 2
         assert "no experiment service" in err
 
+    def test_serve_rejects_a_heartbeat_timeout_that_evicts_everyone(
+        self, capsys, tmp_path
+    ):
+        code, _, err = _run(
+            capsys, "serve", str(tmp_path / "svc"), "--heartbeat-timeout", "0"
+        )
+        assert code == 2
+        assert "heartbeat_timeout" in err
+        assert not (tmp_path / "svc" / "service.json").exists()
+
     def test_submit_rejects_a_run_spec(self, capsys, served_root, tmp_path):
         from repro.api.specs import RunSpec
 
