@@ -83,6 +83,16 @@ class TestPlaneSelection:
             assert runner.last_plane["plane"] == "pickle"
             assert runner.last_plane["workloads_shared"] == 0
 
+    @needs_shm
+    def test_environment_does_not_choose_the_transport(self, monkeypatch):
+        # REPRO_SWEEP_PLANE used to force the pickle path; the variable is
+        # gone, so a leftover setting must not change where workloads go.
+        monkeypatch.setenv("REPRO_SWEEP_PLANE", "pickle")
+        with SweepRunner(max_workers=2) as runner:
+            runner.run_cells(_grid_cells())
+            assert runner.last_plane["plane"] == "shm"
+            assert runner.last_plane["workloads_shared"] == 3
+
     def test_auto_plane_falls_back_when_sharing_fails(self, monkeypatch):
         def broken_share(csr):
             raise RuntimeError("no segments today")

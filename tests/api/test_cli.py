@@ -197,6 +197,21 @@ class TestSweep:
         # No header-only store is left behind to block the next run.
         assert not out_file.exists()
 
+    def test_help_lists_no_transport_option(self, capsys, tmp_path):
+        # The workload transport is chosen by rule; `--plane` is gone and
+        # an old command line that still passes it is refused.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--workers" in out
+        assert "--plane" not in out
+        spec_path = _sweep_spec_file(tmp_path, seeds=(1,))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(spec_path), "--workers", "2", "--plane", "shm"])
+        assert exit_info.value.code == 2
+        assert "--plane" in capsys.readouterr().err
+
     def test_missing_spec_file_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, "sweep", str(tmp_path / "nope.json"))
         assert code == 2

@@ -64,6 +64,23 @@ class TestRunSweep:
         run_sweep(spec, resumed, resume=True)
         assert filecmp.cmp(one_shot, resumed, shallow=False)
 
+    @pytest.mark.parametrize("count", ["retries", "max_cells"])
+    def test_negative_count_leaves_a_partial_store_untouched(
+        self, tmp_path, count
+    ):
+        # Both counts are checked before the store is opened, so a bad
+        # resume neither truncates nor appends to the partial file.
+        spec = _spec()
+        path = tmp_path / "records.jsonl"
+        run_sweep(spec, path, max_cells=2)
+        before = path.read_bytes()
+        with pytest.raises(AnalysisError, match=f"{count} must be non-negative"):
+            run_sweep(spec, path, resume=True, **{count: -1})
+        assert path.read_bytes() == before
+        with pytest.raises(AnalysisError, match=count):
+            run_sweep(spec, tmp_path / "fresh.jsonl", **{count: -1})
+        assert not (tmp_path / "fresh.jsonl").exists()
+
     def test_parallel_runner_matches_serial_bytes(self, tmp_path):
         spec = _spec(seeds=(1, 2))
         serial = tmp_path / "serial.jsonl"

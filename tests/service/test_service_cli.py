@@ -146,6 +146,19 @@ class TestServiceCliErrors:
         assert code == 2
         assert "no experiment service" in err
 
+    def test_serve_help_lists_no_transport_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--heartbeat-timeout" in out
+        assert "--plane" not in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path / "svc"), "--plane", "shm"])
+        assert exit_info.value.code == 2
+        assert "--plane" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
+
     def test_serve_rejects_a_heartbeat_timeout_that_evicts_everyone(
         self, capsys, tmp_path
     ):
