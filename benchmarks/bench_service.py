@@ -3,18 +3,18 @@
 A research session is rarely one sweep: parameters get nudged, seeds get
 added, the same workloads get re-measured.  The per-call
 :class:`~repro.analysis.experiments.SweepRunner` pays the full
-provisioning bill — process-pool spawn, shared-memory workload
-materialisation, import warm-up — once per *sweep*; the experiment
-service (:mod:`repro.service`) pays it once per *session*: workers stay
-resident between jobs and the dispatcher keeps materialised workload
-segments warm in its pool.
+provisioning bill — process-pool spawn, import warm-up, workload
+construction in every worker — once per *sweep*; the experiment service
+(:mod:`repro.service`) pays it once per *session*: workers stay resident
+between jobs and keep the workloads they built in their per-process
+workload cache.
 
 This benchmark times the same multi-sweep session — ``NUM_SWEEPS``
 sweeps of a (probe scales x workload seeds) grid on ``G(n, sqrt(n)/n)``,
 the paper's sparse regime — two ways:
 
 * ``cold`` — a fresh ``SweepRunner`` per sweep (today's ``repro sweep``:
-  every invocation spawns its own pool and re-materialises segments),
+  every invocation spawns its own pool and rebuilds every workload),
 * ``warm`` — one running dispatcher + fleet, one ``submit`` per sweep.
 
 The measured algorithm is the near-zero-cost ``service-probe``, so the
@@ -68,7 +68,7 @@ def _spec(index: int, sleep: float = 0.0) -> SweepSpec:
     """Sweep ``index`` of the session: same workloads every time.
 
     Identical workload documents across sweeps are the point — that is
-    what the dispatcher's segment pool keeps warm.
+    what the fleet workers' workload caches keep warm.
     """
     return SweepSpec(
         experiment=f"service-session-{index}",
@@ -92,7 +92,7 @@ def _warmup_spec() -> SweepSpec:
     """A tiny throwaway sweep that spins the fleet up before timing.
 
     A *different* workload from the session, so warming the workers
-    cannot pre-populate the segments the session is measured on — only
+    cannot pre-populate the workloads the session is measured on — only
     imports and process spawn are amortised, which is what "warm fleet"
     means.
     """
@@ -126,7 +126,7 @@ def test_service_fleet_speedup(benchmark):
         with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
             tmp_path = Path(tmp)
 
-            # -- cold: a fresh runner (pool spawn + segment build) per sweep.
+            # -- cold: a fresh runner (pool spawn + workload builds) per sweep.
             cold_outs = [tmp_path / f"cold-{i}.jsonl" for i in range(NUM_SWEEPS)]
             cold_sweep_seconds: List[float] = []
             cold_start = time.perf_counter()
@@ -139,8 +139,6 @@ def test_service_fleet_speedup(benchmark):
                 sweep_start = time.perf_counter()
                 with SweepRunner(max_workers=WORKERS) as runner:
                     run_sweep(spec, out, runner=runner)
-                    # Never time the pickle fallback by accident.
-                    assert runner.last_plane["plane"] == "shm", runner.last_plane
                 cold_sweep_seconds.append(time.perf_counter() - sweep_start)
             cold_seconds = time.perf_counter() - cold_start
 
@@ -165,7 +163,6 @@ def test_service_fleet_speedup(benchmark):
                     for spec, out in zip(specs, fleet_outs):
                         job = client.submit(spec.to_dict(), out=out)
                         job = client.wait_job(job["id"], timeout=600)
-                        assert job["plane"] == "shm", job
                         first_record_seconds.append(job["first_record_seconds"])
                     warm_seconds = time.perf_counter() - warm_start
 
@@ -175,11 +172,10 @@ def test_service_fleet_speedup(benchmark):
                     fault_job = client.submit(fault_spec.to_dict(), out=fault_out)
                     _kill_one_worker(client, fault_job["id"])
                     client.wait_job(fault_job["id"], timeout=600)
-                    segments = client.status()["segments"]
 
             # -- byte-identity: every store must match a serial reference.
             # Serial runs happen after the timed paths so they cannot warm
-            # any process or segment the parallel paths are timed on.
+            # any process or cache the parallel paths are timed on.
             for index, spec in enumerate(specs):
                 reference = tmp_path / f"serial-{index}.jsonl"
                 run_sweep(spec, reference)
@@ -196,15 +192,11 @@ def test_service_fleet_speedup(benchmark):
                 "worker was SIGKILLed mid-sweep"
             )
 
-        return cold_seconds, cold_sweep_seconds, warm_seconds, (
-            first_record_seconds,
-            segments,
-        )
+        return cold_seconds, cold_sweep_seconds, warm_seconds, first_record_seconds
 
-    cold_seconds, cold_sweep_seconds, warm_seconds, extras = run_once(
+    cold_seconds, cold_sweep_seconds, warm_seconds, first_record_seconds = run_once(
         benchmark, session
     )
-    first_record_seconds, segments = extras
     cold_rate = total_cells / cold_seconds
     warm_rate = total_cells / warm_seconds
     speedup = warm_rate / cold_rate
@@ -222,8 +214,6 @@ def test_service_fleet_speedup(benchmark):
             f"({warm_rate:.2f} cells/s)",
             f"  time to first record:   "
             + ", ".join(f"{value:.2f}s" for value in first_record_seconds),
-            f"  segments:               {segments['built']} built, "
-            f"{segments['reused']} reused",
             "  fault sweep:            worker SIGKILLed mid-job; "
             "store byte-identical to serial",
             f"  speedup:                {speedup:.2f}x "
@@ -246,15 +236,8 @@ def test_service_fleet_speedup(benchmark):
             "cold_cells_per_second": cold_rate,
             "warm_cells_per_second": warm_rate,
             "first_record_seconds": first_record_seconds[0],
-            "segments_built": segments["built"],
-            "segments_reused": segments["reused"],
             "speedup": speedup,
             "required_speedup": REQUIRED_SPEEDUP,
         },
     )
-    # Cross-sweep warmth must actually have happened: the session builds
-    # each workload segment once (plus the two tiny warmup segments), not
-    # once per sweep.
-    assert segments["built"] == len(WORKLOAD_SEEDS) + 2, segments
-    assert segments["reused"] > 0, segments
     assert speedup >= REQUIRED_SPEEDUP, table

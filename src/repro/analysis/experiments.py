@@ -38,7 +38,7 @@ import pickle
 import weakref
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -57,7 +57,6 @@ import numpy as np
 from ..core.output import AlgorithmResult
 from ..errors import AnalysisError
 from ..graphs.graph import Graph
-from ..graphs.shm import SharedGraphHandle, SharedGraphOwner, share_csr, shm_available
 from ..graphs.triangles import count_triangles
 from .verification import VerificationReport, verify_result
 
@@ -307,72 +306,20 @@ class PrebuiltGraphFactory:
     """Picklable ``seed -> Graph`` factory closing over a built graph.
 
     The escape hatch for workloads that are not regenerable from a seed —
-    real-world graphs loaded from disk, hand-constructed gadgets.  On the
-    pickle plane a cell carrying one ships the *whole graph* to every
-    worker (that is the cost the shared-memory plane exists to remove);
-    on the shm plane only a segment handle travels.  The seed argument is
-    ignored: the workload is the same graph for every cell.
+    real-world graphs loaded from disk, hand-constructed gadgets.  A
+    parallel sweep pickles the *whole graph* into every cell that carries
+    one; each worker still builds its oracle once, through the
+    per-process workload cache.  The seed argument is ignored: the
+    workload is the same graph for every cell.
 
-    Equality is identity (two factories are interchangeable exactly when
-    they wrap the same object), which is also what :meth:`workload_cache_key`
-    exposes so the sweep scheduler can group cells sharing the graph
-    without pickling it once per cell.
+    Equality is identity: two factories are interchangeable exactly when
+    they wrap the same object.
     """
 
     graph: Graph
 
     def __call__(self, seed: int) -> Graph:
         return self.graph
-
-    def workload_cache_key(self) -> int:
-        """Cheap grouping token: the wrapped graph's identity."""
-        return id(self.graph)
-
-
-@dataclass(frozen=True)
-class _SharedWorkloadFactory:
-    """Worker-side factory attaching a shared-memory workload, zero-copy.
-
-    The sweep scheduler substitutes one of these for the original
-    ``graph_factory`` of every cell whose workload it materialised into
-    shared memory: the cell then pickles in O(handle bytes) and the
-    worker's per-process graph cache keys on those same bytes, so each
-    worker attaches a given segment once no matter how many cells use it.
-    """
-
-    handle: SharedGraphHandle
-
-    def __call__(self, seed: int) -> Graph:
-        return Graph.from_shared(self.handle)
-
-
-def _workload_group_key(cell: SweepCell) -> Optional[tuple]:
-    """Identity under which cells share one materialised workload.
-
-    Prefers a factory-provided ``workload_cache_key()`` (qualified by the
-    factory type, so two factory classes can never collide) over pickling
-    the factory — :class:`PrebuiltGraphFactory` would otherwise serialise
-    its whole graph just to be grouped.  Falls back to the pickled
-    ``(factory, seed)`` bytes, the exact identity of the worker-side graph
-    cache; returns ``None`` (not shareable) when even that fails.
-    """
-    factory = cell.graph_factory
-    token = getattr(factory, "workload_cache_key", None)
-    if token is not None:
-        try:
-            return (
-                "key",
-                type(factory).__module__,
-                type(factory).__qualname__,
-                token(),
-                cell.seed,
-            )
-        except Exception:
-            pass
-    try:
-        return ("pickle", pickle.dumps((factory, cell.seed), protocol=4))
-    except Exception:
-        return None
 
 
 class SweepRunner:
@@ -393,10 +340,8 @@ class SweepRunner:
     cells — e.g. several algorithms over one workload list via
     :meth:`run_grid` — rebuild each graph at most once per worker.
 
-    A parallel sweep ships each workload through shared memory where it
-    can and by pickled cell otherwise (the rule is in :meth:`_plan_plane`);
-    the transport changes cost only, and records are byte-identical across
-    serial, pickled and shared execution.
+    A parallel sweep pickles each cell, factories included, to its worker,
+    which builds the workload through that per-process cache.
 
     Because every cell carries its own explicit seed and cells share no
     state, the parallel path reproduces the serial path exactly: same
@@ -404,9 +349,9 @@ class SweepRunner:
     compares the bytes.
 
     After every ``iter_cells``/``run_*`` call, :attr:`last_plane` holds a
-    small diagnostics dict (plane used, cells served from cache, workloads
-    shared, average pickled bytes per shipped cell) — the sweep-plane
-    benchmark reads it instead of re-instrumenting the scheduler.
+    small diagnostics dict: the plane used (``"serial"`` or ``"pickle"``),
+    cells served from cache, cells executed, and the average pickled bytes
+    per shipped cell.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -477,9 +422,8 @@ class SweepRunner:
         unpicklable factory (a lambda, a closure) would otherwise surface
         as a raw pickle traceback from inside the executor after part of
         the sweep has already run.  Failing eagerly names the offending
-        cell instead.  Returns the total pickled size in bytes — the
-        per-cell transport cost the sweep-plane benchmark reports (and
-        the shm plane exists to flatten).
+        cell instead.  Returns the total pickled size in bytes, the
+        per-cell transport cost :attr:`last_plane` reports.
         """
         total_bytes = 0
         for index, cell in enumerate(cells):
@@ -496,55 +440,6 @@ class SweepRunner:
                     "(max_workers=None)."
                 ) from exc
         return total_bytes
-
-    def _plan_plane(
-        self, cells: List[SweepCell], info: Dict[str, Any]
-    ) -> "tuple[List[SweepCell], List[SharedGraphOwner]]":
-        """Choose the workload transport for one parallel sweep.
-
-        When shared memory is usable, each distinct workload among
-        ``cells`` is built (through the same per-process cache workers
-        use) and materialised **once** in the parent — triangle oracle
-        included, since verification needs it for every cell — and the
-        cells are rewritten to carry segment handles instead of their
-        original factories.  Rewriting happens before the picklability
-        check, so a prebuilt graph shipped over shm is never pickled at
-        all.  A workload that cannot be grouped, built or shared keeps its
-        cells on the pickle path, and so does every cell when shared
-        memory is unusable.  Returns the cells to execute plus the segment
-        owners the caller must close when the sweep finishes (normally, by
-        interruption, or through the broken-pool path alike).
-        """
-        if not shm_available():
-            info["plane"] = "pickle"
-            return list(cells), []
-        groups: Dict[Any, List[int]] = {}
-        for index, cell in enumerate(cells):
-            key = _workload_group_key(cell)
-            if key is not None:
-                groups.setdefault(key, []).append(index)
-        new_cells = list(cells)
-        owners: List[SharedGraphOwner] = []
-        try:
-            for indices in groups.values():
-                try:
-                    graph = _cell_graph(cells[indices[0]])
-                    owner = share_csr(graph.csr())
-                except Exception:
-                    continue  # non-CSR or unshareable workload: pickle path
-                owners.append(owner)
-                factory = _SharedWorkloadFactory(handle=owner.handle)
-                for index in indices:
-                    new_cells[index] = replace(
-                        cells[index], graph_factory=factory
-                    )
-        except BaseException:
-            for owner in owners:
-                owner.close()
-            raise
-        info["plane"] = "shm" if owners else "pickle"
-        info["workloads_shared"] = len(owners)
-        return new_cells, owners
 
     def iter_cells(
         self, cells: Sequence[SweepCell], cache: Optional[Any] = None
@@ -581,7 +476,6 @@ class SweepRunner:
             "cells": len(cells),
             "cache_hits": len(hits),
             "executed": len(pending),
-            "workloads_shared": 0,
             "pickled_bytes_per_cell": 0.0,
         }
         self.last_plane = info
@@ -599,37 +493,26 @@ class SweepRunner:
                     yield finish(index, _execute_cell(cells[index]))
             return
 
-        exec_cells, owners = self._plan_plane(
-            [cells[index] for index in pending], info
-        )
+        exec_cells = [cells[index] for index in pending]
+        info["plane"] = "pickle"
+        total_bytes = self._require_picklable(exec_cells)
+        info["pickled_bytes_per_cell"] = total_bytes / len(exec_cells)
+        pool = self._executor()
         try:
-            total_bytes = self._require_picklable(exec_cells)
-            info["pickled_bytes_per_cell"] = total_bytes / len(exec_cells)
-            pool = self._executor()
-            try:
-                results = iter(
-                    pool.map(_execute_cell, exec_cells, chunksize=1)
-                )
-                for index in range(len(cells)):
-                    if index in hits:
-                        yield hits[index]
-                    else:
-                        yield finish(index, next(results))
-            except BrokenExecutor:
-                # A crashed worker (OOM kill, segfault) breaks the executor
-                # for good; drop it so the next sweep gets a fresh pool
-                # instead of re-raising forever.
-                self._pool_finalizer.detach()
-                pool.shutdown(wait=False)
-                self._pool = None
-                raise
-        finally:
-            # Unlink every segment this sweep materialised — on normal
-            # completion, on a broken pool, and on generator teardown
-            # (KeyboardInterrupt-style close()) alike.  Workers that are
-            # still attached stay valid until they unmap.
-            for owner in owners:
-                owner.close()
+            results = iter(pool.map(_execute_cell, exec_cells, chunksize=1))
+            for index in range(len(cells)):
+                if index in hits:
+                    yield hits[index]
+                else:
+                    yield finish(index, next(results))
+        except BrokenExecutor:
+            # A crashed worker (OOM kill, segfault) breaks the executor
+            # for good; drop it so the next sweep gets a fresh pool
+            # instead of re-raising forever.
+            self._pool_finalizer.detach()
+            pool.shutdown(wait=False)
+            self._pool = None
+            raise
 
     def run_cells(
         self, cells: Sequence[SweepCell], cache: Optional[Any] = None

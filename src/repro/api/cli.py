@@ -320,8 +320,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"\n{completed}/{total} cells recorded in {out}")
     if plane is not None and plane["cells"] > 0:
         print(
-            f"plane={plane['plane']} workloads_shared="
-            f"{plane['workloads_shared']} cache_hits={plane['cache_hits']} "
+            f"plane={plane['plane']} cache_hits={plane['cache_hits']} "
             f"executed={plane['executed']} "
             f"bytes_per_cell={plane['pickled_bytes_per_cell']:.0f}"
         )
@@ -580,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="evict a worker silent for this long (default: 5x the interval)",
-    )
-    serve_parser.add_argument(
-        "--max-segments",
-        type=int,
-        default=4,
-        help="idle shared-memory workloads kept warm across jobs (default 4)",
     )
     serve_parser.add_argument(
         "--preload",

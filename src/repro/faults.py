@@ -1,9 +1,9 @@
 """Deterministic, seed-driven fault injection for the experiment service.
 
-The service stack (:mod:`repro.service`, :mod:`repro.api.store`,
-:mod:`repro.graphs.shm`) exposes **named injection points** — places a
-real deployment fails: a frame torn mid-send, a worker dying between
-executing a cell and reporting it, a full disk under the JSONL store.
+The service stack (:mod:`repro.service`, :mod:`repro.api.store`)
+exposes **named injection points** — places a real deployment fails: a
+frame torn mid-send, a worker dying between executing a cell and
+reporting it, a full disk under the JSONL store.
 Each point calls :func:`fault_point` with a context describing the
 event; when no plane is installed that call is a dictionary lookup and a
 ``None`` return, so production traffic pays nothing.
@@ -81,8 +81,6 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
     "worker.execute": ("crash", "stall", "fail"),
     "worker.record.before": ("crash",),
     "worker.record.after": ("crash",),
-    # graphs/shm.py attach_shared_graph: segment-attach failure.
-    "worker.attach": ("fail",),
     # dispatcher.py: lease assignment, handshakes, heartbeat intake.
     "dispatcher.lease": ("expire", "delay"),
     "dispatcher.accept": ("drop",),
@@ -96,9 +94,11 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
 def _canonical(payload: Any) -> str:
     """Canonical JSON (sorted keys, compact) without importing api.records.
 
-    :mod:`repro.faults` sits below the API layer — :mod:`repro.graphs.shm`
-    imports it — so it cannot import the canonical encoder from
-    :mod:`repro.api.records` without a cycle.  The encoding is pinned
+    :mod:`repro.faults` sits below the API layer: :mod:`repro.api.store`
+    imports it, and the :mod:`repro.api` package init imports
+    ``api.store``, so importing :mod:`repro.api.records` from here would
+    close an import cycle that resolves only while that init happens to
+    import ``records`` before ``store``.  The encoding is pinned
     identical by a test.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -288,8 +288,8 @@ class FaultSchedule:
         The mix always arms one rule per *kind* of recoverable fault —
         worker crash before and after the record, an execution stall long
         enough to expire its lease, a truncated and a corrupted record
-        frame, a delayed lease frame, a failed segment attach, a
-        dispatcher-forced lease expiry, and a dropped worker handshake —
+        frame, a delayed lease frame, a dispatcher-forced lease expiry,
+        and a dropped worker handshake —
         and the seed randomizes the thresholds: which ordinal worker
         hosts each fault and how many clean events precede it.  Every
         action is one the service recovers from, so a chaos session's
@@ -335,9 +335,6 @@ class FaultSchedule:
                 "protocol.send", "delay",
                 match={"frame": "lease"}, after_n=early(),
                 times=2, params={"seconds": delay_seconds},
-            ),
-            FaultRule.build(
-                "worker.attach", "fail", match={"scope": scope()}, after_n=0,
             ),
             FaultRule.build("dispatcher.lease", "expire", after_n=rng.randrange(2, 5)),
             FaultRule.build("dispatcher.accept", "drop", after_n=workers, times=1),

@@ -9,15 +9,6 @@ view through :class:`repro.congest.node.NodeContext`.
 
 from .csr import CSRGraph
 from .graph import Graph, InducedSubgraph, degree_histogram, is_connected
-from .shm import (
-    SharedArraySpec,
-    SharedGraphHandle,
-    SharedGraphOwner,
-    attach_shared_graph,
-    segment_exists,
-    share_csr,
-    shm_available,
-)
 from .generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -62,13 +53,6 @@ __all__ = [
     "CSRGraph",
     "Graph",
     "InducedSubgraph",
-    "SharedArraySpec",
-    "SharedGraphHandle",
-    "SharedGraphOwner",
-    "attach_shared_graph",
-    "segment_exists",
-    "share_csr",
-    "shm_available",
     "degree_histogram",
     "is_connected",
     "barabasi_albert_graph",

@@ -118,10 +118,6 @@ class CSRGraph:
         "_dense_bool",
         "_dense_packed",
         "_adjacency_bits",
-        # Weak referenceability: the shared-memory plane (repro.graphs.shm)
-        # ties segment-mapping lifetime to attached snapshots with
-        # weakref.finalize.
-        "__weakref__",
     )
 
     def __init__(

@@ -29,7 +29,6 @@ import numpy as np
 from ..errors import GraphError
 from ..types import Edge, NodeId, make_edge
 from .csr import CSRGraph
-from .shm import SharedGraphHandle, attach_shared_graph
 
 
 class Graph:
@@ -159,33 +158,6 @@ class Graph:
             if self._csr_cache is None:
                 self._csr_cache = CSRGraph.from_graph(self)
             return self._csr_cache
-
-    # ------------------------------------------------------------------
-    # shared-memory plane
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_shared(cls, handle: SharedGraphHandle) -> "Graph":
-        """Rebuild a graph from a :func:`~repro.graphs.shm.share_csr` handle.
-
-        The CSR view (and any oracle caches the sharer included) are
-        attached as read-only views over the shared segment — no graph
-        bytes are copied; only the adjacency sets, which the CSR snapshot
-        does not encode, are rebuilt locally.
-        """
-        return cls._from_csr(attach_shared_graph(handle))
-
-    @classmethod
-    def _from_csr(cls, csr: CSRGraph) -> "Graph":
-        """Adopt an existing CSR snapshot as a full graph (internal)."""
-        graph = cls(csr.num_nodes)
-        indptr, indices = csr.indptr, csr.indices
-        graph._adjacency = [
-            set(indices[indptr[node] : indptr[node + 1]].tolist())
-            for node in range(csr.num_nodes)
-        ]
-        graph._num_edges = csr.num_edges
-        graph._csr_cache = csr
-        return graph
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges in canonical ``(min, max)`` order.

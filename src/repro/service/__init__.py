@@ -7,9 +7,8 @@ leases cells to resident **worker** processes (:func:`worker_main`)
 over a local socket protocol of length-prefixed canonical-JSON frames
 (:mod:`repro.service.protocol`).  Completed records stream into the
 same JSONL store format ``repro sweep`` writes — byte-identical to a
-serial run — while the fleet amortises process spawn, shared-memory
-workload materialisation, JIT warm-up and workload construction across
-cells, jobs and whole sweeps.
+serial run — while the fleet amortises process spawn, imports and
+workload construction across cells, jobs and whole sweeps.
 
 Fault tolerance is lease-based (:mod:`repro.service.leases`): every
 leased cell carries a deadline, workers heartbeat, and a killed, wedged
@@ -24,7 +23,7 @@ job state).  :class:`ServiceClient` is the same control plane from
 Python.
 """
 
-from .dispatcher import Dispatcher, SegmentPool
+from .dispatcher import Dispatcher
 from .events import EVENTS_FILE_NAME, EventLog, read_events
 from .leases import CellLeaseTable, Lease
 from .protocol import (
@@ -42,7 +41,6 @@ __all__ = [
     "Dispatcher",
     "EventLog",
     "Lease",
-    "SegmentPool",
     "ServiceAddress",
     "ServiceClient",
     "read_events",

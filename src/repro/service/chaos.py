@@ -86,8 +86,9 @@ def chaos_specs(num_nodes: int = 28) -> List[SweepSpec]:
     """The session's three-sweep workload (2 algorithms x 3 seeds each).
 
     Three sweeps (distinct experiments, seeds and graph sizes) make the
-    fleet cross job boundaries mid-chaos: segments are shared, released
-    and rebuilt while faults fire, which is where ordering bugs live.
+    fleet cross job boundaries mid-chaos: leases of different jobs
+    interleave and warm workers switch workloads while faults fire,
+    which is where ordering bugs live.
     """
     specs = []
     for index in range(3):

@@ -79,7 +79,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         lease_timeout=args.lease_timeout,
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_timeout=args.heartbeat_timeout,
-        max_segments=args.max_segments,
         preload=tuple(args.preload or ()),
     )
     dispatcher.start()
@@ -246,12 +245,6 @@ def _render_status(payload: Dict[str, Any]) -> str:
         )
     else:
         lines.append("no jobs submitted yet")
-    segments = payload["segments"]
-    lines.append(
-        f"segments: {segments['active']} active, {segments['idle']} warm, "
-        f"{segments['bytes']} bytes ({segments['built']} built, "
-        f"{segments['reused']} reused)"
-    )
     return "\n".join(lines)
 
 

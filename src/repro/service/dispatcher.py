@@ -1,4 +1,4 @@
-"""The experiment-service dispatcher: jobs, leases, workers, segments.
+"""The experiment-service dispatcher: jobs, leases and workers.
 
 One :class:`Dispatcher` owns a service root directory.  It listens on a
 local socket (see :mod:`repro.service.protocol`), accepts two kinds of
@@ -30,11 +30,11 @@ revoked-but-alive leases are dropped, and a job finishes when no cell is
 pending or leased — at which point its store is complete and ordered
 exactly as a serial ``run_sweep`` would have left it.
 
-Workload graphs are materialised once per distinct (workload, seed)
-into shared memory (:class:`SegmentPool`) and leased to workers as
-handle documents; segments are refcounted per job and a bounded LRU of
-*idle* segments is retained across jobs, so back-to-back sweeps over
-the same workloads skip even the parent-side rebuild.
+A lease carries only its cell's run spec.  Each worker rebuilds the
+workload itself and memoises it in its per-process workload cache
+(:func:`repro.analysis.experiments._cell_graph`), so a warm worker
+builds each distinct (workload, seed) once across all the jobs it
+serves.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.experiments import ExperimentRecord
-from ..api.records import canonical_json
 from ..api.specs import RunSpec, SweepSpec
 from ..api.store import ResultCache, SweepStoreWriter
 from ..errors import ReproError, ServiceError
@@ -64,7 +63,6 @@ from ..faults import (
     fault_point,
     install_from_env,
 )
-from ..graphs.shm import share_csr, shm_available
 from .events import EVENTS_FILE_NAME, EventLog
 from .leases import CellLeaseTable
 from .protocol import (
@@ -78,129 +76,11 @@ from .protocol import (
 )
 from .worker import preload_modules
 
-__all__ = ["Dispatcher", "SegmentPool"]
+__all__ = ["Dispatcher"]
 
 #: How often the monitor and idle worker loops poll, in seconds.  Bounds
 #: the latency between a submit and the first lease going out.
 _TICK_SECONDS = 0.05
-
-
-# ---------------------------------------------------------------------------
-# shared-memory segment pool
-# ---------------------------------------------------------------------------
-
-
-class _Segment:
-    """One pooled segment: built once, refcounted by job id."""
-
-    def __init__(self) -> None:
-        self.ready = threading.Event()
-        self.owner: Optional[Any] = None
-        self.handle_doc: Optional[Dict[str, Any]] = None
-        self.jobs: Set[str] = set()
-        self.failed = False
-
-
-class SegmentPool:
-    """Refcounted shared-memory workloads with cross-job idle retention.
-
-    ``acquire(key, job_id, builder)`` returns the segment's handle
-    document, building the segment on first use (concurrent acquirers of
-    the same key wait for the one builder).  A key whose builder failed
-    is remembered as unshareable — the caller falls back to the pickle
-    path — rather than retried per cell.  ``release_job`` drops a job's
-    references; segments nobody references are kept warm in an LRU of at
-    most ``max_idle`` (the cross-sweep warmth the service exists for)
-    and unlinked beyond that.
-    """
-
-    def __init__(self, max_idle: int = 4) -> None:
-        if max_idle < 0:
-            raise ServiceError(f"max_idle must be >= 0, got {max_idle}")
-        self.max_idle = max_idle
-        self._lock = threading.Lock()
-        self._segments: Dict[Any, _Segment] = {}
-        self._idle: "OrderedDict[Any, None]" = OrderedDict()
-        self.built = 0
-        self.reused = 0
-
-    def acquire(
-        self, key: Any, job_id: str, builder: Callable[[], Any]
-    ) -> Optional[Dict[str, Any]]:
-        """Return the handle document for ``key`` (``None``: unshareable)."""
-        with self._lock:
-            segment = self._segments.get(key)
-            build_here = segment is None
-            if build_here:
-                segment = _Segment()
-                self._segments[key] = segment
-            segment.jobs.add(job_id)
-            self._idle.pop(key, None)
-        if build_here:
-            try:
-                owner = builder()
-                segment.owner = owner
-                segment.handle_doc = owner.handle.to_dict()
-                with self._lock:
-                    self.built += 1
-            except Exception:
-                segment.failed = True
-            segment.ready.set()
-        else:
-            segment.ready.wait()
-            if not segment.failed:
-                with self._lock:
-                    self.reused += 1
-        return None if segment.failed else segment.handle_doc
-
-    def release_job(self, job_id: str) -> None:
-        """Drop ``job_id``'s references; trim the idle LRU to ``max_idle``."""
-        to_close: List[_Segment] = []
-        with self._lock:
-            for key, segment in list(self._segments.items()):
-                if job_id not in segment.jobs:
-                    continue
-                segment.jobs.discard(job_id)
-                if segment.jobs or not segment.ready.is_set():
-                    continue
-                if segment.failed:
-                    del self._segments[key]
-                else:
-                    self._idle[key] = None
-                    self._idle.move_to_end(key)
-            while len(self._idle) > self.max_idle:
-                key, _ = self._idle.popitem(last=False)
-                to_close.append(self._segments.pop(key))
-        for segment in to_close:
-            segment.owner.close()
-
-    def close_all(self) -> None:
-        """Unlink every segment (dispatcher shutdown)."""
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-            self._idle.clear()
-        for segment in segments:
-            if segment.owner is not None:
-                segment.owner.close()
-
-    def stats(self) -> Dict[str, Any]:
-        """Return active/idle counts, resident bytes, and build traffic."""
-        with self._lock:
-            active = sum(1 for s in self._segments.values() if s.jobs)
-            idle = len(self._idle)
-            total_bytes = sum(
-                s.handle_doc["total_bytes"]
-                for s in self._segments.values()
-                if s.handle_doc is not None
-            )
-            return {
-                "active": active,
-                "idle": idle,
-                "bytes": total_bytes,
-                "built": self.built,
-                "reused": self.reused,
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +111,6 @@ class _Job:
         )
         self.state = "running"
         self.error: Optional[str] = None
-        self.plane = "pickle"
-        #: Per-cell segment-pool key; ``None`` cells travel by spec only.
-        self.segment_keys: List[Optional[Any]] = [None] * len(self.runs)
         self.cache_hits = 0
         self.executed = 0
         self.resumed = len(writer.done)
@@ -281,7 +158,6 @@ class _Job:
                 }
                 for cell, reason in sorted(self.table.quarantined.items())
             ],
-            "plane": self.plane,
             "error": self.error,
             "submitted_unix": self.submitted_unix,
             "elapsed_seconds": elapsed,
@@ -303,8 +179,9 @@ class _WorkerConn:
     #: (job id, lease id, cell) of the lease this worker is executing.
     current: Optional[Tuple[str, int, int]] = None
     cells_done: int = 0
-    #: True while the assignment path is materialising a segment for this
-    #: worker — the monitor must not read the silence as a stale heartbeat.
+    #: True while the assignment path holds this worker between lease and
+    #: send (an injected ``dispatcher.lease`` delay sleeps there) — the
+    #: monitor must not read the silence as a stale heartbeat.
     assigning: bool = False
     evicted: bool = False
 
@@ -329,11 +206,6 @@ class Dispatcher:
         ``timeout`` seconds is evicted (default: 5x the interval).  The
         timeout must exceed the interval, or healthy workers — silent for
         a whole interval between heartbeats — would be evicted.
-    max_segments:
-        Idle shared-memory workloads kept warm across jobs.  Each job's
-        workloads go to workers through shared memory when it is usable
-        and the workload can be shared, and by run spec otherwise (see
-        :meth:`_plan_segments`).
     max_cell_attempts:
         Quarantine threshold ``K``: a cell whose execution fails (its
         worker errors, dies, or is evicted while holding it) this many
@@ -356,7 +228,6 @@ class Dispatcher:
         lease_timeout: float = 60.0,
         heartbeat_interval: float = 2.0,
         heartbeat_timeout: Optional[float] = None,
-        max_segments: int = 4,
         preload: Tuple[str, ...] = (),
         max_cell_attempts: int = 3,
         restart_budget: int = 12,
@@ -403,7 +274,6 @@ class Dispatcher:
         self._jobs: "OrderedDict[str, _Job]" = OrderedDict()
         self._job_counter = 0
         self._caches: Dict[str, ResultCache] = {}
-        self._segments = SegmentPool(max_idle=max_segments)
         self._managed: List[Tuple[subprocess.Popen, Any]] = []
         self._managed_counter = 0
         self._evictions = 0
@@ -480,7 +350,7 @@ class Dispatcher:
         return self._stop_event.wait(timeout)
 
     def stop(self) -> None:
-        """Shut everything down (idempotent): workers, threads, segments."""
+        """Shut everything down (idempotent): workers and threads."""
         with self._lock:
             if self._stopped:
                 return
@@ -520,7 +390,6 @@ class Dispatcher:
                 process.wait(timeout=5.0)
             if log is not None:
                 log.close()
-        self._segments.close_all()
         remove_service_info(self.root)
 
     def __enter__(self) -> "Dispatcher":
@@ -762,16 +631,13 @@ class Dispatcher:
             worker.ready = False
             worker.assigning = True
             worker.current = (job.id, lease.lease_id, lease.cell)
-            run = job.runs[lease.cell]
-            segment_key = job.segment_keys[lease.cell]
             frame = {
                 "type": "lease",
                 "lease_id": lease.lease_id,
                 "job": job.id,
                 "cell": lease.cell,
                 "label": job.labels[lease.cell],
-                "run": run.to_dict(),
-                "shm": None,
+                "run": job.runs[lease.cell].to_dict(),
             }
         try:
             fault = fault_point("dispatcher.lease", job=job.id, cell=lease.cell)
@@ -785,13 +651,6 @@ class Dispatcher:
                         lease.deadline = self._clock() - 1.0
                 elif fault.action == "delay":
                     time.sleep(fault.seconds())
-            if segment_key is not None:
-                # Materialising can take seconds for big workloads; done
-                # outside the dispatcher lock so heartbeats, records and
-                # other assignments keep flowing.
-                frame["shm"] = self._segments.acquire(
-                    segment_key, job.id, lambda: self._build_segment(run)
-                )
             with worker.send_lock:
                 send_frame(worker.sock, frame)
             worker.last_seen = self._clock()
@@ -809,11 +668,6 @@ class Dispatcher:
                 worker.current = None
         finally:
             worker.assigning = False
-
-    @staticmethod
-    def _build_segment(run: RunSpec) -> Any:
-        graph = run.workload.build(seed=run.seed)
-        return share_csr(graph.csr())
 
     def _handle_record(self, worker: _WorkerConn, frame: Dict[str, Any]) -> None:
         with self._lock:
@@ -880,7 +734,6 @@ class Dispatcher:
         job.error = error
         job.skipped += job.table.drain()
         job.finished_mono = self._clock()
-        self._segments.release_job(job.id)
         self.events.emit("job-failed", job=job.id, error=error)
 
     def _maybe_finish(self, job: _Job) -> None:
@@ -891,7 +744,6 @@ class Dispatcher:
         ):
             job.state = "done"
             job.finished_mono = self._clock()
-            self._segments.release_job(job.id)
             if job.table.quarantined_count:
                 self.events.emit(
                     "job-done-with-quarantine",
@@ -1100,32 +952,10 @@ class Dispatcher:
                     writer.write(index, record.to_dict())
                     job.table.mark_done(index)
                     job.cache_hits += 1
-        self._plan_segments(job)
         with self._lock:
             self._jobs[job.id] = job
             self._maybe_finish(job)
             return job.describe(self._clock)
-
-    def _plan_segments(self, job: _Job) -> None:
-        """Assign each cell its shared-workload pool key (or none).
-
-        Without usable shared memory every cell travels by run spec alone
-        and workers rebuild the workload.  Otherwise each cell is keyed
-        by its effective workload; a workload whose segment cannot be
-        built still falls back to the run spec, per lease, in
-        :meth:`_try_assign`.
-        """
-        if not shm_available():
-            job.plane = "pickle"
-            return
-        workload = job.spec.workload
-        entry = workload.entry()
-        workload_doc = canonical_json(workload.to_dict())
-        seeded = entry.takes_seed and "seed" not in workload.params
-        for index, run in enumerate(job.runs):
-            effective_seed = run.seed if seeded else None
-            job.segment_keys[index] = (workload_doc, effective_seed)
-        job.plane = "shm"
 
     def status(self) -> Dict[str, Any]:
         """Return the full service status document."""
@@ -1178,5 +1008,4 @@ class Dispatcher:
             },
             "workers": workers,
             "jobs": jobs,
-            "segments": self._segments.stats(),
         }

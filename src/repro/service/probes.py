@@ -4,7 +4,7 @@ The service's tests, smoke jobs, and ``bench_service.py`` need an
 algorithm that (a) is registry-named, so it travels through protocol
 frames as a plain :class:`~repro.api.specs.RunSpec` document, (b) costs
 almost nothing per cell beyond *reading* the workload — isolating the
-provisioning costs (spawn, attach, rebuild) the warm fleet removes —
+provisioning costs (spawn, import, rebuild) the warm fleet removes —
 and (c) can simulate real per-cell compute via ``sleep_seconds`` when a
 lease-expiry test needs a slow cell.
 

@@ -2,21 +2,15 @@
 
 One worker process connects to the dispatcher in a service root, then
 loops: announce ``ready``, receive a ``lease`` (one sweep cell as a
-:class:`~repro.api.specs.RunSpec` document plus, when the dispatcher
-could share the workload, a shared-memory graph handle), execute it,
-send the ``record`` back, and announce ready again — until the
-dispatcher says ``shutdown`` or the connection drops.
+:class:`~repro.api.specs.RunSpec` document), execute it, send the
+``record`` back, and announce ready again — until the dispatcher says
+``shutdown`` or the connection drops.
 
 Warmth is the point.  The process persists across cells, jobs and whole
 sweeps, so everything expensive happens once per worker instead of once
 per sweep:
 
-* leases carrying a segment handle attach their workload zero-copy, and
-  attached graphs are cached per segment (:data:`_ATTACH_CACHE`), so a
-  worker attaches each distinct workload once no matter how many cells —
-  of how many sweeps — use it;
-* leases without one (shared memory unusable, or the workload could not
-  be shared) go through the same
+* every lease goes through the same
   :func:`~repro.analysis.experiments._execute_cell` path (and the same
   per-process workload cache) the process-pool sweep uses, so repeated
   workloads are rebuilt at most once per worker *lifetime*, not per
@@ -40,16 +34,13 @@ import socket
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..analysis.experiments import ExperimentRecord, _execute_cell, run_single
+from ..analysis.experiments import ExperimentRecord, _execute_cell
 from ..api.specs import RunSpec
 from ..errors import ReproError, ServiceError
 from ..faults import fault_point, install_from_env
-from ..graphs.graph import Graph
-from ..graphs.shm import SharedGraphHandle, disown_tracker
 from .protocol import (
     PROTOCOL_VERSION,
     ServiceAddress,
@@ -59,13 +50,6 @@ from .protocol import (
 )
 
 __all__ = ["worker_main", "preload_modules"]
-
-#: Worker-side cache of attached shared-memory workloads, keyed by segment
-#: name (segment names are globally unique, so a stale entry can never be
-#: mistaken for a new workload).  Bounded LRU: dropping an entry unmaps
-#: the attachment; the dispatcher-side segment outlives it.
-_ATTACH_CACHE: "OrderedDict[str, Graph]" = OrderedDict()
-_ATTACH_CACHE_MAX_ENTRIES = 8
 
 
 def preload_modules(modules: Iterable[str]) -> None:
@@ -85,51 +69,9 @@ def preload_modules(modules: Iterable[str]) -> None:
             ) from exc
 
 
-def _attached_graph(handle_doc: Dict[str, Any]) -> Graph:
-    """Attach (or fetch the cached attachment of) a shared workload."""
-    segment = str(handle_doc.get("segment", ""))
-    graph = _ATTACH_CACHE.get(segment)
-    if graph is not None:
-        _ATTACH_CACHE.move_to_end(segment)
-        return graph
-    fault = fault_point("worker.attach", segment=segment)
-    if fault is not None:
-        # Simulates the real race this path exists for: the dispatcher
-        # evicted the segment between lease and attach.  The caller
-        # falls back to rebuilding the workload from the run spec.
-        raise ServiceError(f"injected fault: segment {segment} unattachable")
-    graph = Graph.from_shared(SharedGraphHandle.from_dict(handle_doc))
-    # Workers are Popen-spawned, so the attach re-registered the segment
-    # with this process's *private* resource tracker, which would unlink
-    # the dispatcher's still-live segment when this worker exits.
-    disown_tracker(segment)
-    _ATTACH_CACHE[segment] = graph
-    while len(_ATTACH_CACHE) > _ATTACH_CACHE_MAX_ENTRIES:
-        _ATTACH_CACHE.popitem(last=False)
-    return graph
-
-
 def execute_lease(frame: Dict[str, Any]) -> ExperimentRecord:
-    """Execute one lease frame's cell and return its record.
-
-    A frame with a segment handle attaches the dispatcher-materialised
-    workload zero-copy and runs the algorithm on it; a frame without one,
-    or any attach failure (the segment was evicted between lease and
-    attach), rebuilds the workload from the run spec — the records are
-    identical either way, by the transport's byte-identity contract.
-    """
-    spec = RunSpec.from_dict(frame["run"])
-    handle_doc = frame.get("shm")
-    if handle_doc:
-        try:
-            graph = _attached_graph(handle_doc)
-        except Exception:
-            graph = None
-        if graph is not None:
-            return run_single(
-                spec.experiment, spec.algorithm.build(), graph, spec.seed
-            )
-    return _execute_cell(spec.cell())
+    """Execute one lease frame's cell and return its record."""
+    return _execute_cell(RunSpec.from_dict(frame["run"]).cell())
 
 
 class _Heartbeat(threading.Thread):

@@ -1,4 +1,4 @@
-"""Tests for the sweep workload transport (shm, pickle fallback, cache LRU)."""
+"""Tests for the parallel sweep path (pickled cells, pool recovery, cache LRU)."""
 
 import functools
 import os
@@ -8,14 +8,13 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.analysis import PrebuiltGraphFactory, SweepCell, SweepRunner
-from repro.analysis import experiments as experiments_module
 from repro.analysis.experiments import (
     _GRAPH_CACHE,
     _GRAPH_CACHE_MAX_ENTRIES,
     _cell_graph,
 )
 from repro.core import NaiveTwoHopListing, TriangleListing
-from repro.graphs import gnp_random_graph, segment_exists, shm_available
+from repro.graphs import gnp_random_graph
 
 
 def _naive_algorithm():
@@ -50,86 +49,31 @@ def _grid_cells():
     ]
 
 
-class _SegmentRecorder:
-    """Wrap ``share_csr`` so tests can see which segments a sweep created."""
-
-    def __init__(self):
-        self.segments = []
-        self._real = experiments_module.share_csr
-
-    def __call__(self, csr):
-        owner = self._real(csr)
-        self.segments.append(owner.handle.segment)
-        return owner
-
-
-@pytest.fixture
-def record_segments(monkeypatch):
-    recorder = _SegmentRecorder()
-    monkeypatch.setattr(experiments_module, "share_csr", recorder)
-    return recorder
-
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared memory is not usable on this platform"
-)
-
-
-class TestPlaneSelection:
-    def test_auto_plane_falls_back_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(experiments_module, "shm_available", lambda: False)
-        with SweepRunner(max_workers=2) as runner:
-            runner.run_cells(_grid_cells())
-            assert runner.last_plane["plane"] == "pickle"
-            assert runner.last_plane["workloads_shared"] == 0
-
-    @needs_shm
-    def test_environment_does_not_choose_the_transport(self, monkeypatch):
-        # REPRO_SWEEP_PLANE used to force the pickle path; the variable is
-        # gone, so a leftover setting must not change where workloads go.
-        monkeypatch.setenv("REPRO_SWEEP_PLANE", "pickle")
-        with SweepRunner(max_workers=2) as runner:
-            runner.run_cells(_grid_cells())
-            assert runner.last_plane["plane"] == "shm"
-            assert runner.last_plane["workloads_shared"] == 3
-
-    def test_auto_plane_falls_back_when_sharing_fails(self, monkeypatch):
-        def broken_share(csr):
-            raise RuntimeError("no segments today")
-
-        monkeypatch.setattr(experiments_module, "share_csr", broken_share)
-        with SweepRunner(max_workers=2) as runner:
-            records = runner.run_cells(_grid_cells())
-            assert len(records) == 6
-            assert runner.last_plane["plane"] == "pickle"
-
-
-class TestShmPlaneRecords:
-    def test_all_planes_byte_identical(self, transport):
+class TestParallelRecords:
+    def test_all_planes_byte_identical(self):
         cells = _grid_cells()
         reference = [pickle.dumps(r, protocol=4) for r in SweepRunner().run_cells(cells)]
         with SweepRunner(max_workers=2) as runner:
             records = runner.run_cells(cells)
             assert [pickle.dumps(r, protocol=4) for r in records] == reference
-            assert runner.last_plane["plane"] == transport
+            assert runner.last_plane["plane"] == "pickle"
 
-    @needs_shm
     def test_last_plane_diagnostics(self):
         cells = _grid_cells()
         with SweepRunner(max_workers=2) as runner:
             runner.run_cells(cells)
             info = runner.last_plane
-            assert info["plane"] == "shm"
-            assert info["cells"] == 6
-            assert info["executed"] == 6
-            assert info["cache_hits"] == 0
-            # Three distinct workload seeds -> three shared segments; the
-            # cells themselves ship handle-sized payloads.
-            assert info["workloads_shared"] == 3
+            assert info == {
+                "plane": "pickle",
+                "cells": 6,
+                "cache_hits": 0,
+                "executed": 6,
+                "pickled_bytes_per_cell": info["pickled_bytes_per_cell"],
+            }
+            # Cells ship their seed-driven factories, not graphs.
             assert 0 < info["pickled_bytes_per_cell"] < 4096
 
-    @needs_shm
-    def test_prebuilt_factory_groups_by_graph_identity(self):
+    def test_prebuilt_factory_records_match_serial(self):
         graph = _gnp_workload(24, 7)
         cells = [
             SweepCell(
@@ -143,29 +87,18 @@ class TestShmPlaneRecords:
         serial = SweepRunner().run_cells(cells)
         with SweepRunner(max_workers=2) as runner:
             records = runner.run_cells(cells)
-            assert runner.last_plane["workloads_shared"] == 1
             assert records == serial
 
-    @needs_shm
-    def test_segments_released_after_sweep(self, record_segments):
-        with SweepRunner(max_workers=2) as runner:
-            runner.run_cells(_grid_cells())
-        assert len(record_segments.segments) == 3
-        assert not any(segment_exists(s) for s in record_segments.segments)
-
-    @needs_shm
-    def test_segments_released_when_consumer_abandons_stream(self, record_segments):
+    def test_runner_survives_an_abandoned_stream(self):
         # A KeyboardInterrupt unwinds the for-loop consuming iter_cells;
-        # generator close() runs the same finally block.
+        # generator close() runs the same teardown.
         with SweepRunner(max_workers=2) as runner:
             stream = runner.iter_cells(_grid_cells())
             next(stream)
             stream.close()
-        assert record_segments.segments
-        assert not any(segment_exists(s) for s in record_segments.segments)
+            assert len(runner.run_cells(_grid_cells())) == 6
 
-    @needs_shm
-    def test_segments_released_after_worker_crash(self, record_segments):
+    def test_runner_recovers_after_worker_crash(self):
         cells = [
             SweepCell(
                 experiment="crash",
@@ -178,12 +111,10 @@ class TestShmPlaneRecords:
         with SweepRunner(max_workers=2) as runner:
             with pytest.raises(BrokenProcessPool):
                 runner.run_cells(cells)
-            # The broken-pool recovery path still applies: the next sweep
-            # on the same runner gets a fresh pool and completes.
+            # The broken-pool recovery path: the next sweep on the same
+            # runner gets a fresh pool and completes.
             records = runner.run_cells(_grid_cells())
             assert len(records) == 6
-        assert record_segments.segments
-        assert not any(segment_exists(s) for s in record_segments.segments)
 
 
 class TestWorkloadCacheLRU:

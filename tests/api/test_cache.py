@@ -237,7 +237,7 @@ class TestSweepCacheIntegration:
         assert len(stored.entries) == len(spec.cells())
 
     def test_parallel_sweep_over_partial_cache_matches_serial_bytes(
-        self, tmp_path, transport
+        self, tmp_path
     ):
         spec = _sweep_spec()
         run_sweep(spec, tmp_path / "serial.jsonl")
@@ -245,7 +245,7 @@ class TestSweepCacheIntegration:
         run_sweep(spec, tmp_path / "warmup.jsonl", cache=cache, max_cells=1)
         with SweepRunner(max_workers=2) as runner:
             run_sweep(spec, tmp_path / "mixed.jsonl", runner=runner, cache=cache)
-            assert runner.last_plane["plane"] == transport
+            assert runner.last_plane["plane"] == "pickle"
             assert runner.last_plane["cache_hits"] == 1
             assert runner.last_plane["executed"] == len(spec.cells()) - 1
         assert filecmp.cmp(

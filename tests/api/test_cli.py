@@ -416,9 +416,8 @@ class TestSweepDiagnostics:
             "cells",
             "cache_hits",
             "executed",
-            "workloads_shared",
             "pickled_bytes_per_cell",
-        } <= set(plane)
+        } == set(plane)
         assert plane["cells"] == 2
         assert plane["executed"] == 2
 
@@ -434,6 +433,7 @@ class TestSweepDiagnostics:
         )
         assert code == 0
         assert "plane=" in out and "bytes_per_cell=" in out
+        assert "workloads_shared=" not in out
         assert "2 new" in out
         code, out, _ = _run(
             capsys, "sweep", str(path),

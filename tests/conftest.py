@@ -8,37 +8,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import experiments
 from repro.graphs import (
     Graph,
     complete_graph,
     gnp_random_graph,
     heavy_edge_gadget,
     planted_triangle_graph,
-    shm_available,
     triangle_free_bipartite,
     union_of_cliques,
 )
-from repro.service import dispatcher
-
-
-@pytest.fixture(params=["shm", "pickle"])
-def transport(request, monkeypatch) -> str:
-    """Run a parallel-sweep or fleet test once per workload transport.
-
-    ``"shm"`` is the default path and needs usable shared memory (the
-    case skips without it).  ``"pickle"`` makes the sweep scheduler and
-    the service dispatcher see shared memory as unusable, which is the
-    path every platform without it takes: workloads travel by pickled
-    cell or run spec and are rebuilt in each worker.
-    """
-    if request.param == "shm":
-        if not shm_available():
-            pytest.skip("shared memory is not usable on this platform")
-    else:
-        for module in (experiments, dispatcher):
-            monkeypatch.setattr(module, "shm_available", lambda: False)
-    return request.param
 
 
 @pytest.fixture

@@ -40,6 +40,10 @@ class TestRuleValidation:
     def test_unknown_point_is_refused(self):
         with pytest.raises(FaultError, match="unknown fault point"):
             FaultRule.build("worker.telepathy", "crash")
+        # The segment-attach point went with the shared-memory transport;
+        # an old schedule naming it fails loudly instead of never firing.
+        with pytest.raises(FaultError, match="unknown fault point"):
+            FaultRule.build("worker.attach", "fail")
 
     def test_unsupported_action_is_refused(self):
         with pytest.raises(FaultError, match="cannot perform"):
@@ -79,7 +83,9 @@ class TestScheduleRoundTrip:
 
     def test_canonical_encoding_matches_api_records(self):
         # faults.py keeps a local canonical encoder (importing
-        # api.records would cycle through graphs.shm); pin the parity.
+        # api.records would close a cycle through the repro.api package
+        # init, which imports api.store, which imports faults); pin the
+        # parity.
         document = FaultSchedule.chaos(seed=3).to_dict()
         assert FaultSchedule.chaos(seed=3).to_json() == canonical_json(document)
 

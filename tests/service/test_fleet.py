@@ -13,15 +13,17 @@ import filecmp
 import os
 import signal
 import time
+from collections import OrderedDict
 
 import pytest
 
-from repro.api.specs import AlgorithmSpec, SweepSpec, WorkloadSpec
+from repro.analysis import experiments
+from repro.api.specs import AlgorithmSpec, RunSpec, SweepSpec, WorkloadSpec
 from repro.api.store import ResultCache, load_sweep, run_sweep
 from repro.errors import ServiceError
 from repro.service import Dispatcher, ServiceClient
-from repro.service import dispatcher as dispatcher_module
-from repro.service.protocol import recv_frame, send_frame
+from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.service.worker import execute_lease
 
 # "fleet-test-only-probe" (used by the failure-path tests below) is
 # registered by the session-scoped conftest fixture: it resolves in the
@@ -50,14 +52,13 @@ class TestByteIdentity:
             job = client.wait_job(job["id"], timeout=60)
         assert job["state"] == "done"
         assert job["cells_done"] == job["cells_total"] == 6
-        assert job["plane"] == "shm"
+        assert "plane" not in job
         assert job["first_record_seconds"] is not None
         assert job["cells_per_second"] > 0
         assert filecmp.cmp(serial, out, shallow=False)
 
     def test_pickle_plane_fleet_matches_serial_bytes(
-        self, service_root, tmp_path, probe_spec, serial_store, probe_preload,
-        transport,
+        self, service_root, tmp_path, probe_spec, serial_store, probe_preload
     ):
         spec = probe_spec(seeds=(1, 2))
         serial = serial_store(spec, tmp_path / "serial.jsonl")
@@ -68,51 +69,100 @@ class TestByteIdentity:
             with ServiceClient.connect(dispatcher.root) as client:
                 job = client.submit(spec.to_dict(), out=out)
                 job = client.wait_job(job["id"], timeout=60)
-                segments = client.status()["segments"]
         assert job["state"] == "done"
-        assert job["plane"] == transport
-        assert segments["built"] == (2 if transport == "shm" else 0)
         assert filecmp.cmp(serial, out, shallow=False)
 
-    def test_fleet_falls_back_when_sharing_fails(
-        self, service_root, tmp_path, probe_spec, serial_store, probe_preload,
-        monkeypatch,
-    ):
-        def broken_share(csr):
-            raise RuntimeError("no segments today")
-
-        monkeypatch.setattr(dispatcher_module, "share_csr", broken_share)
-        spec = probe_spec(seeds=(1, 2))
-        serial = serial_store(spec, tmp_path / "serial.jsonl")
-        out = tmp_path / "fleet.jsonl"
-        with Dispatcher(service_root, workers=1, preload=probe_preload) as dispatcher:
-            with ServiceClient.connect(dispatcher.root) as client:
-                job = client.submit(spec.to_dict(), out=out)
-                job = client.wait_job(job["id"], timeout=60)
-                segments = client.status()["segments"]
-        assert job["state"] == "done"
-        assert segments["built"] == 0
-        assert filecmp.cmp(serial, out, shallow=False)
-
-    def test_second_job_reuses_warm_workers_and_segments(
+    def test_second_job_reuses_warm_workers(
         self, fleet, tmp_path, probe_spec, serial_store
     ):
         spec = probe_spec(seeds=(1, 2))
         serial = serial_store(spec, tmp_path / "serial.jsonl")
         with ServiceClient.connect(fleet.root) as client:
+            # Status lists connected workers only; a managed worker still
+            # starting up would join between the two snapshots.
+            wait_for(
+                lambda: len(client.status()["workers"]) == 2,
+                message="both managed workers to connect",
+            )
             job = client.submit(spec.to_dict(), out=tmp_path / "first.jsonl")
             client.wait_job(job["id"], timeout=60)
             pids_before = {w["pid"] for w in client.status()["workers"]}
-            built_before = client.status()["segments"]["built"]
             job = client.submit(spec.to_dict(), out=tmp_path / "second.jsonl")
             client.wait_job(job["id"], timeout=60)
             status = client.status()
-        # Same processes served both jobs; the second built nothing new.
+        # Same processes served both jobs.
         assert {w["pid"] for w in status["workers"]} == pids_before
-        assert status["segments"]["built"] == built_before
-        assert status["segments"]["reused"] > 0
         assert filecmp.cmp(serial, tmp_path / "first.jsonl", shallow=False)
         assert filecmp.cmp(serial, tmp_path / "second.jsonl", shallow=False)
+
+    def test_lease_frame_carries_only_the_run_spec(
+        self, service_root, tmp_path, probe_spec, serial_store
+    ):
+        # A hand-driven worker: the dispatcher's lease frames must hold the
+        # cell's run spec and nothing else, and executing them in-process
+        # must still reproduce the serial store.
+        spec = probe_spec(seeds=(1,))
+        serial = serial_store(spec, tmp_path / "serial.jsonl")
+        out = tmp_path / "fleet.jsonl"
+        with Dispatcher(service_root, workers=0) as dispatcher:
+            with ServiceClient.connect(dispatcher.root) as client:
+                job = client.submit(spec.to_dict(), out=out)
+                sock = dispatcher.address.connect(timeout=5.0)
+                try:
+                    send_frame(
+                        sock,
+                        {
+                            "type": "hello",
+                            "role": "worker",
+                            "pid": os.getpid(),
+                            "protocol": PROTOCOL_VERSION,
+                        },
+                    )
+                    assert recv_frame(sock)["type"] == "welcome"
+                    for cell, run in enumerate(spec.run_specs()):
+                        send_frame(sock, {"type": "ready"})
+                        lease = recv_frame(sock)
+                        assert set(lease) == {
+                            "type", "lease_id", "job", "cell", "label", "run",
+                        }
+                        assert lease["cell"] == cell
+                        assert RunSpec.from_dict(lease["run"]) == run
+                        send_frame(
+                            sock,
+                            {
+                                "type": "record",
+                                "lease_id": lease["lease_id"],
+                                "job": lease["job"],
+                                "cell": lease["cell"],
+                                "record": execute_lease(lease).to_dict(),
+                            },
+                        )
+                    job = client.wait_job(job["id"], timeout=30)
+                finally:
+                    sock.close()
+        assert job["state"] == "done"
+        assert filecmp.cmp(serial, out, shallow=False)
+
+    def test_worker_builds_each_workload_once_across_jobs(
+        self, probe_spec, monkeypatch
+    ):
+        # What keeps a fleet worker warm: leases of different jobs and
+        # algorithms over one (workload, seed) share the worker's cached
+        # graph instead of rebuilding it.
+        builds = []
+        real_build = WorkloadSpec.build
+
+        def counting_build(self, seed=None):
+            builds.append(seed)
+            return real_build(self, seed=seed)
+
+        monkeypatch.setattr(experiments, "_GRAPH_CACHE", OrderedDict())
+        monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        for experiment in ("first-job", "second-job"):
+            spec = probe_spec(seeds=(1, 2), experiment=experiment)
+            for run in spec.run_specs():
+                execute_lease({"run": run.to_dict()})
+        assert sorted(builds) == [1, 2]
 
     def test_cache_hits_skip_execution(
         self, fleet, tmp_path, probe_spec, serial_store
@@ -395,10 +445,7 @@ class TestControlPlane:
         assert service["protocol"] == 1
         assert "plane" not in service
         assert service["managed_workers"] == 2
-        assert {"workers", "jobs", "segments"} <= set(status)
-        assert {"active", "idle", "bytes", "built", "reused"} == set(
-            status["segments"]
-        )
+        assert {"type", "service", "workers", "jobs"} == set(status)
 
     def test_shutdown_request_stops_the_dispatcher(self, service_root):
         dispatcher = Dispatcher(service_root, workers=0)

@@ -87,6 +87,7 @@ class TestServeSubmitStatus:
         code, out, _ = _run(capsys, "status", str(served_root))
         assert code == 0
         assert "cells/s" in out and str(out_path) in out
+        assert "segments:" not in out
 
     def test_submit_default_out_is_next_to_the_spec(
         self, capsys, served_root, tmp_path
@@ -157,6 +158,18 @@ class TestServiceCliErrors:
             main(["serve", str(tmp_path / "svc"), "--plane", "shm"])
         assert exit_info.value.code == 2
         assert "--plane" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
+
+    def test_serve_refuses_the_removed_max_segments_option(
+        self, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert "--max-segments" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path / "svc"), "--max-segments", "4"])
+        assert exit_info.value.code == 2
+        assert "--max-segments" in capsys.readouterr().err
         assert not (tmp_path / "svc").exists()
 
     def test_serve_rejects_a_heartbeat_timeout_that_evicts_everyone(

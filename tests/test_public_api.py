@@ -9,7 +9,11 @@ re-export list silently drifts away from the module contents.
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +61,22 @@ def test_star_import_packages_have_all():
     ):
         module = importlib.import_module(module_name)
         assert getattr(module, "__all__", None), f"{module_name} lacks __all__"
+
+
+def test_package_imports_leave_shared_memory_unloaded():
+    """Sweeps and fleet jobs pickle their workloads; nothing maps shared memory."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = (
+        "import sys, repro, repro.analysis, repro.service; "
+        "print('multiprocessing.shared_memory' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
