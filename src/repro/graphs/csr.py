@@ -140,6 +140,18 @@ class CSRGraph:
         self._dense_packed: Optional[np.ndarray] = None
         self._adjacency_bits: Optional[np.ndarray] = None
 
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state) -> None:
+        # Unpickled arrays come back writable; a copy shipped to a sweep
+        # worker must be as immutable as the snapshot it was taken from.
+        for slot in self.__slots__:
+            value = state[slot]
+            if isinstance(value, np.ndarray):
+                value = _frozen(value)
+            setattr(self, slot, value)
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

@@ -117,6 +117,84 @@ class TestParallelRecords:
             assert len(records) == 6
 
 
+class TestPrebuiltTransport:
+    def _cells(self, graph):
+        factory = PrebuiltGraphFactory(graph)
+        return [
+            SweepCell(
+                experiment="prebuilt",
+                algorithm_factory=algorithm,
+                graph_factory=factory,
+                seed=seed,
+            )
+            for seed in (1, 2)
+            for algorithm in (_naive_algorithm, _listing_algorithm)
+        ]
+
+    def test_factory_ignores_the_seed(self):
+        graph = _gnp_workload(12, 3)
+        factory = PrebuiltGraphFactory(graph)
+        assert factory(1) is graph
+        assert factory(2) is graph
+
+    def test_prebuilt_cells_ship_the_whole_graph(self):
+        graph = _gnp_workload(60, 5)
+        graph_bytes = len(pickle.dumps(graph, protocol=4))
+        with SweepRunner(max_workers=2) as runner:
+            runner.run_cells(self._cells(graph))
+            info = runner.last_plane
+        assert info["plane"] == "pickle"
+        assert info["pickled_bytes_per_cell"] >= graph_bytes
+
+    def test_shipped_copies_of_one_workload_build_once_per_process(self):
+        saved = dict(_GRAPH_CACHE)
+        _GRAPH_CACHE.clear()
+        try:
+            graph = _gnp_workload(30, 2)
+            graph.csr().triangles()
+            # What a worker sees: every cell arrives as its own unpickled
+            # copy, factory and graph included.  The cache keys on the
+            # seed too, so the copies share one workload per seed.
+            copies = [
+                pickle.loads(pickle.dumps(cell, protocol=4))
+                for cell in self._cells(graph)
+                if cell.seed == 1
+            ]
+            built = [_cell_graph(cell) for cell in copies]
+            assert all(workload is built[0] for workload in built)
+            assert built[0] == graph
+            assert len(_GRAPH_CACHE) == 1
+        finally:
+            _GRAPH_CACHE.clear()
+            _GRAPH_CACHE.update(saved)
+
+    def test_prebuilt_records_match_serial_across_seeds(self):
+        cells = self._cells(_gnp_workload(24, 11))
+        reference = [pickle.dumps(r, protocol=4) for r in SweepRunner().run_cells(cells)]
+        with SweepRunner(max_workers=2) as runner:
+            records = runner.run_cells(cells)
+        assert [pickle.dumps(r, protocol=4) for r in records] == reference
+
+
+class TestSerialPlane:
+    def test_serial_runner_reports_the_serial_plane(self):
+        runner = SweepRunner()
+        runner.run_cells(_grid_cells())
+        assert runner.last_plane == {
+            "plane": "serial",
+            "cells": 6,
+            "cache_hits": 0,
+            "executed": 6,
+            "pickled_bytes_per_cell": 0.0,
+        }
+
+    def test_a_single_cell_never_reaches_the_pool(self):
+        with SweepRunner(max_workers=2) as runner:
+            runner.run_cells(_grid_cells()[:1])
+            assert runner.last_plane["plane"] == "serial"
+            assert runner._pool is None
+
+
 class TestWorkloadCacheLRU:
     @pytest.fixture(autouse=True)
     def _isolate_cache(self):
@@ -153,3 +231,29 @@ class TestWorkloadCacheLRU:
         second = _cell_graph(self._cell(12, 5))
         assert first is second
         assert len(_GRAPH_CACHE) == 1
+
+    def test_unpicklable_factory_skips_the_cache(self):
+        cell = SweepCell(
+            experiment="lru",
+            algorithm_factory=_naive_algorithm,
+            graph_factory=lambda seed: _gnp_workload(10, seed),
+            seed=4,
+        )
+        first = _cell_graph(cell)
+        second = _cell_graph(cell)
+        assert first == second
+        assert first is not second
+        assert len(_GRAPH_CACHE) == 0
+
+    def test_mutated_cached_graph_is_rebuilt(self):
+        cell = self._cell(12, 6)
+        cached = _cell_graph(cell)
+        u, v = next(
+            (u, v) for u in range(12) for v in range(u + 1, 12)
+            if not cached.has_edge(u, v)
+        )
+        cached.add_edge(u, v)
+        rebuilt = _cell_graph(cell)
+        assert rebuilt is not cached
+        assert rebuilt == _gnp_workload(12, 6)
+        assert _cell_graph(cell) is rebuilt

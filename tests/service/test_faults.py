@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api.records import canonical_json
 from repro.errors import FaultError, ServiceError
 from repro.faults import (
@@ -71,6 +74,27 @@ class TestRuleValidation:
             FaultRule.from_dict(
                 {"point": "worker.execute", "action": "crash", "when": "now"}
             )
+
+
+def _injected_points():
+    """Every point name passed to ``fault_point(...)`` in the package source."""
+    call = re.compile(r"\bfault_point\(\s*\"([^\"]+)\"")
+    points = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        points.update(call.findall(path.read_text(encoding="utf-8")))
+    return points
+
+
+class TestRegistryMatchesTheCode:
+    # A registered point with no call site accepts rules that can never
+    # fire (as ``worker.attach`` would have once its code was deleted);
+    # a call site missing from the registry can never be armed.
+    @pytest.mark.parametrize("point", sorted(FAULT_POINTS))
+    def test_every_registered_point_is_injected_somewhere(self, point):
+        assert point in _injected_points()
+
+    def test_every_injection_names_a_registered_point(self):
+        assert _injected_points() <= set(FAULT_POINTS)
 
 
 class TestScheduleRoundTrip:
