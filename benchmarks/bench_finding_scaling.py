@@ -40,8 +40,8 @@ import os
 import time
 from typing import List
 
-from repro.analysis import SweepCell, SweepRunner, fit_power_law, render_scaling_table
-from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec, run_specs_to_cells
+from repro.analysis import SweepRunner, fit_power_law, render_scaling_table
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.core import finding_epsilon_asymptotic, theorem1_round_bound
 
 from _bench_utils import record_json, record_table, run_once
@@ -97,18 +97,16 @@ def _workload(num_nodes: int, _seed: int = 0):
     return _workload_spec(num_nodes).build()
 
 
-def _sweep_cells(experiment: str, algorithm: AlgorithmSpec) -> List[SweepCell]:
-    return run_specs_to_cells(
-        [
-            RunSpec(
-                algorithm=algorithm,
-                workload=_workload_spec(num_nodes),
-                seed=num_nodes,
-                experiment=experiment,
-            )
-            for num_nodes in SIZES
-        ]
-    )
+def _sweep_cells(experiment: str, algorithm: AlgorithmSpec) -> List[RunSpec]:
+    return [
+        RunSpec(
+            algorithm=algorithm,
+            workload=_workload_spec(num_nodes),
+            seed=num_nodes,
+            experiment=experiment,
+        )
+        for num_nodes in SIZES
+    ]
 
 
 def test_finding_scaling_against_theorem1_bound(benchmark):

@@ -40,8 +40,8 @@ import os
 import time
 from typing import List
 
-from repro.analysis import SweepCell, SweepRunner, fit_power_law, render_scaling_table
-from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec, run_specs_to_cells
+from repro.analysis import SweepRunner, fit_power_law, render_scaling_table
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.core import (
     finding_epsilon_asymptotic,
     listing_epsilon_asymptotic,
@@ -101,18 +101,16 @@ def _workload(num_nodes: int, _seed: int = 0):
     return _workload_spec(num_nodes).build()
 
 
-def _sweep_cells() -> List[SweepCell]:
-    return run_specs_to_cells(
-        [
-            RunSpec(
-                algorithm=LISTING_ALGORITHM,
-                workload=_workload_spec(num_nodes),
-                seed=num_nodes,
-                experiment="S-THM2",
-            )
-            for num_nodes in SIZES
-        ]
-    )
+def _sweep_cells() -> List[RunSpec]:
+    return [
+        RunSpec(
+            algorithm=LISTING_ALGORITHM,
+            workload=_workload_spec(num_nodes),
+            seed=num_nodes,
+            experiment="S-THM2",
+        )
+        for num_nodes in SIZES
+    ]
 
 
 def test_listing_scaling_against_theorem2_bound(benchmark):

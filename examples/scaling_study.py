@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import SweepRunner, fit_power_law, render_table
-from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec, run_specs_to_cells
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.core import finding_epsilon_asymptotic, listing_epsilon_asymptotic
 
 
@@ -79,7 +79,7 @@ def main() -> None:
     names = list(algorithms)
     # Stream records in cell order so each size prints as it completes
     # (this script is for interactive exploration).
-    stream = SweepRunner().iter_cells(run_specs_to_cells(runs))
+    stream = SweepRunner().iter_cells(runs)
     for num_nodes in sizes:
         cell_records = [next(stream) for _ in names]
         measured = dict(zip(names, (record.rounds for record in cell_records)))

@@ -1,35 +1,37 @@
-"""Experiment harness: run algorithm × workload sweeps and collect records.
+"""Experiment harness: run sweeps of run specs and collect records.
 
 The benchmarks and examples all need the same loop: generate a workload
-graph, run one or more algorithms on it, verify the outputs against the
-ground truth, and record the measured round counts next to the predicted
+graph, run an algorithm on it, verify the output against the ground
+truth, and record the measured round counts next to the predicted
 bounds.  This module provides that loop once, with explicit seeds so every
 record is reproducible, and simple aggregation helpers for the table
 renderers.
 
-Sweeps are expressed as grids of :class:`SweepCell`s and executed by
-:class:`SweepRunner`, which fans independent (algorithm × workload × seed)
-cells out over a :mod:`concurrent.futures` process pool.  Each cell carries
-its own explicit seed (derive per-cell seeds reproducibly with
-:meth:`SweepRunner.spawn_seeds`, built on ``np.random.SeedSequence.spawn``),
-so a parallel run produces records identical to the serial loop, in the
-same order — parallelism changes wall-clock, never results.
+A sweep cell is a :class:`repro.api.specs.RunSpec`: a registered
+algorithm, a registered workload and a seed.  :class:`SweepRunner` fans
+lists of cells out over a :mod:`concurrent.futures` process pool, and a
+fleet worker executes leased cells through the same :func:`_execute_cell`.
+Each cell carries its own explicit seed (derive per-cell seeds
+reproducibly with :meth:`SweepRunner.spawn_seeds`, built on
+``np.random.SeedSequence.spawn``), so a parallel run produces records
+identical to the serial loop, in the same order — parallelism changes
+wall-clock, never results.  Custom code joins sweeps by registering its
+algorithm or workload (``repro.api.register_algorithm`` /
+``register_workload``).
 
 Two properties keep large sweeps cheap:
 
 * the runner's process pool is **persistent** — created lazily on the
-  first parallel sweep and reused by every later ``run_*`` call on the
-  same runner (close it with :meth:`SweepRunner.close` or a ``with``
-  block), so repeated sweeps do not pay worker spawn and import costs per
-  grid, and
-* workloads are built **once per worker** — every executing process
-  (workers and the serial path alike) memoises graph construction in a
-  small cache keyed by the pickled ``(graph_factory, seed)`` cell
-  identity, so a grid that runs many algorithms over the same workloads
-  regenerates each graph at most once per process instead of once per
-  cell (and reuses its cached CSR snapshot / oracle work across
-  algorithms).  Factories must therefore be deterministic functions of
-  the seed — which the reproducibility contract already requires.
+  first parallel sweep and reused by every later sweep on the same runner
+  (close it with :meth:`SweepRunner.close` or a ``with`` block), so
+  repeated sweeps do not pay worker spawn and import costs per grid, and
+* workloads are built **once per process** — every executing process
+  (pool workers, fleet workers and the serial path alike) memoises graph
+  construction in a small cache keyed by the workload's resolved
+  generator call, so a grid that runs many algorithms over the same
+  workloads, or one pinned workload over many seeds, builds each graph at
+  most once per process instead of once per cell (and reuses its cached
+  CSR snapshot / oracle work across cells).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -59,6 +61,9 @@ from ..errors import AnalysisError
 from ..graphs.graph import Graph
 from ..graphs.triangles import count_triangles
 from .verification import VerificationReport, verify_result
+
+if TYPE_CHECKING:
+    from ..api.specs import RunSpec
 
 
 class RunnableAlgorithm(Protocol):
@@ -171,98 +176,25 @@ def run_single(
     )
 
 
-def run_repeated(
-    experiment: str,
-    algorithm_factory: Callable[[], RunnableAlgorithm],
-    graph_factory: Callable[[int], Graph],
-    seeds: Sequence[int],
-    extra: Optional[Dict[str, Any]] = None,
-) -> List[ExperimentRecord]:
-    """Run an algorithm over several seeds, regenerating the workload per seed.
-
-    ``graph_factory`` receives the seed so workloads can be resampled (as the
-    lower-bound experiments over ``G(n, 1/2)`` require) or held fixed (by
-    ignoring the argument).
-    """
-    if not seeds:
-        raise AnalysisError("run_repeated needs at least one seed")
-    records = []
-    for seed in seeds:
-        graph = graph_factory(seed)
-        records.append(
-            run_single(experiment, algorithm_factory(), graph, seed, extra=extra)
-        )
-    return records
-
-
-def run_size_sweep(
-    experiment: str,
-    algorithm_factory: Callable[[], RunnableAlgorithm],
-    graph_factory: Callable[[int, int], Graph],
-    sizes: Sequence[int],
-    seeds_per_size: int = 1,
-    base_seed: int = 0,
-) -> List[ExperimentRecord]:
-    """Sweep the network size ``n`` and collect one record per (size, seed).
-
-    ``graph_factory(num_nodes, seed)`` builds the workload at each size.
-    """
-    if not sizes:
-        raise AnalysisError("run_size_sweep needs at least one size")
-    if seeds_per_size < 1:
-        raise AnalysisError("seeds_per_size must be at least 1")
-    records: List[ExperimentRecord] = []
-    for size_index, size in enumerate(sizes):
-        for repeat in range(seeds_per_size):
-            seed = base_seed + 1000 * size_index + repeat
-            graph = graph_factory(size, seed)
-            records.append(
-                run_single(experiment, algorithm_factory(), graph, seed)
-            )
-    return records
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One independent (algorithm × workload × seed) unit of a sweep.
-
-    Cells are executed in worker processes, so the two factories must be
-    picklable: module-level callables or :func:`functools.partial` objects
-    over module-level callables (lambdas and closures are not).
-    """
-
-    experiment: str
-    algorithm_factory: Callable[[], RunnableAlgorithm]
-    graph_factory: Callable[[int], Graph]
-    seed: int
-    extra: Optional[Dict[str, Any]] = None
-    #: Optional content-addressable identity of this cell (duck-typed to
-    #: avoid an analysis → api import cycle: anything with a
-    #: ``content_hash()`` — in practice :class:`repro.api.specs.RunSpec`).
-    #: Cells carrying one can be served from (and recorded into) a
-    #: :class:`repro.api.store.ResultCache` by :meth:`SweepRunner.iter_cells`.
-    run_spec: Optional[Any] = None
-
-
 def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     """Finalizer target: release a dropped runner's worker processes."""
     pool.shutdown(wait=False)
 
 
-#: Per-process workload cache: pickled (graph_factory, seed) ->
-#: (Graph, num_nodes, num_edges).  Bounded LRU so long multi-workload
-#: sweeps cannot hoard memory.
-_GRAPH_CACHE: "OrderedDict[bytes, tuple]" = OrderedDict()
+#: Per-process workload cache: resolved generator call (see
+#: ``WorkloadSpec.build_key``) -> (Graph, num_nodes, num_edges).  Bounded
+#: LRU so long multi-workload sweeps cannot hoard memory.
+_GRAPH_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
 _GRAPH_CACHE_MAX_ENTRIES = 8
 
 
-def _cell_graph(cell: SweepCell) -> Graph:
+def _cell_graph(spec: "RunSpec") -> Graph:
     """Build (or fetch from this process's cache) the cell's workload graph.
 
-    The cache key is the pickled ``(graph_factory, seed)`` pair — the same
-    bytes the pool ships to workers, so two cells share a graph exactly
-    when a worker would deterministically rebuild the same one.
-    Unpicklable factories (lambdas on the serial path) skip the cache.
+    The cache key is the workload's resolved generator call: its name and
+    parameters with the effective seed.  A pinned ``seed`` parameter wins
+    over the cell seed, and a generator that takes no seed gets none, so
+    cells of such a workload share one graph whatever their seeds.
 
     Sharing one object presumes cells treat their workload as read-only —
     every algorithm in this repository does, and the serial-equals-parallel
@@ -271,10 +203,7 @@ def _cell_graph(cell: SweepCell) -> Graph:
     a cheap tripwire, a cached graph whose size no longer matches its
     construction-time shape is discarded and rebuilt.
     """
-    try:
-        key = pickle.dumps((cell.graph_factory, cell.seed), protocol=4)
-    except Exception:
-        return cell.graph_factory(cell.seed)
+    key = spec.workload.build_key(spec.seed)
     entry = _GRAPH_CACHE.get(key)
     if entry is not None:
         graph, num_nodes, num_edges = entry
@@ -282,48 +211,23 @@ def _cell_graph(cell: SweepCell) -> Graph:
             _GRAPH_CACHE.move_to_end(key)
             return graph
         del _GRAPH_CACHE[key]
-    graph = cell.graph_factory(cell.seed)
+    graph = spec.workload.build(seed=spec.seed)
     _GRAPH_CACHE[key] = (graph, graph.num_nodes, graph.num_edges)
     while len(_GRAPH_CACHE) > _GRAPH_CACHE_MAX_ENTRIES:
         _GRAPH_CACHE.popitem(last=False)
     return graph
 
 
-def _execute_cell(cell: SweepCell) -> ExperimentRecord:
-    """Run one cell (the worker entry point; top-level for picklability)."""
-    graph = _cell_graph(cell)
-    return run_single(
-        cell.experiment,
-        cell.algorithm_factory(),
-        graph,
-        cell.seed,
-        extra=cell.extra,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PrebuiltGraphFactory:
-    """Picklable ``seed -> Graph`` factory closing over a built graph.
-
-    The escape hatch for workloads that are not regenerable from a seed —
-    real-world graphs loaded from disk, hand-constructed gadgets.  A
-    parallel sweep pickles the *whole graph* into every cell that carries
-    one; each worker still builds its oracle once, through the
-    per-process workload cache.  The seed argument is ignored: the
-    workload is the same graph for every cell.
-
-    Equality is identity: two factories are interchangeable exactly when
-    they wrap the same object.
-    """
-
-    graph: Graph
-
-    def __call__(self, seed: int) -> Graph:
-        return self.graph
+def _execute_cell(spec: "RunSpec") -> ExperimentRecord:
+    """Run one cell (the pool and fleet worker entry point)."""
+    graph = _cell_graph(spec)
+    return run_single(spec.experiment, spec.algorithm.build(), graph, spec.seed)
 
 
 class SweepRunner:
-    """Schedule experiment sweeps, serially or over a process pool.
+    """Execute sweep cells, serially or over a process pool.
+
+    A cell is a :class:`repro.api.specs.RunSpec`.
 
     Parameters
     ----------
@@ -333,25 +237,22 @@ class SweepRunner:
         the cells out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
     The pool is created lazily on the first parallel sweep and **persists**
-    across ``run_*`` calls on the same runner; use the runner as a context
-    manager (or call :meth:`close`) to shut it down deterministically.
-    Workers memoise workload construction per process (see
-    :func:`_cell_graph`), so grids that revisit the same (workload, seed)
-    cells — e.g. several algorithms over one workload list via
-    :meth:`run_grid` — rebuild each graph at most once per worker.
-
-    A parallel sweep pickles each cell, factories included, to its worker,
-    which builds the workload through that per-process cache.
+    across sweeps on the same runner; use the runner as a context manager
+    (or call :meth:`close`) to shut it down deterministically.  A parallel
+    sweep pickles each run spec to its worker, which builds the workload
+    through its per-process cache (see :func:`_cell_graph`), so cells that
+    share a workload — several algorithms over one seed, or any seeds of a
+    pinned or seedless workload — build it at most once per worker.
 
     Because every cell carries its own explicit seed and cells share no
     state, the parallel path reproduces the serial path exactly: same
     records, same order.  The acceptance test pickles both record lists and
     compares the bytes.
 
-    After every ``iter_cells``/``run_*`` call, :attr:`last_plane` holds a
-    small diagnostics dict: the plane used (``"serial"`` or ``"pickle"``),
-    cells served from cache, cells executed, and the average pickled bytes
-    per shipped cell.
+    After every ``iter_cells``/``run_cells`` call, :attr:`last_plane` holds
+    a small diagnostics dict: the plane used (``"serial"`` or
+    ``"pickle"``), cells served from cache, cells executed, and the average
+    pickled bytes per shipped cell.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -409,40 +310,17 @@ class SweepRunner:
         function of ``(base_seed, count)`` — the same base always yields the
         same cell seeds, regardless of worker scheduling.
         """
+        if base_seed < 0:
+            raise AnalysisError(
+                f"base seed must be non-negative, got {base_seed}"
+            )
         if count < 0:
             raise AnalysisError(f"count must be non-negative, got {count}")
         children = np.random.SeedSequence(base_seed).spawn(count)
         return [int(child.generate_state(1, dtype=np.uint64)[0] >> 1) for child in children]
 
-    @staticmethod
-    def _require_picklable(cells: Sequence[SweepCell]) -> int:
-        """Check every cell pickles before any of them reach the pool.
-
-        The process pool pickles cells lazily, task by task, so an
-        unpicklable factory (a lambda, a closure) would otherwise surface
-        as a raw pickle traceback from inside the executor after part of
-        the sweep has already run.  Failing eagerly names the offending
-        cell instead.  Returns the total pickled size in bytes, the
-        per-cell transport cost :attr:`last_plane` reports.
-        """
-        total_bytes = 0
-        for index, cell in enumerate(cells):
-            try:
-                total_bytes += len(pickle.dumps(cell, protocol=4))
-            except Exception as exc:
-                raise AnalysisError(
-                    f"sweep cell {index} (experiment={cell.experiment!r}, "
-                    f"seed={cell.seed}) is not picklable for the process "
-                    f"pool: {exc}.  Cell factories must be module-level "
-                    "callables or functools.partial objects over "
-                    "module-level callables (lambdas and closures are "
-                    "not); alternatively run the sweep serially "
-                    "(max_workers=None)."
-                ) from exc
-        return total_bytes
-
     def iter_cells(
-        self, cells: Sequence[SweepCell], cache: Optional[Any] = None
+        self, cells: Sequence["RunSpec"], cache: Optional[Any] = None
     ) -> "Iterator[ExperimentRecord]":
         """Yield the records of ``cells`` in cell order as they complete.
 
@@ -454,20 +332,17 @@ class SweepRunner:
 
         ``cache`` is an optional content-addressed record cache (anything
         with the ``get(run_spec)`` / ``put(run_spec, record)`` interface of
-        :class:`repro.api.store.ResultCache`).  Cells carrying a
-        ``run_spec`` are looked up *before* any workload is built or any
-        worker is touched — a fully cached sweep executes nothing — and
-        every freshly executed record of such a cell is written back.
-        Cache hits are yielded in cell order, interleaved with executed
-        records, so consumers cannot tell the difference.
+        :class:`repro.api.store.ResultCache`).  Every cell is looked up
+        *before* any workload is built or any worker is touched — a fully
+        cached sweep executes nothing — and every freshly executed record
+        is written back.  Cache hits are yielded in cell order, interleaved
+        with executed records, so consumers cannot tell the difference.
         """
         cells = list(cells)
         hits: Dict[int, ExperimentRecord] = {}
         if cache is not None:
             for index, cell in enumerate(cells):
-                if cell.run_spec is None:
-                    continue
-                record = cache.get(cell.run_spec)
+                record = cache.get(cell)
                 if record is not None:
                     hits[index] = record
         pending = [index for index in range(len(cells)) if index not in hits]
@@ -481,8 +356,8 @@ class SweepRunner:
         self.last_plane = info
 
         def finish(index: int, record: ExperimentRecord) -> ExperimentRecord:
-            if cache is not None and cells[index].run_spec is not None:
-                cache.put(cells[index].run_spec, record)
+            if cache is not None:
+                cache.put(cells[index], record)
             return record
 
         if not self.parallel or len(pending) < 2:
@@ -495,8 +370,9 @@ class SweepRunner:
 
         exec_cells = [cells[index] for index in pending]
         info["plane"] = "pickle"
-        total_bytes = self._require_picklable(exec_cells)
-        info["pickled_bytes_per_cell"] = total_bytes / len(exec_cells)
+        info["pickled_bytes_per_cell"] = sum(
+            len(pickle.dumps(cell, protocol=4)) for cell in exec_cells
+        ) / len(exec_cells)
         pool = self._executor()
         try:
             results = iter(pool.map(_execute_cell, exec_cells, chunksize=1))
@@ -515,123 +391,10 @@ class SweepRunner:
             raise
 
     def run_cells(
-        self, cells: Sequence[SweepCell], cache: Optional[Any] = None
+        self, cells: Sequence["RunSpec"], cache: Optional[Any] = None
     ) -> List[ExperimentRecord]:
         """Execute ``cells`` and return their records in cell order."""
         return list(self.iter_cells(cells, cache=cache))
-
-    def run_grid(
-        self,
-        experiment: str,
-        algorithm_factories: Mapping[str, Callable[[], RunnableAlgorithm]],
-        graph_factory: Callable[[int], Graph],
-        seeds: Sequence[int],
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, List[ExperimentRecord]]:
-        """Run several algorithms over one (workload × seed) grid.
-
-        Cells are ordered workload-major (all algorithms of a seed
-        adjacent), so the per-process workload cache turns the grid's
-        ``algorithms × seeds`` graph constructions into one per seed per
-        process — the whole point of sharing workloads across algorithms.
-        Records come back grouped by algorithm label, in seed order,
-        identical to running each algorithm's sweep separately.
-        """
-        if not seeds:
-            raise AnalysisError("run_grid needs at least one seed")
-        if not algorithm_factories:
-            raise AnalysisError("run_grid needs at least one algorithm")
-        labels = list(algorithm_factories)
-        cells = [
-            SweepCell(
-                experiment=experiment,
-                algorithm_factory=algorithm_factories[label],
-                graph_factory=graph_factory,
-                seed=seed,
-                extra=dict(extra) if extra else None,
-            )
-            for seed in seeds
-            for label in labels
-        ]
-        records = self.run_cells(cells)
-        grouped: Dict[str, List[ExperimentRecord]] = {label: [] for label in labels}
-        for index, record in enumerate(records):
-            grouped[labels[index % len(labels)]].append(record)
-        return grouped
-
-    def run_repeated(
-        self,
-        experiment: str,
-        algorithm_factory: Callable[[], RunnableAlgorithm],
-        graph_factory: Callable[[int], Graph],
-        seeds: Sequence[int],
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> List[ExperimentRecord]:
-        """Parallel counterpart of :func:`run_repeated` (same record grid)."""
-        if not seeds:
-            raise AnalysisError("run_repeated needs at least one seed")
-        cells = [
-            SweepCell(
-                experiment=experiment,
-                algorithm_factory=algorithm_factory,
-                graph_factory=graph_factory,
-                seed=seed,
-                extra=dict(extra) if extra else None,
-            )
-            for seed in seeds
-        ]
-        return self.run_cells(cells)
-
-    def run_size_sweep(
-        self,
-        experiment: str,
-        algorithm_factory: Callable[[], RunnableAlgorithm],
-        graph_factory: Callable[[int, int], Graph],
-        sizes: Sequence[int],
-        seeds_per_size: int = 1,
-        base_seed: int = 0,
-    ) -> List[ExperimentRecord]:
-        """Size sweep over the same (size × repeat) grid as :func:`run_size_sweep`.
-
-        Per-cell seeds are derived with :meth:`spawn_seeds` (one child per
-        (size, repeat) cell, in grid order), so the sweep is reproducible
-        from ``base_seed`` alone and identical under any worker count.
-        Note this is a deliberately *different* seeding scheme from the
-        module-level helper's ``base_seed + 1000 * size_index + repeat``
-        arithmetic — for the same ``base_seed`` the two produce different
-        (equally valid) records.  Migrating an existing experiment to the
-        runner restarts its seed lineage; within the runner, serial and
-        parallel executions are byte-identical.
-        """
-        if not sizes:
-            raise AnalysisError("run_size_sweep needs at least one size")
-        if seeds_per_size < 1:
-            raise AnalysisError("seeds_per_size must be at least 1")
-        seeds = self.spawn_seeds(base_seed, len(sizes) * seeds_per_size)
-        cells = []
-        for size_index, size in enumerate(sizes):
-            for repeat in range(seeds_per_size):
-                seed = seeds[size_index * seeds_per_size + repeat]
-                cells.append(
-                    SweepCell(
-                        experiment=experiment,
-                        algorithm_factory=algorithm_factory,
-                        graph_factory=_SizedGraphFactory(graph_factory, size),
-                        seed=seed,
-                    )
-                )
-        return self.run_cells(cells)
-
-
-@dataclass(frozen=True)
-class _SizedGraphFactory:
-    """Picklable adapter binding a ``(size, seed)`` factory to one size."""
-
-    factory: Callable[[int, int], Graph]
-    num_nodes: int
-
-    def __call__(self, seed: int) -> Graph:
-        return self.factory(self.num_nodes, seed)
 
 
 def mean_rounds_by_size(records: Iterable[ExperimentRecord]) -> Dict[int, float]:

@@ -63,14 +63,11 @@ from .queries import (
 )
 from .specs import (
     SPEC_SCHEMA_VERSION,
-    AlgorithmFactory,
     AlgorithmSpec,
     RunSpec,
     SweepSpec,
-    WorkloadFactory,
     WorkloadSpec,
     load_spec,
-    run_specs_to_cells,
 )
 from .store import (
     RecordStore,
@@ -108,14 +105,11 @@ __all__ = [
     "get_query_kind",
     "list_query_kinds",
     "SPEC_SCHEMA_VERSION",
-    "AlgorithmFactory",
     "AlgorithmSpec",
     "RunSpec",
     "SweepSpec",
-    "WorkloadFactory",
     "WorkloadSpec",
     "load_spec",
-    "run_specs_to_cells",
     "RecordStore",
     "ResultCache",
     "StoredSweep",

@@ -189,22 +189,32 @@ class WorkloadEntry:
         """Raise :class:`AnalysisError` for unknown/missing parameters."""
         _check_params("workload", self.name, self.parameters, params)
 
-    def build(
+    def resolve(
         self,
         params: Optional[Mapping[str, Any]] = None,
         seed: Optional[int] = None,
-    ) -> Any:
-        """Build the workload graph.
+    ) -> Dict[str, Any]:
+        """Return the validated keyword arguments :meth:`build` calls with.
 
         ``seed`` is the per-run seed supplied by the harness; a ``seed``
         pinned inside ``params`` takes precedence (that is how a sweep
-        holds a workload fixed while resampling the algorithm's coins).
+        holds a workload fixed while resampling the algorithm's coins),
+        and a generator without a ``seed`` parameter never receives one.
+        Two runs whose resolved calls are equal build the same graph.
         """
         kwargs = dict(params or {})
         if self.takes_seed and seed is not None and "seed" not in kwargs:
             kwargs["seed"] = seed
         self.validate_params(kwargs)
-        built = self.factory(**kwargs)
+        return kwargs
+
+    def build(
+        self,
+        params: Optional[Mapping[str, Any]] = None,
+        seed: Optional[int] = None,
+    ) -> Any:
+        """Build the workload graph from the call :meth:`resolve` returns."""
+        built = self.factory(**self.resolve(params, seed))
         return built[0] if self.returns_tuple else built
 
     def describe(self) -> Dict[str, Any]:

@@ -11,9 +11,15 @@ construction, identical to wiring the same constructors up by hand:
   parameters (pin ``seed`` in the parameters to hold the workload fixed
   across a sweep; leave it out to resample the workload from each cell's
   seed),
-* :class:`RunSpec` — one (algorithm, workload, seed) execution,
+* :class:`RunSpec` — one (algorithm, workload, seed) execution, and
+  the one form a sweep cell takes: :class:`repro.analysis.SweepRunner`
+  executes lists of run specs and a fleet lease carries one,
 * :class:`SweepSpec` — an (algorithms × seeds) grid over one workload,
-  which feeds :meth:`repro.analysis.SweepRunner.run_grid` unchanged.
+  whose :meth:`SweepSpec.cells` are its run specs in execution order.
+
+Custom algorithms and workloads join sweeps by name, through
+:func:`repro.api.register_algorithm` and
+:func:`repro.api.register_workload`.
 
 Documents are versioned (``"schema": 1``) so stored specs stay readable
 as the format evolves.  All parameter values must be JSON scalars,
@@ -29,12 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.experiments import (
-    ExperimentRecord,
-    SweepCell,
-    SweepRunner,
-    run_single,
-)
+from ..analysis.experiments import ExperimentRecord, SweepRunner, run_single
 from ..errors import AnalysisError
 from .records import canonical_json
 from .registry import AlgorithmEntry, WorkloadEntry, get_algorithm, get_workload
@@ -45,9 +46,6 @@ __all__ = [
     "WorkloadSpec",
     "RunSpec",
     "SweepSpec",
-    "AlgorithmFactory",
-    "WorkloadFactory",
-    "run_specs_to_cells",
     "load_spec",
 ]
 
@@ -90,6 +88,23 @@ def _canonical_params(params: Optional[Mapping[str, Any]], where: str) -> Dict[s
     if params is None:
         return {}
     return {key: _canonical_value(value, where) for key, value in dict(params).items()}
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_non_negative(seed: int, where: str, context: str = "") -> None:
+    """Reject a negative seed where the spec is built.
+
+    numpy's generators reject negative seeds only when a cell runs, so a
+    sweep holding one would stop partway and leave a store that can never
+    complete; refusing it here fails the spec before any cell executes.
+    """
+    if seed < 0:
+        raise AnalysisError(
+            f"{where} must be non-negative, got {seed!r}{context}"
+        )
 
 
 def _require_mapping(payload: Any, where: str) -> Mapping[str, Any]:
@@ -200,9 +215,19 @@ class WorkloadSpec:
         """Build the workload graph (``seed`` is the per-run harness seed)."""
         return self.entry().build(self.params, seed=seed)
 
-    def factory(self) -> "WorkloadFactory":
-        """Return the picklable ``seed -> Graph`` factory for sweep cells."""
-        return WorkloadFactory(self)
+    def build_key(self, seed: Optional[int] = None) -> str:
+        """Return the identity of the generator call :meth:`build` makes.
+
+        The canonical JSON of the registered name and the resolved
+        parameters, with the effective seed: a pinned ``seed`` parameter,
+        else ``seed`` when the generator takes one, else none.  Two specs
+        and seeds with equal keys build equal graphs, so the sweep's
+        per-process workload cache shares one graph between them.
+        """
+        entry = self.entry()
+        return canonical_json(
+            {"name": entry.name, "params": entry.resolve(self.params, seed=seed)}
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-ready document form."""
@@ -223,39 +248,25 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class AlgorithmFactory:
-    """Picklable zero-argument factory over an :class:`AlgorithmSpec`.
-
-    This is what sweep cells carry into worker processes: building from
-    the spec in the worker avoids shipping (and sharing) algorithm
-    instances, and two cells with the same spec pickle to the same bytes
-    — which is the workload-cache identity the sweep scheduler keys on.
-    """
-
-    spec: AlgorithmSpec
-
-    def __call__(self) -> Any:
-        return self.spec.build()
-
-
-@dataclass(frozen=True)
-class WorkloadFactory:
-    """Picklable ``seed -> Graph`` factory over a :class:`WorkloadSpec`."""
-
-    spec: WorkloadSpec
-
-    def __call__(self, seed: Optional[int] = None) -> Any:
-        return self.spec.build(seed=seed)
-
-
-@dataclass(frozen=True)
 class RunSpec:
-    """One (algorithm, workload, seed) execution, as a JSON document."""
+    """One (algorithm, workload, seed) execution, as a JSON document.
+
+    A run spec is also a sweep cell: :meth:`repro.analysis.SweepRunner.run_cells`
+    executes lists of them, serially or pickled to pool workers, and a
+    fleet lease carries one as its ``run`` document.
+    """
 
     algorithm: AlgorithmSpec
     workload: WorkloadSpec
     seed: int = 0
     experiment: str = "run"
+
+    def __post_init__(self) -> None:
+        if not _is_integer(self.seed):
+            raise AnalysisError(
+                f"run spec seed must be an integer, got {self.seed!r}"
+            )
+        _require_non_negative(self.seed, "run spec seed")
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-ready document form (versioned)."""
@@ -279,13 +290,10 @@ class RunSpec:
         missing = {"algorithm", "workload"} - set(payload)
         if missing:
             raise AnalysisError(f"run spec is missing {sorted(missing)}")
-        seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise AnalysisError(f"run spec seed must be an integer, got {seed!r}")
         return cls(
             algorithm=AlgorithmSpec.from_dict(payload["algorithm"]),
             workload=WorkloadSpec.from_dict(payload["workload"]),
-            seed=seed,
+            seed=payload.get("seed", 0),
             experiment=str(payload.get("experiment", "run")),
         )
 
@@ -309,20 +317,6 @@ class RunSpec:
         digest = hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8"))
         return digest.hexdigest()
 
-    def cell(self) -> SweepCell:
-        """Return the equivalent :class:`~repro.analysis.SweepCell`.
-
-        The cell carries this spec as its ``run_spec`` so cache-aware
-        sweeps can serve or record it by content hash.
-        """
-        return SweepCell(
-            experiment=self.experiment,
-            algorithm_factory=AlgorithmFactory(self.algorithm),
-            graph_factory=self.workload.factory(),
-            seed=self.seed,
-            run_spec=self,
-        )
-
     def run_raw(self) -> Any:
         """Build and run, returning the algorithm's native result object."""
         graph = self.workload.build(seed=self.seed)
@@ -332,7 +326,8 @@ class RunSpec:
         """Run and return the verified :class:`ExperimentRecord`.
 
         Only sweepable algorithms produce experiment records; for the
-        counting extension use :meth:`run_raw`.
+        counting extension use :meth:`run_raw`.  The workload is built
+        afresh, bypassing the sweep's per-process workload cache.
         """
         entry = self.algorithm.entry()
         if not entry.sweepable:
@@ -344,22 +339,13 @@ class RunSpec:
         return run_single(self.experiment, self.algorithm.build(), graph, self.seed)
 
 
-def run_specs_to_cells(runs: "List[RunSpec] | Tuple[RunSpec, ...]") -> List[SweepCell]:
-    """Return the sweep cells of a list of run specs, in order.
-
-    The declarative counterpart of building :class:`SweepCell` lists by
-    hand — the scaling benchmarks express their per-size grids this way.
-    """
-    return [run.cell() for run in runs]
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """An (algorithms × seeds) grid over one workload, as a JSON document.
 
-    The grid is exactly what :meth:`repro.analysis.SweepRunner.run_grid`
-    executes: cells are ordered workload-major (all algorithms of a seed
-    adjacent) so the per-process workload cache builds each graph once.
+    Its cells are run specs ordered workload-major (all algorithms of a
+    seed adjacent), so the per-process workload cache builds each graph
+    once.
     """
 
     experiment: str
@@ -369,13 +355,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         for seed in self.seeds:
-            if not isinstance(seed, int) or isinstance(seed, bool):
+            if not _is_integer(seed):
                 raise AnalysisError(
                     f"sweep seeds must be integers, got {seed!r} in "
-                    f"{tuple(self.seeds)!r}"
+                    f"{self.seeds!r}"
                 )
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+            _require_non_negative(seed, "sweep seeds", f" in {self.seeds!r}")
         if not self.algorithms:
             raise AnalysisError("a sweep spec needs at least one algorithm")
         if not self.seeds:
@@ -413,22 +400,11 @@ class SweepSpec:
         """Return the algorithm labels, in spec order."""
         return [algorithm.display_label for algorithm in self.algorithms]
 
-    def algorithm_factories(self) -> Dict[str, AlgorithmFactory]:
-        """Return the label -> factory mapping ``run_grid`` consumes."""
-        return {
-            algorithm.display_label: AlgorithmFactory(algorithm)
-            for algorithm in self.algorithms
-        }
+    def cells(self) -> List[RunSpec]:
+        """Return the grid's cells as run specs, workload-major.
 
-    def graph_factory(self) -> WorkloadFactory:
-        """Return the shared workload factory ``run_grid`` consumes."""
-        return self.workload.factory()
-
-    def run_specs(self) -> List[RunSpec]:
-        """Return the grid's cells as run specs, aligned with :meth:`cells`.
-
-        Each cell of the grid has a standalone :class:`RunSpec` identity;
-        its :meth:`RunSpec.content_hash` is what the result cache keys the
+        Each cell has a standalone :class:`RunSpec` identity; its
+        :meth:`RunSpec.content_hash` is what the result cache keys the
         cell's record under, independent of which sweep executed it.
         """
         return [
@@ -441,10 +417,6 @@ class SweepSpec:
             for seed in self.seeds
             for algorithm in self.algorithms
         ]
-
-    def cells(self) -> List[SweepCell]:
-        """Return the grid's cells in ``run_grid`` order (workload-major)."""
-        return [run.cell() for run in self.run_specs()]
 
     def cell_labels(self) -> List[str]:
         """Return the algorithm label of each cell, aligned with :meth:`cells`."""
@@ -464,15 +436,20 @@ class SweepSpec:
     def run(
         self, runner: Optional[SweepRunner] = None
     ) -> Dict[str, List[ExperimentRecord]]:
-        """Execute the grid via :meth:`SweepRunner.run_grid`, unchanged."""
+        """Execute the grid and return its records grouped by label.
+
+        Each label's records come in seed order, identical to sweeping
+        that algorithm alone; ``runner`` defaults to a serial one.
+        """
         self.require_sweepable()
         runner = runner if runner is not None else SweepRunner()
-        return runner.run_grid(
-            self.experiment,
-            self.algorithm_factories(),
-            self.graph_factory(),
-            self.seeds,
-        )
+        grouped: Dict[str, List[ExperimentRecord]] = {
+            label: [] for label in self.labels()
+        }
+        records = runner.run_cells(self.cells())
+        for label, record in zip(self.cell_labels(), records):
+            grouped[label].append(record)
+        return grouped
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-ready document form (versioned)."""

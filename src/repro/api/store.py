@@ -328,7 +328,7 @@ class StoredSweep:
     def records_by_label(self) -> Dict[str, List[ExperimentRecord]]:
         """Return records grouped by algorithm label, in cell order.
 
-        Matches :meth:`repro.analysis.SweepRunner.run_grid` output for a
+        Matches :meth:`repro.api.specs.SweepSpec.run` output for a
         complete sweep.
         """
         grouped: Dict[str, List[ExperimentRecord]] = {

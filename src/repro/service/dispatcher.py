@@ -32,9 +32,9 @@ exactly as a serial ``run_sweep`` would have left it.
 
 A lease carries only its cell's run spec.  Each worker rebuilds the
 workload itself and memoises it in its per-process workload cache
-(:func:`repro.analysis.experiments._cell_graph`), so a warm worker
-builds each distinct (workload, seed) once across all the jobs it
-serves.
+(:func:`repro.analysis.experiments._cell_graph`, keyed on the
+workload's resolved generator call), so a warm worker builds each
+distinct workload once across all the jobs it serves.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class _Job:
         self.spec = spec
         self.writer = writer
         self.cache = cache
-        self.runs: List[RunSpec] = spec.run_specs()
+        self.runs: List[RunSpec] = spec.cells()
         self.labels: List[str] = spec.cell_labels()
         self.table = CellLeaseTable(
             total=len(self.runs), clock=clock, max_attempts=max_cell_attempts

@@ -10,7 +10,7 @@ Warmth is the point.  The process persists across cells, jobs and whole
 sweeps, so everything expensive happens once per worker instead of once
 per sweep:
 
-* every lease goes through the same
+* every lease's run spec goes through the same
   :func:`~repro.analysis.experiments._execute_cell` path (and the same
   per-process workload cache) the process-pool sweep uses, so repeated
   workloads are rebuilt at most once per worker *lifetime*, not per
@@ -71,7 +71,7 @@ def preload_modules(modules: Iterable[str]) -> None:
 
 def execute_lease(frame: Dict[str, Any]) -> ExperimentRecord:
     """Execute one lease frame's cell and return its record."""
-    return _execute_cell(RunSpec.from_dict(frame["run"]).cell())
+    return _execute_cell(RunSpec.from_dict(frame["run"]))
 
 
 class _Heartbeat(threading.Thread):

@@ -197,6 +197,21 @@ class TestSweep:
         # No header-only store is left behind to block the next run.
         assert not out_file.exists()
 
+    def test_sweep_rejects_negative_seeds_before_writing(self, capsys, tmp_path):
+        # numpy refuses a negative seed only when its cell runs, which
+        # would leave a store holding a prefix that can never complete.
+        payload = json.loads(_sweep_spec_file(tmp_path).read_text(encoding="utf-8"))
+        payload["seeds"] = [1, -2, 3]
+        spec_path = tmp_path / "negative.json"
+        spec_path.write_text(json.dumps(payload), encoding="utf-8")
+        out_file = tmp_path / "records.jsonl"
+        code, _, err = _run(
+            capsys, "sweep", str(spec_path), "--out", str(out_file)
+        )
+        assert code == 2
+        assert "non-negative, got -2" in err
+        assert not out_file.exists()
+
     def test_help_lists_no_transport_option(self, capsys, tmp_path):
         # The workload transport is chosen by rule; `--plane` is gone and
         # an old command line that still passes it is refused.

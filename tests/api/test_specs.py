@@ -15,7 +15,6 @@ from repro.api import (
     WorkloadSpec,
     list_algorithms,
     load_spec,
-    run_specs_to_cells,
 )
 from repro.analysis import SweepRunner
 from repro.core import (
@@ -258,9 +257,13 @@ class TestSweepSpec:
         spec = self._spec()
         cells = spec.cells()
         assert len(cells) == 4
+        assert all(isinstance(cell, RunSpec) for cell in cells)
         assert [cell.seed for cell in cells] == [1, 1, 2, 2]
+        assert [cell.algorithm for cell in cells] == list(spec.algorithms) * 2
         for cell in cells:
-            pickle.dumps(cell)
+            assert cell.workload == spec.workload
+            assert cell.experiment == spec.experiment
+            assert pickle.loads(pickle.dumps(cell)) == cell
         assert spec.cell_labels() == [
             "theorem2-listing",
             "naive-two-hop",
@@ -268,17 +271,14 @@ class TestSweepSpec:
             "naive-two-hop",
         ]
 
-    def test_run_feeds_run_grid_unchanged(self):
+    def test_run_groups_cell_records_by_label(self):
         spec = self._spec()
         via_spec = spec.run()
-        with SweepRunner() as runner:
-            direct = runner.run_grid(
-                spec.experiment,
-                spec.algorithm_factories(),
-                spec.graph_factory(),
-                spec.seeds,
-            )
+        direct = {label: [] for label in spec.labels()}
+        for label, cell in zip(spec.cell_labels(), spec.cells()):
+            direct[label].append(cell.run())
         assert via_spec == direct
+        assert list(via_spec) == spec.labels()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(AnalysisError, match="distinct"):
@@ -328,17 +328,35 @@ class TestSweepSpec:
         )
         assert list(spec.seeds) == SweepRunner.spawn_seeds(42, 3)
 
-    def test_run_specs_to_cells_orders_cells(self):
-        runs = [
+    def test_negative_seeds_rejected_where_the_spec_is_built(self):
+        with pytest.raises(AnalysisError, match=r"non-negative, got -2 in \(1, -2, 3\)"):
+            SweepSpec(
+                experiment="e",
+                algorithms=(AlgorithmSpec("naive-two-hop"),),
+                workload=WorkloadSpec("cycle", {"num_nodes": 4}),
+                seeds=(1, -2, 3),
+            )
+        with pytest.raises(AnalysisError, match="base seed must be non-negative, got -1"):
+            SweepSpec.with_spawned_seeds(
+                "e",
+                [AlgorithmSpec("naive-two-hop")],
+                WorkloadSpec("cycle", {"num_nodes": 4}),
+                base_seed=-1,
+                num_seeds=2,
+            )
+        with pytest.raises(AnalysisError, match="run spec seed must be non-negative, got -7"):
             RunSpec(
                 algorithm=AlgorithmSpec("naive-two-hop"),
-                workload=WorkloadSpec("cycle", {"num_nodes": n}),
-                seed=n,
+                workload=WorkloadSpec("cycle", {"num_nodes": 4}),
+                seed=-7,
             )
-            for n in (4, 5)
-        ]
-        cells = run_specs_to_cells(runs)
-        assert [cell.seed for cell in cells] == [4, 5]
+        payload = RunSpec(
+            algorithm=AlgorithmSpec("naive-two-hop"),
+            workload=WorkloadSpec("cycle", {"num_nodes": 4}),
+        ).to_dict()
+        payload["seed"] = -7
+        with pytest.raises(AnalysisError, match="non-negative, got -7"):
+            RunSpec.from_dict(payload)
 
 
 class TestReviewRegressions:

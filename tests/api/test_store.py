@@ -42,7 +42,7 @@ class TestRunSweep:
         assert set(grouped) == {"theorem2-listing", "naive-two-hop"}
         assert all(len(records) == 3 for records in grouped.values())
 
-    def test_stored_records_match_run_grid(self, tmp_path):
+    def test_stored_records_match_spec_run(self, tmp_path):
         spec = _spec()
         stored = run_sweep(spec, tmp_path / "records.jsonl")
         with SweepRunner() as runner:

@@ -1,9 +1,8 @@
 """Pickle round trips of graphs and CSR snapshots.
 
-Pickling is how a workload reaches a sweep worker when it is not
-regenerable from a seed (a cell carrying a ``PrebuiltGraphFactory``), so
-a copy must be the same graph, carry the oracle already computed, and
-stay as immutable as the snapshot it was taken from.
+A pickled graph or snapshot (a process-pool argument, a graph saved to
+disk) must come back as the same graph, carry the oracle already
+computed, and stay as immutable as the snapshot it was taken from.
 """
 
 import pickle

@@ -14,6 +14,7 @@ import os
 import signal
 import time
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
@@ -119,7 +120,7 @@ class TestByteIdentity:
                         },
                     )
                     assert recv_frame(sock)["type"] == "welcome"
-                    for cell, run in enumerate(spec.run_specs()):
+                    for cell, run in enumerate(spec.cells()):
                         send_frame(sock, {"type": "ready"})
                         lease = recv_frame(sock)
                         assert set(lease) == {
@@ -147,22 +148,34 @@ class TestByteIdentity:
         self, probe_spec, monkeypatch
     ):
         # What keeps a fleet worker warm: leases of different jobs and
-        # algorithms over one (workload, seed) share the worker's cached
-        # graph instead of rebuilding it.
+        # algorithms over one workload share the worker's cached graph
+        # instead of rebuilding it.  A workload that pins its seed, or
+        # takes none, is one workload across every cell seed.
         builds = []
         real_build = WorkloadSpec.build
 
         def counting_build(self, seed=None):
-            builds.append(seed)
+            builds.append((self.name, seed))
             return real_build(self, seed=seed)
 
         monkeypatch.setattr(experiments, "_GRAPH_CACHE", OrderedDict())
         monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        base = probe_spec(seeds=(1, 2, 3))
+        workloads = (
+            base.workload,
+            WorkloadSpec("gnp", {**base.workload.params, "seed": 9}),
+            WorkloadSpec("complete", {"num_nodes": 8}),
+        )
         for experiment in ("first-job", "second-job"):
-            spec = probe_spec(seeds=(1, 2), experiment=experiment)
-            for run in spec.run_specs():
-                execute_lease({"run": run.to_dict()})
-        assert sorted(builds) == [1, 2]
+            for workload in workloads:
+                spec = replace(base, experiment=experiment, workload=workload)
+                for run in spec.cells():
+                    execute_lease({"run": run.to_dict()})
+        # The pinned gnp and the complete graph are built once each, on
+        # the first cell seed that reaches them.
+        assert builds == [
+            ("gnp", 1), ("gnp", 2), ("gnp", 3), ("gnp", 1), ("complete", 1),
+        ]
 
     def test_cache_hits_skip_execution(
         self, fleet, tmp_path, probe_spec, serial_store
