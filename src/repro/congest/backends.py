@@ -1,12 +1,14 @@
 """The hot inner loops of the batched kernels, and their chunk bound.
 
 The batched phase kernels funnel their innermost array programs through
-four operations — sorted-key membership (``CSRGraph.has_edges`` on graphs
+five operations — sorted-key membership (``CSRGraph.has_edges`` on graphs
 too large or too sparse for its dense-matrix and packed-bitset paths),
 packed-row popcount reductions (the chunked triangle-matrix rows of the
-dense oracle), Horner evaluation of k-wise hash descriptors (A2), and the
-Δ(X) landmark-incidence build (A3).  Each has exactly one numpy
-implementation here, called directly from its call sites.
+dense oracle), Horner evaluation of k-wise hash descriptors (A2), the
+Δ(X) landmark-incidence build (A3), and the gather of many CSR rows end
+to end (A3's step-2 and step-4.1 staging, the dynamic overlay's rows).
+Each has exactly one numpy implementation here, called directly from its
+call sites.
 
 The module also owns the ``chunk_bytes`` knob: the bound on the working-set
 size of the streamed row blocks used by the chunked phase evaluators (dense
@@ -74,13 +76,26 @@ def hash_zero_block(
 def landmark_incidence(
     indptr: np.ndarray, indices: np.ndarray, landmarks: np.ndarray, num_nodes: int
 ) -> np.ndarray:
-    """``int64[num_nodes, len(landmarks)]``: the Δ(X) landmark-incidence
-    matrix — entry ``(v, j)`` is 1 iff vertex ``v`` is adjacent to landmark
-    ``landmarks[j]``."""
-    incidence = np.zeros((num_nodes, landmarks.shape[0]), dtype=np.int64)
+    """``bool[num_nodes, len(landmarks)]``: the Δ(X) landmark-incidence
+    matrix — entry ``(v, j)`` is set iff vertex ``v`` is adjacent to
+    landmark ``landmarks[j]``."""
+    incidence = np.zeros((num_nodes, landmarks.shape[0]), dtype=bool)
     for column, landmark in enumerate(landmarks.tolist()):
-        incidence[indices[indptr[landmark] : indptr[landmark + 1]], column] = 1
+        incidence[indices[indptr[landmark] : indptr[landmark + 1]], column] = True
     return incidence
+
+
+def gather_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] + j`` for ``j < lengths[i]``, laid end to end
+    in ``i`` order.
+
+    With ``starts = indptr[rows]`` and ``lengths = degrees[rows]``,
+    ``values[gather_spans(starts, lengths)]`` is the CSR rows ``rows``
+    concatenated (repeats allowed).
+    """
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 def edge_support_chunk(

@@ -45,7 +45,12 @@ from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
 
-from ..congest.backends import chunk_rows, landmark_incidence, validate_chunk_bytes
+from ..congest.backends import (
+    chunk_rows,
+    gather_spans,
+    landmark_incidence,
+    validate_chunk_bytes,
+)
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import (
@@ -291,67 +296,83 @@ def _run_axr_reference(
     return truncated_by_progress
 
 
-def _landmark_incidence(
-    indptr: np.ndarray, indices: np.ndarray, in_x: np.ndarray
-) -> Optional[np.ndarray]:
-    """Return ``B[v, i] = (landmark i ∈ N(v))``, or ``None`` for empty X."""
-    num_nodes = in_x.shape[0]
-    landmarks = np.flatnonzero(in_x)
-    if landmarks.shape[0] == 0:
-        return None
-    return landmark_incidence(indptr, indices, landmarks, num_nodes)
-
-
 def _make_disjointness(
-    incidence: Optional[np.ndarray], num_nodes: int, degrees: np.ndarray
-):
-    """Return ``(block, full)`` evaluators of ``D[j, l] = ({j, l} ∈ ∆(X))``.
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    landmarks: np.ndarray,
+    degrees: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Return the n×n matrix ``D[j, l] = ({j, l} ∈ ∆(X))``, or ``None``.
 
     This is the test every node evaluates from its step-2 knowledge: the
-    landmark neighbourhoods of ``j`` and ``l`` are disjoint.  With
-    ``B[v, i]`` marking landmark ``i`` adjacent to ``v``, intersection
-    sizes are ``B·Bᵀ`` products over the (small) landmark dimension — done
-    once for all pairs when the n×n precompute amortises (dense graphs),
-    or per neighbour-row block on demand (sparse ones, where most pairs
-    are never consulted).
-
-    ``block(vertices)`` returns the pair submatrix over ``vertices``;
-    ``full`` is the whole n×n matrix when the dense precompute was used
-    (consumed row-wise by the direct kernel's receiver-major step 4.1) and
-    ``None`` otherwise.
+    landmark neighbourhoods of ``j`` and ``l`` are disjoint.  A pair fails
+    it exactly when both ends neighbour a common landmark, so ``D`` is all
+    ``True`` but for one ``N(x) × N(x)`` block per landmark ``x``, cleared
+    as whole rows: Σ deg(x)·n byte operations, where an incidence product
+    ``B·Bᵀ`` costs ``n²·|X|`` multiply-adds.  The matrix is built only when
+    the n×n precompute amortises (dense graphs); on sparse ones, where
+    most pairs are never consulted, the result is ``None`` and step 4.1
+    tests each pair it gathers on packed landmark bits instead.  The
+    diagonal is ``False``: S(j, k) never holds ``j`` itself.
     """
-    if dense_pair_matrix_worthwhile(num_nodes, degrees):
-        if incidence is None:
-            disjoint = np.ones((num_nodes, num_nodes), dtype=bool)
-        else:
-            # Stream the B·Bᵀ product in bounded row blocks: the boolean
-            # result is n² bytes, but the int64 product intermediate is 8×
-            # that — chunking keeps it within the active chunk_bytes budget
-            # instead of materialising the full n×n int64 matrix.
-            disjoint = np.empty((num_nodes, num_nodes), dtype=bool)
-            transposed = incidence.T
-            row_block = chunk_rows(8 * num_nodes)
-            for start in range(0, num_nodes, row_block):
-                end = min(num_nodes, start + row_block)
-                disjoint[start:end] = (incidence[start:end] @ transposed) == 0
+    num_nodes = degrees.shape[0]
+    if not dense_pair_matrix_worthwhile(num_nodes, degrees):
+        return None
+    disjoint = np.ones((num_nodes, num_nodes), dtype=bool)
+    for landmark in landmarks.tolist():
+        row = indices[indptr[landmark] : indptr[landmark + 1]]
+        outside = np.ones(num_nodes, dtype=bool)
+        outside[row] = False
+        disjoint[row] &= outside
+    np.fill_diagonal(disjoint, False)
+    return disjoint
 
-        def block(vertices: np.ndarray) -> np.ndarray:
-            return disjoint[np.ix_(vertices, vertices)]
 
-        return block, disjoint
-    if incidence is None:
-        return (
-            lambda vertices: np.ones(
-                (vertices.shape[0], vertices.shape[0]), dtype=bool
-            ),
-            None,
-        )
+def _delta_pair_test(disjoint, indptr, indices, landmarks):
+    """``(test, element_bytes)`` for the step-4.1 gather.
 
-    def block(vertices: np.ndarray) -> np.ndarray:
-        rows = incidence[vertices]
-        return (rows @ rows.T) == 0
+    ``test(receivers, lengths, thirds)`` marks each gathered vertex ``l``
+    in ``thirds`` — the next ``lengths[e]`` of them belong to receiver
+    ``j = receivers[e]`` — with ``{j, l} ∈ ∆(X)`` and ``l ≠ j``: one
+    lookup in ``disjoint`` when it exists, else an AND plus ``any`` of
+    the two packed landmark-neighbourhood rows.  ``element_bytes`` sizes
+    the gather's chunks to the working set per gathered vertex.
+    """
+    num_nodes = indptr.shape[0] - 1
+    if disjoint is not None:
+        flat_disjoint = disjoint.ravel()
 
-    return block, None
+        def test(receivers, lengths, thirds):
+            keys = np.repeat(receivers * np.int64(num_nodes), lengths)
+            keys += thirds
+            return flat_disjoint[keys]
+
+        return test, _FUSED_SWEEP_BYTES_PER_ELEMENT
+    bits = np.packbits(
+        landmark_incidence(indptr, indices, landmarks, num_nodes), axis=1
+    )
+
+    def test(receivers, lengths, thirds):
+        owners = np.repeat(receivers, lengths)
+        shared = (bits[owners] & bits[thirds]).any(axis=1)
+        return ~shared & (owners != thirds)
+
+    return test, _FUSED_SWEEP_BYTES_PER_ELEMENT + 3 * bits.shape[1]
+
+
+def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
+    """CSR ``indptr`` of an entry list whose row ids ``rows`` ascend."""
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr
+
+
+def _s_columns(chunks: List[tuple]) -> tuple:
+    """Concatenate step 4.1's per-chunk ``(src, dst, lengths, member,
+    withheld_j, withheld_k)`` tuples column by column."""
+    if not chunks:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(6))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 #: Approximate bytes of intermediates per element in the fused receiver
@@ -428,6 +449,96 @@ def _emit_revealed_triangles(simulator, csr, channel) -> None:
         message_start = message_end
 
 
+def _s_messages_dense(
+    active_indptr, active_indices, disjoint, adjacency, in_u, goodness_threshold
+):
+    """Step 4.1 from dense matrices, one receiver at a time.
+
+    For receiver ``j`` the messages S(j, k) over all active neighbours
+    ``k`` are the rows of one boolean product — adjacency rows of the k's
+    AND-ed with ``j``'s ∆(X) row restricted to active l (the row's
+    diagonal entry is ``False``).  Row sums give every |S(j, k)|, and the
+    flat nonzero positions are the member column.  Returns the same
+    columns as :func:`_s_messages_gathered`.
+    """
+    num_nodes = in_u.shape[0]
+    chunks = []
+    for receiver in np.flatnonzero(in_u).tolist():
+        sender_row = active_indices[
+            active_indptr[receiver] : active_indptr[receiver + 1]
+        ]
+        if sender_row.shape[0] == 0:
+            continue
+        rows = adjacency[sender_row] & (disjoint[receiver] & in_u)[None, :]
+        sizes = rows.sum(axis=1)
+        shipped = sizes <= goodness_threshold
+        withheld = sender_row[~shipped]
+        chunks.append(
+            (
+                sender_row[shipped],
+                np.full(sender_row.shape[0] - withheld.shape[0], receiver),
+                sizes[shipped],
+                np.flatnonzero(rows[shipped].ravel()) % num_nodes,
+                np.full(withheld.shape[0], receiver),
+                withheld,
+            )
+        )
+    return _s_columns(chunks)
+
+
+def _s_messages_gathered(
+    pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
+):
+    """Step 4.1 as one gather over the active directed edges ``(j, k)``.
+
+    ``pair_j``/``pair_k`` are the active subgraph's CSR (``active_indptr``)
+    in edge order, so ``j`` — the receiver — ascends.  For each edge the
+    gather takes ``k``'s active row ``l`` and keeps ``S(j, k) = {l :
+    {j, l} ∈ ∆(X), l ≠ j}`` (``pair_test``); one segment sum per chunk
+    gives every |S(j, k)|.  Chunks hold about ``chunk_bytes /
+    element_bytes`` gathered vertices.
+
+    Returns ``(src, dst, lengths, member, withheld_j, withheld_k)``: the
+    shipped messages (|S(j, k)| ≤ r) destination-ascending, so the
+    delivered channel groups with zero copies, and the withheld pairs.
+    """
+    active_degrees = np.diff(active_indptr)
+    gathered_ends = np.cumsum(active_degrees[pair_k])
+    chunk_elements = chunk_rows(element_bytes, minimum=4096)
+    chunks = []
+    edge_start = 0
+    while edge_start < pair_j.shape[0]:
+        done = int(gathered_ends[edge_start - 1]) if edge_start else 0
+        edge_end = int(
+            np.searchsorted(gathered_ends, done + chunk_elements, side="right")
+        )
+        edge_end = max(edge_end, edge_start + 1)
+        receivers = pair_j[edge_start:edge_end]
+        senders = pair_k[edge_start:edge_end]
+        lengths = active_degrees[senders]
+        thirds = pair_k[gather_spans(active_indptr[senders], lengths)]
+        member = pair_test(receivers, lengths, thirds)
+        # Every gathered row holds ``j``, so no segment is empty and the
+        # segment starts strictly ascend, as ``reduceat`` needs.
+        segment_starts = gathered_ends[edge_start:edge_end] - done - lengths
+        sizes = np.add.reduceat(member, segment_starts, dtype=np.int64)
+        shipped = sizes <= goodness_threshold
+        if not shipped.all():
+            member &= np.repeat(shipped, lengths)
+        chunks.append(
+            (
+                senders[shipped],
+                receivers[shipped],
+                sizes[shipped],
+                thirds[member],
+                receivers[~shipped],
+                senders[~shipped],
+            )
+        )
+        edge_start = edge_end
+    return _s_columns(chunks)
+
+
 def _run_axr_direct(
     simulator: CongestSimulator,
     goodness_threshold: float,
@@ -443,12 +554,15 @@ def _run_axr_direct(
       neighbourhoods are staged for accounting and never grouped, let
       alone delivered per node (the kernel already holds the flag arrays
       they communicate);
+    * step 4.1 is built receiver-major on every graph — from the dense
+      ∆(X) and adjacency matrices on dense graphs
+      (:func:`_s_messages_dense`), as one whole-network gather over the
+      active edges otherwise (:func:`_s_messages_gathered`) — so the S
+      batch is staged destination-ascending, and the withholding pairs of
+      step 4.2 fall out of the same pass;
     * S and V processing consume the destination-grouped channel columns
       with one whole-network edge-membership oracle call each
-      (:func:`_emit_revealed_triangles`);
-    * the withholding sets ``V(j)`` of step 4.2 fall out of one sorted-key
-      membership test between the active directed edges and the received
-      (receiver, sender) pairs — no per-node ``np.isin`` scans.
+      (:func:`_emit_revealed_triangles`).
     """
     num_nodes = simulator.num_nodes
     node_id_bits = id_bits(num_nodes)
@@ -458,9 +572,7 @@ def _run_axr_direct(
     indptr, indices = csr.indptr, csr.indices
     degrees = np.diff(indptr)
     contexts = simulator.contexts
-    all_nodes = np.arange(num_nodes, dtype=np.int64)
-    broadcast_src = np.repeat(all_nodes, degrees)
-    n64 = np.int64(num_nodes)
+    broadcast_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
 
     in_x = np.fromiter(
         (bool(context.state.get("in_X", False)) for context in contexts),
@@ -478,44 +590,33 @@ def _run_axr_direct(
         )
     simulator.exchange_phase("A(X,r):1-announce-X")
 
-    # Step 2: ship N(k) ∩ X to every neighbour.
-    landmark_rows = [
-        indices[indptr[node] : indptr[node + 1]][
-            in_x[indices[indptr[node] : indptr[node + 1]]]
-        ]
-        for node in range(num_nodes)
-    ]
-    landmark_counts = np.asarray(
-        [row.shape[0] for row in landmark_rows], dtype=np.int64
-    )
+    # Step 2: ship N(k) ∩ X to every neighbour — k's landmark row, gathered
+    # once per incident edge.
+    landmark_mask = in_x[indices]
+    landmark_indptr = _row_pointers(broadcast_src[landmark_mask], num_nodes)
+    landmark_counts = np.diff(landmark_indptr)
     if broadcast_src.shape[0]:
-        tiled = [
-            np.tile(landmark_rows[node], int(degrees[node]))
-            for node in range(num_nodes)
-            if degrees[node]
-        ]
+        position = gather_spans(
+            landmark_indptr[broadcast_src], landmark_counts[broadcast_src]
+        )
         simulator.stage_columns(
             A3_NX_SCHEMA,
             broadcast_src,
             indices,
-            {
-                "member": np.concatenate(tiled)
-                if tiled
-                else np.empty(0, dtype=np.int64)
-            },
+            {"member": indices[landmark_mask][position]},
             lengths=landmark_counts[broadcast_src],
         )
     simulator.exchange_phase("A(X,r):2-send-X-neighbourhoods")
 
-    disjoint_block, disjoint_full = _make_disjointness(
-        _landmark_incidence(indptr, indices, in_x), num_nodes, degrees
-    )
-    # The receiver-major step-4.1 build needs row access to both the ∆(X)
-    # matrix and the boolean adjacency; both exist on dense graphs only.
+    landmarks = np.flatnonzero(in_x)
+    disjoint = _make_disjointness(indptr, indices, landmarks, degrees)
+    # The dense step-4.1 build needs row access to both the ∆(X) matrix and
+    # the boolean adjacency; both exist on dense graphs only.
     adjacency = (
-        csr._bool_matrix()
-        if disjoint_full is not None and csr._use_dense()
-        else None
+        csr._bool_matrix() if disjoint is not None and csr._use_dense() else None
+    )
+    pair_test, element_bytes = _delta_pair_test(
+        disjoint, indptr, indices, landmarks
     )
 
     in_u = np.ones(num_nodes, dtype=bool)
@@ -523,188 +624,68 @@ def _run_axr_direct(
     for _ in range(max_iterations):
         if not in_u.any():
             break
-        active_nodes = np.flatnonzero(in_u)
-        active_rows = {
-            int(node): indices[indptr[node] : indptr[node + 1]][
-                in_u[indices[indptr[node] : indptr[node + 1]]]
-            ]
-            for node in active_nodes.tolist()
-        }
+        # The active subgraph as a CSR: row j holds j's active neighbours
+        # (empty for retired j); its entries are the active directed edges.
+        edge_mask = in_u[broadcast_src] & in_u[indices]
+        pair_j = broadcast_src[edge_mask]
+        pair_k = indices[edge_mask]
+        active_indptr = _row_pointers(pair_j, num_nodes)
 
+        # Step 4.1 — compute and ship the S(j, k) sets, receiver-major.
         if adjacency is not None:
-            # Step 4.1, receiver-major: for receiver ``j`` the messages
-            # S(j, k) over all active neighbours ``k`` are the rows of one
-            # boolean product — adjacency rows of the k's AND-ed with
-            # ``j``'s ∆(X) row restricted to active l ≠ j.  Row sums give
-            # |S(j, k)| (the shipping test *and* the withheld pairs fall
-            # out of the same pass), and the flat nonzero positions are
-            # the member column, already in destination-ascending staged
-            # order — the delivered channel groups with zero copies.  The
-            # staged message multiset is identical to the sender-major
-            # build below.
-            stage_src_chunks: List[np.ndarray] = []
-            stage_dst_chunks: List[np.ndarray] = []
-            stage_length_chunks: List[np.ndarray] = []
-            stage_member_chunks: List[np.ndarray] = []
-            withheld_j_chunks: List[np.ndarray] = []
-            withheld_k_chunks: List[np.ndarray] = []
-            for receiver in active_nodes.tolist():
-                sender_row = active_rows[receiver]
-                if sender_row.shape[0] == 0:
-                    continue
-                member_mask = disjoint_full[receiver] & in_u
-                member_mask[receiver] = False
-                rows = adjacency[sender_row] & member_mask[None, :]
-                counts = rows.sum(axis=1)
-                shipped = counts <= goodness_threshold
-                if not shipped.all():
-                    kept_back = sender_row[~shipped]
-                    withheld_j_chunks.append(
-                        np.full(kept_back.shape[0], receiver, dtype=np.int64)
-                    )
-                    withheld_k_chunks.append(kept_back)
-                if shipped.any():
-                    flat = np.flatnonzero(rows[shipped].ravel())
-                    stage_src_chunks.append(sender_row[shipped])
-                    stage_dst_chunks.append(
-                        np.full(int(shipped.sum()), receiver, dtype=np.int64)
-                    )
-                    stage_length_chunks.append(counts[shipped])
-                    stage_member_chunks.append(flat % np.int64(num_nodes))
-            if stage_src_chunks:
-                lengths = np.concatenate(stage_length_chunks)
-                simulator.stage_columns(
-                    A3_S_SCHEMA,
-                    np.concatenate(stage_src_chunks),
-                    np.concatenate(stage_dst_chunks),
-                    {"member": np.concatenate(stage_member_chunks)},
-                    lengths=lengths,
-                    bits=np.maximum(lengths * node_id_bits, 1),
-                )
-            withheld_j = (
-                np.concatenate(withheld_j_chunks)
-                if withheld_j_chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            withheld_k = (
-                np.concatenate(withheld_k_chunks)
-                if withheld_k_chunks
-                else np.empty(0, dtype=np.int64)
+            s_columns = _s_messages_dense(
+                active_indptr, pair_k, disjoint, adjacency, in_u, goodness_threshold
             )
         else:
-            # Step 4.1, sender-major (sparse fallback).
-            sender_nodes: List[int] = []
-            sender_counts: List[int] = []
-            target_chunks: List[np.ndarray] = []
-            length_chunks: List[np.ndarray] = []
-            member_chunks: List[np.ndarray] = []
-            for node in active_nodes.tolist():
-                active_neighbors = active_rows[node]
-                if active_neighbors.shape[0] == 0:
-                    continue
-                candidate = disjoint_block(active_neighbors)
-                np.fill_diagonal(candidate, False)
-                set_sizes = candidate.sum(axis=1)
-                shipped = set_sizes <= goodness_threshold
-                if not shipped.any():
-                    continue
-                sender_nodes.append(node)
-                targets = active_neighbors[shipped]
-                sender_counts.append(int(targets.shape[0]))
-                target_chunks.append(targets)
-                length_chunks.append(set_sizes[shipped])
-                member_chunks.append(
-                    active_neighbors[np.nonzero(candidate[shipped])[1]]
-                )
-            if sender_nodes:
-                lengths = np.concatenate(length_chunks)
-                simulator.stage_columns(
-                    A3_S_SCHEMA,
-                    np.repeat(
-                        np.asarray(sender_nodes, dtype=np.int64),
-                        np.asarray(sender_counts, dtype=np.int64),
-                    ),
-                    np.concatenate(target_chunks),
-                    {
-                        "member": np.concatenate(member_chunks)
-                        if lengths.sum()
-                        else np.empty(0, dtype=np.int64)
-                    },
-                    lengths=lengths,
-                    bits=np.maximum(lengths * node_id_bits, 1),
-                )
-            withheld_j = withheld_k = None
+            s_columns = _s_messages_gathered(
+                pair_j,
+                pair_k,
+                active_indptr,
+                pair_test,
+                element_bytes,
+                goodness_threshold,
+            )
+        s_src, s_dst, s_lengths, s_member, withheld_j, withheld_k = s_columns
+        if s_src.shape[0]:
+            simulator.stage_columns(
+                A3_S_SCHEMA,
+                s_src,
+                s_dst,
+                {"member": s_member},
+                lengths=s_lengths,
+                bits=np.maximum(s_lengths * node_id_bits, 1),
+            )
         delivered = simulator.exchange_phase("A(X,r):4.1-send-S")
-        s_channel = delivered.channel(A3_S_SCHEMA)
 
         # Receivers list revealed triangles (step 4.2, fused).
-        _emit_revealed_triangles(simulator, csr, s_channel)
+        _emit_revealed_triangles(simulator, csr, delivered.channel(A3_S_SCHEMA))
 
-        if withheld_j is None:
-            # Withholding sets V(j), fused: among the active→active
-            # directed edges (j, k), exactly those without a received
-            # (j ← k) S message were withheld.  Both sides reduce to
-            # sorted int64 key arrays.
-            pair_mask = in_u[broadcast_src] & in_u[indices]
-            pair_j = broadcast_src[pair_mask]
-            pair_k = indices[pair_mask]
-            if s_channel.count:
-                received_keys = np.sort(s_channel.dst * n64 + s_channel.src)
-                query_keys = pair_j * n64 + pair_k
-                positions = np.searchsorted(received_keys, query_keys)
-                received = np.zeros(query_keys.shape, dtype=bool)
-                in_range = positions < received_keys.shape[0]
-                received[in_range] = (
-                    received_keys[positions[in_range]] == query_keys[in_range]
-                )
-            else:
-                received = np.zeros(pair_j.shape, dtype=bool)
-            withheld_j = pair_j[~received]
-            withheld_k = pair_k[~received]
-        withheld_counts = np.bincount(withheld_j, minlength=num_nodes)
-        is_good = np.zeros(num_nodes, dtype=bool)
-        is_good[active_nodes] = withheld_counts[active_nodes] <= goodness_threshold
+        # Withholding sets V(j): the withheld pairs, ``withheld_j``
+        # ascending, so V(j) is row j of their CSR.
+        withheld_indptr = _row_pointers(withheld_j, num_nodes)
+        withheld_counts = np.diff(withheld_indptr)
+        is_good = in_u & (withheld_counts <= goodness_threshold)
 
-        # Step 4.3 — r-good nodes ship V(j) to their active neighbours.
-        # ``withheld_j`` is ascending (CSR order), so the staged batch is
-        # built node-ascending, as the reference closures send it.
-        sender_nodes = []
-        sender_counts = []
-        target_chunks = []
-        member_chunks = []
-        set_size_list: List[int] = []
-        if withheld_j.shape[0]:
-            group_starts = np.flatnonzero(
-                np.concatenate(([True], withheld_j[1:] != withheld_j[:-1]))
-            ).tolist()
-            group_bounds = group_starts[1:] + [int(withheld_j.shape[0])]
-            for which, start in enumerate(group_starts):
-                node = int(withheld_j[start])
-                if not is_good[node]:
-                    continue
-                withheld = withheld_k[start : group_bounds[which]]
-                active_neighbors = active_rows[node]
-                sender_nodes.append(node)
-                sender_counts.append(int(active_neighbors.shape[0]))
-                target_chunks.append(active_neighbors)
-                member_chunks.append(np.tile(withheld, active_neighbors.shape[0]))
-                set_size_list.append(int(withheld.shape[0]))
-        if sender_nodes:
-            counts = np.asarray(sender_counts, dtype=np.int64)
-            sizes = np.asarray(set_size_list, dtype=np.int64)
+        # Step 4.3 — r-good nodes ship V(j) to their active neighbours, in
+        # node-ascending order, as the reference closures send it.
+        senders = np.flatnonzero(is_good & (withheld_counts > 0))
+        if senders.shape[0]:
+            targets = np.diff(active_indptr)[senders]
+            v_src = np.repeat(senders, targets)
+            sizes = withheld_counts[v_src]
             simulator.stage_columns(
                 A3_V_SCHEMA,
-                np.repeat(np.asarray(sender_nodes, dtype=np.int64), counts),
-                np.concatenate(target_chunks),
-                {"member": np.concatenate(member_chunks)},
-                lengths=np.repeat(sizes, counts),
-                bits=np.repeat(np.maximum(sizes * node_id_bits, 1), counts),
+                v_src,
+                pair_k[gather_spans(active_indptr[senders], targets)],
+                {"member": withheld_k[gather_spans(withheld_indptr[v_src], sizes)]},
+                lengths=sizes,
+                bits=np.maximum(sizes * node_id_bits, 1),
             )
         delivered = simulator.exchange_phase("A(X,r):4.3-send-V")
         _emit_revealed_triangles(simulator, csr, delivered.channel(A3_V_SCHEMA))
 
         # Steps 4.4 / 4.5 — good nodes retire; everyone announces membership.
-        retired_any = bool((in_u & is_good).any())
+        retired_any = bool(is_good.any())
         in_u = in_u & ~is_good
         if broadcast_src.shape[0]:
             simulator.stage_columns(

@@ -43,6 +43,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..congest.backends import gather_spans
 from ..errors import GraphError
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
@@ -197,10 +198,7 @@ def _row(rows: _Rows, node: int) -> np.ndarray:
 def _expand(start: np.ndarray, length: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(item, position)`` for positions ``start[item] + j``,
     ``j < length[item]``, laid end to end in item order."""
-    ends = np.cumsum(length)
-    total = int(ends[-1]) if ends.size else 0
-    item = np.repeat(np.arange(length.size), length)
-    return item, np.arange(total) + np.repeat(start - ends + length, length)
+    return np.repeat(np.arange(length.size), length), gather_spans(start, length)
 
 
 class DeltaSnapshot:

@@ -3,7 +3,7 @@
 ``chunk_bytes`` (:mod:`repro.congest.backends`) must be a pure performance
 knob: shrinking it to force many tiny evaluation blocks must leave every
 ExperimentRecord byte-identical.  These tests pin that contract over every
-workload family, and pin each of the four inner-loop functions against a
+workload family, and pin each of the five inner-loop functions against a
 naive evaluation.
 """
 
@@ -18,6 +18,7 @@ from repro.congest.backends import (
     active_chunk_bytes,
     chunk_rows,
     edge_support_chunk,
+    gather_spans,
     hash_zero_block,
     landmark_incidence,
     sorted_membership,
@@ -219,7 +220,33 @@ class TestKernelOps:
             start, end = csr.indptr[landmark], csr.indptr[landmark + 1]
             expected[csr.indices[start:end], column] = True
         got = landmark_incidence(csr.indptr, csr.indices, landmarks, 30)
+        assert got.dtype == bool
         np.testing.assert_array_equal(got, expected)
+
+    def test_gather_spans(self):
+        graph = gnp_random_graph(12, 0.3, seed=4)
+        csr = graph.csr()
+        degrees = np.diff(csr.indptr)
+        # Rows in any order, with repeats.
+        rows = np.array([3, 3, 0, 11, 5], dtype=np.int64)
+        got = csr.indices[gather_spans(csr.indptr[rows], degrees[rows])]
+        expected = [
+            neighbor for row in rows.tolist() for neighbor in csr.neighbor_slice(row)
+        ]
+        assert got.tolist() == expected
+
+    def test_gather_spans_empty_rows(self):
+        starts = np.array([4, 0, 9, 2], dtype=np.int64)
+        lengths = np.array([0, 3, 0, 1], dtype=np.int64)
+        assert gather_spans(starts, lengths).tolist() == [0, 1, 2, 2]
+        # All rows empty, and no rows at all.
+        assert gather_spans(starts, np.zeros(4, dtype=np.int64)).shape == (0,)
+        empty = np.empty(0, dtype=np.int64)
+        assert gather_spans(empty, empty).shape == (0,)
+
+    def test_gather_spans_single_row(self):
+        got = gather_spans(np.array([5], dtype=np.int64), np.array([3], dtype=np.int64))
+        assert got.tolist() == [5, 6, 7]
 
     def test_edge_support_chunk(self):
         graph = gnp_random_graph(24, 0.5, seed=6)

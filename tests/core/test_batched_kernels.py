@@ -10,8 +10,11 @@ identical per-phase round counts, link-bit maxima, message counts and bit
 totals, and identical per-node triangle output sets, for the same seed.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from csr_strategies import pinned_strategy
 
 from repro.core import (
     DolevCliqueListing,
@@ -21,8 +24,10 @@ from repro.core import (
     TriangleFinding,
     TriangleListing,
 )
+from repro.core import a3_light
 from repro.core.a3_light import run_axr
 from repro.congest import CongestSimulator
+from repro.congest.backends import use_chunk_bytes
 from repro.graphs import (
     Graph,
     barabasi_albert_graph,
@@ -163,8 +168,8 @@ class TestCompositionsAndEdgeCases:
             LightTrianglesLister(epsilon=0.3, kernel="pernode")
 
     def test_a3_sparse_fallback_matches_reference(self):
-        # A workload sparse enough that the direct kernel takes the
-        # sender-major (no dense matrices) step-4.1 path.
+        # A workload sparse enough that the direct kernel builds step 4.1
+        # as the receiver-major edge gather, with no n×n matrix at all.
         graph = gnp_random_graph(120, 0.03, seed=9)
         assert_identical_execution(
             lambda kernel: LightTrianglesLister(epsilon=0.2, kernel=kernel),
@@ -179,6 +184,89 @@ class TestCompositionsAndEdgeCases:
             graph,
             seeds=(0,),
         )
+
+
+#: The three ways the batched kernel builds A3's step 4.1, as
+#: (membership strategy, full ∆(X) matrix worthwhile, builder, full matrix
+#: built).  Real graphs reach the middle one — thm1-sparse's regime — only
+#: at n > 1024 for p = √n/n, so each regime is forced.
+STEP41_REGIMES = [
+    pytest.param("dense", True, "_s_messages_dense", True, id="full-D-dense-adjacency"),
+    pytest.param("sorted-key", True, "_s_messages_gathered", True, id="full-D-no-adjacency"),
+    pytest.param("sorted-key", False, "_s_messages_gathered", False, id="D-on-demand"),
+]
+
+
+@pytest.mark.parametrize("strategy, worthwhile, builder, full_matrix", STEP41_REGIMES)
+def test_a3_step41_regimes_match_reference(
+    monkeypatch, strategy, worthwhile, builder, full_matrix
+):
+    monkeypatch.setattr(
+        a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: worthwhile
+    )
+    used = []
+    for name in ("_s_messages_dense", "_s_messages_gathered", "_make_disjointness"):
+
+        def spy(*args, _name=name, _original=getattr(a3_light, name)):
+            result = _original(*args)
+            used.append(_name if _name != "_make_disjointness" else result is not None)
+            return result
+
+        monkeypatch.setattr(a3_light, name, spy)
+    graph = gnp_random_graph(150, 0.12, seed=19)
+    # A tiny chunk bound makes both the gather and the fused receivers
+    # cross many chunk boundaries; the small threshold makes nodes withhold
+    # S sets, so V(j) is shipped and the loop runs several iterations.
+    with use_chunk_bytes(64), pinned_strategy(strategy):
+        for make_algorithm in (
+            lambda kernel: LightTrianglesLister(epsilon=0.2, kernel=kernel),
+            lambda kernel: LightTrianglesLister(
+                epsilon=0.2,
+                landmark_probability=0.05,
+                goodness_threshold=12.0,
+                kernel=kernel,
+            ),
+        ):
+            assert_identical_execution(make_algorithm, graph, seeds=(1,))
+    assert set(used) == {full_matrix, builder}
+
+
+def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
+    # 320 landmarks; nodes 0 and 1 share exactly 256 of them, a count that
+    # wraps to 0 in 8-bit arithmetic.
+    num_nodes = 400
+    rng = np.random.default_rng(7)
+    edges = {(hub, x) for hub in (0, 1) for x in range(2, 258)}
+    edges |= {
+        tuple(sorted(map(int, rng.choice(num_nodes, 2, replace=False))))
+        for _ in range(2000)
+    }
+    csr = Graph(num_nodes, sorted(edges)).csr()
+    landmarks = np.arange(2, 322, dtype=np.int64)
+    landmark_set = set(landmarks.tolist())
+    neighborhoods = [
+        set(csr.neighbor_slice(node).tolist()) & landmark_set
+        for node in range(num_nodes)
+    ]
+    expected = np.array(
+        [
+            [j != l and not (neighborhoods[j] & neighborhoods[l]) for l in range(num_nodes)]
+            for j in range(num_nodes)
+        ]
+    )
+    assert not expected[0, 1]
+    monkeypatch.setattr(
+        a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: True
+    )
+    disjoint = a3_light._make_disjointness(
+        csr.indptr, csr.indices, landmarks, np.diff(csr.indptr)
+    )
+    np.testing.assert_array_equal(disjoint, expected)
+    # The packed-bit test of the on-demand regime agrees on every pair.
+    pair_test, _ = a3_light._delta_pair_test(None, csr.indptr, csr.indices, landmarks)
+    nodes = np.arange(num_nodes, dtype=np.int64)
+    got = pair_test(nodes, np.full(num_nodes, num_nodes), np.tile(nodes, num_nodes))
+    np.testing.assert_array_equal(got.reshape(num_nodes, num_nodes), expected)
 
 
 #: Every protocol with a ``kernel=`` switch, one repetition each.

@@ -1,5 +1,7 @@
 """In-process tests for the query server/client wire plane."""
 
+import threading
+
 import pytest
 
 from repro.api import QuerySpec
@@ -92,6 +94,18 @@ class TestLifecycle:
         server.wait()
         server.stop()
         assert not (server.root / "service.json").exists()
+
+    def test_stop_right_after_start_leaves_no_thread_exception(self, tmp_path, monkeypatch):
+        # ``stop()`` may close the listener before the accept thread has
+        # touched it; the thread must then exit quietly.
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        engine = TriangleQueryEngine(Graph(3, [(0, 1)]))
+        for attempt in range(50):
+            server = QueryServer(tmp_path / f"svc{attempt}", engine)
+            server.start()
+            server.stop()
+        assert [args.exc_value for args in raised] == []
 
     def test_client_refuses_non_query_service(self, tmp_path):
         # A discovery file without the query marker (e.g. the experiment
