@@ -308,22 +308,25 @@ def _make_disjointness(
     landmark neighbourhoods of ``j`` and ``l`` are disjoint.  A pair fails
     it exactly when both ends neighbour a common landmark, so ``D`` is all
     ``True`` but for one ``N(x) × N(x)`` block per landmark ``x``, cleared
-    as whole rows: Σ deg(x)·n byte operations, where an incidence product
-    ``B·Bᵀ`` costs ``n²·|X|`` multiply-adds.  The matrix is built only when
-    the n×n precompute amortises (dense graphs); on sparse ones, where
-    most pairs are never consulted, the result is ``None`` and step 4.1
-    tests each pair it gathers on packed landmark bits instead.  The
-    diagonal is ``False``: S(j, k) never holds ``j`` itself.
+    as whole rows in blocks of ``chunk_bytes``: Σ deg(x)·n byte operations,
+    where an incidence product ``B·Bᵀ`` costs ``n²·|X|`` multiply-adds.
+    The matrix is built only when the n×n precompute amortises (dense
+    graphs); on sparse ones, where most pairs are never consulted, the
+    result is ``None`` and step 4.1 tests each pair it gathers on packed
+    landmark bits instead.  The diagonal is ``False``: S(j, k) never holds
+    ``j`` itself.
     """
     num_nodes = degrees.shape[0]
     if not dense_pair_matrix_worthwhile(num_nodes, degrees):
         return None
     disjoint = np.ones((num_nodes, num_nodes), dtype=bool)
+    step = chunk_rows(num_nodes)
     for landmark in landmarks.tolist():
         row = indices[indptr[landmark] : indptr[landmark + 1]]
         outside = np.ones(num_nodes, dtype=bool)
         outside[row] = False
-        disjoint[row] &= outside
+        for start in range(0, row.shape[0], step):
+            disjoint[row[start : start + step]] &= outside
     np.fill_diagonal(disjoint, False)
     return disjoint
 
@@ -365,14 +368,6 @@ def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return indptr
-
-
-def _s_columns(chunks: List[tuple]) -> tuple:
-    """Concatenate step 4.1's per-chunk ``(src, dst, lengths, member,
-    withheld_j, withheld_k)`` tuples column by column."""
-    if not chunks:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(6))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 #: Approximate bytes of intermediates per element in the fused receiver
@@ -449,43 +444,6 @@ def _emit_revealed_triangles(simulator, csr, channel) -> None:
         message_start = message_end
 
 
-def _s_messages_dense(
-    active_indptr, active_indices, disjoint, adjacency, in_u, goodness_threshold
-):
-    """Step 4.1 from dense matrices, one receiver at a time.
-
-    For receiver ``j`` the messages S(j, k) over all active neighbours
-    ``k`` are the rows of one boolean product — adjacency rows of the k's
-    AND-ed with ``j``'s ∆(X) row restricted to active l (the row's
-    diagonal entry is ``False``).  Row sums give every |S(j, k)|, and the
-    flat nonzero positions are the member column.  Returns the same
-    columns as :func:`_s_messages_gathered`.
-    """
-    num_nodes = in_u.shape[0]
-    chunks = []
-    for receiver in np.flatnonzero(in_u).tolist():
-        sender_row = active_indices[
-            active_indptr[receiver] : active_indptr[receiver + 1]
-        ]
-        if sender_row.shape[0] == 0:
-            continue
-        rows = adjacency[sender_row] & (disjoint[receiver] & in_u)[None, :]
-        sizes = rows.sum(axis=1)
-        shipped = sizes <= goodness_threshold
-        withheld = sender_row[~shipped]
-        chunks.append(
-            (
-                sender_row[shipped],
-                np.full(sender_row.shape[0] - withheld.shape[0], receiver),
-                sizes[shipped],
-                np.flatnonzero(rows[shipped].ravel()) % num_nodes,
-                np.full(withheld.shape[0], receiver),
-                withheld,
-            )
-        )
-    return _s_columns(chunks)
-
-
 def _s_messages_gathered(
     pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
 ):
@@ -536,7 +494,9 @@ def _s_messages_gathered(
             )
         )
         edge_start = edge_end
-    return _s_columns(chunks)
+    if not chunks:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(6))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 def _run_axr_direct(
@@ -554,12 +514,11 @@ def _run_axr_direct(
       neighbourhoods are staged for accounting and never grouped, let
       alone delivered per node (the kernel already holds the flag arrays
       they communicate);
-    * step 4.1 is built receiver-major on every graph — from the dense
-      ∆(X) and adjacency matrices on dense graphs
-      (:func:`_s_messages_dense`), as one whole-network gather over the
-      active edges otherwise (:func:`_s_messages_gathered`) — so the S
-      batch is staged destination-ascending, and the withholding pairs of
-      step 4.2 fall out of the same pass;
+    * step 4.1 is built receiver-major on every graph, as one
+      whole-network gather over the active edges
+      (:func:`_s_messages_gathered`), so the S batch is staged
+      destination-ascending, and the withholding pairs of step 4.2 fall
+      out of the same pass;
     * S and V processing consume the destination-grouped channel columns
       with one whole-network edge-membership oracle call each
       (:func:`_emit_revealed_triangles`).
@@ -610,11 +569,6 @@ def _run_axr_direct(
 
     landmarks = np.flatnonzero(in_x)
     disjoint = _make_disjointness(indptr, indices, landmarks, degrees)
-    # The dense step-4.1 build needs row access to both the ∆(X) matrix and
-    # the boolean adjacency; both exist on dense graphs only.
-    adjacency = (
-        csr._bool_matrix() if disjoint is not None and csr._use_dense() else None
-    )
     pair_test, element_bytes = _delta_pair_test(
         disjoint, indptr, indices, landmarks
     )
@@ -632,20 +586,16 @@ def _run_axr_direct(
         active_indptr = _row_pointers(pair_j, num_nodes)
 
         # Step 4.1 — compute and ship the S(j, k) sets, receiver-major.
-        if adjacency is not None:
-            s_columns = _s_messages_dense(
-                active_indptr, pair_k, disjoint, adjacency, in_u, goodness_threshold
-            )
-        else:
-            s_columns = _s_messages_gathered(
-                pair_j,
-                pair_k,
-                active_indptr,
-                pair_test,
-                element_bytes,
-                goodness_threshold,
-            )
-        s_src, s_dst, s_lengths, s_member, withheld_j, withheld_k = s_columns
+        (
+            s_src,
+            s_dst,
+            s_lengths,
+            s_member,
+            withheld_j,
+            withheld_k,
+        ) = _s_messages_gathered(
+            pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
+        )
         if s_src.shape[0]:
             simulator.stage_columns(
                 A3_S_SCHEMA,

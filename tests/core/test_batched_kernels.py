@@ -186,37 +186,36 @@ class TestCompositionsAndEdgeCases:
         )
 
 
-#: The three ways the batched kernel builds A3's step 4.1, as
-#: (membership strategy, full ∆(X) matrix worthwhile, builder, full matrix
-#: built).  Real graphs reach the middle one — thm1-sparse's regime — only
-#: at n > 1024 for p = √n/n, so each regime is forced.
+#: The graphs A3's step-4.1 gather meets, as (membership strategy, full
+#: ∆(X) matrix worthwhile): thm2-dense's dense graphs, thm1-sparse's
+#: sorted-key graphs with the full matrix — real graphs reach it only at
+#: n > 1024 for p = √n/n — and pairs tested on demand.  Each is forced.
 STEP41_REGIMES = [
-    pytest.param("dense", True, "_s_messages_dense", True, id="full-D-dense-adjacency"),
-    pytest.param("sorted-key", True, "_s_messages_gathered", True, id="full-D-no-adjacency"),
-    pytest.param("sorted-key", False, "_s_messages_gathered", False, id="D-on-demand"),
+    pytest.param("dense", True, id="full-D-dense-csr"),
+    pytest.param("sorted-key", True, id="full-D-sorted-key-csr"),
+    pytest.param("sorted-key", False, id="D-on-demand"),
 ]
 
 
-@pytest.mark.parametrize("strategy, worthwhile, builder, full_matrix", STEP41_REGIMES)
-def test_a3_step41_regimes_match_reference(
-    monkeypatch, strategy, worthwhile, builder, full_matrix
-):
+@pytest.mark.parametrize("strategy, worthwhile", STEP41_REGIMES)
+def test_a3_step41_regimes_match_reference(monkeypatch, strategy, worthwhile):
     monkeypatch.setattr(
         a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: worthwhile
     )
-    used = []
-    for name in ("_s_messages_dense", "_s_messages_gathered", "_make_disjointness"):
+    built = []
+    make_disjointness = a3_light._make_disjointness
 
-        def spy(*args, _name=name, _original=getattr(a3_light, name)):
-            result = _original(*args)
-            used.append(_name if _name != "_make_disjointness" else result is not None)
-            return result
+    def spy(*args):
+        result = make_disjointness(*args)
+        built.append(result is not None)
+        return result
 
-        monkeypatch.setattr(a3_light, name, spy)
+    monkeypatch.setattr(a3_light, "_make_disjointness", spy)
     graph = gnp_random_graph(150, 0.12, seed=19)
-    # A tiny chunk bound makes both the gather and the fused receivers
-    # cross many chunk boundaries; the small threshold makes nodes withhold
-    # S sets, so V(j) is shipped and the loop runs several iterations.
+    # A tiny chunk bound makes the ∆(X) build, the gather and the fused
+    # receivers cross many chunk boundaries; the small threshold makes
+    # nodes withhold S sets, so V(j) is shipped and the loop runs several
+    # iterations.
     with use_chunk_bytes(64), pinned_strategy(strategy):
         for make_algorithm in (
             lambda kernel: LightTrianglesLister(epsilon=0.2, kernel=kernel),
@@ -228,12 +227,13 @@ def test_a3_step41_regimes_match_reference(
             ),
         ):
             assert_identical_execution(make_algorithm, graph, seeds=(1,))
-    assert set(used) == {full_matrix, builder}
+    assert set(built) == {worthwhile}
 
 
 def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
-    # 320 landmarks; nodes 0 and 1 share exactly 256 of them, a count that
-    # wraps to 0 in 8-bit arithmetic.
+    # 320 landmarks, so the packed landmark bits span 40 bytes; nodes 0
+    # and 1 share exactly 256 of them, so 256 landmark blocks clear their
+    # pair and the packed-bit AND finds it in many bytes at once.
     num_nodes = 400
     rng = np.random.default_rng(7)
     edges = {(hub, x) for hub in (0, 1) for x in range(2, 258)}
@@ -258,9 +258,11 @@ def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
     monkeypatch.setattr(
         a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: True
     )
-    disjoint = a3_light._make_disjointness(
-        csr.indptr, csr.indices, landmarks, np.diff(csr.indptr)
-    )
+    # Each landmark's rows are cleared two at a time.
+    with use_chunk_bytes(2 * num_nodes):
+        disjoint = a3_light._make_disjointness(
+            csr.indptr, csr.indices, landmarks, np.diff(csr.indptr)
+        )
     np.testing.assert_array_equal(disjoint, expected)
     # The packed-bit test of the on-demand regime agrees on every pair.
     pair_test, _ = a3_light._delta_pair_test(None, csr.indptr, csr.indices, landmarks)
