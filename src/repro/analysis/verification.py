@@ -24,7 +24,7 @@ from ..core.output import AlgorithmResult, _compare_with_truth, _keyed_union
 from ..errors import VerificationError
 from ..graphs.graph import Graph
 from ..graphs.triangles import heaviness_threshold, triangles_through_node
-from ..types import Triangle, make_triangle, triangle_keys
+from ..types import Triangle, decode_triangle_keys, make_triangle, triangle_keys
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,13 @@ def nodes_reporting_foreign_triangles(
     algorithm *must* let some node output a triangle it does not belong to;
     this helper makes that mechanism observable in experiments.
     """
+    output = result.output
     offenders: List[int] = []
-    for node, triples in result.output.per_node.items():
-        for triangle in triples:
-            if node not in triangle:
-                offenders.append(node)
-                break
-    return sorted(offenders)
+    for node in output.per_node:
+        a, b, c = decode_triangle_keys(output.node_keys(node), output.num_nodes)
+        if ((a != node) & (b != node) & (c != node)).any():
+            offenders.append(node)
+    return offenders
 
 
 def duplication_factor(result: AlgorithmResult) -> float:

@@ -30,6 +30,7 @@ from ..types import (
     decode_triangle_keys,
     make_triangle,
     sorted_unique,
+    triangle_key,
     triangle_keys,
 )
 from .runtime import (
@@ -84,9 +85,8 @@ class NodeContext:
         "_neighbor_array",
         "_plane",
         "_inbox",
-        "_output",
+        "_output_keys",
         "_output_key_chunks",
-        "_output_frozen",
     )
 
     def __init__(
@@ -132,12 +132,12 @@ class NodeContext:
         self._neighbor_array: Optional[np.ndarray] = neighbor_array
         self._plane = plane
         self._inbox: Inbox = EMPTY_INBOX
-        self._output: Set[Triangle] = set()
-        # Bulk outputs accumulate as int64 triangle-key chunks (the columnar
-        # output plane); tuples are only materialised if someone reads the
-        # ``output`` frozenset.  May hold duplicate keys — consumers dedup.
+        # Output accumulates as int64 triangle keys: scalar reports as Python
+        # ints until the next read flushes them into one chunk, bulk reports
+        # as chunks.  Tuples are only built if someone reads ``output``.
+        # May hold duplicate keys — consumers dedup.
+        self._output_keys: List[int] = []
         self._output_key_chunks: List[np.ndarray] = []
-        self._output_frozen: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
     # topology queries
@@ -406,9 +406,13 @@ class NodeContext:
     # output
     # ------------------------------------------------------------------
     def output_triangle(self, a: NodeId, b: NodeId, c: NodeId) -> None:
-        """Add the triple ``{a, b, c}`` to this node's output set ``T_i``."""
-        self._output.add(make_triangle(a, b, c))
-        self._output_frozen = None
+        """Add the triple ``{a, b, c}`` to this node's output set ``T_i``.
+
+        Raises :class:`SimulationError` when ``n`` is too large for int64
+        triangle keys.
+        """
+        self._require_keyable()
+        self._output_keys.append(triangle_key(*make_triangle(a, b, c), self.num_nodes))
 
     def output_triangles(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray, canonical: bool = False
@@ -424,31 +428,22 @@ class NodeContext:
         Raises
         ------
         SimulationError
-            If any triple has fewer than three distinct vertices.
+            If any triple has fewer than three distinct vertices, or the
+            network is too large for int64 triangle keys.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         if a.shape[0] == 0:
             return
-        if canonical:
-            if ((a >= b) | (b >= c)).any():
-                raise SimulationError(
-                    "a triangle must contain three distinct vertices"
-                )
-        else:
+        self._require_keyable()
+        if not canonical:
             stacked = np.stack((a, b, c), axis=1)
             stacked.sort(axis=1)
-            if (stacked[:, 1:] == stacked[:, :-1]).any():
-                raise SimulationError(
-                    "a triangle must contain three distinct vertices"
-                )
             a, b, c = stacked[:, 0], stacked[:, 1], stacked[:, 2]
-        if self.num_nodes <= TRIANGLE_KEY_MAX_NODES:
-            self._output_key_chunks.append(triangle_keys(a, b, c, self.num_nodes))
-        else:  # pragma: no cover - beyond any simulated size
-            self._output.update(zip(a.tolist(), b.tolist(), c.tolist()))
-        self._output_frozen = None
+        if ((a >= b) | (b >= c)).any():
+            raise SimulationError("a triangle must contain three distinct vertices")
+        self._output_key_chunks.append(triangle_keys(a, b, c, self.num_nodes))
 
     def output_triangle_keys(self, keys: np.ndarray) -> None:
         """Append precomputed canonical triangle keys (the kernel fast door).
@@ -461,34 +456,34 @@ class NodeContext:
         if keys.shape[0] == 0:
             return
         self._output_key_chunks.append(keys)
-        self._output_frozen = None
 
-    def output_state(self) -> Tuple[Set[Triangle], List[np.ndarray]]:
-        """Hand the raw output accumulators to the result layer.
+    def _require_keyable(self) -> None:
+        if self.num_nodes > TRIANGLE_KEY_MAX_NODES:
+            raise SimulationError(
+                f"cannot store triangle output for n = {self.num_nodes}: int64 "
+                f"triangle keys cover at most {TRIANGLE_KEY_MAX_NODES} nodes"
+            )
 
-        Returns the scalar tuple set and the (possibly duplicated) key
-        chunks; :class:`~repro.core.output.TriangleOutput` wraps them
-        without materialising anything.
+    def output_state(self) -> List[np.ndarray]:
+        """Hand the (possibly duplicated) output key chunks to the result layer.
+
+        Scalar reports are first flushed into one int64 chunk;
+        :class:`~repro.core.output.TriangleOutput` wraps the chunks without
+        materialising anything.
         """
-        return self._output, self._output_key_chunks
+        if self._output_keys:
+            self._output_key_chunks.append(np.array(self._output_keys, dtype=np.int64))
+            self._output_keys = []
+        return self._output_key_chunks
 
     @property
     def output(self) -> frozenset[Triangle]:
         """The node's current output set ``T_i`` (canonicalised triples).
 
-        Cached between mutations: repeated reads (result collection over
-        millions of listed triples) must not re-copy the whole set.
+        Decoded from the keys on every read; the node keeps no tuple set.
         """
-        if self._output_frozen is None:
-            if self._output_key_chunks:
-                keys = sorted_unique(*self._output_key_chunks)
-                a, b, c = decode_triangle_keys(keys, self.num_nodes)
-                combined = set(zip(a.tolist(), b.tolist(), c.tolist()))
-                combined.update(self._output)
-                self._output_frozen = frozenset(combined)
-            else:
-                self._output_frozen = frozenset(self._output)
-        return self._output_frozen
+        a, b, c = decode_triangle_keys(sorted_unique(*self.output_state()), self.num_nodes)
+        return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
 
     # ------------------------------------------------------------------
     # simulator-facing internals
@@ -497,7 +492,8 @@ class NodeContext:
         self._inbox = messages
 
     def __repr__(self) -> str:
+        reports = len(self._output_keys) + sum(map(len, self._output_key_chunks))
         return (
             f"NodeContext(node_id={self.node_id}, degree={self.degree}, "
-            f"outputs={len(self._output)})"
+            f"outputs={reports})"
         )

@@ -11,12 +11,13 @@ must actually be a triangle of ``G``.
 it with the execution cost and parameters so experiments can report both
 correctness and round complexity from a single object.
 
-The output tuple is **columnar and lazy**: bulk-emitting kernels hand over
-per-node int64 triangle-key chunks (:func:`repro.types.triangle_keys`), and
-the per-node frozensets of canonical tuples — millions of Python objects on
-dense workloads — are only materialised for the nodes a consumer actually
-reads.  Counts, the union and node-wise merging all run as numpy key
-reductions, so an end-to-end run never builds a tuple it does not return.
+The output tuple is stored as **int64 triangle keys only**
+(:func:`repro.types.triangle_keys`): every node's reports, scalar or bulk,
+arrive as key chunks, and the per-node frozensets of canonical tuples —
+millions of Python objects on dense workloads — are only decoded for the
+nodes a consumer actually reads.  Counts, the union and node-wise merging
+all run as numpy key reductions, so an end-to-end run never builds a tuple
+it does not return.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ from ..graphs.graph import Graph
 from ..types import NodeId, Triangle, decode_triangle_keys, sorted_unique, triangle_keys
 
 
-def _encode_triples(triples: Iterable[Triangle], num_nodes: int) -> np.ndarray:
-    """Encode an iterable of canonical tuples into (unsorted) keys."""
-    rows = np.array(list(triples), dtype=np.int64).reshape(-1, 3)
-    return triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], num_nodes)
-
-
 def _decode_keys(keys: np.ndarray, num_nodes: int) -> FrozenSet[Triangle]:
     """Decode unique triangle keys into a frozenset of canonical tuples."""
     a, b, c = decode_triangle_keys(keys, num_nodes)
@@ -58,8 +53,8 @@ def _decode_keys(keys: np.ndarray, num_nodes: int) -> FrozenSet[Triangle]:
 class _LazyNodeSets(Mapping):
     """Read-only mapping view over a :class:`TriangleOutput`'s node sets.
 
-    Keeps the historical ``output.per_node`` contract (a mapping of node id
-    to frozenset) while materialising each node's tuple set only on access.
+    Keeps the ``output.per_node`` contract (a mapping of node id to
+    frozenset) while decoding each node's tuple set only on access.
     """
 
     __slots__ = ("_output",)
@@ -80,73 +75,51 @@ class _LazyNodeSets(Mapping):
 
 
 class TriangleOutput:
-    """The per-node output tuple ``(T_0, ..., T_{n-1})``.
+    """The per-node output tuple ``(T_0, ..., T_{n-1})``, as int64 key chunks.
 
-    Construct from a mapping of materialised frozensets (the historical
-    form, still used by hand-written tests and tiny runs) or through
-    :meth:`from_contexts` /  :meth:`from_simulator_outputs`, which capture
-    the simulator contexts' columnar key chunks without materialising
-    anything.
+    Construct from a mapping of node id to triples (hand-written tests and
+    probes), which is encoded once with ``n`` = largest vertex + 1, or
+    through :meth:`from_contexts`, which adopts the simulator contexts' key
+    chunks without copying or decoding them.
     """
 
-    __slots__ = ("num_nodes", "_nodes", "_sets", "_chunks", "_node_keys", "_cache")
+    __slots__ = ("num_nodes", "_nodes", "_chunks", "_node_keys")
 
     def __init__(
-        self, per_node: Optional[Mapping[NodeId, FrozenSet[Triangle]]] = None
+        self, per_node: Optional[Mapping[NodeId, Iterable[Triangle]]] = None
     ) -> None:
-        #: Network size used for key encoding (0 = derive from data).
-        self.num_nodes = 0
-        self._nodes: Set[NodeId] = set()
-        # Per-node materialised tuple sets (legacy form / scalar outputs).
-        self._sets: Dict[NodeId, FrozenSet[Triangle]] = {}
-        # Per-node lists of (possibly duplicated) int64 key chunks.
-        self._chunks: Dict[NodeId, List[np.ndarray]] = {}
+        rows = {
+            node: np.array(list(triples), dtype=np.int64).reshape(-1, 3)
+            for node, triples in (per_node or {}).items()
+        }
+        #: Network size ``n`` of the key encoding.
+        self.num_nodes = 1 + max(
+            (int(block.max()) for block in rows.values() if block.shape[0]), default=0
+        )
+        self._nodes: Set[NodeId] = set(rows)
+        # Per-node lists of (possibly duplicated) int64 key chunks; a node
+        # that reported nothing has no entry.
+        self._chunks: Dict[NodeId, List[np.ndarray]] = {
+            node: [triangle_keys(block[:, 0], block[:, 1], block[:, 2], self.num_nodes)]
+            for node, block in rows.items()
+            if block.shape[0]
+        }
         # Per-node deduplicated key arrays (computed on demand).
         self._node_keys: Dict[NodeId, np.ndarray] = {}
-        # Per-node materialised frozensets (computed on demand).
-        self._cache: Dict[NodeId, FrozenSet[Triangle]] = {}
-        if per_node:
-            for node, triples in per_node.items():
-                frozen = (
-                    triples if isinstance(triples, frozenset) else frozenset(triples)
-                )
-                self._nodes.add(node)
-                if frozen:
-                    self._sets[node] = frozen
-                    self._cache[node] = frozen
-            self.num_nodes = _key_space(self._sets.values())
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_simulator_outputs(
-        cls, outputs: Mapping[NodeId, Iterable[Triangle]]
-    ) -> "TriangleOutput":
-        """Build an output tuple from collected (materialised) node outputs."""
-        return cls(
-            {node: frozenset(triples) for node, triples in outputs.items()}
-        )
-
-    @classmethod
     def from_contexts(cls, contexts: Sequence[Any], num_nodes: int) -> "TriangleOutput":
-        """Capture the contexts' output accumulators without materialising.
-
-        Each context contributes its scalar tuple set (frozen here — small
-        for the bulk-emitting kernels, exactly the old per-node copy for the
-        reference closures) and its raw key chunks (adopted by reference, no
-        copies, no decoding).
-        """
+        """Adopt the contexts' output key chunks by reference, without decoding."""
         output = cls()
         output.num_nodes = num_nodes
         for context in contexts:
-            scalar, chunks = context.output_state()
-            node = context.node_id
-            output._nodes.add(node)
-            if scalar:
-                output._sets[node] = frozenset(scalar)
+            output._nodes.add(context.node_id)
+            chunks = context.output_state()
             if chunks:
-                output._chunks[node] = list(chunks)
+                output._chunks[context.node_id] = list(chunks)
         return output
 
     # ------------------------------------------------------------------
@@ -154,7 +127,7 @@ class TriangleOutput:
     # ------------------------------------------------------------------
     @property
     def per_node(self) -> Mapping[NodeId, FrozenSet[Triangle]]:
-        """Mapping view of the tuple (lazy per-node materialisation)."""
+        """Mapping view of the tuple (lazy per-node decoding)."""
         return _LazyNodeSets(self)
 
     def node_keys(self, node: NodeId) -> np.ndarray:
@@ -164,36 +137,17 @@ class TriangleOutput:
         per-node equality over these arrays without building tuples.
         """
         keys = self._node_keys.get(node)
-        if keys is not None:
-            return keys
-        pieces = []
-        chunks = self._chunks.get(node)
-        if chunks:
-            pieces.extend(chunks)
-        triples = self._sets.get(node)
-        if triples:
-            pieces.append(_encode_triples(triples, self._key_space()))
-        keys = sorted_unique(*pieces)
-        self._node_keys[node] = keys
+        if keys is None:
+            keys = sorted_unique(*self._chunks.get(node, ()))
+            self._node_keys[node] = keys
         return keys
 
     def node_output(self, node: NodeId) -> FrozenSet[Triangle]:
-        """Return ``T_i`` for a single node (empty when the node output nothing)."""
-        cached = self._cache.get(node)
-        if cached is not None:
-            return cached
-        if node in self._chunks:
-            result = _decode_keys(self.node_keys(node), self._key_space())
-        else:
-            result = self._sets.get(node, frozenset())
-        self._cache[node] = result
-        return result
+        """Return ``T_i`` for a single node (empty when the node output nothing).
 
-    def _key_space(self) -> int:
-        """The ``n`` used for key encoding (derived lazily for legacy data)."""
-        if self.num_nodes == 0:
-            self.num_nodes = _key_space(self._sets.values())
-        return self.num_nodes
+        Decoded on every call and never kept: only the keys stay in memory.
+        """
+        return _decode_keys(self.node_keys(node), self.num_nodes)
 
     # ------------------------------------------------------------------
     # aggregates
@@ -201,19 +155,14 @@ class TriangleOutput:
     def union_keys(self) -> np.ndarray:
         """Return the union ``T`` as a sorted unique int64 key array.
 
-        Every raw chunk and every encoded scalar set is deduplicated in one
-        pass — never node by node first.
+        Every raw chunk is deduplicated in one pass — never node by node
+        first.
         """
-        pieces = [chunk for chunks in self._chunks.values() for chunk in chunks]
-        key_space = self._key_space()
-        pieces.extend(
-            _encode_triples(triples, key_space) for triples in self._sets.values()
-        )
-        return sorted_unique(*pieces)
+        return sorted_unique(*(chunk for chunks in self._chunks.values() for chunk in chunks))
 
     def union(self) -> FrozenSet[Triangle]:
         """Return ``T``, the union of all per-node outputs."""
-        return _decode_keys(self.union_keys(), self._key_space())
+        return _decode_keys(self.union_keys(), self.num_nodes)
 
     def total_reported(self) -> int:
         """Return the total number of (node, triple) report events."""
@@ -236,29 +185,28 @@ class TriangleOutput:
 
     def is_empty(self) -> bool:
         """Return ``True`` when no node output any triple."""
-        return not self._sets and not self._chunks
+        return not self._chunks
 
     def __eq__(self, other: Any) -> bool:
         """Structural equality: same nodes, same per-node triple sets.
 
-        Preserves the semantics of the frozen-dataclass era (two outputs
-        compare equal iff their ``per_node`` mappings would) without
-        materialising tuples when both sides share a key encoding.
+        Two outputs compare equal iff their ``per_node`` mappings would;
+        keys are compared in the larger of the two key spaces.
         """
         if not isinstance(other, TriangleOutput):
             return NotImplemented
         if self._nodes != other._nodes:
             return False
-        same_key_space = self._key_space() == other._key_space()
-        for node in self._nodes:
-            if same_key_space:
-                if not np.array_equal(self.node_keys(node), other.node_keys(node)):
-                    return False
-            elif self.node_output(node) != other.node_output(node):
-                return False
-        return True
+        num_nodes = max(self.num_nodes, other.num_nodes)
+        return all(
+            np.array_equal(
+                _recode(self.node_keys(node), self.num_nodes, num_nodes),
+                _recode(other.node_keys(node), other.num_nodes, num_nodes),
+            )
+            for node in self._nodes
+        )
 
-    #: Lazily materialised and mutable under the hood, so not hashable.
+    #: Lazily decoded and mutable under the hood, so not hashable.
     __hash__ = None
 
     def merged_with(self, other: "TriangleOutput") -> "TriangleOutput":
@@ -266,34 +214,18 @@ class TriangleOutput:
 
         Used when an algorithm repeats a sub-algorithm several times and the
         final output of each node is the union over repetitions.  Chunk
-        lists concatenate by reference — no key array is copied or decoded
-        here.
+        lists concatenate by reference; a chunk is re-encoded only when the
+        two key spaces differ.
         """
         merged = TriangleOutput()
-        merged.num_nodes = max(self._key_space(), other._key_space())
+        merged.num_nodes = max(self.num_nodes, other.num_nodes)
         merged._nodes = self._nodes | other._nodes
-        for node in merged._nodes:
-            mine, theirs = self._sets.get(node), other._sets.get(node)
-            if mine and theirs:
-                merged._sets[node] = mine | theirs
-            elif mine or theirs:
-                merged._sets[node] = mine or theirs
-            chunk_lists = (self._chunks.get(node), other._chunks.get(node))
-            if chunk_lists[0] or chunk_lists[1]:
-                merged._chunks[node] = list(chunk_lists[0] or ()) + list(
-                    chunk_lists[1] or ()
+        for source in (self, other):
+            for node, chunks in source._chunks.items():
+                merged._chunks.setdefault(node, []).extend(
+                    _recode(chunk, source.num_nodes, merged.num_nodes) for chunk in chunks
                 )
         return merged
-
-
-def _key_space(collections: Iterable[Iterable[Triangle]]) -> int:
-    """Smallest ``n`` whose key encoding covers every vertex seen (min 1)."""
-    largest = 0
-    for triples in collections:
-        for triple in triples:
-            if triple[2] > largest:
-                largest = triple[2]
-    return largest + 1
 
 
 def _recode(keys: np.ndarray, from_nodes: int, to_nodes: int) -> np.ndarray:
@@ -330,12 +262,12 @@ class _TruthComparison:
 def _keyed_union(output: TriangleOutput, graph: Graph) -> Tuple[int, np.ndarray]:
     """Return ``(n, keys)``: the union of ``output`` keyed for comparison with ``graph``.
 
-    The key space is ``max(graph.num_nodes, output's n)``, so a legacy
-    output keyed with a smaller ``n`` is re-encoded and reported ids
-    outside the graph stay representable.
+    The key space is ``max(graph.num_nodes, output's n)``, so an output
+    keyed with a smaller ``n`` is re-encoded and reported ids outside the
+    graph stay representable.
     """
-    num_nodes = max(graph.num_nodes, output._key_space())
-    return num_nodes, _recode(output.union_keys(), output._key_space(), num_nodes)
+    num_nodes = max(graph.num_nodes, output.num_nodes)
+    return num_nodes, _recode(output.union_keys(), output.num_nodes, num_nodes)
 
 
 def _compare_with_truth(output: TriangleOutput, graph: Graph) -> _TruthComparison:
@@ -395,7 +327,7 @@ class AlgorithmResult:
         """Raise naming the lowest offending node and its smallest bad triple."""
         if not comparison.spurious.shape[0]:
             return
-        key_space = self.output._key_space()
+        key_space = self.output.num_nodes
         spurious = _recode(comparison.spurious, comparison.num_nodes, key_space)
         for node in sorted(self.output._nodes):
             keys = self.output.node_keys(node)

@@ -27,6 +27,7 @@ computed at.
 from __future__ import annotations
 
 import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -78,9 +79,6 @@ class QueryServer:
         self.root.mkdir(parents=True, exist_ok=True)
         self._listener, self.address = bind_service_socket(self.root)
         self._listener.listen(16)
-        # Set before the accept thread exists: ``stop()`` may close the
-        # listener at any moment after that.
-        self._listener.settimeout(0.2)
         self._started_unix = time.time()
         write_service_info(
             self.root,
@@ -110,6 +108,11 @@ class QueryServer:
         """Stop accepting, close the listener, remove the discovery file."""
         self._stop.set()
         if self._listener is not None:
+            # Closing alone does not wake a thread blocked in accept().
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - close can hardly fail
@@ -130,13 +133,11 @@ class QueryServer:
     # -- wire loop ---------------------------------------------------------
 
     def _accept_loop(self, listener) -> None:
-        # ``listener`` is bound when the thread starts; ``stop()`` closing it
-        # surfaces here as an ``OSError`` from ``accept``.
+        # ``listener`` is bound when the thread starts; ``stop()`` shutting it
+        # down surfaces here as an ``OSError`` from ``accept``.
         while not self._stop.is_set():
             try:
                 conn, _ = listener.accept()
-            except TimeoutError:
-                continue
             except OSError:
                 break
             worker = threading.Thread(

@@ -357,6 +357,11 @@ class Dispatcher:
             self._stopped = True
         self._stop_event.set()
         if self._listener is not None:
+            # Closing alone does not wake a thread blocked in accept().
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -18,8 +18,8 @@ Edge = Tuple[int, int]
 Triangle = Tuple[int, int, int]
 
 #: Largest network size for which canonical triples fit losslessly into
-#: int64 triangle keys (``n³ < 2⁶³``).  Beyond it the columnar output plane
-#: falls back to Python tuple sets.
+#: int64 triangle keys (``n³ < 2⁶³``).  Beyond it a node cannot store any
+#: output: :class:`~repro.congest.node.NodeContext` raises instead.
 TRIANGLE_KEY_MAX_NODES = 1 << 21
 
 
@@ -36,6 +36,11 @@ def triangle_keys(
     """
     n = np.int64(num_nodes)
     return (a * n + b) * n + c
+
+
+def triangle_key(a: int, b: int, c: int, num_nodes: int) -> int:
+    """Scalar :func:`triangle_keys`: the key of one canonical triple."""
+    return (a * num_nodes + b) * num_nodes + c
 
 
 def sorted_unique(*chunks: np.ndarray) -> np.ndarray:
@@ -105,7 +110,15 @@ def make_triangle(u: NodeId, v: NodeId, w: NodeId) -> Triangle:
         raise ValueError(
             f"a triangle must contain three distinct vertices, got ({u}, {v}, {w})"
         )
-    return tuple(sorted((u, v, w)))  # type: ignore[return-value]
+    # Three compare-and-swaps: several times faster than ``sorted`` on the
+    # reference closures' per-triangle output path.
+    if u > v:
+        u, v = v, u
+    if v > w:
+        v, w = w, v
+    if u > v:
+        u, v = v, u
+    return (u, v, w)
 
 
 def triangle_edges(triangle: Triangle) -> Tuple[Edge, Edge, Edge]:

@@ -276,7 +276,7 @@ class TestKeySpaceVerification:
     def test_smaller_legacy_key_space_is_re_encoded(self):
         graph = complete_graph(12)
         result = fabricate_result({0: {(0, 1, 2), (1, 2, 3)}})
-        assert result.output._key_space() == 4
+        assert result.output.num_nodes == 4
         assert_matches_reference(result, graph)
         report = verify_result(result, graph)
         assert report.total_reported == 2

@@ -1,10 +1,14 @@
 """Unit tests for the phase-based CONGEST simulator and node contexts."""
 
+import numpy as np
 import pytest
 
 from repro.congest import BandwidthPolicy, CongestSimulator, NodeContext, id_bits
+from repro.congest.runtime import MessagePlane
+from repro.core import TriangleOutput
 from repro.errors import RoundLimitExceededError, SimulationError, TopologyError
 from repro.graphs import Graph, complete_graph, cycle_graph
+from repro.types import TRIANGLE_KEY_MAX_NODES, triangle_keys
 
 
 def star_graph(leaves: int) -> Graph:
@@ -201,6 +205,43 @@ class TestOutputs:
         context.output_triangle(1, 2, 3)
         context.output_triangle(3, 2, 1)
         assert len(context.output) == 1
+
+    def test_every_output_door_stores_the_same_keys(self):
+        n = 6
+        simulator = CongestSimulator(complete_graph(n), seed=0)
+        context = simulator.context(0)
+        context.output_triangle(2, 1, 0)
+        context.output_triangle(0, 1, 2)
+        context.output_triangle(5, 3, 4)
+        context.output_triangles(
+            np.array([4, 0, 1]), np.array([3, 2, 2]), np.array([5, 1, 3])
+        )
+        # A read flushes the scalar keys; later reports still land.
+        assert context.output == {(0, 1, 2), (1, 2, 3), (3, 4, 5)}
+        context.output_triangle(1, 3, 2)
+        context.output_triangle_keys(
+            triangle_keys(np.array([0, 2]), np.array([1, 3]), np.array([2, 4]), n)
+        )
+        expected = {(0, 1, 2), (1, 2, 3), (3, 4, 5), (2, 3, 4)}
+        assert context.output == expected
+        output = TriangleOutput.from_contexts(simulator.contexts, n)
+        assert output.node_output(0) == expected
+        rows = np.array(sorted(expected), dtype=np.int64)
+        np.testing.assert_array_equal(
+            output.node_keys(0), triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], n)
+        )
+        assert output.union() == expected
+
+    def test_output_beyond_key_range_raises(self):
+        num_nodes = TRIANGLE_KEY_MAX_NODES + 1
+        context = NodeContext(
+            0, num_nodes, (1, 2), None, np.random.default_rng(0), MessagePlane(num_nodes)
+        )
+        with pytest.raises(SimulationError):
+            context.output_triangle(0, 1, 2)
+        with pytest.raises(SimulationError):
+            context.output_triangles(np.array([0]), np.array([1]), np.array([2]))
+        assert context.output == frozenset()
 
     def test_context_repr(self):
         simulator = CongestSimulator(cycle_graph(3), seed=0)

@@ -56,9 +56,11 @@ class TestTriangleOutput:
         assert merged.node_output(0) == {(0, 1, 2), (1, 2, 3)}
         assert merged.node_output(1) == {(0, 1, 2)}
 
-    def test_from_simulator_outputs(self):
-        output = TriangleOutput.from_simulator_outputs({0: [(0, 1, 2)], 1: []})
+    def test_constructor_accepts_list_values(self):
+        output = TriangleOutput({0: [(0, 1, 2), (0, 1, 2)], 1: []})
         assert output.node_output(0) == {(0, 1, 2)}
+        assert output.node_output(1) == frozenset()
+        assert set(output.per_node) == {0, 1}
 
 
 class TestAlgorithmResult:

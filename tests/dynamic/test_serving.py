@@ -1,6 +1,7 @@
 """In-process tests for the query server/client wire plane."""
 
 import threading
+import time
 
 import pytest
 
@@ -106,6 +107,19 @@ class TestLifecycle:
             server.start()
             server.stop()
         assert [args.exc_value for args in raised] == []
+
+    def test_stop_joins_the_accept_thread(self, tmp_path):
+        engine = TriangleQueryEngine(Graph(3, [(0, 1)]))
+        server = QueryServer(tmp_path / "svc", engine)
+        server.start()
+        (accept,) = server._threads
+        # After one served connection the accept thread is back in accept().
+        with QueryClient.connect(server.root, timeout=10) as client:
+            client.query(QuerySpec(kind="count"))
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept.is_alive()
 
     def test_client_refuses_non_query_service(self, tmp_path):
         # A discovery file without the query marker (e.g. the experiment

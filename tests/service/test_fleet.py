@@ -470,3 +470,15 @@ class TestControlPlane:
         finally:
             dispatcher.stop()
         assert not (service_root / "service.json").exists()
+
+    def test_stop_joins_the_accept_thread(self, service_root):
+        dispatcher = Dispatcher(service_root, workers=0)
+        dispatcher.start()
+        (accept,) = [t for t in dispatcher._threads if t.name == "service-accept"]
+        # After one served connection the accept thread is back in accept().
+        with ServiceClient.connect(service_root) as client:
+            client.status()
+        started = time.monotonic()
+        dispatcher.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept.is_alive()

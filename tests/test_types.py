@@ -1,5 +1,7 @@
 """Tests for the fundamental value types."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.types import (
+    TRIANGLE_KEY_MAX_NODES,
     edges_of_triangles,
     make_edge,
     make_triangle,
     sorted_unique,
     triangle_edges,
+    triangle_key,
+    triangle_keys,
 )
 
 
@@ -28,6 +33,10 @@ class TestMakeEdge:
 class TestMakeTriangle:
     def test_canonical_order(self):
         assert make_triangle(5, 1, 3) == (1, 3, 5)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations((2, 7, 11))))
+    def test_every_order_sorts(self, order):
+        assert make_triangle(*order) == (2, 7, 11)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -48,6 +57,19 @@ class TestTriangleEdges:
 
     def test_edges_of_triangles_empty(self):
         assert edges_of_triangles([]) == set()
+
+
+class TestTriangleKey:
+    @pytest.mark.parametrize("num_nodes", [3, 17, 1_000, TRIANGLE_KEY_MAX_NODES])
+    def test_scalar_matches_vectorised(self, num_nodes):
+        rng = np.random.default_rng(num_nodes)
+        rows = np.sort(
+            np.stack([rng.choice(num_nodes, size=3, replace=False) for _ in range(200)]),
+            axis=1,
+        ).astype(np.int64)
+        keys = triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], num_nodes)
+        scalar = [triangle_key(a, b, c, num_nodes) for a, b, c in rows.tolist()]
+        assert scalar == keys.tolist()
 
 
 def assert_same_as_np_unique(keys):
