@@ -15,9 +15,10 @@ which makes the bound stronger).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from ..graphs.graph import Graph
+import numpy as np
+
 from ..types import NodeId
 from .simulator import CongestSimulator
 
@@ -33,8 +34,8 @@ class CliqueSimulator(CongestSimulator):
     """
 
     def _communication_targets(
-        self, graph: Graph, node: NodeId
-    ) -> Optional[Iterable[NodeId]]:
+        self, node: NodeId, neighbor_row: np.ndarray
+    ) -> Optional[np.ndarray]:
         """All other nodes: the communication topology is the complete graph.
 
         Returns the runtime kernel's ``None`` sentinel, which the

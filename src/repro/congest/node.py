@@ -42,6 +42,22 @@ from .runtime import (
 )
 from .wire import WireSchema
 
+#: Scalar output reports a context buffers as Python ints before flushing
+#: them into one int64 chunk, which bounds the list a heavy reporter (the
+#: naive baseline reports each triangle twice per node) keeps alive.
+OUTPUT_FLUSH_KEYS = 1024
+
+
+def _sorted_row(nodes: np.ndarray | Iterable[NodeId]) -> np.ndarray:
+    """Return node identifiers as a sorted int64 row.
+
+    An ndarray is taken to be such a row already and is kept as is, so a
+    CSR view's neighbour row is shared, not copied.
+    """
+    if isinstance(nodes, np.ndarray):
+        return nodes
+    return np.array(sorted(set(nodes)), dtype=np.int64)
+
 
 def emit_grouped_keys(
     contexts: Sequence["NodeContext"], receivers: np.ndarray, keys: np.ndarray
@@ -76,13 +92,12 @@ class NodeContext:
     __slots__ = (
         "node_id",
         "num_nodes",
-        "neighbors",
         "rng",
         "state",
-        "_comm_targets",
-        "_clique_targets_cache",
-        "_targets_array",
         "_neighbor_array",
+        "_neighbor_set",
+        "_comm_targets",
+        "_target_set",
         "_plane",
         "_inbox",
         "_output_keys",
@@ -93,49 +108,41 @@ class NodeContext:
         self,
         node_id: NodeId,
         num_nodes: int,
-        neighbors: Iterable[NodeId],
-        comm_targets: Optional[Iterable[NodeId]],
+        neighbors: np.ndarray | Iterable[NodeId],
+        comm_targets: Optional[np.ndarray | Iterable[NodeId]],
         rng: np.random.Generator,
         plane: MessagePlane,
-        neighbor_array: Optional[np.ndarray] = None,
     ) -> None:
         #: This node's identifier (``0 .. n-1``).
         self.node_id = node_id
         #: The number of nodes ``n`` (globally known, per the model).
         self.num_nodes = num_nodes
-        #: The node's neighbours in the *input graph* ``G`` — its initial
-        #: knowledge of the topology.
-        self.neighbors: frozenset[NodeId] = (
-            neighbors if isinstance(neighbors, frozenset) else frozenset(neighbors)
-        )
         #: Private randomness for this node.
         self.rng = rng
         #: Free-form per-node algorithm state.
         self.state: Dict[str, Any] = {}
-        # Nodes this node may send to: equal to ``neighbors`` in the CONGEST
-        # model, and to all other nodes in the CONGEST clique model.  ``None``
-        # encodes the clique case without materialising n-1 identifiers per
-        # node; the frozenset is then built lazily on first access.  When the
-        # caller passes the same object for both (the standard-model
-        # simulator does), the frozenset is shared rather than copied.
-        if comm_targets is None:
-            self._comm_targets: Optional[frozenset[NodeId]] = None
-        elif comm_targets is neighbors:
-            self._comm_targets = self.neighbors
-        else:
-            self._comm_targets = frozenset(comm_targets)
-        self._clique_targets_cache: Optional[frozenset[NodeId]] = None
-        self._targets_array: Optional[np.ndarray] = None
-        # Sorted int64 neighbour identifiers; simulators built on the CSR
-        # substrate hand in the graph view's (immutable) row slice so the
-        # broadcast fast path never re-sorts or re-materialises it.
-        self._neighbor_array: Optional[np.ndarray] = neighbor_array
+        # The node's neighbours in the input graph as a sorted int64 row.
+        # Simulators hand in the CSR view's immutable row (zero-copy); the
+        # frozenset behind ``neighbors`` is built from it on first read, so
+        # the batched kernels, which never read it, never pay for it.
+        self._neighbor_array: np.ndarray = _sorted_row(neighbors)
+        self._neighbor_set: Optional[frozenset[NodeId]] = None
+        # Nodes this node may send to, as a sorted int64 row: the neighbour
+        # row itself in the CONGEST model (the simulator passes the same
+        # array for both), all other nodes in the CONGEST clique model.
+        # ``None`` encodes the clique case without materialising n-1
+        # identifiers per node; ``send``/``bulk_send`` then range-check.
+        self._comm_targets: Optional[np.ndarray] = (
+            None if comm_targets is None else _sorted_row(comm_targets)
+        )
+        # ``communication_targets`` as a frozenset, built on first read.
+        self._target_set: Optional[frozenset[NodeId]] = None
         self._plane = plane
         self._inbox: Inbox = EMPTY_INBOX
         # Output accumulates as int64 triangle keys: scalar reports as Python
-        # ints until the next read flushes them into one chunk, bulk reports
-        # as chunks.  Tuples are only built if someone reads ``output``.
-        # May hold duplicate keys — consumers dedup.
+        # ints, flushed into one chunk every OUTPUT_FLUSH_KEYS reports and on
+        # read, bulk reports as chunks.  Tuples are only built if someone
+        # reads ``output``.  May hold duplicate keys — consumers dedup.
         self._output_keys: List[int] = []
         self._output_key_chunks: List[np.ndarray] = []
 
@@ -143,35 +150,50 @@ class NodeContext:
     # topology queries
     # ------------------------------------------------------------------
     @property
+    def neighbors(self) -> frozenset[NodeId]:
+        """The node's neighbours in the *input graph* ``G``.
+
+        Its initial knowledge of the topology; built from the sorted
+        neighbour row on first read.
+        """
+        if self._neighbor_set is None:
+            self._neighbor_set = frozenset(self._neighbor_array.tolist())
+        return self._neighbor_set
+
+    @property
     def degree(self) -> int:
         """The node's degree in the input graph."""
-        return len(self.neighbors)
+        return int(self._neighbor_array.shape[0])
 
     def sorted_neighbors(self) -> List[NodeId]:
         """Return the node's neighbours in increasing identifier order."""
-        return sorted(self.neighbors)
+        return self._neighbor_array.tolist()
 
     def can_send_to(self, destination: NodeId) -> bool:
         """Return ``True`` when the communication topology has a link to ``destination``."""
         if self._comm_targets is None:
             return 0 <= destination < self.num_nodes and destination != self.node_id
-        return destination in self._comm_targets
+        return destination in self.communication_targets
 
     @property
     def communication_targets(self) -> frozenset[NodeId]:
         """All nodes this node may address directly (model dependent).
 
-        On the clique the set is built (and cached) on demand, in a field
-        separate from the ``None`` sentinel so reading it never disables
+        Built (and cached) on first read; in the CONGEST model it is the
+        ``neighbors`` set itself.  On the clique it lives in a field
+        separate from the ``None`` sentinel, so reading it never disables
         the O(1) clique range-check fast path in ``send``/``bulk_send``.
         """
-        if self._comm_targets is not None:
-            return self._comm_targets
-        if self._clique_targets_cache is None:
-            self._clique_targets_cache = frozenset(
-                other for other in range(self.num_nodes) if other != self.node_id
-            )
-        return self._clique_targets_cache
+        if self._target_set is None:
+            if self._comm_targets is None:
+                self._target_set = frozenset(
+                    other for other in range(self.num_nodes) if other != self.node_id
+                )
+            elif self._comm_targets is self._neighbor_array:
+                self._target_set = self.neighbors
+            else:
+                self._target_set = frozenset(self._comm_targets.tolist())
+        return self._target_set
 
     # ------------------------------------------------------------------
     # communication
@@ -285,7 +307,7 @@ class NodeContext:
                     f"node {self.node_id} has no communication link to {bad}"
                 )
         else:
-            reachable = np.isin(dst, self._sorted_targets())
+            reachable = np.isin(dst, self._comm_targets)
             if not reachable.all():
                 bad = int(dst[np.flatnonzero(~reachable)[0]])
                 raise TopologyError(
@@ -358,10 +380,6 @@ class NodeContext:
         Equivalent to ``broadcast(payload, bits)`` but enqueues the whole
         neighbourhood as one batched chunk.
         """
-        if self._neighbor_array is None:
-            self._neighbor_array = np.fromiter(
-                sorted(self.neighbors), dtype=np.int64, count=len(self.neighbors)
-            )
         neighbors = self._neighbor_array
         count = int(neighbors.shape[0])
         if count == 0:
@@ -372,19 +390,6 @@ class NodeContext:
             repeated_payload(payload, count),
             np.full(count, int(bits), dtype=np.int64),
         )
-
-    def _sorted_targets(self) -> np.ndarray:
-        """Sorted array of explicit communication targets (cached, O(degree))."""
-        if self._targets_array is None:
-            if self._neighbor_array is not None and self._comm_targets is self.neighbors:
-                self._targets_array = self._neighbor_array
-            else:
-                self._targets_array = np.fromiter(
-                    sorted(self._comm_targets),
-                    dtype=np.int64,
-                    count=len(self._comm_targets),
-                )
-        return self._targets_array
 
     def received(self) -> List[Tuple[NodeId, Any]]:
         """Return the ``(sender, payload)`` pairs delivered in the last phase."""
@@ -412,7 +417,10 @@ class NodeContext:
         triangle keys.
         """
         self._require_keyable()
-        self._output_keys.append(triangle_key(*make_triangle(a, b, c), self.num_nodes))
+        keys = self._output_keys
+        keys.append(triangle_key(*make_triangle(a, b, c), self.num_nodes))
+        if len(keys) >= OUTPUT_FLUSH_KEYS:
+            self._flush_output_keys()
 
     def output_triangles(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray, canonical: bool = False
@@ -472,9 +480,12 @@ class NodeContext:
         materialising anything.
         """
         if self._output_keys:
-            self._output_key_chunks.append(np.array(self._output_keys, dtype=np.int64))
-            self._output_keys = []
+            self._flush_output_keys()
         return self._output_key_chunks
+
+    def _flush_output_keys(self) -> None:
+        self._output_key_chunks.append(np.array(self._output_keys, dtype=np.int64))
+        self._output_keys = []
 
     @property
     def output(self) -> frozenset[Triangle]:

@@ -1025,12 +1025,23 @@ def max_link_bits(traffic: PhaseTraffic, num_nodes: int) -> int:
 def spawn_node_rngs(
     num_nodes: int, seed: Optional[int | np.random.Generator]
 ) -> List[np.random.Generator]:
-    """Return one independent, reproducible child generator per node."""
+    """Return one independent, reproducible child generator per node.
+
+    The root generator draws one child seed per node, and node ``v``'s
+    generator draws exactly what ``np.random.default_rng(child_seeds[v])``
+    would.  The child seeds' SeedSequence mixing runs as one batch
+    (:func:`repro.congest.seeding.seed_sequence_states`) instead of one
+    ``default_rng`` call per node.
+    """
+    # Imported here: the seeding module imports numpy.random, which a bare
+    # ``import repro`` does not.
+    from .seeding import generators_from_states, seed_sequence_states
+
     root_rng = (
         seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     )
     child_seeds = root_rng.integers(0, 2**63 - 1, size=num_nodes)
-    return [np.random.default_rng(int(child_seeds[node])) for node in range(num_nodes)]
+    return generators_from_states(seed_sequence_states(child_seeds))
 
 
 class CongestRuntime:

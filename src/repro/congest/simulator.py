@@ -29,12 +29,16 @@ variants).
 
 The simulator also enforces the model's knowledge discipline: node programs
 receive only :class:`~repro.congest.node.NodeContext` objects built from the
-input graph's local neighbourhoods.
+input graph's local neighbourhoods.  Set-up is bulk work: every context
+holds its node's sorted neighbour row from the graph's CSR view (zero-copy)
+and builds a neighbour frozenset only if something reads it, and all n
+private generators are seeded in one vectorized pass
+(:func:`~repro.congest.runtime.spawn_node_rngs`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,13 +49,6 @@ from .bandwidth import DEFAULT_BANDWIDTH, BandwidthPolicy
 from .metrics import ExecutionMetrics, PhaseReport
 from .node import NodeContext
 from .runtime import CongestRuntime, DeliveredPhase, PhaseTraffic, max_link_bits
-
-#: Sentinel returned by :meth:`CongestSimulator._communication_targets` when
-#: the communication topology is the input graph itself.  The constructor
-#: then reuses the CSR-derived neighbour frozenset instead of building a
-#: second copy per node.
-GRAPH_NEIGHBORS = object()
-
 
 class CongestSimulator:
     """Simulate a phase-synchronous protocol in the standard CONGEST model.
@@ -64,8 +61,12 @@ class CongestSimulator:
         The per-edge per-round bandwidth policy.  Defaults to
         ``⌈log2 n⌉``-bit messages.
     seed:
-        Seed for the per-node private randomness.  Each node receives an
-        independent child generator, so executions are reproducible and
+        Seed for the per-node private randomness: an int, ``None`` (fresh
+        entropy) or a ``np.random.Generator``, which is used as the root
+        and advanced.  The root draws one child seed per node, and node
+        ``v``'s generator draws exactly what
+        ``np.random.default_rng(child_seed_v)`` would, although all n are
+        seeded in one vectorized pass.  Executions are reproducible, and
         node programs cannot share randomness implicitly.
     round_limit:
         Optional budget; exceeding it raises
@@ -82,26 +83,19 @@ class CongestSimulator:
         round_limit: Optional[int] = None,
     ) -> None:
         self._runtime = CongestRuntime(graph, bandwidth, round_limit)
-        # Contexts are built straight from the immutable CSR view: each node
-        # receives the view's sorted neighbour row (zero-copy) plus one
-        # frozenset, shared with the communication-target set in the
-        # standard model instead of materialised twice.
+        # Each context gets the immutable CSR view's sorted neighbour row
+        # (zero-copy) and builds its neighbour frozenset only if read.
         csr = graph.csr()
 
         def build_context(node: NodeId, rng: np.random.Generator) -> NodeContext:
             neighbor_row = csr.neighbor_slice(node)
-            neighbors = frozenset(neighbor_row.tolist())
-            targets = self._communication_targets(graph, node)
-            if targets is GRAPH_NEIGHBORS:
-                targets = neighbors
             return NodeContext(
                 node_id=node,
                 num_nodes=graph.num_nodes,
-                neighbors=neighbors,
-                comm_targets=targets,
+                neighbors=neighbor_row,
+                comm_targets=self._communication_targets(node, neighbor_row),
                 rng=rng,
                 plane=self._runtime.plane,
-                neighbor_array=neighbor_row,
             )
 
         self._runtime.build_contexts(seed, build_context)
@@ -110,18 +104,16 @@ class CongestSimulator:
     # topology hooks (overridden by the clique variant)
     # ------------------------------------------------------------------
     def _communication_targets(
-        self, graph: Graph, node: NodeId
-    ) -> Optional[Iterable[NodeId]]:
+        self, node: NodeId, neighbor_row: np.ndarray
+    ) -> Optional[np.ndarray]:
         """Return the nodes ``node`` may address directly.
 
         In the standard CONGEST model the communication topology *is* the
-        input graph, so the targets are the graph neighbours — signalled by
-        the :data:`GRAPH_NEIGHBORS` sentinel, which lets the constructor
-        reuse one frozenset for both roles.  The clique variant returns
-        ``None``, the "all other nodes" sentinel.  Subclasses may also
-        return any explicit iterable of node identifiers.
+        input graph, so the targets are the node's sorted neighbour row
+        itself, shared rather than copied.  The clique variant returns
+        ``None``, the "all other nodes" sentinel.
         """
-        return GRAPH_NEIGHBORS
+        return neighbor_row
 
     @property
     def model_name(self) -> str:

@@ -1,5 +1,10 @@
 """Unit tests for the shared runtime kernel and the vectorized message plane."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,9 @@ from repro.congest.runtime import (
     max_link_bits,
     record_deliveries,
     repeated_payload,
+    spawn_node_rngs,
 )
+from repro.congest.seeding import seed_sequence_states
 from repro.congest.metrics import ExecutionMetrics
 from repro.errors import SimulationError, TopologyError
 from repro.graphs import Graph, complete_graph, cycle_graph
@@ -243,6 +250,47 @@ class TestBulkSend:
         simulator.context(0).bulk_send([2, 3, 4], ["x", "y", "z"], bits=3)
         simulator.run_phase()
         assert simulator.context(3).received() == [(0, "y")]
+
+
+class TestNodeSeeding:
+    def test_vectorized_states_match_seed_sequence(self):
+        seeds = np.random.default_rng(2024).integers(0, 2**63 - 1, size=1500)
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+        seeds = np.concatenate([seeds, np.array(edges, dtype=np.int64)])
+        states = seed_sequence_states(seeds)
+        assert states.shape == (seeds.shape[0], 4)
+        assert states.dtype == np.uint64
+        for seed, row in zip(seeds.tolist(), states):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_node_streams_match_default_rng(self, as_generator):
+        num_nodes = 40
+        seed = np.random.default_rng(17) if as_generator else 17
+        child_seeds = np.random.default_rng(17).integers(0, 2**63 - 1, size=num_nodes)
+        rngs = spawn_node_rngs(num_nodes, seed)
+        assert len(rngs) == num_nodes
+        for rng, child_seed in zip(rngs, child_seeds.tolist()):
+            reference = np.random.default_rng(child_seed)
+            np.testing.assert_array_equal(rng.random(64), reference.random(64))
+            assert rng.integers(0, 2**40) == reference.integers(0, 2**40)
+
+    def test_node_generator_pickles_with_its_stream(self):
+        rng = spawn_node_rngs(3, 5)[2]
+        rng.random(7)
+        copy = pickle.loads(pickle.dumps(rng))
+        np.testing.assert_array_equal(copy.random(16), rng.random(16))
+
+    def test_seeding_module_is_imported_on_first_use(self):
+        # It imports numpy.random, which recent numpy loads lazily.
+        code = "import sys, repro.congest; print('repro.congest.seeding' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestCliqueLaziness:

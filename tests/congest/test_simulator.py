@@ -1,9 +1,19 @@
 """Unit tests for the phase-based CONGEST simulator and node contexts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.congest import BandwidthPolicy, CongestSimulator, NodeContext, id_bits
+from repro.congest import (
+    BandwidthPolicy,
+    CliqueSimulator,
+    CongestSimulator,
+    NodeContext,
+    RoundEngine,
+    id_bits,
+)
+from repro.congest.node import OUTPUT_FLUSH_KEYS
 from repro.congest.runtime import MessagePlane
 from repro.core import TriangleOutput
 from repro.errors import RoundLimitExceededError, SimulationError, TopologyError
@@ -43,6 +53,69 @@ class TestConstruction:
 
     def test_repr(self):
         assert "n=4" in repr(CongestSimulator(cycle_graph(4)))
+
+
+class TestLazyNeighbours:
+    def test_fresh_context_reads_match_the_csr_row(self):
+        graph = Graph(7, [(0, 5), (0, 2), (0, 6), (1, 2), (3, 4)])
+        simulator = CongestSimulator(graph, seed=0)
+        csr = graph.csr()
+        for context in simulator.contexts:
+            row = csr.neighbor_slice(context.node_id).tolist()
+            assert context._neighbor_set is None
+            assert context.degree == len(row)
+            assert context.sorted_neighbors() == row
+            assert context._neighbor_set is None
+            assert context.neighbors == frozenset(row)
+            assert context.communication_targets is context.neighbors
+
+    def test_sends_to_non_neighbours_raise_before_neighbours_are_read(self):
+        simulator = CongestSimulator(cycle_graph(6), seed=0)
+        context = simulator.context(0)
+        with pytest.raises(TopologyError):
+            context.bulk_send([1, 3], ["a", "b"], bits=1)
+        assert context._neighbor_set is None
+        context.bulk_send([1, 5], ["a", "b"], bits=1)
+        assert context._neighbor_set is None
+        with pytest.raises(TopologyError):
+            simulator.context(1).send(3, "x", bits=1)
+        context.send(5, "c", bits=1)
+        assert simulator.run_phase().messages == 3
+        assert simulator.context(5).received() == [(0, "b"), (0, "c")]
+
+    def test_clique_keeps_its_range_check(self):
+        simulator = CliqueSimulator(cycle_graph(6), seed=0)
+        context = simulator.context(0)
+        context.bulk_send([2, 3], ["a", "b"], bits=1)
+        context.send(4, "c", bits=1)
+        assert context._comm_targets is None
+        assert context._neighbor_set is None
+        with pytest.raises(TopologyError):
+            context.bulk_send([2, 6], ["a", "b"], bits=1)
+        with pytest.raises(TopologyError):
+            context.send(-1, "x", bits=1)
+        assert context.neighbors == frozenset({1, 5})
+        assert context.sorted_neighbors() == [1, 5]
+
+    def test_strict_engine_contexts_are_unchanged(self):
+        graph = cycle_graph(6)
+        engine = RoundEngine(graph, seed=4)
+        simulator = CongestSimulator(graph, seed=4)
+        for strict, phased in zip(engine.contexts, simulator.contexts):
+            assert type(strict.neighbors) is frozenset
+            assert strict.neighbors == graph.neighbors(strict.node_id)
+            assert strict.neighbors == phased.neighbors
+            assert strict.rng.random() == phased.rng.random()
+
+    def test_direct_context_sorts_an_iterable_of_neighbours(self):
+        context = NodeContext(
+            2, 6, [5, 0, 3, 5], [5, 0, 3], np.random.default_rng(0), MessagePlane(6)
+        )
+        assert context.sorted_neighbors() == [0, 3, 5]
+        assert context.degree == 3
+        assert context.communication_targets == frozenset({0, 3, 5})
+        with pytest.raises(TopologyError):
+            context.bulk_send([1], ["x"], bits=1)
 
 
 class TestSendValidation:
@@ -205,6 +278,22 @@ class TestOutputs:
         context.output_triangle(1, 2, 3)
         context.output_triangle(3, 2, 1)
         assert len(context.output) == 1
+
+    def test_scalar_reports_flush_into_int64_chunks(self):
+        n = 60
+        simulator = CongestSimulator(complete_graph(n), seed=0)
+        context = simulator.context(0)
+        triples = list(
+            itertools.islice(itertools.combinations(range(n), 3), 2 * OUTPUT_FLUSH_KEYS + 5)
+        )
+        for a, b, c in triples:
+            context.output_triangle(c, a, b)
+            assert len(context._output_keys) < OUTPUT_FLUSH_KEYS
+        assert [len(chunk) for chunk in context._output_key_chunks] == [
+            OUTPUT_FLUSH_KEYS,
+            OUTPUT_FLUSH_KEYS,
+        ]
+        assert context.output == frozenset(triples)
 
     def test_every_output_door_stores_the_same_keys(self):
         n = 6
