@@ -21,11 +21,11 @@ The registered kinds mirror what the incremental oracle maintains:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import AnalysisError
-from .records import canonical_json
+from .records import canonical_json, canonical_json_object
 from .specs import _canonical_params, _check_schema_version, _require_mapping
 
 __all__ = [
@@ -244,25 +244,66 @@ class QuerySpec:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
 class QueryResult:
-    """An answer pinned to the snapshot version it was computed against."""
+    """An answer pinned to the snapshot version it was computed against.
 
-    kind: str
-    version: int
-    payload: Mapping[str, Any]
+    Immutable, like :class:`QuerySpec`.  Public construction (and
+    :meth:`from_dict`/:meth:`from_json`) walks ``payload`` and rejects
+    anything JSON cannot carry.  The query engine builds its payloads from
+    Python ints, lists and ``None`` only, so it constructs through
+    :meth:`_trusted`, which skips that walk and also accepts the payload
+    as canonical JSON text (``delta-since`` splices its journal's
+    per-batch fragments).  Such a result encodes by splicing the text and
+    decodes a fresh :attr:`payload` on every read, so no caller can alias,
+    or change, the state it was built from.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or not self.kind:
-            raise AnalysisError(f"result kind must be a non-empty string, got {self.kind!r}")
-        version = self.version
+    __slots__ = ("kind", "version", "_payload")
+
+    def __init__(self, kind: str, version: int, payload: Mapping[str, Any]) -> None:
+        if not isinstance(kind, str) or not kind:
+            raise AnalysisError(f"result kind must be a non-empty string, got {kind!r}")
         if isinstance(version, bool) or not isinstance(version, int) or version < 0:
             raise AnalysisError(f"result version must be a non-negative integer, got {version!r}")
-        payload = _canonical_params(self.payload, f"QueryResult({self.kind}).payload")
-        object.__setattr__(self, "payload", payload)
+        self._set(kind, version, _canonical_params(payload, f"QueryResult({kind}).payload"))
+
+    @classmethod
+    def _trusted(cls, kind: str, version: int, payload: "Dict[str, Any] | str") -> "QueryResult":
+        """Build without validation from a JSON-typed mapping or canonical JSON text."""
+        result = object.__new__(cls)
+        result._set(kind, version, payload)
+        return result
+
+    def _set(self, kind: str, version: int, payload: "Mapping[str, Any] | str") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "_payload", payload)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (QueryResult._trusted, (self.kind, self.version, self._payload))
+
+    @property
+    def payload(self) -> Mapping[str, Any]:
+        if isinstance(self._payload, str):
+            return json.loads(self._payload)
+        return self._payload
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.version, self.payload) == (other.kind, other.version, other.payload)
 
     def __hash__(self) -> int:
         return hash((self.kind, self.version, json.dumps(self.payload, sort_keys=True)))
+
+    def __repr__(self) -> str:
+        return f"QueryResult(kind={self.kind!r}, version={self.version!r}, payload={self.payload!r})"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -286,7 +327,16 @@ class QueryResult:
         )
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        if not isinstance(self._payload, str):
+            return canonical_json(self.to_dict())
+        return canonical_json_object(
+            {
+                "schema": str(QUERY_SCHEMA_VERSION),
+                "kind": json.dumps(self.kind),
+                "version": str(self.version),
+                "payload": self._payload,
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "QueryResult":

@@ -15,7 +15,7 @@ equal records always serialize to identical bytes, which is what makes
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Mapping
 
 from ..analysis.experiments import ExperimentRecord
 from ..analysis.verification import VerificationReport
@@ -30,6 +30,7 @@ __all__ = [
     "PhaseReport",
     "CountingResult",
     "canonical_json",
+    "canonical_json_object",
 ]
 
 
@@ -43,3 +44,12 @@ def canonical_json(payload: Any) -> str:
     store.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def canonical_json_object(members: Mapping[str, str]) -> str:
+    """Join member values that are already canonical JSON text into one object.
+
+    Byte-identical to :func:`canonical_json` of the decoded members, so a
+    caller can splice text it encoded once instead of re-encoding it.
+    """
+    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}" for key in sorted(members)) + "}"

@@ -13,17 +13,26 @@ The journal backs the ``delta-since`` query kind.  It is bounded
 retained batch raises :class:`~repro.errors.AnalysisError` telling the
 client to refresh from a full query instead.  When ``listing`` is enabled
 the journal keeps the created/destroyed triangle lists per batch, i.e. the
-streaming listing mode; otherwise only counts are retained.
+streaming listing mode; otherwise only counts are retained.  Each journal
+entry keeps its batch's canonical JSON fragment beside the delta, encoded on
+the entry's first read and evicted with it, so a ``delta-since`` answer is
+the retained fragments spliced into one document.
+
+Every payload the engine builds holds Python ints, lists and ``None`` only,
+so answers are constructed through ``QueryResult._trusted``, skipping the
+validating walk that public construction performs.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..api.queries import QueryResult, QuerySpec
+from ..api.records import canonical_json, canonical_json_object
 from ..errors import AnalysisError, GraphError
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
@@ -34,6 +43,16 @@ from .oracle import BatchDelta, IncrementalTriangleOracle
 __all__ = ["DEFAULT_JOURNAL_LIMIT", "TriangleQueryEngine"]
 
 DEFAULT_JOURNAL_LIMIT = 4096
+
+
+class _JournalEntry:
+    """One applied batch and its canonical JSON fragment, once encoded."""
+
+    __slots__ = ("delta", "fragment")
+
+    def __init__(self, delta: BatchDelta) -> None:
+        self.delta = delta
+        self.fragment: Optional[str] = None
 
 
 class TriangleQueryEngine:
@@ -51,7 +70,7 @@ class TriangleQueryEngine:
             raise GraphError("journal_limit must be at least 1")
         self._oracle = IncrementalTriangleOracle(base, compact_threshold=compact_threshold)
         self._listing = bool(listing)
-        self._journal: List[BatchDelta] = []
+        self._journal: List[_JournalEntry] = []
         self._journal_limit = int(journal_limit)
         self._lock = threading.RLock()
         self._batches_applied = 0
@@ -103,14 +122,14 @@ class TriangleQueryEngine:
         """Oldest ``since`` version the journal can still answer."""
         if not self._journal:
             return self._oracle.version
-        return self._journal[0].version - 1
+        return self._journal[0].delta.version - 1
 
     # -- ingest ------------------------------------------------------------
 
     def apply_batch(self, insert: Iterable[Edge] = (), delete: Iterable[Edge] = ()) -> BatchDelta:
         with self._lock:
             delta = self._oracle.apply_batch(insert, delete)
-            self._journal.append(delta)
+            self._journal.append(_JournalEntry(delta))
             if len(self._journal) > self._journal_limit:
                 del self._journal[: len(self._journal) - self._journal_limit]
             self._batches_applied += 1
@@ -125,7 +144,7 @@ class TriangleQueryEngine:
             handler = getattr(self, "_answer_" + spec.kind.replace("-", "_"))
             payload = handler(spec.params)
             self._queries_answered += 1
-            return QueryResult(kind=spec.kind, version=self._oracle.version, payload=payload)
+            return QueryResult._trusted(spec.kind, self._oracle.version, payload)
 
     def _answer_count(self, params: Dict[str, Any]) -> Dict[str, Any]:
         snap = self._oracle.snapshot
@@ -145,28 +164,21 @@ class TriangleQueryEngine:
                 raise AnalysisError(
                     f"node {node} out of range for graph with {num_nodes} nodes"
                 )
-        counts = self._oracle.node_counts()
-        return {
-            "nodes": [int(n) for n in nodes],
-            "counts": [int(counts[n]) for n in nodes],
-        }
+        return {"nodes": list(nodes), "counts": self._oracle.node_counts_at(nodes)}
 
     def _answer_edge_support(self, params: Dict[str, Any]) -> Dict[str, Any]:
         num_nodes = self._oracle.num_nodes
-        support: List[Optional[int]] = []
         edges: List[List[int]] = []
         for u, v in params["edges"]:
             if u == v or u >= num_nodes or v >= num_nodes:
                 raise AnalysisError(
                     f"edge ({u}, {v}) is not a valid edge of a graph with {num_nodes} nodes"
                 )
-            lo, hi = (u, v) if u < v else (v, u)
-            edges.append([int(lo), int(hi)])
-            value = self._oracle.support(lo, hi)
-            support.append(None if value is None else int(value))
-        return {"edges": edges, "support": support}
+            edges.append([u, v] if u < v else [v, u])
+        return {"edges": edges, "support": self._oracle.supports(edges)}
 
-    def _answer_delta_since(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _answer_delta_since(self, params: Dict[str, Any]) -> str:
+        """The payload as canonical JSON text, spliced from journal fragments."""
         since = params["version"]
         current = self._oracle.version
         if since > current:
@@ -179,12 +191,15 @@ class TriangleQueryEngine:
                 f"delta-since version {since} predates the retained journal "
                 f"(oldest available: {oldest}); refresh with a full query instead"
             )
-        batches = [
-            delta.to_dict(include_triangles=self._listing)
-            for delta in self._journal
-            if delta.version > since
-        ]
-        return {"from_version": since, "batches": batches}
+        start = bisect.bisect_right(self._journal, since, key=lambda entry: entry.delta.version)
+        fragments = []
+        for entry in self._journal[start:]:
+            if entry.fragment is None:
+                entry.fragment = canonical_json(entry.delta.to_dict(include_triangles=self._listing))
+            fragments.append(entry.fragment)
+        return canonical_json_object(
+            {"from_version": str(int(since)), "batches": f"[{','.join(fragments)}]"}
+        )
 
     # -- verification ------------------------------------------------------
 

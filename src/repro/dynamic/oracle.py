@@ -37,7 +37,7 @@ plus the created/destroyed triangle lists, which is the streaming
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,11 +195,21 @@ class IncrementalTriangleOracle:
     def node_counts(self) -> np.ndarray:
         return self._node_counts.copy()
 
+    def node_counts_at(self, nodes: Sequence[int]) -> List[int]:
+        """Counts of ``nodes`` (callers check the range) as Python ints, no full copy."""
+        return self._node_counts[np.asarray(nodes, dtype=np.intp)].tolist()
+
     def support(self, u: int, v: int) -> Optional[int]:
         """Support of edge ``(u, v)``, or ``None`` when the edge is absent."""
         snap = self._graph.snapshot
         key = snap.edge_key(u, v)
         return self._support.get(key)
+
+    def supports(self, pairs: Iterable[Sequence[int]]) -> List[Optional[int]]:
+        """Support of each canonical pair ``lo < hi`` (callers check the range)."""
+        n = max(self._graph.num_nodes, 1)
+        get = self._support.get
+        return [get(lo * n + hi) for lo, hi in pairs]
 
     def support_map(self) -> Dict[Edge, int]:
         n = max(self._graph.num_nodes, 1)

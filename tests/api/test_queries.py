@@ -1,7 +1,10 @@
 """QuerySpec/QueryResult documents: validation, round-trips, registry."""
 
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -122,8 +125,39 @@ class TestQueryResult:
     def test_payload_must_be_jsonable(self):
         with pytest.raises(AnalysisError):
             QueryResult(kind="count", version=0, payload={"x": object()})
+        # Only the engine's private constructor skips this walk.
+        where = r"QueryResult\(count\)\.payload: "
+        with pytest.raises(AnalysisError, match=where + "parameter values must be JSON scalars"):
+            QueryResult(kind="count", version=0, payload={"x": np.int64(3)})
+        with pytest.raises(AnalysisError, match=where + "mapping keys must be strings, got 1"):
+            QueryResult(kind="count", version=0, payload={"x": {1: 2}})
+        with pytest.raises(AnalysisError, match=where + "NaN/Infinity cannot be represented"):
+            QueryResult(kind="count", version=0, payload={"x": [float("nan")]})
+        for bad in ({"x": np.int64(3)}, {"x": {1: 2}}, {"x": float("nan")}):
+            with pytest.raises(AnalysisError):
+                QueryResult.from_dict({"kind": "count", "version": 0, "payload": bad})
+        with pytest.raises(AnalysisError, match="NaN/Infinity"):
+            QueryResult.from_json('{"kind":"count","version":0,"payload":{"x":NaN}}')
 
     def test_canonical_json_is_stable(self):
         result = QueryResult(kind="count", version=1, payload={"b": 1, "a": 2})
         assert json.loads(result.to_json()) == result.to_dict()
         assert result.to_json().index('"a"') < result.to_json().index('"b"')
+
+    def test_is_frozen_and_picklable(self):
+        result = QueryResult(kind="count", version=2, payload={"triangles": 1})
+        with pytest.raises(FrozenInstanceError):
+            result.version = 3
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_spliced_payload_matches_validated_result(self):
+        text = '{"batches":[{"version":3}],"from_version":2}'
+        spliced = QueryResult._trusted("delta-since", 3, text)
+        public = QueryResult("delta-since", 3, json.loads(text))
+        assert spliced == public and hash(spliced) == hash(public)
+        assert spliced.to_json() == public.to_json()
+        assert repr(spliced) == repr(public)
+        assert pickle.loads(pickle.dumps(spliced)).to_json() == spliced.to_json()
+        # Each read decodes afresh: changing one copy leaves the result as it was.
+        spliced.payload["batches"].clear()
+        assert spliced.payload == json.loads(text)

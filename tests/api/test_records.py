@@ -6,7 +6,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import canonical_json
+from repro.api.records import canonical_json, canonical_json_object
 from repro.analysis import ExperimentRecord, VerificationReport, verify_result
 from repro.congest.metrics import AlgorithmCost, ExecutionMetrics, PhaseReport
 from repro.core import TriangleListing
@@ -132,3 +132,17 @@ class TestRealRunRoundTrip:
         reports = [verify_result(result, graph) for result in results]
         lines = {canonical_json(report.to_dict()) for report in reports}
         assert len(lines) == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+def test_spliced_object_matches_canonical_json(document):
+    members = {key: canonical_json(value) for key, value in document.items()}
+    assert canonical_json_object(members) == canonical_json(document)

@@ -1,11 +1,14 @@
 """Tests for the versioned query engine (consistency, journal, threading)."""
 
+import json
+import random
 import threading
 
 import numpy as np
 import pytest
 
-from repro.api import QuerySpec
+from repro.api import QueryResult, QuerySpec
+from repro.api.records import canonical_json
 from repro.dynamic import TriangleQueryEngine
 from repro.errors import AnalysisError, GraphError
 from repro.graphs import Graph, gnp_random_graph
@@ -199,3 +202,75 @@ class TestThreadedConsistency:
             for thread in threads:
                 thread.join()
         assert problems == []
+
+
+class TestTrustedResults:
+    """Engine answers skip validation, so pin them against the validating path."""
+
+    @staticmethod
+    def check(result):
+        assert result == QueryResult(result.kind, result.version, result.payload)
+        assert result.to_json() == canonical_json(result.to_dict())
+        assert QueryResult.from_json(result.to_json()) == result
+
+    @pytest.mark.parametrize("listing", [True, False], ids=["listing", "counts"])
+    def test_random_stream_matches_validated_construction(self, listing):
+        rng = random.Random(2024)
+        n = 30
+        engine = TriangleQueryEngine(
+            gnp_random_graph(n, 0.25, seed=4), listing=listing, compact_threshold=12, journal_limit=5
+        )
+        kinds_seen = set()
+        for _ in range(25):
+            insert = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(4)}
+            delete = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(4)} - insert
+            engine.apply_batch(insert=sorted(insert), delete=sorted(delete))
+            oldest = engine.status()["journal_from_version"]
+            specs = [
+                QuerySpec(kind="count"),
+                QuerySpec(kind="node-counts"),
+                QuerySpec(kind="node-counts", params={"nodes": rng.sample(range(n), 5)}),
+                QuerySpec(kind="node-counts", params={"nodes": []}),
+                QuerySpec(
+                    kind="edge-support",
+                    params={"edges": [rng.sample(range(n), 2) for _ in range(6)]},
+                ),
+            ] + [
+                QuerySpec(kind="delta-since", params={"version": version})
+                for version in range(oldest, engine.version + 1)
+            ]
+            for spec in specs:
+                result = engine.query(spec)
+                self.check(result)
+                kinds_seen.add(result.kind)
+        status = engine.status()
+        assert status["compactions"] > 0
+        assert status["journal_from_version"] == engine.version - 5  # entries evicted
+        assert kinds_seen == {"count", "node-counts", "edge-support", "delta-since"}
+
+    def test_delta_since_payload_is_isolated(self):
+        engine = TriangleQueryEngine(k4_minus_one(), listing=True)
+        engine.apply_batch(insert=[(2, 3)])
+        engine.apply_batch(delete=[(0, 1)])
+        spec = QuerySpec(kind="delta-since", params={"version": 0})
+        first = engine.query(spec)
+        original = first.to_json()
+        payload = first.payload
+        payload["batches"][0]["created"].append([0, 1, 2])
+        del payload["batches"][1]["destroyed"]
+        del payload["from_version"]
+        document = first.to_dict()
+        document["payload"]["batches"].pop()
+        assert first.to_json() == original
+        assert engine.query(spec).to_json() == original
+        assert json.loads(original)["payload"]["batches"][0]["created"] == [[0, 2, 3], [1, 2, 3]]
+
+    def test_node_counts_payload_is_isolated(self):
+        engine = TriangleQueryEngine(k4_minus_one())
+        spec = QuerySpec(kind="node-counts", params={"nodes": [3, 0]})
+        first = engine.query(spec)
+        original = first.to_json()
+        first.payload["counts"][0] = 99
+        first.payload["nodes"].append(1)
+        assert engine.query(spec).to_json() == original
+        assert engine.oracle.node_count(3) == 1
