@@ -47,7 +47,6 @@ from . import dynamic
 from . import service
 from .errors import (
     AnalysisError,
-    BandwidthExceededError,
     GraphError,
     HashingError,
     ProtocolError,
@@ -74,7 +73,6 @@ __all__ = [
     "dynamic",
     "service",
     "AnalysisError",
-    "BandwidthExceededError",
     "GraphError",
     "HashingError",
     "ProtocolError",

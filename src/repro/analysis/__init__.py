@@ -3,14 +3,11 @@
 from .complexity import (
     ComplexityRow,
     censor_hillel_finding_clique,
-    component_bounds,
     dolev_listing_clique,
     drucker_finding_broadcast_lower,
-    local_listing_lower,
     naive_two_hop_upper,
     pandurangan_listing_clique_lower,
     predicted_round_complexities,
-    table1_row,
     table1_rows,
     this_paper_finding_congest,
     this_paper_listing_congest,
@@ -19,17 +16,12 @@ from .complexity import (
 from .experiments import (
     ExperimentRecord,
     SweepRunner,
-    all_sound,
-    describe_workload,
     mean_recall,
-    mean_rounds_by_size,
     run_single,
 )
 from .fitting import (
     PowerLawFit,
-    fit_exponent_with_log_correction,
     fit_power_law,
-    relative_shape_error,
 )
 from .tables import (
     TABLE1_HEADER,
@@ -45,36 +37,27 @@ from .verification import (
     local_listing_complete,
     nodes_reporting_foreign_triangles,
     recall_by_heaviness,
-    require_sound,
     verify_result,
 )
 
 __all__ = [
     "ComplexityRow",
     "censor_hillel_finding_clique",
-    "component_bounds",
     "dolev_listing_clique",
     "drucker_finding_broadcast_lower",
-    "local_listing_lower",
     "naive_two_hop_upper",
     "pandurangan_listing_clique_lower",
     "predicted_round_complexities",
-    "table1_row",
     "table1_rows",
     "this_paper_finding_congest",
     "this_paper_listing_congest",
     "this_paper_listing_lower",
     "ExperimentRecord",
     "SweepRunner",
-    "all_sound",
-    "describe_workload",
     "mean_recall",
-    "mean_rounds_by_size",
     "run_single",
     "PowerLawFit",
-    "fit_exponent_with_log_correction",
     "fit_power_law",
-    "relative_shape_error",
     "TABLE1_HEADER",
     "Table1Entry",
     "render_records_table",
@@ -86,6 +69,5 @@ __all__ = [
     "local_listing_complete",
     "nodes_reporting_foreign_triangles",
     "recall_by_heaviness",
-    "require_sound",
     "verify_result",
 ]

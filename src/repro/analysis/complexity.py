@@ -72,12 +72,6 @@ def naive_two_hop_upper(num_nodes: int, max_degree: Optional[int] = None) -> flo
     return float(num_nodes)
 
 
-def local_listing_lower(num_nodes: int) -> float:
-    """Proposition 5: local listing lower bound ``n / log n``."""
-    n = float(max(2, num_nodes))
-    return n / _log2(num_nodes)
-
-
 @dataclass(frozen=True)
 class ComplexityRow:
     """One row of Table 1 (or an auxiliary reference bound)."""
@@ -191,31 +185,6 @@ def table1_rows() -> List[ComplexityRow]:
     ]
 
 
-def table1_row(key: str) -> ComplexityRow:
-    """Return a single Table-1 row by key.
-
-    Raises
-    ------
-    KeyError
-        If no row has the given key.
-    """
-    for row in table1_rows():
-        if row.key == key:
-            return row
-    raise KeyError(f"unknown Table 1 row: {key!r}")
-
-
 def predicted_round_complexities(num_nodes: int) -> Dict[str, float]:
     """Return the predicted rounds of every Table-1 row at a given ``n``."""
     return {row.key: row.predicted(num_nodes) for row in table1_rows()}
-
-
-def component_bounds(num_nodes: int, epsilon: float) -> Dict[str, float]:
-    """Return the component round bounds of Propositions 1–3 at (n, ε)."""
-    n = float(max(2, num_nodes))
-    log_n = _log2(num_nodes)
-    return {
-        "A1": n ** (1.0 - epsilon),
-        "A2": n ** (1.0 - epsilon / 2.0),
-        "A3": n ** (1.0 - epsilon) + n ** ((1.0 + epsilon) / 2.0) * log_n,
-    }

@@ -59,7 +59,6 @@ import numpy as np
 from ..core.output import AlgorithmResult
 from ..errors import AnalysisError
 from ..graphs.graph import Graph
-from ..graphs.triangles import count_triangles
 from .verification import VerificationReport, verify_result
 
 if TYPE_CHECKING:
@@ -397,33 +396,9 @@ class SweepRunner:
         return list(self.iter_cells(cells, cache=cache))
 
 
-def mean_rounds_by_size(records: Iterable[ExperimentRecord]) -> Dict[int, float]:
-    """Return the mean measured rounds grouped by network size."""
-    totals: Dict[int, List[int]] = {}
-    for record in records:
-        totals.setdefault(record.num_nodes, []).append(record.rounds)
-    return {size: sum(values) / len(values) for size, values in totals.items()}
-
-
 def mean_recall(records: Iterable[ExperimentRecord]) -> float:
     """Return the mean recall over a collection of records."""
     values = [record.recall for record in records]
     if not values:
         raise AnalysisError("mean_recall needs at least one record")
     return sum(values) / len(values)
-
-
-def all_sound(records: Iterable[ExperimentRecord]) -> bool:
-    """Return ``True`` when every record in the collection was sound."""
-    return all(record.sound for record in records)
-
-
-def describe_workload(graph: Graph) -> Dict[str, Any]:
-    """Return the workload descriptors recorded next to experiment results."""
-    return {
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-        "num_triangles": count_triangles(graph),
-        "max_degree": graph.max_degree(),
-        "density": graph.density(),
-    }

@@ -3,16 +3,14 @@
 The reproduction cannot (and is not expected to) match the paper's constant
 factors, so the scaling benchmarks validate *exponents*: measured round
 counts over a sweep of ``n`` are fitted as ``rounds ≈ a · n^b`` and the
-fitted ``b`` is compared to the theorem's exponent.  Because the bounds also
-carry polylogarithmic factors, the helpers can divide them out before
-fitting.
+fitted ``b`` is compared to the theorem's exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,55 +57,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     return PowerLawFit(
         exponent=float(slope), prefactor=float(math.exp(intercept)), r_squared=r_squared
     )
-
-
-def fit_exponent_with_log_correction(
-    sizes: Sequence[int],
-    rounds: Sequence[float],
-    log_exponent: float = 0.0,
-) -> PowerLawFit:
-    """Fit the polynomial exponent after dividing out a ``(log2 n)^c`` factor.
-
-    The paper's bounds have the shape ``n^b (log n)^c``; dividing the
-    measured values by ``(log2 n)^c`` before fitting isolates the polynomial
-    exponent ``b``, which is what the scaling benches assert on.
-    """
-    if len(sizes) != len(rounds):
-        raise AnalysisError(
-            f"sizes and rounds must have the same length, got {len(sizes)} and {len(rounds)}"
-        )
-    corrected = [
-        value / (math.log2(max(2.0, float(size))) ** log_exponent)
-        for size, value in zip(sizes, rounds)
-    ]
-    return fit_power_law([float(size) for size in sizes], corrected)
-
-
-def relative_shape_error(
-    sizes: Sequence[int],
-    measured: Sequence[float],
-    reference: Callable[[int], float],
-) -> float:
-    """Return the max relative deviation of measured/reference from its mean.
-
-    A scale-free comparison: if the measured curve has the same *shape* as
-    the reference bound, the ratio measured/reference is constant across the
-    sweep and the returned error is close to zero, regardless of constant
-    factors.
-    """
-    if len(sizes) != len(measured):
-        raise AnalysisError(
-            f"sizes and measured must have the same length, got {len(sizes)} and {len(measured)}"
-        )
-    if not sizes:
-        raise AnalysisError("shape comparison requires at least one point")
-    ratios = []
-    for size, value in zip(sizes, measured):
-        predicted = reference(size)
-        if predicted <= 0:
-            raise AnalysisError(f"reference bound is non-positive at n={size}")
-        ratios.append(value / predicted)
-    mean_ratio = sum(ratios) / len(ratios)
-    if mean_ratio == 0:
-        return 0.0
-    return max(abs(ratio - mean_ratio) / mean_ratio for ratio in ratios)

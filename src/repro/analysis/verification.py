@@ -16,12 +16,11 @@ busiest node's output covers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 import numpy as np
 
 from ..core.output import AlgorithmResult, _compare_with_truth, _keyed_union
-from ..errors import VerificationError
 from ..graphs.graph import Graph
 from ..graphs.triangles import heaviness_threshold, triangles_through_node
 from ..types import Triangle, decode_triangle_keys, make_triangle, triangle_keys
@@ -115,17 +114,6 @@ def verify_result(result: AlgorithmResult, graph: Graph) -> VerificationReport:
         solves_finding=solves_finding,
         solves_listing=not spurious and not missed,
     )
-
-
-def require_sound(result: AlgorithmResult, graph: Graph) -> None:
-    """Raise :class:`VerificationError` if the run reported any non-triangle."""
-    report = verify_result(result, graph)
-    if not report.sound:
-        example = next(iter(report.spurious))
-        raise VerificationError(
-            f"{result.algorithm} reported {len(report.spurious)} non-triangles, "
-            f"e.g. {example}"
-        )
 
 
 def recall_by_heaviness(

@@ -1,14 +1,8 @@
 """CONGEST and CONGEST-clique simulation substrate.
 
-The simulator provides two complementary execution models:
-
-* :class:`~repro.congest.simulator.CongestSimulator` — phase-based execution
-  with exact per-phase round accounting; used by all the paper's algorithms.
-* :class:`~repro.congest.engine.RoundEngine` — strict round-by-round
-  execution of generator node programs; used for cross-validation and
-  pedagogy.
-
-Both engines are thin policy layers over one execution kernel,
+:class:`~repro.congest.simulator.CongestSimulator` runs every protocol in
+this package: phase-based execution with exact per-phase round accounting.
+It is a thin policy layer over one execution kernel,
 :class:`~repro.congest.runtime.CongestRuntime`, whose vectorized message
 plane (:class:`~repro.congest.runtime.MessagePlane`) batches sends into
 numpy arrays and performs delivery fan-out and traffic aggregation with
@@ -21,9 +15,7 @@ support the CONGEST-clique baselines and lower-bound experiments.
 
 from .aggregation import broadcast_from_root, build_bfs_tree, convergecast_sum
 from .bandwidth import DEFAULT_BANDWIDTH, BandwidthPolicy
-from .broadcast import BroadcastCongestSimulator
 from .clique import CliqueSimulator
-from .engine import NodeProgram, RoundContext, RoundEngine
 from .metrics import AlgorithmCost, ExecutionMetrics, PhaseReport
 from .node import NodeContext
 from .routing import LenzenRouter, RoutingRequest
@@ -69,11 +61,7 @@ __all__ = [
     "convergecast_sum",
     "DEFAULT_BANDWIDTH",
     "BandwidthPolicy",
-    "BroadcastCongestSimulator",
     "CliqueSimulator",
-    "NodeProgram",
-    "RoundContext",
-    "RoundEngine",
     "AlgorithmCost",
     "ExecutionMetrics",
     "PhaseReport",

@@ -1,14 +1,13 @@
-"""Shared runtime kernel for both CONGEST engines.
+"""Execution kernel under the phase-based CONGEST simulators.
 
-The phase-based :class:`~repro.congest.simulator.CongestSimulator` and the
-strict :class:`~repro.congest.engine.RoundEngine` execute the same physical
-operations — build per-node contexts with independent child RNGs, accumulate
-outgoing messages, fan them out to destination inboxes, account the traffic
-in :class:`~repro.congest.metrics.ExecutionMetrics`, and enforce a round
-budget.  Historically each engine carried its own copy of that machinery as
-per-message Python loops over dicts of tuples, which capped the graph sizes
-the scaling benchmarks could explore.  This module is the single shared
-kernel both engines now sit on:
+:class:`~repro.congest.simulator.CongestSimulator` (and its clique variant)
+decides how many rounds a phase costs; this module does the physical work —
+build per-node contexts with independent child RNGs, accumulate outgoing
+messages, fan them out to destination inboxes, account the traffic in
+:class:`~repro.congest.metrics.ExecutionMetrics`, and enforce a round
+budget — as batched numpy operations instead of per-message Python loops
+over dicts of tuples, which would cap the graph sizes the scaling
+benchmarks can explore:
 
 * :class:`MessagePlane` — the batched send buffer.  Scalar ``send`` calls
   stage into plain lists; the bulk paths (:meth:`NodeContext.bulk_send`,
@@ -47,10 +46,8 @@ kernel both engines now sit on:
   O(touched nodes): the runtime remembers which contexts currently hold a
   non-empty inbox and only clears those.
 
-The engines remain thin *policy* layers: the phase simulator decides how a
-phase's round cost is computed from the traffic, and the strict engine adds
-its one-message-per-edge / per-message-bandwidth checks as validation hooks
-at send time — neither re-implements delivery.
+The simulator stays a thin *policy* layer: it decides how a phase's round
+cost is computed from the traffic and never re-implements delivery.
 """
 
 from __future__ import annotations
@@ -638,9 +635,8 @@ class MessagePlane:
     def flush(self) -> PhaseTraffic:
         """Drain the buffer into a :class:`PhaseTraffic` and reset it.
 
-        Default bit sizes are resolved here (not at send time) so size
-        errors surface when the phase runs, matching the engines' historical
-        behaviour.
+        Default bit sizes are resolved here, not at send time, so size
+        errors surface when the phase runs.
 
         Raises
         ------
@@ -1045,11 +1041,11 @@ def spawn_node_rngs(
 
 
 class CongestRuntime:
-    """The execution kernel shared by the phase and strict engines.
+    """The execution kernel a phase simulator drives.
 
     Owns the graph, bandwidth policy, metrics, round budget, the message
-    plane, and the contexts (built through :meth:`build_contexts` so each
-    engine can supply its own context type).
+    plane, and the contexts (built through :meth:`build_contexts` from the
+    simulator's context factory).
     """
 
     __slots__ = (
@@ -1158,18 +1154,6 @@ class CongestRuntime:
         channels = self.deliver_direct(traffic)
         self.enforce_round_limit()
         return DeliveredPhase(report, channels, arena=self.plane.arena)
-
-    def exchange(self) -> PhaseTraffic:
-        """Deliver the queued traffic without phase/round accounting.
-
-        The strict engine calls this once per round; it accounts the rounds
-        itself (one per exchange) and records a single phase report at the
-        end of the run.
-        """
-        traffic = self.collect_traffic()
-        record_deliveries(self.metrics, traffic)
-        self.deliver(traffic)
-        return traffic
 
     def enforce_round_limit(self) -> None:
         """Raise when the cumulative round count exceeds the budget."""

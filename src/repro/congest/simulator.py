@@ -14,18 +14,17 @@ of stepping every round individually (which would make large experiments
 infeasible in Python), :meth:`CongestSimulator.run_phase` computes that
 maximum, advances the global round counter by it, and delivers all queued
 messages at once.  The accounting is identical to literal round-by-round
-execution of the same phase-synchronous protocol — a property covered by the
-test suite, which cross-checks against the literal low-level engine in
-:mod:`repro.congest.engine`.
+execution of the same phase-synchronous protocol: the test suite replays
+every phase of the paper's protocols with at most ``B`` bits per directed
+link per round and checks that the replay takes exactly the charged rounds.
 
 Execution mechanics — context construction, per-node RNG seeding, the
 batched message plane, vectorized delivery fan-out, metrics recording and
 round-limit enforcement — live in the shared
 :class:`~repro.congest.runtime.CongestRuntime` kernel; this class is the
 *policy* layer that decides how a phase's round cost is computed from the
-drained traffic (subclasses override :meth:`_phase_cost` and
-:meth:`_communication_targets` to obtain the clique and broadcast model
-variants).
+drained traffic (the clique variant overrides only
+:meth:`_communication_targets`).
 
 The simulator also enforces the model's knowledge discipline: node programs
 receive only :class:`~repro.congest.node.NodeContext` objects built from the

@@ -20,10 +20,8 @@ from .lower_bounds import (
     account_information,
     expected_triangles_gnp_half,
     node_receive_capacity_bits,
-    proposition5_asymptotic_curve,
     proposition5_information_bound,
     proposition5_round_lower_bound,
-    theorem3_asymptotic_curve,
     theorem3_information_bound,
     theorem3_round_lower_bound,
 )
@@ -70,10 +68,8 @@ __all__ = [
     "account_information",
     "expected_triangles_gnp_half",
     "node_receive_capacity_bits",
-    "proposition5_asymptotic_curve",
     "proposition5_information_bound",
     "proposition5_round_lower_bound",
-    "theorem3_asymptotic_curve",
     "theorem3_information_bound",
     "theorem3_round_lower_bound",
     "AlgorithmResult",

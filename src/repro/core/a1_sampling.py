@@ -263,18 +263,3 @@ class HeavySamplingFinder(TriangleAlgorithm):
 def expected_rounds(num_nodes: int, epsilon: float) -> float:
     """Return the Proposition-1 round bound ``4 n^{1-ε}`` for reference plots."""
     return a1_sample_cap(num_nodes, epsilon)
-
-
-def single_run_success_probability(edge_support: int, num_nodes: int, epsilon: float) -> float:
-    """Return a lower bound on A1's hit probability for one heavy edge.
-
-    For an edge shared by ``edge_support >= n^ε`` triangles, the probability
-    that the sample of one endpoint contains at least one of the common
-    neighbours is ``1 - (1 - n^{-ε})^{edge_support}``; this helper exposes
-    that quantity (ignoring the sample-cap event, which only costs a
-    constant factor) so tests can compare measured hit rates against it.
-    """
-    probability = a1_sampling_probability(num_nodes, epsilon)
-    if edge_support <= 0:
-        return 0.0
-    return 1.0 - (1.0 - probability) ** edge_support

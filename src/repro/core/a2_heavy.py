@@ -473,15 +473,3 @@ def expected_rounds(num_nodes: int, epsilon: float) -> float:
     The factor 2 accounts for an edge costing two identifiers on the wire.
     """
     return 2.0 * a2_edge_set_cap(num_nodes, epsilon)
-
-
-def lemma1_success_probability(num_nodes: int, epsilon: float) -> float:
-    """Return Lemma 1's per-common-neighbour success probability ``3/(4 n^ε)``.
-
-    Tests compare the measured per-apex catch rate of A2 on heavy-edge
-    gadgets against this analytical floor.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    threshold = float(num_nodes) ** epsilon
-    return 3.0 / (4.0 * max(1.0, threshold))

@@ -36,22 +36,16 @@ class NaiveTwoHopListing(TriangleAlgorithm):
     ``d_max`` node identifiers, so the measured round complexity is
     ``max_j |N(j)|`` over edges incident to ``j`` — i.e. ``d_max`` rounds.
 
-    Parameters
-    ----------
-    local_output_only:
-        Kept for interface clarity; the algorithm naturally only outputs
-        triangles containing the reporting node (it *is* a local listing
-        algorithm), so this flag only documents the fact.
+    The algorithm takes no parameters.  Every node outputs only triangles
+    containing itself (it *is* a local listing algorithm), which the
+    recorded parameters state as ``local_output_only``.
     """
 
     name = "naive-two-hop"
     model = "CONGEST"
 
-    def __init__(self, local_output_only: bool = True) -> None:
-        self._local_output_only = local_output_only
-
     def describe_parameters(self) -> Dict[str, Any]:
-        return {"local_output_only": self._local_output_only}
+        return {"local_output_only": True}
 
     def _execute(self, simulator: CongestSimulator) -> bool:
         num_nodes = simulator.num_nodes

@@ -133,18 +133,6 @@ def proposition5_round_lower_bound(
     return max(0.0, information / capacity)
 
 
-def theorem3_asymptotic_curve(num_nodes: int) -> float:
-    """Return the reference curve ``n^{1/3} / log2 n`` (constants dropped)."""
-    n = float(max(2, num_nodes))
-    return n ** (1.0 / 3.0) / math.log2(n)
-
-
-def proposition5_asymptotic_curve(num_nodes: int) -> float:
-    """Return the reference curve ``n / log2 n`` (constants dropped)."""
-    n = float(max(2, num_nodes))
-    return n / math.log2(n)
-
-
 @dataclass(frozen=True)
 class InformationAccounting:
     """Empirical lower-bound accounting of one measured listing run."""

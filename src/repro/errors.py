@@ -33,17 +33,6 @@ class SimulationError(ReproError):
     """Base class for errors raised by the CONGEST simulator."""
 
 
-class BandwidthExceededError(SimulationError):
-    """Raised when a single message does not fit into one round's bandwidth.
-
-    The strict round-level engine refuses oversized messages instead of
-    silently splitting them, because silent splitting would make round
-    accounting unfaithful to the CONGEST model.  Multi-round transfers must
-    go through the phase-based transfer layer, which performs the splitting
-    explicitly and charges the correct number of rounds.
-    """
-
-
 class TopologyError(SimulationError):
     """Raised when a node attempts to use a communication link that does not
     exist in the current communication topology (e.g. sending to a
@@ -51,9 +40,8 @@ class TopologyError(SimulationError):
 
 
 class ProtocolError(SimulationError):
-    """Raised when a node program violates the simulator's execution
-    contract (e.g. sending twice on the same link within one round in the
-    strict engine, or accessing messages before the first round)."""
+    """Raised when a protocol is configured outside its valid range (e.g.
+    a repetition count below 1 or an ε outside ``[0, 1]``)."""
 
 
 class RoundLimitExceededError(SimulationError):

@@ -8,7 +8,7 @@ view through :class:`repro.congest.node.NodeContext`.
 """
 
 from .csr import CSRGraph
-from .graph import Graph, InducedSubgraph, degree_histogram, is_connected
+from .graph import Graph, InducedSubgraph, is_connected
 from .generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -28,11 +28,8 @@ from .triangles import (
     delta_set_membership,
     edge_support,
     heaviness_threshold,
-    heavy_edges,
     heavy_triangles,
-    is_heavy_triangle,
     is_triangle_free,
-    iter_triangles,
     iter_triangles_reference,
     light_triangles,
     list_triangles,
@@ -53,7 +50,6 @@ __all__ = [
     "CSRGraph",
     "Graph",
     "InducedSubgraph",
-    "degree_histogram",
     "is_connected",
     "barabasi_albert_graph",
     "complete_graph",
@@ -71,11 +67,8 @@ __all__ = [
     "delta_set_membership",
     "edge_support",
     "heaviness_threshold",
-    "heavy_edges",
     "heavy_triangles",
-    "is_heavy_triangle",
     "is_triangle_free",
-    "iter_triangles",
     "iter_triangles_reference",
     "light_triangles",
     "list_triangles",

@@ -470,10 +470,6 @@ class CSRGraph:
         sorted canonical edge keys)."""
         return self.edge_support()[self._edge_positions(a, b)]
 
-    def heavy_edge_mask(self, threshold: float) -> np.ndarray:
-        """Boolean mask over canonical edges with ``#(e) >= threshold``."""
-        return self.edge_support() >= threshold
-
     def heavy_triangle_mask(self, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(triangles, mask)`` where ``mask[i]`` is True when
         triangle ``i`` is heavy (some edge has support ``>= threshold``)."""

@@ -446,20 +446,12 @@ class InducedSubgraph:
         )
 
 
-def degree_histogram(graph: Graph) -> Dict[int, int]:
-    """Return a mapping ``degree -> number of vertices with that degree``."""
-    histogram: Dict[int, int] = {}
-    for node in graph.nodes():
-        d = graph.degree(node)
-        histogram[d] = histogram.get(d, 0) + 1
-    return histogram
-
-
 def is_connected(graph: Graph) -> bool:
     """Return ``True`` when ``graph`` is connected (vacuously true if empty).
 
-    The CONGEST algorithms themselves do not require connectivity, but the
-    experiment harness uses this check to report on the generated workloads.
+    The CONGEST algorithms themselves do not require connectivity; the
+    spanning-tree primitives (:mod:`repro.congest.aggregation`) only reach
+    the whole network when it is connected, which is what their tests check.
     """
     n = graph.num_nodes
     if n <= 1:

@@ -56,19 +56,6 @@ def iter_triangles_reference(graph: Graph) -> Iterator[Triangle]:
                     yield (u, v, w)
 
 
-def iter_triangles(graph: Graph) -> Iterator[Triangle]:
-    """Iterate over all triangles of ``graph`` in canonical sorted order.
-
-    Enumeration runs on the CSR view's vectorized forward strategy,
-    streamed chunk by chunk, so early-exit consumers never pay for the full
-    enumeration; the order (``u < v < w``, lexicographically ascending)
-    matches :func:`iter_triangles_reference` exactly.
-    """
-    for chunk in graph.csr().iter_triangle_chunks():
-        for row in chunk.tolist():
-            yield tuple(row)  # type: ignore[misc]
-
-
 def list_triangles(graph: Graph) -> List[Triangle]:
     """Return all triangles of ``graph`` (the set ``T(G)``) as a sorted list."""
     return [tuple(row) for row in graph.csr().triangles().tolist()]  # type: ignore[misc]
@@ -137,20 +124,6 @@ def heaviness_threshold(num_nodes: int, epsilon: float) -> float:
     return float(num_nodes) ** epsilon
 
 
-def is_heavy_triangle(graph: Graph, triangle: Triangle, epsilon: float) -> bool:
-    """Return ``True`` when ``triangle`` is ε-heavy in ``graph``.
-
-    A triangle is ε-heavy when at least one of its edges ``e`` satisfies
-    ``#(e) >= n^ε`` (Section 3).
-    """
-    threshold = heaviness_threshold(graph.num_nodes, epsilon)
-    a, b, c = triangle
-    for u, v in ((a, b), (a, c), (b, c)):
-        if len(graph.common_neighbors(u, v)) >= threshold:
-            return True
-    return False
-
-
 def heavy_triangles(graph: Graph, epsilon: float) -> List[Triangle]:
     """Return ``T_ε(G)``: all ε-heavy triangles of ``graph``."""
     threshold = heaviness_threshold(graph.num_nodes, epsilon)
@@ -163,17 +136,6 @@ def light_triangles(graph: Graph, epsilon: float) -> List[Triangle]:
     threshold = heaviness_threshold(graph.num_nodes, epsilon)
     triangles, mask = graph.csr().heavy_triangle_mask(threshold)
     return [tuple(row) for row in triangles[~mask].tolist()]  # type: ignore[misc]
-
-
-def heavy_edges(graph: Graph, epsilon: float) -> List[Edge]:
-    """Return all edges ``e`` with ``#(e) >= n^ε``."""
-    threshold = heaviness_threshold(graph.num_nodes, epsilon)
-    csr = graph.csr()
-    mask = csr.heavy_edge_mask(threshold)
-    return [
-        (u, v)
-        for u, v in zip(csr.edge_u[mask].tolist(), csr.edge_v[mask].tolist())
-    ]
 
 
 def delta_set_membership(graph: Graph, landmarks: Iterable[NodeId]) -> Set[Edge]:

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.analysis import (
-    component_bounds,
     dolev_listing_clique,
-    local_listing_lower,
     naive_two_hop_upper,
+    pandurangan_listing_clique_lower,
     predicted_round_complexities,
-    table1_row,
     table1_rows,
     this_paper_finding_congest,
     this_paper_listing_congest,
@@ -30,21 +28,14 @@ class TestRows:
             "naive-two-hop",
         } <= keys
 
-    def test_row_lookup(self):
-        row = table1_row("theorem1-finding-congest")
-        assert row.problem == "finding"
-        assert row.model == "CONGEST"
-        assert row.implemented
-
-    def test_unknown_row_raises(self):
-        with pytest.raises(KeyError):
-            table1_row("no-such-row")
-
     def test_implemented_flags(self):
         by_key = {row.key: row for row in table1_rows()}
         assert not by_key["censor-hillel-finding-clique"].implemented
         assert not by_key["drucker-finding-broadcast-lower"].implemented
         assert by_key["theorem2-listing-congest"].implemented
+        theorem1 = by_key["theorem1-finding-congest"]
+        assert theorem1.implemented
+        assert (theorem1.problem, theorem1.model) == ("finding", "CONGEST")
 
     def test_predicted_round_complexities_mapping(self):
         predictions = predicted_round_complexities(256)
@@ -59,7 +50,6 @@ class TestFormulas:
         assert this_paper_finding_congest(4096) == pytest.approx(256 * 12 ** (2 / 3))
         assert this_paper_listing_congest(4096) == pytest.approx(512 * 12)
         assert this_paper_listing_lower(4096) == pytest.approx(16 / 12)
-        assert local_listing_lower(4096) == pytest.approx(4096 / 12)
 
     def test_naive_uses_max_degree_when_given(self):
         assert naive_two_hop_upper(100, max_degree=12) == 12.0
@@ -84,22 +74,4 @@ class TestFormulas:
 
     def test_theorem3_improves_on_pandurangan_for_all_sizes(self):
         for n in (10**3, 10**4, 10**6, 10**9):
-            assert this_paper_listing_lower(n) > table1_row(
-                "pandurangan-listing-clique-lower"
-            ).predicted(n)
-
-
-class TestComponentBounds:
-    def test_component_bounds_shape(self):
-        bounds = component_bounds(4096, 0.5)
-        assert bounds["A1"] == pytest.approx(4096 ** 0.5)
-        assert bounds["A2"] == pytest.approx(4096 ** 0.75)
-        assert bounds["A3"] == pytest.approx(4096 ** 0.5 + 4096 ** 0.75 * 12)
-
-    def test_epsilon_tradeoff_direction(self):
-        # Raising epsilon makes A1/A2 cheaper and the A3 heavy term costlier.
-        low = component_bounds(10**6, 0.2)
-        high = component_bounds(10**6, 0.8)
-        assert high["A1"] < low["A1"]
-        assert high["A2"] < low["A2"]
-        assert high["A3"] > low["A3"]
+            assert this_paper_listing_lower(n) > pandurangan_listing_clique_lower(n)

@@ -9,10 +9,7 @@ from repro.analysis import experiments
 from repro.analysis import (
     ExperimentRecord,
     SweepRunner,
-    all_sound,
-    describe_workload,
     mean_recall,
-    mean_rounds_by_size,
     run_single,
 )
 from repro.api import AlgorithmSpec, RunSpec, SweepSpec, WorkloadSpec
@@ -124,8 +121,8 @@ class TestSweepRunner:
                 _size_sweep(NAIVE, [10, 14], seeds_per_size=2)
             )
         assert len(records) == 4
-        assert set(mean_rounds_by_size(records)) == {10, 14}
-        assert all_sound(records)
+        assert {record.num_nodes for record in records} == {10, 14}
+        assert all(record.sound for record in records)
         assert 0.0 <= mean_recall(records) <= 1.0
 
     def test_serial_when_single_worker(self):
@@ -151,14 +148,6 @@ class TestAggregation:
     def test_mean_recall_empty(self):
         with pytest.raises(AnalysisError):
             mean_recall([])
-
-    def test_describe_workload(self):
-        description = describe_workload(complete_graph(5))
-        assert description["num_nodes"] == 5
-        assert description["num_edges"] == 10
-        assert description["num_triangles"] == 10
-        assert description["max_degree"] == 4
-        assert description["density"] == pytest.approx(1.0)
 
 
 @pytest.fixture

@@ -1,14 +1,8 @@
 """Tests for power-law fitting helpers."""
 
-import math
-
 import pytest
 
-from repro.analysis import (
-    fit_exponent_with_log_correction,
-    fit_power_law,
-    relative_shape_error,
-)
+from repro.analysis import fit_power_law
 from repro.errors import AnalysisError
 
 
@@ -51,44 +45,3 @@ class TestFitPowerLaw:
             fit_power_law([0, 1], [1, 2])
         with pytest.raises(AnalysisError):
             fit_power_law([1, 2], [1, -2])
-
-
-class TestLogCorrection:
-    def test_removes_log_factor(self):
-        sizes = [64, 128, 256, 512, 1024]
-        values = [x ** (2 / 3) * math.log2(x) ** (2 / 3) for x in sizes]
-        raw = fit_power_law([float(s) for s in sizes], values)
-        corrected = fit_exponent_with_log_correction(sizes, values, log_exponent=2 / 3)
-        assert abs(corrected.exponent - 2 / 3) < abs(raw.exponent - 2 / 3)
-        assert corrected.exponent == pytest.approx(2 / 3, abs=1e-6)
-
-    def test_zero_correction_is_plain_fit(self):
-        sizes = [10, 20, 40]
-        values = [x**0.5 for x in sizes]
-        assert fit_exponent_with_log_correction(sizes, values).exponent == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(AnalysisError):
-            fit_exponent_with_log_correction([1, 2], [1.0])
-
-
-class TestShapeError:
-    def test_perfect_shape_match(self):
-        sizes = [10, 20, 40]
-        reference = lambda n: n**0.75
-        measured = [5.0 * reference(n) for n in sizes]
-        assert relative_shape_error(sizes, measured, reference) == pytest.approx(0.0)
-
-    def test_shape_mismatch_detected(self):
-        sizes = [10, 100, 1000]
-        reference = lambda n: float(n)
-        measured = [n**0.5 for n in sizes]
-        assert relative_shape_error(sizes, measured, reference) > 0.5
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            relative_shape_error([], [], lambda n: 1.0)
-        with pytest.raises(AnalysisError):
-            relative_shape_error([1, 2], [1.0], lambda n: 1.0)
-        with pytest.raises(AnalysisError):
-            relative_shape_error([1], [1.0], lambda n: 0.0)

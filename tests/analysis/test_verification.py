@@ -14,7 +14,6 @@ from repro.analysis import (
     local_listing_complete,
     nodes_reporting_foreign_triangles,
     recall_by_heaviness,
-    require_sound,
     verify_result,
 )
 from repro.api.registry import unregister_algorithm
@@ -79,8 +78,6 @@ class TestVerifyResult:
         report = verify_result(result, graph)
         assert not report.sound
         assert report.spurious == {(0, 1, 2)}
-        with pytest.raises(VerificationError):
-            require_sound(result, graph)
 
     def test_triangle_free_graph_with_empty_output(self):
         graph = Graph(4, [(0, 1), (1, 2)])

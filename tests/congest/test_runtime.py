@@ -13,7 +13,6 @@ from repro.congest import (
     CongestSimulator,
     MessagePlane,
     PhaseTraffic,
-    RoundEngine,
     id_bits,
 )
 from repro.congest.runtime import (
@@ -305,50 +304,6 @@ class TestCliqueLaziness:
         # silently disable the clique range-check fast path).
         assert context._comm_targets is None
         assert context.communication_targets is context.communication_targets
-
-
-class TestRuntimeSharing:
-    def test_both_engines_expose_the_same_kernel_type(self):
-        graph = cycle_graph(4)
-        simulator = CongestSimulator(graph, seed=0)
-        engine = RoundEngine(graph, seed=0)
-        assert type(simulator.runtime) is type(engine.runtime)
-        assert simulator.runtime.plane.is_empty
-        assert engine.runtime.plane.is_empty
-
-    def test_strict_run_records_through_record_phase(self):
-        engine = RoundEngine(cycle_graph(4), seed=0)
-
-        def one_ping(ctx):
-            if ctx.node_id == 0:
-                ctx.send(1, 9)
-            yield
-
-        engine.run(one_ping)
-        # The run is one phase report whose totals satisfy the
-        # ExecutionMetrics invariant: totals == sum over phases.
-        metrics = engine.metrics
-        assert len(metrics.phases) == 1
-        report = metrics.phases[0]
-        assert report.name == "strict-run"
-        assert metrics.total_rounds == report.rounds == 1
-        assert metrics.total_messages == report.messages == 1
-        assert metrics.total_bits == report.bits == id_bits(4)
-
-    def test_strict_run_reports_per_run_counters(self):
-        engine = RoundEngine(cycle_graph(4), seed=0)
-
-        def one_ping(ctx):
-            if ctx.node_id == 0:
-                ctx.send(1, 9)
-            yield
-
-        engine.run(one_ping)
-        engine.run(one_ping)
-        first, second = engine.metrics.phases
-        # The second report covers only the second run, not cumulative totals.
-        assert first.messages == second.messages == 1
-        assert engine.metrics.total_messages == 2
 
 
 class TestDeliverTraffic:

@@ -10,7 +10,6 @@ from repro.congest import (
     CliqueSimulator,
     CongestSimulator,
     NodeContext,
-    RoundEngine,
     id_bits,
 )
 from repro.congest.node import OUTPUT_FLUSH_KEYS
@@ -96,16 +95,6 @@ class TestLazyNeighbours:
             context.send(-1, "x", bits=1)
         assert context.neighbors == frozenset({1, 5})
         assert context.sorted_neighbors() == [1, 5]
-
-    def test_strict_engine_contexts_are_unchanged(self):
-        graph = cycle_graph(6)
-        engine = RoundEngine(graph, seed=4)
-        simulator = CongestSimulator(graph, seed=4)
-        for strict, phased in zip(engine.contexts, simulator.contexts):
-            assert type(strict.neighbors) is frozenset
-            assert strict.neighbors == graph.neighbors(strict.node_id)
-            assert strict.neighbors == phased.neighbors
-            assert strict.rng.random() == phased.rng.random()
 
     def test_direct_context_sorts_an_iterable_of_neighbours(self):
         context = NodeContext(
@@ -204,6 +193,35 @@ class TestPhaseAccounting:
         simulator.run_phase()
         assert simulator.metrics.bits_received_per_node[0] == 12
         assert simulator.metrics.max_bits_received() == 12
+
+    def test_bulk_and_scalar_runs_report_identical_round_counts(self):
+        graph = complete_graph(7)
+        policy = BandwidthPolicy(minimum_bits=1)
+
+        scalar_sim = CongestSimulator(graph, bandwidth=policy, seed=3)
+        bulk_sim = CongestSimulator(graph, bandwidth=policy, seed=3)
+
+        for phase in range(3):
+            for ctx in scalar_sim.contexts:
+                for neighbor in sorted(ctx.neighbors):
+                    ctx.send(neighbor, (phase, ctx.node_id), bits=4)
+            for ctx in bulk_sim.contexts:
+                targets = sorted(ctx.neighbors)
+                ctx.bulk_send(
+                    targets, [(phase, ctx.node_id)] * len(targets), bits=4
+                )
+            scalar_report = scalar_sim.run_phase(f"phase-{phase}")
+            bulk_report = bulk_sim.run_phase(f"phase-{phase}")
+            assert scalar_report.rounds == bulk_report.rounds
+            assert scalar_report.messages == bulk_report.messages
+            assert scalar_report.bits == bulk_report.bits
+            assert scalar_report.max_link_bits == bulk_report.max_link_bits
+
+        assert scalar_sim.total_rounds == bulk_sim.total_rounds
+        for node in range(graph.num_nodes):
+            assert sorted(scalar_sim.context(node).received()) == sorted(
+                bulk_sim.context(node).received()
+            )
 
     def test_charge_rounds(self):
         simulator = CongestSimulator(cycle_graph(4), seed=0)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core import HeavySamplingFinder, a1_sample_cap
-from repro.core.a1_sampling import expected_rounds, single_run_success_probability
+from repro.core.a1_sampling import expected_rounds
 from repro.graphs import (
     complete_graph,
     gnp_random_graph,
@@ -77,12 +77,6 @@ class TestA1Completeness:
         # Single-run success is constant; over 20 seeds we expect a clear
         # majority of successes.
         assert successes >= 12
-
-    def test_success_probability_helper_monotone(self):
-        low = single_run_success_probability(4, 100, 0.5)
-        high = single_run_success_probability(40, 100, 0.5)
-        assert 0.0 <= low <= high <= 1.0
-        assert single_run_success_probability(0, 100, 0.5) == 0.0
 
 
 class TestA1RoundComplexity:

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.core import HeavyHashingLister, a2_edge_set_cap
-from repro.core.a2_heavy import (
-    _triangles_in_edge_set,
-    expected_rounds,
-    lemma1_success_probability,
-)
+from repro.core.a2_heavy import _triangles_in_edge_set, expected_rounds
 from repro.graphs import (
     complete_graph,
     gnp_random_graph,
@@ -96,12 +92,6 @@ class TestA2Completeness:
             hits += sum(1 for t in heavy if t in found)
         hit_rate = hits / (trials * len(heavy))
         assert hit_rate >= 0.2
-
-    def test_lemma1_probability_helper(self):
-        assert lemma1_success_probability(100, 0.0) == pytest.approx(0.75)
-        assert lemma1_success_probability(16, 0.5) == pytest.approx(3 / 16)
-        with pytest.raises(ValueError):
-            lemma1_success_probability(16, 2.0)
 
 
 class TestA2RoundComplexity:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import local_listing_complete
+from repro.api.registry import get_algorithm
 from repro.core import LocalListing, NaiveTwoHopListing, naive_round_bound
+from repro.errors import AnalysisError
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -78,3 +80,10 @@ class TestNaiveCost:
     def test_parameters_describe_local_output(self):
         result = NaiveTwoHopListing().run(complete_graph(4), seed=0)
         assert result.parameters == {"local_output_only": True}
+
+    @pytest.mark.parametrize("name", ["naive-two-hop", "local-listing"])
+    def test_local_output_only_is_not_a_parameter(self, name):
+        # The recorded flag states a fact of the algorithm; a spec that
+        # tries to set it must be refused, not silently ignored.
+        with pytest.raises(AnalysisError, match="does not accept"):
+            get_algorithm(name).build({"local_output_only": False})

@@ -12,10 +12,8 @@ from repro.core import (
     account_information,
     expected_triangles_gnp_half,
     node_receive_capacity_bits,
-    proposition5_asymptotic_curve,
     proposition5_information_bound,
     proposition5_round_lower_bound,
-    theorem3_asymptotic_curve,
     theorem3_information_bound,
     theorem3_round_lower_bound,
 )
@@ -73,10 +71,6 @@ class TestClosedFormFloors:
         # higher for every large enough n.
         for n in (10**3, 10**4, 10**5):
             assert proposition5_round_lower_bound(n) >= theorem3_round_lower_bound(n)
-
-    def test_asymptotic_curves(self):
-        assert theorem3_asymptotic_curve(4096) == pytest.approx(16.0 / 12.0)
-        assert proposition5_asymptotic_curve(1024) == pytest.approx(102.4)
 
     def test_rivin_float_bound(self):
         assert rivin_edge_lower_bound_float(0) == 0.0

@@ -245,11 +245,9 @@ class TestTriangleEnumerationCaching:
         )
         assert stacked.tolist() == view.triangles().tolist()
 
-    def test_iter_triangles_is_lazy(self):
-        from repro.graphs import iter_triangles
-
+    def test_triangle_chunk_stream_is_lazy(self):
         graph = gnp_random_graph(60, 0.5, seed=23)
-        first = next(iter(iter_triangles(graph)))
+        first = tuple(next(graph.csr().iter_triangle_chunks())[0].tolist())
         # Early exit must not have materialised the full triangle cache.
         assert graph.csr()._triangles is None
         assert first == next(iter(iter_triangles_reference(graph)))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import Graph, degree_histogram, is_connected
+from repro.graphs import Graph, is_connected
 
 
 class TestGraphConstruction:
@@ -192,10 +192,6 @@ class TestInducedSubgraph:
 
 
 class TestGraphHelpers:
-    def test_degree_histogram(self):
-        graph = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert degree_histogram(graph) == {3: 1, 1: 3}
-
     def test_is_connected_true(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert is_connected(graph)

@@ -14,11 +14,8 @@ from repro.graphs import (
     edge_support,
     gnp_random_graph,
     heaviness_threshold,
-    heavy_edges,
     heavy_triangles,
-    is_heavy_triangle,
     is_triangle_free,
-    iter_triangles,
     light_triangles,
     list_triangles,
     local_triangle_count,
@@ -52,7 +49,7 @@ class TestListingAndCounting:
         assert is_triangle_free(Graph(0))
 
     def test_iter_yields_canonical_sorted_triples(self):
-        for a, b, c in iter_triangles(gnp_random_graph(20, 0.4, seed=1)):
+        for a, b, c in list_triangles(gnp_random_graph(20, 0.4, seed=1)):
             assert a < b < c
 
     def test_no_duplicates(self):
@@ -117,19 +114,6 @@ class TestHeaviness:
         assert len(heavy) == 20
         assert len(light) == 1
         assert len(heavy) + len(light) == count_triangles(graph)
-
-    def test_is_heavy_triangle_epsilon_zero(self):
-        # With epsilon = 0 the threshold is 1 so every triangle is heavy.
-        graph = complete_graph(4)
-        for triangle in list_triangles(graph):
-            assert is_heavy_triangle(graph, triangle, 0.0)
-
-    def test_heavy_edges(self):
-        graph = union_of_cliques([6, 3])
-        epsilon = math.log(3) / math.log(graph.num_nodes)
-        heavy = heavy_edges(graph, epsilon)
-        assert len(heavy) == 15  # the 6-clique's edges
-        assert all(u < 6 and v < 6 for u, v in heavy)
 
 
 class TestDeltaSet:

@@ -142,6 +142,5 @@ class TestPackageSurface:
         import repro
 
         assert issubclass(repro.GraphError, repro.ReproError)
-        assert issubclass(repro.BandwidthExceededError, repro.SimulationError)
         assert issubclass(repro.RoundLimitExceededError, repro.SimulationError)
         assert issubclass(repro.SimulationError, repro.ReproError)
