@@ -29,7 +29,7 @@ raises :class:`~repro.errors.AnalysisError`.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import AnalysisError

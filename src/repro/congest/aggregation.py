@@ -17,7 +17,7 @@ to whatever algorithm ran before them on the same simulator.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import SimulationError
 from ..types import NodeId

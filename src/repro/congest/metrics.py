@@ -11,7 +11,7 @@ Algorithm A(X, r)") can be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass

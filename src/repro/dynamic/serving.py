@@ -34,13 +34,16 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..api.queries import QueryResult, QuerySpec
+from ..api.records import canonical_json_object
 from ..errors import ReproError, ServiceError
+from ..faults import fault_point
 from ..service.protocol import (
     PROTOCOL_VERSION,
     ServiceClient,
     bind_service_socket,
     recv_frame,
     remove_service_info,
+    send_encoded_frame,
     send_frame,
     write_service_info,
 )
@@ -149,6 +152,8 @@ class QueryServer:
         try:
             conn.settimeout(None)
             hello = recv_frame(conn)
+            if fault_point("query.accept") is not None:
+                return  # handshake dropped: the client sees the socket close
             if (
                 hello is None
                 or hello.get("type") != "hello"
@@ -169,10 +174,15 @@ class QueryServer:
                 frame = recv_frame(conn)
                 if frame is None:
                     return
+                if fault_point("query.frame", frame=str(frame.get("type"))) is not None:
+                    return  # dropped unanswered, as by a connection lost mid-request
                 try:
                     reply = self._handle(frame)
                 except ReproError as exc:
                     reply = {"type": "error", "error": str(exc)}
+                if isinstance(reply, str):
+                    send_encoded_frame(conn, reply, "query-result")
+                    continue
                 send_frame(conn, reply)
                 if frame.get("type") == "shutdown" and reply.get("type") == "ok":
                     self._stop.set()
@@ -185,12 +195,14 @@ class QueryServer:
             except OSError:  # pragma: no cover
                 pass
 
-    def _handle(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(self, frame: Dict[str, Any]) -> "Dict[str, Any] | str":
+        """The reply frame, or a ``query-result`` frame as canonical JSON
+        text: the result's own encoding spliced in, never decoded."""
         kind = frame.get("type")
         if kind == "query":
             spec = QuerySpec.from_dict(frame.get("spec"))
             result = self.engine.query(spec)
-            return {"type": "query-result", "result": result.to_dict()}
+            return canonical_json_object({"result": result.to_json(), "type": '"query-result"'})
         if kind == "apply":
             insert = frame.get("insert", [])
             delete = frame.get("delete", [])

@@ -34,15 +34,14 @@ root's ``events.jsonl``).
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import FaultError
 
@@ -88,6 +87,13 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
     # api/store.py RecordStore.append / fsync.
     "store.append": ("enospc", "torn"),
     "store.fsync": ("fail",),
+    # dynamic/serving.py QueryServer: a handshake, or a request frame,
+    # read and dropped unanswered.
+    "query.accept": ("drop",),
+    "query.frame": ("drop",),
+    # dynamic/delta.py DeltaGraph.apply_batch: a batch rejected after it is
+    # validated and staged, before it touches any state.
+    "query.apply": ("fail",),
 }
 
 

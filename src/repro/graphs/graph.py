@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from ..errors import GraphError
-from ..types import Edge, NodeId, make_edge
+from ..types import Edge, NodeId
 from .csr import CSRGraph
 
 

@@ -15,7 +15,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..analysis.tables import render_table
 from ..api.specs import SweepSpec, load_spec

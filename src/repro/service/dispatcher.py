@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.experiments import ExperimentRecord
 from ..api.specs import RunSpec, SweepSpec
 from ..api.store import ResultCache, SweepStoreWriter
 from ..errors import ReproError, ServiceError

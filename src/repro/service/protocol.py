@@ -45,6 +45,7 @@ __all__ = [
     "ServiceAddress",
     "ServiceClient",
     "send_frame",
+    "send_encoded_frame",
     "recv_frame",
     "read_service_info",
     "write_service_info",
@@ -73,13 +74,24 @@ def send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
     same socket (a worker's heartbeat thread next to its main loop) only
     need a lock around this call, never byte-level interleaving care.
     """
-    data = canonical_json(payload).encode("utf-8")
+    send_encoded_frame(sock, canonical_json(payload), payload.get("type"))
+
+
+def send_encoded_frame(sock: socket.socket, text: str, frame_type: Any) -> None:
+    """Send one frame whose canonical JSON text is already built.
+
+    ``frame_type`` is the frame's ``type`` member, named by the size error
+    and matched by the ``protocol.send`` fault point.  A caller holding
+    canonical text (a spliced query result) sends it without decoding and
+    re-encoding it through :func:`send_frame`.
+    """
+    data = text.encode("utf-8")
     if len(data) > FRAME_MAX_BYTES:
         raise ServiceError(
             f"refusing to send a {len(data)}-byte frame "
-            f"(limit {FRAME_MAX_BYTES}); type={payload.get('type')!r}"
+            f"(limit {FRAME_MAX_BYTES}); type={frame_type!r}"
         )
-    fault = fault_point("protocol.send", frame=str(payload.get("type")))
+    fault = fault_point("protocol.send", frame=str(frame_type))
     if fault is not None:
         # Either way the peer sees a half/garbled frame and treats the
         # connection as lost; the sender must see a *socket* failure
@@ -300,7 +312,12 @@ class ServiceClient:
                 f"{self.address.describe()} ({exc}); is it still running?"
             ) from exc
         self._sock.settimeout(timeout)
-        self._hello()
+        try:
+            self._hello()
+        except BaseException:
+            # A refused or dropped handshake must not leak the socket.
+            self._sock.close()
+            raise
 
     @classmethod
     def connect(

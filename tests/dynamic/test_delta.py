@@ -16,6 +16,11 @@ def triangle_graph():
     return Graph(4, [(0, 1), (0, 2), (1, 2)])
 
 
+PAIRS = "edge batch must be a sequence of integer (u, v) pairs, got "
+RANGE = ": endpoint out of range for graph with 5 nodes"
+LOOP = ": self-loops are not allowed in edge batches"
+
+
 class TestCanonicalBatchKeys:
     def test_orders_and_dedupes(self):
         keys = canonical_batch_keys([(3, 1), (1, 3), (0, 2)], 5)
@@ -40,6 +45,46 @@ class TestCanonicalBatchKeys:
 
     def test_empty_batch(self):
         assert canonical_batch_keys([], 5).size == 0
+
+    def test_accepts_numpy_integers_and_array_rows(self):
+        mixed = [(np.int64(3), np.int32(1)), [np.uint8(0), 4], np.array([2, 4])]
+        assert decode_edge_keys(canonical_batch_keys(mixed, 5), 5) == [(0, 4), (1, 3), (2, 4)]
+        rows = np.array([[4, 0], [1, 2]], dtype=np.int32)
+        assert decode_edge_keys(canonical_batch_keys(rows, 5), 5) == [(0, 4), (1, 2)]
+        pairs = ((u, u + 1) for u in range(3))
+        assert decode_edge_keys(canonical_batch_keys(pairs, 5), 5) == [(0, 1), (1, 2), (2, 3)]
+
+    # The whole batch converts as one array; each error still names the
+    # first offending pair exactly as the pair-by-pair check did.
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (True, 2)], PAIRS + "(True, 2)"),
+            ([(0, 1), (2, False)], PAIRS + "(2, False)"),
+            # numpy scalars print as numpy's repr of them (version-dependent).
+            ([(np.True_, 1)], PAIRS + repr((np.True_, 1))),
+            ([(0, 1.0)], PAIRS + "(0, 1.0)"),
+            ([(np.float64(2), 3)], PAIRS + repr((np.float64(2), 3))),
+            ([(0, 1), (0, 1, 2)], PAIRS + "(0, 1, 2)"),
+            ([(0,)], PAIRS + "(0,)"),
+            (["01"], PAIRS + "'01'"),
+            ([("0", "1")], PAIRS + "('0', '1')"),
+            ([{0, 1}], PAIRS + "{0, 1}"),
+            ([np.array([0.0, 1.0])], PAIRS + "array([0., 1.])"),
+            (np.array([[0, 1, 2]]), PAIRS + "array([0, 1, 2])"),
+            ([np.array(3)], PAIRS + "array(3)"),
+            ([(0, 2**70)], "edge endpoint out of range for graph with 5 nodes"),
+            ([(np.int64(0), np.int64(7))], f"edge {(np.int64(0), np.int64(7))!r}" + RANGE),
+            ([(0, 1), (-1, 2), (3, 3)], "edge (-1, 2)" + RANGE),
+            (np.array([[0, 1], [1, 1]]), "edge array([1, 1])" + LOOP),
+            (((u, 6 - u) for u in range(4)), "edge (0, 6)" + RANGE),
+            (((u, 4 - u) for u in range(4)), "edge (2, 2)" + LOOP),
+        ],
+    )
+    def test_error_names_the_first_bad_pair(self, edges, message):
+        with pytest.raises(GraphError) as caught:
+            canonical_batch_keys(edges, 5)
+        assert str(caught.value) == message
 
 
 class TestInSorted:

@@ -5,9 +5,9 @@ Drives random insert/delete batch sequences through ``DeltaGraph`` and
 incremental answers exactly against from-scratch recomputation on the
 compacted graph: triangle count, per-node counts, the full edge_support
 index, and the listed created/destroyed triangle sets.  The vectorized
-wedge closure is pinned against the per-edge loop it replaced, and the
-snapshot's row, degree and membership reads against the reference edge
-set.
+write pass's created and destroyed lists are pinned against a per-edge
+loop on each side, and the snapshot's row, degree and membership reads
+against the reference edge set.
 
 Every example runs under all three base membership strategies in turn
 (dense matrix, packed bitset, sorted keys); graphs of up to 30 nodes
@@ -15,7 +15,9 @@ leave room for the sparse draws the larger serving workloads produce.  A tiny co
 threshold makes sequences routinely cross compaction boundaries, the
 batch generator deliberately re-inserts recently deleted edges, and it
 plants and removes triangles two or three edges at a time so one batch
-often holds several edges of one triangle.
+often holds several edges of one triangle.  A second generator gives
+every batch a triangle with an inserted and a deleted edge, deletes the
+previous batch's insertions and re-inserts its deletions.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,6 @@ import numpy as np
 from csr_strategies import STRATEGIES, membership_strategy, pinned_strategy
 from repro.congest.backends import use_chunk_bytes
 from repro.dynamic import DeltaGraph, IncrementalTriangleOracle
-from repro.dynamic.oracle import _affected_triangles
 from repro.graphs import Graph
 
 MAX_NODES = 30
@@ -68,6 +69,48 @@ def batch_sequences(draw, max_nodes=MAX_NODES):
             delete |= set(draw(st.lists(st.sampled_from(present), unique=True, max_size=6)))
         delete -= insert
         edges = (edges | insert) - delete
+        batches.append((sorted(insert), sorted(delete)))
+    return num_nodes, start, batches
+
+
+@st.composite
+def mixed_batch_sequences(draw, max_nodes=MAX_NODES):
+    """Batch sequences built around the cases the one-pass write path meets.
+
+    Every batch deletes one edge of a triangle while inserting another
+    (the third kept, or inserted too), so the span pass closes triangles
+    that are neither created nor destroyed; it deletes edges the batch
+    before inserted, which takes them out of the overlay; and it
+    re-inserts edges the batch before deleted.
+    """
+    num_nodes = draw(st.integers(min_value=3, max_value=max_nodes))
+    possible = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    start = draw(
+        st.lists(
+            st.sampled_from(possible), unique=True, min_size=1, max_size=min(len(possible), 120)
+        )
+    )
+    edges = set(start)
+    inserted, deleted = set(), set()
+    batches = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        insert = {edge for edge in sorted(deleted) if draw(st.booleans())}
+        delete = {edge for edge in sorted(inserted) if draw(st.booleans())}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            if not edges:
+                break
+            a, b = draw(st.sampled_from(sorted(edges)))
+            missing = {}
+            for c in set(range(num_nodes)) - {a, b}:
+                sides = {(min(a, c), max(a, c)), (min(b, c), max(b, c))}
+                if sides - edges:
+                    missing[c] = sides - edges
+            if missing:
+                delete.add((a, b))
+                insert |= missing[draw(st.sampled_from(sorted(missing)))]
+        delete -= insert
+        edges = (edges | insert) - delete
+        inserted, deleted = insert, delete
         batches.append((sorted(insert), sorted(delete)))
     return num_nodes, start, batches
 
@@ -180,16 +223,13 @@ def check_oracle_against_recompute(case, compact_threshold, strategy):
         assert set(delta.destroyed) == triangles - new_triangles
         triangles = new_triangles
 
-        # The one-pass closure equals the per-edge loop, order included.
+        # The span pass equals the per-edge loop on each side, order included.
         for snapshot, edges, listed in (
             (before, delta.deleted, delta.destroyed),
             (after, delta.inserted, delta.created),
         ):
             keys = edge_keys(edges, num_nodes)
-            expected = reference_affected_triangles(snapshot, keys, num_nodes)
-            closed = _affected_triangles(snapshot, keys, num_nodes)
-            assert [tuple(row) for row in closed.tolist()] == expected
-            assert list(listed) == expected
+            assert list(listed) == reference_affected_triangles(snapshot, keys, num_nodes)
 
         assert_reads_match(after, edge_set, strategy)
 
@@ -202,6 +242,19 @@ def check_oracle_against_recompute(case, compact_threshold, strategy):
     ref = Graph(num_nodes, sorted(edge_set)).csr()
     assert final.indices.tobytes() == ref.indices.tobytes()
     assert final.indptr.tobytes() == ref.indptr.tobytes()
+
+
+@given(
+    case=mixed_batch_sequences(),
+    # 1 compacts inside nearly every batch; 1_000_000 never, so deleted
+    # additions leave the overlay and come back from outside the base.
+    compact_threshold=st.sampled_from([1, 3, 1_000_000]),
+)
+@settings(max_examples=80, deadline=None)
+def test_oracle_matches_recompute_on_mixed_batches(case, compact_threshold):
+    for strategy in STRATEGIES:
+        with pinned_strategy(strategy):
+            check_oracle_against_recompute(case, compact_threshold, strategy)
 
 
 @given(case=batch_sequences())

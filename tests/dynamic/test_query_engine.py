@@ -10,7 +10,8 @@ import pytest
 from repro.api import QueryResult, QuerySpec
 from repro.api.records import canonical_json
 from repro.dynamic import TriangleQueryEngine
-from repro.errors import AnalysisError, GraphError
+from repro.faults import FaultPlane, FaultRule, FaultSchedule, install_plane, uninstall_plane
+from repro.errors import AnalysisError, GraphError, ReproError
 from repro.graphs import Graph, gnp_random_graph
 
 
@@ -274,3 +275,91 @@ class TestTrustedResults:
         first.payload["nodes"].append(1)
         assert engine.query(spec).to_json() == original
         assert engine.oracle.node_count(3) == 1
+
+
+def _answers(engine, edges):
+    """Every read the engine serves, as canonical JSON, plus its raw indexes."""
+    specs = [
+        QuerySpec(kind="count"),
+        QuerySpec(kind="node-counts"),
+        QuerySpec(kind="edge-support", params={"edges": edges}),
+        QuerySpec(kind="delta-since", params={"version": 0}),
+    ]
+    return (
+        engine.version,
+        [engine.query(spec).to_json() for spec in specs],
+        engine.oracle.node_counts().tolist(),
+        engine.oracle.support_map(),
+        engine.snapshot.edge_keys().tolist(),
+        engine.oracle.graph.live.degree.tolist(),
+    )
+
+
+class TestAtomicWrites:
+    """A batch that raises leaves the engine exactly as it was.
+
+    The writer patches its live state (degrees, hash table, supports) in
+    place, so a rejected or faulted batch must fail before touching any of
+    it: the engine then answers, and goes on answering, exactly like a twin
+    that never saw the batch.
+    """
+
+    EDGES = [[0, 1], [0, 2], [2, 5], [3, 4], [5, 6], [1, 7]]
+
+    def _twins(self):
+        graph = gnp_random_graph(12, 0.4, seed=8)
+        engines = [
+            TriangleQueryEngine(graph, listing=True, compact_threshold=6) for _ in range(2)
+        ]
+        for engine in engines:
+            engine.apply_batch(insert=[(0, 2), (5, 6)], delete=[(0, 1)])
+        return engines
+
+    def _check_twins(self, engine, twin, batches):
+        assert _answers(engine, self.EDGES) == _answers(twin, self.EDGES)
+        for insert, delete in batches:
+            delta = twin.apply_batch(insert, delete)
+            assert engine.apply_batch(insert, delete) == delta
+            assert _answers(engine, self.EDGES) == _answers(twin, self.EDGES)
+        assert delta.compacted
+        engine.verify_against_recompute()
+
+    # After the failure every kind of live-state patch still runs: (0, 1)
+    # comes back from the tombstones, (0, 2) leaves the overlay and comes
+    # back to its dead slot, and the last batch compacts (threshold 6).
+    LATER = [
+        ([(0, 1), (3, 4), (9, 10)], [(0, 2)]),
+        ([(0, 2), (5, 7), (6, 7), (1, 5)], [(2, 5)]),
+    ]
+
+    @pytest.mark.parametrize(
+        "insert, delete, message",
+        [
+            ([(0, 1), (1, True)], [], "integer \\(u, v\\) pairs"),
+            ([(0, 12)], [], "out of range"),
+            ([(4, 4)], [], "self-loop"),
+            ([(0, 1)], [(1, 0)], "both insert and delete"),
+        ],
+    )
+    def test_rejected_batch_changes_nothing(self, insert, delete, message):
+        engine, twin = self._twins()
+        with pytest.raises(GraphError, match=message):
+            engine.apply_batch(insert, delete)
+        assert engine.batches_applied == twin.batches_applied
+        self._check_twins(engine, twin, self.LATER)
+
+    def test_injected_apply_fault_changes_nothing(self):
+        engine, twin = self._twins()
+        # The faulted batch would compact: staging a compaction must not
+        # leak into the live state either.
+        insert = [(i, j) for i in range(4) for j in range(8, 12) if i + j < 13]
+        plane = FaultPlane(FaultSchedule(seed=0, rules=(FaultRule.build("query.apply", "fail"),)))
+        install_plane(plane)
+        try:
+            with pytest.raises(ReproError, match="injected fault"):
+                engine.apply_batch(insert=insert, delete=[(3, 5)])
+        finally:
+            uninstall_plane()
+        assert plane.counts() == {"query.apply:fail": 1}
+        self._check_twins(engine, twin, [(insert, [(3, 5)])])
+        self._check_twins(engine, twin, self.LATER)

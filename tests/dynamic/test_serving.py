@@ -6,9 +6,11 @@ import time
 import pytest
 
 from repro.api import QuerySpec
+from repro.api.records import canonical_json
 from repro.dynamic import QueryClient, QueryServer, TriangleQueryEngine
 from repro.dynamic.serving import SERVICE_NAME
 from repro.errors import ServiceError
+from repro.faults import FaultPlane, FaultRule, FaultSchedule, install_plane, uninstall_plane
 from repro.graphs import Graph
 from repro.service.protocol import read_service_info, write_service_info
 
@@ -85,6 +87,24 @@ class TestRoundTrip:
             assert count.version == 0 and count.payload["num_edges"] == 3
 
 
+class TestSplicedReplies:
+    def test_query_result_frames_match_the_encoded_document(self, server):
+        """The spliced reply is byte for byte the frame ``send_frame`` would
+        encode from the decoded result."""
+        server.engine.apply_batch(insert=[(0, 3), (1, 3)])
+        server.engine.apply_batch(delete=[(0, 1)])
+        specs = [
+            QuerySpec(kind="count"),
+            QuerySpec(kind="node-counts", params={"nodes": [3, 0]}),
+            QuerySpec(kind="edge-support", params={"edges": [[1, 0], [2, 3]]}),
+            QuerySpec(kind="delta-since", params={"version": 0}),
+        ]
+        for spec in specs:
+            reply = server._handle({"type": "query", "spec": spec.to_dict()})
+            result = server.engine.query(spec)
+            assert reply == canonical_json({"type": "query-result", "result": result.to_dict()})
+
+
 class TestLifecycle:
     def test_shutdown_removes_discovery(self, tmp_path):
         engine = TriangleQueryEngine(Graph(3, [(0, 1)]))
@@ -146,3 +166,31 @@ class TestLifecycle:
                 seen.append(reader.query(QuerySpec(kind="count")).version)
             assert seen == sorted(seen)
             assert seen[-1] == 5
+
+
+class TestFaultPoints:
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plane(self):
+        uninstall_plane()
+        yield
+        uninstall_plane()
+
+    def test_dropped_handshake_is_retried(self, server):
+        rule = FaultRule.build("query.accept", "drop")
+        install_plane(FaultPlane(FaultSchedule(seed=0, rules=(rule,))))
+        with pytest.raises(ServiceError, match="rejected the connection"):
+            QueryClient(server.root, timeout=10)
+        with QueryClient.connect(server.root, timeout=10) as client:
+            assert client.query(QuerySpec(kind="count")).payload["triangles"] == 1
+
+    def test_dropped_apply_frame_applies_nothing(self, server):
+        rule = FaultRule.build("query.frame", "drop", match={"frame": "apply"})
+        install_plane(FaultPlane(FaultSchedule(seed=0, rules=(rule,))))
+        with QueryClient.connect(server.root, timeout=10) as client:
+            with pytest.raises(ServiceError, match="closed the connection"):
+                client.apply(insert=[(0, 3), (1, 3)])
+        with QueryClient.connect(server.root, timeout=10) as client:
+            count = client.query(QuerySpec(kind="count"))
+            assert (count.version, count.payload["triangles"]) == (0, 1)
+            assert client.apply(insert=[(0, 3), (1, 3)])["version"] == 1
+            assert client.query(QuerySpec(kind="count")).payload["triangles"] == 2
