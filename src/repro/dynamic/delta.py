@@ -636,7 +636,9 @@ class LiveEdges:
         fresh = slots < 0
         count = int(np.count_nonzero(fresh))
         if count and 2 * (self._used + count) > self.keys.size:
-            self._rebuild(count)
+            # The rebuild drops the dead slots of inserts outside the base,
+            # so any insert may need a new slot afterwards.
+            self._rebuild(ins_keys.size)
             slots = self.find(keys)
             fresh = slots < 0
         if count:

@@ -1,5 +1,7 @@
 """Unit tests for the incremental triangle oracle (crafted sequences)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,47 @@ class TestCompactionBoundary:
             assert_pinned(oracle)
         assert any(d.compacted for d in deltas)
         assert oracle.graph.compactions >= 1
+
+
+class TestLiveTableRebuild:
+    def test_reinserting_dead_overlay_edges_after_growth(self):
+        """Grow the writer's edge table, let every overlay edge die, then
+        bring them all back with a few new ones in one batch: the rebuild
+        must leave room for the revived edges, whose dead slots it drops."""
+        n = 200
+        pairs = [(u, v) for u in range(3, n) for v in range(u + 1, n)]
+        first, second, extra = pairs[:1000], pairs[1000:2000], pairs[2000:2049]
+        oracle = IncrementalTriangleOracle(
+            Graph(n, [(0, 1), (1, 2), (0, 2)]), compact_threshold=10**9
+        )
+        batches = [
+            (first, []), ([], first), (second, []), ([], second),
+            (first + second + extra, []), ([], extra),
+        ]
+        errors = []
+
+        def write():
+            try:
+                for insert, delete in batches:
+                    oracle.apply_batch(insert=insert, delete=delete)
+                    assert_pinned(oracle)
+                    table = oracle.graph.live
+                    assert 2 * int(np.count_nonzero(table.keys != -1)) <= table.keys.size
+            except BaseException as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+            else:
+                errors.append(None)
+
+        # A table with no empty slot left makes probing spin forever, so the
+        # batches run in a thread that the test can give up on.
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        writer.join(timeout=30)
+        assert errors, "a batch did not finish: the edge table filled up"
+        if errors[0] is not None:
+            raise errors[0]
+        assert oracle.graph.num_edges == 2003
+        assert oracle.graph.compactions == 0
 
 
 class TestBatchDelta:
