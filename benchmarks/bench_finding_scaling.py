@@ -16,10 +16,9 @@ measured curve stays under it.)
 
 The sweep grid is declared as :class:`repro.api.RunSpec` documents (one per
 size) resolved through the algorithm/workload registries and runs on
-:class:`repro.analysis.SweepRunner`.  The chunk budget is threaded through
-the same registry parameters — set ``REPRO_CHUNK_BYTES=<n>`` to sweep under
-a different one (the records must not change; that is the chunk bound's
-differential contract).
+:class:`repro.analysis.SweepRunner`.  Every cell runs under the fixed
+chunk bound of :mod:`repro.congest.backends`; the records do not depend
+on it (``tests/core/test_backends.py`` pins that).
 
 Set ``SCALING_QUICK=1`` (CI does) to drop the two largest sizes.
 
@@ -53,20 +52,12 @@ SIZES = [600, 1500] if QUICK else [600, 1500, 4000, 10000]
 SHAPE_CONSTANT = 6.0
 #: Worker processes for the sweep grid.
 SWEEP_WORKERS = min(4, os.cpu_count() or 1)
-#: Chunk budget for every cell (differentially pinned: any budget must
-#: reproduce the default records byte-identically).
-CHUNK_BYTES = (
-    int(os.environ["REPRO_CHUNK_BYTES"])
-    if os.environ.get("REPRO_CHUNK_BYTES")
-    else None
-)
 
 FINDING_ALGORITHM = AlgorithmSpec(
     "theorem1-finding",
     {
         "repetitions": 1,
         "epsilon": finding_epsilon_asymptotic(),
-        "chunk_bytes": CHUNK_BYTES,
     },
 )
 NAIVE_ALGORITHM = AlgorithmSpec("naive-two-hop")
@@ -147,7 +138,6 @@ def test_finding_scaling_against_theorem1_bound(benchmark):
         {
             "benchmark": "finding_scaling",
             "quick": QUICK,
-                "chunk_bytes": CHUNK_BYTES,
             "sizes": SIZES,
             "edge_probabilities": [edge_probability(n) for n in SIZES],
             "measured_rounds": [float(r) for r in measured],

@@ -14,10 +14,10 @@ recall is expected to sit at (not just near) 1.0.
 
 The sweep grid is declared as :class:`repro.api.RunSpec` documents resolved
 through the algorithm/workload registries and runs on
-:class:`repro.analysis.SweepRunner`.  The chunk budget threads through the
-same registry parameters — ``REPRO_CHUNK_BYTES=<n>`` sweeps under a
-different one, which must not change a single record.  Set
-``SCALING_QUICK=1`` (CI does) to drop the two largest sizes.
+:class:`repro.analysis.SweepRunner`.  Every cell runs under the fixed
+chunk bound of :mod:`repro.congest.backends`, which changes no record
+(``tests/core/test_backends.py`` pins that).  Set ``SCALING_QUICK=1`` (CI
+does) to drop the two largest sizes.
 
 A single pass is measured (rather than the full ``⌈c log n⌉`` repetitions)
 so that the per-pass shape is visible; the repetition factor is a known
@@ -55,19 +55,12 @@ SIZES = [600, 1500] if QUICK else [600, 1500, 4000, 10000]
 SHAPE_CONSTANT = 6.0
 #: Worker processes for the sweep grid.
 SWEEP_WORKERS = min(4, os.cpu_count() or 1)
-#: Chunk budget for every cell (differentially pinned).
-CHUNK_BYTES = (
-    int(os.environ["REPRO_CHUNK_BYTES"])
-    if os.environ.get("REPRO_CHUNK_BYTES")
-    else None
-)
 
 LISTING_ALGORITHM = AlgorithmSpec(
     "theorem2-listing",
     {
         "repetitions": 1,
         "epsilon": listing_epsilon_asymptotic(),
-        "chunk_bytes": CHUNK_BYTES,
     },
 )
 FINDING_ALGORITHM = AlgorithmSpec(
@@ -75,7 +68,6 @@ FINDING_ALGORITHM = AlgorithmSpec(
     {
         "repetitions": 1,
         "epsilon": finding_epsilon_asymptotic(),
-        "chunk_bytes": CHUNK_BYTES,
     },
 )
 
@@ -145,7 +137,6 @@ def test_listing_scaling_against_theorem2_bound(benchmark):
         {
             "benchmark": "listing_scaling",
             "quick": QUICK,
-                "chunk_bytes": CHUNK_BYTES,
             "sizes": SIZES,
             "edge_probabilities": [edge_probability(n) for n in SIZES],
             "measured_rounds": measured,
@@ -191,10 +182,7 @@ def test_full_listing_recall_with_amplification(benchmark):
         graph = _workload(SIZES[0])
         result = AlgorithmSpec(
             "theorem2-listing",
-            {
-                "epsilon": listing_epsilon_asymptotic(),
-                "chunk_bytes": CHUNK_BYTES,
-            },
+            {"epsilon": listing_epsilon_asymptotic()},
         ).build().run(graph, seed=9)
         return result.listing_recall(graph), result.rounds
 

@@ -46,23 +46,16 @@ from repro.graphs import gnp_random_graph
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-def _tuning(args) -> dict:
-    return {
-        "kernel": args.kernel,
-        "chunk_bytes": args.chunk_bytes,
-    }
-
-
 PROTOCOLS = {
-    "a1": lambda args: HeavySamplingFinder(epsilon=args.epsilon, **_tuning(args)),
-    "a2": lambda args: HeavyHashingLister(epsilon=args.epsilon, **_tuning(args)),
-    "a3": lambda args: LightTrianglesLister(epsilon=args.epsilon, **_tuning(args)),
-    "dolev": lambda args: DolevCliqueListing(**_tuning(args)),
+    "a1": lambda args: HeavySamplingFinder(epsilon=args.epsilon, kernel=args.kernel),
+    "a2": lambda args: HeavyHashingLister(epsilon=args.epsilon, kernel=args.kernel),
+    "a3": lambda args: LightTrianglesLister(epsilon=args.epsilon, kernel=args.kernel),
+    "dolev": lambda args: DolevCliqueListing(kernel=args.kernel),
     "theorem1": lambda args: TriangleFinding(
-        repetitions=1, epsilon=args.epsilon, **_tuning(args)
+        repetitions=1, epsilon=args.epsilon, kernel=args.kernel
     ),
     "theorem2": lambda args: TriangleListing(
-        repetitions=1, epsilon=args.epsilon, **_tuning(args)
+        repetitions=1, epsilon=args.epsilon, kernel=args.kernel
     ),
 }
 
@@ -137,8 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--top", type=int, default=25,
                         help="cProfile rows to report (by cumulative time)")
-    parser.add_argument("--chunk-bytes", type=int, default=None,
-                        help="chunked-evaluation budget (bytes per block)")
     parser.add_argument("--top-allocs", type=int, default=0,
                         help="per-phase tracemalloc: report the N largest "
                              "allocation sites per phase (0 = off)")

@@ -344,10 +344,7 @@ def list_workloads() -> List[WorkloadEntry]:
 from ..core.a1_sampling import HeavySamplingFinder as _HeavySamplingFinder
 from ..core.a2_heavy import HeavyHashingLister as _HeavyHashingLister
 from ..core.a3_light import LightTrianglesLister as _LightTrianglesLister
-from ..core.baselines import (
-    LocalListing as _LocalListing,
-    NaiveTwoHopListing as _NaiveTwoHopListing,
-)
+from ..core.baselines import NaiveTwoHopListing as _NaiveTwoHopListing
 from ..core.clique_dolev import DolevCliqueListing as _DolevCliqueListing
 from ..core.counting import TriangleCounting as _TriangleCounting
 from ..core.finding import TriangleFinding as _TriangleFinding
@@ -361,7 +358,6 @@ register_algorithm("theorem1-finding", kind="finding")(_TriangleFinding)
 register_algorithm("theorem2-listing", kind="listing")(_TriangleListing)
 register_algorithm("dolev-clique-listing", kind="listing")(_DolevCliqueListing)
 register_algorithm("naive-two-hop", kind="listing")(_NaiveTwoHopListing)
-register_algorithm("local-listing", kind="listing")(_LocalListing)
 register_algorithm("triangle-counting", kind="counting", sweepable=False)(
     _TriangleCounting
 )

@@ -24,7 +24,6 @@ from .backends import (
     active_chunk_bytes,
     chunk_rows,
     use_chunk_bytes,
-    validate_chunk_bytes,
 )
 from .runtime import (
     CongestRuntime,
@@ -72,7 +71,6 @@ __all__ = [
     "active_chunk_bytes",
     "chunk_rows",
     "use_chunk_bytes",
-    "validate_chunk_bytes",
     "CongestRuntime",
     "DeliveredChannel",
     "DeliveredPhase",

@@ -10,15 +10,16 @@ to end (A3's step-2 and step-4.1 staging, the dynamic overlay's rows).
 Each has exactly one numpy implementation here, called directly from its
 call sites.
 
-The module also owns the ``chunk_bytes`` knob: the bound on the working-set
-size of the streamed row blocks used by the chunked phase evaluators (dense
-Δ(X) disjointness, fused ``has_edges`` receiver sweeps, packed popcount
-reductions, the triangle oracle's wedge-closure windows).  The default is
-sized to stay L2/L3-resident on current cores.  Algorithms take a
-``chunk_bytes=`` constructor parameter (validated by
-:func:`validate_chunk_bytes`) and wrap their execution in
-:func:`use_chunk_bytes`.  The bound is thread-local, so sweep workers with
-different settings never interfere.
+The module also owns the chunk bound: the limit on the working-set size of
+the streamed row blocks used by the chunked phase evaluators (dense Δ(X)
+disjointness, fused ``has_edges`` receiver sweeps, packed popcount
+reductions, the triangle oracle's wedge-closure windows).  It is the
+constant :data:`DEFAULT_CHUNK_BYTES`, sized to stay L2/L3-resident on
+current cores; call sites read it only through :func:`chunk_rows` and
+:func:`active_chunk_bytes`.  The bound never changes a result, only how
+the work is blocked, so no algorithm takes it as a parameter.
+:func:`use_chunk_bytes` is the one seam that lowers it, so tests can force
+many small blocks through every chunked path.
 
 This module must not import anything from :mod:`repro` — it sits below both
 ``repro.graphs`` and ``repro.core`` in the import graph.
@@ -27,8 +28,6 @@ This module must not import anything from :mod:`repro` — it sits below both
 from __future__ import annotations
 
 import contextlib
-import operator
-import threading
 from typing import Iterator, Optional
 
 import numpy as np
@@ -107,34 +106,12 @@ def edge_support_chunk(
     return _POPCOUNT[both].sum(axis=1)
 
 
-def validate_chunk_bytes(chunk_bytes: Optional[int]) -> Optional[int]:
-    """Validate a ``chunk_bytes=`` constructor argument (``None`` = default)."""
-    if chunk_bytes is None:
-        return None
-    try:
-        value = operator.index(chunk_bytes)
-    except TypeError:
-        raise ValueError(
-            f"chunk_bytes must be a positive integer, got {chunk_bytes!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-    return value
-
-
-class _ActiveState(threading.local):
-    chunk_bytes: int
-
-    def __init__(self) -> None:  # called once per thread
-        self.chunk_bytes = DEFAULT_CHUNK_BYTES
-
-
-_ACTIVE = _ActiveState()
+_active_chunk_bytes = DEFAULT_CHUNK_BYTES
 
 
 def active_chunk_bytes() -> int:
-    """The current thread's bound on chunked-evaluation working sets."""
-    return _ACTIVE.chunk_bytes
+    """The bound on chunked-evaluation working sets."""
+    return _active_chunk_bytes
 
 
 def chunk_rows(row_bytes: int, minimum: int = 1) -> int:
@@ -146,13 +123,14 @@ def chunk_rows(row_bytes: int, minimum: int = 1) -> int:
 def use_chunk_bytes(chunk_bytes: Optional[int] = None) -> Iterator[None]:
     """Set the chunk bound for the duration of a ``with`` block.
 
-    ``None`` leaves the current bound untouched.  The setting is
-    thread-local and restored on exit even when the block raises.
+    ``None`` leaves the current bound untouched.  The previous bound is
+    restored on exit even when the block raises.
     """
-    previous_chunk = _ACTIVE.chunk_bytes
+    global _active_chunk_bytes
+    previous = _active_chunk_bytes
     if chunk_bytes is not None:
-        _ACTIVE.chunk_bytes = validate_chunk_bytes(chunk_bytes)
+        _active_chunk_bytes = chunk_bytes
     try:
         yield
     finally:
-        _ACTIVE.chunk_bytes = previous_chunk
+        _active_chunk_bytes = previous

@@ -19,11 +19,10 @@ identifiers per edge, i.e. ``O(n^{1-ε})`` rounds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..congest.backends import validate_chunk_bytes
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A1_SAMPLE_SCHEMA, id_bits
@@ -61,7 +60,6 @@ class HeavySamplingFinder(TriangleAlgorithm):
         epsilon: float,
         sample_cap_constant: float = 4.0,
         kernel: str = "batched",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -72,14 +70,12 @@ class HeavySamplingFinder(TriangleAlgorithm):
         self._epsilon = epsilon
         self._sample_cap_constant = sample_cap_constant
         self._kernel = validate_kernel(kernel)
-        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
         return {
             "epsilon": self._epsilon,
             "sample_cap_constant": self._sample_cap_constant,
             "kernel": self._kernel,
-            "chunk_bytes": self.chunk_bytes,
         }
 
     # ------------------------------------------------------------------
@@ -204,9 +200,9 @@ class HeavySamplingFinder(TriangleAlgorithm):
         test runs as a vectorized edge-membership query over the
         (receiver, candidate) elements — no per-node inboxes or loops,
         only a per-receiver output emit over the grouped hits.  The sweep
-        streams message-aligned element blocks bounded by the active
-        ``chunk_bytes`` budget, so peak memory stays flat however large
-        the phase's traffic is.
+        streams message-aligned element blocks bounded by the chunk
+        bound, so peak memory stays flat however large the phase's
+        traffic is.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..congest.backends import chunk_rows, hash_zero_block, validate_chunk_bytes
+from ..congest.backends import chunk_rows, hash_zero_block
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A2_EDGE_SCHEMA, HashDescriptorSchema, edge_bits
@@ -84,7 +84,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         epsilon: float,
         independence: int = 3,
         kernel: str = "batched",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -93,14 +92,12 @@ class HeavyHashingLister(TriangleAlgorithm):
         self._epsilon = epsilon
         self._independence = independence
         self._kernel = validate_kernel(kernel)
-        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
         return {
             "epsilon": self._epsilon,
             "independence": self._independence,
             "kernel": self._kernel,
-            "chunk_bytes": self.chunk_bytes,
         }
 
     # ------------------------------------------------------------------
@@ -378,7 +375,7 @@ class HeavyHashingLister(TriangleAlgorithm):
         shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
         shipped[targets, senders] = True
         # Zero-pair chunks keep the (pairs × n) row intersections within
-        # the active chunk_bytes budget; one bulk key append per chunk.
+        # the chunk bound; one bulk key append per chunk.
         pair_chunk = chunk_rows(num_nodes)
         for receiver in np.unique(targets).tolist():
             z_row = zero_mask[receiver]
@@ -451,8 +448,8 @@ def _hash_zero_matrix(
 ) -> np.ndarray:
     """Return the boolean matrix ``Z[a, l] = (h_a(l) == 0)`` for all pairs.
 
-    Rows are chunked so the int64 work matrix stays within the active
-    ``chunk_bytes`` budget; used when
+    Rows are chunked so the int64 work matrix stays within the chunk
+    bound; used when
     :func:`repro.core.base.dense_pair_matrix_worthwhile` says the all-pairs
     precompute amortises (dense graphs).
     """

@@ -49,7 +49,6 @@ from ..congest.backends import (
     chunk_rows,
     gather_spans,
     landmark_incidence,
-    validate_chunk_bytes,
 )
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
@@ -308,7 +307,7 @@ def _make_disjointness(
     landmark neighbourhoods of ``j`` and ``l`` are disjoint.  A pair fails
     it exactly when both ends neighbour a common landmark, so ``D`` is all
     ``True`` but for one ``N(x) × N(x)`` block per landmark ``x``, cleared
-    as whole rows in blocks of ``chunk_bytes``: Σ deg(x)·n byte operations,
+    as whole rows in blocks of the chunk bound: Σ deg(x)·n byte operations,
     where an incidence product ``B·Bᵀ`` costs ``n²·|X|`` multiply-adds.
     The matrix is built only when the n×n precompute amortises (dense
     graphs); on sparse ones, where most pairs are never consulted, the
@@ -372,7 +371,7 @@ def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
 
 #: Approximate bytes of intermediates per element in the fused receiver
 #: sweeps (receivers/senders/thirds/keys int64 plus the hit masks): the
-#: per-block element budget is the active ``chunk_bytes`` divided by this.
+#: per-block element budget is the chunk bound divided by this.
 #: Chunks keep every intermediate array cache-resident — on the dense
 #: workloads a phase carries tens of millions of elements, and streaming
 #: ten full-size temporaries through DRAM measures ~5x slower than the
@@ -453,7 +452,7 @@ def _s_messages_gathered(
     in edge order, so ``j`` — the receiver — ascends.  For each edge the
     gather takes ``k``'s active row ``l`` and keeps ``S(j, k) = {l :
     {j, l} ∈ ∆(X), l ≠ j}`` (``pair_test``); one segment sum per chunk
-    gives every |S(j, k)|.  Chunks hold about ``chunk_bytes /
+    gives every |S(j, k)|.  Chunks hold about ``chunk bound /
     element_bytes`` gathered vertices.
 
     Returns ``(src, dst, lengths, member, withheld_j, withheld_k)``: the
@@ -691,7 +690,6 @@ class LightTrianglesLister(TriangleAlgorithm):
         goodness_threshold: Optional[float] = None,
         enforce_budget: bool = True,
         kernel: str = "batched",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -701,7 +699,6 @@ class LightTrianglesLister(TriangleAlgorithm):
         self._goodness_threshold = goodness_threshold
         self._enforce_budget = enforce_budget
         self._kernel = validate_kernel(kernel)
-        self.chunk_bytes = validate_chunk_bytes(chunk_bytes)
         self._num_nodes_hint: Optional[int] = None
 
     def describe_parameters(self) -> Dict[str, Any]:
@@ -712,7 +709,6 @@ class LightTrianglesLister(TriangleAlgorithm):
             "goodness_threshold": self._goodness_threshold,
             "enforce_budget": self._enforce_budget,
             "kernel": self._kernel,
-            "chunk_bytes": self.chunk_bytes,
         }
 
     def _build_simulator(self, graph, seed):  # type: ignore[override]

@@ -22,7 +22,6 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..congest.backends import use_chunk_bytes
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
 from ..congest.simulator import CongestSimulator
 from ..graphs.graph import Graph
@@ -92,11 +91,6 @@ class TriangleAlgorithm(abc.ABC):
     name: str = "abstract"
     #: The communication model the algorithm runs in.
     model: str = "CONGEST"
-    #: Bound on chunked-evaluation working sets; ``None`` keeps the
-    #: process-wide default (:data:`repro.congest.backends.DEFAULT_CHUNK_BYTES`).
-    #: Constructors validate it with ``validate_chunk_bytes`` and :meth:`run`
-    #: activates it for the duration of the execution.
-    chunk_bytes: Optional[int] = None
 
     @abc.abstractmethod
     def _execute(self, simulator: CongestSimulator) -> bool:
@@ -127,9 +121,8 @@ class TriangleAlgorithm(abc.ABC):
         self, graph: Graph, seed: Optional[int | np.random.Generator] = None
     ) -> AlgorithmResult:
         """Run the algorithm on ``graph`` and return the packaged result."""
-        with use_chunk_bytes(self.chunk_bytes):
-            simulator = self._build_simulator(graph, seed)
-            truncated = self._execute(simulator)
+        simulator = self._build_simulator(graph, seed)
+        truncated = self._execute(simulator)
         output = TriangleOutput.from_contexts(simulator.contexts, simulator.num_nodes)
         return AlgorithmResult(
             algorithm=self.name,

@@ -77,15 +77,3 @@ class NaiveTwoHopListing(TriangleAlgorithm):
 def naive_round_bound(max_degree: int) -> float:
     """Return the naive baseline's round bound ``d_max`` (reference curve)."""
     return float(max_degree)
-
-
-class LocalListing(NaiveTwoHopListing):
-    """Alias emphasising the Proposition-5 setting.
-
-    Proposition 5 concerns algorithms in which each node must output all the
-    triangles *containing itself*.  The naive two-hop exchange is the
-    canonical such algorithm; this subclass only renames it so experiment
-    tables read naturally.
-    """
-
-    name = "local-listing"

@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..congest.backends import use_chunk_bytes, validate_chunk_bytes
 from ..congest.clique import CliqueSimulator
 from ..congest.metrics import AlgorithmCost
 from ..congest.node import emit_grouped_keys
@@ -108,7 +107,6 @@ class DolevCliqueListing:
         group_count: Optional[int] = None,
         routing_constant: int = 2,
         kernel: str = "batched",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if group_count is not None and group_count < 1:
             raise ProtocolError(
@@ -122,26 +120,18 @@ class DolevCliqueListing:
         self._group_count = group_count
         self._routing_constant = routing_constant
         self._kernel = validate_kernel(kernel)
-        self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def describe_parameters(self) -> Dict[str, Any]:
         return {
             "group_count": self._group_count,
             "routing_constant": self._routing_constant,
             "kernel": self._kernel,
-            "chunk_bytes": self._chunk_bytes,
         }
 
     def run(
         self, graph: Graph, seed: Optional[int | np.random.Generator] = None
     ) -> AlgorithmResult:
         """Run the clique listing algorithm and return the packaged result."""
-        with use_chunk_bytes(self._chunk_bytes):
-            return self._run(graph, seed)
-
-    def _run(
-        self, graph: Graph, seed: Optional[int | np.random.Generator] = None
-    ) -> AlgorithmResult:
         num_nodes = graph.num_nodes
         simulator = CliqueSimulator(graph, seed=seed)
         router = LenzenRouter(simulator, constant_rounds=self._routing_constant)

@@ -26,7 +26,6 @@ from ..errors import ProtocolError
 from ..graphs.graph import Graph
 from .a1_sampling import HeavySamplingFinder
 from .a3_light import LightTrianglesLister
-from ..congest.backends import validate_chunk_bytes
 from .base import combine_results, validate_kernel
 from .output import AlgorithmResult
 from .parameters import FindingParameters
@@ -67,7 +66,6 @@ class TriangleFinding:
         epsilon: Optional[float] = None,
         kernel: str = "batched",
         backend: str = "numpy",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if repetitions is not None and repetitions < 1:
             raise ProtocolError(
@@ -90,7 +88,6 @@ class TriangleFinding:
         self._kernel = validate_kernel(kernel)
         if backend != "numpy":
             raise ValueError(f"backend must be 'numpy', got {backend!r}")
-        self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def parameters_for(self, graph: Graph) -> FindingParameters:
         """Return the concrete Theorem-1 parameters used on ``graph``.
@@ -120,13 +117,11 @@ class TriangleFinding:
             heavy_pass = HeavySamplingFinder(
                 epsilon=parameters.epsilon,
                 kernel=self._kernel,
-                chunk_bytes=self._chunk_bytes,
             )
             light_pass = LightTrianglesLister(
                 epsilon=parameters.epsilon,
                 budget_constant=self._budget_constant,
                 kernel=self._kernel,
-                chunk_bytes=self._chunk_bytes,
             )
             heavy_result = heavy_pass.run(graph, seed=rng)
             light_result = light_pass.run(graph, seed=rng)
@@ -152,7 +147,6 @@ class TriangleFinding:
             "round_budget_per_pass": parameters.round_budget,
             "stop_on_success": self._stop_on_success,
             "kernel": self._kernel,
-            "chunk_bytes": self._chunk_bytes,
         }
 
 

@@ -23,7 +23,6 @@ from ..errors import ProtocolError
 from ..graphs.graph import Graph
 from .a2_heavy import HeavyHashingLister
 from .a3_light import LightTrianglesLister
-from ..congest.backends import validate_chunk_bytes
 from .base import combine_results, validate_kernel
 from .output import AlgorithmResult
 from .parameters import ListingParameters
@@ -57,7 +56,6 @@ class TriangleListing:
         budget_constant: float = 8.0,
         epsilon: Optional[float] = None,
         kernel: str = "batched",
-        chunk_bytes: Optional[int] = None,
     ) -> None:
         if repetitions is not None and repetitions < 1:
             raise ProtocolError(
@@ -82,7 +80,6 @@ class TriangleListing:
         self._budget_constant = budget_constant
         self._epsilon = epsilon
         self._kernel = validate_kernel(kernel)
-        self._chunk_bytes = validate_chunk_bytes(chunk_bytes)
 
     def parameters_for(self, graph: Graph) -> ListingParameters:
         """Return the concrete Theorem-2 parameters used on ``graph``.
@@ -113,13 +110,11 @@ class TriangleListing:
             heavy_pass = HeavyHashingLister(
                 epsilon=parameters.epsilon,
                 kernel=self._kernel,
-                chunk_bytes=self._chunk_bytes,
             )
             light_pass = LightTrianglesLister(
                 epsilon=parameters.epsilon,
                 budget_constant=self._budget_constant,
                 kernel=self._kernel,
-                chunk_bytes=self._chunk_bytes,
             )
             sub_results.append(heavy_pass.run(graph, seed=rng))
             sub_results.append(light_pass.run(graph, seed=rng))
@@ -139,7 +134,6 @@ class TriangleListing:
             "repetitions": parameters.repetitions,
             "round_budget_per_pass": parameters.round_budget,
             "kernel": self._kernel,
-            "chunk_bytes": self._chunk_bytes,
         }
 
 

@@ -39,7 +39,7 @@ chunked packed-row AND + popcount reductions on the dense path.  Off it,
 it closes forward wedges: every canonical edge ``(u, v)`` is paired with
 each ``w > v`` of ``v``'s sorted row, and a whole window of wedges is
 closed by one :meth:`CSRGraph.has_edges` call (Chiba–Nishizeki 1985;
-Latapy 2008, "compact-forward").  Windows follow the ``chunk_bytes`` bound
+Latapy 2008, "compact-forward").  Windows follow the chunk bound
 of :mod:`repro.congest.backends`, and since edges and rows are sorted the
 closed wedges come out in canonical ``(u < v < w)`` order.
 
@@ -72,14 +72,14 @@ DENSE_ADJACENCY_MAX_BYTES = 256 * 1024 * 1024
 DENSE_MIN_FILL_DIVISOR = 64
 
 #: Floor on rows per chunk for the chunked dense reductions and on wedges
-#: per wedge-closure window (the ``chunk_bytes`` knob in
+#: per wedge-closure window (the chunk bound of
 #: :mod:`repro.congest.backends` sets the ceiling).
 _MIN_EDGE_CHUNK = 256
 
 
 def _edge_chunk(row_bytes: int) -> int:
     """Edges per block so one ``(chunk, row_bytes)`` intermediate stays
-    within the active ``chunk_bytes`` bound.
+    within the chunk bound.
 
     :mod:`repro.congest.backends` is imported lazily here and below:
     :mod:`repro.congest` imports this module at package-init time, so a
@@ -178,11 +178,19 @@ class CSRGraph:
         deduplicated).  Callers are responsible for canonicalisation —
         :meth:`repro.graphs.graph.Graph.from_edge_arrays` is the public door.
         """
-        sym_src = np.concatenate((edge_u, edge_v))
-        sym_dst = np.concatenate((edge_v, edge_u))
-        order = np.argsort(sym_src * np.int64(max(num_nodes, 1)) + sym_dst)
-        indices = np.ascontiguousarray(sym_dst[order])
-        counts = np.bincount(sym_src, minlength=num_nodes)
+        # The 2m directed keys ``src * n + dst`` are distinct, so sorting
+        # them in place and keeping ``% n`` yields every row sorted.
+        num_edges = edge_u.shape[0]
+        base = max(num_nodes, 1)
+        indices = np.empty(2 * num_edges, dtype=np.int64)
+        np.multiply(edge_u, base, out=indices[:num_edges])
+        indices[:num_edges] += edge_v
+        np.multiply(edge_v, base, out=indices[num_edges:])
+        indices[num_edges:] += edge_u
+        indices.sort()
+        np.remainder(indices, base, out=indices)
+        counts = np.bincount(edge_u, minlength=num_nodes)
+        counts += np.bincount(edge_v, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(num_nodes, indptr, indices, edge_u.copy(), edge_v.copy())
@@ -548,7 +556,7 @@ class CSRGraph:
 
         The pairs are laid end to end and closed window by window, one
         :meth:`has_edges` call per window.  A window's temporaries fit the
-        ``chunk_bytes`` bound together, and a window may split an item's
+        chunk bound together, and a window may split an item's
         run.  Windows without an edge yield nothing.
         """
         ends = np.cumsum(count)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.api import (
+    AlgorithmSpec,
     get_algorithm,
     get_workload,
     list_algorithms,
@@ -76,7 +77,6 @@ class TestSchemas:
             "epsilon",
             "sample_cap_constant",
             "kernel",
-            "chunk_bytes",
         ]
         required = [p.name for p in entry.parameters if p.required]
         assert required == ["epsilon"]
@@ -93,6 +93,13 @@ class TestSchemas:
         with pytest.raises(AnalysisError, match="requires parameters"):
             get_algorithm("a2-heavy-hashing").build({})
 
+    @pytest.mark.parametrize("name", [entry.name for entry in list_algorithms()])
+    def test_chunk_bytes_is_refused(self, name):
+        # The chunk bound is a constant of repro.congest.backends; a spec
+        # that tries to set it must be refused, not silently ignored.
+        with pytest.raises(AnalysisError, match="does not accept"):
+            AlgorithmSpec(name, {"chunk_bytes": 4096}).build()
+
     def test_workload_unknown_parameter_rejected(self):
         with pytest.raises(AnalysisError, match="does not accept"):
             get_workload("cycle").build({"seed": 1})
@@ -105,6 +112,11 @@ class TestLookup:
     def test_unknown_algorithm_names_registered_ones(self):
         with pytest.raises(AnalysisError, match="registered algorithms"):
             get_algorithm("no-such-algorithm")
+
+    def test_local_listing_alias_is_gone(self):
+        # It only renamed ``naive-two-hop``.
+        with pytest.raises(AnalysisError, match="registered algorithms"):
+            get_algorithm("local-listing")
 
     def test_unknown_workload_names_registered_ones(self):
         with pytest.raises(AnalysisError, match="registered workloads"):

@@ -22,7 +22,6 @@ from repro.core import (
     HeavyHashingLister,
     HeavySamplingFinder,
     LightTrianglesLister,
-    LocalListing,
     NaiveTwoHopListing,
     TriangleCounting,
     TriangleFinding,
@@ -172,7 +171,6 @@ _DIFFERENTIAL_CASES = {
     ),
     "dolev-clique-listing": ({}, DolevCliqueListing),
     "naive-two-hop": ({}, NaiveTwoHopListing),
-    "local-listing": ({}, LocalListing),
     "triangle-counting": ({}, TriangleCounting),
 }
 

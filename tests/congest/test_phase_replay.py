@@ -51,7 +51,6 @@ from repro.core import (
     HeavyHashingLister,
     HeavySamplingFinder,
     LightTrianglesLister,
-    LocalListing,
     NaiveTwoHopListing,
     TriangleCounting,
     TriangleFinding,
@@ -77,7 +76,6 @@ PROTOCOLS = {
 #: Protocols with a single execution path (no ``kernel`` option).
 KERNELLESS_PROTOCOLS = {
     "naive-two-hop": NaiveTwoHopListing,
-    "local-listing": LocalListing,
     "triangle-counting": lambda: TriangleCounting(disseminate=True),
 }
 #: ``B = ⌈log2 n⌉``: one node identifier per link per round.

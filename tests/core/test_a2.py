@@ -29,7 +29,6 @@ class TestA2Basics:
             "epsilon": 0.5,
             "independence": 3,
             "kernel": "batched",
-            "chunk_bytes": None,
         }
 
     def test_name_and_model(self):

@@ -1,8 +1,8 @@
-"""Tests of the inner-loop kernels and the ``chunk_bytes`` bound.
+"""Tests of the inner-loop kernels and the chunk bound.
 
-``chunk_bytes`` (:mod:`repro.congest.backends`) must be a pure performance
-knob: shrinking it to force many tiny evaluation blocks must leave every
-ExperimentRecord byte-identical.  These tests pin that contract over every
+The chunk bound (:mod:`repro.congest.backends`) must be a pure performance
+constant: shrinking it with ``use_chunk_bytes`` to force many tiny
+evaluation blocks must leave every ExperimentRecord byte-identical.  These tests pin that contract over every
 workload family, and pin each of the five inner-loop functions against a
 naive evaluation.
 """
@@ -23,7 +23,6 @@ from repro.congest.backends import (
     landmark_incidence,
     sorted_membership,
     use_chunk_bytes,
-    validate_chunk_bytes,
 )
 from repro.core import (
     DolevCliqueListing,
@@ -64,14 +63,16 @@ WORKLOADS = [
 ]
 
 
-def record_bytes(make_algorithm, graph, seed, **tuning):
-    """Run once and serialize the full ExperimentRecord deterministically."""
-    record = run_single(
-        "chunk-differential",
-        make_algorithm(**tuning),
-        graph,
-        seed=seed,
-    )
+def record_bytes(make_algorithm, graph, seed, chunk_bytes=None):
+    """Run once under ``chunk_bytes`` (``None`` = the default bound) and
+    serialize the full ExperimentRecord deterministically."""
+    with use_chunk_bytes(chunk_bytes):
+        record = run_single(
+            "chunk-differential",
+            make_algorithm(),
+            graph,
+            seed=seed,
+        )
     return json.dumps(record.to_dict(), sort_keys=True).encode()
 
 
@@ -87,30 +88,30 @@ def assert_chunk_identical(make_algorithm, graph, seeds=(0, 3)):
 class TestBackendEquivalence:
     def test_a1_sampling(self, make_graph):
         assert_chunk_identical(
-            lambda **tuning: HeavySamplingFinder(epsilon=0.3, **tuning),
+            lambda: HeavySamplingFinder(epsilon=0.3),
             make_graph(),
         )
 
     def test_a2_heavy_hashing(self, make_graph):
         assert_chunk_identical(
-            lambda **tuning: HeavyHashingLister(epsilon=0.4, **tuning),
+            lambda: HeavyHashingLister(epsilon=0.4),
             make_graph(),
         )
 
     def test_a3_light_listing(self, make_graph):
         assert_chunk_identical(
-            lambda **tuning: LightTrianglesLister(epsilon=0.3, **tuning),
+            lambda: LightTrianglesLister(epsilon=0.3),
             make_graph(),
         )
 
     def test_dolev_clique_baseline(self, make_graph):
         assert_chunk_identical(
-            lambda **tuning: DolevCliqueListing(**tuning), make_graph(), seeds=(0,)
+            DolevCliqueListing, make_graph(), seeds=(0,)
         )
 
     def test_theorem2_listing(self, make_graph):
         assert_chunk_identical(
-            lambda **tuning: TriangleListing(repetitions=2, epsilon=0.5, **tuning),
+            lambda: TriangleListing(repetitions=2, epsilon=0.5),
             make_graph(),
             seeds=(1,),
         )
@@ -120,7 +121,7 @@ class TestCompositions:
     def test_theorem1_finding_identical(self):
         graph = gnp_random_graph(36, 0.3, seed=21)
         assert_chunk_identical(
-            lambda **tuning: TriangleFinding(repetitions=2, epsilon=0.4, **tuning),
+            lambda: TriangleFinding(repetitions=2, epsilon=0.4),
             graph,
             seeds=(2,),
         )
@@ -129,7 +130,7 @@ class TestCompositions:
         # Sparse enough that CSR membership takes the sorted-merge path.
         graph = gnp_random_graph(120, 0.03, seed=9)
         assert_chunk_identical(
-            lambda **tuning: LightTrianglesLister(epsilon=0.2, **tuning),
+            lambda: LightTrianglesLister(epsilon=0.2),
             graph,
             seeds=(0,),
         )
@@ -138,13 +139,6 @@ class TestCompositions:
 class TestChunkBound:
     def test_default_chunk_bytes(self):
         assert active_chunk_bytes() == DEFAULT_CHUNK_BYTES
-
-    def test_validate_chunk_bytes(self):
-        assert validate_chunk_bytes(None) is None
-        assert validate_chunk_bytes(4096) == 4096
-        for bad in (0, -1, 2.5, "big"):
-            with pytest.raises(ValueError):
-                validate_chunk_bytes(bad)
 
     def test_invalid_tuning_rejected_by_algorithms(self):
         with pytest.raises(TypeError):
@@ -155,13 +149,18 @@ class TestChunkBound:
             DolevCliqueListing(backend="numpy")
         with pytest.raises(ValueError, match="backend"):
             TriangleFinding(backend="numba")
-        with pytest.raises(ValueError):
-            HeavyHashingLister(epsilon=0.4, chunk_bytes=0)
+        with pytest.raises(TypeError):
+            HeavyHashingLister(epsilon=0.4, chunk_bytes=4096)
 
     def test_use_chunk_bytes_restores_state(self):
         with use_chunk_bytes(1 << 12):
             assert active_chunk_bytes() == 1 << 12
             assert chunk_rows(1 << 10) == 4
+            with use_chunk_bytes(None):
+                assert active_chunk_bytes() == 1 << 12
+        assert active_chunk_bytes() == DEFAULT_CHUNK_BYTES
+        with pytest.raises(RuntimeError), use_chunk_bytes(64):
+            raise RuntimeError("restored on the way out")
         assert active_chunk_bytes() == DEFAULT_CHUNK_BYTES
 
     def test_chunk_rows_minimum(self):

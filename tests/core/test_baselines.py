@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import local_listing_complete
 from repro.api.registry import get_algorithm
-from repro.core import LocalListing, NaiveTwoHopListing, naive_round_bound
+from repro.core import NaiveTwoHopListing, naive_round_bound
 from repro.errors import AnalysisError
 from repro.graphs import (
     Graph,
@@ -45,12 +45,6 @@ class TestNaiveCorrectness:
             )
         assert local_listing_complete(result, graph)
 
-    def test_local_listing_alias(self):
-        graph = complete_graph(5)
-        result = LocalListing().run(graph, seed=0)
-        assert result.algorithm == "local-listing"
-        assert result.solves_listing(graph)
-
 
 class TestNaiveCost:
     def test_rounds_equal_max_degree(self):
@@ -81,9 +75,8 @@ class TestNaiveCost:
         result = NaiveTwoHopListing().run(complete_graph(4), seed=0)
         assert result.parameters == {"local_output_only": True}
 
-    @pytest.mark.parametrize("name", ["naive-two-hop", "local-listing"])
-    def test_local_output_only_is_not_a_parameter(self, name):
+    def test_local_output_only_is_not_a_parameter(self):
         # The recorded flag states a fact of the algorithm; a spec that
         # tries to set it must be refused, not silently ignored.
         with pytest.raises(AnalysisError, match="does not accept"):
-            get_algorithm(name).build({"local_output_only": False})
+            get_algorithm("naive-two-hop").build({"local_output_only": False})
