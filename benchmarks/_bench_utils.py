@@ -49,10 +49,23 @@ def run_once(benchmark, function):
     return benchmark.pedantic(function, rounds=1, iterations=1)
 
 
-def record_table(name: str, text: str) -> None:
-    """Persist a rendered result table under ``benchmarks/results/``."""
+def result_stem(name: str, quick: bool) -> str:
+    """The file stem a result is written under: ``<name>`` for a full run,
+    ``<name>.quick`` for a reduced-size one.
+
+    The quick files are git-ignored, so a quick run (CI's) never
+    overwrites the committed full-size results.
+    """
+    return f"{name}.quick" if quick else name
+
+
+def record_table(name: str, text: str, quick: bool = False) -> None:
+    """Persist a rendered result table as ``results/<name>.txt``
+    (``<name>.quick.txt`` for a quick run)."""
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    (RESULTS_DIR / f"{result_stem(name, quick)}.txt").write_text(
+        text + "\n", encoding="utf-8"
+    )
 
 
 def record_json(name: str, payload: Dict[str, Any]) -> None:
@@ -60,10 +73,11 @@ def record_json(name: str, payload: Dict[str, Any]) -> None:
 
     Emitted next to the rendered ``results/<name>.txt`` tables so the perf
     trajectory can be tracked across PRs by tooling instead of by reading
-    text tables.  Values must be JSON-serialisable (numpy scalars are
-    coerced via their ``item()``).  Every record additionally carries the
-    process's ``peak_rss_bytes`` so memory regressions join the trajectory
-    gate alongside wall-clock.
+    text tables.  A record with ``"quick": true`` goes to
+    ``BENCH_<name>.quick.json`` instead (:func:`result_stem`).  Values must
+    be JSON-serialisable (numpy scalars are coerced via their ``item()``).
+    Every record additionally carries the process's ``peak_rss_bytes`` so
+    memory regressions join the trajectory gate alongside wall-clock.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     if "peak_rss_bytes" not in payload:
@@ -82,16 +96,9 @@ def record_json(name: str, payload: Dict[str, Any]) -> None:
             return [walk(entry) for entry in value]
         return coerce(value)
 
-    (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+    stem = result_stem(name, bool(payload.get("quick")))
+    (RESULTS_DIR / f"BENCH_{stem}.json").write_text(
         json.dumps(walk(payload), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
-
-def record_result(
-    name: str, text: str, payload: Optional[Dict[str, Any]] = None
-) -> None:
-    """Persist both the rendered table and the machine-readable record."""
-    record_table(name, text)
-    if payload is not None:
-        record_json(name, payload)

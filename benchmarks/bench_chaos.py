@@ -84,7 +84,7 @@ def test_chaos_session_byte_identity(benchmark):
             f"{poison['cells_done']} healthy cells done",
         ]
     )
-    record_table("chaos", table)
+    record_table("chaos", table, quick=QUICK)
     record_json(
         "chaos",
         {

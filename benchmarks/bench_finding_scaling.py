@@ -132,7 +132,7 @@ def test_finding_scaling_against_theorem1_bound(benchmark):
         fit=fit,
         expected_exponent=2.0 / 3.0,
     )
-    record_table("finding_scaling", table)
+    record_table("finding_scaling", table, quick=QUICK)
     record_json(
         "finding_scaling",
         {

@@ -91,7 +91,7 @@ def test_triangle_oracle_speedup(benchmark):
             f"  speedup:                {speedup:.2f}x (required ≥{REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("graph_oracle", table)
+    record_table("graph_oracle", table, quick=QUICK)
     record_json(
         "graph_oracle",
         {
@@ -149,7 +149,7 @@ def test_sparse_oracle_speedup(benchmark):
             f"(required ≥{SPARSE_REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("graph_oracle_sparse", table)
+    record_table("graph_oracle_sparse", table, quick=QUICK)
     record_json(
         "graph_oracle_sparse",
         {

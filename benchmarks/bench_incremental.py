@@ -152,7 +152,7 @@ def test_incremental_batch_update_speedup(benchmark):
             f"  speedup:                {speedup:.2f}x (required ≥{REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("incremental", table)
+    record_table("incremental", table, quick=QUICK)
     record_json(
         "incremental",
         {
@@ -231,7 +231,7 @@ def test_incremental_steady_state_speedup(benchmark):
             f"  speedup:                {speedup:.2f}x (required ≥{STEADY_REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("incremental_steady", table)
+    record_table("incremental_steady", table, quick=QUICK)
     record_json(
         "incremental_steady",
         {

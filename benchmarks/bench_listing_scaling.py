@@ -131,7 +131,7 @@ def test_listing_scaling_against_theorem2_bound(benchmark):
         fit=fit,
         expected_exponent=3.0 / 4.0,
     )
-    record_table("listing_scaling", table)
+    record_table("listing_scaling", table, quick=QUICK)
     record_json(
         "listing_scaling",
         {

@@ -220,7 +220,7 @@ def test_service_fleet_speedup(benchmark):
             f"(required >={REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("service", table)
+    record_table("service", table, quick=QUICK)
     record_json(
         "service",
         {

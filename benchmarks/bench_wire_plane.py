@@ -88,7 +88,7 @@ def test_wire_plane_speedup(benchmark):
             f"(required ≥{REQUIRED_SPEEDUP}x)",
         ]
     )
-    record_table("wire_plane", table)
+    record_table("wire_plane", table, quick=QUICK)
     record_json(
         "wire_plane",
         {

@@ -23,12 +23,16 @@ speedup ratios — the right mode for CI, where the runner hardware differs
 from the machine the baselines were recorded on (a ratio of two timings
 taken on the same run cancels the machine speed out).
 
-Quick-mode runs (the reduced CI variants) are tracked separately: a record
-with ``"quick": true`` is compared against (and updated into)
+Quick-mode runs (the reduced CI variants) are tracked separately: they
+write ``results/BENCH_<name>.quick.json`` (git-ignored, so they never
+overwrite the committed full-size results), and a record with
+``"quick": true`` is compared against (and updated into)
 ``baselines/BENCH_<name>.quick.json``, full runs against
 ``baselines/BENCH_<name>.json`` — a quick run is never judged against a
-full baseline.  Benchmarks without a baseline are reported and skipped —
-run ``--update`` after landing a new benchmark to start its trajectory.
+full baseline.  Where a ``.quick`` result and a plain one both hold a
+quick record, the ``.quick`` one is the fresh run and the only one read.
+Benchmarks without a baseline are reported and skipped — run
+``--update`` after landing a new benchmark to start its trajectory.
 The tolerance can also be set with the ``TRAJECTORY_TOLERANCE``
 environment variable (CI uses a loose value to absorb shared-runner noise;
 the 20% default is meant for like-for-like machines).
@@ -109,14 +113,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    current_files = {
-        path.stem[len("BENCH_"):]: path
-        for path in sorted(RESULTS_DIR.glob("BENCH_*.json"))
-    }
-    if args.only:
-        current_files = {
-            name: path for name, path in current_files.items() if name in args.only
-        }
+    # (name, quick) -> (path, record); a .quick file overrides a plain one
+    # holding a quick record of the same benchmark.
+    current_files = {}
+    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
+        stem = path.stem[len("BENCH_"):]
+        name = stem[: -len(".quick")] if stem.endswith(".quick") else stem
+        if args.only and name not in args.only:
+            continue
+        record = _load(path)
+        key = (name, bool(record.get("quick")))
+        if key not in current_files or stem != name:
+            current_files[key] = (path, record)
     if not current_files:
         print("no BENCH_*.json results found — run the benchmarks first")
         return 1
@@ -127,16 +135,14 @@ def main(argv=None) -> int:
 
     if args.update:
         BASELINES_DIR.mkdir(exist_ok=True)
-        for name, path in current_files.items():
-            record = _load(path)
+        for (name, _), (path, record) in current_files.items():
             destination = baseline_path_for(name, record)
             shutil.copy(path, destination)
             print(f"baseline updated: {destination.name}")
         return 0
 
     failures = []
-    for name, path in current_files.items():
-        current = _load(path)
+    for (name, _), (path, current) in current_files.items():
         baseline_path = baseline_path_for(name, current)
         if not baseline_path.exists():
             print(f"{name}: no committed baseline — skipped (run --update to seed)")

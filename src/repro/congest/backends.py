@@ -4,22 +4,25 @@ The batched phase kernels funnel their innermost array programs through
 five operations — sorted-key membership (``CSRGraph.has_edges`` on graphs
 too large or too sparse for its dense-matrix and packed-bitset paths),
 packed-row popcount reductions (the chunked triangle-matrix rows of the
-dense oracle), Horner evaluation of k-wise hash descriptors (A2), the
-Δ(X) landmark-incidence build (A3), and the gather of many CSR rows end
-to end (A3's step-2 and step-4.1 staging, the dynamic overlay's rows).
-Each has exactly one numpy implementation here, called directly from its
-call sites.
+dense oracle, A2's dense step-2 edge-set sizes), Horner evaluation of
+k-wise hash descriptors (A2), the Δ(X) landmark-incidence build (A3), and
+the gather of many CSR rows end to end (A3's step-2 and step-4.1 staging,
+the dynamic overlay's rows).  Each has exactly one numpy implementation
+here, called directly from its call sites.
 
 The module also owns the chunk bound: the limit on the working-set size of
 the streamed row blocks used by the chunked phase evaluators (dense Δ(X)
 disjointness, fused ``has_edges`` receiver sweeps, packed popcount
-reductions, the triangle oracle's wedge-closure windows).  It is the
-constant :data:`DEFAULT_CHUNK_BYTES`, sized to stay L2/L3-resident on
-current cores; call sites read it only through :func:`chunk_rows` and
+reductions, A2's dense step-2 and step-3 row blocks, the triangle
+oracle's wedge-closure windows).  It is the constant
+:data:`DEFAULT_CHUNK_BYTES`, sized to stay L2/L3-resident on current
+cores; call sites read it only through :func:`chunk_rows` and
 :func:`active_chunk_bytes`.  The bound never changes a result, only how
-the work is blocked, so no algorithm takes it as a parameter.
-:func:`use_chunk_bytes` is the one seam that lowers it, so tests can force
-many small blocks through every chunked path.
+the work is blocked, so no algorithm takes it as a parameter.  The fused
+receiver sweeps size their blocks by one shared rule on top of it,
+:func:`fused_chunk_rows` (:data:`FUSED_BYTES_PER_ELEMENT` bytes per
+element).  :func:`use_chunk_bytes` is the one seam that lowers the bound,
+so tests can force many small blocks through every chunked path.
 
 This module must not import anything from :mod:`repro` — it sits below both
 ``repro.graphs`` and ``repro.core`` in the import graph.
@@ -36,6 +39,14 @@ import numpy as np
 #: evaluation.  2 MiB keeps a row block plus its outputs L2-resident on
 #: current cores while amortising the per-block numpy dispatch overhead.
 DEFAULT_CHUNK_BYTES = 2 * 1024 * 1024
+
+#: Approximate bytes of intermediates per element of a fused sweep (the
+#: int64 index and key columns plus the hit masks one element carries):
+#: :func:`fused_chunk_rows` divides the chunk bound by this.  On the dense
+#: workloads a phase carries tens of millions of elements, and streaming
+#: ten full-size temporaries through DRAM measures ~5x slower than the
+#: same arithmetic over cache-sized blocks.
+FUSED_BYTES_PER_ELEMENT = 16
 
 #: Popcount lookup table for packed-``uint8`` adjacency rows.
 _POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
@@ -97,13 +108,17 @@ def gather_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
+def packed_popcount(rows: np.ndarray) -> np.ndarray:
+    """``int64[rows]``: the number of set bits in each packed ``uint8`` row."""
+    return _POPCOUNT[rows].sum(axis=1)
+
+
 def edge_support_chunk(
     packed: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray
 ) -> np.ndarray:
     """``int64[edges]``: per-edge common neighbourhood sizes from bit-packed
     adjacency rows (AND + popcount)."""
-    both = packed[edge_u] & packed[edge_v]
-    return _POPCOUNT[both].sum(axis=1)
+    return packed_popcount(packed[edge_u] & packed[edge_v])
 
 
 _active_chunk_bytes = DEFAULT_CHUNK_BYTES
@@ -117,6 +132,17 @@ def active_chunk_bytes() -> int:
 def chunk_rows(row_bytes: int, minimum: int = 1) -> int:
     """Rows per block so a block of ``row_bytes``-wide rows fits the bound."""
     return max(minimum, active_chunk_bytes() // max(int(row_bytes), 1))
+
+
+def fused_chunk_rows(row_elements: int = 1, minimum: int = 1) -> int:
+    """Rows per block of a fused sweep whose rows hold ``row_elements``
+    elements each, at :data:`FUSED_BYTES_PER_ELEMENT` bytes per element.
+
+    With the default ``row_elements=1`` a "row" is one element, so this is
+    the element budget of a flat sweep (A1 detection, A3's S/V and step-4.1
+    sweeps); A2's dense steps pass their row width.
+    """
+    return chunk_rows(FUSED_BYTES_PER_ELEMENT * row_elements, minimum)
 
 
 @contextlib.contextmanager

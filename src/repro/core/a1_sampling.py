@@ -23,11 +23,11 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from ..congest.backends import fused_chunk_rows
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A1_SAMPLE_SCHEMA, id_bits
 from ..types import triangle_keys
-from .a3_light import _fused_chunk_elements
 from .base import TriangleAlgorithm, validate_kernel
 from .parameters import a1_sample_cap, a1_sampling_probability
 
@@ -218,7 +218,7 @@ class HeavySamplingFinder(TriangleAlgorithm):
         src = channel.src
         lengths = channel.lengths
         message_count = channel.count
-        chunk_elements = _fused_chunk_elements()
+        chunk_elements = fused_chunk_rows(minimum=4096)
         message_start = 0
         while message_start < message_count:
             element_start = int(offsets[message_start])

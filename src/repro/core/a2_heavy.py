@@ -22,23 +22,32 @@ i.e. ``O(n^{1-ε/2})`` rounds.
 
 Two execution kernels implement the protocol:
 
-* the **batched kernel** (default) evaluates every node's 3-wise hash over
-  the CSR neighbour rows as one array program — each family member is
-  Horner-evaluated once over the whole vertex set instead of once per
-  received message — ships the filtered edge batches through the typed
-  columnar plane (:data:`repro.congest.wire.A2_EDGE_SCHEMA`) on the
-  **direct-exchange** path, and lists the received edge sets with a single
+* the **batched kernel** (default) runs each step for every node at once,
+  with no per-node Python loop on dense graphs.  Step 1 stages every
+  descriptor broadcast as one columnar batch.  Step 2 Horner-evaluates
+  all n hash functions over the whole vertex set into the hash-zero
+  matrix ``Z`` (each family member once, not once per received message),
+  sizes every directed edge's message ``N(j) ∩ Z_a`` with a packed-row
+  popcount and gathers the shipped endpoints in row blocks; on sparse
+  graphs, where the all-pairs matrix does not amortise, it evaluates each
+  sender's neighbour block on demand instead.  The filtered edge batches
+  ship through the typed columnar plane
+  (:data:`repro.congest.wire.A2_EDGE_SCHEMA`) on the **direct-exchange**
+  path.  Step 3 on dense graphs lists every receiver's ``F_i`` straight
+  from ``Z``, the shipping mask and the adjacency, in one sweep of
+  ``(receiver, zero vertex)`` row blocks; on sparse graphs it is one
   whole-network grouped oracle call
   (:func:`repro.graphs.csr.triangles_by_group`) over the
-  destination-grouped channel columns — no per-node inboxes, views or
-  receiver loops exist anywhere in the run, and
+  destination-grouped channel columns.  No per-node inboxes or views
+  exist anywhere in the run, and
 * the **reference kernel** keeps the paper-shaped per-node closures over
   object payloads.
 
 Both kernels draw per-node randomness identically, so a seeded run produces
 the same round counts, link-bit maxima and triangle outputs on either path;
 the differential suite (``tests/core/test_batched_kernels.py``) enforces
-this on every workload family.
+this on every workload family, and pins the dense steps 2 and 3 against
+the on-demand step 2 and the grouped oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +56,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..congest.backends import chunk_rows, hash_zero_block
+from ..congest.backends import (
+    chunk_rows,
+    fused_chunk_rows,
+    hash_zero_block,
+    packed_popcount,
+)
 from ..congest.node import NodeContext, emit_grouped_keys
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A2_EDGE_SCHEMA, HashDescriptorSchema, edge_bits
@@ -227,66 +241,42 @@ class HeavyHashingLister(TriangleAlgorithm):
     ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
         """Step 2 as one array program over the CSR rows.
 
-        Each neighbour's family is evaluated once — on dense graphs all n
-        functions over all n vertices in one Horner pass, on sparse ones
-        per neighbour-row block on demand — then every node's filtered edge
-        batches and cap masks fall out as array reductions, staged as one
-        columnar batch for the whole network.
+        Every directed CSR edge ``(j, a)`` is one candidate message: the
+        edges ``{j, l}`` with ``l ∈ N(j)`` and ``h_a(l) = 0``.  On dense
+        graphs all n hash functions are evaluated over all n vertices in
+        one Horner pass into the hash-zero matrix ``Z``
+        (:func:`_filtered_edges_dense`); on sparse ones each sender's
+        neighbour-row block is evaluated on demand, one sender at a time
+        (:func:`_filtered_edges_on_demand`).
+        Either way the messages come out sender-major with targets and
+        endpoints ascending, and are staged as one columnar batch for the
+        whole network.
 
-        Returns ``(zero_mask, shipped_senders, shipped_targets)``: the
-        all-pairs hash-zero matrix when the dense precompute was used
-        (``None`` otherwise) and the directed (sender, target) pairs that
-        actually shipped an edge set — the structure the fused receiver
-        reconstructs ``F_i`` membership from without re-reading the
-        channel.
+        Returns ``(zero_mask, shipped_senders, shipped_targets)``: ``Z``
+        when the dense precompute was used (``None`` otherwise) and the
+        directed (sender, target) pairs that actually shipped an edge set
+        — the structure the fused receiver reconstructs ``F_i`` membership
+        from without re-reading the channel.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
-        indptr, indices = csr.indptr, csr.indices
-        degrees = np.diff(indptr)
-        zero_mask = (
-            _hash_zero_matrix(coefficients, family.prime, family.range_size, num_nodes)
-            if dense_pair_matrix_worthwhile(num_nodes, degrees)
-            else None
-        )
-        batch_nodes: List[int] = []
-        batch_counts: List[int] = []
-        target_chunks: List[np.ndarray] = []
-        length_chunks: List[np.ndarray] = []
-        endpoint_chunks: List[np.ndarray] = []
-        for node in range(num_nodes):
-            row = indices[indptr[node] : indptr[node + 1]]
-            if row.shape[0] == 0:
-                continue
-            # filters[a, l] — does neighbour ``a``'s hash keep vertex ``l``?
-            if zero_mask is not None:
-                filters = zero_mask[np.ix_(row, row)]
-            else:
-                filters = hash_zero_block(
-                    coefficients[row], row, family.prime, family.range_size
-                )
-            kept_per_target = filters.sum(axis=1)
-            shipped = (kept_per_target > 0) & (kept_per_target <= edge_cap)
-            if not shipped.any():
-                continue
-            endpoints = row[np.nonzero(filters[shipped])[1]]
-            targets = row[shipped]
-            batch_nodes.append(node)
-            batch_counts.append(int(targets.shape[0]))
-            target_chunks.append(targets)
-            length_chunks.append(kept_per_target[shipped])
-            endpoint_chunks.append(endpoints)
-        if not batch_nodes:
-            return zero_mask, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        senders = np.repeat(
-            np.asarray(batch_nodes, dtype=np.int64),
-            np.asarray(batch_counts, dtype=np.int64),
-        )
-        targets = np.concatenate(target_chunks)
-        endpoints = np.concatenate(endpoint_chunks)
+        if dense_pair_matrix_worthwhile(num_nodes, np.diff(csr.indptr)):
+            zero_mask = _hash_zero_matrix(
+                coefficients, family.prime, family.range_size, num_nodes
+            )
+            senders, targets, lengths, endpoints = _filtered_edges_dense(
+                csr, zero_mask, edge_cap
+            )
+        else:
+            zero_mask = None
+            senders, targets, lengths, endpoints = _filtered_edges_on_demand(
+                csr, family, coefficients, edge_cap
+            )
+        if senders.shape[0] == 0:
+            return zero_mask, senders, targets
         # Canonical edges {node, l}: every endpoint pairs with its
         # message's sending node.
-        edge_peers = np.repeat(senders, np.concatenate(length_chunks))
+        edge_peers = np.repeat(senders, lengths)
         simulator.stage_columns(
             A2_EDGE_SCHEMA,
             senders,
@@ -295,7 +285,7 @@ class HeavyHashingLister(TriangleAlgorithm):
                 "u": np.minimum(edge_peers, endpoints),
                 "v": np.maximum(edge_peers, endpoints),
             },
-            lengths=np.concatenate(length_chunks),
+            lengths=lengths,
         )
         return zero_mask, senders, targets
 
@@ -316,7 +306,7 @@ class HeavyHashingLister(TriangleAlgorithm):
         — an edge ``{u, v}`` is in ``F_i`` iff one endpoint shipped to
         ``i`` and the other hashes to zero — so the kernel enumerates
         candidate triples straight from that structure
-        (:meth:`_list_fused_dense`).  On sparse graphs the grouped channel
+        (:func:`_list_fused_dense`).  On sparse graphs the grouped channel
         columns feed one whole-network grouped oracle call
         (:func:`repro.graphs.csr.triangles_by_group`).
         """
@@ -330,7 +320,7 @@ class HeavyHashingLister(TriangleAlgorithm):
         delivered = simulator.exchange_phase("A2:send-filtered-edges")
 
         if zero_mask is not None:
-            self._list_fused_dense(simulator, zero_mask, senders, targets)
+            _list_fused_dense(simulator, zero_mask, senders, targets)
             return False
         channel = delivered.channel(A2_EDGE_SCHEMA)
         if channel.count:
@@ -343,82 +333,181 @@ class HeavyHashingLister(TriangleAlgorithm):
             emit_grouped_keys(contexts, tri_groups, tri_keys)
         return False
 
-    def _list_fused_dense(
-        self,
-        simulator: CongestSimulator,
-        zero_mask: np.ndarray,
-        senders: np.ndarray,
-        targets: np.ndarray,
-    ) -> bool:
-        """Step 3 fused over the hash-zero structure (dense precompute).
 
-        Every triangle of ``F_i`` has at least two vertices hashing to
-        zero under ``h_i`` (each of its edges needs a zero endpoint, and
-        one zero vertex cannot cover three edges).  So for receiver ``i``
-        the kernel enumerates adjacent zero-pairs ``y < z``, expands their
-        common neighbourhoods ``x`` with one boolean row reduction, and
-        keeps a candidate exactly when all three edges lie in ``F_i``::
+def _filtered_edges_dense(
+    csr, zero_mask: np.ndarray, edge_cap: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2 for every directed edge at once, from the hash-zero matrix.
 
-            {u, v} ∈ F_i  ⟺  (S(u) ∧ Z(v)) ∨ (S(v) ∧ Z(u))
+    The message ``j → a`` carries ``N(j) ∩ Z_a``.  Its size is a popcount
+    of the packed adjacency row of ``j`` ANDed with the packed ``Z`` row
+    of ``a``, for every directed CSR edge in edge blocks; the shipped
+    edges' endpoints are then gathered as ``adjacency[j] & Z[a]`` rows
+    and read off with one ``flatnonzero`` per block.  Returns the
+    ``(senders, targets, lengths, endpoints)`` columns in CSR edge order
+    (senders ascending, each sender's targets in row order, each
+    message's endpoints ascending).
+    """
+    num_nodes = zero_mask.shape[0]
+    edge_src = np.repeat(
+        np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr)
+    )
+    edge_dst = csr.indices
+    packed = csr._packed_matrix()
+    packed_zero = np.packbits(zero_mask, axis=1)
+    kept = np.empty(edge_src.shape[0], dtype=np.int64)
+    step = fused_chunk_rows(packed.shape[1])
+    for start in range(0, edge_src.shape[0], step):
+        end = start + step
+        kept[start:end] = packed_popcount(
+            packed[edge_src[start:end]] & packed_zero[edge_dst[start:end]]
+        )
+    shipped = (kept > 0) & (kept <= edge_cap)
+    senders = edge_src[shipped]
+    targets = edge_dst[shipped]
+    lengths = kept[shipped]
+    adjacency = csr._bool_matrix()
+    endpoint_blocks = [np.empty(0, dtype=np.int64)]
+    step = fused_chunk_rows(num_nodes)
+    for start in range(0, senders.shape[0], step):
+        end = start + step
+        rows = adjacency[senders[start:end]] & zero_mask[targets[start:end]]
+        endpoint_blocks.append(np.flatnonzero(rows) % num_nodes)
+    return senders, targets, lengths, np.concatenate(endpoint_blocks)
 
-        with ``S`` the shipped-to-``i`` mask and ``Z`` the zero mask —
-        which for a zero-pair candidate reduces to ``(S(x) ∧ (S(y) ∨
-        S(z))) ∨ (Z(x) ∧ S(y) ∧ S(z))``.  Work is proportional to the
-        candidate count (a small constant times the listed output), not to
-        ``receivers × adjacency-rows`` as a per-receiver scan would be.
-        """
-        if targets.shape[0] == 0:
-            return False
-        num_nodes = simulator.num_nodes
-        contexts = simulator.contexts
-        adjacency = simulator.graph.csr()._bool_matrix()
-        shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
-        shipped[targets, senders] = True
-        # Zero-pair chunks keep the (pairs × n) row intersections within
-        # the chunk bound; one bulk key append per chunk.
-        pair_chunk = chunk_rows(num_nodes)
-        for receiver in np.unique(targets).tolist():
-            z_row = zero_mask[receiver]
-            s_row = shipped[receiver]
-            zeros = np.flatnonzero(z_row)
-            if zeros.shape[0] < 2:
+
+def _filtered_edges_on_demand(
+    csr,
+    family: KWiseIndependentFamily,
+    coefficients: np.ndarray,
+    edge_cap: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2 one sender at a time, evaluating only the hash entries read.
+
+    For sender ``j`` the block ``filters[a, l] = (h_a(l) = 0)`` over
+    ``a, l ∈ N(j)`` is Horner-evaluated on demand, so a sparse graph never
+    pays for the all-pairs matrix.  Same columns as
+    :func:`_filtered_edges_dense`.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    sender_chunks: List[np.ndarray] = []
+    target_chunks: List[np.ndarray] = []
+    length_chunks: List[np.ndarray] = []
+    endpoint_chunks: List[np.ndarray] = []
+    for node in range(indptr.shape[0] - 1):
+        row = indices[indptr[node] : indptr[node + 1]]
+        if row.shape[0] == 0:
+            continue
+        filters = hash_zero_block(
+            coefficients[row], row, family.prime, family.range_size
+        )
+        kept_per_target = filters.sum(axis=1)
+        shipped = (kept_per_target > 0) & (kept_per_target <= edge_cap)
+        if not shipped.any():
+            continue
+        targets = row[shipped]
+        sender_chunks.append(np.full(targets.shape[0], node, dtype=np.int64))
+        target_chunks.append(targets)
+        length_chunks.append(kept_per_target[shipped])
+        endpoint_chunks.append(row[np.nonzero(filters[shipped])[1]])
+    if not sender_chunks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    return (
+        np.concatenate(sender_chunks),
+        np.concatenate(target_chunks),
+        np.concatenate(length_chunks),
+        np.concatenate(endpoint_chunks),
+    )
+
+
+def _list_fused_dense(
+    simulator: CongestSimulator,
+    zero_mask: np.ndarray,
+    senders: np.ndarray,
+    targets: np.ndarray,
+) -> None:
+    """Step 3 for every receiver at once, over the hash-zero structure.
+
+    An edge is in ``F_i`` exactly when one endpoint shipped to ``i`` and
+    the other hashes to zero under ``h_i``::
+
+        {u, v} ∈ F_i  ⟺  (S_i(u) ∧ Z_i(v)) ∨ (S_i(v) ∧ Z_i(u))
+
+    Orient each edge of a triangle of ``F_i`` from its shipped endpoint
+    to its zero one.  Three oriented edges on three vertices always give
+    some vertex ``x`` out-degree 2 (a transitive triangle) or every vertex
+    out-degree 1 (a cycle); either way ``x`` shipped and the other two,
+    ``y < z``, hash to zero.  So ``F_i``'s triangles are exactly the
+    triples with an edge ``{y, z} ∈ F_i`` between two zero vertices and a
+    shipped common neighbour ``x``, and the kernel enumerates, for all
+    receivers together:
+
+    1. the ``(i, y)`` pairs with ``Z_i(y)``, from one ``nonzero`` of ``Z``;
+    2. the zero partners ``z > y`` with ``{y, z} ∈ F_i``: the upper
+       adjacency row of ``y`` ANDed with row ``2i + S_i(y)`` of a stacked
+       mask, whose row ``2i`` is ``Z_i ∧ S_i`` and row ``2i+1`` (``y``
+       shipped) is ``Z_i``;
+    3. the thirds ``x``: ``adjacency[y] & adjacency[z] & S_i``.
+
+    A triangle may be listed more than once at one receiver (once per
+    such ``(y, z)`` split); the output keeps per-node key sets, so only
+    the set counts.  Steps 2 and 3 stream ``n``-wide boolean row blocks
+    sized by :func:`~repro.congest.backends.fused_chunk_rows` and read
+    hits with ``flatnonzero``.  Rows stay in ``(i, y, z)`` order, so
+    receivers ascend within each block.  No loop runs over receivers or
+    senders; the only loops are over blocks.
+    """
+    if targets.shape[0] == 0:
+        return
+    num_nodes = zero_mask.shape[0]
+    contexts = simulator.contexts
+    adjacency = simulator.graph.csr()._bool_matrix()
+    upper = np.triu(adjacency, k=1)
+    shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
+    shipped[targets, senders] = True
+    partner_masks = np.empty((2 * num_nodes, num_nodes), dtype=bool)
+    np.logical_and(zero_mask, shipped, out=partner_masks[0::2])
+    partner_masks[1::2] = zero_mask
+
+    receivers, ys = np.nonzero(zero_mask)
+    y_shipped = shipped[receivers, ys]
+    step = fused_chunk_rows(num_nodes)
+    for start in range(0, receivers.shape[0], step):
+        end = start + step
+        block_receivers = receivers[start:end]
+        block_ys = ys[start:end]
+        block_y_shipped = y_shipped[start:end]
+        rows = upper[block_ys] & partner_masks[
+            2 * block_receivers + block_y_shipped
+        ]
+        flat = np.flatnonzero(rows)
+        if flat.shape[0] == 0:
+            continue
+        pair = flat // num_nodes
+        pair_receivers = block_receivers[pair]
+        pair_ys = block_ys[pair]
+        pair_zs = flat - pair * num_nodes
+        for triple_start in range(0, pair_ys.shape[0], step):
+            triple_end = triple_start + step
+            triple_ys = pair_ys[triple_start:triple_end]
+            triple_zs = pair_zs[triple_start:triple_end]
+            rows = adjacency[triple_ys] & adjacency[triple_zs]
+            rows &= shipped[pair_receivers[triple_start:triple_end]]
+            flat = np.flatnonzero(rows)
+            if flat.shape[0] == 0:
                 continue
-            # Adjacent zero-pairs (y < z) with at least one side shipped —
-            # the {y, z} edge must itself be in F_i.
-            zero_shipped = s_row[zeros]
-            pair_matrix = adjacency[np.ix_(zeros, zeros)] & (
-                zero_shipped[:, None] | zero_shipped[None, :]
+            triple = flat // num_nodes
+            x = flat - triple * num_nodes
+            y = triple_ys[triple]
+            z = triple_zs[triple]
+            lo = np.minimum(x, y)
+            hi = np.maximum(x, z)
+            emit_grouped_keys(
+                contexts,
+                pair_receivers[triple_start:triple_end][triple],
+                triangle_keys(lo, x + y + z - lo - hi, hi, num_nodes),
             )
-            first, second = np.nonzero(np.triu(pair_matrix, k=1))
-            if first.shape[0] == 0:
-                continue
-            y = zeros[first]
-            z = zeros[second]
-            # Every kept pair already has S(y) ∨ S(z); the per-candidate
-            # test reduces to S(x) ∨ (Z(x) ∧ S(y) ∧ S(z)), applied in
-            # matrix form before any candidate is extracted.
-            both_shipped = (s_row[y] & s_row[z])[:, None]
-            output = contexts[receiver].output_triangle_keys
-            for start in range(0, y.shape[0], pair_chunk):
-                end = min(start + pair_chunk, y.shape[0])
-                y_chunk = y[start:end]
-                z_chunk = z[start:end]
-                rows = adjacency[y_chunk] & adjacency[z_chunk]
-                rows &= s_row[None, :] | (
-                    z_row[None, :] & both_shipped[start:end]
-                )
-                flat = np.flatnonzero(rows.ravel())
-                if flat.shape[0] == 0:
-                    continue
-                pair_index = flat // num_nodes
-                x = flat - pair_index * num_nodes
-                yy = y_chunk[pair_index]
-                zz = z_chunk[pair_index]
-                lo = np.minimum(x, yy)
-                hi = np.maximum(x, zz)
-                mid = x + yy + zz - lo - hi
-                output(triangle_keys(lo, mid, hi, num_nodes))
-        return False
 
 
 def _triangles_in_edge_set(edges: Set[Edge]) -> List[Tuple[int, int, int]]:

@@ -46,7 +46,9 @@ from typing import Any, Dict, List, Optional, Set
 import numpy as np
 
 from ..congest.backends import (
+    FUSED_BYTES_PER_ELEMENT,
     chunk_rows,
+    fused_chunk_rows,
     gather_spans,
     landmark_incidence,
 )
@@ -349,7 +351,7 @@ def _delta_pair_test(disjoint, indptr, indices, landmarks):
             keys += thirds
             return flat_disjoint[keys]
 
-        return test, _FUSED_SWEEP_BYTES_PER_ELEMENT
+        return test, FUSED_BYTES_PER_ELEMENT
     bits = np.packbits(
         landmark_incidence(indptr, indices, landmarks, num_nodes), axis=1
     )
@@ -359,7 +361,7 @@ def _delta_pair_test(disjoint, indptr, indices, landmarks):
         shared = (bits[owners] & bits[thirds]).any(axis=1)
         return ~shared & (owners != thirds)
 
-    return test, _FUSED_SWEEP_BYTES_PER_ELEMENT + 3 * bits.shape[1]
+    return test, FUSED_BYTES_PER_ELEMENT + 3 * bits.shape[1]
 
 
 def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -367,20 +369,6 @@ def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return indptr
-
-
-#: Approximate bytes of intermediates per element in the fused receiver
-#: sweeps (receivers/senders/thirds/keys int64 plus the hit masks): the
-#: per-block element budget is the chunk bound divided by this.
-#: Chunks keep every intermediate array cache-resident — on the dense
-#: workloads a phase carries tens of millions of elements, and streaming
-#: ten full-size temporaries through DRAM measures ~5x slower than the
-#: same arithmetic over cache-sized blocks.
-_FUSED_SWEEP_BYTES_PER_ELEMENT = 16
-
-
-def _fused_chunk_elements() -> int:
-    return chunk_rows(_FUSED_SWEEP_BYTES_PER_ELEMENT, minimum=4096)
 
 
 def _emit_revealed_triangles(simulator, csr, channel) -> None:
@@ -409,7 +397,7 @@ def _emit_revealed_triangles(simulator, csr, channel) -> None:
     lengths = channel.lengths
     message_count = channel.count
     message_start = 0
-    chunk_elements = _fused_chunk_elements()
+    chunk_elements = fused_chunk_rows(minimum=4096)
     while message_start < message_count:
         element_start = int(offsets[message_start])
         message_end = int(

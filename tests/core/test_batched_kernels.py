@@ -24,10 +24,11 @@ from repro.core import (
     TriangleFinding,
     TriangleListing,
 )
-from repro.core import a3_light
+from repro.core import a2_heavy, a3_light
 from repro.core.a3_light import run_axr
 from repro.congest import CongestSimulator
 from repro.congest.backends import use_chunk_bytes
+from repro.congest.wire import A2_EDGE_SCHEMA
 from repro.graphs import (
     Graph,
     barabasi_albert_graph,
@@ -269,6 +270,120 @@ def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
     nodes = np.arange(num_nodes, dtype=np.int64)
     got = pair_test(nodes, np.full(num_nodes, num_nodes), np.tile(nodes, num_nodes))
     np.testing.assert_array_equal(got.reshape(num_nodes, num_nodes), expected)
+
+
+#: A2's dense families, plus the Theorem-2 cell graph of the sweep benchmark.
+A2_DENSE_GRAPHS = [
+    pytest.param(lambda: gnp_random_graph(40, 0.4, seed=11), id="gnp-dense"),
+    pytest.param(lambda: complete_graph(20), id="clique"),
+    pytest.param(lambda: heavy_edge_gadget(36, 10)[0], id="heavy-gadget"),
+    pytest.param(lambda: union_of_cliques([8, 6, 5]), id="clique-union"),
+    pytest.param(lambda: gnp_random_graph(120, 0.1, seed=21), id="gnp-120-0.1"),
+    # Degrees near 72 exceed the ε = 1 cap 8 + 4n/⌊√n⌋ = 56, so the cap binds.
+    pytest.param(lambda: gnp_random_graph(120, 0.6, seed=22), id="gnp-120-0.6"),
+]
+
+
+def _designed_zero_mask(num_nodes, kind):
+    """A hash-zero matrix ``Z`` with chosen rows, or ``None`` for real hashes.
+
+    ``"mixed"`` cycles receivers through no zero vertex, exactly one, all
+    of them, and a random third; ``"none"`` has no zero vertex anywhere,
+    so nothing ships.
+    """
+    if kind == "hashes":
+        return None
+    zero = np.zeros((num_nodes, num_nodes), dtype=bool)
+    if kind == "mixed":
+        rng = np.random.default_rng(num_nodes)
+        for node in range(num_nodes):
+            if node % 4 == 1:
+                zero[node, (7 * node) % num_nodes] = True
+            elif node % 4 == 2:
+                zero[node] = True
+            elif node % 4 == 3:
+                zero[node] = rng.random(num_nodes) < 1 / 3
+    return zero
+
+
+def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
+    """A batched A2 run forced down the dense or the on-demand path.
+
+    Returns the staged step-2 columns, the per-node key sets and whether
+    the fused dense step 3 ran.  A designed ``zero_mask`` replaces every
+    hash evaluation: each node's coefficient row is swapped for its id
+    after step 1 is staged, so the traffic is unchanged, and the hash
+    block of rows ``a`` at points ``l`` reads ``zero_mask[a, l]``.
+    """
+    monkeypatch.setattr(
+        a2_heavy, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: dense
+    )
+    if zero_mask is not None:
+        stage_hashes = HeavyHashingLister._stage_hashes
+
+        def node_ids(self, simulator, family):
+            coefficients = stage_hashes(self, simulator, family)
+            return np.repeat(
+                np.arange(simulator.num_nodes)[:, None], coefficients.shape[1], axis=1
+            )
+
+        monkeypatch.setattr(HeavyHashingLister, "_stage_hashes", node_ids)
+        monkeypatch.setattr(
+            a2_heavy,
+            "hash_zero_block",
+            lambda rows, points, prime, range_size: zero_mask[np.ix_(rows[:, 0], points)],
+        )
+    staged = []
+    stage_columns = CongestSimulator.stage_columns
+
+    def spy(self, schema, src, dst, data, lengths=None, bits=None):
+        if schema is A2_EDGE_SCHEMA:
+            staged.append((src, dst, lengths, data["u"], data["v"]))
+        return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
+
+    monkeypatch.setattr(CongestSimulator, "stage_columns", spy)
+    fused = []
+    list_fused_dense = a2_heavy._list_fused_dense
+
+    def fused_spy(*args):
+        fused.append(True)
+        return list_fused_dense(*args)
+
+    monkeypatch.setattr(a2_heavy, "_list_fused_dense", fused_spy)
+    result = HeavyHashingLister(epsilon=epsilon).run(graph, seed=seed)
+    keys = [result.output.node_keys(node).tolist() for node in range(graph.num_nodes)]
+    monkeypatch.undo()
+    return staged, keys, bool(fused)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096], ids=["default-chunk", "chunk-4096"])
+@pytest.mark.parametrize("epsilon", [0.4, 1.0])
+@pytest.mark.parametrize("zero_kind", ["hashes", "mixed", "none"])
+@pytest.mark.parametrize("make_graph", A2_DENSE_GRAPHS)
+def test_a2_dense_path_matches_on_demand_path(
+    monkeypatch, make_graph, zero_kind, epsilon, chunk_bytes
+):
+    # The dense steps 2 and 3 (popcount sizes, block-gathered endpoints,
+    # all-receiver zero-pair sweep) against the on-demand step 2 and the
+    # grouped oracle over the delivered channel, for the same seed.  Under
+    # the 4096-byte bound the row blocks split inside one receiver's pairs.
+    graph = make_graph()
+    zero_mask = _designed_zero_mask(graph.num_nodes, zero_kind)
+    with use_chunk_bytes(chunk_bytes):
+        dense_staged, dense_keys, dense_fused = _a2_path_run(
+            monkeypatch, graph, epsilon, True, zero_mask
+        )
+        demand_staged, demand_keys, demand_fused = _a2_path_run(
+            monkeypatch, graph, epsilon, False, zero_mask
+        )
+    assert dense_fused and not demand_fused
+    assert len(dense_staged) == len(demand_staged) == (zero_kind != "none")
+    for dense_columns, demand_columns in zip(dense_staged, demand_staged):
+        for dense_column, demand_column in zip(dense_columns, demand_columns):
+            np.testing.assert_array_equal(dense_column, demand_column)
+    assert dense_keys == demand_keys
+    if zero_kind == "none":
+        assert not any(dense_keys)
 
 
 #: Every protocol with a ``kernel=`` switch, one repetition each.

@@ -1,5 +1,6 @@
 """Tests for the helpers shared by the benchmark modules."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,57 @@ def test_peak_rss_covers_waited_for_children():
     own, reported = map(int, completed.stdout.split())
     # The pool benchmarks' workers are such children: their peak must show.
     assert reported >= own + 64 * 2**20
+
+
+@pytest.fixture
+def bench_utils(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCHMARKS_DIR))
+    import _bench_utils
+
+    monkeypatch.setattr(_bench_utils, "RESULTS_DIR", tmp_path)
+    return _bench_utils
+
+
+def test_quick_results_never_overwrite_full_ones(bench_utils, tmp_path):
+    bench_utils.record_table("scaling", "full", quick=False)
+    bench_utils.record_json("scaling", {"quick": False, "peak_rss_bytes": 1})
+    bench_utils.record_table("scaling", "quick", quick=True)
+    bench_utils.record_json("scaling", {"quick": True, "peak_rss_bytes": 2})
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "BENCH_scaling.json",
+        "BENCH_scaling.quick.json",
+        "scaling.quick.txt",
+        "scaling.txt",
+    ]
+    assert (tmp_path / "scaling.txt").read_text(encoding="utf-8") == "full\n"
+    assert '"quick": false' in (tmp_path / "BENCH_scaling.json").read_text(
+        encoding="utf-8"
+    )
+
+
+def test_trajectory_reads_the_quick_record(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARKS_DIR))
+    import compare_trajectory
+
+    results, baselines = tmp_path / "results", tmp_path / "baselines"
+    results.mkdir()
+    baselines.mkdir()
+    monkeypatch.setattr(compare_trajectory, "RESULTS_DIR", results)
+    monkeypatch.setattr(compare_trajectory, "BASELINES_DIR", baselines)
+
+    def write(path, quick, speedup):
+        path.write_text(json.dumps({"quick": quick, "speedup": speedup}), encoding="utf-8")
+
+    write(baselines / "BENCH_bench.quick.json", True, 10.0)
+    write(baselines / "BENCH_bench.json", False, 20.0)
+    # A stale quick record in the full slot is superseded by the fresh one.
+    write(results / "BENCH_bench.json", True, 1.0)
+    write(results / "BENCH_bench.quick.json", True, 9.0)
+    assert compare_trajectory.main(["--only", "bench", "--ratio-only"]) == 0
+    assert "baseline=10.000 current=9.000" in capsys.readouterr().out
+    # A full record and a quick one are each judged against their own baseline.
+    write(results / "BENCH_bench.json", False, 5.0)
+    assert compare_trajectory.main(["--only", "bench", "--ratio-only"]) == 1
+    out = capsys.readouterr().out
+    assert "baseline=20.000 current=5.000 [REGRESSED]" in out
+    assert "baseline=10.000 current=9.000 [ok]" in out
