@@ -15,8 +15,7 @@ Usage::
 
 ``--top-allocs N`` additionally snapshots tracemalloc at every phase
 boundary and reports each phase's N largest allocation sites (by net bytes
-allocated during the phase) — the tool that verified the arena actually
-removed the plane's steady-state allocations.
+allocated during the phase).
 """
 
 from __future__ import annotations

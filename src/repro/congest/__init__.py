@@ -30,7 +30,6 @@ from .runtime import (
     DeliveredChannel,
     DeliveredPhase,
     MessagePlane,
-    PhaseArena,
     PhaseTraffic,
     TypedChannel,
     group_channel,
@@ -75,7 +74,6 @@ __all__ = [
     "DeliveredChannel",
     "DeliveredPhase",
     "MessagePlane",
-    "PhaseArena",
     "PhaseTraffic",
     "TypedChannel",
     "group_channel",

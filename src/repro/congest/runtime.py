@@ -35,8 +35,9 @@ benchmarks can explore:
   (``dst``-sorted senders, grouped element offsets, grouped columns) and
   never materializes an :class:`InboxSlice` or the per-receiver dict.
   Grouping is lazy per schema kind — announcement channels nobody reads
-  are never grouped.  Accounting (the flat
-  ``src``/``dst``/``bits`` arrays, link-bit maxima,
+  are never grouped.  Every delivered array is an ordinary numpy array
+  that belongs to the caller; no later phase recycles or overwrites it.
+  Accounting (the flat ``src``/``dst``/``bits`` arrays, link-bit maxima,
   :class:`~repro.congest.metrics.ExecutionMetrics`) is shared with the
   inbox path, so both paths charge byte-identical CONGEST costs.
 * :class:`CongestRuntime` — context construction, per-node RNG seeding,
@@ -69,9 +70,9 @@ from .wire import WireSchema, default_bit_size
 EMPTY_INBOX: Tuple[Tuple[int, Any], ...] = ()
 
 #: Optional instrumentation hook: when set, called with the class name every
-#: time a per-node delivery object (:class:`InboxSlice`) or a pooled arena
-#: buffer is created.  The allocation regression tests use it to prove the
-#: direct-exchange path builds no inbox objects.
+#: time a per-node delivery object (:class:`InboxSlice`) is created.  The
+#: allocation regression tests use it to prove the direct-exchange path
+#: builds no inbox objects.
 _allocation_hook: Optional[Callable[[str], None]] = None
 
 
@@ -83,109 +84,6 @@ def set_allocation_hook(hook: Optional[Callable[[str], None]]) -> None:
     """
     global _allocation_hook
     _allocation_hook = hook
-
-
-#: How many :meth:`PhaseArena.advance` ticks a leased buffer stays
-#: untouchable.  A buffer taken while staging phase ``P`` may back arrays
-#: that the delivered channels of phase ``P`` alias (the sorted-destination
-#: zero-copy path), and those are consumed up until phase ``P+1`` is staged
-#: — so leases survive the flush that drains ``P`` and the one after it.
-_ARENA_RETIRE_DELAY = 2
-
-
-class PhaseArena:
-    """Grow-only buffer pool for the message plane's per-phase arrays.
-
-    Every phase the plane (and the delivery grouping that follows it)
-    materialises the same families of flat arrays — message offsets,
-    broadcast source/size fills, merged accounting arrays, grouped column
-    gathers.  Allocating them fresh each phase made steady-state simulation
-    cost O(traffic) in allocator pressure; the arena instead leases slices
-    of pooled backing buffers keyed by ``(name, dtype)``:
-
-    * :meth:`take` returns a length-``count`` view over a pooled buffer,
-      allocating (with geometric headroom, and firing the allocation hook
-      with ``"arena:<name>"``) only when no pooled buffer is big enough —
-      so once a workload's phase shape stabilises, phases perform **zero**
-      fresh arena allocations, which the regression tests pin via the hook.
-    * :meth:`advance` (called once per :meth:`MessagePlane.flush`) retires
-      leases that are :data:`_ARENA_RETIRE_DELAY` phases old back into the
-      pool.  The delay keeps a phase's arrays alive until every consumer —
-      including delivered channels that alias staged arrays — has provably
-      moved on, so recycling can never corrupt in-flight views.
-    """
-
-    __slots__ = ("_pools", "_inflight", "_clock")
-
-    def __init__(self) -> None:
-        self._pools: Dict[Tuple[str, np.dtype], List[np.ndarray]] = {}
-        self._inflight: List[Tuple[int, Tuple[str, np.dtype], np.ndarray]] = []
-        self._clock = 0
-
-    def take(self, name: str, count: int, dtype=np.int64) -> np.ndarray:
-        """Lease an uninitialised length-``count`` array from the pool."""
-        key = (name, np.dtype(dtype))
-        pool = self._pools.get(key)
-        buffer: Optional[np.ndarray] = None
-        if pool:
-            for index, candidate in enumerate(pool):
-                if candidate.shape[0] >= count:
-                    buffer = candidate
-                    del pool[index]
-                    break
-        if buffer is None:
-            # 25% headroom so a workload whose phases drift slightly in
-            # size does not re-grow the pool every phase.
-            capacity = max(count, 16)
-            buffer = np.empty(capacity + (capacity >> 2), dtype=dtype)
-            if _allocation_hook is not None:
-                _allocation_hook(f"arena:{name}")
-        self._inflight.append((self._clock + _ARENA_RETIRE_DELAY, key, buffer))
-        return buffer[:count]
-
-    def advance(self) -> None:
-        """End one phase: recycle leases whose retirement clock has passed."""
-        self._clock += 1
-        if not self._inflight:
-            return
-        clock = self._clock
-        keep: List[Tuple[int, Tuple[str, np.dtype], np.ndarray]] = []
-        for lease in self._inflight:
-            if lease[0] <= clock:
-                self._pools.setdefault(lease[1], []).append(lease[2])
-            else:
-                keep.append(lease)
-        self._inflight = keep
-
-
-def _arena_empty(
-    arena: Optional[PhaseArena], name: str, count: int, dtype=np.int64
-) -> np.ndarray:
-    """Lease an uninitialised array from ``arena``, or allocate fresh."""
-    if arena is None:
-        return np.empty(count, dtype=dtype)
-    return arena.take(name, count, dtype)
-
-
-def _arena_full(
-    arena: Optional[PhaseArena], name: str, count: int, value: int
-) -> np.ndarray:
-    """A ``np.full(count, value)`` twin drawing from the arena when given."""
-    out = _arena_empty(arena, name, count)
-    out[:] = value
-    return out
-
-
-def _arena_concat(
-    arena: Optional[PhaseArena], name: str, arrays: List[np.ndarray]
-) -> np.ndarray:
-    """Concatenate into an arena lease (or fresh memory when ``arena`` is None)."""
-    if arena is None:
-        return np.concatenate(arrays)
-    total = sum(int(array.shape[0]) for array in arrays)
-    out = arena.take(name, total, arrays[0].dtype)
-    np.concatenate(arrays, out=out)
-    return out
 
 
 def _object_array(payloads: Sequence[Any]) -> np.ndarray:
@@ -281,7 +179,6 @@ def build_typed_channel(
     lengths: Optional[np.ndarray | Sequence[int]],
     bits: Optional[np.ndarray | Sequence[int] | int],
     num_nodes: int,
-    arena: Optional[PhaseArena] = None,
 ) -> Optional[TypedChannel]:
     """Validate and assemble one columnar batch into a :class:`TypedChannel`.
 
@@ -290,9 +187,8 @@ def build_typed_channel(
     source broadcasting, offset construction, column-layout checks and schema
     sizing all live here.  Returns ``None`` for an empty batch.  The
     derived flat arrays (offsets, broadcast source/length/size fills) are
-    leased from ``arena`` when one is given; caller-staged column data is
-    *never* copied into the arena — contiguous int64 columns pass through
-    zero-copy either way.
+    fresh numpy arrays; caller-staged contiguous int64 columns pass through
+    zero-copy, so the channel may alias the caller's arrays.
 
     Raises
     ------
@@ -305,7 +201,7 @@ def build_typed_channel(
     if count == 0:
         return None
     if np.ndim(src) == 0:
-        src_arr = _arena_full(arena, "src", count, int(src))
+        src_arr = np.full(count, int(src), dtype=np.int64)
     else:
         src_arr = np.ascontiguousarray(src, dtype=np.int64)
         if src_arr.shape[0] != count:
@@ -318,7 +214,7 @@ def build_typed_channel(
             raise SimulationError(
                 f"schema {schema.kind!r} is ragged; lengths are required"
             )
-        counts = _arena_full(arena, "lengths", count, schema.fixed_length)
+        counts = np.full(count, schema.fixed_length, dtype=np.int64)
     else:
         counts = np.ascontiguousarray(lengths, dtype=np.int64)
         if counts.shape[0] != count:
@@ -328,7 +224,7 @@ def build_typed_channel(
             )
         if counts.shape[0] and int(counts.min()) < 0:
             raise SimulationError("message lengths must be non-negative")
-    offsets = _arena_empty(arena, "offsets", count + 1)
+    offsets = np.empty(count + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
     total_elements = int(offsets[-1])
@@ -347,11 +243,9 @@ def build_typed_channel(
             )
         columns[name] = column
     if bits is None:
-        sizes = schema.bit_size(
-            counts, num_nodes, out=_arena_empty(arena, "bits", count) if arena else None
-        )
+        sizes = schema.bit_size(counts, num_nodes)
     elif np.ndim(bits) == 0:
-        sizes = _arena_full(arena, "bits", count, int(bits))
+        sizes = np.full(count, int(bits), dtype=np.int64)
     else:
         sizes = np.ascontiguousarray(bits, dtype=np.int64)
         if sizes.shape[0] != count:
@@ -364,27 +258,21 @@ def build_typed_channel(
     )
 
 
-def _merge_typed_segments(
-    segments: List[TypedChannel], arena: Optional[PhaseArena] = None
-) -> TypedChannel:
+def _merge_typed_segments(segments: List[TypedChannel]) -> TypedChannel:
     """Concatenate one kind's staged columnar segments into a channel."""
     if len(segments) == 1:
         return segments[0]
     schema = segments[0].schema
-    src = _arena_concat(arena, "merge-src", [segment.src for segment in segments])
-    dst = _arena_concat(arena, "merge-dst", [segment.dst for segment in segments])
-    bits = _arena_concat(arena, "merge-bits", [segment.bits for segment in segments])
+    src = np.concatenate([segment.src for segment in segments])
+    dst = np.concatenate([segment.dst for segment in segments])
+    bits = np.concatenate([segment.bits for segment in segments])
     # Per-segment offsets are rebased onto the concatenated element rows.
-    lengths = _arena_concat(
-        arena, "merge-lengths", [segment.lengths for segment in segments]
-    )
-    offsets = _arena_empty(arena, "offsets", lengths.shape[0] + 1)
+    lengths = np.concatenate([segment.lengths for segment in segments])
+    offsets = np.empty(lengths.shape[0] + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])
     data = {
-        name: _arena_concat(
-            arena, f"merge-col:{name}", [segment.data[name] for segment in segments]
-        )
+        name: np.concatenate([segment.data[name] for segment in segments])
         for name in schema.columns
     }
     return TypedChannel(
@@ -470,7 +358,6 @@ class MessagePlane:
 
     __slots__ = (
         "num_nodes",
-        "arena",
         "_size_of",
         "_scalar_src",
         "_scalar_dst",
@@ -484,11 +371,6 @@ class MessagePlane:
 
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        # Reusable backing store for the per-phase flat arrays (offsets,
-        # source/size fills, merged accounting arrays, grouped gathers).
-        # Steady-state phases lease everything from here and allocate
-        # nothing fresh — see :class:`PhaseArena`.
-        self.arena = PhaseArena()
         self._size_of: Callable[[Any], int] = lambda payload: default_bit_size(
             payload, num_nodes
         )
@@ -589,8 +471,7 @@ class MessagePlane:
             When column names or array lengths disagree with the schema.
         """
         channel = build_typed_channel(
-            schema, src, destinations, data, lengths, bits, self.num_nodes,
-            arena=self.arena,
+            schema, src, destinations, data, lengths, bits, self.num_nodes
         )
         if channel is None:
             return
@@ -644,7 +525,6 @@ class MessagePlane:
             If any message carries a negative size.
         """
         if self._count == 0:
-            self.arena.advance()
             return empty_traffic()
         self._seal_scalars()
         if not self._chunks:
@@ -674,8 +554,7 @@ class MessagePlane:
             else:
                 unset = None
         channels = tuple(
-            _merge_typed_segments(segments, self.arena)
-            for segments in self._typed.values()
+            _merge_typed_segments(segments) for segments in self._typed.values()
         )
         self._chunks = []
         self._typed = {}
@@ -697,21 +576,13 @@ class MessagePlane:
                 dst = channels[0].dst
                 bits = channels[0].bits
             else:
-                arena = self.arena
-                src = _arena_concat(
-                    arena, "flat-src", [src] + [channel.src for channel in channels]
-                )
-                dst = _arena_concat(
-                    arena, "flat-dst", [dst] + [channel.dst for channel in channels]
-                )
-                bits = _arena_concat(
-                    arena, "flat-bits", [bits] + [channel.bits for channel in channels]
-                )
+                src = np.concatenate([src] + [channel.src for channel in channels])
+                dst = np.concatenate([dst] + [channel.dst for channel in channels])
+                bits = np.concatenate([bits] + [channel.bits for channel in channels])
         if bits.shape[0] and int(bits.min()) < 0:
             raise SimulationError(
                 f"message size must be non-negative, got {int(bits.min())}"
             )
-        self.arena.advance()
         return PhaseTraffic(
             src=src, dst=dst, bits=bits, payloads=payloads, channels=channels
         )
@@ -803,16 +674,15 @@ class DeliveredChannel:
         ]
 
 
-def group_channel(
-    channel: TypedChannel, arena: Optional[PhaseArena] = None
-) -> DeliveredChannel:
+def group_channel(channel: TypedChannel) -> DeliveredChannel:
     """Reorder one typed channel into destination groups.
 
     The flattened element rows are gathered once into destination order
     (one vectorized permutation); when the staged destinations are already
     sorted (single-receiver batches, pre-grouped routing instances) the
-    staged arrays are reused as-is with no copies.  The gathered arrays of
-    the unsorted path are leased from ``arena`` when one is given.
+    staged arrays are reused as-is with no copies.  Either way the returned
+    arrays belong to the caller: the plane never recycles or overwrites
+    them, so a kernel may keep a delivered channel past later phases.
     """
     if channel.count == 0:
         return DeliveredChannel.empty(channel.schema)
@@ -823,12 +693,10 @@ def group_channel(
         grouped_data = channel.data
     else:
         order = np.argsort(channel.dst, kind="stable")
-        dst_sorted = _arena_empty(arena, "grouped-dst", channel.count)
-        np.take(channel.dst, order, out=dst_sorted)
-        src_sorted = _arena_empty(arena, "grouped-src", channel.count)
-        np.take(channel.src, order, out=src_sorted)
+        dst_sorted = channel.dst[order]
+        src_sorted = channel.src[order]
         lengths_sorted = np.diff(channel.offsets)[order]
-        grouped_offsets = _arena_empty(arena, "offsets", channel.count + 1)
+        grouped_offsets = np.empty(channel.count + 1, dtype=np.int64)
         grouped_offsets[0] = 0
         np.cumsum(lengths_sorted, out=grouped_offsets[1:])
         total_elements = int(grouped_offsets[-1])
@@ -839,11 +707,9 @@ def group_channel(
             element_perm = np.repeat(
                 channel.offsets[:-1][order] - grouped_offsets[:-1], lengths_sorted
             ) + np.arange(total_elements, dtype=np.int64)
-            grouped_data = {}
-            for name, column in channel.data.items():
-                gathered = _arena_empty(arena, f"grouped-col:{name}", total_elements)
-                np.take(column, element_perm, out=gathered)
-                grouped_data[name] = gathered
+            grouped_data = {
+                name: column[element_perm] for name, column in channel.data.items()
+            }
         else:
             grouped_data = {name: _EMPTY_INT for name in channel.schema.columns}
     starts = np.flatnonzero(
@@ -887,20 +753,16 @@ class DeliveredPhase:
     grouping permutation at all.
     """
 
-    __slots__ = ("report", "_staged", "_grouped", "_arena")
+    __slots__ = ("report", "_staged", "_grouped")
 
     def __init__(
-        self,
-        report: PhaseReport,
-        channels: Tuple[TypedChannel, ...],
-        arena: Optional[PhaseArena] = None,
+        self, report: PhaseReport, channels: Tuple[TypedChannel, ...]
     ) -> None:
         self.report = report
         self._staged: Dict[str, TypedChannel] = {
             channel.schema.kind: channel for channel in channels
         }
         self._grouped: Dict[str, DeliveredChannel] = {}
-        self._arena = arena
 
     def channel(self, schema: WireSchema | str) -> DeliveredChannel:
         """Return (grouping on first use) the delivered channel for ``schema``.
@@ -919,7 +781,7 @@ class DeliveredPhase:
                 schema = schema_for(schema)
             grouped = DeliveredChannel.empty(schema)
         else:
-            grouped = group_channel(staged, self._arena)
+            grouped = group_channel(staged)
         self._grouped[kind] = grouped
         return grouped
 
@@ -1153,7 +1015,7 @@ class CongestRuntime:
         report = self._record_phase(name, rounds, traffic, link_bits)
         channels = self.deliver_direct(traffic)
         self.enforce_round_limit()
-        return DeliveredPhase(report, channels, arena=self.plane.arena)
+        return DeliveredPhase(report, channels)
 
     def enforce_round_limit(self) -> None:
         """Raise when the cumulative round count exceeds the budget."""

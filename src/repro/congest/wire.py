@@ -145,26 +145,17 @@ class WireSchema:
         raise NotImplementedError
 
     def bit_size(
-        self,
-        lengths: np.ndarray | Sequence[int],
-        num_nodes: int,
-        out: Optional[np.ndarray] = None,
+        self, lengths: np.ndarray | Sequence[int], num_nodes: int
     ) -> np.ndarray:
         """Return the per-message bit sizes for a batch of element counts.
 
         Vectorized over the whole batch: one numpy expression sizes every
         message, replacing the per-payload ``default_bit_size`` recursion of
         the scalar path.  Empty messages are floored at 1 bit (consistent
-        with :func:`default_bit_size` on empty containers).  ``out``, when
-        given, receives the sizes in place (the arena-backed staging path
-        passes a pooled buffer).
+        with :func:`default_bit_size` on empty containers).
         """
         counts = np.asarray(lengths, dtype=np.int64)
-        if out is None:
-            return np.maximum(counts * np.int64(self.element_bits(num_nodes)), 1)
-        np.multiply(counts, np.int64(self.element_bits(num_nodes)), out=out)
-        np.maximum(out, 1, out=out)
-        return out
+        return np.maximum(counts * np.int64(self.element_bits(num_nodes)), 1)
 
     def encode(self, payload: Any) -> Dict[str, np.ndarray]:
         """Convert one reference-path payload object into column rows."""

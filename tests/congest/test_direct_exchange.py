@@ -38,6 +38,36 @@ def stage_demo_traffic(simulator):
     )
 
 
+def unsorted_link_batch(graph, count):
+    """Real ``(src, dst)`` links, deliberately not destination-sorted so
+    delivery takes the grouping-gather path, with ragged A3 ``S`` members."""
+    csr = graph.csr()
+    src = csr.edge_u[:count].copy()
+    dst = csr.edge_v[:count].copy()
+    assert not bool((dst[1:] >= dst[:-1]).all())
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 5, size=count).astype(np.int64)
+    members = rng.integers(0, graph.num_nodes, size=int(lengths.sum())).astype(
+        np.int64
+    )
+    return src, dst, members, lengths
+
+
+def stage_two_segments(simulator, src, dst, members, lengths):
+    """Stage one batch as two segments of the same kind, so flushing runs
+    the merge concatenations on top of the per-segment staging arrays."""
+    half = src.shape[0] // 2
+    elements = int(lengths[:half].sum())
+    simulator.stage_columns(
+        A3_S_SCHEMA, src[:half], dst[:half], {"member": members[:elements]},
+        lengths=lengths[:half],
+    )
+    simulator.stage_columns(
+        A3_S_SCHEMA, src[half:], dst[half:], {"member": members[elements:]},
+        lengths=lengths[half:],
+    )
+
+
 class TestExchangePhase:
     def test_accounting_identical_to_run_phase(self):
         graph = complete_graph(6)
@@ -122,6 +152,37 @@ class TestExchangePhase:
         assert simulator.metrics.total_rounds > 0
 
 
+class TestDeliveredOwnership:
+    def test_kept_channel_survives_later_phases(self):
+        # A delivered channel belongs to the caller: staging and exchanging
+        # further phases of the same shape must not overwrite its arrays.
+        graph = gnp_random_graph(200, 0.5, seed=42)
+        simulator = CongestSimulator(graph, seed=1)
+        src, dst, _, lengths = unsorted_link_batch(graph, count=1024)
+        elements = int(lengths.sum())
+        stage_two_segments(
+            simulator, src, dst, np.full(elements, 7, dtype=np.int64), lengths
+        )
+        kept = simulator.exchange_phase("P").channel(A3_S_SCHEMA)
+        snapshot = {
+            "src": kept.src.copy(),
+            "dst": kept.dst.copy(),
+            "offsets": kept.offsets.copy(),
+            "member": kept.data["member"].copy(),
+        }
+        assert (snapshot["member"] == 7).all()
+        for value in (8, 9, 9):
+            stage_two_segments(
+                simulator, src, dst, np.full(elements, value, dtype=np.int64), lengths
+            )
+            later = simulator.exchange_phase("later").channel(A3_S_SCHEMA)
+            assert (later.data["member"] == value).all()
+        np.testing.assert_array_equal(kept.src, snapshot["src"])
+        np.testing.assert_array_equal(kept.dst, snapshot["dst"])
+        np.testing.assert_array_equal(kept.offsets, snapshot["offsets"])
+        np.testing.assert_array_equal(kept.data["member"], snapshot["member"])
+
+
 class TestGroupChannel:
     def test_sorted_destinations_reuse_staged_arrays(self):
         channel = build_typed_channel(
@@ -168,8 +229,6 @@ class TestAllocationRegression:
 
     def _count_allocations(self, kernel, num_nodes=300):
         graph = gnp_random_graph(num_nodes, 0.5, seed=42)
-        # Arena growth events ("arena:<name>") are counted too but not
-        # asserted here; the steady-state bar lives in TestArenaSteadyState.
         counters = {"InboxSlice": 0}
 
         def hook(kind):
@@ -210,6 +269,25 @@ class TestAllocationRegression:
             set_allocation_hook(None)
         assert counters["InboxSlice"] == 0
 
+    def test_steady_two_segment_workload_builds_no_inbox_objects(self):
+        graph = gnp_random_graph(600, 0.5, seed=42)
+        simulator = CongestSimulator(graph, seed=1)
+        src, dst, members, lengths = unsorted_link_batch(graph, count=4096)
+        counters = {}
+        set_allocation_hook(
+            lambda kind: counters.__setitem__(kind, counters.get(kind, 0) + 1)
+        )
+        try:
+            for _ in range(8):
+                stage_two_segments(simulator, src, dst, members, lengths)
+                channel = simulator.exchange_phase("steady").channel(A3_S_SCHEMA)
+                assert channel.count == src.shape[0]
+                # Touch the grouped data so the gather path actually runs.
+                assert channel.data["member"].shape[0] == members.shape[0]
+        finally:
+            set_allocation_hook(None)
+        assert counters.get("InboxSlice", 0) == 0
+
 
 class TestDirtyTracking:
     def test_only_touched_contexts_reset(self):
@@ -228,102 +306,3 @@ class TestDirtyTracking:
         simulator = CongestSimulator(Graph(3, []), seed=0)
         delivered = simulator.exchange_phase("noop")
         assert delivered.report.messages == 0
-
-
-class TestArenaSteadyState:
-    """The ISSUE's arena bar: on a steady workload — identical phase shape
-    every phase — the plane's arena stops growing after warm-up, so phases
-    lease every derived flat array (offsets, source/size fills, merged
-    accounting arrays, grouped gathers) from pooled buffers and perform
-    zero fresh arena allocations."""
-
-    def _stage_steady_phase(self, simulator, src, dst, members, lengths):
-        # Two segments of the same kind per phase: exercises the merge
-        # concatenations on top of the per-segment staging arrays.
-        half = src.shape[0] // 2
-        elements = int(lengths[:half].sum())
-        simulator.stage_columns(
-            A3_S_SCHEMA,
-            src[:half],
-            dst[:half],
-            {"member": members[:elements]},
-            lengths=lengths[:half],
-        )
-        simulator.stage_columns(
-            A3_S_SCHEMA,
-            src[half:],
-            dst[half:],
-            {"member": members[elements:]},
-            lengths=lengths[half:],
-        )
-        delivered = simulator.exchange_phase("steady")
-        channel = delivered.channel(A3_S_SCHEMA)
-        assert channel.count == src.shape[0]
-        # Touch the grouped data so the gather path actually runs.
-        assert channel.data["member"].shape[0] == members.shape[0]
-
-    def test_zero_arena_growth_in_steady_state(self):
-        graph = gnp_random_graph(600, 0.5, seed=42)
-        simulator = CongestSimulator(graph, seed=1)
-        csr = graph.csr()
-        count = 4096
-        # Real (src, dst) links, deliberately not destination-sorted so
-        # delivery takes the grouping-gather path every phase.
-        src = csr.edge_u[:count].copy()
-        dst = csr.edge_v[:count].copy()
-        rng = np.random.default_rng(5)
-        lengths = rng.integers(1, 5, size=count).astype(np.int64)
-        members = rng.integers(0, 600, size=int(lengths.sum())).astype(np.int64)
-
-        counters = {}
-        set_allocation_hook(
-            lambda kind: counters.__setitem__(kind, counters.get(kind, 0) + 1)
-        )
-        try:
-            for _ in range(4):
-                self._stage_steady_phase(simulator, src, dst, members, lengths)
-            warmup_growth = sum(
-                events for kind, events in counters.items()
-                if kind.startswith("arena:")
-            )
-            counters.clear()
-            for _ in range(4):
-                self._stage_steady_phase(simulator, src, dst, members, lengths)
-        finally:
-            set_allocation_hook(None)
-        # The hook does observe arena growth while the pool fills...
-        assert warmup_growth > 0
-        # ...and a warmed-up arena serves identical phases allocation-free.
-        steady_growth = {
-            kind: events for kind, events in counters.items()
-            if kind.startswith("arena:")
-        }
-        assert steady_growth == {}
-        # The direct path still builds no per-node delivery objects.
-        assert counters.get("InboxSlice", 0) == 0
-
-    def test_arena_lease_reuse_and_growth_events(self):
-        from repro.congest import PhaseArena
-        from repro.congest import runtime as runtime_module
-
-        arena = PhaseArena()
-        events = []
-        set_allocation_hook(events.append)
-        try:
-            first = arena.take("offsets", 100)
-            assert first.shape == (100,)
-            assert events == ["arena:offsets"]
-            # Not recycled yet: a same-phase take must grow again.
-            arena.take("offsets", 100)
-            assert events == ["arena:offsets", "arena:offsets"]
-            arena.advance()
-            arena.advance()
-            # Both leases retired; smaller requests reuse pooled buffers.
-            arena.take("offsets", 80)
-            arena.take("offsets", 64)
-            assert events == ["arena:offsets", "arena:offsets"]
-            # Different name or dtype pools separately.
-            arena.take("bits", 8)
-            assert events[-1] == "arena:bits"
-        finally:
-            set_allocation_hook(None)
