@@ -17,7 +17,7 @@ from .aggregation import broadcast_from_root, build_bfs_tree, convergecast_sum
 from .bandwidth import DEFAULT_BANDWIDTH, BandwidthPolicy
 from .clique import CliqueSimulator
 from .metrics import AlgorithmCost, ExecutionMetrics, PhaseReport
-from .node import NodeContext
+from .node import NodeContext, OutputTable
 from .routing import LenzenRouter, RoutingRequest
 from .backends import (
     DEFAULT_CHUNK_BYTES,
@@ -50,7 +50,6 @@ from .wire import (
     integer_bits,
     register_schema,
     schema_for,
-    triangle_bits,
 )
 
 __all__ = [
@@ -64,6 +63,7 @@ __all__ = [
     "ExecutionMetrics",
     "PhaseReport",
     "NodeContext",
+    "OutputTable",
     "LenzenRouter",
     "RoutingRequest",
     "DEFAULT_CHUNK_BYTES",
@@ -92,5 +92,4 @@ __all__ = [
     "edge_bits",
     "id_bits",
     "integer_bits",
-    "triangle_bits",
 ]

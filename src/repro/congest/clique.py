@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import NodeId
 from .simulator import CongestSimulator
 
 
@@ -33,9 +32,8 @@ class CliqueSimulator(CongestSimulator):
     only the edges of ``G``.
     """
 
-    def _communication_targets(
-        self, node: NodeId, neighbor_row: np.ndarray
-    ) -> Optional[np.ndarray]:
+    @staticmethod
+    def _communication_targets(neighbor_row: np.ndarray) -> Optional[np.ndarray]:
         """All other nodes: the communication topology is the complete graph.
 
         Returns the runtime kernel's ``None`` sentinel, which the

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 
 @dataclass
 class PhaseReport:
@@ -84,9 +86,12 @@ class ExecutionMetrics:
         """
         bits_map = self.bits_received_per_node
         msgs_map = self.messages_received_per_node
-        for node in nodes:
-            bits_map[node] = bits_map.get(node, 0) + int(bits_per_node[node])
-            msgs_map[node] = msgs_map.get(node, 0) + int(messages_per_node[node])
+        # One conversion to Python ints per phase, not one per node.
+        bits = np.asarray(bits_per_node)[nodes].astype(np.int64).tolist()
+        messages = np.asarray(messages_per_node)[nodes].astype(np.int64).tolist()
+        for node, node_bits, node_messages in zip(nodes, bits, messages):
+            bits_map[node] = bits_map.get(node, 0) + node_bits
+            msgs_map[node] = msgs_map.get(node, 0) + node_messages
 
     def max_bits_received(self) -> int:
         """Return the maximum number of bits received by any single node.

@@ -14,6 +14,10 @@ Sends are accumulated in the runtime kernel's shared
 :meth:`NodeContext.bulk_send` and :meth:`NodeContext.broadcast_bits` — that
 enqueue thousands of messages with O(1) Python overhead; algorithms with
 heavy fan-out (A2's edge shipping, the clique router) use them.
+
+Output goes to the network's :class:`OutputTable`, which the simulator owns
+and every context shares: one table of run-encoded key chunks that the
+batched kernels append to directly, without any context.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from ..types import (
     TRIANGLE_KEY_MAX_NODES,
     NodeId,
     Triangle,
-    decode_triangle_keys,
+    decode_triangle_set,
     make_triangle,
-    sorted_unique,
     triangle_key,
     triangle_keys,
 )
@@ -42,9 +45,10 @@ from .runtime import (
 )
 from .wire import WireSchema
 
-#: Scalar output reports a context buffers as Python ints before flushing
-#: them into one int64 chunk, which bounds the list a heavy reporter (the
-#: naive baseline reports each triangle twice per node) keeps alive.
+#: Scalar output reports an :class:`OutputTable` buffers as Python ints
+#: before flushing them into one int64 chunk, which bounds the lists a heavy
+#: scalar reporter (the naive reference closure reports each triangle twice
+#: per node) keeps alive.
 OUTPUT_FLUSH_KEYS = 1024
 
 
@@ -59,27 +63,101 @@ def _sorted_row(nodes: np.ndarray | Iterable[NodeId]) -> np.ndarray:
     return np.array(sorted(set(nodes)), dtype=np.int64)
 
 
-def emit_grouped_keys(
-    contexts: Sequence["NodeContext"], receivers: np.ndarray, keys: np.ndarray
-) -> None:
-    """Append triangle keys to their receiving contexts, one run at a time.
+class OutputTable:
+    """A network's output tuple ``(T_0, ..., T_{n-1})`` as int64 key chunks.
 
-    ``receivers`` must be non-decreasing (the natural order of
-    destination-grouped channel data); ``keys[i]`` is credited to node
-    ``receivers[i]``.  The shared emission tail of every fused
-    direct-exchange receiver: per receiver it costs one
-    :meth:`NodeContext.output_triangle_keys` append.
+    Every output door writes here: the batched kernels through
+    :meth:`emit_grouped`, :class:`NodeContext`'s ``output_*`` methods through
+    :meth:`emit` and :meth:`emit_scalar`.  A chunk is ``(keys, run_nodes,
+    run_starts)``: node ``run_nodes[r]`` output the keys from
+    ``run_starts[r]`` to the next run's start.  Receivers are stored as runs,
+    never as a per-key column.  Keys may repeat, within and across nodes;
+    readers deduplicate, and a node's set is grouped out of the chunks only
+    when something reads it (:meth:`node_keys`).
     """
-    if receivers.shape[0] == 0:
-        return
-    starts = np.flatnonzero(
-        np.concatenate(([True], receivers[1:] != receivers[:-1]))
-    ).tolist()
-    bounds = starts[1:] + [int(receivers.shape[0])]
-    for which, start in enumerate(starts):
-        contexts[int(receivers[start])].output_triangle_keys(
-            keys[start : bounds[which]]
+
+    __slots__ = ("num_nodes", "_chunks", "_scalar_nodes", "_scalar_keys", "_pairs")
+
+    def __init__(self, num_nodes: int, chunks: Iterable[Tuple] = ()) -> None:
+        #: Network size ``n`` of the key encoding.
+        self.num_nodes = num_nodes
+        self._chunks = list(chunks)
+        # Scalar reports wait here, one (node, key) pair per report.
+        self._scalar_nodes: List[int] = []
+        self._scalar_keys: List[int] = []
+        # Sorted distinct (node, key) reports, built on the first per-node read.
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def emit_grouped(self, receivers: np.ndarray, keys: np.ndarray) -> None:
+        """Credit ``keys[i]`` to node ``receivers[i]`` (consecutive repeats form one run)."""
+        if keys.shape[0] == 0:
+            return
+        starts = np.flatnonzero(
+            np.concatenate(([True], receivers[1:] != receivers[:-1]))
         )
+        self._chunks.append((keys, receivers[starts], starts))
+        self._pairs = None
+
+    def emit(self, node: NodeId, keys: np.ndarray) -> None:
+        """Credit every key of ``keys`` to ``node`` (a one-run chunk)."""
+        if keys.shape[0]:
+            run = np.array([node], dtype=np.int64)
+            self._chunks.append((keys, run, np.zeros(1, dtype=np.int64)))
+            self._pairs = None
+
+    def emit_scalar(self, node: NodeId, key: int) -> None:
+        """Credit one key to ``node``; buffered, flushed every OUTPUT_FLUSH_KEYS."""
+        self._scalar_nodes.append(node)
+        self._scalar_keys.append(key)
+        self._pairs = None
+        if len(self._scalar_keys) >= OUTPUT_FLUSH_KEYS:
+            self._flush_scalars()
+
+    def _flush_scalars(self) -> None:
+        nodes = np.array(self._scalar_nodes, dtype=np.int64)
+        keys = np.array(self._scalar_keys, dtype=np.int64)
+        self._scalar_nodes, self._scalar_keys = [], []
+        self.emit_grouped(nodes, keys)
+
+    @property
+    def chunks(self) -> List[Tuple[np.ndarray, ...]]:
+        """Every chunk, buffered scalar reports flushed first."""
+        if self._scalar_keys:
+            self._flush_scalars()
+        return self._chunks
+
+    def report_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the distinct ``(node, key)`` reports, sorted by node then key.
+
+        Every run's node is repeated over its keys for one lexicographic
+        sort, kept until the next write, so per-node reads cost one binary
+        search each.
+        """
+        if self._pairs is None:
+            pieces = [(np.empty(0, dtype=np.int64),) * 3] + self.chunks
+            keys = np.concatenate([keys for keys, _, _ in pieces])
+            nodes = np.concatenate(
+                [
+                    np.repeat(runs, np.diff(starts, append=chunk.shape[0]))
+                    for chunk, runs, starts in pieces
+                ]
+            )
+            order = np.lexsort((keys, nodes))
+            nodes, keys = nodes[order], keys[order]
+            fresh = np.ones(keys.shape[0], dtype=bool)
+            fresh[1:] = (keys[1:] != keys[:-1]) | (nodes[1:] != nodes[:-1])
+            self._pairs = (nodes[fresh], keys[fresh])
+        return self._pairs
+
+    def node_keys(self, node: NodeId) -> np.ndarray:
+        """Return ``T_node`` as a sorted, deduplicated int64 key array."""
+        nodes, keys = self.report_pairs()
+        low, high = np.searchsorted(nodes, [node, node + 1])
+        return keys[low:high]
+
+    def node_output(self, node: NodeId) -> frozenset[Triangle]:
+        """Return ``T_node`` as canonical triples, decoded on every call."""
+        return decode_triangle_set(self.node_keys(node), self.num_nodes)
 
 
 class NodeContext:
@@ -100,8 +178,7 @@ class NodeContext:
         "_target_set",
         "_plane",
         "_inbox",
-        "_output_keys",
-        "_output_key_chunks",
+        "_output",
     )
 
     def __init__(
@@ -112,6 +189,7 @@ class NodeContext:
         comm_targets: Optional[np.ndarray | Iterable[NodeId]],
         rng: np.random.Generator,
         plane: MessagePlane,
+        output: Optional[OutputTable] = None,
     ) -> None:
         #: This node's identifier (``0 .. n-1``).
         self.node_id = node_id
@@ -139,12 +217,9 @@ class NodeContext:
         self._target_set: Optional[frozenset[NodeId]] = None
         self._plane = plane
         self._inbox: Inbox = EMPTY_INBOX
-        # Output accumulates as int64 triangle keys: scalar reports as Python
-        # ints, flushed into one chunk every OUTPUT_FLUSH_KEYS reports and on
-        # read, bulk reports as chunks.  Tuples are only built if someone
-        # reads ``output``.  May hold duplicate keys — consumers dedup.
-        self._output_keys: List[int] = []
-        self._output_key_chunks: List[np.ndarray] = []
+        # The network's output table (a private one for a context built
+        # alone); tuples are only built if someone reads ``output``.
+        self._output = output if output is not None else OutputTable(num_nodes)
 
     # ------------------------------------------------------------------
     # topology queries
@@ -417,10 +492,9 @@ class NodeContext:
         triangle keys.
         """
         self._require_keyable()
-        keys = self._output_keys
-        keys.append(triangle_key(*make_triangle(a, b, c), self.num_nodes))
-        if len(keys) >= OUTPUT_FLUSH_KEYS:
-            self._flush_output_keys()
+        self._output.emit_scalar(
+            self.node_id, triangle_key(*make_triangle(a, b, c), self.num_nodes)
+        )
 
     def output_triangles(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray, canonical: bool = False
@@ -451,19 +525,7 @@ class NodeContext:
             a, b, c = stacked[:, 0], stacked[:, 1], stacked[:, 2]
         if ((a >= b) | (b >= c)).any():
             raise SimulationError("a triangle must contain three distinct vertices")
-        self._output_key_chunks.append(triangle_keys(a, b, c, self.num_nodes))
-
-    def output_triangle_keys(self, keys: np.ndarray) -> None:
-        """Append precomputed canonical triangle keys (the kernel fast door).
-
-        ``keys`` must encode canonical triples under
-        :func:`repro.types.triangle_keys` for this network's ``n``; the
-        fused phase kernels, which build keys directly from oracle output,
-        are the only intended callers.
-        """
-        if keys.shape[0] == 0:
-            return
-        self._output_key_chunks.append(keys)
+        self._output.emit(self.node_id, triangle_keys(a, b, c, self.num_nodes))
 
     def _require_keyable(self) -> None:
         if self.num_nodes > TRIANGLE_KEY_MAX_NODES:
@@ -472,29 +534,13 @@ class NodeContext:
                 f"triangle keys cover at most {TRIANGLE_KEY_MAX_NODES} nodes"
             )
 
-    def output_state(self) -> List[np.ndarray]:
-        """Hand the (possibly duplicated) output key chunks to the result layer.
-
-        Scalar reports are first flushed into one int64 chunk;
-        :class:`~repro.core.output.TriangleOutput` wraps the chunks without
-        materialising anything.
-        """
-        if self._output_keys:
-            self._flush_output_keys()
-        return self._output_key_chunks
-
-    def _flush_output_keys(self) -> None:
-        self._output_key_chunks.append(np.array(self._output_keys, dtype=np.int64))
-        self._output_keys = []
-
     @property
     def output(self) -> frozenset[Triangle]:
         """The node's current output set ``T_i`` (canonicalised triples).
 
         Decoded from the keys on every read; the node keeps no tuple set.
         """
-        a, b, c = decode_triangle_keys(sorted_unique(*self.output_state()), self.num_nodes)
-        return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
+        return self._output.node_output(self.node_id)
 
     # ------------------------------------------------------------------
     # simulator-facing internals
@@ -503,8 +549,7 @@ class NodeContext:
         self._inbox = messages
 
     def __repr__(self) -> str:
-        reports = len(self._output_keys) + sum(map(len, self._output_key_chunks))
         return (
             f"NodeContext(node_id={self.node_id}, degree={self.degree}, "
-            f"outputs={reports})"
+            f"outputs={self._output.node_keys(self.node_id).shape[0]})"
         )

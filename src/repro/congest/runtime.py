@@ -2,8 +2,8 @@
 
 :class:`~repro.congest.simulator.CongestSimulator` (and its clique variant)
 decides how many rounds a phase costs; this module does the physical work —
-build per-node contexts with independent child RNGs, accumulate outgoing
-messages, fan them out to destination inboxes, account the traffic in
+seed independent per-node child RNGs, build contexts on demand, accumulate
+outgoing messages, fan them out to destination inboxes, account the traffic in
 :class:`~repro.congest.metrics.ExecutionMetrics`, and enforce a round
 budget — as batched numpy operations instead of per-message Python loops
 over dicts of tuples, which would cap the graph sizes the scaling
@@ -40,7 +40,7 @@ benchmarks can explore:
   Accounting (the flat ``src``/``dst``/``bits`` arrays, link-bit maxima,
   :class:`~repro.congest.metrics.ExecutionMetrics`) is shared with the
   inbox path, so both paths charge byte-identical CONGEST costs.
-* :class:`CongestRuntime` — context construction, per-node RNG seeding,
+* :class:`CongestRuntime` — per-node RNG seeding, on-demand contexts,
   vectorized traffic aggregation (``np.bincount`` over encoded link keys
   instead of per-message dict updates), grouped delivery fan-out, metrics
   recording and round-limit enforcement.  Inbox resets between phases are
@@ -53,6 +53,7 @@ cost is computed from the traffic and never re-implements delivery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -906,8 +907,8 @@ class CongestRuntime:
     """The execution kernel a phase simulator drives.
 
     Owns the graph, bandwidth policy, metrics, round budget, the message
-    plane, and the contexts (built through :meth:`build_contexts` from the
-    simulator's context factory).
+    plane, the per-node generators (:meth:`seed_nodes`) and the contexts,
+    which are built only when something first reads :attr:`contexts`.
     """
 
     __slots__ = (
@@ -916,7 +917,9 @@ class CongestRuntime:
         "round_limit",
         "metrics",
         "plane",
-        "contexts",
+        "node_rngs",
+        "_factory",
+        "_contexts",
         "_dirty",
     )
 
@@ -933,21 +936,33 @@ class CongestRuntime:
         self.round_limit = round_limit
         self.metrics = ExecutionMetrics()
         self.plane = MessagePlane(graph.num_nodes)
-        self.contexts: List[Any] = []
+        self.node_rngs: List[np.random.Generator] = []
+        self._factory: Optional[Callable[[NodeId, np.random.Generator], Any]] = None
+        self._contexts: Optional[List[Any]] = None
         # Contexts currently holding a non-empty inbox: the next delivery
         # resets exactly these, so between-phase resets cost O(touched
         # nodes) instead of O(n).
         self._dirty: List[Any] = []
 
-    def build_contexts(
+    def seed_nodes(
         self,
         seed: Optional[int | np.random.Generator],
         factory: Callable[[NodeId, np.random.Generator], Any],
-    ) -> List[Any]:
-        """Build one context per node with independent child RNGs."""
-        rngs = spawn_node_rngs(self.graph.num_nodes, seed)
-        self.contexts = [factory(node, rngs[node]) for node in self.graph.nodes()]
-        return self.contexts
+    ) -> None:
+        """Spawn one child generator per node; ``factory(node, rng)`` builds contexts.
+
+        A context gets the very generator in :attr:`node_rngs`, so its stream
+        continues where a kernel left it.
+        """
+        self.node_rngs = spawn_node_rngs(self.graph.num_nodes, seed)
+        self._factory = factory
+
+    @property
+    def contexts(self) -> List[Any]:
+        """The per-node contexts, built on first read."""
+        if self._contexts is None:
+            self._contexts = list(map(self._factory, itertools.count(), self.node_rngs))
+        return self._contexts
 
     def collect_traffic(self) -> PhaseTraffic:
         """Drain the message plane for this phase."""
@@ -955,6 +970,8 @@ class CongestRuntime:
 
     def deliver(self, traffic: PhaseTraffic) -> None:
         """Deliver ``traffic`` into per-node inboxes (O(touched) resets)."""
+        if traffic.count == 0 and not self._dirty:
+            return  # touches no context, so builds none
         self._dirty = deliver_traffic(self.contexts, traffic, dirty=self._dirty)
 
     def deliver_direct(self, traffic: PhaseTraffic) -> Tuple[TypedChannel, ...]:

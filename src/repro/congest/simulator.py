@@ -18,7 +18,7 @@ execution of the same phase-synchronous protocol: the test suite replays
 every phase of the paper's protocols with at most ``B`` bits per directed
 link per round and checks that the replay takes exactly the charged rounds.
 
-Execution mechanics — context construction, per-node RNG seeding, the
+Execution mechanics — per-node RNG seeding, on-demand contexts, the
 batched message plane, vectorized delivery fan-out, metrics recording and
 round-limit enforcement — live in the shared
 :class:`~repro.congest.runtime.CongestRuntime` kernel; this class is the
@@ -28,11 +28,11 @@ drained traffic (the clique variant overrides only
 
 The simulator also enforces the model's knowledge discipline: node programs
 receive only :class:`~repro.congest.node.NodeContext` objects built from the
-input graph's local neighbourhoods.  Set-up is bulk work: every context
-holds its node's sorted neighbour row from the graph's CSR view (zero-copy)
-and builds a neighbour frozenset only if something reads it, and all n
-private generators are seeded in one vectorized pass
-(:func:`~repro.congest.runtime.spawn_node_rngs`).
+input graph's local neighbourhoods.  All n private generators are seeded
+in one vectorized pass (:func:`~repro.congest.runtime.spawn_node_rngs`);
+the contexts are built on the first read of ``contexts``.  The batched
+kernels read only ``node_rngs``, the CSR and ``output_table``, so a batched
+run builds no context at all.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..graphs.graph import Graph
 from ..types import NodeId
 from .bandwidth import DEFAULT_BANDWIDTH, BandwidthPolicy
 from .metrics import ExecutionMetrics, PhaseReport
-from .node import NodeContext
+from .node import NodeContext, OutputTable
 from .runtime import CongestRuntime, DeliveredPhase, PhaseTraffic, max_link_bits
 
 class CongestSimulator:
@@ -82,9 +82,15 @@ class CongestSimulator:
         round_limit: Optional[int] = None,
     ) -> None:
         self._runtime = CongestRuntime(graph, bandwidth, round_limit)
+        self._output_table = OutputTable(graph.num_nodes)
         # Each context gets the immutable CSR view's sorted neighbour row
-        # (zero-copy) and builds its neighbour frozenset only if read.
+        # (zero-copy) and builds its neighbour frozenset only if read.  The
+        # factory must not hold the simulator: that cycle would keep every
+        # finished run's output and traffic alive until a collection.
         csr = graph.csr()
+        targets = self._communication_targets
+        plane = self._runtime.plane
+        output = self._output_table
 
         def build_context(node: NodeId, rng: np.random.Generator) -> NodeContext:
             neighbor_row = csr.neighbor_slice(node)
@@ -92,20 +98,20 @@ class CongestSimulator:
                 node_id=node,
                 num_nodes=graph.num_nodes,
                 neighbors=neighbor_row,
-                comm_targets=self._communication_targets(node, neighbor_row),
+                comm_targets=targets(neighbor_row),
                 rng=rng,
-                plane=self._runtime.plane,
+                plane=plane,
+                output=output,
             )
 
-        self._runtime.build_contexts(seed, build_context)
+        self._runtime.seed_nodes(seed, build_context)
 
     # ------------------------------------------------------------------
     # topology hooks (overridden by the clique variant)
     # ------------------------------------------------------------------
-    def _communication_targets(
-        self, node: NodeId, neighbor_row: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Return the nodes ``node`` may address directly.
+    @staticmethod
+    def _communication_targets(neighbor_row: np.ndarray) -> Optional[np.ndarray]:
+        """Return the nodes a node with this neighbour row may address directly.
 
         In the standard CONGEST model the communication topology *is* the
         input graph, so the targets are the node's sorted neighbour row
@@ -143,19 +149,23 @@ class CongestSimulator:
         return self._runtime.bandwidth
 
     @property
-    def _contexts(self) -> List[NodeContext]:
-        # Single source of truth: the kernel owns the context list it
-        # delivers to.
-        return self._runtime.contexts
-
-    @property
     def contexts(self) -> List[NodeContext]:
-        """The per-node contexts, indexed by node identifier."""
+        """The per-node contexts, indexed by node identifier (built on first read)."""
         return self._runtime.contexts
 
     def context(self, node: NodeId) -> NodeContext:
         """Return the context of a single node."""
-        return self._contexts[node]
+        return self._runtime.contexts[node]
+
+    @property
+    def node_rngs(self) -> List[np.random.Generator]:
+        """Each node's private generator (the one its context holds)."""
+        return self._runtime.node_rngs
+
+    @property
+    def output_table(self) -> OutputTable:
+        """The network's output tuple, shared by every output door."""
+        return self._output_table
 
     @property
     def metrics(self) -> ExecutionMetrics:
@@ -182,7 +192,7 @@ class CongestSimulator:
         advance the round counter.  The ``action`` receives each node's
         context in identifier order.
         """
-        for context in self._contexts:
+        for context in self._runtime.contexts:
             action(context)
 
     def stage_columns(
@@ -296,7 +306,9 @@ class CongestSimulator:
     # ------------------------------------------------------------------
     def collect_outputs(self) -> Dict[NodeId, frozenset]:
         """Return the per-node output sets ``(T_0, ..., T_{n-1})``."""
-        return {context.node_id: context.output for context in self._contexts}
+        return {
+            node: self._output_table.node_output(node) for node in range(self.num_nodes)
+        }
 
     def __repr__(self) -> str:
         return (

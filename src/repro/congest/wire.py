@@ -56,11 +56,6 @@ def edge_bits(num_nodes: int) -> int:
     return 2 * id_bits(num_nodes)
 
 
-def triangle_bits(num_nodes: int) -> int:
-    """Return the number of bits needed to name a triangle (three node ids)."""
-    return 3 * id_bits(num_nodes)
-
-
 def integer_bits(value: int) -> int:
     """Return the number of bits of the binary representation of ``value``."""
     magnitude = abs(int(value))
@@ -170,7 +165,8 @@ class WireSchema:
 
 
 class IdListSchema(WireSchema):
-    """A tagged list of node identifiers (A1 samples, A3's NX/S/V sets).
+    """A tagged list of node identifiers (A1 samples, A3's NX/S/V sets,
+    naive's neighbourhoods).
 
     One element = one node id = ``⌈log2 n⌉`` bits; the constant protocol
     tag is O(1) and not charged, matching the reference closures' explicit
@@ -339,6 +335,7 @@ A3_S_SCHEMA = IdListSchema("a3-candidate-set", "S")
 A3_V_SCHEMA = IdListSchema("a3-withholding-set", "V")
 A3_IN_X_SCHEMA = FlagSchema("a3-landmark-flag", "in_X")
 A3_IN_U_SCHEMA = FlagSchema("a3-active-flag", "in_U")
+NAIVE_NEIGHBORHOOD_SCHEMA = IdListSchema("naive-neighborhood", "N")
 
 #: The wire-schema registry: every registered message kind by name.
 WIRE_SCHEMAS: Dict[str, WireSchema] = {}
@@ -382,6 +379,7 @@ for _schema in (
     A3_V_SCHEMA,
     A3_IN_X_SCHEMA,
     A3_IN_U_SCHEMA,
+    NAIVE_NEIGHBORHOOD_SCHEMA,
 ):
     register_schema(_schema)
 del _schema

@@ -10,7 +10,7 @@ from .a1_sampling import HeavySamplingFinder
 from .a2_heavy import HeavyHashingLister
 from .a3_light import LightTrianglesLister, run_axr
 from .base import TriangleAlgorithm, combine_results
-from .baselines import NaiveTwoHopListing, naive_round_bound
+from .baselines import NaiveTwoHopListing
 from .clique_dolev import DolevCliqueListing, dolev_round_bound
 from .counting import CountingResult, TriangleCounting
 from .finding import TriangleFinding, theorem1_round_bound
@@ -54,7 +54,6 @@ __all__ = [
     "TriangleAlgorithm",
     "combine_results",
     "NaiveTwoHopListing",
-    "naive_round_bound",
     "DolevCliqueListing",
     "dolev_round_bound",
     "CountingResult",

@@ -23,12 +23,11 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..congest.backends import fused_chunk_rows
-from ..congest.node import NodeContext, emit_grouped_keys
+from ..congest.backends import gather_spans
+from ..congest.node import NodeContext
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A1_SAMPLE_SCHEMA, id_bits
-from ..types import triangle_keys
-from .base import TriangleAlgorithm, validate_kernel
+from .base import TriangleAlgorithm, emit_revealed_triangles, validate_kernel
 from .parameters import a1_sample_cap, a1_sampling_probability
 
 
@@ -135,124 +134,65 @@ class HeavySamplingFinder(TriangleAlgorithm):
         """Draw every node's sample and stage the broadcasts columnar.
 
         Per-node randomness is drawn exactly as the reference closure draws
-        it (one ``rng.random(degree)`` mask over the sorted neighbour row),
-        so seeded runs coincide; the whole phase's traffic lands on the
-        plane in one ``stage_columns`` call.
+        it (one ``rng.random(degree)`` mask over the sorted neighbour row,
+        in node order, skipping isolated nodes), so seeded runs coincide.
+        Everything after the draws is one array program over the CSR, and
+        the whole phase's traffic lands on the plane in one
+        ``stage_columns`` call: one message per (sender, neighbour) pair,
+        sender-major, each carrying the sender's whole sample.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
         indptr, indices = csr.indptr, csr.indices
-        contexts = simulator.contexts
-        node_id_bits = id_bits(num_nodes)
-
-        sender_nodes: List[int] = []
-        sender_degrees: List[int] = []
-        sample_chunks: List[np.ndarray] = []
-        for context in contexts:
-            node = context.node_id
-            row = indices[indptr[node] : indptr[node + 1]]
-            if row.shape[0] == 0:
-                continue
-            mask = context.rng.random(row.shape[0]) < probability
-            sample = row[mask]
-            context.state["sample"] = sample.tolist()
-            if sample.shape[0] == 0 or sample.shape[0] > cap:
-                continue
-            sender_nodes.append(node)
-            sender_degrees.append(int(row.shape[0]))
-            sample_chunks.append(sample)
-        if sender_nodes:
-            senders = np.asarray(sender_nodes, dtype=np.int64)
-            degrees = np.asarray(sender_degrees, dtype=np.int64)
-            sizes = np.asarray(
-                [chunk.shape[0] for chunk in sample_chunks], dtype=np.int64
+        degrees = np.diff(indptr)
+        if indices.shape[0] == 0:
+            return
+        rngs = simulator.node_rngs
+        # ``kept`` is aligned with the CSR entries: isolated nodes draw
+        # nothing, and their rows are empty.
+        kept = (
+            np.concatenate(
+                [rngs[node].random(degrees[node]) for node in np.flatnonzero(degrees)]
             )
-            # One message per (sender, neighbour) pair, each carrying the
-            # sender's whole sample.
-            simulator.stage_columns(
-                A1_SAMPLE_SCHEMA,
-                np.repeat(senders, degrees),
-                np.concatenate(
-                    [
-                        indices[indptr[node] : indptr[node + 1]]
-                        for node in sender_nodes
-                    ]
-                ),
-                {
-                    "member": np.concatenate(
-                        [
-                            np.tile(chunk, degree)
-                            for chunk, degree in zip(sample_chunks, sender_degrees)
-                        ]
-                    )
-                },
-                lengths=np.repeat(sizes, degrees),
-                bits=np.repeat(sizes * node_id_bits, degrees),
-            )
+            < probability
+        )
+        owners = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        sample_sizes = np.bincount(owners[kept], minlength=num_nodes)
+        senders = np.flatnonzero((sample_sizes > 0) & (sample_sizes <= cap))
+        if senders.shape[0] == 0:
+            return
+        sample_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(sample_sizes, out=sample_indptr[1:])
+        samples = indices[kept]
+        src = np.repeat(senders, degrees[senders])
+        lengths = sample_sizes[src]
+        simulator.stage_columns(
+            A1_SAMPLE_SCHEMA,
+            src,
+            indices[gather_spans(indptr[senders], degrees[senders])],
+            {"member": samples[gather_spans(sample_indptr[src], lengths)]},
+            lengths=lengths,
+            bits=lengths * id_bits(num_nodes),
+        )
 
     def _execute_direct(
         self, simulator: CongestSimulator, probability: float, cap: float
     ) -> bool:
         """The direct-exchange kernel: fused whole-network detection.
 
-        Same traffic as the reference closures; delivery comes
-        back as destination-grouped channel arrays and the ``N(k) ∩ S_j``
-        test runs as a vectorized edge-membership query over the
-        (receiver, candidate) elements — no per-node inboxes or loops,
-        only a per-receiver output emit over the grouped hits.  The sweep
-        streams message-aligned element blocks bounded by the chunk
-        bound, so peak memory stays flat however large the phase's
-        traffic is.
+        Same traffic as the reference closures; delivery comes back as
+        destination-grouped channel arrays and the ``N(k) ∩ S_j`` test runs
+        as the shared chunked edge-membership sweep over the (receiver,
+        candidate) elements (:func:`~repro.core.base.emit_revealed_triangles`)
+        — no per-node inboxes, contexts or loops.
         """
-        num_nodes = simulator.num_nodes
-        csr = simulator.graph.csr()
-        contexts = simulator.contexts
         self._stage_samples(simulator, probability, cap)
         delivered = simulator.exchange_phase("A1:send-samples")
-        channel = delivered.channel(A1_SAMPLE_SCHEMA)
-        if channel.count == 0:
-            return False
-        candidates = channel.data["member"]
-        offsets = channel.offsets
-        dst = channel.dst
-        src = channel.src
-        lengths = channel.lengths
-        message_count = channel.count
-        chunk_elements = fused_chunk_rows(minimum=4096)
-        message_start = 0
-        while message_start < message_count:
-            element_start = int(offsets[message_start])
-            message_end = int(
-                np.searchsorted(offsets, element_start + chunk_elements, side="left")
-            )
-            message_end = max(message_end, message_start + 1)
-            message_end = min(message_end, message_count)
-            element_end = int(offsets[message_end])
-            if element_end == element_start:
-                message_start = message_end
-                continue
-            block_lengths = lengths[message_start:message_end]
-            block_candidates = candidates[element_start:element_end]
-            block_receivers = np.repeat(dst[message_start:message_end], block_lengths)
-            mask = (block_candidates != block_receivers) & csr.has_edges(
-                block_receivers, block_candidates
-            )
-            hits = np.flatnonzero(mask)
-            if hits.shape[0]:
-                block_senders = np.repeat(
-                    src[message_start:message_end], block_lengths
-                )
-                hit_receivers = block_receivers[hits]
-                hit_senders = block_senders[hits]
-                hit_candidates = block_candidates[hits]
-                low = np.minimum(hit_senders, hit_candidates)
-                high = np.maximum(hit_senders, hit_candidates)
-                lo = np.minimum(low, hit_receivers)
-                hi = np.maximum(high, hit_receivers)
-                mid = hit_receivers + hit_senders + hit_candidates - lo - hi
-                keys = triangle_keys(lo, mid, hi, num_nodes)
-                emit_grouped_keys(contexts, hit_receivers, keys)
-            message_start = message_end
+        emit_revealed_triangles(
+            simulator.output_table,
+            simulator.graph.csr(),
+            delivered.channel(A1_SAMPLE_SCHEMA),
+        )
         return False
 
 

@@ -62,7 +62,7 @@ from ..congest.backends import (
     hash_zero_block,
     packed_popcount,
 )
-from ..congest.node import NodeContext, emit_grouped_keys
+from ..congest.node import NodeContext
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A2_EDGE_SCHEMA, HashDescriptorSchema, edge_bits
 from ..graphs.csr import triangles_by_group
@@ -206,7 +206,8 @@ class HeavyHashingLister(TriangleAlgorithm):
     ) -> np.ndarray:
         """Step 1: sample per node and stage every descriptor broadcast.
 
-        The same ``family.sample(rng)`` calls as the reference closure, so
+        Each node's generator draws its coefficients exactly as the
+        reference closure's ``family.sample(rng)`` does, in node order, so
         seeded runs coincide; the whole phase is one columnar batch (one
         message per directed edge, each carrying the sender's k
         coefficients).  Returns the coefficient matrix, which the sender
@@ -215,11 +216,9 @@ class HeavyHashingLister(TriangleAlgorithm):
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
         degrees = np.diff(csr.indptr)
-        coefficients = np.empty((num_nodes, family.independence), dtype=np.int64)
-        for context in simulator.contexts:
-            own_hash = family.sample(context.rng)
-            context.state["hash"] = own_hash
-            coefficients[context.node_id] = own_hash.coefficients
+        coefficients = np.stack(
+            [family.sample_coefficients(rng) for rng in simulator.node_rngs]
+        )
         schema = HashDescriptorSchema(family.independence, family.prime)
         src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
         if src.shape[0]:
@@ -311,7 +310,6 @@ class HeavyHashingLister(TriangleAlgorithm):
         (:func:`repro.graphs.csr.triangles_by_group`).
         """
         num_nodes = simulator.num_nodes
-        contexts = simulator.contexts
         coefficients = self._stage_hashes(simulator, family)
         simulator.exchange_phase("A2:send-hash-functions")
         zero_mask, senders, targets = self._stage_filtered_edges(
@@ -330,7 +328,7 @@ class HeavyHashingLister(TriangleAlgorithm):
                 channel.data["v"],
                 num_nodes,
             )
-            emit_grouped_keys(contexts, tri_groups, tri_keys)
+            simulator.output_table.emit_grouped(tri_groups, tri_keys)
         return False
 
 
@@ -461,7 +459,7 @@ def _list_fused_dense(
     if targets.shape[0] == 0:
         return
     num_nodes = zero_mask.shape[0]
-    contexts = simulator.contexts
+    output = simulator.output_table
     adjacency = simulator.graph.csr()._bool_matrix()
     upper = np.triu(adjacency, k=1)
     shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
@@ -503,8 +501,7 @@ def _list_fused_dense(
             z = triple_zs[triple]
             lo = np.minimum(x, y)
             hi = np.maximum(x, z)
-            emit_grouped_keys(
-                contexts,
+            output.emit_grouped(
                 pair_receivers[triple_start:triple_end][triple],
                 triangle_keys(lo, x + y + z - lo - hi, hi, num_nodes),
             )

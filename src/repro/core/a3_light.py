@@ -48,11 +48,10 @@ import numpy as np
 from ..congest.backends import (
     FUSED_BYTES_PER_ELEMENT,
     chunk_rows,
-    fused_chunk_rows,
     gather_spans,
     landmark_incidence,
 )
-from ..congest.node import NodeContext, emit_grouped_keys
+from ..congest.node import NodeContext
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import (
     A3_IN_U_SCHEMA,
@@ -63,8 +62,12 @@ from ..congest.wire import (
     id_bits,
 )
 from ..errors import RoundLimitExceededError
-from ..types import triangle_keys
-from .base import TriangleAlgorithm, dense_pair_matrix_worthwhile, validate_kernel
+from .base import (
+    TriangleAlgorithm,
+    dense_pair_matrix_worthwhile,
+    emit_revealed_triangles,
+    validate_kernel,
+)
 from .parameters import (
     a3_goodness_threshold,
     a3_landmark_probability,
@@ -79,15 +82,12 @@ def _axr_max_iterations(num_nodes: int) -> int:
 
 def run_axr(
     simulator: CongestSimulator,
+    landmarks: np.ndarray,
     goodness_threshold: float,
     max_iterations: Optional[int] = None,
     kernel: str = "batched",
 ) -> bool:
     """Run Algorithm ``A(X, r)`` (Figure 2) on ``simulator``.
-
-    Preconditions: every node context's ``state["in_X"]`` has been set (the
-    landmark indicator is each node's private knowledge, exactly as the
-    paper requires).
 
     Parameters
     ----------
@@ -95,6 +95,10 @@ def run_axr(
         The CONGEST simulator to drive.  Its round limit, if any, is
         honoured: budget exhaustion propagates as
         :class:`~repro.errors.RoundLimitExceededError` to the caller.
+    landmarks:
+        ``bool[n]``: ``landmarks[v]`` says whether node ``v`` is in ``X``.
+        Each node reads only its own entry: the landmark indicator is a
+        node's private knowledge, exactly as the paper requires.
     goodness_threshold:
         The threshold ``r``.
     max_iterations:
@@ -116,13 +120,15 @@ def run_axr(
         some iteration (no further progress possible), ``False`` otherwise.
     """
     validate_kernel(kernel)
+    landmarks = np.asarray(landmarks, dtype=bool)
     if kernel == "batched":
-        return _run_axr_direct(simulator, goodness_threshold, max_iterations)
-    return _run_axr_reference(simulator, goodness_threshold, max_iterations)
+        return _run_axr_direct(simulator, landmarks, goodness_threshold, max_iterations)
+    return _run_axr_reference(simulator, landmarks, goodness_threshold, max_iterations)
 
 
 def _run_axr_reference(
     simulator: CongestSimulator,
+    landmarks: np.ndarray,
     goodness_threshold: float,
     max_iterations: Optional[int] = None,
 ) -> bool:
@@ -134,7 +140,7 @@ def _run_axr_reference(
 
     # Step 1: announce landmark membership.
     def announce_landmark(context: NodeContext) -> None:
-        context.broadcast(("in_X", bool(context.state.get("in_X", False))), bits=1)
+        context.broadcast(("in_X", bool(landmarks[context.node_id])), bits=1)
 
     simulator.for_each_node(announce_landmark)
     simulator.run_phase("A(X,r):1-announce-X")
@@ -145,22 +151,15 @@ def _run_axr_reference(
             _, is_landmark = payload
             if is_landmark:
                 landmark_neighbors.add(sender)
-        if context.state.get("in_X", False):
-            # A node's own membership also matters when it tests pairs of
-            # its neighbours: it is a common neighbour of each such pair.
-            context.state["self_is_landmark"] = True
         context.state["landmark_neighbors"] = landmark_neighbors
 
     simulator.for_each_node(record_landmark_neighbors)
 
     # Step 2: ship N(k) ∩ X to every neighbour.
     def send_landmark_neighborhood(context: NodeContext) -> None:
+        # k's own membership is visible to its neighbours already (step 1),
+        # so only the neighbourhood ``N(k) ∩ X`` is sent.
         landmark_neighbors = sorted(context.state["landmark_neighbors"])
-        if context.state.get("in_X", False):
-            # From a neighbour's perspective, "N(k) ∩ X" is what it needs to
-            # evaluate ∆(X); k itself being a landmark is visible to the
-            # neighbour already (step 1), so only the neighbourhood is sent.
-            pass
         payload_bits = max(1, len(landmark_neighbors) * node_id_bits)
         context.broadcast(("NX", tuple(landmark_neighbors)), bits=payload_bits)
 
@@ -371,66 +370,6 @@ def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     return indptr
 
 
-def _emit_revealed_triangles(simulator, csr, channel) -> None:
-    """List the triangles one delivered S/V channel reveals, fused.
-
-    A message element ``third`` from sender ``k`` reveals the triangle
-    ``{receiver, k, third}`` exactly when ``third`` is a neighbour of the
-    receiver (steps 4.1/4.3 of Figure 2).  The membership test is the
-    vectorized adjacency oracle (:meth:`~repro.graphs.csr.CSRGraph.has_edges`,
-    whose self-pairs are always ``False``, covering the ``third ≠
-    receiver`` guard); hit triples are canonicalised arithmetically into
-    triangle keys (the three vertices are pairwise distinct: the sender
-    neighbours the receiver and the third neighbours both).  The sweep
-    runs over message-aligned element blocks so every temporary stays
-    cache-resident, emitting each block's grouped hits as bulk key
-    appends.
-    """
-    if channel.count == 0:
-        return
-    num_nodes = simulator.num_nodes
-    contexts = simulator.contexts
-    thirds = channel.data["member"]
-    offsets = channel.offsets
-    dst = channel.dst
-    src = channel.src
-    lengths = channel.lengths
-    message_count = channel.count
-    message_start = 0
-    chunk_elements = fused_chunk_rows(minimum=4096)
-    while message_start < message_count:
-        element_start = int(offsets[message_start])
-        message_end = int(
-            np.searchsorted(
-                offsets, element_start + chunk_elements, side="left"
-            )
-        )
-        message_end = max(message_end, message_start + 1)
-        message_end = min(message_end, message_count)
-        element_end = int(offsets[message_end])
-        if element_end == element_start:
-            message_start = message_end
-            continue
-        block_lengths = lengths[message_start:message_end]
-        block_thirds = thirds[element_start:element_end]
-        block_receivers = np.repeat(dst[message_start:message_end], block_lengths)
-        revealed = csr.has_edges(block_receivers, block_thirds)
-        hits = np.flatnonzero(revealed)
-        if hits.shape[0]:
-            block_senders = np.repeat(src[message_start:message_end], block_lengths)
-            hit_receivers = block_receivers[hits]
-            hit_senders = block_senders[hits]
-            hit_thirds = block_thirds[hits]
-            low = np.minimum(hit_senders, hit_thirds)
-            high = np.maximum(hit_senders, hit_thirds)
-            lo = np.minimum(low, hit_receivers)
-            hi = np.maximum(high, hit_receivers)
-            mid = hit_receivers + hit_senders + hit_thirds - lo - hi
-            keys = triangle_keys(lo, mid, hi, num_nodes)
-            emit_grouped_keys(contexts, hit_receivers, keys)
-        message_start = message_end
-
-
 def _s_messages_gathered(
     pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
 ):
@@ -488,6 +427,7 @@ def _s_messages_gathered(
 
 def _run_axr_direct(
     simulator: CongestSimulator,
+    in_x: np.ndarray,
     goodness_threshold: float,
     max_iterations: Optional[int] = None,
 ) -> bool:
@@ -507,8 +447,8 @@ def _run_axr_direct(
       destination-ascending, and the withholding pairs of step 4.2 fall
       out of the same pass;
     * S and V processing consume the destination-grouped channel columns
-      with one whole-network edge-membership oracle call each
-      (:func:`_emit_revealed_triangles`).
+      with the shared chunked edge-membership sweep
+      (:func:`~repro.core.base.emit_revealed_triangles`).
     """
     num_nodes = simulator.num_nodes
     node_id_bits = id_bits(num_nodes)
@@ -517,14 +457,8 @@ def _run_axr_direct(
     csr = simulator.graph.csr()
     indptr, indices = csr.indptr, csr.indices
     degrees = np.diff(indptr)
-    contexts = simulator.contexts
+    output = simulator.output_table
     broadcast_src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
-
-    in_x = np.fromiter(
-        (bool(context.state.get("in_X", False)) for context in contexts),
-        dtype=bool,
-        count=num_nodes,
-    )
 
     # Step 1: announce landmark membership (one bit per incident edge).
     if broadcast_src.shape[0]:
@@ -595,7 +529,7 @@ def _run_axr_direct(
         delivered = simulator.exchange_phase("A(X,r):4.1-send-S")
 
         # Receivers list revealed triangles (step 4.2, fused).
-        _emit_revealed_triangles(simulator, csr, delivered.channel(A3_S_SCHEMA))
+        emit_revealed_triangles(output, csr, delivered.channel(A3_S_SCHEMA))
 
         # Withholding sets V(j): the withheld pairs, ``withheld_j``
         # ascending, so V(j) is row j of their CSR.
@@ -619,7 +553,7 @@ def _run_axr_direct(
                 bits=np.maximum(sizes * node_id_bits, 1),
             )
         delivered = simulator.exchange_phase("A(X,r):4.3-send-V")
-        _emit_revealed_triangles(simulator, csr, delivered.channel(A3_V_SCHEMA))
+        emit_revealed_triangles(output, csr, delivered.channel(A3_V_SCHEMA))
 
         # Steps 4.4 / 4.5 — good nodes retire; everyone announces membership.
         retired_any = bool(is_good.any())
@@ -720,12 +654,14 @@ class LightTrianglesLister(TriangleAlgorithm):
             else a3_goodness_threshold(num_nodes, self._epsilon)
         )
 
-        def select_landmark(context: NodeContext) -> None:
-            context.state["in_X"] = bool(context.rng.random() < probability)
-
-        simulator.for_each_node(select_landmark)
+        # One draw per node, in node order, from each node's own generator.
+        landmarks = np.fromiter(
+            (rng.random() < probability for rng in simulator.node_rngs),
+            dtype=bool,
+            count=num_nodes,
+        )
         try:
-            return run_axr(simulator, threshold, kernel=self._kernel)
+            return run_axr(simulator, landmarks, threshold, kernel=self._kernel)
         except RoundLimitExceededError:
             # The paper's A3 stops as soon as the budget is exceeded and
             # keeps whatever has been output so far.

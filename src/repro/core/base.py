@@ -22,19 +22,26 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..congest.backends import fused_chunk_rows
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
+from ..congest.node import OutputTable
+from ..congest.runtime import DeliveredChannel
 from ..congest.simulator import CongestSimulator
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
+from ..types import triangle_keys
 from .output import AlgorithmResult, TriangleOutput
 
 
-#: The execution kernels every protocol offers:
+#: The execution kernels every protocol offers (A1, A2, A3, the Theorem-1
+#: and Theorem-2 compositions, Dolev and naive):
 #:
 #: * ``"batched"`` (default) — whole-network array programs on the
 #:   **direct-exchange** path: one columnar staging call per message kind
-#:   per phase, delivery consumed straight off the destination-grouped
-#:   channel arrays, receiver processing fused into whole-network
-#:   CSR-oracle calls.
+#:   per phase, randomness drawn from the simulator's per-node generators,
+#:   delivery consumed straight off the destination-grouped channel arrays,
+#:   receiver processing fused into whole-network CSR-oracle calls that
+#:   append to the simulator's output table.  No node context is built.
 #: * ``"reference"`` — the paper-shaped per-node closures over object
 #:   payloads, the semantic ground truth.
 #:
@@ -62,6 +69,46 @@ def dense_pair_matrix_worthwhile(num_nodes: int, degrees: "np.ndarray") -> bool:
         return False
     consumed = int((degrees.astype(np.int64) ** 2).sum())
     return matrix_bytes <= 4 * max(consumed, 1)
+
+
+def emit_revealed_triangles(
+    output: OutputTable,
+    csr: CSRGraph,
+    channel: DeliveredChannel,
+    above_sender: bool = False,
+) -> None:
+    """List the triangles a delivered id-list channel reveals, fused.
+
+    An element ``l`` of a message from ``j`` to ``k`` reveals ``{j, k, l}``
+    exactly when ``l`` neighbours ``k``: A1's samples, A3's S and V sets
+    (steps 4.1/4.3 of Figure 2) and naive's neighbourhoods all work this
+    way.  With ``above_sender`` only elements ``l > j`` are tested, so a
+    receiver of both ``N(j)`` and ``N(l)`` lists ``{j, k, l}`` once.  The
+    test is :meth:`~repro.graphs.csr.CSRGraph.has_edges`, whose self-pairs
+    are ``False``; hits become triangle keys arithmetically.  The sweep runs
+    over message-aligned element blocks bounded by the chunk bound, so peak
+    memory stays flat however large the phase's traffic is.
+    """
+    offsets, lengths, num_nodes = channel.offsets, channel.lengths, csr.num_nodes
+    chunk_elements = fused_chunk_rows(minimum=4096)
+    start = 0
+    while start < channel.count:
+        first = int(offsets[start])
+        end = int(np.searchsorted(offsets, first + chunk_elements, side="left"))
+        end = min(max(end, start + 1), channel.count)
+        receivers = np.repeat(channel.dst[start:end], lengths[start:end])
+        senders = np.repeat(channel.src[start:end], lengths[start:end])
+        thirds = channel.data["member"][first : int(offsets[end])]
+        if above_sender:
+            upper = np.flatnonzero(thirds > senders)
+            receivers, senders, thirds = receivers[upper], senders[upper], thirds[upper]
+        hits = np.flatnonzero(csr.has_edges(receivers, thirds))
+        if hits.shape[0]:
+            j, k, l = senders[hits], receivers[hits], thirds[hits]
+            lo = np.minimum(np.minimum(j, l), k)
+            hi = np.maximum(np.maximum(j, l), k)
+            output.emit_grouped(k, triangle_keys(lo, j + k + l - lo - hi, hi, num_nodes))
+        start = end
 
 
 def validate_kernel(kernel: str) -> str:
@@ -123,7 +170,7 @@ class TriangleAlgorithm(abc.ABC):
         """Run the algorithm on ``graph`` and return the packaged result."""
         simulator = self._build_simulator(graph, seed)
         truncated = self._execute(simulator)
-        output = TriangleOutput.from_contexts(simulator.contexts, simulator.num_nodes)
+        output = TriangleOutput.from_table(simulator.output_table)
         return AlgorithmResult(
             algorithm=self.name,
             model=simulator.model_name,

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..congest.clique import CliqueSimulator
 from ..congest.metrics import AlgorithmCost
-from ..congest.node import emit_grouped_keys
 from ..congest.routing import LenzenRouter, RoutingRequest
 from ..congest.wire import RoutedEdgeSchema, edge_bits
 from ..errors import ProtocolError
@@ -169,7 +168,7 @@ class DolevCliqueListing:
             )
             self._list_reference(simulator, groups)
 
-        output = TriangleOutput.from_contexts(simulator.contexts, simulator.num_nodes)
+        output = TriangleOutput.from_table(simulator.output_table)
         return AlgorithmResult(
             algorithm=self.name,
             model=simulator.model_name,
@@ -358,9 +357,7 @@ class DolevCliqueListing:
             return
         kept_gids = tri_gids[keep]
         kept_keys = tri_keys[keep]
-        emit_grouped_keys(
-            simulator.contexts, kept_gids // num_triples, kept_keys
-        )
+        simulator.output_table.emit_grouped(kept_gids // num_triples, kept_keys)
 
 
 def _triangles_with_group_signature(

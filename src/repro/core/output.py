@@ -11,43 +11,44 @@ must actually be a triangle of ``G``.
 it with the execution cost and parameters so experiments can report both
 correctness and round complexity from a single object.
 
-The output tuple is stored as **int64 triangle keys only**
-(:func:`repro.types.triangle_keys`): every node's reports, scalar or bulk,
-arrive as key chunks, and the per-node frozensets of canonical tuples —
-millions of Python objects on dense workloads — are only decoded for the
-nodes a consumer actually reads.  Counts, the union and node-wise merging
-all run as numpy key reductions, so an end-to-end run never builds a tuple
-it does not return.
+The output tuple is stored as **int64 triangle keys only**, in the
+simulator's :class:`~repro.congest.node.OutputTable`: key chunks whose
+receivers are stored as runs.  The per-node frozensets of canonical tuples
+— millions of Python objects on dense workloads — are only decoded for the
+nodes a consumer actually reads, and a node's keys are grouped out of the
+chunks only then.  Counts, the union and node-wise merging all run as
+numpy key reductions, so an end-to-end run never builds a tuple it does
+not return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    AbstractSet,
     Any,
     Dict,
     FrozenSet,
     Iterable,
-    List,
     Mapping,
     Optional,
-    Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
 
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
+from ..congest.node import OutputTable
 from ..errors import VerificationError
 from ..graphs.graph import Graph
-from ..types import NodeId, Triangle, decode_triangle_keys, sorted_unique, triangle_keys
-
-
-def _decode_keys(keys: np.ndarray, num_nodes: int) -> FrozenSet[Triangle]:
-    """Decode unique triangle keys into a frozenset of canonical tuples."""
-    a, b, c = decode_triangle_keys(keys, num_nodes)
-    return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
+from ..types import (
+    NodeId,
+    Triangle,
+    decode_triangle_keys,
+    decode_triangle_set,
+    sorted_unique,
+    triangle_keys,
+)
 
 
 class _LazyNodeSets(Mapping):
@@ -75,15 +76,15 @@ class _LazyNodeSets(Mapping):
 
 
 class TriangleOutput:
-    """The per-node output tuple ``(T_0, ..., T_{n-1})``, as int64 key chunks.
+    """The per-node output tuple ``(T_0, ..., T_{n-1})``, as an output table.
 
     Construct from a mapping of node id to triples (hand-written tests and
     probes), which is encoded once with ``n`` = largest vertex + 1, or
-    through :meth:`from_contexts`, which adopts the simulator contexts' key
-    chunks without copying or decoding them.
+    through :meth:`from_table`, which adopts a simulator's output table
+    without copying or decoding its chunks.
     """
 
-    __slots__ = ("num_nodes", "_nodes", "_chunks", "_node_keys")
+    __slots__ = ("_nodes", "_table")
 
     def __init__(
         self, per_node: Optional[Mapping[NodeId, Iterable[Triangle]]] = None
@@ -92,35 +93,38 @@ class TriangleOutput:
             node: np.array(list(triples), dtype=np.int64).reshape(-1, 3)
             for node, triples in (per_node or {}).items()
         }
-        #: Network size ``n`` of the key encoding.
-        self.num_nodes = 1 + max(
+        num_nodes = 1 + max(
             (int(block.max()) for block in rows.values() if block.shape[0]), default=0
         )
-        self._nodes: Set[NodeId] = set(rows)
-        # Per-node lists of (possibly duplicated) int64 key chunks; a node
-        # that reported nothing has no entry.
-        self._chunks: Dict[NodeId, List[np.ndarray]] = {
-            node: [triangle_keys(block[:, 0], block[:, 1], block[:, 2], self.num_nodes)]
-            for node, block in rows.items()
-            if block.shape[0]
-        }
-        # Per-node deduplicated key arrays (computed on demand).
-        self._node_keys: Dict[NodeId, np.ndarray] = {}
+        # The nodes the tuple covers: a node that reported nothing has an
+        # empty set, not a missing one.
+        self._nodes: AbstractSet[NodeId] = frozenset(rows)
+        self._table = OutputTable(num_nodes)
+        for node, block in rows.items():
+            self._table.emit(
+                node, triangle_keys(block[:, 0], block[:, 1], block[:, 2], num_nodes)
+            )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_contexts(cls, contexts: Sequence[Any], num_nodes: int) -> "TriangleOutput":
-        """Adopt the contexts' output key chunks by reference, without decoding."""
-        output = cls()
-        output.num_nodes = num_nodes
-        for context in contexts:
-            output._nodes.add(context.node_id)
-            chunks = context.output_state()
-            if chunks:
-                output._chunks[context.node_id] = list(chunks)
+    def from_table(cls, table: OutputTable) -> "TriangleOutput":
+        """Adopt an output table's chunks by reference, covering nodes ``0 .. n-1``."""
+        nodes = range(table.num_nodes)
+        return cls._of(nodes, OutputTable(table.num_nodes, table.chunks))
+
+    @classmethod
+    def _of(cls, nodes: AbstractSet[NodeId], table: OutputTable) -> "TriangleOutput":
+        output = cls.__new__(cls)
+        output._nodes = nodes
+        output._table = table
         return output
+
+    @property
+    def num_nodes(self) -> int:
+        """Network size ``n`` of the key encoding."""
+        return self._table.num_nodes
 
     # ------------------------------------------------------------------
     # per-node access
@@ -134,20 +138,17 @@ class TriangleOutput:
         """Return ``T_i`` as a sorted, deduplicated int64 key array.
 
         The fast comparison door: differential tests and benchmarks check
-        per-node equality over these arrays without building tuples.
+        per-node equality over these arrays without building tuples.  The
+        first call groups every report by node once.
         """
-        keys = self._node_keys.get(node)
-        if keys is None:
-            keys = sorted_unique(*self._chunks.get(node, ()))
-            self._node_keys[node] = keys
-        return keys
+        return self._table.node_keys(node)
 
     def node_output(self, node: NodeId) -> FrozenSet[Triangle]:
         """Return ``T_i`` for a single node (empty when the node output nothing).
 
         Decoded on every call and never kept: only the keys stay in memory.
         """
-        return _decode_keys(self.node_keys(node), self.num_nodes)
+        return self._table.node_output(node)
 
     # ------------------------------------------------------------------
     # aggregates
@@ -158,15 +159,15 @@ class TriangleOutput:
         Every raw chunk is deduplicated in one pass — never node by node
         first.
         """
-        return sorted_unique(*(chunk for chunks in self._chunks.values() for chunk in chunks))
+        return sorted_unique(*(keys for keys, _, _ in self._table.chunks))
 
     def union(self) -> FrozenSet[Triangle]:
         """Return ``T``, the union of all per-node outputs."""
-        return _decode_keys(self.union_keys(), self.num_nodes)
+        return decode_triangle_set(self.union_keys(), self.num_nodes)
 
     def total_reported(self) -> int:
         """Return the total number of (node, triple) report events."""
-        return sum(int(self.node_keys(node).shape[0]) for node in self._nodes)
+        return int(self._table.report_pairs()[0].shape[0])
 
     def busiest_node(self) -> Optional[NodeId]:
         """Return ``w(T)``: the node whose output set is largest (ties: lowest id).
@@ -174,18 +175,14 @@ class TriangleOutput:
         Returns ``None`` when every node output the empty set.  This is the
         node the lower-bound argument of Theorem 3 focuses on.
         """
-        best_node: Optional[NodeId] = None
-        best_size = 0
-        for node in sorted(self._nodes):
-            size = int(self.node_keys(node).shape[0])
-            if size > best_size:
-                best_size = size
-                best_node = node
-        return best_node
+        nodes = self._table.report_pairs()[0]
+        if not nodes.shape[0]:
+            return None
+        return int(np.argmax(np.bincount(nodes)))
 
     def is_empty(self) -> bool:
         """Return ``True`` when no node output any triple."""
-        return not self._chunks
+        return not self._table.chunks
 
     def __eq__(self, other: Any) -> bool:
         """Structural equality: same nodes, same per-node triple sets.
@@ -195,37 +192,39 @@ class TriangleOutput:
         """
         if not isinstance(other, TriangleOutput):
             return NotImplemented
-        if self._nodes != other._nodes:
+        if frozenset(self._nodes) != frozenset(other._nodes):
             return False
         num_nodes = max(self.num_nodes, other.num_nodes)
-        return all(
-            np.array_equal(
-                _recode(self.node_keys(node), self.num_nodes, num_nodes),
-                _recode(other.node_keys(node), other.num_nodes, num_nodes),
-            )
-            for node in self._nodes
+        mine = self._table.report_pairs()
+        theirs = other._table.report_pairs()
+        return np.array_equal(mine[0], theirs[0]) and np.array_equal(
+            _recode(mine[1], self.num_nodes, num_nodes),
+            _recode(theirs[1], other.num_nodes, num_nodes),
         )
 
-    #: Lazily decoded and mutable under the hood, so not hashable.
+    #: Lazily grouped under the hood, so not hashable.
     __hash__ = None
 
     def merged_with(self, other: "TriangleOutput") -> "TriangleOutput":
         """Return the node-wise union of two output tuples.
 
         Used when an algorithm repeats a sub-algorithm several times and the
-        final output of each node is the union over repetitions.  Chunk
-        lists concatenate by reference; a chunk is re-encoded only when the
-        two key spaces differ.
+        final output of each node is the union over repetitions.  The two
+        chunk lists concatenate by reference; a chunk's keys are re-encoded
+        only when the two key spaces differ.  No loop runs over nodes.
         """
-        merged = TriangleOutput()
-        merged.num_nodes = max(self.num_nodes, other.num_nodes)
-        merged._nodes = self._nodes | other._nodes
-        for source in (self, other):
-            for node, chunks in source._chunks.items():
-                merged._chunks.setdefault(node, []).extend(
-                    _recode(chunk, source.num_nodes, merged.num_nodes) for chunk in chunks
-                )
-        return merged
+        num_nodes = max(self.num_nodes, other.num_nodes)
+        chunks = [
+            (_recode(keys, source.num_nodes, num_nodes), run_nodes, run_starts)
+            for source in (self, other)
+            for keys, run_nodes, run_starts in source._table.chunks
+        ]
+        nodes = (
+            self._nodes
+            if self._nodes == other._nodes
+            else frozenset(self._nodes) | frozenset(other._nodes)
+        )
+        return TriangleOutput._of(nodes, OutputTable(num_nodes, chunks))
 
 
 def _recode(keys: np.ndarray, from_nodes: int, to_nodes: int) -> np.ndarray:
@@ -256,7 +255,7 @@ class _TruthComparison:
         return (self.total_truth - self.missed.shape[0]) / self.total_truth
 
     def decode(self, keys: np.ndarray) -> FrozenSet[Triangle]:
-        return _decode_keys(keys, self.num_nodes)
+        return decode_triangle_set(keys, self.num_nodes)
 
 
 def _keyed_union(output: TriangleOutput, graph: Graph) -> Tuple[int, np.ndarray]:

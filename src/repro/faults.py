@@ -564,8 +564,3 @@ def fault_environment(
 def injected_os_error(code: int, message: str) -> OSError:
     """Build the OSError a disk/socket fault raises (marked as injected)."""
     return OSError(code, f"injected fault: {message}")
-
-
-def is_injected(error: BaseException) -> bool:
-    """True when ``error`` came from this module's injections."""
-    return "injected fault" in str(error)

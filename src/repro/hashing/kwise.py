@@ -149,10 +149,17 @@ class KWiseIndependentFamily:
     def sample(self, rng: Optional[np.random.Generator] = None) -> HashFunction:
         """Draw a uniformly random member of the family."""
         generator = rng if rng is not None else np.random.default_rng()
-        coefficients = tuple(
-            int(generator.integers(0, self._prime)) for _ in range(self._independence)
-        )
+        coefficients = tuple(self.sample_coefficients(generator).tolist())
         return HashFunction(coefficients, self._prime, self._range_size)
+
+    def sample_coefficients(self, generator: np.random.Generator) -> np.ndarray:
+        """Draw a member's ``k`` coefficients as one int64 row.
+
+        One ``integers(0, p, size=k)`` call: it draws the same values, and
+        leaves the generator in the same state, as ``k`` scalar
+        ``integers(0, p)`` calls.
+        """
+        return generator.integers(0, self._prime, size=self._independence)
 
     def zero_block(
         self, coefficient_rows: np.ndarray, points: np.ndarray

@@ -9,7 +9,7 @@ directly comparable we canonicalise them into sorted tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
@@ -82,6 +82,12 @@ def decode_triangle_keys(
     c = keys % n
     rest = keys // n
     return rest // n, rest % n, c
+
+
+def decode_triangle_set(keys: np.ndarray, num_nodes: int) -> FrozenSet[Triangle]:
+    """Decode int64 triangle keys into a frozenset of canonical tuples."""
+    a, b, c = decode_triangle_keys(keys, num_nodes)
+    return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 def make_edge(u: NodeId, v: NodeId) -> Edge:

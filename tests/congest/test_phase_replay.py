@@ -3,8 +3,8 @@
 :meth:`CongestSimulator.run_phase` charges a phase
 ``max over directed links of ⌈bits / B⌉`` rounds in one step.  These tests
 check that rule on the paper's own protocols rather than on toy programs:
-every phase of A1, A2, A3 (and the Dolev clique baseline) is run on both
-kernels, and each phase's drained :class:`~repro.congest.runtime.PhaseTraffic`
+every phase of A1, A2, A3, the Dolev clique baseline and the naive two-hop
+baseline is run on both kernels, and each phase's drained :class:`~repro.congest.runtime.PhaseTraffic`
 is replayed literally before it is delivered — every directed link forwards
 its queue first-in first-out, at most ``B = bits_per_round(n)`` bits per
 round, until all queues are empty.  The replay must take exactly the
@@ -17,9 +17,8 @@ charged by Lenzen's theorem (``c · ⌈max per-node load / n⌉``) rather than
 per link; for it the deliveries are replayed the same way and the per-node
 load is recounted message by message.
 
-The theorem-level compositions (Theorem 1 finding, Theorem 2 listing), the
-naive two-hop baselines and the counting protocol are replayed the same
-way.  Hand-built phases with closed-form costs (a single identifier, a
+The theorem-level compositions (Theorem 1 finding, Theorem 2 listing) and
+the counting protocol are replayed the same way.  Hand-built phases with closed-form costs (a single identifier, a
 neighbourhood exchange, a convergecast, an oversized message, a flood) pin
 the charged rounds to exact numbers on both delivery doors
 (``run_phase`` and ``exchange_phase``) and on both network models, and the
@@ -72,10 +71,10 @@ PROTOCOLS = {
     "Dolev": lambda kernel: DolevCliqueListing(kernel=kernel),
     "Thm1": lambda kernel: TriangleFinding(repetitions=2, kernel=kernel),
     "Thm2": lambda kernel: TriangleListing(repetitions=2, kernel=kernel),
+    "naive-two-hop": lambda kernel: NaiveTwoHopListing(kernel=kernel),
 }
 #: Protocols with a single execution path (no ``kernel`` option).
 KERNELLESS_PROTOCOLS = {
-    "naive-two-hop": NaiveTwoHopListing,
     "triangle-counting": lambda: TriangleCounting(disseminate=True),
 }
 #: ``B = ⌈log2 n⌉``: one node identifier per link per round.

@@ -10,6 +10,7 @@ from repro.congest import (
     CliqueSimulator,
     CongestSimulator,
     NodeContext,
+    OutputTable,
     id_bits,
 )
 from repro.congest.node import OUTPUT_FLUSH_KEYS
@@ -300,18 +301,53 @@ class TestOutputs:
     def test_scalar_reports_flush_into_int64_chunks(self):
         n = 60
         simulator = CongestSimulator(complete_graph(n), seed=0)
+        table = simulator.output_table
         context = simulator.context(0)
         triples = list(
             itertools.islice(itertools.combinations(range(n), 3), 2 * OUTPUT_FLUSH_KEYS + 5)
         )
         for a, b, c in triples:
             context.output_triangle(c, a, b)
-            assert len(context._output_keys) < OUTPUT_FLUSH_KEYS
-        assert [len(chunk) for chunk in context._output_key_chunks] == [
+            assert len(table._scalar_keys) < OUTPUT_FLUSH_KEYS
+        assert [keys.shape[0] for keys, _, _ in table._chunks] == [
             OUTPUT_FLUSH_KEYS,
             OUTPUT_FLUSH_KEYS,
         ]
         assert context.output == frozenset(triples)
+
+    def test_output_table_stores_receivers_as_runs(self):
+        table = OutputTable(10)
+        table.emit_grouped(np.array([2, 2, 2, 5, 5, 2]), np.array([30, 10, 10, 40, 20, 50]))
+        table.emit(5, np.array([20, 60]))
+        table.emit_grouped(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        (_, run_nodes, run_starts), (_, one_node, one_start) = table.chunks
+        assert run_nodes.tolist() == [2, 5, 2]
+        assert run_starts.tolist() == [0, 3, 5]
+        assert (one_node.tolist(), one_start.tolist()) == ([5], [0])
+        assert table.node_keys(2).tolist() == [10, 30, 50]
+        assert table.node_keys(5).tolist() == [20, 40, 60]
+        assert table.node_keys(7).tolist() == []
+        # A write after a read regroups.
+        table.emit_scalar(7, 3)
+        assert table.node_keys(7).tolist() == [3]
+
+    def test_contexts_are_built_on_first_read_with_the_node_generators(self):
+        simulator = CongestSimulator(cycle_graph(5), seed=4)
+        assert simulator.runtime._contexts is None
+        first = [rng.random() for rng in simulator.node_rngs]
+        simulator.exchange_phase("empty")
+        assert simulator.runtime._contexts is None
+        contexts = simulator.contexts
+        assert all(
+            context.rng is rng for context, rng in zip(contexts, simulator.node_rngs)
+        )
+        # The streams continue where the draws above left them.
+        fresh = CongestSimulator(cycle_graph(5), seed=4)
+        expected = [(rng.random(), rng.random()) for rng in fresh.node_rngs]
+        assert first == [draw for draw, _ in expected]
+        assert [context.rng.random() for context in contexts] == [
+            draw for _, draw in expected
+        ]
 
     def test_every_output_door_stores_the_same_keys(self):
         n = 6
@@ -326,12 +362,10 @@ class TestOutputs:
         # A read flushes the scalar keys; later reports still land.
         assert context.output == {(0, 1, 2), (1, 2, 3), (3, 4, 5)}
         context.output_triangle(1, 3, 2)
-        context.output_triangle_keys(
-            triangle_keys(np.array([0, 2]), np.array([1, 3]), np.array([2, 4]), n)
-        )
+        context.output_triangles(np.array([2, 0]), np.array([3, 1]), np.array([4, 2]))
         expected = {(0, 1, 2), (1, 2, 3), (3, 4, 5), (2, 3, 4)}
         assert context.output == expected
-        output = TriangleOutput.from_contexts(simulator.contexts, n)
+        output = TriangleOutput.from_table(simulator.output_table)
         assert output.node_output(0) == expected
         rows = np.array(sorted(expected), dtype=np.int64)
         np.testing.assert_array_equal(

@@ -18,7 +18,6 @@ from repro.congest import (
     integer_bits,
     register_schema,
     schema_for,
-    triangle_bits,
 )
 from repro.congest.wire import (
     A1_SAMPLE_SCHEMA,
@@ -50,9 +49,8 @@ class TestIdBits:
         with pytest.raises(SimulationError):
             id_bits(0)
 
-    def test_edge_and_triangle_bits(self):
+    def test_edge_bits(self):
         assert edge_bits(100) == 2 * id_bits(100)
-        assert triangle_bits(100) == 3 * id_bits(100)
 
 
 class TestIntegerBits:

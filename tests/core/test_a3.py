@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.congest import CongestSimulator
@@ -21,9 +22,8 @@ class TestAXRDirectly:
 
     def run_with_landmarks(self, graph, landmarks, threshold, seed=0):
         simulator = CongestSimulator(graph, seed=seed)
-        for context in simulator.contexts:
-            context.state["in_X"] = context.node_id in landmarks
-        run_axr(simulator, threshold)
+        in_x = np.isin(np.arange(graph.num_nodes), list(landmarks))
+        run_axr(simulator, in_x, threshold)
         return simulator
 
     def test_empty_landmarks_full_threshold_lists_everything(self):
@@ -66,20 +66,18 @@ class TestAXRDirectly:
         # (no-progress detection) rather than loop forever.
         graph = complete_graph(6)
         simulator = CongestSimulator(graph, seed=0)
-        for context in simulator.contexts:
-            context.state["in_X"] = False
-        stopped_early = run_axr(simulator, goodness_threshold=0.0)
+        no_landmarks = np.zeros(graph.num_nodes, dtype=bool)
+        stopped_early = run_axr(simulator, no_landmarks, goodness_threshold=0.0)
         assert stopped_early is True
 
     def test_round_budget_enforced(self):
         graph = complete_graph(10)
         simulator = CongestSimulator(graph, seed=0, round_limit=1)
-        for context in simulator.contexts:
-            context.state["in_X"] = False
+        no_landmarks = np.zeros(graph.num_nodes, dtype=bool)
         from repro.errors import RoundLimitExceededError
 
         with pytest.raises(RoundLimitExceededError):
-            run_axr(simulator, goodness_threshold=100.0)
+            run_axr(simulator, no_landmarks, goodness_threshold=100.0)
 
 
 class TestA3Algorithm:

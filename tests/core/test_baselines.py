@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import local_listing_complete
 from repro.api.registry import get_algorithm
-from repro.core import NaiveTwoHopListing, naive_round_bound
+from repro.core import NaiveTwoHopListing
 from repro.errors import AnalysisError
 from repro.graphs import (
     Graph,
@@ -59,9 +59,6 @@ class TestNaiveCost:
         result = NaiveTwoHopListing().run(graph, seed=0)
         assert result.rounds == 19
 
-    def test_round_bound_helper(self):
-        assert naive_round_bound(17) == 17.0
-
     def test_cost_independent_of_seed(self):
         # The baseline is deterministic: its cost must not vary with the
         # simulator seed.
@@ -73,7 +70,7 @@ class TestNaiveCost:
 
     def test_parameters_describe_local_output(self):
         result = NaiveTwoHopListing().run(complete_graph(4), seed=0)
-        assert result.parameters == {"local_output_only": True}
+        assert result.parameters == {"local_output_only": True, "kernel": "batched"}
 
     def test_local_output_only_is_not_a_parameter(self):
         # The recorded flag states a fact of the algorithm; a spec that

@@ -21,12 +21,13 @@ from repro.core import (
     HeavyHashingLister,
     HeavySamplingFinder,
     LightTrianglesLister,
+    NaiveTwoHopListing,
     TriangleFinding,
     TriangleListing,
 )
 from repro.core import a2_heavy, a3_light
 from repro.core.a3_light import run_axr
-from repro.congest import CongestSimulator
+from repro.congest import CongestSimulator, NodeContext
 from repro.congest.backends import use_chunk_bytes
 from repro.congest.wire import A2_EDGE_SCHEMA
 from repro.graphs import (
@@ -74,6 +75,14 @@ def assert_identical_execution(make_algorithm, graph, seeds=(0, 3)):
         assert run.cost == reference.cost
         assert run.truncated == reference.truncated
         assert phase_rows(run) == phase_rows(reference)
+        assert (
+            run.metrics.bits_received_per_node
+            == reference.metrics.bits_received_per_node
+        )
+        assert (
+            run.metrics.messages_received_per_node
+            == reference.metrics.messages_received_per_node
+        )
         assert run.output.union() == reference.output.union()
         for node in range(graph.num_nodes):
             assert run.output.node_output(node) == reference.output.node_output(node)
@@ -104,6 +113,11 @@ class TestKernelEquivalence:
             lambda kernel: DolevCliqueListing(kernel=kernel), make_graph(), seeds=(0,)
         )
 
+    def test_naive_two_hop(self, make_graph):
+        assert_identical_execution(
+            lambda kernel: NaiveTwoHopListing(kernel=kernel), make_graph(), seeds=(0,)
+        )
+
     def test_theorem2_listing(self, make_graph):
         assert_identical_execution(
             lambda kernel: TriangleListing(
@@ -131,9 +145,8 @@ class TestCompositionsAndEdgeCases:
         results = {}
         for kernel in ("reference", "batched"):
             simulator = CongestSimulator(graph, seed=5)
-            for context in simulator.contexts:
-                context.state["in_X"] = context.node_id in {0, 3, 7}
-            stopped = run_axr(simulator, goodness_threshold=6.0, kernel=kernel)
+            in_x = np.isin(np.arange(graph.num_nodes), [0, 3, 7])
+            stopped = run_axr(simulator, in_x, goodness_threshold=6.0, kernel=kernel)
             results[kernel] = (
                 stopped,
                 simulator.total_rounds,
@@ -145,9 +158,11 @@ class TestCompositionsAndEdgeCases:
         graph = complete_graph(6)
         for kernel in ("reference", "batched"):
             simulator = CongestSimulator(graph, seed=0)
-            for context in simulator.contexts:
-                context.state["in_X"] = False
-            assert run_axr(simulator, goodness_threshold=0.0, kernel=kernel) is True
+            no_landmarks = np.zeros(graph.num_nodes, dtype=bool)
+            assert (
+                run_axr(simulator, no_landmarks, goodness_threshold=0.0, kernel=kernel)
+                is True
+            )
 
     def test_a3_budget_truncation_identical(self):
         # A tight budget truncates both kernels at the same point.
@@ -398,7 +413,32 @@ DIFFERENTIAL_ALGORITHMS = {
     "theorem2": lambda epsilon, kernel: TriangleListing(
         repetitions=1, epsilon=epsilon, kernel=kernel
     ),
+    "naive": lambda epsilon, kernel: NaiveTwoHopListing(kernel=kernel),
 }
+
+
+@pytest.mark.parametrize("algorithm", sorted(DIFFERENTIAL_ALGORITHMS))
+def test_batched_run_builds_no_node_context(monkeypatch, algorithm):
+    # The batched kernels read the node generators, the CSR and the output
+    # table; a context appears only when a reference closure asks for one.
+    built = []
+    init = NodeContext.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["node_id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeContext, "__init__", spy)
+    make = DIFFERENTIAL_ALGORITHMS[algorithm]
+    for graph in (
+        gnp_random_graph(40, 0.4, seed=11),
+        gnp_random_graph(48, 0.08, seed=12),
+        Graph(5, []),
+    ):
+        make(0.4, "batched").run(graph, seed=1)
+    assert built == []
+    make(0.4, "reference").run(complete_graph(6), seed=1)
+    assert built
 
 
 @st.composite

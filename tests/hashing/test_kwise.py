@@ -104,6 +104,27 @@ class TestFamilyParameters:
         assert first == second
 
 
+@pytest.mark.parametrize("prime", [131, 1009, 65537, 2**32 + 15])
+@pytest.mark.parametrize("independence", [1, 3, 5])
+def test_sample_draws_what_scalar_draws_would(prime, independence):
+    # One integers(0, p, size=k) call per member must equal k scalar
+    # integers(0, p) calls, coefficients and the generator's next draw
+    # alike: seeded runs of A2 depend on it, on every supported numpy.
+    family = KWiseIndependentFamily(
+        domain_size=prime, range_size=7, independence=independence
+    )
+    assert family.prime == prime
+    for seed in range(300):
+        batched = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        function = family.sample(batched)
+        assert function.coefficients == tuple(
+            int(scalar.integers(0, prime)) for _ in range(independence)
+        )
+        assert batched.integers(0, 2**62) == scalar.integers(0, 2**62)
+        assert batched.random() == scalar.random()
+
+
 class TestStatisticalProperties:
     """Sampling-based checks of (approximate) uniformity and pairwise behaviour.
 
