@@ -27,16 +27,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import recall_by_heaviness
 from repro.core import HeavyHashingLister, LightTrianglesLister
-from repro.graphs import count_triangles, gnp_random_graph, union_of_cliques
+from repro.graphs import Graph, count_triangles, gnp_random_graph, union_of_cliques
 
 
 def build_workload(seed: int = 3):
     """A 12-clique, two 5-cliques and a sparse background on 70 nodes."""
     cliques = union_of_cliques([12, 5, 5])
-    graph = gnp_random_graph(70, 0.06, seed=seed)
-    for u, v in cliques.edges():
-        graph.add_edge(u, v)
-    return graph
+    background = gnp_random_graph(70, 0.06, seed=seed)
+    return Graph(70, [*background.edges(), *cliques.edges()])
 
 
 def main() -> None:

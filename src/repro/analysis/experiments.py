@@ -181,9 +181,9 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
 
 
 #: Per-process workload cache: resolved generator call (see
-#: ``WorkloadSpec.build_key``) -> (Graph, num_nodes, num_edges).  Bounded
-#: LRU so long multi-workload sweeps cannot hoard memory.
-_GRAPH_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
+#: ``WorkloadSpec.build_key``) -> Graph.  Bounded LRU so long
+#: multi-workload sweeps cannot hoard memory.
+_GRAPH_CACHE: "OrderedDict[str, Graph]" = OrderedDict()
 _GRAPH_CACHE_MAX_ENTRIES = 8
 
 
@@ -195,23 +195,17 @@ def _cell_graph(spec: "RunSpec") -> Graph:
     over the cell seed, and a generator that takes no seed gets none, so
     cells of such a workload share one graph whatever their seeds.
 
-    Sharing one object presumes cells treat their workload as read-only —
-    every algorithm in this repository does, and the serial-equals-parallel
-    record guarantee requires it (workers cache independently, so a
-    mutation would be visible to different cell subsets per schedule).  As
-    a cheap tripwire, a cached graph whose size no longer matches its
-    construction-time shape is discarded and rebuilt.
+    Sharing one object is safe because a :class:`Graph` is immutable: no
+    cell can change the workload another cell (or another schedule of the
+    same sweep) sees.
     """
     key = spec.workload.build_key(spec.seed)
-    entry = _GRAPH_CACHE.get(key)
-    if entry is not None:
-        graph, num_nodes, num_edges = entry
-        if graph.num_nodes == num_nodes and graph.num_edges == num_edges:
-            _GRAPH_CACHE.move_to_end(key)
-            return graph
-        del _GRAPH_CACHE[key]
+    graph = _GRAPH_CACHE.get(key)
+    if graph is not None:
+        _GRAPH_CACHE.move_to_end(key)
+        return graph
     graph = spec.workload.build(seed=spec.seed)
-    _GRAPH_CACHE[key] = (graph, graph.num_nodes, graph.num_edges)
+    _GRAPH_CACHE[key] = graph
     while len(_GRAPH_CACHE) > _GRAPH_CACHE_MAX_ENTRIES:
         _GRAPH_CACHE.popitem(last=False)
     return graph

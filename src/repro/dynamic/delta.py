@@ -445,7 +445,7 @@ class DeltaSnapshot:
         return CSRGraph.from_edge_arrays(self.base.num_nodes, edge_u, edge_v)
 
     def materialize(self) -> Graph:
-        """Build a mutable :class:`Graph` with the effective edge set."""
+        """Build a :class:`Graph` with the effective edge set."""
         edge_u, edge_v = self.edge_arrays()
         return Graph.from_edge_arrays(self.base.num_nodes, edge_u, edge_v, deduplicate=False)
 

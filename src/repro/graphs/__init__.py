@@ -8,7 +8,7 @@ view through :class:`repro.congest.node.NodeContext`.
 """
 
 from .csr import CSRGraph
-from .graph import Graph, InducedSubgraph, is_connected
+from .graph import Graph, is_connected
 from .generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -49,7 +49,6 @@ from .io import (
 __all__ = [
     "CSRGraph",
     "Graph",
-    "InducedSubgraph",
     "is_connected",
     "barabasi_albert_graph",
     "complete_graph",

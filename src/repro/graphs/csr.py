@@ -1,9 +1,9 @@
 """Immutable CSR adjacency core and the vectorized triangle oracle.
 
-The mutable :class:`~repro.graphs.graph.Graph` stays the build-time API, but
-every read-heavy consumer — the centralized ground-truth oracle, simulator
-context construction, parameter selection, workload descriptors — now runs
-on a compressed-sparse-row snapshot of the adjacency structure:
+A :class:`~repro.graphs.graph.Graph` stores its edges once, in the
+compressed-sparse-row core defined here, and every read-heavy consumer — the
+centralized ground-truth oracle, simulator context construction, parameter
+selection, workload descriptors — runs on it directly:
 
 * ``indptr`` / ``indices`` — the standard CSR pair: the (sorted) neighbour
   list of vertex ``v`` is ``indices[indptr[v]:indptr[v+1]]``.
@@ -16,10 +16,7 @@ Invariants (relied on throughout, asserted by the test suite):
   :class:`CSRGraph` never changes after construction,
 * **sorted neighbours** — every ``indices`` row is strictly increasing,
   which is what makes forward-wedge enumeration come out in canonical
-  order and ``np.searchsorted`` membership correct,
-* **mutation invalidation** — :meth:`Graph.csr` hands out a snapshot that
-  is dropped on the next ``add_edge``/``remove_edge``, so a stale view can
-  never alias a mutated graph.
+  order and ``np.searchsorted`` membership correct.
 
 Edge membership (:meth:`CSRGraph.has_edges`) has three strategies, picked
 per snapshot from ``n`` and ``m`` alone:
@@ -49,12 +46,9 @@ the pure-Python reference in :mod:`repro.graphs.triangles`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .graph import Graph
 
 #: Largest adjacency structure (in bytes) a snapshot will materialise: the
 #: ``n²``-byte boolean matrix of the dense strategy, and the ``n² / 8``-byte
@@ -89,9 +83,6 @@ def _edge_chunk(row_bytes: int) -> int:
 
     return chunk_rows(row_bytes, minimum=_MIN_EDGE_CHUNK)
 
-_EMPTY_INT64 = np.empty(0, dtype=np.int64)
-_EMPTY_INT64.setflags(write=False)
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -101,9 +92,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class CSRGraph:
     """An immutable CSR snapshot of an undirected simple graph.
 
-    Instances are built through :meth:`from_graph` / :meth:`from_edge_arrays`
-    (or, usually, obtained from :meth:`repro.graphs.graph.Graph.csr`); the
-    constructor trusts its inputs and is not part of the public API.
+    Instances are built through :meth:`from_edge_arrays` (or, usually,
+    obtained from :meth:`repro.graphs.graph.Graph.csr`); the constructor
+    trusts its inputs and is not part of the public API.
     """
 
     __slots__ = (
@@ -155,21 +146,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_graph(cls, graph: "Graph") -> "CSRGraph":
-        """Snapshot a mutable :class:`Graph` (neighbour rows sorted)."""
-        adjacency = graph._adjacency
-        num_nodes = graph.num_nodes
-        degrees = np.fromiter(
-            (len(adj) for adj in adjacency), dtype=np.int64, count=num_nodes
-        )
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for node in range(num_nodes):
-            indices[indptr[node] : indptr[node + 1]] = sorted(adjacency[node])
-        return cls(num_nodes, indptr, indices, *_canonical_edges(indptr, indices))
-
     @classmethod
     def from_edge_arrays(
         cls, num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
@@ -708,19 +684,3 @@ def triangles_by_group(
         return empty
     return np.concatenate(out_groups), np.concatenate(out_keys)
 
-
-def _canonical_edges(
-    indptr: np.ndarray, indices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Derive the canonical edge arrays from sorted CSR rows."""
-    num_nodes = indptr.shape[0] - 1
-    if indices.shape[0] == 0:
-        return _EMPTY_INT64.copy(), _EMPTY_INT64.copy()
-    sources = np.repeat(
-        np.arange(num_nodes, dtype=np.int64), indptr[1:] - indptr[:-1]
-    )
-    forward = indices > sources
-    return (
-        np.ascontiguousarray(sources[forward]),
-        np.ascontiguousarray(indices[forward]),
-    )

@@ -23,13 +23,13 @@ the regimes the analysis distinguishes:
 Every generator takes an explicit ``seed`` (or ``rng``) so that experiments
 are reproducible.
 
-All hot generators build their edge sets as numpy arrays and construct the
-graph in one :meth:`~repro.graphs.graph.Graph.from_edge_arrays` bulk pass
-(which also pre-populates the CSR view), so generation cost is dominated by
-sampling, not per-edge Python calls.  ``G(n, p)`` picks between direct
-upper-triangle masking (small instances, bit-for-bit the sampling order of
-the original implementation) and geometric gap skipping (large sparse
-instances, expected ``O(m)`` draws instead of ``O(n²)``).
+Every generator builds its edge set as numpy arrays and constructs the
+graph in one :meth:`~repro.graphs.graph.Graph.from_edge_arrays` bulk pass,
+so generation cost is dominated by sampling, not per-edge Python calls.
+``G(n, p)`` picks between direct upper-triangle masking (small instances,
+bit-for-bit the sampling order of the original implementation) and
+geometric gap skipping (large sparse instances, expected ``O(m)`` draws
+instead of ``O(n²)``).
 """
 
 from __future__ import annotations
@@ -136,10 +136,24 @@ def gnp_random_graph(
         positions = np.flatnonzero(rng.random(total) < edge_probability)
     else:
         positions = _gnp_positions_by_skipping(total, edge_probability, rng)
-    if positions.shape[0] == 0:
-        return Graph(num_nodes)
     u, v = _linear_index_to_pair(positions, num_nodes)
     return Graph.from_edge_arrays(num_nodes, u, v, deduplicate=False)
+
+
+def _bipartite_edges(
+    num_nodes: int, edge_probability: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample the edge arrays of :func:`triangle_free_bipartite`."""
+    if not 0.0 <= edge_probability <= 1.0:
+        raise GraphError(
+            f"edge_probability must lie in [0, 1], got {edge_probability}"
+        )
+    split = (num_nodes + 1) // 2
+    other = num_nodes - split
+    if split == 0 or other == 0 or edge_probability == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    u, col = np.nonzero(rng.random((split, other)) < edge_probability)
+    return u, col + split
 
 
 def triangle_free_bipartite(
@@ -154,29 +168,14 @@ def triangle_free_bipartite(
     ``edge_probability``.  Used for the "not found" branch of triangle
     finding and for the triangle-freeness certification example.
     """
-    if not 0.0 <= edge_probability <= 1.0:
-        raise GraphError(
-            f"edge_probability must lie in [0, 1], got {edge_probability}"
-        )
-    rng = _resolve_rng(seed)
-    split = (num_nodes + 1) // 2
-    other = num_nodes - split
-    if split == 0 or other == 0 or edge_probability == 0.0:
-        return Graph(num_nodes)
-    mask = rng.random((split, other)) < edge_probability
-    u, col = np.nonzero(mask)
-    if u.shape[0] == 0:
-        return Graph(num_nodes)
-    return Graph.from_edge_arrays(num_nodes, u, col + split, deduplicate=False)
+    u, v = _bipartite_edges(num_nodes, edge_probability, _resolve_rng(seed))
+    return Graph.from_edge_arrays(num_nodes, u, v, deduplicate=False)
 
 
 def cycle_graph(num_nodes: int) -> Graph:
     """Return the cycle ``C_n`` (triangle-free for ``n != 3``)."""
     if num_nodes < 3:
-        graph = Graph(num_nodes)
-        if num_nodes == 2:
-            graph.add_edge(0, 1)
-        return graph
+        return Graph(num_nodes, [(0, 1)] if num_nodes == 2 else ())
     u = np.arange(num_nodes, dtype=np.int64)
     return Graph.from_edge_arrays(num_nodes, u, (u + 1) % num_nodes, deduplicate=False)
 
@@ -208,20 +207,17 @@ def planted_triangle_graph(
             f"{num_nodes} vertices"
         )
     rng = _resolve_rng(seed)
-    graph = triangle_free_bipartite(num_nodes, background_probability, rng)
+    background_u, background_v = _bipartite_edges(num_nodes, background_probability, rng)
     vertices = rng.permutation(num_nodes)
-    planted: List[Tuple[int, int, int]] = []
-    for index in range(num_planted):
-        a, b, c = (
-            int(vertices[3 * index]),
-            int(vertices[3 * index + 1]),
-            int(vertices[3 * index + 2]),
-        )
-        graph.add_edge(a, b)
-        graph.add_edge(a, c)
-        graph.add_edge(b, c)
-        planted.append(tuple(sorted((a, b, c))))  # type: ignore[arg-type]
-    return graph, sorted(planted)
+    triples = np.sort(vertices[: 3 * num_planted].reshape(num_planted, 3), axis=1)
+    a, b, c = triples.T
+    # A planted edge may repeat a background edge, so deduplicate.
+    graph = Graph.from_edge_arrays(
+        num_nodes,
+        np.concatenate((background_u, a, a, b)),
+        np.concatenate((background_v, b, c, c)),
+    )
+    return graph, sorted(map(tuple, triples.tolist()))
 
 
 def heavy_edge_gadget(
@@ -396,15 +392,12 @@ def lollipop_graph(clique_size: int, path_length: int) -> Graph:
     num_nodes = clique_size + path_length
     clique_u, clique_v = _complete_block_edges(0, clique_size)
     path_u = np.arange(clique_size - 1, num_nodes - 1, dtype=np.int64)
-    path_v = path_u + 1
-    if path_u.shape[0] and clique_size >= 1:
-        u = np.concatenate((clique_u, path_u))
-        v = np.concatenate((clique_v, path_v))
-    else:
-        u, v = clique_u, clique_v
-    if u.shape[0] == 0:
-        return Graph(num_nodes)
-    return Graph.from_edge_arrays(num_nodes, u, v, deduplicate=False)
+    return Graph.from_edge_arrays(
+        num_nodes,
+        np.concatenate((clique_u, path_u)),
+        np.concatenate((clique_v, path_u + 1)),
+        deduplicate=False,
+    )
 
 
 def union_of_cliques(

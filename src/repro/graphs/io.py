@@ -104,13 +104,17 @@ def _read(handle: TextIO) -> Graph:
         num_nodes = int(header[len("# nodes "):].strip())
     except ValueError as exc:
         raise GraphError(f"could not parse node count from header {header!r}") from exc
-    graph = Graph(num_nodes)
-    for line_number, line in enumerate(handle, start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        graph.add_edge(*_parse_edge_line(stripped, line_number))
-    return graph
+    pairs = []
+    try:
+        for line_number, line in enumerate(handle, start=2):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                pairs.append(_parse_edge_line(stripped, line_number))
+    except GraphError:
+        # An invalid edge on an earlier line is reported first.
+        Graph(num_nodes, pairs)
+        raise
+    return Graph(num_nodes, pairs)
 
 
 def read_edge_stream(source: Union[PathLike, TextIO]):

@@ -43,9 +43,10 @@ def iter_triangles_reference(graph: Graph) -> Iterator[Triangle]:
     revision of this loop) no redundant membership test against that list
     is needed — only adjacency of ``v`` and ``w`` has to be checked.
 
-    Kept deliberately independent of :mod:`repro.graphs.csr`: the test
-    suite asserts the vectorized oracle agrees with this loop on every
-    workload family.
+    Kept deliberately independent of the vectorized oracle in
+    :mod:`repro.graphs.csr` (it reads only neighbour lists): the test
+    suite asserts the oracle agrees with this loop on every workload
+    family.
     """
     for u in graph.nodes():
         higher = [v for v in graph.sorted_neighbors(u) if v > u]

@@ -1,9 +1,13 @@
 """Unit tests for the Graph representation."""
 
+import io
+
+import numpy as np
 import pytest
 
+from repro.dynamic.delta import DeltaGraph
 from repro.errors import GraphError
-from repro.graphs import Graph, is_connected
+from repro.graphs import CSRGraph, Graph, gnp_random_graph, is_connected, read_edge_list
 
 
 class TestGraphConstruction:
@@ -38,20 +42,6 @@ class TestGraphConstruction:
     def test_edge_to_missing_vertex_rejected(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, 5)])
-
-    def test_from_adjacency(self):
-        graph = Graph.from_adjacency({0: [1, 2], 1: [2]})
-        assert graph.num_nodes == 3
-        assert graph.num_edges == 3
-
-    def test_from_adjacency_explicit_size(self):
-        graph = Graph.from_adjacency({0: [1]}, num_nodes=5)
-        assert graph.num_nodes == 5
-        assert graph.num_edges == 1
-
-    def test_from_edge_list(self):
-        graph = Graph.from_edge_list(4, [(0, 1), (1, 2)])
-        assert graph.num_edges == 2
 
 
 class TestGraphQueries:
@@ -122,30 +112,7 @@ class TestGraphQueries:
         assert "num_nodes=3" in repr(Graph(3, [(0, 1)]))
 
 
-class TestGraphMutation:
-    def test_add_edge_returns_true_when_new(self):
-        graph = Graph(3)
-        assert graph.add_edge(0, 1) is True
-        assert graph.add_edge(0, 1) is False
-
-    def test_remove_edge(self):
-        graph = Graph(3, [(0, 1)])
-        assert graph.remove_edge(0, 1) is True
-        assert graph.num_edges == 0
-        assert graph.remove_edge(0, 1) is False
-
-    def test_remove_nonexistent_edge_noop(self):
-        graph = Graph(3, [(0, 1)])
-        assert graph.remove_edge(1, 2) is False
-        assert graph.num_edges == 1
-
-    def test_copy_is_independent(self):
-        graph = Graph(3, [(0, 1)])
-        clone = graph.copy()
-        clone.add_edge(1, 2)
-        assert graph.num_edges == 1
-        assert clone.num_edges == 2
-
+class TestGraphEquality:
     def test_equality(self):
         a = Graph(3, [(0, 1)])
         b = Graph(3, [(1, 0)])
@@ -157,38 +124,6 @@ class TestGraphMutation:
     def test_graphs_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(Graph(2))
-
-
-class TestInducedSubgraph:
-    def test_membership_and_edges(self):
-        graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        view = graph.induced_subgraph([1, 2, 3])
-        assert view.num_nodes == 3
-        assert view.has_edge(1, 2)
-        assert not view.has_edge(3, 4)
-        assert list(view.edges()) == [(1, 2), (2, 3)]
-        assert view.num_edges() == 2
-
-    def test_neighbors_restricted(self):
-        graph = Graph(5, [(0, 1), (1, 2), (1, 4)])
-        view = graph.induced_subgraph([0, 1, 2])
-        assert view.neighbors(1) == frozenset({0, 2})
-
-    def test_invalid_vertex_rejected(self):
-        graph = Graph(3)
-        with pytest.raises(GraphError):
-            graph.induced_subgraph([0, 9])
-
-    def test_query_outside_view_rejected(self):
-        graph = Graph(4, [(0, 1)])
-        view = graph.induced_subgraph([0, 1])
-        with pytest.raises(GraphError):
-            view.neighbors(3)
-
-    def test_repr(self):
-        graph = Graph(4, [(0, 1)])
-        view = graph.induced_subgraph([0, 1])
-        assert "InducedSubgraph" in repr(view)
 
 
 class TestGraphHelpers:
@@ -205,56 +140,90 @@ class TestGraphHelpers:
         assert is_connected(Graph(1))
 
 
-class TestCsrThreadSafety:
-    def test_concurrent_readers_and_mutator_get_consistent_snapshots(self):
-        """Regression: the lazy CSR build races mutation without the lock.
+def _reachable(root):
+    """Every object reachable from ``root`` through ``__slots__``."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        for slot in getattr(type(obj), "__slots__", ()):
+            if hasattr(obj, slot):
+                stack.append(getattr(obj, slot))
 
-        Readers hammer ``csr()`` while a writer flips edges.  Every
-        returned view must be internally consistent — a torn snapshot
-        (adjacency mutated mid-build) shows up as indptr/indices length
-        disagreement, unsorted rows, or asymmetric edges.
-        """
-        import threading
 
-        from repro.graphs import gnp_random_graph
+class TestOneRepresentation:
+    """A Graph is its CSR core: immutable, and built the same way by every door."""
 
-        graph = gnp_random_graph(60, 0.2, seed=3)
-        stop = threading.Event()
-        problems = []
+    EDGES = [(0, 3), (3, 1), (1, 0), (2, 4), (4, 2), (0, 3), (5, 1)]
 
-        def reader():
-            while not stop.is_set():
-                view = graph.csr()
-                indptr, indices = view.indptr, view.indices
-                if int(indptr[-1]) != indices.shape[0]:
-                    problems.append("indptr total disagrees with indices length")
-                    return
-                if view.edge_u.shape[0] * 2 != indices.shape[0]:
-                    problems.append("edge list disagrees with adjacency size")
-                    return
+    def test_graph_has_no_mutators(self):
+        assert not hasattr(Graph, "add_edge")
+        assert not hasattr(Graph, "remove_edge")
 
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in readers:
-            thread.start()
-        try:
-            for round_number in range(300):
-                u = round_number % 59
-                if graph.has_edge(u, u + 1):
-                    graph.remove_edge(u, u + 1)
-                else:
-                    graph.add_edge(u, u + 1)
-        finally:
-            stop.set()
-            for thread in readers:
-                thread.join()
-        assert problems == []
+    @pytest.mark.parametrize("probability", [0.05, 0.2, 0.6])
+    def test_every_reachable_array_is_read_only(self, probability):
+        graph = gnp_random_graph(40, probability, seed=4)
+        csr = graph.csr()
+        # Populate every lazily built cache of the core first.
+        csr.triangles()
+        csr.edge_support()
+        csr.has_edges(np.arange(40), np.arange(40)[::-1])
+        csr._edge_key_array()
+        csr._bit_matrix()
+        if csr._use_dense():
+            csr._packed_matrix()
+        reached = list(_reachable(graph))
+        assert {type(obj) for obj in reached} <= {Graph, CSRGraph, np.ndarray, int, type(None)}
+        arrays = [obj for obj in reached if isinstance(obj, np.ndarray)]
+        assert len(arrays) >= 4
+        assert not any(array.flags.writeable for array in arrays)
 
-    def test_pickled_graph_keeps_working(self):
-        """The lock is process-local state and must survive a round trip."""
-        import pickle
+    def test_every_door_builds_the_same_arrays(self):
+        u, v = zip(*self.EDGES)
+        delta = DeltaGraph(Graph(6, self.EDGES[:2]))
+        delta.apply_batch(insert=self.EDGES[2:] + [(2, 5)])
+        delta.apply_batch(delete=[(2, 5)])
+        text = "# nodes 6\n" + "".join(f"{a} {b}\n" for a, b in self.EDGES)
+        graphs = [
+            Graph(6, self.EDGES),
+            Graph.from_edge_arrays(6, np.array(u), np.array(v)),
+            read_edge_list(io.StringIO(text)),
+            delta.snapshot.materialize(),
+        ]
+        first = graphs[0].csr()
+        assert graphs[0].edge_list() == [(0, 1), (0, 3), (1, 3), (1, 5), (2, 4)]
+        for graph in graphs[1:]:
+            assert graph == graphs[0]
+            csr = graph.csr()
+            for name in ("indptr", "indices", "edge_u", "edge_v"):
+                mine, theirs = getattr(csr, name), getattr(first, name)
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
 
-        graph = Graph(4, [(0, 1), (1, 2)])
-        clone = pickle.loads(pickle.dumps(graph))
-        assert clone == graph
-        clone.add_edge(0, 3)
-        assert clone.csr().num_edges == 3
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1), (1, 1), (0, 5)], "self-loops are not allowed (vertex 1)"),
+            ([(0, 1), (4, 0), (1, 1)], "vertex 4 is not in the graph (valid range: 0..2)"),
+            ([(2, -1)], "vertex -1 is not in the graph (valid range: 0..2)"),
+        ],
+    )
+    def test_invalid_edge_messages(self, edges, message):
+        with pytest.raises(GraphError) as constructed:
+            Graph(3, edges)
+        assert str(constructed.value) == message
+        text = "# nodes 3\n" + "".join(f"{a} {b}\n" for a, b in edges)
+        with pytest.raises(GraphError) as read:
+            read_edge_list(io.StringIO(text))
+        assert str(read.value) == message
+
+    def test_read_reports_the_first_bad_line(self):
+        with pytest.raises(GraphError) as read:
+            read_edge_list(io.StringIO("# nodes 3\n1 0\n0 7\nx y\n"))
+        assert str(read.value) == "vertex 7 is not in the graph (valid range: 0..2)"
+        with pytest.raises(GraphError) as read:
+            read_edge_list(io.StringIO("# nodes 3\n1 0\n0 1 2\n0 7\n"))
+        assert str(read.value) == "line 3: expected 'u v', got '0 1 2'"

@@ -97,3 +97,20 @@ def test_trajectory_reads_the_quick_record(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "baseline=20.000 current=5.000 [REGRESSED]" in out
     assert "baseline=10.000 current=9.000 [ok]" in out
+
+
+def test_full_size_slots_hold_no_quick_record():
+    """A quick record in a full-size slot is judged against the full-size
+    baseline, so it reads as a regression that no full-size run made."""
+    full_slots = [
+        path
+        for path in sorted((BENCHMARKS_DIR / "results").glob("BENCH_*.json"))
+        if ".quick" not in path.name
+    ]
+    assert full_slots
+    misplaced = [
+        path.name
+        for path in full_slots
+        if json.loads(path.read_text(encoding="utf-8")).get("quick") is True
+    ]
+    assert misplaced == []
