@@ -333,3 +333,13 @@ class TestWorkloadCacheLRU:
         second = _cell_graph(self._cell(12, 5))
         assert first is second
         assert len(_GRAPH_CACHE) == 1
+
+    def test_cached_graph_cannot_be_changed_by_a_cell(self):
+        """Cells share the cached workload, so no cell may change it."""
+        cached = _cell_graph(self._cell(12, 6))
+        assert not hasattr(cached, "add_edge")
+        core = cached.csr()
+        for array in (core.indptr, core.indices, core.edge_u, core.edge_v):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert _cell_graph(self._cell(12, 6)) is cached

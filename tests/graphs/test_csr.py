@@ -355,6 +355,16 @@ class TestBulkBuilder:
             Graph.from_edge_arrays(4, [-1], [2])
 
 
+    def test_prebuilds_csr_cache(self):
+        """The core is built with the graph, so ``csr()`` only hands it out."""
+        graph = Graph.from_edge_arrays(6, [0, 2], [1, 3])
+        core = graph.csr()
+        assert isinstance(core, CSRGraph)
+        assert graph.csr() is core
+        assert core.num_edges == 2
+        assert core.edge_u.tolist() == [0, 2] and core.edge_v.tolist() == [1, 3]
+
+
 class TestBulkEdgeMembership:
     def test_has_edges_matches_scalar_oracle(self):
         graph = gnp_random_graph(50, 0.2, seed=1)

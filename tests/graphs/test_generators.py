@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs import (
+    Graph,
     barabasi_albert_graph,
     complete_graph,
     count_triangles,
@@ -230,3 +231,36 @@ class TestLollipopAndCliqueUnion:
         graph = union_of_cliques([1, 1, 2])
         assert graph.num_nodes == 4
         assert graph.num_edges == 1
+
+
+_CANONICAL_CASES = {
+    "complete": lambda: complete_graph(7),
+    "gnp": lambda: gnp_random_graph(40, 0.3, seed=2),
+    "bipartite": lambda: triangle_free_bipartite(30, 0.4, seed=1),
+    "cycle": lambda: cycle_graph(9),
+    "cycle-of-two": lambda: cycle_graph(2),
+    "planted": lambda: planted_triangle_graph(30, 4, background_probability=0.3, seed=3)[0],
+    "heavy-edge": lambda: heavy_edge_gadget(20, 8, background_probability=0.3, seed=1)[0],
+    "barabasi-albert": lambda: barabasi_albert_graph(30, 3, seed=5),
+    "random-regular": lambda: random_regular_graph(14, 3, seed=2),
+    "lollipop": lambda: lollipop_graph(5, 4),
+    "clique-union": lambda: union_of_cliques([5, 4, 3]),
+}
+
+
+class TestCanonicalCores:
+    """Several generators skip the deduplicating pass; the cores they build
+    must still be canonical, i.e. what the deduplicating build gives."""
+
+    @pytest.mark.parametrize("name", sorted(_CANONICAL_CASES))
+    def test_core_equals_the_deduplicating_build(self, name):
+        graph = _CANONICAL_CASES[name]()
+        core = graph.csr()
+        keys = core.edge_u * graph.num_nodes + core.edge_v
+        assert (core.edge_u < core.edge_v).all()
+        assert (np.diff(keys) > 0).all()
+        rebuilt = Graph.from_edge_arrays(
+            graph.num_nodes, core.edge_v[::-1], core.edge_u[::-1]
+        ).csr()
+        for field in ("indptr", "indices", "edge_u", "edge_v"):
+            assert getattr(rebuilt, field).tobytes() == getattr(core, field).tobytes()

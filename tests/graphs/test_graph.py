@@ -140,6 +140,64 @@ class TestGraphHelpers:
         assert is_connected(Graph(1))
 
 
+class TestCsrThreadSafety:
+    def test_concurrent_readers_get_consistent_answers(self):
+        """With no lock, threads that race to build the core's lazy caches
+        must still all see the one graph: the same core object, and the
+        triangles, supports and memberships a fresh rebuild computes."""
+        import threading
+
+        graph = gnp_random_graph(60, 0.3, seed=3)
+        core = graph.csr()
+        u = np.arange(60).repeat(60)
+        v = np.tile(np.arange(60), 60)
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def reader():
+            barrier.wait()
+            view = graph.csr()
+            seen.append((
+                view,
+                view.triangles().tobytes(),
+                view.edge_support().tobytes(),
+                view.has_edges(u, v).tobytes(),
+                graph.neighbors(7),
+            ))
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join()
+        fresh = CSRGraph.from_edge_arrays(60, core.edge_u, core.edge_v)
+        expected = (
+            core,
+            fresh.triangles().tobytes(),
+            fresh.edge_support().tobytes(),
+            fresh.has_edges(u, v).tobytes(),
+            frozenset(fresh.neighbor_slice(7).tolist()),
+        )
+        assert seen == [expected] * 4
+
+    def test_pickled_graph_keeps_working(self):
+        """A round-tripped graph answers every query as the original does,
+        and its core is as read-only as the original's."""
+        import pickle
+
+        graph = gnp_random_graph(30, 0.3, seed=5)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == graph
+        assert clone.edge_list() == graph.edge_list()
+        for node in graph.nodes():
+            assert clone.neighbors(node) == graph.neighbors(node)
+            assert clone.degree(node) == graph.degree(node)
+        assert clone.common_neighbors(0, 1) == graph.common_neighbors(0, 1)
+        assert clone.csr().triangles().tolist() == graph.csr().triangles().tolist()
+        assert not clone.csr().indices.flags.writeable
+        assert not hasattr(clone, "add_edge")
+
+
 def _reachable(root):
     """Every object reachable from ``root`` through ``__slots__``."""
     seen, stack = set(), [root]
@@ -219,6 +277,16 @@ class TestOneRepresentation:
         with pytest.raises(GraphError) as read:
             read_edge_list(io.StringIO(text))
         assert str(read.value) == message
+
+    def test_mismatched_endpoint_arrays_rejected(self):
+        with pytest.raises(GraphError) as built:
+            Graph.from_edge_arrays(4, [0, 1], [2])
+        assert str(built.value) == "endpoint arrays disagree in length: 2 vs 1"
+
+    def test_non_pair_edges_rejected(self):
+        with pytest.raises(GraphError) as built:
+            Graph(4, [(0, 1, 2)])
+        assert str(built.value) == "edges must be (u, v) vertex pairs"
 
     def test_read_reports_the_first_bad_line(self):
         with pytest.raises(GraphError) as read:
