@@ -17,7 +17,8 @@ heavy fan-out (A2's edge shipping, the clique router) use them.
 
 Output goes to the network's :class:`OutputTable`, which the simulator owns
 and every context shares: one table of run-encoded key chunks that the
-batched kernels append to directly, without any context.
+batched kernels append to directly, without any context, plus deferred
+sources whose per-node chunks are listed only when something reads them.
 """
 
 from __future__ import annotations
@@ -74,14 +75,33 @@ class OutputTable:
     never as a per-key column.  Keys may repeat, within and across nodes;
     readers deduplicate, and a node's set is grouped out of the chunks only
     when something reads it (:meth:`node_keys`).
+
+    A kernel whose per-node output is a pure function of state it already
+    holds may hand the table a *deferred source* instead of chunks
+    (:meth:`defer`).  A source offers ``union_keys()``, the sorted distinct
+    keys of its whole output, and ``chunks()``, its per-node chunks, listed
+    on the first call and kept.  Union readers take the source's union;
+    only a per-node reader (:attr:`chunks` and everything built on it)
+    makes a source list its chunks.
     """
 
-    __slots__ = ("num_nodes", "_chunks", "_scalar_nodes", "_scalar_keys", "_pairs")
+    __slots__ = (
+        "num_nodes",
+        "_chunks",
+        "_sources",
+        "_scalar_nodes",
+        "_scalar_keys",
+        "_pairs",
+    )
 
-    def __init__(self, num_nodes: int, chunks: Iterable[Tuple] = ()) -> None:
+    def __init__(
+        self, num_nodes: int, chunks: Iterable[Tuple] = (), sources: Iterable = ()
+    ) -> None:
         #: Network size ``n`` of the key encoding.
         self.num_nodes = num_nodes
         self._chunks = list(chunks)
+        # Deferred sources, in the table's key space.
+        self._sources = list(sources)
         # Scalar reports wait here, one (node, key) pair per report.
         self._scalar_nodes: List[int] = []
         self._scalar_keys: List[int] = []
@@ -119,12 +139,31 @@ class OutputTable:
         self._scalar_nodes, self._scalar_keys = [], []
         self.emit_grouped(nodes, keys)
 
+    def defer(self, source: Any) -> None:
+        """Credit a deferred source's output (see the class docstring)."""
+        self._sources.append(source)
+        self._pairs = None
+
     @property
-    def chunks(self) -> List[Tuple[np.ndarray, ...]]:
-        """Every chunk, buffered scalar reports flushed first."""
+    def raw_chunks(self) -> List[Tuple[np.ndarray, ...]]:
+        """The chunks written directly, buffered scalar reports flushed first."""
         if self._scalar_keys:
             self._flush_scalars()
         return self._chunks
+
+    @property
+    def sources(self) -> List[Any]:
+        """The deferred sources, none of them listed by this read."""
+        return self._sources
+
+    @property
+    def chunks(self) -> List[Tuple[np.ndarray, ...]]:
+        """Every chunk: the raw ones, then each deferred source's, listed."""
+        if not self._sources:
+            return self.raw_chunks
+        return self.raw_chunks + [
+            chunk for source in self._sources for chunk in source.chunks()
+        ]
 
     def report_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the distinct ``(node, key)`` reports, sorted by node then key.

@@ -33,9 +33,13 @@ Two execution kernels implement the protocol:
   sender's neighbour block on demand instead.  The filtered edge batches
   ship through the typed columnar plane
   (:data:`repro.congest.wire.A2_EDGE_SCHEMA`) on the **direct-exchange**
-  path.  Step 3 on dense graphs lists every receiver's ``F_i`` straight
-  from ``Z``, the shipping mask and the adjacency, in one sweep of
-  ``(receiver, zero vertex)`` row blocks; on sparse graphs it is one
+  path.  Step 3 on dense graphs is deferred: every receiver's ``F_i`` is
+  a function of ``Z``, the shipping mask and the adjacency, so the output
+  table keeps that structure (:class:`DenseHeavyListing`).  The union of
+  all receivers' triangles is computed from it directly, one OR of
+  shipping-mask rows per edge, and each receiver's own triangles are
+  listed, in one sweep of ``(receiver, zero vertex)`` row blocks, only
+  when a per-node reader asks.  On sparse graphs step 3 is one
   whole-network grouped oracle call
   (:func:`repro.graphs.csr.triangles_by_group`) over the
   destination-grouped channel columns.  No per-node inboxes or views
@@ -46,8 +50,9 @@ Two execution kernels implement the protocol:
 Both kernels draw per-node randomness identically, so a seeded run produces
 the same round counts, link-bit maxima and triangle outputs on either path;
 the differential suite (``tests/core/test_batched_kernels.py``) enforces
-this on every workload family, and pins the dense steps 2 and 3 against
-the on-demand step 2 and the grouped oracle.
+this on every workload family, and pins the dense steps 2 and 3, the
+direct union included, against the on-demand step 2 and the grouped
+oracle.
 """
 
 from __future__ import annotations
@@ -62,12 +67,12 @@ from ..congest.backends import (
     hash_zero_block,
     packed_popcount,
 )
-from ..congest.node import NodeContext
+from ..congest.node import NodeContext, OutputTable
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A2_EDGE_SCHEMA, HashDescriptorSchema, edge_bits
 from ..graphs.csr import triangles_by_group
 from ..hashing.kwise import KWiseIndependentFamily
-from ..types import Edge, make_edge, triangle_keys
+from ..types import Edge, make_edge, sorted_unique, triangle_keys
 from .base import TriangleAlgorithm, dense_pair_matrix_worthwhile, validate_kernel
 from .parameters import a2_edge_set_cap, a2_hash_range
 
@@ -303,11 +308,14 @@ class HeavyHashingLister(TriangleAlgorithm):
         received set ``F_i`` is a pure function of the
         hash-zero matrix ``Z``, the shipping mask ``S`` and the adjacency
         — an edge ``{u, v}`` is in ``F_i`` iff one endpoint shipped to
-        ``i`` and the other hashes to zero — so the kernel enumerates
-        candidate triples straight from that structure
-        (:func:`_list_fused_dense`).  On sparse graphs the grouped channel
-        columns feed one whole-network grouped oracle call
-        (:func:`repro.graphs.csr.triangles_by_group`).
+        ``i`` and the other hashes to zero — so step 3 is deferred.  The
+        output table gets a :class:`DenseHeavyListing` over that
+        structure, whose union is computed directly
+        (:func:`_dense_union`) and whose per-receiver triangles are
+        enumerated (:func:`_list_fused_dense`) only when a per-node reader
+        asks; a pass in which nothing shipped defers nothing.  On sparse
+        graphs the grouped channel columns feed one whole-network grouped
+        oracle call (:func:`repro.graphs.csr.triangles_by_group`).
         """
         num_nodes = simulator.num_nodes
         coefficients = self._stage_hashes(simulator, family)
@@ -318,7 +326,12 @@ class HeavyHashingLister(TriangleAlgorithm):
         delivered = simulator.exchange_phase("A2:send-filtered-edges")
 
         if zero_mask is not None:
-            _list_fused_dense(simulator, zero_mask, senders, targets)
+            if targets.shape[0]:
+                simulator.output_table.defer(
+                    DenseHeavyListing(
+                        simulator.graph.csr(), zero_mask, senders, targets
+                    )
+                )
             return False
         channel = delivered.channel(A2_EDGE_SCHEMA)
         if channel.count:
@@ -419,8 +432,126 @@ def _filtered_edges_on_demand(
     )
 
 
+class DenseHeavyListing:
+    """A2's dense step-3 output, kept as the structure it is a function of.
+
+    Every receiver's ``F_i`` — hence its listed triangles — is fixed by the
+    hash-zero matrix ``Z``, the shipped (sender, target) pairs and the
+    adjacency, so the output table holds this deferred source instead of
+    key chunks (:meth:`repro.congest.node.OutputTable.defer`).
+    :meth:`union_keys` computes the union of every receiver's triangles
+    directly (:func:`_dense_union`), without listing a receiver's copy;
+    :meth:`chunks` runs the per-receiver enumeration
+    (:func:`_list_fused_dense`) on its first call and keeps its chunks.
+    """
+
+    __slots__ = ("_csr", "_zero_mask", "_senders", "_targets", "_chunks")
+
+    def __init__(
+        self, csr, zero_mask: np.ndarray, senders: np.ndarray, targets: np.ndarray
+    ) -> None:
+        self._csr = csr
+        self._zero_mask = zero_mask
+        self._senders = senders
+        self._targets = targets
+        self._chunks: Optional[List[Tuple[np.ndarray, ...]]] = None
+
+    def union_keys(self) -> np.ndarray:
+        """The sorted distinct keys every receiver lists, computed on each call."""
+        return _dense_union(self._csr, self._zero_mask, self._senders, self._targets)
+
+    def chunks(self) -> List[Tuple[np.ndarray, ...]]:
+        """Every receiver's keys as output chunks, listed once."""
+        if self._chunks is None:
+            table = OutputTable(self._csr.num_nodes)
+            _list_fused_dense(
+                table,
+                self._csr._bool_matrix(),
+                self._zero_mask,
+                self._senders,
+                self._targets,
+            )
+            self._chunks = table.chunks
+        return self._chunks
+
+
+def _dense_union(
+    csr, zero_mask: np.ndarray, senders: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """The union of every receiver's step-3 triangles, without listing any.
+
+    By :func:`_list_fused_dense`'s orientation argument, a triangle
+    ``{x, y, z}`` is in some ``F_i`` exactly when there is an edge
+    ``{y, z}`` and a receiver ``i`` with::
+
+        Z_i(y) ∧ Z_i(z) ∧ (S_i(y) ∨ S_i(z))   and   x ∈ S_i ∩ N(y) ∩ N(z)
+
+    So, edge by edge, the thirds of the union are the OR of the packed
+    ``S_i`` rows over the receivers ``i`` that catch the edge (one
+    ``bitwise_or.reduceat`` over all caught edges of a block, on uint64
+    words), ANDed with the packed adjacency rows of ``y`` and ``z``.  The
+    canonical edges stream in blocks sized by
+    :func:`~repro.congest.backends.fused_chunk_rows`.  A triangle comes out
+    at most once per edge, so at most three times; the keys are
+    deduplicated once at the end.
+    """
+    num_nodes = zero_mask.shape[0]
+    shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
+    shipped[targets, senders] = True
+    # Row v of the transposes: the receivers i with Z_i(v), with S_i(v).
+    zero_at = np.ascontiguousarray(zero_mask.T)
+    shipped_at = np.ascontiguousarray(shipped.T)
+    shipped_words = _as_words(np.packbits(shipped, axis=1))
+    adjacency_words = _as_words(csr._packed_matrix())
+    edge_ys, edge_zs = csr.edge_u, csr.edge_v
+    key_blocks = []
+    step = fused_chunk_rows(num_nodes)
+    for start in range(0, edge_ys.shape[0], step):
+        end = start + step
+        ys = edge_ys[start:end]
+        zs = edge_zs[start:end]
+        catchers = zero_at[ys] & zero_at[zs]
+        catchers &= shipped_at[ys] | shipped_at[zs]
+        flat = np.flatnonzero(catchers)
+        if flat.shape[0] == 0:
+            continue
+        caught = flat // num_nodes
+        receivers = flat - caught * num_nodes
+        firsts = np.flatnonzero(np.concatenate(([True], caught[1:] != caught[:-1])))
+        caught = caught[firsts]
+        thirds = np.bitwise_or.reduceat(shipped_words[receivers], firsts, axis=0)
+        ys = ys[caught]
+        zs = zs[caught]
+        thirds &= adjacency_words[ys]
+        thirds &= adjacency_words[zs]
+        flat = np.flatnonzero(
+            np.unpackbits(thirds.view(np.uint8), axis=1, count=num_nodes)
+        )
+        edge = flat // num_nodes
+        x = flat - edge * num_nodes
+        y = ys[edge]
+        z = zs[edge]
+        lo = np.minimum(x, y)
+        hi = np.maximum(x, z)
+        key_blocks.append(triangle_keys(lo, x + y + z - lo - hi, hi, num_nodes))
+    return sorted_unique(*key_blocks)
+
+
+def _as_words(packed: np.ndarray) -> np.ndarray:
+    """Bit-packed ``uint8`` rows as ``uint64`` words, each row zero-padded.
+
+    The bytes keep their order, so viewing a word row as ``uint8`` gives
+    the packed row back for ``unpackbits``; word-wide ORs and ANDs touch
+    an eighth of the elements a byte-wide one does.
+    """
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
+
+
 def _list_fused_dense(
-    simulator: CongestSimulator,
+    output: OutputTable,
+    adjacency: np.ndarray,
     zero_mask: np.ndarray,
     senders: np.ndarray,
     targets: np.ndarray,
@@ -455,12 +586,15 @@ def _list_fused_dense(
     hits with ``flatnonzero``.  Rows stay in ``(i, y, z)`` order, so
     receivers ascend within each block.  No loop runs over receivers or
     senders; the only loops are over blocks.
+
+    This is the per-node listing of a deferred :class:`DenseHeavyListing`:
+    it runs on a per-node reader's first read and writes into the
+    source's own ``output`` table.  The union never needs it
+    (:func:`_dense_union`).
     """
     if targets.shape[0] == 0:
         return
     num_nodes = zero_mask.shape[0]
-    output = simulator.output_table
-    adjacency = simulator.graph.csr()._bool_matrix()
     upper = np.triu(adjacency, k=1)
     shipped = np.zeros((num_nodes, num_nodes), dtype=bool)
     shipped[targets, senders] = True

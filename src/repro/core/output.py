@@ -13,12 +13,16 @@ correctness and round complexity from a single object.
 
 The output tuple is stored as **int64 triangle keys only**, in the
 simulator's :class:`~repro.congest.node.OutputTable`: key chunks whose
-receivers are stored as runs.  The per-node frozensets of canonical tuples
-— millions of Python objects on dense workloads — are only decoded for the
-nodes a consumer actually reads, and a node's keys are grouped out of the
-chunks only then.  Counts, the union and node-wise merging all run as
-numpy key reductions, so an end-to-end run never builds a tuple it does
-not return.
+receivers are stored as runs, plus deferred sources (A2's dense step 3)
+that compute their union directly and list per-node chunks only on
+demand.  The per-node frozensets of canonical tuples — millions of Python
+objects on dense workloads — are only decoded for the nodes a consumer
+actually reads, and a node's keys are grouped out of the chunks only
+then.  The union, emptiness and node-wise merging never list a deferred
+source: the union combines the sources' own unions with the raw chunks,
+and merging carries sources by reference.  A record needs only the
+union, so an end-to-end run never lists a per-node copy it does not
+read and never builds a tuple it does not return.
 """
 
 from __future__ import annotations
@@ -110,9 +114,11 @@ class TriangleOutput:
     # ------------------------------------------------------------------
     @classmethod
     def from_table(cls, table: OutputTable) -> "TriangleOutput":
-        """Adopt an output table's chunks by reference, covering nodes ``0 .. n-1``."""
+        """Adopt a table's chunks and sources by reference, covering nodes ``0 .. n-1``."""
         nodes = range(table.num_nodes)
-        return cls._of(nodes, OutputTable(table.num_nodes, table.chunks))
+        return cls._of(
+            nodes, OutputTable(table.num_nodes, table.raw_chunks, table.sources)
+        )
 
     @classmethod
     def _of(cls, nodes: AbstractSet[NodeId], table: OutputTable) -> "TriangleOutput":
@@ -156,10 +162,15 @@ class TriangleOutput:
     def union_keys(self) -> np.ndarray:
         """Return the union ``T`` as a sorted unique int64 key array.
 
-        Every raw chunk is deduplicated in one pass — never node by node
-        first.
+        Every raw chunk and every deferred source's own union are
+        deduplicated in one pass — never node by node first, and no
+        source lists its per-node chunks.
         """
-        return sorted_unique(*(keys for keys, _, _ in self._table.chunks))
+        table = self._table
+        return sorted_unique(
+            *(keys for keys, _, _ in table.raw_chunks),
+            *(source.union_keys() for source in table.sources),
+        )
 
     def union(self) -> FrozenSet[Triangle]:
         """Return ``T``, the union of all per-node outputs."""
@@ -182,7 +193,10 @@ class TriangleOutput:
 
     def is_empty(self) -> bool:
         """Return ``True`` when no node output any triple."""
-        return not self._table.chunks
+        table = self._table
+        return not table.raw_chunks and not any(
+            source.union_keys().shape[0] for source in table.sources
+        )
 
     def __eq__(self, other: Any) -> bool:
         """Structural equality: same nodes, same per-node triple sets.
@@ -210,21 +224,50 @@ class TriangleOutput:
 
         Used when an algorithm repeats a sub-algorithm several times and the
         final output of each node is the union over repetitions.  The two
-        chunk lists concatenate by reference; a chunk's keys are re-encoded
-        only when the two key spaces differ.  No loop runs over nodes.
+        chunk lists and the two source lists concatenate by reference; a
+        chunk's keys are re-encoded only when the two key spaces differ,
+        and a source is then wrapped to re-encode what it yields.  No loop
+        runs over nodes, and no source is listed.
         """
         num_nodes = max(self.num_nodes, other.num_nodes)
         chunks = [
-            (_recode(keys, source.num_nodes, num_nodes), run_nodes, run_starts)
-            for source in (self, other)
-            for keys, run_nodes, run_starts in source._table.chunks
+            (_recode(keys, output.num_nodes, num_nodes), run_nodes, run_starts)
+            for output in (self, other)
+            for keys, run_nodes, run_starts in output._table.raw_chunks
+        ]
+        sources = [
+            source
+            if output.num_nodes == num_nodes
+            else _RecodedSource(source, output.num_nodes, num_nodes)
+            for output in (self, other)
+            for source in output._table.sources
         ]
         nodes = (
             self._nodes
             if self._nodes == other._nodes
             else frozenset(self._nodes) | frozenset(other._nodes)
         )
-        return TriangleOutput._of(nodes, OutputTable(num_nodes, chunks))
+        return TriangleOutput._of(nodes, OutputTable(num_nodes, chunks, sources))
+
+
+class _RecodedSource:
+    """A deferred output source, re-keyed into a larger key space on read."""
+
+    __slots__ = ("_source", "_from_nodes", "_to_nodes")
+
+    def __init__(self, source: Any, from_nodes: int, to_nodes: int) -> None:
+        self._source = source
+        self._from_nodes = from_nodes
+        self._to_nodes = to_nodes
+
+    def union_keys(self) -> np.ndarray:
+        return _recode(self._source.union_keys(), self._from_nodes, self._to_nodes)
+
+    def chunks(self) -> list:
+        return [
+            (_recode(keys, self._from_nodes, self._to_nodes), run_nodes, run_starts)
+            for keys, run_nodes, run_starts in self._source.chunks()
+        ]
 
 
 def _recode(keys: np.ndarray, from_nodes: int, to_nodes: int) -> np.ndarray:

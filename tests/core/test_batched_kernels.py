@@ -27,7 +27,7 @@ from repro.core import (
 )
 from repro.core import a2_heavy, a3_light
 from repro.core.a3_light import run_axr
-from repro.congest import CongestSimulator, NodeContext
+from repro.congest import CongestSimulator, NodeContext, OutputTable
 from repro.congest.backends import use_chunk_bytes
 from repro.congest.wire import A2_EDGE_SCHEMA
 from repro.graphs import (
@@ -42,6 +42,7 @@ from repro.graphs import (
     triangle_free_bipartite,
     union_of_cliques,
 )
+from repro.types import sorted_unique
 
 #: Every workload family the generators produce, at differential-test size.
 WORKLOADS = [
@@ -324,8 +325,10 @@ def _designed_zero_mask(num_nodes, kind):
 def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
     """A batched A2 run forced down the dense or the on-demand path.
 
-    Returns the staged step-2 columns, the per-node key sets and whether
-    the fused dense step 3 ran.  A designed ``zero_mask`` replaces every
+    Returns the staged step-2 columns, the per-node key sets, the output's
+    union (read before any per-node read), whether the dense hash-zero
+    matrix was built, and the deferred sources the run handed its output
+    table.  A designed ``zero_mask`` replaces every
     hash evaluation: each node's coefficient row is swapped for its id
     after step 1 is staged, so the traffic is unchanged, and the hash
     block of rows ``a`` at points ``l`` reads ``zero_mask[a, l]``.
@@ -357,18 +360,27 @@ def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
         return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
 
     monkeypatch.setattr(CongestSimulator, "stage_columns", spy)
-    fused = []
-    list_fused_dense = a2_heavy._list_fused_dense
+    dense_chosen = []
+    hash_zero_matrix = a2_heavy._hash_zero_matrix
 
-    def fused_spy(*args):
-        fused.append(True)
-        return list_fused_dense(*args)
+    def dense_spy(*args):
+        dense_chosen.append(True)
+        return hash_zero_matrix(*args)
 
-    monkeypatch.setattr(a2_heavy, "_list_fused_dense", fused_spy)
+    monkeypatch.setattr(a2_heavy, "_hash_zero_matrix", dense_spy)
+    sources = []
+    defer = OutputTable.defer
+
+    def defer_spy(self, source):
+        sources.append(source)
+        return defer(self, source)
+
+    monkeypatch.setattr(OutputTable, "defer", defer_spy)
     result = HeavyHashingLister(epsilon=epsilon).run(graph, seed=seed)
+    union = result.output.union_keys().tolist()
     keys = [result.output.node_keys(node).tolist() for node in range(graph.num_nodes)]
     monkeypatch.undo()
-    return staged, keys, bool(fused)
+    return staged, keys, union, bool(dense_chosen), sources
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096], ids=["default-chunk", "chunk-4096"])
@@ -379,24 +391,36 @@ def test_a2_dense_path_matches_on_demand_path(
     monkeypatch, make_graph, zero_kind, epsilon, chunk_bytes
 ):
     # The dense steps 2 and 3 (popcount sizes, block-gathered endpoints,
-    # all-receiver zero-pair sweep) against the on-demand step 2 and the
-    # grouped oracle over the delivered channel, for the same seed.  Under
-    # the 4096-byte bound the row blocks split inside one receiver's pairs.
+    # all-receiver zero-pair sweep, direct union over edge blocks) against
+    # the on-demand step 2 and the grouped oracle over the delivered
+    # channel, for the same seed.  Under the 4096-byte bound the row blocks
+    # split inside one receiver's pairs, and the union's edge blocks hold
+    # 2 to 12 edges each.
     graph = make_graph()
     zero_mask = _designed_zero_mask(graph.num_nodes, zero_kind)
     with use_chunk_bytes(chunk_bytes):
-        dense_staged, dense_keys, dense_fused = _a2_path_run(
+        dense_staged, dense_keys, dense_union, dense_chosen, sources = _a2_path_run(
             monkeypatch, graph, epsilon, True, zero_mask
         )
-        demand_staged, demand_keys, demand_fused = _a2_path_run(
-            monkeypatch, graph, epsilon, False, zero_mask
+        demand_staged, demand_keys, demand_union, demand_chosen, demand_sources = (
+            _a2_path_run(monkeypatch, graph, epsilon, False, zero_mask)
         )
-    assert dense_fused and not demand_fused
+        # The direct union against the source's own listed chunks.
+        source_unions = [source.union_keys().tolist() for source in sources]
+        listed_unions = [
+            sorted_unique(*(keys for keys, _, _ in source.chunks())).tolist()
+            for source in sources
+        ]
+    assert dense_chosen and not demand_chosen and not demand_sources
     assert len(dense_staged) == len(demand_staged) == (zero_kind != "none")
     for dense_columns, demand_columns in zip(dense_staged, demand_staged):
         for dense_column, demand_column in zip(dense_columns, demand_columns):
             np.testing.assert_array_equal(dense_column, demand_column)
     assert dense_keys == demand_keys
+    # Only a run that shipped something defers a source.
+    assert len(sources) == (zero_kind != "none")
+    assert source_unions == listed_unions
+    assert dense_union == demand_union == (source_unions or [[]])[0]
     if zero_kind == "none":
         assert not any(dense_keys)
 
