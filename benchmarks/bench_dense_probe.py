@@ -10,8 +10,12 @@ excluded), its peak RSS, its round count and the sha256 of its record.
 
 This is the regime where the paper's round bounds beat the naive
 baseline's ``d_max ≈ n/2``, and where output and verification memory
-decide which sizes a run can reach at all.  The benchmark asserts only
-that every cell is sound; the numbers are for the trajectory.
+decide which sizes a run can reach at all.  All three algorithms run at
+n = 400 and 800; Theorem 1 also runs at n = 1200, where its single pass
+beats naive's rounds.  The benchmark asserts that every cell is sound and
+that each cell's record sha256 equals the committed full-size cell for
+the same (algorithm, n), so a change that alters a record fails here; the
+timings are for the trajectory.
 
 Set ``DENSE_PROBE_QUICK=1`` to run n = 400 only (about 10 s); its record
 goes to the git-ignored ``BENCH_dense_probe.quick.json``.  One cell runs
@@ -30,10 +34,9 @@ import sys
 import time
 from pathlib import Path
 
-from _bench_utils import record_json, record_table, run_once
+from _bench_utils import RESULTS_DIR, record_json, record_table, run_once
 
 QUICK = os.environ.get("DENSE_PROBE_QUICK", "") not in ("", "0")
-SIZES = (400,) if QUICK else (400, 800)
 EDGE_PROBABILITY = 0.5
 GRAPH_SEED = 11
 RUN_SEED = 3
@@ -43,6 +46,15 @@ ALGORITHMS = {
     "theorem2-listing": {"repetitions": 1, "epsilon": 1 / 2},
     "naive-two-hop": {},
 }
+#: The (algorithm, n) cells, in run order.
+CELLS = tuple(
+    (algorithm, num_nodes)
+    for num_nodes in ((400,) if QUICK else (400, 800))
+    for algorithm in ALGORITHMS
+) + (() if QUICK else (("theorem1-finding", 1200),))
+#: The committed full-size record, whose record sha256 values every run
+#: (quick or full) must reproduce.
+COMMITTED = RESULTS_DIR / "BENCH_dense_probe.json"
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -96,17 +108,29 @@ def _run_cell_subprocess(algorithm: str, num_nodes: int) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
+def _committed_digests() -> dict:
+    """``(algorithm, n) -> record sha256`` of the committed full-size cells."""
+    cells = json.loads(COMMITTED.read_text())["cells"]
+    return {
+        (cell["algorithm"], cell["num_nodes"]): cell["record_sha256"] for cell in cells
+    }
+
+
 def test_dense_probe(benchmark):
-    """Every (algorithm, n) cell in its own subprocess; all must be sound."""
+    """Every cell in its own subprocess; all sound, all records as committed."""
+    committed = _committed_digests()
 
     def probe():
         return [
-            _run_cell_subprocess(algorithm, num_nodes)
-            for num_nodes in SIZES
-            for algorithm in ALGORITHMS
+            _run_cell_subprocess(algorithm, num_nodes) for algorithm, num_nodes in CELLS
         ]
 
     cells = run_once(benchmark, probe)
+    # Checked before writing, so a changed record never replaces the
+    # committed one.  A cell the committed record lacks has nothing to match.
+    for cell in cells:
+        expected = committed.get((cell["algorithm"], cell["num_nodes"]))
+        assert expected in (None, cell["record_sha256"]), (cell, expected)
     lines = [
         f"Dense probe: G(n, {EDGE_PROBABILITY}) graph seed {GRAPH_SEED}, "
         f"run seed {RUN_SEED}, one repetition, one subprocess per cell",

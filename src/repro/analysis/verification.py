@@ -11,31 +11,68 @@ The paper's output model (Section 2) imposes two different requirements:
 The helpers in this module measure both, plus the per-node properties the
 lower-bound section cares about (who reported what, how many edges the
 busiest node's output covers).
+
+A record needs only three things, so :func:`verify_result` counts them
+and lists nothing: ``|T(G)|`` from the oracle's count, the reported
+triples that are not triangles from adjacency lookups on the decoded
+union, and ``|union ∩ T(G)|`` as the union less those.  The triangles
+nobody reported are listed only when a caller reads
+:attr:`VerificationReport.missed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Any, Dict, FrozenSet, List, Optional
 
 import numpy as np
 
-from ..core.output import AlgorithmResult, _compare_with_truth, _keyed_union
+from ..congest.backends import sorted_membership
+from ..core.output import AlgorithmResult, _keyed_union, _TruthComparison
 from ..graphs.graph import Graph
 from ..graphs.triangles import heaviness_threshold, triangles_through_node
 from ..types import Triangle, decode_triangle_keys, make_triangle, triangle_keys
 
 
+class _ListedOnRead:
+    """A dataclass field that may be given as a zero-argument callable.
+
+    The callable runs on the first read of the field, and its value
+    replaces it.  The dataclass sees a required field and reads it like
+    any other, so ``==``, ``hash`` and ``repr`` list it when they run.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._key = f"_{name}"
+
+    def __get__(self, report: Any, owner: Optional[type] = None) -> Any:
+        if report is None:
+            # Read on the class: the field has no default.
+            raise AttributeError(self._key)
+        value = report.__dict__[self._key]
+        if callable(value):
+            value = report.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, report: Any, value: Any) -> None:
+        report.__dict__[self._key] = value
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """The outcome of verifying one run against the ground truth."""
+    """The outcome of verifying one run against the ground truth.
+
+    ``missed`` may hold millions of triangles that no record reads, so
+    :func:`verify_result` passes a callable that lists them on the first
+    read of the field.
+    """
 
     algorithm: str
     sound: bool
     total_truth: int
     total_reported: int
     recall: float
-    missed: FrozenSet[Triangle]
+    missed: FrozenSet[Triangle] = _ListedOnRead()  # type: ignore[assignment]
     spurious: FrozenSet[Triangle]
     solves_finding: bool
     solves_listing: bool
@@ -95,12 +132,14 @@ def verify_result(result: AlgorithmResult, graph: Graph) -> VerificationReport:
     raise on spurious triples: it records them, so experiment sweeps can
     aggregate failures instead of aborting.  (The test suite separately
     asserts that no algorithm in this repository ever produces a spurious
-    triple.)  The comparison runs on int64 triangle keys; only the missed
-    and spurious triples are decoded into tuples.
+    triple.)  Verification counts: ``|T(G)|`` comes from the oracle's
+    count, the union's keys are checked against the adjacency, and the
+    reported triangles are the union less its spurious keys.  The truth is
+    never listed here; the report's ``missed`` set is listed from the
+    oracle's chunks only when someone reads it.
     """
-    comparison = _compare_with_truth(result.output, graph)
-    missed = comparison.decode(comparison.missed)
-    spurious = comparison.decode(comparison.spurious)
+    comparison = _TruthComparison(result.output, graph)
+    spurious = comparison.spurious_triangles()
     # With no triangle in G, every reported triple is spurious.
     solves_finding = bool(comparison.found) if comparison.total_truth else not spurious
     return VerificationReport(
@@ -109,10 +148,10 @@ def verify_result(result: AlgorithmResult, graph: Graph) -> VerificationReport:
         total_truth=comparison.total_truth,
         total_reported=comparison.found,
         recall=comparison.recall,
-        missed=missed,
+        missed=comparison.missed_triangles,  # type: ignore[arg-type]
         spurious=spurious,
         solves_finding=solves_finding,
-        solves_listing=not spurious and not missed,
+        solves_listing=not spurious and comparison.complete,
     )
 
 
@@ -129,7 +168,7 @@ def recall_by_heaviness(
     triangles, heavy = graph.csr().heavy_triangle_mask(threshold)
     key_space, reported = _keyed_union(result.output, graph)
     keys = triangle_keys(triangles[:, 0], triangles[:, 1], triangles[:, 2], key_space)
-    hit = np.isin(keys, reported, assume_unique=True)
+    hit = sorted_membership(reported, keys)
     return {
         "heavy": _fraction(hit[heavy]),
         "light": _fraction(hit[~heavy]),

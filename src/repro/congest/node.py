@@ -78,11 +78,13 @@ class OutputTable:
 
     A kernel whose per-node output is a pure function of state it already
     holds may hand the table a *deferred source* instead of chunks
-    (:meth:`defer`).  A source offers ``union_keys()``, the sorted distinct
-    keys of its whole output, and ``chunks()``, its per-node chunks, listed
-    on the first call and kept.  Union readers take the source's union;
-    only a per-node reader (:attr:`chunks` and everything built on it)
-    makes a source list its chunks.
+    (:meth:`defer`).  A source offers ``key_blocks()``, an iterable of key
+    arrays that together hold the distinct keys of its whole output (not
+    deduplicated, so a union reader sorts them once with everything else),
+    and ``chunks()``, its per-node chunks, listed on the first call and
+    kept.  Union readers take the source's key blocks; only a per-node
+    reader (:attr:`chunks` and everything built on it) makes a source
+    list its chunks.
     """
 
     __slots__ = (

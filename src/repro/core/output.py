@@ -19,10 +19,17 @@ demand.  The per-node frozensets of canonical tuples — millions of Python
 objects on dense workloads — are only decoded for the nodes a consumer
 actually reads, and a node's keys are grouped out of the chunks only
 then.  The union, emptiness and node-wise merging never list a deferred
-source: the union combines the sources' own unions with the raw chunks,
-and merging carries sources by reference.  A record needs only the
-union, so an end-to-end run never lists a per-node copy it does not
-read and never builds a tuple it does not return.
+source: the union sorts the sources' undeduplicated key blocks together
+with the raw chunks, once, and is kept read-only on the output; merging
+carries sources by reference.  A record needs only the union, so an
+end-to-end run never lists a per-node copy it does not read and never
+builds a tuple it does not return.
+
+Verification (:class:`_TruthComparison`) counts instead of listing:
+``|T(G)|`` is the oracle's count, the spurious keys come from adjacency
+lookups on the decoded union, and the reported triangles are the union
+less those.  ``T(G)`` is listed only for a caller that asks for the
+missed triangles.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     Mapping,
     Optional,
     Tuple,
@@ -41,9 +49,11 @@ from typing import (
 
 import numpy as np
 
+from ..congest.backends import fused_chunk_rows, sorted_membership
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
 from ..congest.node import OutputTable
 from ..errors import VerificationError
+from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 from ..types import (
     NodeId,
@@ -88,7 +98,7 @@ class TriangleOutput:
     without copying or decoding its chunks.
     """
 
-    __slots__ = ("_nodes", "_table")
+    __slots__ = ("_nodes", "_table", "_union")
 
     def __init__(
         self, per_node: Optional[Mapping[NodeId, Iterable[Triangle]]] = None
@@ -104,6 +114,7 @@ class TriangleOutput:
         # empty set, not a missing one.
         self._nodes: AbstractSet[NodeId] = frozenset(rows)
         self._table = OutputTable(num_nodes)
+        self._union: Optional[np.ndarray] = None
         for node, block in rows.items():
             self._table.emit(
                 node, triangle_keys(block[:, 0], block[:, 1], block[:, 2], num_nodes)
@@ -125,6 +136,7 @@ class TriangleOutput:
         output = cls.__new__(cls)
         output._nodes = nodes
         output._table = table
+        output._union = None
         return output
 
     @property
@@ -160,17 +172,24 @@ class TriangleOutput:
     # aggregates
     # ------------------------------------------------------------------
     def union_keys(self) -> np.ndarray:
-        """Return the union ``T`` as a sorted unique int64 key array.
+        """Return the union ``T`` as a sorted unique, read-only int64 key array.
 
-        Every raw chunk and every deferred source's own union are
-        deduplicated in one pass — never node by node first, and no
-        source lists its per-node chunks.
+        Computed on the first call and kept: nothing writes to an output's
+        table after construction, so every later reader — verification,
+        the soundness and recall checks, ``summary`` — shares one union.
+        Every raw chunk and every deferred source's undeduplicated key
+        blocks are deduplicated in one pass — never node by node first,
+        never a source on its own, and no source lists its per-node chunks.
         """
-        table = self._table
-        return sorted_unique(
-            *(keys for keys, _, _ in table.raw_chunks),
-            *(source.union_keys() for source in table.sources),
-        )
+        if self._union is None:
+            table = self._table
+            union = sorted_unique(
+                *(keys for keys, _, _ in table.raw_chunks),
+                *(block for source in table.sources for block in source.key_blocks()),
+            )
+            union.setflags(write=False)
+            self._union = union
+        return self._union
 
     def union(self) -> FrozenSet[Triangle]:
         """Return ``T``, the union of all per-node outputs."""
@@ -193,9 +212,11 @@ class TriangleOutput:
 
     def is_empty(self) -> bool:
         """Return ``True`` when no node output any triple."""
+        if self._union is not None:
+            return not self._union.shape[0]
         table = self._table
         return not table.raw_chunks and not any(
-            source.union_keys().shape[0] for source in table.sources
+            block.shape[0] for source in table.sources for block in source.key_blocks()
         )
 
     def __eq__(self, other: Any) -> bool:
@@ -260,8 +281,9 @@ class _RecodedSource:
         self._from_nodes = from_nodes
         self._to_nodes = to_nodes
 
-    def union_keys(self) -> np.ndarray:
-        return _recode(self._source.union_keys(), self._from_nodes, self._to_nodes)
+    def key_blocks(self) -> Iterator[np.ndarray]:
+        for keys in self._source.key_blocks():
+            yield _recode(keys, self._from_nodes, self._to_nodes)
 
     def chunks(self) -> list:
         return [
@@ -278,27 +300,57 @@ def _recode(keys: np.ndarray, from_nodes: int, to_nodes: int) -> np.ndarray:
     return triangle_keys(a, b, c, to_nodes)
 
 
-@dataclass(frozen=True)
 class _TruthComparison:
-    """A reported union set against ``T(G)``, as int64 keys in one key space."""
+    """A reported union against ``T(G)``, verified by counting.
 
-    #: The ``n`` both sides are keyed with.
-    num_nodes: int
-    total_truth: int
-    #: How many distinct reported triples are triangles of G.
-    found: int
-    #: Keys of the triangles nobody reported, and of the reported non-triangles.
-    missed: np.ndarray
-    spurious: np.ndarray
+    A record needs three numbers: ``|T(G)|`` (the oracle's count, never a
+    listing), how many distinct reported triples are triangles, and which
+    reported triples are not.  The triangles nobody reported are listed
+    only when someone asks (:meth:`missed_triangles`).
+    """
+
+    __slots__ = ("output", "graph", "total_truth", "found", "spurious")
+
+    def __init__(self, output: TriangleOutput, graph: Graph) -> None:
+        union = output.union_keys()
+        self.output = output
+        self.graph = graph
+        self.total_truth = graph.csr().count_triangles()
+        #: The union's keys that name no triangle of G, ascending, in the
+        #: output's key space.
+        self.spurious = _spurious_keys(union, output.num_nodes, graph.csr())
+        #: How many distinct reported triples are triangles of G.
+        self.found = union.shape[0] - self.spurious.shape[0]
+
+    @property
+    def complete(self) -> bool:
+        """Whether every triangle of G was reported."""
+        return self.found == self.total_truth
 
     @property
     def recall(self) -> float:
         if not self.total_truth:
             return 1.0
-        return (self.total_truth - self.missed.shape[0]) / self.total_truth
+        return self.found / self.total_truth
 
-    def decode(self, keys: np.ndarray) -> FrozenSet[Triangle]:
-        return decode_triangle_set(keys, self.num_nodes)
+    def spurious_triangles(self) -> FrozenSet[Triangle]:
+        return decode_triangle_set(self.spurious, self.output.num_nodes)
+
+    def missed_triangles(self) -> FrozenSet[Triangle]:
+        """List the triangles of G absent from the union.
+
+        Streams the oracle's chunks, which come in canonical key order,
+        against the union: nothing keeps the whole truth.
+        """
+        if self.complete:
+            return frozenset()
+        key_space, reported = _keyed_union(self.output, self.graph)
+        missed = [
+            rows[~sorted_membership(reported, triangle_keys(*rows.T, key_space))]
+            for rows in self.graph.csr().iter_triangle_chunks()
+        ]
+        a, b, c = np.concatenate(missed).T
+        return frozenset(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 def _keyed_union(output: TriangleOutput, graph: Graph) -> Tuple[int, np.ndarray]:
@@ -306,30 +358,39 @@ def _keyed_union(output: TriangleOutput, graph: Graph) -> Tuple[int, np.ndarray]
 
     The key space is ``max(graph.num_nodes, output's n)``, so an output
     keyed with a smaller ``n`` is re-encoded and reported ids outside the
-    graph stay representable.
+    graph stay representable.  Re-encoding into a larger space keeps the
+    keys ascending.
     """
     num_nodes = max(graph.num_nodes, output.num_nodes)
     return num_nodes, _recode(output.union_keys(), output.num_nodes, num_nodes)
 
 
-def _compare_with_truth(output: TriangleOutput, graph: Graph) -> _TruthComparison:
-    """Compare ``output``'s union with the triangle oracle of ``graph``.
+def _spurious_keys(keys: np.ndarray, key_space: int, csr: CSRGraph) -> np.ndarray:
+    """Return the keys, in order, that name no triangle of ``csr``.
 
-    No tuple is built: only the (usually empty) missed and spurious key
-    arrays are ever decoded, by the caller.
+    A key names a triangle exactly when it decodes to a canonical triple
+    ``a < b < c`` of ids in ``[0, n)`` whose three pairs are edges.  Keys
+    are decoded and checked in blocks of the chunk bound, so no
+    full-length decoded column is ever held.
     """
-    num_nodes, reported = _keyed_union(output, graph)
-    rows = graph.csr().triangles()
-    truth = triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], num_nodes)
-    hit = np.isin(reported, truth, assume_unique=True)
-    missed = truth[~np.isin(truth, reported, assume_unique=True)]
-    return _TruthComparison(
-        num_nodes=num_nodes,
-        total_truth=int(truth.shape[0]),
-        found=int(np.count_nonzero(hit)),
-        missed=missed,
-        spurious=reported[~hit],
-    )
+    num_nodes = csr.num_nodes
+    step = fused_chunk_rows()
+    bad_blocks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, keys.shape[0], step):
+        block = keys[start : start + step]
+        a, b, c = decode_triangle_keys(block, key_space)
+        inside = np.flatnonzero((a >= 0) & (a < b) & (b < c) & (c < num_nodes))
+        if inside.shape[0] < block.shape[0]:
+            a, b, c = a[inside], b[inside], c[inside]
+        closed = csr.has_edges(a, b)
+        closed &= csr.has_edges(a, c)
+        closed &= csr.has_edges(b, c)
+        if inside.shape[0] == block.shape[0] and closed.all():
+            continue
+        bad = np.ones(block.shape[0], dtype=bool)
+        bad[inside[closed]] = False
+        bad_blocks.append(block[bad])
+    return np.concatenate(bad_blocks)
 
 
 @dataclass
@@ -363,19 +424,18 @@ class AlgorithmResult:
         One-sidedness is an unconditional requirement of the output model
         (Section 2), so a violation is a bug, not a statistical failure.
         """
-        self._require_sound(_compare_with_truth(self.output, graph))
+        self._require_sound(_TruthComparison(self.output, graph))
 
     def _require_sound(self, comparison: _TruthComparison) -> None:
         """Raise naming the lowest offending node and its smallest bad triple."""
-        if not comparison.spurious.shape[0]:
+        spurious = comparison.spurious
+        if not spurious.shape[0]:
             return
-        key_space = self.output.num_nodes
-        spurious = _recode(comparison.spurious, comparison.num_nodes, key_space)
         for node in sorted(self.output._nodes):
             keys = self.output.node_keys(node)
-            bad = keys[np.isin(keys, spurious, assume_unique=True)]
+            bad = keys[sorted_membership(spurious, keys)]
             if bad.shape[0]:
-                a, b, c = map(int, decode_triangle_keys(bad[0], key_space))
+                a, b, c = map(int, decode_triangle_keys(bad[0], self.output.num_nodes))
                 raise VerificationError(
                     f"node {node} reported ({a}, {b}, {c}) which is not a "
                     f"triangle of the input graph"
@@ -388,12 +448,11 @@ class AlgorithmResult:
         recall below 1.0 quantifies how far a single (un-amplified) run is
         from full listing.
         """
-        return _compare_with_truth(self.output, graph).recall
+        return _TruthComparison(self.output, graph).recall
 
     def missed_triangles(self, graph: Graph) -> FrozenSet[Triangle]:
         """Return the triangles of ``G`` absent from the reported union."""
-        comparison = _compare_with_truth(self.output, graph)
-        return comparison.decode(comparison.missed)
+        return _TruthComparison(self.output, graph).missed_triangles()
 
     def solves_finding(self, graph: Graph) -> bool:
         """Return ``True`` when this run solves the finding problem on ``graph``.
@@ -401,7 +460,7 @@ class AlgorithmResult:
         Finding requires a reported triangle when ``T(G)`` is non-empty and
         an empty output otherwise (the "not found" answer).
         """
-        comparison = _compare_with_truth(self.output, graph)
+        comparison = _TruthComparison(self.output, graph)
         self._require_sound(comparison)
         if comparison.total_truth:
             return self.found_any()
@@ -409,9 +468,9 @@ class AlgorithmResult:
 
     def solves_listing(self, graph: Graph) -> bool:
         """Return ``True`` when this run solves the listing problem on ``graph``."""
-        comparison = _compare_with_truth(self.output, graph)
+        comparison = _TruthComparison(self.output, graph)
         self._require_sound(comparison)
-        return not comparison.missed.shape[0]
+        return comparison.complete
 
     def summary(self) -> str:
         """Return a one-line human-readable summary of the run."""

@@ -346,11 +346,20 @@ class CSRGraph:
         return self._support
 
     def count_triangles(self) -> int:
-        """Return ``|T(G)|``.  Each triangle is counted once per edge, so
-        the per-edge supports sum to three times the triangle count."""
+        """Return ``|T(G)|`` without keeping a listing.
+
+        With the supports at hand (cached, or the packed-popcount dense
+        path) each triangle is counted once per edge, so the supports sum
+        to three times the count.  Otherwise the forward enumeration's
+        chunks are counted and dropped: the sparse support reduction lists
+        the same chunks and then scatters three ``np.add.at`` passes over
+        them, which is slower than the count needs.
+        """
         if self.num_edges == 0:
             return 0
-        return int(self.edge_support().sum()) // 3
+        if self._support is not None or self._use_dense():
+            return int(self.edge_support().sum()) // 3
+        return sum(chunk.shape[0] for chunk in self.iter_triangle_chunks())
 
     def has_triangle(self) -> bool:
         """Early-exit triangle existence check (no full reduction when a

@@ -65,8 +65,9 @@ def list_triangles(graph: Graph) -> List[Triangle]:
 def count_triangles(graph: Graph) -> int:
     """Return ``|T(G)|``, the number of triangles of ``graph``.
 
-    Counting runs on per-edge supports (one array reduction), never by
-    materialising the triangle list.
+    Counting runs on per-edge supports (one array reduction) where they
+    are cached or cheap, and otherwise counts the enumeration's chunks as
+    they stream past; it never materialises the triangle list.
     """
     return graph.csr().count_triangles()
 

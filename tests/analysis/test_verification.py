@@ -1,9 +1,11 @@
 """Tests for output verification helpers."""
 
+import dataclasses
 import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,11 @@ from repro.analysis import (
     recall_by_heaviness,
     verify_result,
 )
+from repro.analysis import experiments
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.api.registry import unregister_algorithm
 from repro.congest import AlgorithmCost, ExecutionMetrics
+from repro.congest.backends import use_chunk_bytes
 from repro.core import (
     AlgorithmResult,
     NaiveTwoHopListing,
@@ -28,6 +33,7 @@ from repro.core import (
 from repro.errors import VerificationError
 from repro.graphs import (
     Graph,
+    CSRGraph,
     barabasi_albert_graph,
     complete_graph,
     cycle_graph,
@@ -41,6 +47,7 @@ from repro.graphs import (
     union_of_cliques,
 )
 from repro.graphs.triangles import heavy_triangles, light_triangles, list_triangles
+from repro.types import decode_triangle_keys, decode_triangle_set, triangle_keys
 
 
 def fabricate_result(per_node, rounds=1):
@@ -84,6 +91,27 @@ class TestVerifyResult:
         report = verify_result(fabricate_result({0: set()}), graph)
         assert report.sound and report.solves_finding and report.solves_listing
         assert report.recall == 1.0
+
+    def test_missed_is_listed_on_first_read_and_kept(self, monkeypatch):
+        graph = complete_graph(5)
+        result = fabricate_result({0: {(0, 1, 2)}})
+        expected = reference_verify(result, graph)
+        listings = []
+        iter_chunks = CSRGraph.iter_triangle_chunks
+
+        def listing_spy(csr):
+            listings.append(True)
+            return iter_chunks(csr)
+
+        monkeypatch.setattr(CSRGraph, "iter_triangle_chunks", listing_spy)
+        report = verify_result(result, graph)
+        assert report.total_truth == 10 and report.total_reported == 1
+        assert not listings
+        assert len(report.missed) == 9 and (0, 1, 2) not in report.missed
+        assert report == expected
+        assert len(listings) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.missed = frozenset()
 
     def test_summary_text(self):
         graph = complete_graph(3)
@@ -171,6 +199,35 @@ def reference_verify(result, graph):
     )
 
 
+def listing_reference(result, graph):
+    """The listing ``verify_result`` that counting replaced, for large runs.
+
+    Lists ``T(G)`` and compares keys both ways with ``np.isin``; it agrees
+    with :func:`reference_verify` at a fraction of its memory.
+    """
+    output = result.output
+    key_space = max(graph.num_nodes, output.num_nodes)
+    a, b, c = decode_triangle_keys(output.union_keys(), output.num_nodes)
+    reported = triangle_keys(a, b, c, key_space)
+    rows = graph.csr().triangles()
+    truth = triangle_keys(rows[:, 0], rows[:, 1], rows[:, 2], key_space)
+    hit = np.isin(reported, truth)
+    missed = decode_triangle_set(truth[~np.isin(truth, reported)], key_space)
+    spurious = decode_triangle_set(reported[~hit], key_space)
+    found = int(np.count_nonzero(hit))
+    return VerificationReport(
+        algorithm=result.algorithm,
+        sound=not spurious,
+        total_truth=truth.shape[0],
+        total_reported=found,
+        recall=1.0 if not truth.shape[0] else found / truth.shape[0],
+        missed=missed,
+        spurious=spurious,
+        solves_finding=bool(found) if truth.shape[0] else not spurious,
+        solves_listing=not spurious and not missed,
+    )
+
+
 def reference_heaviness(result, graph, epsilon):
     reported = reported_tuples(result)
     split = {}
@@ -242,6 +299,17 @@ GENERATOR_FAMILIES = {
 }
 
 
+def spurious_reports(graph, true_count):
+    """Up to ``true_count`` true triangles, one triple outside the graph's
+    id range and, where one exists, an in-range non-triangle."""
+    n = graph.num_nodes
+    truth = list_triangles(graph)
+    per_node = {1: set(truth[:true_count]), n + 2: {(0, n, n + 1)}}
+    if n >= 3 and (0, 1, 2) not in truth:
+        per_node[0] = {(0, 1, 2)}
+    return per_node
+
+
 class TestKeySpaceVerification:
     @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
     @pytest.mark.parametrize(
@@ -261,14 +329,16 @@ class TestKeySpaceVerification:
     @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
     def test_spurious_reports_on_generator_families(self, family):
         graph = GENERATOR_FAMILIES[family]()
-        n = graph.num_nodes
-        truth = list_triangles(graph)
-        # One true triangle, one triple outside the graph's id range and,
-        # where one exists, an in-range non-triangle.
-        per_node = {1: set(truth[:1]), n + 2: {(0, n, n + 1)}}
-        if n >= 3 and (0, 1, 2) not in truth:
-            per_node[0] = {(0, 1, 2)}
-        assert_matches_reference(fabricate_result(per_node), graph)
+        assert_matches_reference(fabricate_result(spurious_reports(graph, 1)), graph)
+
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_spurious_check_spans_key_blocks(self, family):
+        # Under a 64-byte chunk bound the spurious check decodes four keys
+        # per block, so true and spurious keys fall in different blocks.
+        graph = GENERATOR_FAMILIES[family]()
+        result = fabricate_result(spurious_reports(graph, 5))
+        with use_chunk_bytes(64):
+            assert_matches_reference(result, graph)
 
     def test_smaller_legacy_key_space_is_re_encoded(self):
         graph = complete_graph(12)
@@ -278,6 +348,16 @@ class TestKeySpaceVerification:
         report = verify_result(result, graph)
         assert report.total_reported == 2
         assert len(report.missed) == math.comb(12, 3) - 2
+
+    def test_triples_out_of_canonical_order_are_spurious(self):
+        # Their vertices form triangles of G, but an output key names the
+        # ordered triple, and T(G) holds only canonical ones.
+        graph = complete_graph(4)
+        result = fabricate_result({0: {(1, 0, 2), (0, 3, 2), (0, 1, 3)}})
+        assert_matches_reference(result, graph)
+        report = verify_result(result, graph)
+        assert report.spurious == {(1, 0, 2), (0, 3, 2)}
+        assert report.total_reported == 1
 
     def test_check_soundness_names_node_and_triple(self):
         graph = Graph(5, [(0, 1), (1, 2), (0, 2)])
@@ -300,6 +380,14 @@ class TestKeySpaceVerification:
         graph = cycle_graph(6)
         result = probe_result(frozenset())
         assert verify_result(result, graph) == reference_verify(result, graph)
+
+    @pytest.mark.parametrize(
+        "family", ["complete", "gnp", "planted", "union-of-cliques"]
+    )
+    def test_listing_reference_matches_tuple_reference(self, family):
+        graph = GENERATOR_FAMILIES[family]()
+        result = TriangleFinding(repetitions=1).run(graph, seed=11)
+        assert listing_reference(result, graph) == reference_verify(result, graph)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -324,6 +412,50 @@ class TestKeySpaceVerification:
             label="per_node",
         )
         assert_matches_reference(fabricate_result(per_node), graph)
+
+
+class TestVerifyByCounting:
+    """A record's verification counts: it never lists ``T(G)``."""
+
+    @pytest.mark.parametrize(
+        "algorithm, num_nodes, complete",
+        [("theorem2-listing", 200, True), ("theorem1-finding", 400, False)],
+    )
+    def test_run_spec_verification_lists_nothing(
+        self, monkeypatch, algorithm, num_nodes, complete
+    ):
+        verified = []
+        verify = experiments.verify_result
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verification listed T(G) or ran np.isin")
+
+        def verify_spy(result, graph):
+            with monkeypatch.context() as patch:
+                patch.setattr(CSRGraph, "triangles", forbidden)
+                patch.setattr(np, "isin", forbidden)
+                report = verify(result, graph)
+            verified.append((result, graph, report))
+            return report
+
+        monkeypatch.setattr(experiments, "verify_result", verify_spy)
+        spec = RunSpec(
+            algorithm=AlgorithmSpec(algorithm, {"repetitions": 1}),
+            workload=WorkloadSpec(
+                "gnp", {"num_nodes": num_nodes, "edge_probability": 0.5, "seed": 11}
+            ),
+            seed=3,
+        )
+        record = spec.run()
+        ((result, graph, report),) = verified
+        assert record.sound and (record.recall == 1.0) == complete
+        assert report.total_truth == record.num_triangles > 0
+        # Read after the run: ``missed`` is listed now, from the oracle.
+        expected = listing_reference(result, graph)
+        assert len(report.missed) == expected.total_truth - expected.total_reported
+        assert bool(report.missed) != complete
+        assert report == expected
+        assert report.to_dict() == expected.to_dict()
 
 
 @pytest.fixture

@@ -406,7 +406,9 @@ def test_a2_dense_path_matches_on_demand_path(
             _a2_path_run(monkeypatch, graph, epsilon, False, zero_mask)
         )
         # The direct union against the source's own listed chunks.
-        source_unions = [source.union_keys().tolist() for source in sources]
+        source_unions = [
+            sorted_unique(*source.key_blocks()).tolist() for source in sources
+        ]
         listed_unions = [
             sorted_unique(*(keys for keys, _, _ in source.chunks())).tolist()
             for source in sources

@@ -15,6 +15,7 @@ from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.congest import OutputTable
 from repro.core import HeavyHashingLister, TriangleListing, TriangleOutput, a2_heavy
 from repro.graphs import gnp_random_graph
+from repro.types import sorted_unique
 
 
 @pytest.fixture
@@ -110,3 +111,49 @@ def test_merging_across_key_spaces_recodes_a_deferred_source(listings, deferred_
             node
         )
     assert len(listed) == 1
+
+
+def test_union_is_computed_once_per_output(monkeypatch):
+    # Verification and every AlgorithmResult check share one union: a
+    # deferred source's blocks are computed once, and the union is kept
+    # read-only on the output.
+    unions = []
+    dense_union = a2_heavy._dense_union
+
+    def union_spy(*args):
+        unions.append(True)
+        return dense_union(*args)
+
+    monkeypatch.setattr(a2_heavy, "_dense_union", union_spy)
+    graph = gnp_random_graph(48, 0.5, seed=3)
+    result = TriangleListing(repetitions=2, epsilon=0.8).run(graph, seed=5)
+    assert not unions
+    report = verify_result(result, graph)
+    assert result.solves_listing(graph) == report.solves_listing
+    assert result.listing_recall(graph) == report.recall
+    assert result.solves_finding(graph) and not result.missed_triangles(graph)
+    result.check_soundness(graph)
+    assert len(unions) == 2  # one per repetition's source
+
+    union = result.output.union_keys()
+    assert union is result.output.union_keys()
+    assert not union.flags.writeable
+    with pytest.raises(ValueError):
+        union[0] = -1
+    assert len(unions) == 2
+
+
+def test_a_merged_output_dedupes_source_blocks_with_raw_chunks():
+    # The source hands over its keys undeduplicated (a triangle once per
+    # catching edge); the union sorts them once, alone or merged with
+    # another output's raw chunks.
+    graph = gnp_random_graph(40, 0.5, seed=7)
+    dense = HeavyHashingLister(epsilon=1.0).run(graph, seed=2).output
+    (source,) = dense._table.sources
+    blocks = list(source.key_blocks())
+    keys = sorted_unique(*blocks)
+    assert sum(block.shape[0] for block in blocks) > keys.shape[0]
+    assert dense.union_keys().tolist() == keys.tolist()
+    other = TriangleOutput({0: dense.union()})
+    merged = dense.merged_with(other)
+    assert merged.union_keys().tolist() == keys.tolist()

@@ -264,3 +264,48 @@ class TestCanonicalCores:
         ).csr()
         for field in ("indptr", "indices", "edge_u", "edge_v"):
             assert getattr(rebuilt, field).tobytes() == getattr(core, field).tobytes()
+
+
+#: Every family above, plus graphs off the dense oracle path: the bitset
+#: and sorted-key membership strategies, where the count streams the
+#: enumeration instead of reducing supports.
+_COUNT_CASES = {
+    **_CANONICAL_CASES,
+    "no-nodes": lambda: empty_graph(0),
+    "edgeless": lambda: empty_graph(6),
+    "gnp-bitset": lambda: gnp_random_graph(600, 0.01, seed=4),
+    "gnp-sorted-key": lambda: gnp_random_graph(2000, 0.002, seed=5),
+    "planted-sparse": lambda: planted_triangle_graph(
+        1500, 20, background_probability=0.001, seed=6
+    )[0],
+    "barabasi-albert-sparse": lambda: barabasi_albert_graph(1500, 2, seed=7),
+}
+
+
+class TestCountTriangles:
+    """``CSRGraph.count_triangles`` counts without listing; it must agree
+    with the listing whatever the snapshot already caches."""
+
+    @pytest.mark.parametrize("cached", ["nothing", "support", "listing"])
+    @pytest.mark.parametrize("name", sorted(_COUNT_CASES))
+    def test_count_equals_listing(self, name, cached):
+        core = _COUNT_CASES[name]().csr()
+        if cached == "support":
+            core.edge_support()
+        elif cached == "listing":
+            core.triangles()
+        count = core.count_triangles()
+        if cached == "nothing" and not core._use_dense():
+            # Off the dense path the count neither keeps a listing nor
+            # builds the supports.
+            assert core._triangles is None and core._support is None
+        assert count == core.triangles().shape[0]
+        # The module-level wrapper, on a fresh snapshot of the same edges.
+        rebuilt = Graph.from_edge_arrays(core.num_nodes, core.edge_u, core.edge_v)
+        assert count_triangles(rebuilt) == count
+
+    def test_cases_cover_both_oracle_paths(self):
+        dense = {
+            name: build().csr()._use_dense() for name, build in _COUNT_CASES.items()
+        }
+        assert any(dense.values()) and not all(dense.values())
