@@ -5,8 +5,12 @@ algorithm and verification, as a sweep cell does — on ``gnp`` G(n, 1/2)
 with graph seed 11 and one repetition.  ε is 1/3 for finding and 1/2 for
 listing.  Every (algorithm, n) cell runs in its own subprocess, so its
 ``ru_maxrss`` is that cell's peak and not the largest cell's so far.  A
-cell records its wall time (from spec to verified record, imports
-excluded), its peak RSS, its round count and the sha256 of its record.
+full-size cell runs three times, one subprocess after another, and
+records the median wall time (from spec to verified record, imports
+excluded) with the spread of the three, the largest peak RSS, its round
+count and the sha256 of its record, which every run must reproduce.  One
+run cannot resolve a change smaller than its run-to-run noise; the spread
+says how large that noise was.
 
 This is the regime where the paper's round bounds beat the naive
 baseline's ``d_max ≈ n/2``, and where output and verification memory
@@ -17,8 +21,8 @@ that each cell's record sha256 equals the committed full-size cell for
 the same (algorithm, n), so a change that alters a record fails here; the
 timings are for the trajectory.
 
-Set ``DENSE_PROBE_QUICK=1`` to run n = 400 only (about 10 s); its record
-goes to the git-ignored ``BENCH_dense_probe.quick.json``.  One cell runs
+Set ``DENSE_PROBE_QUICK=1`` to run n = 400 only, one run per cell (about
+10 s); its record goes to the git-ignored ``BENCH_dense_probe.quick.json``.  One cell runs
 standalone with ``python benchmarks/bench_dense_probe.py ALGORITHM N``,
 which prints the cell's JSON line.
 """
@@ -29,6 +33,7 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -52,6 +57,9 @@ CELLS = tuple(
     for num_nodes in ((400,) if QUICK else (400, 800))
     for algorithm in ALGORITHMS
 ) + (() if QUICK else (("theorem1-finding", 1200),))
+#: Subprocess runs per cell: the median wall time and the largest peak RSS
+#: are recorded.
+RUNS = 1 if QUICK else 3
 #: The committed full-size record, whose record sha256 values every run
 #: (quick or full) must reproduce.
 COMMITTED = RESULTS_DIR / "BENCH_dense_probe.json"
@@ -108,6 +116,21 @@ def _run_cell_subprocess(algorithm: str, num_nodes: int) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
+def _measure_cell(algorithm: str, num_nodes: int) -> dict:
+    """Run one cell :data:`RUNS` times; the runs must agree on the record."""
+    runs = [_run_cell_subprocess(algorithm, num_nodes) for _ in range(RUNS)]
+    digests = {run["record_sha256"] for run in runs}
+    assert len(digests) == 1, runs
+    walls = [run["wall_s"] for run in runs]
+    return {
+        **runs[0],
+        "runs": RUNS,
+        "wall_s": statistics.median(walls),
+        "wall_s_runs": walls,
+        "peak_rss_bytes": max(run["peak_rss_bytes"] for run in runs),
+    }
+
+
 def _committed_digests() -> dict:
     """``(algorithm, n) -> record sha256`` of the committed full-size cells."""
     cells = json.loads(COMMITTED.read_text())["cells"]
@@ -121,9 +144,7 @@ def test_dense_probe(benchmark):
     committed = _committed_digests()
 
     def probe():
-        return [
-            _run_cell_subprocess(algorithm, num_nodes) for algorithm, num_nodes in CELLS
-        ]
+        return [_measure_cell(algorithm, num_nodes) for algorithm, num_nodes in CELLS]
 
     cells = run_once(benchmark, probe)
     # Checked before writing, so a changed record never replaces the
@@ -133,15 +154,17 @@ def test_dense_probe(benchmark):
         assert expected in (None, cell["record_sha256"]), (cell, expected)
     lines = [
         f"Dense probe: G(n, {EDGE_PROBABILITY}) graph seed {GRAPH_SEED}, "
-        f"run seed {RUN_SEED}, one repetition, one subprocess per cell",
-        f"{'n':>5}  {'algorithm':<17} {'rounds':>6}  {'wall s':>7}  "
+        f"run seed {RUN_SEED}, one repetition, one subprocess per run, "
+        f"{RUNS} run{'s' if RUNS > 1 else ''} per cell (median wall, max peak)",
+        f"{'n':>5}  {'algorithm':<17} {'rounds':>6}  {'wall s':>7}  {'spread':>6}  "
         f"{'peak GB':>7}  record sha256",
     ]
     for cell in cells:
+        spread = max(cell["wall_s_runs"]) - min(cell["wall_s_runs"])
         lines.append(
             f"{cell['num_nodes']:>5}  {cell['algorithm']:<17} {cell['rounds']:>6}  "
-            f"{cell['wall_s']:>7.2f}  {cell['peak_rss_bytes'] / 1e9:>7.2f}  "
-            f"{cell['record_sha256']}"
+            f"{cell['wall_s']:>7.2f}  {spread:>6.2f}  "
+            f"{cell['peak_rss_bytes'] / 1e9:>7.2f}  {cell['record_sha256']}"
         )
     record_table("dense_probe", "\n".join(lines), quick=QUICK)
     record_json(
@@ -152,6 +175,7 @@ def test_dense_probe(benchmark):
             "edge_probability": EDGE_PROBABILITY,
             "graph_seed": GRAPH_SEED,
             "run_seed": RUN_SEED,
+            "runs_per_cell": RUNS,
             "algorithms": ALGORITHMS,
             "cells": cells,
         },

@@ -5,14 +5,15 @@ five operations — sorted-key membership (``CSRGraph.has_edges`` on graphs
 too large or too sparse for its dense-matrix and packed-bitset paths),
 packed-row popcount reductions (the chunked triangle-matrix rows of the
 dense oracle, A2's dense step-2 edge-set sizes), Horner evaluation of
-k-wise hash descriptors (A2), the Δ(X) landmark-incidence build (A3), and
-the gather of many CSR rows end to end (A3's step-2 and step-4.1 staging,
-the dynamic overlay's rows).  Each has exactly one numpy implementation
-here, called directly from its call sites.
+k-wise hash descriptors (A2), the Δ(X) landmark words and their pair test
+(A3), and the gather of many CSR rows end to end (A3's step-4.1 counts and
+closures, the dynamic overlay's rows).  Each has exactly one numpy
+implementation here, called directly from its call sites.
 
 The module also owns the chunk bound: the limit on the working-set size of
-the streamed row blocks used by the chunked phase evaluators (dense Δ(X)
-disjointness, fused ``has_edges`` receiver sweeps, packed popcount
+the streamed row blocks used by the chunked phase evaluators (A3's
+step-4.1 landmark-word counts and edge closures, fused ``has_edges``
+receiver sweeps, packed popcount
 reductions, A2's dense step-2 and step-3 row blocks, the triangle
 oracle's wedge-closure windows).  It is the constant
 :data:`DEFAULT_CHUNK_BYTES`, sized to stay L2/L3-resident on current
@@ -31,7 +32,7 @@ This module must not import anything from :mod:`repro` — it sits below both
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -83,16 +84,53 @@ def hash_zero_block(
     return (accumulator % range_size) == 0
 
 
-def landmark_incidence(
+def landmark_words(
     indptr: np.ndarray, indices: np.ndarray, landmarks: np.ndarray, num_nodes: int
+) -> List[np.ndarray]:
+    """Every vertex's landmark neighbourhood ``N(v) ∩ X`` as ``uint64`` words.
+
+    Column ``c // 64`` of the returned list holds bit ``c % 64`` for
+    landmark ``landmarks[c]``: it is set in row ``v`` iff ``v`` neighbours
+    that landmark.  One column covers up to 64 landmarks, so the Δ(X)
+    test of a pair is a single AND in the common case
+    (:func:`shares_landmark`).  No landmark gives no column.
+    """
+    columns = [
+        np.zeros(num_nodes, dtype=np.uint64)
+        for _ in range((landmarks.shape[0] + 63) // 64)
+    ]
+    for position, landmark in enumerate(landmarks.tolist()):
+        row = indices[indptr[landmark] : indptr[landmark + 1]]
+        columns[position >> 6][row] |= np.uint64(1 << (position & 63))
+    return columns
+
+
+def words_meet(left: List[np.ndarray], right: List[np.ndarray]) -> np.ndarray:
+    """``bool[i]``: whether rows ``i`` of two word-column lists share a bit.
+
+    ``left[c]`` and ``right[c]`` hold word column ``c`` of each compared
+    row (gathered by the caller, so a row reused across many comparisons
+    is gathered once); the test is one AND per column, ORed together.
+    """
+    meet = (left[0] & right[0]) != 0
+    for left_column, right_column in zip(left[1:], right[1:]):
+        meet |= (left_column & right_column) != 0
+    return meet
+
+
+def shares_landmark(
+    words: List[np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """``bool[num_nodes, len(landmarks)]``: the Δ(X) landmark-incidence
-    matrix — entry ``(v, j)`` is set iff vertex ``v`` is adjacent to
-    landmark ``landmarks[j]``."""
-    incidence = np.zeros((num_nodes, landmarks.shape[0]), dtype=bool)
-    for column, landmark in enumerate(landmarks.tolist()):
-        incidence[indices[indptr[landmark] : indptr[landmark + 1]], column] = True
-    return incidence
+    """``N(a) ∩ N(b) ∩ X ≠ ∅`` for each pair ``(a[i], b[i])``.
+
+    The negation of Δ(X) membership: :func:`words_meet` over the
+    :func:`landmark_words` rows of ``a`` and ``b``.  ``a == b`` pairs are
+    ``True`` exactly for vertices with a landmark neighbour; with no
+    landmark every pair is ``False``.
+    """
+    if not words:
+        return np.zeros(np.broadcast(a, b).shape, dtype=bool)
+    return words_meet([column[a] for column in words], [column[b] for column in words])
 
 
 def gather_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

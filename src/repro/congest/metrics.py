@@ -10,8 +10,8 @@ Algorithm A(X, r)") can be attributed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -47,16 +47,117 @@ class PhaseReport:
         return cls(**{name: payload[name] for name in cls.__dataclass_fields__})
 
 
-@dataclass
-class ExecutionMetrics:
-    """Aggregate metrics for a full protocol execution."""
+class _NodeTally:
+    """A per-node int64 tally, indexed by node id and grown on demand.
 
-    total_rounds: int = 0
-    total_messages: int = 0
-    total_bits: int = 0
-    phases: List[PhaseReport] = field(default_factory=list)
-    bits_received_per_node: Dict[int, int] = field(default_factory=dict)
-    messages_received_per_node: Dict[int, int] = field(default_factory=dict)
+    ``credited`` marks the nodes ever credited, so a node credited with
+    zero keeps its entry and a node never credited has none, exactly as
+    in the dictionary the tally is read as (:meth:`as_dict`).
+    """
+
+    __slots__ = ("values", "credited")
+
+    def __init__(self, mapping: Optional[Mapping[int, int]] = None) -> None:
+        self.values = np.zeros(0, dtype=np.int64)
+        self.credited = np.zeros(0, dtype=bool)
+        if mapping:
+            count = len(mapping)
+            nodes = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
+            amounts = np.fromiter(mapping.values(), dtype=np.int64, count=count)
+            self.add(nodes, amounts)
+
+    def _grow(self, size: int) -> None:
+        extra = size - self.values.shape[0]
+        if extra > 0:
+            self.values = np.concatenate((self.values, np.zeros(extra, dtype=np.int64)))
+            self.credited = np.concatenate((self.credited, np.zeros(extra, dtype=bool)))
+
+    def add(self, nodes: np.ndarray, amounts: np.ndarray) -> None:
+        """Credit ``amounts[i]`` to the distinct nodes ``nodes[i]``."""
+        if nodes.shape[0]:
+            self._grow(int(nodes.max()) + 1)
+            self.values[nodes] += amounts
+            self.credited[nodes] = True
+
+    def add_arrays(self, amounts: np.ndarray, credited: np.ndarray) -> None:
+        """Credit ``amounts[v]`` to every node ``v`` with ``credited[v]``."""
+        size = credited.shape[0]
+        self._grow(size)
+        self.values[:size] += np.where(credited, amounts, 0)
+        self.credited[:size] |= credited
+
+    def add_tally(self, other: "_NodeTally") -> None:
+        """Fold ``other`` in, node by node."""
+        self.add_arrays(other.values, other.credited)
+
+    def as_dict(self) -> Dict[int, int]:
+        """The credited nodes and their values, node-ascending."""
+        nodes = np.flatnonzero(self.credited)
+        return dict(zip(nodes.tolist(), self.values[nodes].tolist()))
+
+    def maximum(self) -> int:
+        """The largest credited value (0 when no node is credited)."""
+        values = self.values[self.credited]
+        return int(values.max()) if values.shape[0] else 0
+
+
+class ExecutionMetrics:
+    """Aggregate metrics for a full protocol execution.
+
+    The per-node delivery tallies accumulate in int64 arrays indexed by
+    node id, one whole-network addition per phase; the
+    ``bits_received_per_node`` / ``messages_received_per_node``
+    dictionaries are built from them on every read (writes go through the
+    ``record_*`` methods and :meth:`merge`).  A node has an entry once it
+    has been credited — for the simulator, once it received a message.
+    """
+
+    def __init__(
+        self,
+        total_rounds: int = 0,
+        total_messages: int = 0,
+        total_bits: int = 0,
+        phases: Optional[List[PhaseReport]] = None,
+        bits_received_per_node: Optional[Mapping[int, int]] = None,
+        messages_received_per_node: Optional[Mapping[int, int]] = None,
+    ) -> None:
+        self.total_rounds = total_rounds
+        self.total_messages = total_messages
+        self.total_bits = total_bits
+        self.phases: List[PhaseReport] = [] if phases is None else phases
+        self._bits = _NodeTally(bits_received_per_node)
+        self._messages = _NodeTally(messages_received_per_node)
+
+    @property
+    def bits_received_per_node(self) -> Dict[int, int]:
+        """Bits received by each credited node (a fresh dictionary)."""
+        return self._bits.as_dict()
+
+    @property
+    def messages_received_per_node(self) -> Dict[int, int]:
+        """Messages received by each credited node (a fresh dictionary)."""
+        return self._messages.as_dict()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionMetrics):
+            return NotImplemented
+        return (
+            self.total_rounds == other.total_rounds
+            and self.total_messages == other.total_messages
+            and self.total_bits == other.total_bits
+            and self.phases == other.phases
+            and self.bits_received_per_node == other.bits_received_per_node
+            and self.messages_received_per_node == other.messages_received_per_node
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionMetrics(total_rounds={self.total_rounds}, "
+            f"total_messages={self.total_messages}, total_bits={self.total_bits}, "
+            f"phases={len(self.phases)})"
+        )
 
     def record_phase(self, report: PhaseReport) -> None:
         """Append a phase report and fold its totals into the aggregates."""
@@ -67,31 +168,23 @@ class ExecutionMetrics:
 
     def record_delivery(self, node: int, bits: int, messages: int = 1) -> None:
         """Account bits/messages received by ``node`` (lower-bound accounting)."""
-        self.bits_received_per_node[node] = (
-            self.bits_received_per_node.get(node, 0) + bits
-        )
-        self.messages_received_per_node[node] = (
-            self.messages_received_per_node.get(node, 0) + messages
-        )
+        nodes = np.array([node], dtype=np.int64)
+        self._bits.add(nodes, np.array([bits], dtype=np.int64))
+        self._messages.add(nodes, np.array([messages], dtype=np.int64))
 
     def record_deliveries_bulk(
-        self, nodes: "Sequence[int]", bits_per_node, messages_per_node
+        self, bits_per_node: np.ndarray, messages_per_node: np.ndarray
     ) -> None:
         """Account a whole phase's deliveries at once.
 
-        ``bits_per_node`` / ``messages_per_node`` are indexable by node
-        identifier (typically ``np.bincount`` outputs); only the listed
-        ``nodes`` are folded in, so nodes that received nothing never gain a
-        spurious zero entry.
+        ``bits_per_node`` / ``messages_per_node`` are int64 arrays indexed
+        by node id (typically ``np.bincount`` outputs).  Only nodes that
+        received at least one message are credited, so a node that
+        received nothing never gains a spurious zero entry.
         """
-        bits_map = self.bits_received_per_node
-        msgs_map = self.messages_received_per_node
-        # One conversion to Python ints per phase, not one per node.
-        bits = np.asarray(bits_per_node)[nodes].astype(np.int64).tolist()
-        messages = np.asarray(messages_per_node)[nodes].astype(np.int64).tolist()
-        for node, node_bits, node_messages in zip(nodes, bits, messages):
-            bits_map[node] = bits_map.get(node, 0) + node_bits
-            msgs_map[node] = msgs_map.get(node, 0) + node_messages
+        received = messages_per_node > 0
+        self._bits.add_arrays(bits_per_node, received)
+        self._messages.add_arrays(messages_per_node, received)
 
     def max_bits_received(self) -> int:
         """Return the maximum number of bits received by any single node.
@@ -100,9 +193,7 @@ class ExecutionMetrics:
         receive (``O(n log n)`` bits per round), so this is the measured
         counterpart of the transcript length ``H(π_i)``.
         """
-        if not self.bits_received_per_node:
-            return 0
-        return max(self.bits_received_per_node.values())
+        return self._bits.maximum()
 
     def rounds_by_phase_name(self) -> Dict[str, int]:
         """Return total rounds grouped by phase name."""
@@ -120,14 +211,8 @@ class ExecutionMetrics:
         """
         for report in other.phases:
             self.record_phase(report)
-        for node, bits in other.bits_received_per_node.items():
-            self.bits_received_per_node[node] = (
-                self.bits_received_per_node.get(node, 0) + bits
-            )
-        for node, count in other.messages_received_per_node.items():
-            self.messages_received_per_node[node] = (
-                self.messages_received_per_node.get(node, 0) + count
-            )
+        self._bits.add_tally(other._bits)
+        self._messages.add_tally(other._messages)
 
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-ready dictionary (inverse of :meth:`from_dict`).

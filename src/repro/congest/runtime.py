@@ -16,7 +16,11 @@ benchmarks can explore:
   columnar path (:meth:`MessagePlane.extend_columns`) goes further: a whole
   ``(targets, columns)`` batch under a :class:`~repro.congest.wire.WireSchema`
   is staged, sized (``schema.bit_size`` over the batch) and later delivered
-  without ever materialising per-message payload objects.
+  without ever materialising per-message payload objects.  The sizes-only
+  path (:meth:`MessagePlane.extend_sizes`) stages traffic no receiver
+  reads — flags, landmark neighbourhoods, A3's S sets — as ``(src, dst,
+  lengths, bits)`` with no element columns at all: accounted identically,
+  never readable.
 * :class:`PhaseTraffic` — one phase's drained traffic as flat ``(src, dst,
   bits)`` int64 arrays plus an aligned object array of payloads, and — for
   columnar sends — one :class:`TypedChannel` of flattened element columns
@@ -111,7 +115,10 @@ class TypedChannel:
 
     ``src[i] -> dst[i]`` is a message of ``bits[i]`` on-wire bits whose
     elements are the rows ``offsets[i]:offsets[i+1]`` of every column in
-    ``data`` (the flattened structure-of-arrays layout).
+    ``data`` (the flattened structure-of-arrays layout).  A ``sizes_only``
+    channel was staged with its lengths and sizes but no element columns
+    (``data`` is empty): it is accounted like any other, and its elements
+    can never be read.
     """
 
     schema: WireSchema
@@ -120,6 +127,7 @@ class TypedChannel:
     bits: np.ndarray
     offsets: np.ndarray
     data: Dict[str, np.ndarray]
+    sizes_only: bool = False
 
     @property
     def count(self) -> int:
@@ -176,17 +184,19 @@ def build_typed_channel(
     schema: WireSchema,
     src: NodeId | np.ndarray,
     destinations: np.ndarray | Sequence[NodeId],
-    data: Dict[str, np.ndarray],
+    data: Optional[Dict[str, np.ndarray]],
     lengths: Optional[np.ndarray | Sequence[int]],
     bits: Optional[np.ndarray | Sequence[int] | int],
     num_nodes: int,
 ) -> Optional[TypedChannel]:
     """Validate and assemble one columnar batch into a :class:`TypedChannel`.
 
-    The single staging door shared by :meth:`MessagePlane.extend_columns`
-    and :meth:`~repro.congest.routing.LenzenRouter.route_columns_direct`:
+    The single staging door shared by :meth:`MessagePlane.extend_columns`,
+    :meth:`MessagePlane.extend_sizes` and
+    :meth:`~repro.congest.routing.LenzenRouter.route_columns_direct`:
     source broadcasting, offset construction, column-layout checks and schema
-    sizing all live here.  Returns ``None`` for an empty batch.  The
+    sizing all live here.  ``data=None`` builds a sizes-only channel (no
+    element columns).  Returns ``None`` for an empty batch.  The
     derived flat arrays (offsets, broadcast source/length/size fills) are
     fresh numpy arrays; caller-staged contiguous int64 columns pass through
     zero-copy, so the channel may alias the caller's arrays.
@@ -228,21 +238,22 @@ def build_typed_channel(
     offsets = np.empty(count + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
-    total_elements = int(offsets[-1])
-    if set(data) != set(schema.columns):
-        raise SimulationError(
-            f"schema {schema.kind!r} expects columns {schema.columns}, "
-            f"got {tuple(sorted(data))}"
-        )
     columns: Dict[str, np.ndarray] = {}
-    for name in schema.columns:
-        column = np.ascontiguousarray(data[name], dtype=np.int64)
-        if column.shape[0] != total_elements:
+    if data is not None:
+        total_elements = int(offsets[-1])
+        if set(data) != set(schema.columns):
             raise SimulationError(
-                f"column {name!r} has {column.shape[0]} rows; offsets "
-                f"imply {total_elements}"
+                f"schema {schema.kind!r} expects columns {schema.columns}, "
+                f"got {tuple(sorted(data))}"
             )
-        columns[name] = column
+        for name in schema.columns:
+            column = np.ascontiguousarray(data[name], dtype=np.int64)
+            if column.shape[0] != total_elements:
+                raise SimulationError(
+                    f"column {name!r} has {column.shape[0]} rows; offsets "
+                    f"imply {total_elements}"
+                )
+            columns[name] = column
     if bits is None:
         sizes = schema.bit_size(counts, num_nodes)
     elif np.ndim(bits) == 0:
@@ -255,7 +266,13 @@ def build_typed_channel(
                 f"{sizes.shape[0]} sizes"
             )
     return TypedChannel(
-        schema=schema, src=src_arr, dst=dst, bits=sizes, offsets=offsets, data=columns
+        schema=schema,
+        src=src_arr,
+        dst=dst,
+        bits=sizes,
+        offsets=offsets,
+        data=columns,
+        sizes_only=data is None,
     )
 
 
@@ -272,12 +289,19 @@ def _merge_typed_segments(segments: List[TypedChannel]) -> TypedChannel:
     offsets = np.empty(lengths.shape[0] + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])
+    sizes_only = segments[0].sizes_only
     data = {
         name: np.concatenate([segment.data[name] for segment in segments])
-        for name in schema.columns
+        for name in segments[0].data
     }
     return TypedChannel(
-        schema=schema, src=src, dst=dst, bits=bits, offsets=offsets, data=data
+        schema=schema,
+        src=src,
+        dst=dst,
+        bits=bits,
+        offsets=offsets,
+        data=data,
+        sizes_only=sizes_only,
     )
 
 
@@ -471,12 +495,53 @@ class MessagePlane:
         SimulationError
             When column names or array lengths disagree with the schema.
         """
-        channel = build_typed_channel(
-            schema, src, destinations, data, lengths, bits, self.num_nodes
+        self._stage_channel(
+            build_typed_channel(
+                schema, src, destinations, data, lengths, bits, self.num_nodes
+            )
         )
+
+    def extend_sizes(
+        self,
+        schema: WireSchema,
+        src: NodeId | np.ndarray,
+        destinations: np.ndarray | Sequence[NodeId],
+        lengths: Optional[np.ndarray | Sequence[int]] = None,
+        bits: Optional[np.ndarray | Sequence[int] | int] = None,
+    ) -> None:
+        """Queue a typed batch by its sizes alone, with no element columns.
+
+        For traffic no receiver reads: the messages, their element counts
+        and their on-wire sizes are exactly those
+        :meth:`extend_columns` would stage for the same batch, so every
+        accounting reduction is unchanged, but no element is ever built.
+        The kind's delivered channel cannot be read
+        (:meth:`DeliveredPhase.channel` and inbox decoding raise
+        :class:`~repro.errors.SimulationError`).
+
+        Raises
+        ------
+        SimulationError
+            When array lengths disagree, or when the same kind is staged
+            with columns in the same phase.
+        """
+        self._stage_channel(
+            build_typed_channel(
+                schema, src, destinations, None, lengths, bits, self.num_nodes
+            )
+        )
+
+    def _stage_channel(self, channel: Optional[TypedChannel]) -> None:
+        """Append one assembled batch to its kind's segments."""
         if channel is None:
             return
-        self._typed.setdefault(schema.kind, []).append(channel)
+        segments = self._typed.setdefault(channel.schema.kind, [])
+        if segments and segments[0].sizes_only != channel.sizes_only:
+            raise SimulationError(
+                f"kind {channel.schema.kind!r} is staged both with and "
+                "without element columns in one phase"
+            )
+        segments.append(channel)
         self._count += channel.count
 
     def _seal_scalars(self) -> None:
@@ -609,7 +674,8 @@ class DeliveredChannel:
     grouped so ``dst`` is ascending, ties in staged order) was sent by
     ``src[i]`` and owns element rows ``offsets[i]:offsets[i+1]`` of every
     column in ``data``.  The messages of ``receivers[g]`` are rows
-    ``message_bounds[g]:message_bounds[g+1]``.
+    ``message_bounds[g]:message_bounds[g+1]``.  A ``sizes_only`` channel
+    has no columns, and its messages cannot be decoded.
     """
 
     schema: WireSchema
@@ -619,6 +685,7 @@ class DeliveredChannel:
     dst: np.ndarray
     offsets: np.ndarray
     data: Dict[str, np.ndarray]
+    sizes_only: bool = False
 
     @classmethod
     def empty(cls, schema: WireSchema) -> "DeliveredChannel":
@@ -657,7 +724,14 @@ class DeliveredChannel:
 
         Only the inbox delivery path calls this; direct-exchange consumers
         read the grouped arrays without per-receiver objects.
+
+        Raises
+        ------
+        SimulationError
+            When the channel was staged sizes-only.
         """
+        if self.sizes_only:
+            raise _sizes_only_error(self.schema.kind)
         offsets = self.offsets
         start = int(self.message_bounds[which])
         end = int(self.message_bounds[which + 1])
@@ -673,6 +747,12 @@ class DeliveredChannel:
             )
             for index in range(start, end)
         ]
+
+
+def _sizes_only_error(kind: str) -> SimulationError:
+    return SimulationError(
+        f"kind {kind!r} was staged by its sizes only; it has no elements to read"
+    )
 
 
 def group_channel(channel: TypedChannel) -> DeliveredChannel:
@@ -701,7 +781,9 @@ def group_channel(channel: TypedChannel) -> DeliveredChannel:
         grouped_offsets[0] = 0
         np.cumsum(lengths_sorted, out=grouped_offsets[1:])
         total_elements = int(grouped_offsets[-1])
-        if total_elements:
+        if channel.sizes_only:
+            grouped_data = {}
+        elif total_elements:
             # element_perm[row] = the source row of the grouped element at
             # ``row``: each message's block start is shifted from its staged
             # position to its grouped position, then walked linearly.
@@ -727,6 +809,7 @@ def group_channel(channel: TypedChannel) -> DeliveredChannel:
         dst=dst_sorted,
         offsets=grouped_offsets,
         data=grouped_data,
+        sizes_only=channel.sizes_only,
     )
 
 
@@ -769,12 +852,20 @@ class DeliveredPhase:
         """Return (grouping on first use) the delivered channel for ``schema``.
 
         Unknown kinds yield an empty channel.
+
+        Raises
+        ------
+        SimulationError
+            When the kind was staged sizes-only
+            (:meth:`MessagePlane.extend_sizes`).
         """
         kind = schema if isinstance(schema, str) else schema.kind
         grouped = self._grouped.get(kind)
         if grouped is not None:
             return grouped
         staged = self._staged.get(kind)
+        if staged is not None and staged.sizes_only:
+            raise _sizes_only_error(kind)
         if staged is None:
             if isinstance(schema, str):
                 from .wire import schema_for
@@ -845,14 +936,9 @@ def record_deliveries(metrics: ExecutionMetrics, traffic: PhaseTraffic) -> None:
     """Fold per-node received bits/messages into ``metrics`` in bulk."""
     if traffic.count == 0:
         return
-    num_nodes = int(traffic.dst.max()) + 1
-    received_msgs = np.bincount(traffic.dst, minlength=num_nodes)
-    received_bits = np.bincount(traffic.dst, weights=traffic.bits, minlength=num_nodes)
-    metrics.record_deliveries_bulk(
-        np.flatnonzero(received_msgs).tolist(),
-        received_bits,
-        received_msgs,
-    )
+    received_msgs = np.bincount(traffic.dst)
+    received_bits = np.bincount(traffic.dst, weights=traffic.bits)
+    metrics.record_deliveries_bulk(received_bits.astype(np.int64), received_msgs)
 
 
 def max_link_bits(traffic: PhaseTraffic, num_nodes: int) -> int:

@@ -219,6 +219,21 @@ class CongestSimulator:
             schema, src, dst, data, lengths=lengths, bits=bits
         )
 
+    def stage_sizes(self, schema, src, dst, lengths=None, bits=None) -> None:
+        """Stage a network-wide typed batch by its sizes alone.
+
+        The door for traffic no receiver reads (flag announcements, the
+        sets a kernel already knows the consequences of): the same
+        messages, element counts and on-wire sizes
+        :meth:`stage_columns` would stage, hence the same rounds, bits and
+        per-node tallies, with no element columns built.  Reading the
+        kind's delivered channel raises
+        :class:`~repro.errors.SimulationError`.
+        """
+        self._runtime.plane.extend_sizes(
+            schema, src, dst, lengths=lengths, bits=bits
+        )
+
     def _phase_cost(self, traffic: PhaseTraffic) -> Tuple[int, int]:
         """Return ``(rounds, reported max bits)`` for one phase's traffic.
 

@@ -28,12 +28,12 @@ Two execution kernels implement the protocol:
   all n hash functions over the whole vertex set into the hash-zero
   matrix ``Z`` (each family member once, not once per received message),
   sizes every directed edge's message ``N(j) ∩ Z_a`` with a packed-row
-  popcount and gathers the shipped endpoints in row blocks; on sparse
-  graphs, where the all-pairs matrix does not amortise, it evaluates each
-  sender's neighbour block on demand instead.  The filtered edge batches
-  ship through the typed columnar plane
-  (:data:`repro.congest.wire.A2_EDGE_SCHEMA`) on the **direct-exchange**
-  path.  Step 3 on dense graphs is deferred: every receiver's ``F_i`` is
+  popcount and stages the batch by its sizes alone, since no receiver
+  reads its elements; on sparse graphs, where the all-pairs matrix does
+  not amortise, it evaluates each sender's neighbour block on demand
+  instead and ships the filtered edges through the typed columnar plane
+  (:data:`repro.congest.wire.A2_EDGE_SCHEMA`).  Both run on the
+  **direct-exchange** path.  Step 3 on dense graphs is deferred: every receiver's ``F_i`` is
   a function of ``Z``, the shipping mask and the adjacency, so the output
   table keeps that structure (:class:`DenseHeavyListing`).  The union of
   all receivers' triangles is computed from it directly, one OR of
@@ -252,9 +252,13 @@ class HeavyHashingLister(TriangleAlgorithm):
         (:func:`_filtered_edges_dense`); on sparse ones each sender's
         neighbour-row block is evaluated on demand, one sender at a time
         (:func:`_filtered_edges_on_demand`).
-        Either way the messages come out sender-major with targets and
-        endpoints ascending, and are staged as one columnar batch for the
-        whole network.
+        Either way the messages come out sender-major with targets
+        ascending and are staged as one batch for the whole network.  The
+        dense batch is staged by its sizes alone
+        (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
+        its receivers are deferred as a function of ``Z`` and the shipped
+        pairs, so no endpoint is ever built.  The sparse batch carries its
+        canonical edges, endpoints ascending, for the grouped oracle.
 
         Returns ``(zero_mask, shipped_senders, shipped_targets)``: ``Z``
         when the dense precompute was used (``None`` otherwise) and the
@@ -268,16 +272,17 @@ class HeavyHashingLister(TriangleAlgorithm):
             zero_mask = _hash_zero_matrix(
                 coefficients, family.prime, family.range_size, num_nodes
             )
-            senders, targets, lengths, endpoints = _filtered_edges_dense(
+            senders, targets, lengths = _filtered_edges_dense(
                 csr, zero_mask, edge_cap
             )
-        else:
-            zero_mask = None
-            senders, targets, lengths, endpoints = _filtered_edges_on_demand(
-                csr, family, coefficients, edge_cap
-            )
-        if senders.shape[0] == 0:
+            if senders.shape[0]:
+                simulator.stage_sizes(A2_EDGE_SCHEMA, senders, targets, lengths=lengths)
             return zero_mask, senders, targets
+        senders, targets, lengths, endpoints = _filtered_edges_on_demand(
+            csr, family, coefficients, edge_cap
+        )
+        if senders.shape[0] == 0:
+            return None, senders, targets
         # Canonical edges {node, l}: every endpoint pairs with its
         # message's sending node.
         edge_peers = np.repeat(senders, lengths)
@@ -291,7 +296,7 @@ class HeavyHashingLister(TriangleAlgorithm):
             },
             lengths=lengths,
         )
-        return zero_mask, senders, targets
+        return None, senders, targets
 
     def _execute_direct(
         self,
@@ -347,17 +352,15 @@ class HeavyHashingLister(TriangleAlgorithm):
 
 def _filtered_edges_dense(
     csr, zero_mask: np.ndarray, edge_cap: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2 for every directed edge at once, from the hash-zero matrix.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2's message sizes for every directed edge at once, from ``Z``.
 
     The message ``j → a`` carries ``N(j) ∩ Z_a``.  Its size is a popcount
     of the packed adjacency row of ``j`` ANDed with the packed ``Z`` row
-    of ``a``, for every directed CSR edge in edge blocks; the shipped
-    edges' endpoints are then gathered as ``adjacency[j] & Z[a]`` rows
-    and read off with one ``flatnonzero`` per block.  Returns the
-    ``(senders, targets, lengths, endpoints)`` columns in CSR edge order
-    (senders ascending, each sender's targets in row order, each
-    message's endpoints ascending).
+    of ``a``, for every directed CSR edge in edge blocks.  Returns the
+    shipped ``(senders, targets, lengths)`` in CSR edge order (senders
+    ascending, each sender's targets in row order); the endpoints are
+    never listed, since the deferred receivers read ``Z`` itself.
     """
     num_nodes = zero_mask.shape[0]
     edge_src = np.repeat(
@@ -374,17 +377,7 @@ def _filtered_edges_dense(
             packed[edge_src[start:end]] & packed_zero[edge_dst[start:end]]
         )
     shipped = (kept > 0) & (kept <= edge_cap)
-    senders = edge_src[shipped]
-    targets = edge_dst[shipped]
-    lengths = kept[shipped]
-    adjacency = csr._bool_matrix()
-    endpoint_blocks = [np.empty(0, dtype=np.int64)]
-    step = fused_chunk_rows(num_nodes)
-    for start in range(0, senders.shape[0], step):
-        end = start + step
-        rows = adjacency[senders[start:end]] & zero_mask[targets[start:end]]
-        endpoint_blocks.append(np.flatnonzero(rows) % num_nodes)
-    return senders, targets, lengths, np.concatenate(endpoint_blocks)
+    return edge_src[shipped], edge_dst[shipped], kept[shipped]
 
 
 def _filtered_edges_on_demand(

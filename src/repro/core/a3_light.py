@@ -29,6 +29,15 @@ the upper-bound section.  The algorithm has two layers:
     ``U`` are r-good (w.h.p.), so the loop terminates after ``O(log n)``
     iterations and the total cost is ``O(|X| + r log n)`` rounds.
 
+    The batched kernel (:func:`_run_axr_direct`) simulates step 4.1
+    without listing any S set.  Only ``|S(j, k)|`` (the round charge and
+    the withheld pairs) and the triangles the sets reveal matter.  The
+    sizes are counted from each node's landmark neighbourhood packed into
+    uint64 words (:func:`_s_sizes`), and ``l ∈ S(j, k) ∩ N(j)`` holds
+    exactly when ``{j, k, l}`` is an active triangle, ``S(j, k)`` shipped
+    and ``{j, l} ∈ ∆(X)``, so the revealed triangles come from closing the
+    ∆(X)-disjoint active edges (:func:`_emit_s_revealed`).
+
 ``A3`` (Proposition 3)
     Pick ``X`` by including each node independently with probability
     ``1/(9 n^ε)`` and run ``A(X, r)`` with ``r = sqrt(54 n^{1+ε} log n)``,
@@ -48,8 +57,12 @@ import numpy as np
 from ..congest.backends import (
     FUSED_BYTES_PER_ELEMENT,
     chunk_rows,
+    fused_chunk_rows,
     gather_spans,
-    landmark_incidence,
+    landmark_words,
+    shares_landmark,
+    sorted_membership,
+    words_meet,
 )
 from ..congest.node import NodeContext
 from ..congest.simulator import CongestSimulator
@@ -62,12 +75,8 @@ from ..congest.wire import (
     id_bits,
 )
 from ..errors import RoundLimitExceededError
-from .base import (
-    TriangleAlgorithm,
-    dense_pair_matrix_worthwhile,
-    emit_revealed_triangles,
-    validate_kernel,
-)
+from ..types import triangle_keys
+from .base import TriangleAlgorithm, emit_revealed_triangles, validate_kernel
 from .parameters import (
     a3_goodness_threshold,
     a3_landmark_probability,
@@ -106,10 +115,11 @@ def run_axr(
         (twice the Lemma-3 guarantee, to accommodate unlucky landmark sets
         without looping forever).
     kernel:
-        ``"batched"`` (default) stages every phase's traffic as columnar
-        batches, evaluates the ∆(X) tests as one disjointness matrix, and
-        consumes the S/V/announcement phases on the direct-exchange path
-        (whole-network edge-membership oracle calls, no per-node inboxes);
+        ``"batched"`` (default) runs every phase on the direct-exchange
+        path: step 4.1's S sets are counted from landmark words and staged
+        by their sizes alone, the triangles they reveal are listed from
+        the graph, and V sets are consumed with whole-network
+        edge-membership oracle calls (no per-node inboxes);
         ``"reference"`` runs the per-node closures.  Both kernels execute
         identically (same rounds, bits and outputs).
 
@@ -296,73 +306,6 @@ def _run_axr_reference(
     return truncated_by_progress
 
 
-def _make_disjointness(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    landmarks: np.ndarray,
-    degrees: np.ndarray,
-) -> Optional[np.ndarray]:
-    """Return the n×n matrix ``D[j, l] = ({j, l} ∈ ∆(X))``, or ``None``.
-
-    This is the test every node evaluates from its step-2 knowledge: the
-    landmark neighbourhoods of ``j`` and ``l`` are disjoint.  A pair fails
-    it exactly when both ends neighbour a common landmark, so ``D`` is all
-    ``True`` but for one ``N(x) × N(x)`` block per landmark ``x``, cleared
-    as whole rows in blocks of the chunk bound: Σ deg(x)·n byte operations,
-    where an incidence product ``B·Bᵀ`` costs ``n²·|X|`` multiply-adds.
-    The matrix is built only when the n×n precompute amortises (dense
-    graphs); on sparse ones, where most pairs are never consulted, the
-    result is ``None`` and step 4.1 tests each pair it gathers on packed
-    landmark bits instead.  The diagonal is ``False``: S(j, k) never holds
-    ``j`` itself.
-    """
-    num_nodes = degrees.shape[0]
-    if not dense_pair_matrix_worthwhile(num_nodes, degrees):
-        return None
-    disjoint = np.ones((num_nodes, num_nodes), dtype=bool)
-    step = chunk_rows(num_nodes)
-    for landmark in landmarks.tolist():
-        row = indices[indptr[landmark] : indptr[landmark + 1]]
-        outside = np.ones(num_nodes, dtype=bool)
-        outside[row] = False
-        for start in range(0, row.shape[0], step):
-            disjoint[row[start : start + step]] &= outside
-    np.fill_diagonal(disjoint, False)
-    return disjoint
-
-
-def _delta_pair_test(disjoint, indptr, indices, landmarks):
-    """``(test, element_bytes)`` for the step-4.1 gather.
-
-    ``test(receivers, lengths, thirds)`` marks each gathered vertex ``l``
-    in ``thirds`` — the next ``lengths[e]`` of them belong to receiver
-    ``j = receivers[e]`` — with ``{j, l} ∈ ∆(X)`` and ``l ≠ j``: one
-    lookup in ``disjoint`` when it exists, else an AND plus ``any`` of
-    the two packed landmark-neighbourhood rows.  ``element_bytes`` sizes
-    the gather's chunks to the working set per gathered vertex.
-    """
-    num_nodes = indptr.shape[0] - 1
-    if disjoint is not None:
-        flat_disjoint = disjoint.ravel()
-
-        def test(receivers, lengths, thirds):
-            keys = np.repeat(receivers * np.int64(num_nodes), lengths)
-            keys += thirds
-            return flat_disjoint[keys]
-
-        return test, FUSED_BYTES_PER_ELEMENT
-    bits = np.packbits(
-        landmark_incidence(indptr, indices, landmarks, num_nodes), axis=1
-    )
-
-    def test(receivers, lengths, thirds):
-        owners = np.repeat(receivers, lengths)
-        shared = (bits[owners] & bits[thirds]).any(axis=1)
-        return ~shared & (owners != thirds)
-
-    return test, FUSED_BYTES_PER_ELEMENT + 3 * bits.shape[1]
-
-
 def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     """CSR ``indptr`` of an entry list whose row ids ``rows`` ascend."""
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -370,59 +313,113 @@ def _row_pointers(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     return indptr
 
 
-def _s_messages_gathered(
-    pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
-):
-    """Step 4.1 as one gather over the active directed edges ``(j, k)``.
+def _s_sizes(pair_j, pair_k, active_indptr, words, covered):
+    """Every ``|S(j, k)|`` of step 4.1, counted without listing any S set.
 
     ``pair_j``/``pair_k`` are the active subgraph's CSR (``active_indptr``)
-    in edge order, so ``j`` — the receiver — ascends.  For each edge the
-    gather takes ``k``'s active row ``l`` and keeps ``S(j, k) = {l :
-    {j, l} ∈ ∆(X), l ≠ j}`` (``pair_test``); one segment sum per chunk
-    gives every |S(j, k)|.  Chunks hold about ``chunk bound /
-    element_bytes`` gathered vertices.
-
-    Returns ``(src, dst, lengths, member, withheld_j, withheld_k)``: the
-    shipped messages (|S(j, k)| ≤ r) destination-ascending, so the
-    delivered channel groups with zero copies, and the withheld pairs.
+    in edge order, receiver ``j`` ascending.  ``S(j, k)`` is ``N_a(k) \
+    {j}`` minus the ``l`` that share a landmark with ``j``, where ``N_a``
+    is the active neighbourhood.  Only a covered ``j`` (one with a
+    landmark neighbour) shares a landmark with anyone, and only with
+    covered ``l``, so the gather runs over covered receivers × the covered
+    part of ``N_a(k)``, and each pair is one AND of landmark words
+    (:func:`~repro.congest.backends.words_meet`).  The count takes
+    ``l = j`` too — a covered ``j`` shares with itself and neighbours
+    ``k`` — so no segment is empty and one is subtracted back.  The words
+    of the covered entries are gathered once per call, so a gathered
+    vertex costs one word gather per column; chunks hold about ``chunk
+    bound / element bytes`` gathered vertices.
     """
+    num_nodes = active_indptr.shape[0] - 1
     active_degrees = np.diff(active_indptr)
-    gathered_ends = np.cumsum(active_degrees[pair_k])
+    sizes = active_degrees[pair_k] - 1
+    picked = np.flatnonzero(covered[pair_j])
+    if picked.shape[0] == 0:
+        return sizes
+    covered_third = covered[pair_k]
+    covered_indptr = _row_pointers(pair_j[covered_third], num_nodes)
+    entry_words = [column[pair_k[covered_third]] for column in words]
+    receivers = pair_j[picked]
+    senders = pair_k[picked]
+    lengths = np.diff(covered_indptr)[senders]
+    gathered_ends = np.cumsum(lengths)
+    element_bytes = FUSED_BYTES_PER_ELEMENT + 16 * len(words)
     chunk_elements = chunk_rows(element_bytes, minimum=4096)
-    chunks = []
+    shared = np.empty(picked.shape[0], dtype=np.int64)
+    pair_start = 0
+    while pair_start < picked.shape[0]:
+        done = int(gathered_ends[pair_start - 1]) if pair_start else 0
+        pair_end = int(
+            np.searchsorted(gathered_ends, done + chunk_elements, side="right")
+        )
+        pair_end = max(pair_end, pair_start + 1)
+        block = slice(pair_start, pair_end)
+        positions = gather_spans(covered_indptr[senders[block]], lengths[block])
+        meet = words_meet(
+            [np.repeat(column[receivers[block]], lengths[block]) for column in words],
+            [column[positions] for column in entry_words],
+        )
+        segment_starts = gathered_ends[block] - done - lengths[block]
+        shared[block] = np.add.reduceat(meet, segment_starts, dtype=np.int64)
+        pair_start = pair_end
+    sizes[picked] -= shared - 1
+    return sizes
+
+
+def _emit_s_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld):
+    """List every triangle the shipped S sets of step 4.1 reveal, from the graph.
+
+    A receiver ``j`` lists ``{j, k, l}`` for ``l ∈ S(j, k) ∩ N(j)``, which
+    holds exactly when ``{j, k, l}`` is a triangle of active nodes,
+    ``S(j, k)`` shipped and ``{j, l} ∈ ∆(X)``.  So every ∆(X)-disjoint
+    active edge ``{u, v}`` is closed over its common active neighbours
+    ``x`` — the active row of the endpoint with fewer active neighbours,
+    probed with :meth:`~repro.graphs.csr.CSRGraph.has_edges` against the
+    other — and ``{u, v, x}`` goes to ``u`` when ``S(u, x)`` shipped and
+    to ``v`` when ``S(v, x)`` shipped.  ``withheld`` holds the ascending
+    keys ``j·n + k`` of the pairs whose ``S(j, k)`` was withheld; it is
+    probed only when non-empty.  Triangles whose three pairs all share a
+    landmark are never touched.
+    """
+    num_nodes = csr.num_nodes
+    canonical = pair_j < pair_k
+    us, vs = pair_j[canonical], pair_k[canonical]
+    disjoint = np.flatnonzero(~shares_landmark(words, us, vs))
+    us, vs = us[disjoint], vs[disjoint]
+    active_degrees = np.diff(active_indptr)
+    near_is_v = active_degrees[vs] < active_degrees[us]
+    nears = np.where(near_is_v, vs, us)
+    fars = np.where(near_is_v, us, vs)
+    lengths = active_degrees[nears]
+    gathered_ends = np.cumsum(lengths)
+    chunk_elements = fused_chunk_rows(minimum=4096)
     edge_start = 0
-    while edge_start < pair_j.shape[0]:
+    while edge_start < us.shape[0]:
         done = int(gathered_ends[edge_start - 1]) if edge_start else 0
         edge_end = int(
             np.searchsorted(gathered_ends, done + chunk_elements, side="right")
         )
         edge_end = max(edge_end, edge_start + 1)
-        receivers = pair_j[edge_start:edge_end]
-        senders = pair_k[edge_start:edge_end]
-        lengths = active_degrees[senders]
-        thirds = pair_k[gather_spans(active_indptr[senders], lengths)]
-        member = pair_test(receivers, lengths, thirds)
-        # Every gathered row holds ``j``, so no segment is empty and the
-        # segment starts strictly ascend, as ``reduceat`` needs.
-        segment_starts = gathered_ends[edge_start:edge_end] - done - lengths
-        sizes = np.add.reduceat(member, segment_starts, dtype=np.int64)
-        shipped = sizes <= goodness_threshold
-        if not shipped.all():
-            member &= np.repeat(shipped, lengths)
-        chunks.append(
-            (
-                senders[shipped],
-                receivers[shipped],
-                sizes[shipped],
-                thirds[member],
-                receivers[~shipped],
-                senders[~shipped],
-            )
-        )
+        block = slice(edge_start, edge_end)
+        thirds = pair_k[gather_spans(active_indptr[nears[block]], lengths[block])]
+        closed = np.repeat(fars[block], lengths[block])
+        hits = np.flatnonzero(csr.has_edges(closed, thirds))
+        block_ends = gathered_ends[block] - done
         edge_start = edge_end
-    if not chunks:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(6))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+        if hits.shape[0] == 0:
+            continue
+        edges = block.start + np.searchsorted(block_ends, hits, side="right")
+        u, v, x = us[edges], vs[edges], thirds[hits]
+        lo = np.minimum(u, x)
+        hi = np.maximum(v, x)
+        keys = triangle_keys(lo, u + v + x - lo - hi, hi, num_nodes)
+        receivers = np.concatenate((u, v))
+        keys = np.concatenate((keys, keys))
+        if withheld.shape[0]:
+            senders = np.concatenate((x, x))
+            shipped = ~sorted_membership(withheld, receivers * np.int64(num_nodes) + senders)
+            receivers, keys = receivers[shipped], keys[shipped]
+        output.emit_grouped(receivers, keys)
 
 
 def _run_axr_direct(
@@ -437,17 +434,19 @@ def _run_axr_direct(
     differential suite pins both kernels together — but every phase runs
     through :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`:
 
-    * the ``in_X``/``in_U`` announcements and the ``N(k) ∩ X``
-      neighbourhoods are staged for accounting and never grouped, let
-      alone delivered per node (the kernel already holds the flag arrays
-      they communicate);
-    * step 4.1 is built receiver-major on every graph, as one
-      whole-network gather over the active edges
-      (:func:`_s_messages_gathered`), so the S batch is staged
-      destination-ascending, and the withholding pairs of step 4.2 fall
-      out of the same pass;
-    * S and V processing consume the destination-grouped channel columns
-      with the shared chunked edge-membership sweep
+    * the ``in_X``/``in_U`` announcements, the ``N(k) ∩ X``
+      neighbourhoods and the step-4.1 S sets are staged by their sizes
+      alone (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
+      no receiver reads them, since the kernel already holds what they
+      communicate;
+    * step 4.1 never lists an S set.  Every ``|S(j, k)|`` is counted from
+      the landmark words (:func:`_s_sizes`), which fixes the round charge
+      and the withheld pairs of step 4.2, and the triangles the shipped
+      sets reveal are listed from the graph by closing the ∆(X)-disjoint
+      active edges (:func:`_emit_s_revealed`);
+    * step 4.3's V sets are staged with their elements, and their
+      receivers consume the destination-grouped channel columns with the
+      shared chunked edge-membership sweep
       (:func:`~repro.core.base.emit_revealed_triangles`).
     """
     num_nodes = simulator.num_nodes
@@ -462,37 +461,24 @@ def _run_axr_direct(
 
     # Step 1: announce landmark membership (one bit per incident edge).
     if broadcast_src.shape[0]:
-        simulator.stage_columns(
-            A3_IN_X_SCHEMA,
-            broadcast_src,
-            indices,
-            {"flag": in_x[broadcast_src].astype(np.int64)},
-        )
+        simulator.stage_sizes(A3_IN_X_SCHEMA, broadcast_src, indices)
     simulator.exchange_phase("A(X,r):1-announce-X")
 
-    # Step 2: ship N(k) ∩ X to every neighbour — k's landmark row, gathered
-    # once per incident edge.
-    landmark_mask = in_x[indices]
-    landmark_indptr = _row_pointers(broadcast_src[landmark_mask], num_nodes)
-    landmark_counts = np.diff(landmark_indptr)
+    # Step 2: ship N(k) ∩ X to every neighbour — |N(k) ∩ X| ids per edge.
+    landmark_counts = np.bincount(
+        broadcast_src[in_x[indices]], minlength=num_nodes
+    )
     if broadcast_src.shape[0]:
-        position = gather_spans(
-            landmark_indptr[broadcast_src], landmark_counts[broadcast_src]
-        )
-        simulator.stage_columns(
+        simulator.stage_sizes(
             A3_NX_SCHEMA,
             broadcast_src,
             indices,
-            {"member": indices[landmark_mask][position]},
             lengths=landmark_counts[broadcast_src],
         )
     simulator.exchange_phase("A(X,r):2-send-X-neighbourhoods")
 
-    landmarks = np.flatnonzero(in_x)
-    disjoint = _make_disjointness(indptr, indices, landmarks, degrees)
-    pair_test, element_bytes = _delta_pair_test(
-        disjoint, indptr, indices, landmarks
-    )
+    words = landmark_words(indptr, indices, np.flatnonzero(in_x), num_nodes)
+    covered = landmark_counts > 0
 
     in_u = np.ones(num_nodes, dtype=bool)
     truncated_by_progress = False
@@ -506,30 +492,33 @@ def _run_axr_direct(
         pair_k = indices[edge_mask]
         active_indptr = _row_pointers(pair_j, num_nodes)
 
-        # Step 4.1 — compute and ship the S(j, k) sets, receiver-major.
-        (
-            s_src,
-            s_dst,
-            s_lengths,
-            s_member,
-            withheld_j,
-            withheld_k,
-        ) = _s_messages_gathered(
-            pair_j, pair_k, active_indptr, pair_test, element_bytes, goodness_threshold
-        )
-        if s_src.shape[0]:
-            simulator.stage_columns(
+        # Step 4.1 — k ships S(j, k) to j when |S(j, k)| ≤ r.  The withheld
+        # pairs come out ``j`` ascending, then ``k``.
+        sizes = _s_sizes(pair_j, pair_k, active_indptr, words, covered)
+        shipped = sizes <= goodness_threshold
+        withheld_j = pair_j[~shipped]
+        withheld_k = pair_k[~shipped]
+        if shipped.any():
+            s_lengths = sizes[shipped]
+            simulator.stage_sizes(
                 A3_S_SCHEMA,
-                s_src,
-                s_dst,
-                {"member": s_member},
+                pair_k[shipped],
+                pair_j[shipped],
                 lengths=s_lengths,
                 bits=np.maximum(s_lengths * node_id_bits, 1),
             )
-        delivered = simulator.exchange_phase("A(X,r):4.1-send-S")
+        simulator.exchange_phase("A(X,r):4.1-send-S")
 
         # Receivers list revealed triangles (step 4.2, fused).
-        emit_revealed_triangles(output, csr, delivered.channel(A3_S_SCHEMA))
+        _emit_s_revealed(
+            output,
+            csr,
+            pair_j,
+            pair_k,
+            active_indptr,
+            words,
+            withheld_j * np.int64(num_nodes) + withheld_k,
+        )
 
         # Withholding sets V(j): the withheld pairs, ``withheld_j``
         # ascending, so V(j) is row j of their CSR.
@@ -543,14 +532,14 @@ def _run_axr_direct(
         if senders.shape[0]:
             targets = np.diff(active_indptr)[senders]
             v_src = np.repeat(senders, targets)
-            sizes = withheld_counts[v_src]
+            v_sizes = withheld_counts[v_src]
             simulator.stage_columns(
                 A3_V_SCHEMA,
                 v_src,
                 pair_k[gather_spans(active_indptr[senders], targets)],
-                {"member": withheld_k[gather_spans(withheld_indptr[v_src], sizes)]},
-                lengths=sizes,
-                bits=np.maximum(sizes * node_id_bits, 1),
+                {"member": withheld_k[gather_spans(withheld_indptr[v_src], v_sizes)]},
+                lengths=v_sizes,
+                bits=np.maximum(v_sizes * node_id_bits, 1),
             )
         delivered = simulator.exchange_phase("A(X,r):4.3-send-V")
         emit_revealed_triangles(output, csr, delivered.channel(A3_V_SCHEMA))
@@ -559,12 +548,7 @@ def _run_axr_direct(
         retired_any = bool(is_good.any())
         in_u = in_u & ~is_good
         if broadcast_src.shape[0]:
-            simulator.stage_columns(
-                A3_IN_U_SCHEMA,
-                broadcast_src,
-                indices,
-                {"flag": in_u[broadcast_src].astype(np.int64)},
-            )
+            simulator.stage_sizes(A3_IN_U_SCHEMA, broadcast_src, indices)
         simulator.exchange_phase("A(X,r):4.5-announce-U")
 
         if not retired_any:

@@ -18,7 +18,7 @@ from repro.congest import (
 from repro.congest.runtime import build_typed_channel
 from repro.congest.wire import A3_S_SCHEMA, A3_V_SCHEMA
 from repro.core import TriangleListing
-from repro.errors import RoundLimitExceededError
+from repro.errors import RoundLimitExceededError, SimulationError
 from repro.graphs import Graph, complete_graph, gnp_random_graph
 
 
@@ -150,6 +150,104 @@ class TestExchangePhase:
         # The phase was recorded before the budget fired, as on the inbox
         # path.
         assert simulator.metrics.total_rounds > 0
+
+
+def stage_link_batch(simulator, sizes_only, segments=2):
+    """A ragged ``S`` batch over every directed edge, staged in ``segments``
+    calls either with its members or by its sizes alone."""
+    csr = simulator.graph.csr()
+    src = np.repeat(np.arange(simulator.num_nodes), np.diff(csr.indptr))
+    dst = csr.indices
+    lengths = (src + 2 * dst) % 4
+    members = (3 * np.arange(int(lengths.sum()))) % simulator.num_nodes
+    ends = np.cumsum(lengths)
+    for block in np.array_split(np.arange(src.shape[0]), segments):
+        first, last = int(block[0]), int(block[-1]) + 1
+        if sizes_only:
+            simulator.stage_sizes(
+                A3_S_SCHEMA, src[first:last], dst[first:last], lengths=lengths[first:last]
+            )
+        else:
+            start = int(ends[first - 1]) if first else 0
+            simulator.stage_columns(
+                A3_S_SCHEMA,
+                src[first:last],
+                dst[first:last],
+                {"member": members[start : int(ends[last - 1])]},
+                lengths=lengths[first:last],
+            )
+
+
+class TestSizesOnlyStaging:
+    @pytest.mark.parametrize("door", ["run_phase", "exchange_phase"])
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_accounting_identical_with_and_without_columns(self, door, segments):
+        graph = gnp_random_graph(30, 0.3, seed=6)
+        runs = []
+        for sizes_only in (False, True):
+            simulator = CongestSimulator(graph, seed=0)
+            stage_link_batch(simulator, sizes_only, segments)
+            if door == "run_phase":
+                simulator.run_phase("phase")
+            else:
+                simulator.exchange_phase("phase")
+            runs.append(simulator.metrics)
+        with_columns, sizes_only = runs
+        assert sizes_only == with_columns
+        assert sizes_only.phases[0].messages == 2 * graph.num_edges
+        assert sizes_only.max_bits_received() == with_columns.max_bits_received()
+
+    def test_explicit_bits_are_kept(self):
+        simulator = CongestSimulator(complete_graph(4), seed=0)
+        simulator.stage_sizes(
+            A3_S_SCHEMA,
+            np.array([0, 1], dtype=np.int64),
+            np.array([1, 0], dtype=np.int64),
+            lengths=np.array([5, 0], dtype=np.int64),
+            bits=np.array([7, 3], dtype=np.int64),
+        )
+        report = simulator.exchange_phase("phase").report
+        assert (report.messages, report.bits, report.max_link_bits) == (2, 10, 7)
+
+    def test_channel_of_sizes_only_kind_raises(self):
+        simulator = CongestSimulator(gnp_random_graph(20, 0.4, seed=2), seed=0)
+        stage_link_batch(simulator, sizes_only=True)
+        simulator.context(3).send_columns(
+            A3_V_SCHEMA,
+            np.array(simulator.context(3).sorted_neighbors()[:1], dtype=np.int64),
+            {"member": np.array([7], dtype=np.int64)},
+            lengths=np.array([1], dtype=np.int64),
+        )
+        delivered = simulator.exchange_phase("phase")
+        with pytest.raises(SimulationError, match="sizes only"):
+            delivered.channel(A3_S_SCHEMA)
+        with pytest.raises(SimulationError, match="sizes only"):
+            delivered.channel(A3_S_SCHEMA.kind)
+        # Kinds staged with their columns stay readable in the same phase.
+        assert delivered.channel(A3_V_SCHEMA).data["member"].tolist() == [7]
+
+    def test_inbox_read_of_sizes_only_kind_raises(self):
+        simulator = CongestSimulator(complete_graph(5), seed=0)
+        stage_link_batch(simulator, sizes_only=True)
+        simulator.run_phase("phase")
+        assert len(simulator.context(0)._inbox) == 4
+        with pytest.raises(SimulationError, match="sizes only"):
+            simulator.context(0).received()
+
+    def test_one_kind_cannot_mix_doors_in_a_phase(self):
+        simulator = CongestSimulator(complete_graph(4), seed=0)
+        stage_link_batch(simulator, sizes_only=True, segments=1)
+        with pytest.raises(SimulationError, match="with and without"):
+            stage_link_batch(simulator, sizes_only=False, segments=1)
+
+    def test_sizes_only_batch_is_validated(self):
+        simulator = CongestSimulator(complete_graph(4), seed=0)
+        with pytest.raises(SimulationError, match="ragged"):
+            simulator.stage_sizes(A3_S_SCHEMA, np.array([0]), np.array([1]))
+        with pytest.raises(SimulationError, match="lengths"):
+            simulator.stage_sizes(
+                A3_S_SCHEMA, np.array([0]), np.array([1]), lengths=np.array([1, 2])
+            )
 
 
 class TestDeliveredOwnership:

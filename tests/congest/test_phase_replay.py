@@ -44,6 +44,7 @@ from repro.congest import (
     id_bits,
 )
 from repro.congest import runtime as runtime_module
+from repro.congest.wire import A3_S_SCHEMA
 from repro.congest import simulator as simulator_module
 from repro.core import (
     DolevCliqueListing,
@@ -127,6 +128,8 @@ class PhaseReplay:
 
     def __init__(self):
         self.phases = 0
+        # Phases with a kind staged by its sizes alone (no element columns).
+        self.sizes_only_phases = 0
         self.received = {}  # simulator -> (bits Counter, messages Counter)
 
     def _tally(self, simulator, bits_received, messages_received):
@@ -143,6 +146,9 @@ class PhaseReplay:
             assert busiest == link_bits
             self._tally(simulator, bits, messages)
             self.phases += 1
+            self.sizes_only_phases += any(
+                channel.sizes_only for channel in traffic.channels
+            )
             return rounds, link_bits
 
         return checked
@@ -276,6 +282,19 @@ def test_replay_reaches_both_link_bit_reductions(
     replay = run_replayed(monkeypatch, "A1", kernel, graph, seed=2)
     assert replay.phases
     assert branch in branches.taken
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("protocol", ["A2", "A3", "Thm1"])
+def test_replay_covers_sizes_only_phases(monkeypatch, protocol, kernel):
+    # The batched kernels stage A3's flags, landmark neighbourhoods and S
+    # sets, and A2's dense step 2, by their sizes alone; those phases are
+    # replayed from the same flat (src, dst, bits) records as any other,
+    # while the reference closures stage every element.
+    graph = gnp_random_graph(40, 0.4, seed=11)
+    replay = run_replayed(monkeypatch, protocol, kernel, graph, seed=3)
+    assert replay.phases
+    assert bool(replay.sizes_only_phases) == (kernel == "batched")
 
 
 @pytest.mark.parametrize("protocol", sorted(KERNELLESS_PROTOCOLS))
@@ -507,6 +526,41 @@ def test_hand_built_phase_costs_its_closed_form(monkeypatch, scenario, door):
     # Object payloads reach the inboxes on either door.
     delivered = sum(len(context.received()) for context in simulator.contexts)
     assert delivered == report.messages
+
+
+def stage_ragged_batch(simulator, sizes_only):
+    """``j`` identifiers on each link ``j → j+1`` of a cycle, with or
+    without the identifiers themselves."""
+    num_nodes = simulator.num_nodes
+    src = np.arange(num_nodes, dtype=np.int64)
+    dst = (src + 1) % num_nodes
+    if sizes_only:
+        simulator.stage_sizes(A3_S_SCHEMA, src, dst, lengths=src)
+    else:
+        simulator.stage_columns(
+            A3_S_SCHEMA,
+            src,
+            dst,
+            {"member": np.zeros(int(src.sum()), dtype=np.int64)},
+            lengths=src,
+        )
+
+
+@pytest.mark.parametrize("door", ["run_phase", "exchange_phase"])
+@pytest.mark.parametrize("sizes_only", [False, True], ids=["columns", "sizes-only"])
+def test_sizes_only_phase_costs_its_closed_form(door, sizes_only):
+    # The busiest link carries n - 1 identifiers, one per round.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        replay = install_replay(monkeypatch)
+        simulator = CongestSimulator(cycle_graph(12), bandwidth=ONE_ID, seed=0)
+        stage_ragged_batch(simulator, sizes_only)
+        report = deliver(simulator, door)
+        replay.assert_tallies_match()
+    assert replay.phases == 1
+    assert replay.sizes_only_phases == sizes_only
+    assert report.rounds == id_rounds(simulator, 11)
+    # Node 1 receives node 0's empty set, charged the one-bit floor.
+    assert simulator.metrics.bits_received_per_node[1] == 1
 
 
 def eccentricity(graph, source):

@@ -20,7 +20,8 @@ from repro.congest.backends import (
     edge_support_chunk,
     gather_spans,
     hash_zero_block,
-    landmark_incidence,
+    landmark_words,
+    shares_landmark,
     sorted_membership,
     use_chunk_bytes,
 )
@@ -209,18 +210,38 @@ class TestKernelOps:
         with pytest.raises(HashingError):
             family.zero_block(rows[:, :2], points)
 
-    def test_landmark_incidence(self):
-        graph = gnp_random_graph(30, 0.2, seed=5)
+    @pytest.mark.parametrize("num_landmarks", [0, 3, 64, 65, 150])
+    def test_landmark_words(self, num_landmarks):
+        # Up to 64 landmarks fit one word column; 65 and 150 need two and
+        # three, and landmark 64 is bit 0 of the second column.
+        graph = gnp_random_graph(160, 0.1, seed=5)
         csr = graph.csr()
-        landmarks = np.array([2, 7, 19], dtype=np.int64)
-        # Node-major orientation: incidence[v, j] == (v adjacent to X[j]).
-        expected = np.zeros((30, 3), dtype=bool)
-        for column, landmark in enumerate(landmarks):
-            start, end = csr.indptr[landmark], csr.indptr[landmark + 1]
-            expected[csr.indices[start:end], column] = True
-        got = landmark_incidence(csr.indptr, csr.indices, landmarks, 30)
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, expected)
+        landmarks = np.sort(
+            np.random.default_rng(num_landmarks).choice(160, num_landmarks, replace=False)
+        ).astype(np.int64)
+        words = landmark_words(csr.indptr, csr.indices, landmarks, 160)
+        assert len(words) == -(-num_landmarks // 64)
+        assert all(column.dtype == np.uint64 for column in words)
+        for node in range(160):
+            bits = [
+                (int(words[position // 64][node]) >> (position % 64)) & 1
+                for position in range(num_landmarks)
+            ]
+            expected = [
+                int(csr.has_edge(node, int(landmark))) for landmark in landmarks
+            ]
+            assert bits == expected
+        neighborhoods = [
+            set(csr.neighbor_slice(node).tolist()) & set(landmarks.tolist())
+            for node in range(160)
+        ]
+        a, b = np.meshgrid(np.arange(160), np.arange(160), indexing="ij")
+        expected = np.array(
+            [[bool(neighborhoods[j] & neighborhoods[l]) for l in range(160)] for j in range(160)]
+        )
+        np.testing.assert_array_equal(
+            shares_landmark(words, a.ravel(), b.ravel()).reshape(160, 160), expected
+        )
 
     def test_gather_spans(self):
         graph = gnp_random_graph(12, 0.3, seed=4)

@@ -28,8 +28,15 @@ from repro.core import (
 from repro.core import a2_heavy, a3_light
 from repro.core.a3_light import run_axr
 from repro.congest import CongestSimulator, NodeContext, OutputTable
-from repro.congest.backends import use_chunk_bytes
-from repro.congest.wire import A2_EDGE_SCHEMA
+from repro.congest.backends import landmark_words, shares_landmark, use_chunk_bytes
+from repro.congest.wire import (
+    A2_EDGE_SCHEMA,
+    A3_IN_U_SCHEMA,
+    A3_IN_X_SCHEMA,
+    A3_NX_SCHEMA,
+    A3_S_SCHEMA,
+    A3_V_SCHEMA,
+)
 from repro.graphs import (
     Graph,
     barabasi_albert_graph,
@@ -184,9 +191,9 @@ class TestCompositionsAndEdgeCases:
         with pytest.raises(ValueError):
             LightTrianglesLister(epsilon=0.3, kernel="pernode")
 
-    def test_a3_sparse_fallback_matches_reference(self):
-        # A workload sparse enough that the direct kernel builds step 4.1
-        # as the receiver-major edge gather, with no n×n matrix at all.
+    def test_a3_sparse_workload_matches_reference(self):
+        # A sparse workload: most nodes have no landmark neighbour, so
+        # most S(j, k) sizes need no gather at all.
         graph = gnp_random_graph(120, 0.03, seed=9)
         assert_identical_execution(
             lambda kernel: LightTrianglesLister(epsilon=0.2, kernel=kernel),
@@ -203,54 +210,98 @@ class TestCompositionsAndEdgeCases:
         )
 
 
-#: The graphs A3's step-4.1 gather meets, as (membership strategy, full
-#: ∆(X) matrix worthwhile): thm2-dense's dense graphs, thm1-sparse's
-#: sorted-key graphs with the full matrix — real graphs reach it only at
-#: n > 1024 for p = √n/n — and pairs tested on demand.  Each is forced.
+def _greedy_total_dominating_set(graph):
+    """Landmarks grown greedily until every node neighbours one of them."""
+    csr = graph.csr()
+    uncovered = set(range(graph.num_nodes))
+    chosen = []
+    while uncovered:
+        best = max(
+            range(graph.num_nodes),
+            key=lambda v: len(uncovered & set(csr.neighbor_slice(v).tolist())),
+        )
+        chosen.append(best)
+        uncovered -= set(csr.neighbor_slice(best).tolist())
+    return chosen
+
+
+def _landmarks(graph, regime):
+    """``(in_X, r)`` forcing one regime of A3's batched step 4.1."""
+    num_nodes = graph.num_nodes
+    rng = np.random.default_rng(num_nodes)
+    in_x = np.zeros(num_nodes, dtype=bool)
+    threshold = 1e9
+    if regime == "every-node-covered":
+        in_x[_greedy_total_dominating_set(graph)] = True
+    elif regime == "many-landmark-words":
+        in_x[rng.choice(num_nodes, 140, replace=False)] = True
+    elif regime == "withheld-s-sets":
+        in_x[rng.choice(num_nodes, 8, replace=False)] = True
+        threshold = 12.0
+    elif regime == "mixed-cover":
+        in_x[rng.choice(num_nodes, 4, replace=False)] = True
+    return in_x, threshold
+
+
+#: The regimes of A3's batched step 4.1: no landmark (nothing to gather,
+#: every S(j, k) is all of N_a(k) \ {j}), every node covered (every pair
+#: gathered), 140 landmarks (three word columns), a few landmarks with a
+#: small threshold (withheld S sets, V(j) shipped, several iterations),
+#: and a partial cover.
 STEP41_REGIMES = [
-    pytest.param("dense", True, id="full-D-dense-csr"),
-    pytest.param("sorted-key", True, id="full-D-sorted-key-csr"),
-    pytest.param("sorted-key", False, id="D-on-demand"),
+    "no-landmark",
+    "every-node-covered",
+    "many-landmark-words",
+    "withheld-s-sets",
+    "mixed-cover",
 ]
 
 
-@pytest.mark.parametrize("strategy, worthwhile", STEP41_REGIMES)
-def test_a3_step41_regimes_match_reference(monkeypatch, strategy, worthwhile):
-    monkeypatch.setattr(
-        a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: worthwhile
-    )
-    built = []
-    make_disjointness = a3_light._make_disjointness
-
-    def spy(*args):
-        result = make_disjointness(*args)
-        built.append(result is not None)
-        return result
-
-    monkeypatch.setattr(a3_light, "_make_disjointness", spy)
+@pytest.mark.parametrize("strategy", ["dense", "sorted-key"])
+@pytest.mark.parametrize("regime", STEP41_REGIMES)
+def test_a3_step41_regimes_match_reference(regime, strategy):
     graph = gnp_random_graph(150, 0.12, seed=19)
-    # A tiny chunk bound makes the ∆(X) build, the gather and the fused
-    # receivers cross many chunk boundaries; the small threshold makes
-    # nodes withhold S sets, so V(j) is shipped and the loop runs several
-    # iterations.
+    in_x, threshold = _landmarks(graph, regime)
+    words = -(-int(in_x.sum()) // 64)
+    covered = np.bincount(
+        np.repeat(np.arange(150), np.diff(graph.csr().indptr))[in_x[graph.csr().indices]],
+        minlength=150,
+    ) > 0
+    assert {
+        "no-landmark": words == 0,
+        "every-node-covered": covered.all() and words == 1,
+        "many-landmark-words": words == 3,
+        "withheld-s-sets": 0 < covered.sum() < 150,
+        "mixed-cover": 0 < covered.sum() < 150,
+    }[regime]
+    runs = {}
+    # A tiny chunk bound makes the size counts, the edge closures and the
+    # V receivers cross many chunk boundaries.
     with use_chunk_bytes(64), pinned_strategy(strategy):
-        for make_algorithm in (
-            lambda kernel: LightTrianglesLister(epsilon=0.2, kernel=kernel),
-            lambda kernel: LightTrianglesLister(
-                epsilon=0.2,
-                landmark_probability=0.05,
-                goodness_threshold=12.0,
-                kernel=kernel,
-            ),
-        ):
-            assert_identical_execution(make_algorithm, graph, seeds=(1,))
-    assert set(built) == {worthwhile}
+        for kernel in ("reference", "batched"):
+            simulator = CongestSimulator(graph, seed=4)
+            stopped = run_axr(simulator, in_x, threshold, kernel=kernel)
+            table = simulator.output_table
+            runs[kernel] = (
+                stopped,
+                simulator.metrics,
+                [table.node_keys(node).tolist() for node in range(150)],
+            )
+    assert runs["batched"] == runs["reference"]
+    names = [phase.name for phase in runs["batched"][1].phases]
+    if regime == "withheld-s-sets":
+        assert names.count("A(X,r):4.1-send-S") > 1
+        assert any(
+            phase.messages
+            for phase in runs["batched"][1].phases
+            if phase.name == "A(X,r):4.3-send-V"
+        )
+    assert any(runs["batched"][2])
 
 
-def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
-    # 320 landmarks, so the packed landmark bits span 40 bytes; nodes 0
-    # and 1 share exactly 256 of them, so 256 landmark blocks clear their
-    # pair and the packed-bit AND finds it in many bytes at once.
+def test_landmark_words_match_brute_force_with_many_landmarks():
+    # 320 landmarks, so the landmark words span five columns; nodes 0 and
+    # 1 share exactly 256 of them, so every column finds their pair.
     num_nodes = 400
     rng = np.random.default_rng(7)
     edges = {(hub, x) for hub in (0, 1) for x in range(2, 258)}
@@ -267,25 +318,64 @@ def test_disjointness_matches_brute_force_with_many_landmarks(monkeypatch):
     ]
     expected = np.array(
         [
-            [j != l and not (neighborhoods[j] & neighborhoods[l]) for l in range(num_nodes)]
+            [bool(neighborhoods[j] & neighborhoods[l]) for l in range(num_nodes)]
             for j in range(num_nodes)
         ]
     )
-    assert not expected[0, 1]
-    monkeypatch.setattr(
-        a3_light, "dense_pair_matrix_worthwhile", lambda num_nodes, degrees: True
-    )
-    # Each landmark's rows are cleared two at a time.
-    with use_chunk_bytes(2 * num_nodes):
-        disjoint = a3_light._make_disjointness(
-            csr.indptr, csr.indices, landmarks, np.diff(csr.indptr)
-        )
-    np.testing.assert_array_equal(disjoint, expected)
-    # The packed-bit test of the on-demand regime agrees on every pair.
-    pair_test, _ = a3_light._delta_pair_test(None, csr.indptr, csr.indices, landmarks)
+    assert expected[0, 1]
+    words = landmark_words(csr.indptr, csr.indices, landmarks, num_nodes)
+    assert len(words) == 5
     nodes = np.arange(num_nodes, dtype=np.int64)
-    got = pair_test(nodes, np.full(num_nodes, num_nodes), np.tile(nodes, num_nodes))
+    got = shares_landmark(words, np.repeat(nodes, num_nodes), np.tile(nodes, num_nodes))
     np.testing.assert_array_equal(got.reshape(num_nodes, num_nodes), expected)
+    for column in range(5):
+        # Each column alone sees exactly the landmarks it packs.
+        packed = set(landmarks[64 * column : 64 * (column + 1)].tolist())
+        alone = shares_landmark(words[column : column + 1], nodes[:2], nodes[1::-1])
+        assert alone.tolist() == [bool(packed & neighborhoods[0] & neighborhoods[1])] * 2
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.6])
+def test_batched_a3_builds_no_s_payload(monkeypatch, epsilon):
+    # Step 4.1 is staged by its sizes alone, and the fused receivers only
+    # ever read V channels.
+    staged_columns = []
+    staged_sizes = []
+    read_channels = []
+    stage_columns = CongestSimulator.stage_columns
+    stage_sizes = CongestSimulator.stage_sizes
+
+    def columns_spy(self, schema, src, dst, data, lengths=None, bits=None):
+        staged_columns.append(schema.kind)
+        return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
+
+    def sizes_spy(self, schema, src, dst, lengths=None, bits=None):
+        staged_sizes.append(schema.kind)
+        return stage_sizes(self, schema, src, dst, lengths=lengths, bits=bits)
+
+    emit = a3_light.emit_revealed_triangles
+
+    def emit_spy(output, csr, channel, above_sender=False):
+        read_channels.append(channel.schema.kind)
+        return emit(output, csr, channel, above_sender=above_sender)
+
+    monkeypatch.setattr(CongestSimulator, "stage_columns", columns_spy)
+    monkeypatch.setattr(CongestSimulator, "stage_sizes", sizes_spy)
+    monkeypatch.setattr(a3_light, "emit_revealed_triangles", emit_spy)
+    result = LightTrianglesLister(
+        epsilon=epsilon, landmark_probability=0.05, goodness_threshold=12.0
+    ).run(gnp_random_graph(150, 0.12, seed=19), seed=1)
+    assert result.output.union_keys().shape[0]
+    assert A3_S_SCHEMA.kind in staged_sizes
+    assert A3_S_SCHEMA.kind not in staged_columns
+    assert set(staged_columns) == {A3_V_SCHEMA.kind}
+    assert set(staged_sizes) == {
+        A3_IN_X_SCHEMA.kind,
+        A3_NX_SCHEMA.kind,
+        A3_S_SCHEMA.kind,
+        A3_IN_U_SCHEMA.kind,
+    }
+    assert read_channels and set(read_channels) == {A3_V_SCHEMA.kind}
 
 
 #: A2's dense families, plus the Theorem-2 cell graph of the sweep benchmark.
@@ -325,7 +415,8 @@ def _designed_zero_mask(num_nodes, kind):
 def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
     """A batched A2 run forced down the dense or the on-demand path.
 
-    Returns the staged step-2 columns, the per-node key sets, the output's
+    Returns the staged step-2 batches as ``(door, src, dst, lengths)``
+    (door ``"sizes"`` or ``"columns"``), the per-node key sets, the output's
     union (read before any per-node read), whether the dense hash-zero
     matrix was built, and the deferred sources the run handed its output
     table.  A designed ``zero_mask`` replaces every
@@ -353,13 +444,20 @@ def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
         )
     staged = []
     stage_columns = CongestSimulator.stage_columns
+    stage_sizes = CongestSimulator.stage_sizes
 
-    def spy(self, schema, src, dst, data, lengths=None, bits=None):
+    def columns_spy(self, schema, src, dst, data, lengths=None, bits=None):
         if schema is A2_EDGE_SCHEMA:
-            staged.append((src, dst, lengths, data["u"], data["v"]))
+            staged.append(("columns", src, dst, lengths))
         return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
 
-    monkeypatch.setattr(CongestSimulator, "stage_columns", spy)
+    def sizes_spy(self, schema, src, dst, lengths=None, bits=None):
+        if schema is A2_EDGE_SCHEMA:
+            staged.append(("sizes", src, dst, lengths))
+        return stage_sizes(self, schema, src, dst, lengths=lengths, bits=bits)
+
+    monkeypatch.setattr(CongestSimulator, "stage_columns", columns_spy)
+    monkeypatch.setattr(CongestSimulator, "stage_sizes", sizes_spy)
     dense_chosen = []
     hash_zero_matrix = a2_heavy._hash_zero_matrix
 
@@ -390,7 +488,7 @@ def _a2_path_run(monkeypatch, graph, epsilon, dense, zero_mask, seed=2):
 def test_a2_dense_path_matches_on_demand_path(
     monkeypatch, make_graph, zero_kind, epsilon, chunk_bytes
 ):
-    # The dense steps 2 and 3 (popcount sizes, block-gathered endpoints,
+    # The dense steps 2 and 3 (popcount sizes staged with no endpoints,
     # all-receiver zero-pair sweep, direct union over edge blocks) against
     # the on-demand step 2 and the grouped oracle over the delivered
     # channel, for the same seed.  Under the 4096-byte bound the row blocks
@@ -415,8 +513,9 @@ def test_a2_dense_path_matches_on_demand_path(
         ]
     assert dense_chosen and not demand_chosen and not demand_sources
     assert len(dense_staged) == len(demand_staged) == (zero_kind != "none")
-    for dense_columns, demand_columns in zip(dense_staged, demand_staged):
-        for dense_column, demand_column in zip(dense_columns, demand_columns):
+    for dense_batch, demand_batch in zip(dense_staged, demand_staged):
+        assert (dense_batch[0], demand_batch[0]) == ("sizes", "columns")
+        for dense_column, demand_column in zip(dense_batch[1:], demand_batch[1:]):
             np.testing.assert_array_equal(dense_column, demand_column)
     assert dense_keys == demand_keys
     # Only a run that shipped something defers a source.
