@@ -832,8 +832,7 @@ class DeliveredPhase:
     Handed to batched phase kernels by
     :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`.
     Channels are grouped by destination only when :meth:`channel` is first
-    asked for them — announcement phases whose traffic no kernel reads
-    (A3's ``in_X``/``in_U`` flags, A2's hash descriptors) never pay the
+    asked for them — a phase whose traffic no kernel reads never pays the
     grouping permutation at all.
     """
 
@@ -942,29 +941,48 @@ def record_deliveries(metrics: ExecutionMetrics, traffic: PhaseTraffic) -> None:
 
 
 def max_link_bits(traffic: PhaseTraffic, num_nodes: int) -> int:
-    """Return the maximum total bits queued on any directed link.
+    """Return the maximum total bits queued on any directed link."""
+    return _link_bits_reduction(traffic, num_nodes)[1]
 
-    Links are encoded as ``src * n + dst`` keys.  When the occupied key
-    range is small relative to the message count, one dense ``np.bincount``
-    does the whole reduction; otherwise (sparse traffic on a large network,
-    where the histogram would dwarf the records) it falls back to
-    sort-and-segment, still without any per-message Python work.
+
+def _link_bits_reduction(traffic: PhaseTraffic, num_nodes: int) -> Tuple[str, int]:
+    """``(reduction, max link bits)`` of :func:`max_link_bits`.
+
+    Links are encoded as ``src * n + dst`` keys (src-major) or ``dst * n +
+    src`` (dst-major).  The batched kernels stage most phases in CSR
+    order, so the keys often already ascend in one of the two orders:
+    strictly ascending keys mean every link carries one message
+    (``"one-per-link"``: the largest message), and ascending keys with
+    repeats are segmented where they are (``"segment"``).  Otherwise, when
+    the occupied src-major range is small relative to the message count,
+    one dense ``np.bincount`` does the whole reduction (``"histogram"``);
+    on sparse traffic over a large network, where the histogram would
+    dwarf the records, the keys are sorted and segmented (``"sort"``).  No
+    branch does per-message Python work.
     """
     if traffic.count == 0:
-        return 0
-    keys = traffic.src * np.int64(num_nodes) + traffic.dst
+        return "one-per-link", 0
+    n = np.int64(num_nodes)
+    keys = traffic.src * n + traffic.dst
+    for ordered in (keys, traffic.dst * n + traffic.src):
+        steps = np.diff(ordered)
+        if (steps >= 0).all():
+            if (steps > 0).all():
+                return "one-per-link", int(traffic.bits.max())
+            return "segment", _segment_max(ordered, traffic.bits)
     key_span = int(keys.max()) + 1
     if key_span <= 4 * max(traffic.count, 4096):
-        per_link = np.bincount(keys, weights=traffic.bits)
-        return int(per_link.max())
+        return "histogram", int(np.bincount(keys, weights=traffic.bits).max())
     order = np.argsort(keys, kind="stable")
-    sorted_bits = traffic.bits[order]
-    sorted_keys = keys[order]
+    return "sort", _segment_max(keys[order], traffic.bits[order])
+
+
+def _segment_max(sorted_keys: np.ndarray, bits: np.ndarray) -> int:
+    """The largest per-key bit total of ascending ``sorted_keys``."""
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
     )
-    per_link = np.add.reduceat(sorted_bits, starts)
-    return int(per_link.max())
+    return int(np.add.reduceat(bits, starts).max())
 
 
 def spawn_node_rngs(

@@ -27,7 +27,7 @@ from ..congest.backends import gather_spans
 from ..congest.node import NodeContext
 from ..congest.simulator import CongestSimulator
 from ..congest.wire import A1_SAMPLE_SCHEMA, id_bits
-from .base import TriangleAlgorithm, emit_revealed_triangles, validate_kernel
+from .base import TriangleAlgorithm, close_edges, validate_kernel
 from .parameters import a1_sample_cap, a1_sampling_probability
 
 
@@ -45,8 +45,8 @@ class HeavySamplingFinder(TriangleAlgorithm):
         ablation benchmarks can study its effect.
     kernel:
         ``"batched"`` (default) stages every node's sample broadcast as one
-        columnar batch and runs detection as a single whole-network
-        membership test over the direct-exchange channel arrays;
+        sizes-only batch and lists what the samples reveal by closing each
+        sampled edge over its common neighbours, from the graph;
         ``"reference"`` runs the per-node closures.  Identical executions
         for the same seed.
     """
@@ -128,71 +128,53 @@ class HeavySamplingFinder(TriangleAlgorithm):
         simulator.for_each_node(detect)
         return False
 
-    def _stage_samples(
+    def _execute_direct(
         self, simulator: CongestSimulator, probability: float, cap: float
-    ) -> None:
-        """Draw every node's sample and stage the broadcasts columnar.
+    ) -> bool:
+        """The direct-exchange kernel: samples staged by size, listed from the graph.
 
         Per-node randomness is drawn exactly as the reference closure draws
         it (one ``rng.random(degree)`` mask over the sorted neighbour row,
         in node order, skipping isolated nodes), so seeded runs coincide.
-        Everything after the draws is one array program over the CSR, and
-        the whole phase's traffic lands on the plane in one
-        ``stage_columns`` call: one message per (sender, neighbour) pair,
-        sender-major, each carrying the sender's whole sample.
+        The broadcast — one message per (sender, neighbour) pair,
+        sender-major, each carrying the sender's whole sample — is staged
+        by its sizes alone
+        (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
+        a neighbour ``k`` of ``j`` lists ``{j, k, l}`` for ``l ∈ S_j ∩
+        N(k)``, so the kernel closes every sampled edge ``(j, l)`` of a
+        sender over its common neighbours ``k`` and credits ``k``
+        (:func:`~repro.core.base.close_edges`).  No sample element is ever
+        staged, grouped or probed per receiver.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
         indptr, indices = csr.indptr, csr.indices
         degrees = np.diff(indptr)
-        if indices.shape[0] == 0:
-            return
         rngs = simulator.node_rngs
         # ``kept`` is aligned with the CSR entries: isolated nodes draw
         # nothing, and their rows are empty.
-        kept = (
-            np.concatenate(
-                [rngs[node].random(degrees[node]) for node in np.flatnonzero(degrees)]
-            )
-            < probability
-        )
+        draws = [rngs[node].random(degrees[node]) for node in np.flatnonzero(degrees)]
+        kept = np.concatenate(draws) < probability if draws else np.zeros(0, dtype=bool)
         owners = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
         sample_sizes = np.bincount(owners[kept], minlength=num_nodes)
         senders = np.flatnonzero((sample_sizes > 0) & (sample_sizes <= cap))
-        if senders.shape[0] == 0:
-            return
-        sample_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(sample_sizes, out=sample_indptr[1:])
-        samples = indices[kept]
-        src = np.repeat(senders, degrees[senders])
-        lengths = sample_sizes[src]
-        simulator.stage_columns(
-            A1_SAMPLE_SCHEMA,
-            src,
-            indices[gather_spans(indptr[senders], degrees[senders])],
-            {"member": samples[gather_spans(sample_indptr[src], lengths)]},
-            lengths=lengths,
-            bits=lengths * id_bits(num_nodes),
-        )
-
-    def _execute_direct(
-        self, simulator: CongestSimulator, probability: float, cap: float
-    ) -> bool:
-        """The direct-exchange kernel: fused whole-network detection.
-
-        Same traffic as the reference closures; delivery comes back as
-        destination-grouped channel arrays and the ``N(k) ∩ S_j`` test runs
-        as the shared chunked edge-membership sweep over the (receiver,
-        candidate) elements (:func:`~repro.core.base.emit_revealed_triangles`)
-        — no per-node inboxes, contexts or loops.
-        """
-        self._stage_samples(simulator, probability, cap)
-        delivered = simulator.exchange_phase("A1:send-samples")
-        emit_revealed_triangles(
-            simulator.output_table,
-            simulator.graph.csr(),
-            delivered.channel(A1_SAMPLE_SCHEMA),
-        )
+        if senders.shape[0]:
+            src = np.repeat(senders, degrees[senders])
+            lengths = sample_sizes[src]
+            simulator.stage_sizes(
+                A1_SAMPLE_SCHEMA,
+                src,
+                indices[gather_spans(indptr[senders], degrees[senders])],
+                lengths=lengths,
+                bits=lengths * id_bits(num_nodes),
+            )
+        simulator.exchange_phase("A1:send-samples")
+        sampled = kept & (sample_sizes <= cap)[owners]
+        j, l = owners[sampled], indices[sampled]
+        for _, _, receivers, keys in close_edges(
+            csr, np.minimum(j, l), np.maximum(j, l), indptr, indices
+        ):
+            simulator.output_table.emit_grouped(receivers, keys)
         return False
 
 

@@ -213,10 +213,11 @@ class HeavyHashingLister(TriangleAlgorithm):
 
         Each node's generator draws its coefficients exactly as the
         reference closure's ``family.sample(rng)`` does, in node order, so
-        seeded runs coincide; the whole phase is one columnar batch (one
-        message per directed edge, each carrying the sender's k
-        coefficients).  Returns the coefficient matrix, which the sender
-        programs evaluate locally in place of decoding received payloads.
+        seeded runs coincide.  The phase — one message per directed edge,
+        each carrying the sender's k coefficients — is staged by its sizes
+        alone (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
+        no receiver reads it, since the step-2 senders evaluate the returned
+        coefficient matrix locally in place of decoding received payloads.
         """
         num_nodes = simulator.num_nodes
         csr = simulator.graph.csr()
@@ -227,12 +228,8 @@ class HeavyHashingLister(TriangleAlgorithm):
         schema = HashDescriptorSchema(family.independence, family.prime)
         src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
         if src.shape[0]:
-            simulator.stage_columns(
-                schema,
-                src,
-                csr.indices,
-                {"coefficient": coefficients[src].ravel()},
-                bits=family.description_bits(),
+            simulator.stage_sizes(
+                schema, src, csr.indices, bits=family.description_bits()
             )
         return coefficients
 

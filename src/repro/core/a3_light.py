@@ -57,7 +57,6 @@ import numpy as np
 from ..congest.backends import (
     FUSED_BYTES_PER_ELEMENT,
     chunk_rows,
-    fused_chunk_rows,
     gather_spans,
     landmark_words,
     shares_landmark,
@@ -75,8 +74,7 @@ from ..congest.wire import (
     id_bits,
 )
 from ..errors import RoundLimitExceededError
-from ..types import triangle_keys
-from .base import TriangleAlgorithm, emit_revealed_triangles, validate_kernel
+from .base import TriangleAlgorithm, close_edges, validate_kernel
 from .parameters import (
     a3_goodness_threshold,
     a3_landmark_probability,
@@ -116,10 +114,9 @@ def run_axr(
         without looping forever).
     kernel:
         ``"batched"`` (default) runs every phase on the direct-exchange
-        path: step 4.1's S sets are counted from landmark words and staged
-        by their sizes alone, the triangles they reveal are listed from
-        the graph, and V sets are consumed with whole-network
-        edge-membership oracle calls (no per-node inboxes);
+        path: every phase is staged by its sizes alone, step 4.1's S sets
+        are counted from landmark words, and the triangles the S and V
+        sets reveal are listed from the graph (no per-node inboxes);
         ``"reference"`` runs the per-node closures.  Both kernels execute
         identically (same rounds, bits and outputs).
 
@@ -373,46 +370,19 @@ def _emit_s_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld
     holds exactly when ``{j, k, l}`` is a triangle of active nodes,
     ``S(j, k)`` shipped and ``{j, l} ∈ ∆(X)``.  So every ∆(X)-disjoint
     active edge ``{u, v}`` is closed over its common active neighbours
-    ``x`` — the active row of the endpoint with fewer active neighbours,
-    probed with :meth:`~repro.graphs.csr.CSRGraph.has_edges` against the
-    other — and ``{u, v, x}`` goes to ``u`` when ``S(u, x)`` shipped and
-    to ``v`` when ``S(v, x)`` shipped.  ``withheld`` holds the ascending
-    keys ``j·n + k`` of the pairs whose ``S(j, k)`` was withheld; it is
-    probed only when non-empty.  Triangles whose three pairs all share a
-    landmark are never touched.
+    ``x`` (:func:`~repro.core.base.close_edges` over the active rows), and
+    ``{u, v, x}`` goes to ``u`` when ``S(u, x)`` shipped and to ``v`` when
+    ``S(v, x)`` shipped.  ``withheld`` holds the ascending keys ``j·n + k``
+    of the pairs whose ``S(j, k)`` was withheld; it is probed only when
+    non-empty.  Triangles whose three pairs all share a landmark are never
+    touched.
     """
     num_nodes = csr.num_nodes
     canonical = pair_j < pair_k
     us, vs = pair_j[canonical], pair_k[canonical]
     disjoint = np.flatnonzero(~shares_landmark(words, us, vs))
     us, vs = us[disjoint], vs[disjoint]
-    active_degrees = np.diff(active_indptr)
-    near_is_v = active_degrees[vs] < active_degrees[us]
-    nears = np.where(near_is_v, vs, us)
-    fars = np.where(near_is_v, us, vs)
-    lengths = active_degrees[nears]
-    gathered_ends = np.cumsum(lengths)
-    chunk_elements = fused_chunk_rows(minimum=4096)
-    edge_start = 0
-    while edge_start < us.shape[0]:
-        done = int(gathered_ends[edge_start - 1]) if edge_start else 0
-        edge_end = int(
-            np.searchsorted(gathered_ends, done + chunk_elements, side="right")
-        )
-        edge_end = max(edge_end, edge_start + 1)
-        block = slice(edge_start, edge_end)
-        thirds = pair_k[gather_spans(active_indptr[nears[block]], lengths[block])]
-        closed = np.repeat(fars[block], lengths[block])
-        hits = np.flatnonzero(csr.has_edges(closed, thirds))
-        block_ends = gathered_ends[block] - done
-        edge_start = edge_end
-        if hits.shape[0] == 0:
-            continue
-        edges = block.start + np.searchsorted(block_ends, hits, side="right")
-        u, v, x = us[edges], vs[edges], thirds[hits]
-        lo = np.minimum(u, x)
-        hi = np.maximum(v, x)
-        keys = triangle_keys(lo, u + v + x - lo - hi, hi, num_nodes)
+    for u, v, x, keys in close_edges(csr, us, vs, active_indptr, pair_k):
         receivers = np.concatenate((u, v))
         keys = np.concatenate((keys, keys))
         if withheld.shape[0]:
@@ -428,15 +398,16 @@ def _run_axr_direct(
     goodness_threshold: float,
     max_iterations: Optional[int] = None,
 ) -> bool:
-    """The direct-exchange kernel for ``A(X, r)``: fused receivers throughout.
+    """The direct-exchange kernel for ``A(X, r)``: no receiver reads a payload.
 
     Same traffic, phase for phase, as :func:`_run_axr_reference` — the
     differential suite pins both kernels together — but every phase runs
     through :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`:
 
-    * the ``in_X``/``in_U`` announcements, the ``N(k) ∩ X``
-      neighbourhoods and the step-4.1 S sets are staged by their sizes
-      alone (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
+    * every phase — the ``in_X``/``in_U`` announcements, the ``N(k) ∩ X``
+      neighbourhoods, the step-4.1 S sets and the step-4.3 V sets — is
+      staged by its sizes alone
+      (:meth:`~repro.congest.simulator.CongestSimulator.stage_sizes`):
       no receiver reads them, since the kernel already holds what they
       communicate;
     * step 4.1 never lists an S set.  Every ``|S(j, k)|`` is counted from
@@ -444,10 +415,10 @@ def _run_axr_direct(
       and the withheld pairs of step 4.2, and the triangles the shipped
       sets reveal are listed from the graph by closing the ∆(X)-disjoint
       active edges (:func:`_emit_s_revealed`);
-    * step 4.3's V sets are staged with their elements, and their
-      receivers consume the destination-grouped channel columns with the
-      shared chunked edge-membership sweep
-      (:func:`~repro.core.base.emit_revealed_triangles`).
+    * the triangles step 4.3's V sets reveal are listed the same way: each
+      withheld pair ``(j, l)`` of an r-good ``j`` is closed over its common
+      active neighbours, crediting the neighbour
+      (:func:`~repro.core.base.close_edges`).
     """
     num_nodes = simulator.num_nodes
     node_id_bits = id_bits(num_nodes)
@@ -527,22 +498,28 @@ def _run_axr_direct(
         is_good = in_u & (withheld_counts <= goodness_threshold)
 
         # Step 4.3 — r-good nodes ship V(j) to their active neighbours, in
-        # node-ascending order, as the reference closures send it.
+        # node-ascending order, as the reference closures send it.  A
+        # receiver k lists {j, k, l} for l ∈ V(j) ∩ N(k): the withheld pairs
+        # (j, l) of good j, closed over their common active neighbours k.
         senders = np.flatnonzero(is_good & (withheld_counts > 0))
         if senders.shape[0]:
             targets = np.diff(active_indptr)[senders]
             v_src = np.repeat(senders, targets)
             v_sizes = withheld_counts[v_src]
-            simulator.stage_columns(
+            simulator.stage_sizes(
                 A3_V_SCHEMA,
                 v_src,
                 pair_k[gather_spans(active_indptr[senders], targets)],
-                {"member": withheld_k[gather_spans(withheld_indptr[v_src], v_sizes)]},
                 lengths=v_sizes,
                 bits=np.maximum(v_sizes * node_id_bits, 1),
             )
-        delivered = simulator.exchange_phase("A(X,r):4.3-send-V")
-        emit_revealed_triangles(output, csr, delivered.channel(A3_V_SCHEMA))
+        simulator.exchange_phase("A(X,r):4.3-send-V")
+        shipped_v = is_good[withheld_j]
+        v_j, v_l = withheld_j[shipped_v], withheld_k[shipped_v]
+        for _, _, receivers, keys in close_edges(
+            csr, np.minimum(v_j, v_l), np.maximum(v_j, v_l), active_indptr, pair_k
+        ):
+            output.emit_grouped(receivers, keys)
 
         # Steps 4.4 / 4.5 — good nodes retire; everyone announces membership.
         retired_any = bool(is_good.any())

@@ -18,11 +18,11 @@ per-message ``send`` loops.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..congest.backends import fused_chunk_rows
+from ..congest.backends import fused_chunk_rows, gather_spans
 from ..congest.metrics import AlgorithmCost, ExecutionMetrics
 from ..congest.node import OutputTable
 from ..congest.runtime import DeliveredChannel
@@ -80,14 +80,16 @@ def emit_revealed_triangles(
     """List the triangles a delivered id-list channel reveals, fused.
 
     An element ``l`` of a message from ``j`` to ``k`` reveals ``{j, k, l}``
-    exactly when ``l`` neighbours ``k``: A1's samples, A3's S and V sets
-    (steps 4.1/4.3 of Figure 2) and naive's neighbourhoods all work this
-    way.  With ``above_sender`` only elements ``l > j`` are tested, so a
-    receiver of both ``N(j)`` and ``N(l)`` lists ``{j, k, l}`` once.  The
-    test is :meth:`~repro.graphs.csr.CSRGraph.has_edges`, whose self-pairs
-    are ``False``; hits become triangle keys arithmetically.  The sweep runs
-    over message-aligned element blocks bounded by the chunk bound, so peak
-    memory stays flat however large the phase's traffic is.
+    exactly when ``l`` neighbours ``k``.  Only naive's neighbourhood
+    exchange is listed this way, from its staged elements; A1's samples
+    and A3's S and V sets are staged by their sizes alone and listed from
+    the graph (:func:`close_edges`).  With ``above_sender`` only elements
+    ``l > j`` are tested, so a receiver of both ``N(j)`` and ``N(l)`` lists
+    ``{j, k, l}`` once.  The test is
+    :meth:`~repro.graphs.csr.CSRGraph.has_edges`, whose self-pairs are
+    ``False``; hits become triangle keys arithmetically.  The sweep runs
+    over message-aligned element blocks bounded by the chunk bound, so
+    peak memory stays flat however large the phase's traffic is.
     """
     offsets, lengths, num_nodes = channel.offsets, channel.lengths, csr.num_nodes
     chunk_elements = fused_chunk_rows(minimum=4096)
@@ -109,6 +111,60 @@ def emit_revealed_triangles(
             hi = np.maximum(np.maximum(j, l), k)
             output.emit_grouped(k, triangle_keys(lo, j + k + l - lo - hi, hi, num_nodes))
         start = end
+
+
+def close_edges(
+    csr: CSRGraph,
+    us: np.ndarray,
+    vs: np.ndarray,
+    row_indptr: np.ndarray,
+    row_indices: np.ndarray,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Close each edge ``{us[e], vs[e]}`` over its common neighbours, in blocks.
+
+    The edges come canonical, ``us < vs``.  ``row_indptr``/``row_indices``
+    is a CSR over some of the graph's edges (the graph's own, or the
+    subgraph of active nodes).  Each edge gathers the row of the endpoint
+    with fewer row entries and probes every entry ``x`` with
+    :meth:`~repro.graphs.csr.CSRGraph.has_edges` against the other
+    endpoint, so ``x`` is a common neighbour in the near endpoint's row.
+    Yields ``(u, v, x, keys)`` per block of edges whose gathered rows fit
+    the chunk bound: for each hit, its edge's endpoints, the third vertex
+    and the key of ``{u, v, x}``.  A1's samples and A3's S and V sets are
+    listed this way, from the graph instead of from delivered element
+    columns.
+    """
+    num_nodes = csr.num_nodes
+    row_lengths = np.diff(row_indptr)
+    near_is_v = row_lengths[vs] < row_lengths[us]
+    nears = np.where(near_is_v, vs, us)
+    fars = np.where(near_is_v, us, vs)
+    lengths = row_lengths[nears]
+    gathered_ends = np.cumsum(lengths)
+    chunk_elements = fused_chunk_rows(minimum=4096)
+    edge_start = 0
+    while edge_start < us.shape[0]:
+        done = int(gathered_ends[edge_start - 1]) if edge_start else 0
+        edge_end = int(
+            np.searchsorted(gathered_ends, done + chunk_elements, side="right")
+        )
+        edge_end = max(edge_end, edge_start + 1)
+        block = slice(edge_start, edge_end)
+        thirds = row_indices[gather_spans(row_indptr[nears[block]], lengths[block])]
+        hits = np.flatnonzero(
+            csr.has_edges(np.repeat(fars[block], lengths[block]), thirds)
+        )
+        edge_start = edge_end
+        if hits.shape[0] == 0:
+            continue
+        edges = block.start + np.searchsorted(
+            gathered_ends[block] - done, hits, side="right"
+        )
+        u, v, x = us[edges], vs[edges], thirds[hits]
+        lo = np.minimum(u, x)
+        hi = np.maximum(v, x)
+        keys = triangle_keys(lo, u + v + x - lo - hi, hi, num_nodes)
+        yield u, v, x, keys
 
 
 def validate_kernel(kernel: str) -> str:

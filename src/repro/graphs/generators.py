@@ -29,7 +29,10 @@ so generation cost is dominated by sampling, not per-edge Python calls.
 ``G(n, p)`` picks between direct upper-triangle masking (small instances,
 bit-for-bit the sampling order of the original implementation) and
 geometric gap skipping (large sparse instances, expected ``O(m)`` draws
-instead of ``O(n²)``).
+instead of ``O(n²)``).  Direct masking draws its uniforms in fixed-size
+blocks (:func:`_bernoulli_positions`): successive ``rng.random`` calls
+continue one stream, so the graph is the one a single whole-array draw
+gives, without that draw's ``8 C(n, 2)``-byte transient.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ from .graph import Graph
 #: upper triangle directly (one uniform per pair); beyond this, geometric
 #: gap skipping keeps memory and draws proportional to the edge count.
 _GNP_DIRECT_MAX_PAIRS = 1 << 24
+
+#: Uniforms drawn per block by :func:`_bernoulli_positions` (2 MB of
+#: float64): the direct samplers' transient stays flat however many
+#: candidate pairs a graph has.
+_BERNOULLI_BLOCK = 1 << 18
 
 
 def _resolve_rng(seed: Optional[int | np.random.Generator]) -> np.random.Generator:
@@ -87,6 +95,41 @@ def _linear_index_to_pair(
     u = np.searchsorted(row_starts, positions, side="right") - 1
     v = u + 1 + (positions - row_starts[u])
     return u, v
+
+
+def _bernoulli_positions(
+    total: int, probability: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Return ``np.flatnonzero(rng.random(total) < probability)``, drawn in blocks.
+
+    ``rng.random(a)`` followed by ``rng.random(b)`` yields exactly the
+    values of ``rng.random(a + b)``, so filling one reused block buffer
+    ``_BERNOULLI_BLOCK`` uniforms at a time consumes the same stream and
+    keeps the same positions, leaving ``rng`` in the same state.  The hits
+    go straight into one output buffer sized six standard deviations above
+    the expected count (a binomial's deviation is at most the square root
+    of its mean); in the rare run that overflows it, the buffer grows once
+    to the most the remaining blocks can hold.
+    """
+    expected = total * probability
+    capacity = min(total, int(expected + 6.0 * expected**0.5) + 64)
+    positions = np.empty(capacity, dtype=np.int64)
+    block = max(1, min(total, _BERNOULLI_BLOCK))
+    uniforms = np.empty(block)
+    mask = np.empty(block, dtype=bool)
+    found = 0
+    for start in range(0, total, block):
+        size = min(block, total - start)
+        rng.random(out=uniforms[:size])
+        np.less(uniforms[:size], probability, out=mask[:size])
+        hits = np.flatnonzero(mask[:size])
+        if found + hits.shape[0] > positions.shape[0]:
+            grown = np.empty(found + total - start, dtype=np.int64)
+            grown[:found] = positions[:found]
+            positions = grown
+        np.add(hits, start, out=positions[found : found + hits.shape[0]])
+        found += hits.shape[0]
+    return positions[:found]
 
 
 def _gnp_positions_by_skipping(
@@ -133,7 +176,7 @@ def gnp_random_graph(
         return complete_graph(num_nodes)
     total = num_nodes * (num_nodes - 1) // 2
     if total <= _GNP_DIRECT_MAX_PAIRS:
-        positions = np.flatnonzero(rng.random(total) < edge_probability)
+        positions = _bernoulli_positions(total, edge_probability, rng)
     else:
         positions = _gnp_positions_by_skipping(total, edge_probability, rng)
     u, v = _linear_index_to_pair(positions, num_nodes)
@@ -152,7 +195,8 @@ def _bipartite_edges(
     other = num_nodes - split
     if split == 0 or other == 0 or edge_probability == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    u, col = np.nonzero(rng.random((split, other)) < edge_probability)
+    # Row-major positions of the ``split × other`` pair grid.
+    u, col = np.divmod(_bernoulli_positions(split * other, edge_probability, rng), other)
     return u, col + split
 
 
@@ -252,8 +296,9 @@ def heavy_edge_gadget(
     v_parts = [np.array([1], dtype=np.int64), apexes, apexes]
     if background_probability > 0.0 and num_nodes > 3:
         rest = num_nodes - 2
-        mask = rng.random(rest * (rest - 1) // 2) < background_probability
-        positions = np.flatnonzero(mask)
+        positions = _bernoulli_positions(
+            rest * (rest - 1) // 2, background_probability, rng
+        )
         if positions.shape[0]:
             bu, bv = _linear_index_to_pair(positions, rest)
             u_parts.append(bu + 2)

@@ -45,7 +45,6 @@ from repro.congest import (
 )
 from repro.congest import runtime as runtime_module
 from repro.congest.wire import A3_S_SCHEMA
-from repro.congest import simulator as simulator_module
 from repro.core import (
     DolevCliqueListing,
     HeavyHashingLister,
@@ -189,35 +188,6 @@ class PhaseReplay:
             assert metrics.messages_received_per_node == dict(messages)
 
 
-class LinkBitsBranches:
-    """Records which reduction :func:`max_link_bits` took on each phase.
-
-    Stands in for numpy inside the runtime module: only the sort-and-segment
-    branch calls ``argsort`` within ``max_link_bits``.
-    """
-
-    def __init__(self):
-        self.taken = []
-        self._argsorts = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def argsort(self, *args, **kwargs):
-        self._argsorts += 1
-        return np.argsort(*args, **kwargs)
-
-    def wrap(self, original):
-        def spied(traffic, num_nodes):
-            before = self._argsorts
-            link_bits = original(traffic, num_nodes)
-            if traffic.count:
-                self.taken.append("sort" if self._argsorts > before else "bincount")
-            return link_bits
-
-        return spied
-
-
 def install_replay(monkeypatch):
     """Replay every phase accounted from here on; return the replay log."""
     replay = PhaseReplay()
@@ -261,27 +231,72 @@ def test_replay_takes_the_charged_rounds(
         assert replay.phases
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize(
-    "num_nodes, edge_probability, branch",
-    [(300, 0.01, "sort"), (40, 0.3, "bincount")],
-    ids=["sparse", "dense"],
-)
-def test_replay_reaches_both_link_bit_reductions(
-    monkeypatch, kernel, num_nodes, edge_probability, branch
-):
-    # Small drawn graphs keep the link-key range small, so only a sparse
-    # network large enough for the histogram to dwarf the records sends
-    # max_link_bits down its sort-and-segment branch.
-    branches = LinkBitsBranches()
-    monkeypatch.setattr(runtime_module, "np", branches)
-    monkeypatch.setattr(
-        simulator_module, "max_link_bits", branches.wrap(simulator_module.max_link_bits)
-    )
-    graph = gnp_random_graph(num_nodes, edge_probability, seed=5)
-    replay = run_replayed(monkeypatch, "A1", kernel, graph, seed=2)
-    assert replay.phases
-    assert branch in branches.taken
+def link_traffic(num_nodes, edge_probability, order, seed=5):
+    """``(src, dst, bits)`` over every directed edge of a drawn graph.
+
+    ``order`` is ``"src-major"`` (CSR order, one message per link),
+    ``"dst-major"`` (one per link, receiver-major), ``"repeated"`` (CSR
+    order, each link's messages consecutive, one to three of them) or
+    ``"shuffled"`` (one to three per link, in random order).
+    """
+    csr = gnp_random_graph(num_nodes, edge_probability, seed=seed).csr()
+    src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr))
+    dst = csr.indices
+    rng = np.random.default_rng(seed)
+    if order == "dst-major":
+        ranks = np.lexsort((src, dst))
+        src, dst = src[ranks], dst[ranks]
+    elif order in ("repeated", "shuffled"):
+        copies = rng.integers(1, 4, size=src.shape[0])
+        src, dst = np.repeat(src, copies), np.repeat(dst, copies)
+        if order == "shuffled":
+            ranks = rng.permutation(src.shape[0])
+            src, dst = src[ranks], dst[ranks]
+    return src, dst, rng.integers(1, 60, size=src.shape[0])
+
+
+#: One named traffic case per reduction of ``max_link_bits``:
+#: ``(num_nodes, edge_probability, order, reduction)``.  The link-key span
+#: n² is at most four times the message count only on the small dense
+#: network, so only there do shuffled keys take the histogram.
+LINK_BIT_CASES = {
+    "one-per-link-src-major": (40, 0.3, "src-major", "one-per-link"),
+    "one-per-link-dst-major": (300, 0.01, "dst-major", "one-per-link"),
+    "segment-in-place": (300, 0.01, "repeated", "segment"),
+    "histogram": (40, 0.3, "shuffled", "histogram"),
+    "sort-and-segment": (300, 0.01, "shuffled", "sort"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_BIT_CASES))
+def test_replay_reaches_every_link_bit_reduction(monkeypatch, case):
+    # Each reduction is reached by its named case on a real phase, and its
+    # result is checked against a brute-force per-link sum and against the
+    # literal replay, which recounts the busiest link itself.
+    num_nodes, edge_probability, order, reduction = LINK_BIT_CASES[case]
+    taken = []
+    reduce_links = runtime_module._link_bits_reduction
+
+    def spied(traffic, n):
+        branch, link_bits = reduce_links(traffic, n)
+        taken.append((branch, link_bits))
+        return branch, link_bits
+
+    monkeypatch.setattr(runtime_module, "_link_bits_reduction", spied)
+    src, dst, bits = link_traffic(num_nodes, edge_probability, order)
+    per_link = Counter()
+    for link, size in zip(zip(src.tolist(), dst.tolist()), bits.tolist()):
+        per_link[link] += size
+    if reduction == "one-per-link":
+        assert max(Counter(zip(src.tolist(), dst.tolist())).values()) == 1
+    replay = install_replay(monkeypatch)
+    simulator = CongestSimulator(gnp_random_graph(num_nodes, edge_probability, seed=5))
+    simulator.stage_sizes(A3_S_SCHEMA, src, dst, lengths=np.ones_like(bits), bits=bits)
+    report = simulator.exchange_phase("link-bits").report
+    replay.assert_tallies_match()
+    assert replay.phases == 1
+    assert taken == [(reduction, max(per_link.values()))]
+    assert report.max_link_bits == max(per_link.values())
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -30,6 +30,7 @@ from repro.core.a3_light import run_axr
 from repro.congest import CongestSimulator, NodeContext, OutputTable
 from repro.congest.backends import landmark_words, shares_landmark, use_chunk_bytes
 from repro.congest.wire import (
+    A1_SAMPLE_SCHEMA,
     A2_EDGE_SCHEMA,
     A3_IN_U_SCHEMA,
     A3_IN_X_SCHEMA,
@@ -49,6 +50,8 @@ from repro.graphs import (
     triangle_free_bipartite,
     union_of_cliques,
 )
+from repro.core.parameters import a1_sample_cap, a1_sampling_probability
+from repro.errors import SimulationError
 from repro.types import sorted_unique
 
 #: Every workload family the generators produce, at differential-test size.
@@ -335,47 +338,228 @@ def test_landmark_words_match_brute_force_with_many_landmarks():
         assert alone.tolist() == [bool(packed & neighborhoods[0] & neighborhoods[1])] * 2
 
 
-@pytest.mark.parametrize("epsilon", [0.2, 0.6])
-def test_batched_a3_builds_no_s_payload(monkeypatch, epsilon):
-    # Step 4.1 is staged by its sizes alone, and the fused receivers only
-    # ever read V channels.
-    staged_columns = []
-    staged_sizes = []
-    read_channels = []
+def _record_doors(monkeypatch):
+    """Spy on both staging doors and keep every delivered phase.
+
+    Returns ``(staged, delivered)``: ``(door, kind)`` per staged batch
+    (door ``"columns"`` or ``"sizes"``) and, per exchanged phase, the
+    kernel's :class:`~repro.congest.runtime.DeliveredPhase` with the kinds
+    staged for it.
+    """
+    staged = []
+    pending = set()
+    delivered = []
     stage_columns = CongestSimulator.stage_columns
     stage_sizes = CongestSimulator.stage_sizes
+    exchange_phase = CongestSimulator.exchange_phase
 
     def columns_spy(self, schema, src, dst, data, lengths=None, bits=None):
-        staged_columns.append(schema.kind)
+        staged.append(("columns", schema.kind))
+        pending.add(schema.kind)
         return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
 
     def sizes_spy(self, schema, src, dst, lengths=None, bits=None):
-        staged_sizes.append(schema.kind)
+        staged.append(("sizes", schema.kind))
+        pending.add(schema.kind)
         return stage_sizes(self, schema, src, dst, lengths=lengths, bits=bits)
 
-    emit = a3_light.emit_revealed_triangles
-
-    def emit_spy(output, csr, channel, above_sender=False):
-        read_channels.append(channel.schema.kind)
-        return emit(output, csr, channel, above_sender=above_sender)
+    def exchange_spy(self, name="phase", extra_rounds=0):
+        phase = exchange_phase(self, name, extra_rounds)
+        delivered.append((phase, set(pending)))
+        pending.clear()
+        return phase
 
     monkeypatch.setattr(CongestSimulator, "stage_columns", columns_spy)
     monkeypatch.setattr(CongestSimulator, "stage_sizes", sizes_spy)
-    monkeypatch.setattr(a3_light, "emit_revealed_triangles", emit_spy)
+    monkeypatch.setattr(CongestSimulator, "exchange_phase", exchange_spy)
+    return staged, delivered
+
+
+def _assert_no_payload_readable(delivered):
+    """Every delivered phase refuses to hand out the elements of its kinds."""
+    for phase, kinds in delivered:
+        for kind in kinds:
+            with pytest.raises(SimulationError):
+                phase.channel(kind)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.6])
+def test_batched_a3_builds_no_s_payload(monkeypatch, epsilon):
+    # Every phase, S and V sets included, is staged by its sizes alone, so
+    # no delivered channel can be read.
+    staged, delivered = _record_doors(monkeypatch)
     result = LightTrianglesLister(
         epsilon=epsilon, landmark_probability=0.05, goodness_threshold=12.0
     ).run(gnp_random_graph(150, 0.12, seed=19), seed=1)
     assert result.output.union_keys().shape[0]
-    assert A3_S_SCHEMA.kind in staged_sizes
-    assert A3_S_SCHEMA.kind not in staged_columns
-    assert set(staged_columns) == {A3_V_SCHEMA.kind}
-    assert set(staged_sizes) == {
+    kinds = {
         A3_IN_X_SCHEMA.kind,
         A3_NX_SCHEMA.kind,
         A3_S_SCHEMA.kind,
+        A3_V_SCHEMA.kind,
         A3_IN_U_SCHEMA.kind,
     }
-    assert read_channels and set(read_channels) == {A3_V_SCHEMA.kind}
+    assert {door for door, _ in staged} == {"sizes"}
+    assert {kind for _, kind in staged} == kinds
+    _assert_no_payload_readable(delivered)
+
+
+def test_batched_a1_builds_no_sample_payload(monkeypatch):
+    # The sample broadcast is staged by its sizes alone; the revealed
+    # triangles come from the graph, so no sample element is ever built.
+    staged, delivered = _record_doors(monkeypatch)
+    result = HeavySamplingFinder(epsilon=0.3).run(
+        gnp_random_graph(150, 0.12, seed=19), seed=1
+    )
+    assert result.output.union_keys().shape[0]
+    assert staged == [("sizes", A1_SAMPLE_SCHEMA.kind)]
+    assert len(delivered) == 1
+    assert delivered[0][0].report.messages
+    _assert_no_payload_readable(delivered)
+
+
+def _a1_samples(graph, epsilon, cap_constant, seed):
+    """Every node's A1 sample, drawn as both kernels draw it, and the senders."""
+    num_nodes = graph.num_nodes
+    probability = a1_sampling_probability(num_nodes, epsilon)
+    cap = cap_constant / 4.0 * a1_sample_cap(num_nodes, epsilon)
+    rngs = CongestSimulator(graph, seed=seed).node_rngs
+    csr = graph.csr()
+    samples = {}
+    for node in range(num_nodes):
+        row = csr.neighbor_slice(node)
+        if row.shape[0]:
+            samples[node] = set(row[rngs[node].random(row.shape[0]) < probability].tolist())
+    senders = {node for node, sample in samples.items() if 0 < len(sample) <= cap}
+    return samples, senders
+
+
+def _with_isolated_nodes(graph, extra):
+    """``graph`` plus ``extra`` isolated nodes interleaved among its own."""
+    relabel = np.arange(graph.num_nodes) * 2
+    csr = graph.csr()
+    return Graph.from_edge_arrays(
+        graph.num_nodes + extra, relabel[csr.edge_u], relabel[csr.edge_v]
+    )
+
+
+#: A1's regimes: ``(graph, ε, sample_cap_constant)``.  No sender (the cap
+#: is below one id), every node a sender (ε = 0 samples whole rows under
+#: a cap of 4n), a cap that withholds some non-empty samples, isolated
+#: nodes (they draw nothing), and a pair sampled from both ends, whose
+#: triangles are emitted twice.
+A1_REGIMES = {
+    "no-sender": (lambda: gnp_random_graph(60, 0.3, seed=3), 0.3, 1e-9),
+    "every-node-a-sender": (lambda: gnp_random_graph(60, 0.3, seed=3), 0.0, 4.0),
+    "cap-withheld": (lambda: gnp_random_graph(60, 0.3, seed=3), 0.1, 0.3),
+    "isolated-nodes": (
+        lambda: _with_isolated_nodes(gnp_random_graph(40, 0.3, seed=3), 40),
+        0.2,
+        4.0,
+    ),
+    "sampled-from-both-ends": (lambda: gnp_random_graph(60, 0.5, seed=3), 0.3, 4.0),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(A1_REGIMES))
+def test_a1_regimes_match_reference(regime):
+    make_graph, epsilon, cap_constant = A1_REGIMES[regime]
+    graph = make_graph()
+    num_nodes = graph.num_nodes
+    samples, senders = _a1_samples(graph, epsilon, cap_constant, seed=4)
+    csr = graph.csr()
+    both_ends = [
+        (j, l)
+        for j in senders
+        for l in samples[j]
+        if l in senders and j in samples[l]
+        and np.intersect1d(csr.neighbor_slice(j), csr.neighbor_slice(l)).shape[0]
+    ]
+    assert {
+        "no-sender": not senders,
+        "every-node-a-sender": senders == set(range(num_nodes)),
+        "cap-withheld": bool(senders)
+        and any(sample and node not in senders for node, sample in samples.items()),
+        "isolated-nodes": bool(senders) and len(samples) < num_nodes,
+        "sampled-from-both-ends": bool(both_ends),
+    }[regime]
+    runs = {}
+    # A tiny chunk bound makes the edge closures cross many block
+    # boundaries.
+    with use_chunk_bytes(64):
+        for kernel in ("reference", "batched"):
+            result = HeavySamplingFinder(epsilon, cap_constant, kernel=kernel).run(
+                graph, seed=4
+            )
+            runs[kernel] = (
+                result.metrics,
+                [result.output.node_output(node) for node in range(num_nodes)],
+            )
+    assert runs["batched"] == runs["reference"]
+    assert runs["batched"][0].phases[0].messages == sum(
+        csr.degree(node) for node in senders
+    )
+    assert any(runs["batched"][1]) == (regime != "no-sender")
+
+
+#: Forced V-set regimes: ``(graph, landmark probability, r)``.  V sets
+#: ship over several iterations, in one iteration, before the loop stalls
+#: with no r-good node left, and on a denser graph.
+V_SET_REGIMES = {
+    "several-iterations": (lambda: gnp_random_graph(120, 0.15, seed=23), 0.02, 12.0),
+    "one-iteration": (lambda: gnp_random_graph(120, 0.15, seed=23), 0.05, 20.0),
+    "stalls-after-v": (lambda: gnp_random_graph(150, 0.12, seed=23), 0.05, 6.0),
+    "denser": (lambda: gnp_random_graph(120, 0.3, seed=23), 0.1, 12.0),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(V_SET_REGIMES))
+def test_a3_v_sets_match_reference(monkeypatch, regime):
+    # The perfbench graphs ship no V set, so a small goodness threshold
+    # forces them: many S sets are withheld, and nodes with at most r
+    # withheld pairs turn good while still holding them and ship V(j).
+    # The triangles the batched kernel credits right after the V phase
+    # are those the V sets reveal.
+    make_graph, landmark_probability, threshold = V_SET_REGIMES[regime]
+    graph = make_graph()
+    emitted = {}
+    phases = []
+    exchange_phase = CongestSimulator.exchange_phase
+    emit_grouped = OutputTable.emit_grouped
+
+    def exchange_spy(self, name="phase", extra_rounds=0):
+        phases.append(name)
+        return exchange_phase(self, name, extra_rounds)
+
+    def emit_spy(self, receivers, keys):
+        emitted[phases[-1]] = emitted.get(phases[-1], 0) + keys.shape[0]
+        return emit_grouped(self, receivers, keys)
+
+    runs = {}
+    with use_chunk_bytes(64):
+        for kernel in ("reference", "batched"):
+            if kernel == "batched":
+                monkeypatch.setattr(CongestSimulator, "exchange_phase", exchange_spy)
+                monkeypatch.setattr(OutputTable, "emit_grouped", emit_spy)
+            result = LightTrianglesLister(
+                epsilon=0.3,
+                landmark_probability=landmark_probability,
+                goodness_threshold=threshold,
+                enforce_budget=False,
+                kernel=kernel,
+            ).run(graph, seed=6)
+            runs[kernel] = (
+                result.truncated,
+                result.metrics,
+                [result.output.node_output(node) for node in range(graph.num_nodes)],
+            )
+    assert runs["batched"] == runs["reference"]
+    assert any(
+        phase.messages
+        for phase in runs["batched"][1].phases
+        if phase.name == "A(X,r):4.3-send-V"
+    )
+    assert emitted.get("A(X,r):4.3-send-V", 0)
 
 
 #: A2's dense families, plus the Theorem-2 cell graph of the sweep benchmark.

@@ -1,9 +1,14 @@
 """Unit tests for the synthetic workload generators."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graphs import generators
 from repro.graphs import (
     Graph,
     barabasi_albert_graph,
@@ -309,3 +314,158 @@ class TestCountTriangles:
             name: build().csr()._use_dense() for name, build in _COUNT_CASES.items()
         }
         assert any(dense.values()) and not all(dense.values())
+
+
+def csr_digest(graph):
+    """sha256 of a graph's CSR arrays: equal digests mean identical graphs."""
+    csr = graph.csr()
+    digest = hashlib.sha256(csr.indptr.tobytes())
+    digest.update(csr.indices.tobytes())
+    return digest.hexdigest()
+
+
+def one_shot_gnp(num_nodes, edge_probability, seed):
+    """``G(n, p)`` from one whole-array draw of every pair's uniform."""
+    rng = np.random.default_rng(seed)
+    total = num_nodes * (num_nodes - 1) // 2
+    positions = np.flatnonzero(rng.random(total) < edge_probability)
+    upper_u, upper_v = np.triu_indices(num_nodes, k=1)
+    return Graph.from_edge_arrays(num_nodes, upper_u[positions], upper_v[positions])
+
+
+def one_shot_gadget(num_nodes, support, background_probability, seed):
+    """:func:`heavy_edge_gadget` with its background drawn in one call."""
+    rng = np.random.default_rng(seed)
+    apexes = np.arange(2, 2 + support)
+    rest = num_nodes - 2
+    mask = rng.random(rest * (rest - 1) // 2) < background_probability
+    upper_u, upper_v = np.triu_indices(rest, k=1)
+    return Graph.from_edge_arrays(
+        num_nodes,
+        np.concatenate(
+            ([0], np.zeros(support, dtype=np.int64), np.ones(support, dtype=np.int64),
+             upper_u[mask] + 2)
+        ),
+        np.concatenate(([1], apexes, apexes, upper_v[mask] + 2)),
+    )
+
+
+def one_shot_bipartite(num_nodes, edge_probability, seed):
+    """:func:`triangle_free_bipartite` with its ``split × other`` grid drawn at once."""
+    rng = np.random.default_rng(seed)
+    split = (num_nodes + 1) // 2
+    u, col = np.nonzero(rng.random((split, num_nodes - split)) < edge_probability)
+    return Graph.from_edge_arrays(num_nodes, u, col + split)
+
+
+#: ``(blockwise generator, one-shot twin, candidate pairs)`` per generator
+#: whose pair mask is drawn by ``_bernoulli_positions``.
+DIRECT_SAMPLERS = {
+    "gnp": (
+        lambda n, p, seed: gnp_random_graph(n, p, seed=seed),
+        one_shot_gnp,
+        lambda n: n * (n - 1) // 2,
+    ),
+    "gadget": (
+        lambda n, p, seed: heavy_edge_gadget(n, 7, p, seed=seed)[0],
+        lambda n, p, seed: one_shot_gadget(n, 7, p, seed),
+        lambda n: (n - 2) * (n - 3) // 2,
+    ),
+    "bipartite": (
+        lambda n, p, seed: triangle_free_bipartite(n, p, seed=seed),
+        one_shot_bipartite,
+        lambda n: ((n + 1) // 2) * (n // 2),
+    ),
+}
+
+#: The block size for a draw of ``total`` uniforms: the whole draw below
+#: one block, exactly one block, one block plus one uniform, many blocks.
+BLOCK_SIZES = {
+    "below-one-block": lambda total: total + 1,
+    "exactly-one-block": lambda total: total,
+    "one-block-plus-one": lambda total: total - 1,
+    "many-blocks": lambda total: max(1, total // 9),
+}
+
+NUM_NODES = 61
+EDGE_PROBABILITIES = [
+    pytest.param(0.01, id="p=0.01"),
+    pytest.param(math.sqrt(NUM_NODES) / NUM_NODES, id="p=sqrt(n)/n"),
+    pytest.param(0.5, id="p=0.5"),
+    pytest.param(0.99, id="p=0.99"),
+]
+
+
+class TestBlockwiseDraws:
+    """The blockwise pair-mask draw keeps every graph byte-identical."""
+
+    @pytest.mark.parametrize("edge_probability", EDGE_PROBABILITIES)
+    @pytest.mark.parametrize("blocks", sorted(BLOCK_SIZES))
+    @pytest.mark.parametrize("sampler", sorted(DIRECT_SAMPLERS))
+    def test_blockwise_draw_equals_one_shot_draw(
+        self, monkeypatch, sampler, blocks, edge_probability
+    ):
+        blockwise, one_shot, pairs = DIRECT_SAMPLERS[sampler]
+        monkeypatch.setattr(
+            generators, "_BERNOULLI_BLOCK", BLOCK_SIZES[blocks](pairs(NUM_NODES))
+        )
+        graph = blockwise(NUM_NODES, edge_probability, 17)
+        assert csr_digest(graph) == csr_digest(one_shot(NUM_NODES, edge_probability, 17))
+        if edge_probability >= 0.5:
+            assert graph.num_edges
+
+    @pytest.mark.parametrize("edge_probability", EDGE_PROBABILITIES)
+    def test_default_blocks_equal_one_shot_draw(self, edge_probability):
+        # 1100 nodes: 604,450 pairs, so G(n, p) draws three default blocks.
+        assert generators._BERNOULLI_BLOCK < 604_450 // 2
+        assert csr_digest(gnp_random_graph(1100, edge_probability, seed=8)) == csr_digest(
+            one_shot_gnp(1100, edge_probability, 8)
+        )
+
+    def test_generator_state_continues_after_the_draw(self, monkeypatch):
+        # The blockwise draw leaves the generator where the one-shot draw
+        # does, so a caller's later draws (the planted triples) coincide.
+        monkeypatch.setattr(generators, "_BERNOULLI_BLOCK", 100)
+        blockwise = np.random.default_rng(4)
+        one_shot = np.random.default_rng(4)
+        generators._bernoulli_positions(1234, 0.3, blockwise)
+        one_shot.random(1234)
+        assert blockwise.random() == one_shot.random()
+
+    def test_overflowing_the_expected_count_grows_the_buffer(self, monkeypatch):
+        # Squeezing the second half of the stream toward 0 puts ~25,000
+        # hits where ~250 are expected, so the output buffer must grow
+        # mid-draw and keep the hits already found.
+        class SqueezedUniforms:
+            def __init__(self, squeeze_from):
+                self._rng = np.random.default_rng(9)
+                self._drawn = 0
+                self._squeeze_from = squeeze_from
+
+            def random(self, size=None, out=None):
+                values = self._rng.random(size, out=out)
+                drawn = self._drawn + np.arange(values.shape[0])
+                values[drawn >= self._squeeze_from] *= 1e-3
+                self._drawn += values.shape[0]
+                return values
+
+        monkeypatch.setattr(generators, "_BERNOULLI_BLOCK", 1000)
+        positions = generators._bernoulli_positions(50_000, 0.01, SqueezedUniforms(25_000))
+        expected = np.flatnonzero(SqueezedUniforms(25_000).random(50_000) < 0.01)
+        assert expected.shape[0] > 25_000
+        np.testing.assert_array_equal(positions, expected)
+
+    def test_sparse_build_peaks_near_the_graph_it_builds(self):
+        # The whole-array draw of G(3000, √n/n) allocated 36 MB of uniforms
+        # for a graph holding under 3 MB of arrays.
+        num_nodes = 3000
+        gnp_random_graph(200, 0.1, seed=1)
+        tracemalloc.start()
+        try:
+            graph = gnp_random_graph(num_nodes, math.sqrt(num_nodes) / num_nodes, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr = graph.csr()
+        held = sum(a.nbytes for a in (csr.indptr, csr.indices, csr.edge_u, csr.edge_v))
+        assert peak <= 4 * held
