@@ -4,9 +4,9 @@ The typed wire-schema refactor moved message *production* onto the columnar
 payload plane: A2 evaluates every node's 3-wise hash over the CSR neighbour
 rows as one array program and ships its filtered edge batches as typed
 column blocks, A3 runs its landmark/withholding phases the same way, and
-receivers consume ``inbox.columns(schema)`` views instead of decoding
-object payloads.  This benchmark demonstrates the end-to-end payoff on the
-workload the ISSUE names — a full Theorem-2 listing pass (A2 ∘ A3) on a
+receivers read ``exchange_phase(...).channel(schema)`` arrays instead of
+decoding object payloads.  This benchmark demonstrates the end-to-end
+payoff on a full Theorem-2 listing pass (A2 ∘ A3) on a
 dense ``G(n, 1/2)`` instance with n ≥ 300 — against the per-node reference
 closures, which remain the semantic ground truth.
 

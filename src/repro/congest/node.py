@@ -41,10 +41,8 @@ from .runtime import (
     EMPTY_INBOX,
     Inbox,
     MessagePlane,
-    inbox_pairs,
     repeated_payload,
 )
-from .wire import WireSchema
 
 #: Scalar output reports an :class:`OutputTable` buffers as Python ints
 #: before flushing them into one int64 chunk, which bounds the lists a heavy
@@ -399,17 +397,6 @@ class NodeContext:
                 raise SimulationError(
                     f"bulk_send got {count} destinations but {sizes.shape[0]} sizes"
                 )
-        self._validate_destinations(dst)
-        self._plane.extend(self.node_id, dst, payloads, sizes)
-
-    def _validate_destinations(self, dst: np.ndarray) -> None:
-        """Vectorized topology validation shared by the batched send paths.
-
-        Raises
-        ------
-        TopologyError
-            If any destination is this node itself or unreachable.
-        """
         if (dst == self.node_id).any():
             raise TopologyError(f"node {self.node_id} cannot send to itself")
         if self._comm_targets is None:
@@ -429,54 +416,7 @@ class NodeContext:
                 raise TopologyError(
                     f"node {self.node_id} has no communication link to {bad}"
                 )
-
-    def send_columns(
-        self,
-        schema: WireSchema,
-        destinations: Sequence[NodeId] | np.ndarray,
-        data: Dict[str, np.ndarray],
-        lengths: Optional[Sequence[int] | np.ndarray] = None,
-        bits: Optional[int | Sequence[int] | np.ndarray] = None,
-    ) -> None:
-        """Queue a typed columnar batch of messages from this node.
-
-        The schema fast path: one call stages a whole ``(destinations,
-        columns)`` batch on the message plane, with per-message sizes
-        computed by ``schema.bit_size`` as a single vectorized reduction.
-        Topology validation matches :meth:`bulk_send`.
-
-        Parameters
-        ----------
-        schema:
-            The :class:`~repro.congest.wire.WireSchema` of every message.
-        destinations:
-            One receiving node per message.
-        data:
-            Flattened int64 element columns (one array per schema column);
-            message ``i`` owns the rows ``offsets[i]:offsets[i+1]`` implied
-            by ``lengths``.
-        lengths:
-            Per-message element counts; defaults to the schema's fixed
-            length when it has one.
-        bits:
-            Optional explicit sizes overriding the schema accounting.
-
-        Raises
-        ------
-        TopologyError
-            If any destination is this node itself or unreachable.
-        SimulationError
-            If column names or lengths disagree with the schema.
-        """
-        dst = np.array(destinations, dtype=np.int64)
-        if dst.ndim != 1:
-            raise SimulationError("send_columns destinations must be one-dimensional")
-        if dst.shape[0] == 0:
-            return
-        self._validate_destinations(dst)
-        self._plane.extend_columns(
-            schema, self.node_id, dst, data, lengths=lengths, bits=bits
-        )
+        self._plane.extend(self.node_id, dst, payloads, sizes)
 
     def broadcast(self, payload: Any, bits: Optional[int] = None) -> None:
         """Queue ``payload`` for delivery to every neighbour in the input graph.
@@ -509,19 +449,19 @@ class NodeContext:
 
     def received(self) -> List[Tuple[NodeId, Any]]:
         """Return the ``(sender, payload)`` pairs delivered in the last phase."""
-        return list(inbox_pairs(self._inbox))
+        return list(self._inbox)
 
     def received_from(self, sender: NodeId) -> List[Any]:
         """Return the payloads delivered by ``sender`` in the last phase."""
         return [
             payload
-            for source, payload in inbox_pairs(self._inbox)
+            for source, payload in self._inbox
             if source == sender
         ]
 
     def received_senders(self) -> Set[NodeId]:
         """Return the set of nodes that delivered something in the last phase."""
-        return {source for source, _ in inbox_pairs(self._inbox)}
+        return {source for source, _ in self._inbox}
 
     # ------------------------------------------------------------------
     # output

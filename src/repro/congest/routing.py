@@ -42,6 +42,7 @@ from .runtime import (
     DeliveredPhase,
     PhaseTraffic,
     build_typed_channel,
+    empty_traffic,
     record_deliveries,
 )
 from .wire import WireSchema, default_bit_size
@@ -127,7 +128,7 @@ class LenzenRouter:
 
         self._validate_endpoints(src, dst)
         traffic = PhaseTraffic(src=src, dst=dst, bits=bits, payloads=payloads)
-        return self._deliver_instance(traffic, name)
+        return self._deliver_instance(traffic, name).report
 
     def route_columns_direct(
         self,
@@ -150,9 +151,7 @@ class LenzenRouter:
         grouped channel arrays — no per-node inbox objects are built.
         """
         traffic = self._columnar_instance(schema, src, dst, data, lengths, bits)
-        report = self._account_instance(traffic, name)
-        channels = self._simulator.runtime.deliver_direct(traffic)
-        return DeliveredPhase(report, channels)
+        return self._deliver_instance(traffic, name)
 
     def _columnar_instance(
         self,
@@ -168,12 +167,7 @@ class LenzenRouter:
             schema, src, dst, data, lengths, bits, self._simulator.num_nodes
         )
         if channel is None:
-            return PhaseTraffic(
-                src=np.empty(0, dtype=np.int64),
-                dst=np.empty(0, dtype=np.int64),
-                bits=np.empty(0, dtype=np.int64),
-                payloads=_EMPTY_OBJECTS,
-            )
+            return empty_traffic()
         self._validate_endpoints(channel.src, channel.dst)
         return PhaseTraffic(
             src=channel.src,
@@ -203,11 +197,15 @@ class LenzenRouter:
                 f"{int(src[first])} -> {int(dst[first])}"
             )
 
-    def _deliver_instance(self, traffic: PhaseTraffic, name: str) -> PhaseReport:
-        """Charge Lenzen rounds for ``traffic`` and deliver it into inboxes."""
+    def _deliver_instance(self, traffic: PhaseTraffic, name: str) -> DeliveredPhase:
+        """Charge Lenzen rounds for ``traffic`` and deliver it.
+
+        Object payloads go into inboxes; typed channels come back in the
+        :class:`~repro.congest.runtime.DeliveredPhase`.
+        """
         report = self._account_instance(traffic, name)
         self._simulator.runtime.deliver(traffic)
-        return report
+        return DeliveredPhase(report, traffic.channels)
 
     def _account_instance(self, traffic: PhaseTraffic, name: str) -> PhaseReport:
         """Charge Lenzen rounds and record the delivery tallies."""

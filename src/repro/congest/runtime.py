@@ -25,31 +25,29 @@ benchmarks can explore:
   bits)`` int64 arrays plus an aligned object array of payloads, and — for
   columnar sends — one :class:`TypedChannel` of flattened element columns
   per schema kind.
-* :class:`InboxSlice` — a delivered inbox as zero-copy views into the
-  phase's destination-sorted arrays; the ``(sender, payload)`` pair list is
-  materialized lazily on first read, so phases whose inboxes are only
-  partially consumed (BFS frontiers, sparse responders) never pay for the
-  rest.  Typed traffic stays columnar in its destination-grouped channel;
-  object payloads for typed messages are only decoded if some consumer
-  actually asks for the pair list.
-* :class:`DeliveredChannel` / :class:`DeliveredPhase` — the **direct
-  exchange** path.  When a batched phase kernel drives the network it does
-  not need per-node inboxes at all: :meth:`CongestRuntime.deliver_direct`
-  hands the kernel each typed channel's destination-grouped arrays
-  (``dst``-sorted senders, grouped element offsets, grouped columns) and
-  never materializes an :class:`InboxSlice` or the per-receiver dict.
-  Grouping is lazy per schema kind — announcement channels nobody reads
-  are never grouped.  Every delivered array is an ordinary numpy array
-  that belongs to the caller; no later phase recycles or overwrites it.
-  Accounting (the flat ``src``/``dst``/``bits`` arrays, link-bit maxima,
-  :class:`~repro.congest.metrics.ExecutionMetrics`) is shared with the
-  inbox path, so both paths charge byte-identical CONGEST costs.
-* :class:`CongestRuntime` — per-node RNG seeding, on-demand contexts,
-  vectorized traffic aggregation (``np.bincount`` over encoded link keys
-  instead of per-message dict updates), grouped delivery fan-out, metrics
-  recording and round-limit enforcement.  Inbox resets between phases are
-  O(touched nodes): the runtime remembers which contexts currently hold a
-  non-empty inbox and only clears those.
+
+Each message form has one reader:
+
+* object payloads are read from inboxes.  :class:`InboxSlice` is a
+  delivered inbox as zero-copy views into the phase's destination-sorted
+  arrays; the ``(sender, payload)`` pair list is materialized lazily on
+  first read, so phases whose inboxes are only partially consumed (BFS
+  frontiers, sparse responders) never pay for the rest.
+* typed channels are read through :class:`DeliveredPhase`, which hands a
+  batched kernel each channel's destination-grouped arrays
+  (:class:`DeliveredChannel`: ``dst``-sorted senders, grouped element
+  offsets, grouped columns).  Grouping is lazy per schema kind —
+  announcement channels nobody reads are never grouped.  Every delivered
+  array is an ordinary numpy array that belongs to the caller; no later
+  phase recycles or overwrites it.  Typed traffic never reaches an inbox.
+
+:class:`CongestRuntime` ties these together: per-node RNG seeding,
+on-demand contexts, metrics recording and round-limit enforcement, and one
+phase-completion path (:meth:`CongestRuntime.complete_phase`) that records
+a phase, puts its object payloads into inboxes and returns its typed
+channels.  Inbox resets between phases are O(touched nodes): the runtime
+remembers which contexts currently hold a non-empty inbox and only clears
+those.
 
 The simulator stays a thin *policy* layer: it decides how a phase's round
 cost is computed from the traffic and never re-implements delivery.
@@ -76,8 +74,8 @@ EMPTY_INBOX: Tuple[Tuple[int, Any], ...] = ()
 
 #: Optional instrumentation hook: when set, called with the class name every
 #: time a per-node delivery object (:class:`InboxSlice`) is created.  The
-#: allocation regression tests use it to prove the direct-exchange path
-#: builds no inbox objects.
+#: allocation regression tests use it to prove batched runs build no inbox
+#: objects.
 _allocation_hook: Optional[Callable[[str], None]] = None
 
 
@@ -150,8 +148,7 @@ class PhaseTraffic:
     special cases.  ``payloads[i]`` is the payload of the ``i``-th message
     for the first ``len(payloads)`` records — the object-payload sends, in
     global send order.  The remaining records belong to the typed
-    ``channels``, whose payloads exist only as column blocks until someone
-    asks a delivered inbox for its pair list.
+    ``channels``, whose payloads exist only as column blocks.
     """
 
     src: np.ndarray
@@ -310,13 +307,11 @@ class InboxSlice:
 
     Materializing the ``(sender, payload)`` pair list costs one C-level
     ``zip`` per inbox and happens only when the node program actually reads
-    its messages.  Typed traffic is attached as ``(channel, group)``
-    references into the destination-grouped :class:`DeliveredChannel` of
-    each schema kind; :meth:`pairs` decodes them through the schema codec,
-    so node programs see ``(sender, payload)`` messages either way.
+    its messages.  Only object payloads arrive here; typed traffic is read
+    through :class:`DeliveredPhase`.
     """
 
-    __slots__ = ("_senders", "_payloads", "_pairs", "_typed")
+    __slots__ = ("_senders", "_payloads", "_pairs")
 
     def __init__(self, senders: np.ndarray, payloads: np.ndarray) -> None:
         if _allocation_hook is not None:
@@ -324,47 +319,23 @@ class InboxSlice:
         self._senders = senders
         self._payloads = payloads
         self._pairs: Optional[List[Tuple[int, Any]]] = None
-        self._typed: Tuple[Tuple["DeliveredChannel", int], ...] = ()
-
-    @classmethod
-    def empty(cls) -> "InboxSlice":
-        """Return an inbox with no object-payload messages."""
-        return cls(_EMPTY_INT, _EMPTY_OBJ)
 
     def pairs(self) -> List[Tuple[int, Any]]:
-        """Return (and cache) the ``(sender, payload)`` list.
-
-        Typed messages are decoded through their schema codec and appended
-        after the object-payload messages, grouped by schema kind.
-        """
+        """Return (and cache) the ``(sender, payload)`` list."""
         if self._pairs is None:
-            pairs = list(zip(self._senders.tolist(), self._payloads.tolist()))
-            for channel, which in self._typed:
-                pairs.extend(channel.decode_pairs(which))
-            self._pairs = pairs
+            self._pairs = list(zip(self._senders.tolist(), self._payloads.tolist()))
         return self._pairs
 
     def __len__(self) -> int:
-        count = int(self._senders.shape[0])
-        for channel, which in self._typed:
-            bounds = channel.message_bounds
-            count += int(bounds[which + 1] - bounds[which])
-        return count
+        return int(self._senders.shape[0])
 
     def __iter__(self):
         return iter(self.pairs())
 
 
-#: What a context's ``_deliver`` may receive: the shared empty inbox, a lazy
-#: slice, or (from legacy/direct callers) an explicit pair list.
-Inbox = Union[Tuple[Tuple[int, Any], ...], List[Tuple[int, Any]], InboxSlice]
-
-
-def inbox_pairs(inbox: Inbox) -> Sequence[Tuple[int, Any]]:
-    """Normalise any inbox representation to a sequence of pairs."""
-    if isinstance(inbox, InboxSlice):
-        return inbox.pairs()
-    return inbox
+#: What a context's ``_deliver`` may receive: the shared empty inbox or a
+#: lazy slice.
+Inbox = Union[Tuple[Tuple[int, Any], ...], InboxSlice]
 
 
 class MessagePlane:
@@ -516,7 +487,7 @@ class MessagePlane:
         :meth:`extend_columns` would stage for the same batch, so every
         accounting reduction is unchanged, but no element is ever built.
         The kind's delivered channel cannot be read
-        (:meth:`DeliveredPhase.channel` and inbox decoding raise
+        (:meth:`DeliveredPhase.channel` raises
         :class:`~repro.errors.SimulationError`).
 
         Raises
@@ -669,13 +640,13 @@ def _group_starts(dst_sorted: np.ndarray) -> Tuple[List[int], List[int], List[in
 class DeliveredChannel:
     """One typed channel reordered into destination groups.
 
-    The direct-exchange consumable: batched phase kernels read these arrays
-    in place instead of per-node inbox objects.  Message ``i`` (rows
-    grouped so ``dst`` is ascending, ties in staged order) was sent by
-    ``src[i]`` and owns element rows ``offsets[i]:offsets[i+1]`` of every
-    column in ``data``.  The messages of ``receivers[g]`` are rows
-    ``message_bounds[g]:message_bounds[g+1]``.  A ``sizes_only`` channel
-    has no columns, and its messages cannot be decoded.
+    The only reader of typed traffic: batched phase kernels read these
+    arrays in place.  Message ``i`` (rows grouped so ``dst`` is ascending,
+    ties in staged order) was sent by ``src[i]`` and owns element rows
+    ``offsets[i]:offsets[i+1]`` of every column in ``data``.  The messages
+    of ``receivers[g]`` are rows ``message_bounds[g]:message_bounds[g+1]``.
+    A ``sizes_only`` channel has no columns, and its elements cannot be
+    read.
     """
 
     schema: WireSchema
@@ -713,46 +684,6 @@ class DeliveredChannel:
     def element_receivers(self) -> np.ndarray:
         """Per-element receiving node (ascending, aligned with the columns)."""
         return np.repeat(self.dst, self.lengths)
-
-    def element_senders(self) -> np.ndarray:
-        """Per-element sending node (aligned with the columns)."""
-        return np.repeat(self.src, self.lengths)
-
-    def decode_pairs(self, which: int) -> List[Tuple[int, Any]]:
-        """Decode the ``which``-th receiver's messages into ``(sender, payload)``
-        pairs via the schema codec.
-
-        Only the inbox delivery path calls this; direct-exchange consumers
-        read the grouped arrays without per-receiver objects.
-
-        Raises
-        ------
-        SimulationError
-            When the channel was staged sizes-only.
-        """
-        if self.sizes_only:
-            raise _sizes_only_error(self.schema.kind)
-        offsets = self.offsets
-        start = int(self.message_bounds[which])
-        end = int(self.message_bounds[which + 1])
-        return [
-            (
-                int(self.src[index]),
-                self.schema.decode(
-                    {
-                        name: column[offsets[index] : offsets[index + 1]]
-                        for name, column in self.data.items()
-                    }
-                ),
-            )
-            for index in range(start, end)
-        ]
-
-
-def _sizes_only_error(kind: str) -> SimulationError:
-    return SimulationError(
-        f"kind {kind!r} was staged by its sizes only; it has no elements to read"
-    )
 
 
 def group_channel(channel: TypedChannel) -> DeliveredChannel:
@@ -813,23 +744,11 @@ def group_channel(channel: TypedChannel) -> DeliveredChannel:
     )
 
 
-def _deliver_channel(slices: Dict[int, InboxSlice], channel: TypedChannel) -> None:
-    """Group one typed channel by destination and attach it to each receiver."""
-    if channel.count == 0:
-        return
-    grouped = group_channel(channel)
-    for which, receiver in enumerate(grouped.receivers.tolist()):
-        inbox = slices.get(receiver)
-        if inbox is None:
-            inbox = InboxSlice.empty()
-            slices[receiver] = inbox
-        inbox._typed += ((grouped, which),)
-
-
 class DeliveredPhase:
-    """One direct-exchange phase's typed traffic, grouped lazily per schema.
+    """One completed phase's report and typed traffic, grouped lazily per schema.
 
-    Handed to batched phase kernels by
+    Returned by :meth:`CongestRuntime.complete_phase` and handed to batched
+    phase kernels by
     :meth:`~repro.congest.simulator.CongestSimulator.exchange_phase`.
     Channels are grouped by destination only when :meth:`channel` is first
     asked for them — a phase whose traffic no kernel reads never pays the
@@ -847,10 +766,10 @@ class DeliveredPhase:
         }
         self._grouped: Dict[str, DeliveredChannel] = {}
 
-    def channel(self, schema: WireSchema | str) -> DeliveredChannel:
+    def channel(self, schema: WireSchema) -> DeliveredChannel:
         """Return (grouping on first use) the delivered channel for ``schema``.
 
-        Unknown kinds yield an empty channel.
+        A kind nobody staged this phase yields an empty channel.
 
         Raises
         ------
@@ -858,77 +777,22 @@ class DeliveredPhase:
             When the kind was staged sizes-only
             (:meth:`MessagePlane.extend_sizes`).
         """
-        kind = schema if isinstance(schema, str) else schema.kind
+        kind = schema.kind
         grouped = self._grouped.get(kind)
         if grouped is not None:
             return grouped
         staged = self._staged.get(kind)
-        if staged is not None and staged.sizes_only:
-            raise _sizes_only_error(kind)
         if staged is None:
-            if isinstance(schema, str):
-                from .wire import schema_for
-
-                schema = schema_for(schema)
             grouped = DeliveredChannel.empty(schema)
+        elif staged.sizes_only:
+            raise SimulationError(
+                f"kind {kind!r} was staged by its sizes only; it has no "
+                "elements to read"
+            )
         else:
             grouped = group_channel(staged)
         self._grouped[kind] = grouped
         return grouped
-
-
-def _untyped_slices(traffic: PhaseTraffic) -> Dict[int, InboxSlice]:
-    """Group the object-payload block by destination into inbox slices."""
-    slices: Dict[int, InboxSlice] = {}
-    untyped = int(traffic.payloads.shape[0])
-    if untyped:
-        dst_block = traffic.dst[:untyped]
-        order = np.argsort(dst_block, kind="stable")
-        dst_sorted = dst_block[order]
-        src_sorted = traffic.src[:untyped][order]
-        payload_sorted = traffic.payloads[order]
-        start_list, bounds, receivers = _group_starts(dst_sorted)
-        for which, start in enumerate(start_list):
-            end = bounds[which]
-            slices[receivers[which]] = InboxSlice(
-                src_sorted[start:end], payload_sorted[start:end]
-            )
-    return slices
-
-
-def deliver_traffic(
-    contexts: Sequence[Any],
-    traffic: PhaseTraffic,
-    dirty: Optional[Sequence[Any]] = None,
-) -> List[Any]:
-    """Replace every context's inbox with this phase's deliveries.
-
-    One stable argsort groups the object-payload records by destination and
-    one more groups each typed channel; each receiving context gets an
-    :class:`InboxSlice` over zero-copy views (column views attached for the
-    typed traffic), and everyone else the shared empty inbox (inboxes never
-    carry over between phases).  Works for any context type exposing
-    ``_deliver``.
-
-    ``dirty`` is the list of contexts still holding a non-empty inbox from
-    the previous phase; when given, only those are reset — O(touched
-    nodes), not O(n).  Callers without bookkeeping (``None``) get the
-    legacy reset of every context.  Returns the contexts that now hold a
-    non-empty inbox, i.e. the ``dirty`` list for the next phase.
-    """
-    for context in contexts if dirty is None else dirty:
-        context._deliver(EMPTY_INBOX)
-    if traffic.count == 0:
-        return []
-    slices = _untyped_slices(traffic)
-    for channel in traffic.channels:
-        _deliver_channel(slices, channel)
-    receiving = []
-    for receiver, inbox in slices.items():
-        context = contexts[receiver]
-        context._deliver(inbox)
-        receiving.append(context)
-    return receiving
 
 
 def record_deliveries(metrics: ExecutionMetrics, traffic: PhaseTraffic) -> None:
@@ -1073,35 +937,46 @@ class CongestRuntime:
         return self.plane.flush()
 
     def deliver(self, traffic: PhaseTraffic) -> None:
-        """Deliver ``traffic`` into per-node inboxes (O(touched) resets)."""
-        if traffic.count == 0 and not self._dirty:
-            return  # touches no context, so builds none
-        self._dirty = deliver_traffic(self.contexts, traffic, dirty=self._dirty)
+        """Put ``traffic``'s object payloads into per-node inboxes.
 
-    def deliver_direct(self, traffic: PhaseTraffic) -> Tuple[TypedChannel, ...]:
-        """Clear stale inboxes and hand the typed channels back untouched.
-
-        The direct-exchange delivery: no :class:`InboxSlice` dict, no
-        per-receiver views — the caller consumes the channels through a
-        :class:`DeliveredPhase` (grouping lazily per schema).  Object
-        payloads, which the batched kernels never send, still arrive as
-        per-node inboxes so ``received()`` keeps working on mixed phases.
+        Inboxes never carry over between phases: the contexts still holding
+        the previous phase's inbox get the shared empty one — O(touched
+        nodes), not O(n).  One stable argsort groups the object-payload
+        records by destination, and each receiving context gets an
+        :class:`InboxSlice` over zero-copy views.  Typed channels are left
+        alone; they are read through :class:`DeliveredPhase`.
         """
         for context in self._dirty:
             context._deliver(EMPTY_INBOX)
         self._dirty = []
-        if int(traffic.payloads.shape[0]):
-            slices = _untyped_slices(traffic)
-            for receiver, inbox in slices.items():
-                context = self.contexts[receiver]
-                context._deliver(inbox)
-                self._dirty.append(context)
-        return traffic.channels
+        untyped = int(traffic.payloads.shape[0])
+        if not untyped:
+            return  # touches no context, so builds none
+        dst_block = traffic.dst[:untyped]
+        order = np.argsort(dst_block, kind="stable")
+        dst_sorted = dst_block[order]
+        src_sorted = traffic.src[:untyped][order]
+        payload_sorted = traffic.payloads[order]
+        contexts = self.contexts
+        start_list, bounds, receivers = _group_starts(dst_sorted)
+        for which, start in enumerate(start_list):
+            end = bounds[which]
+            context = contexts[receivers[which]]
+            context._deliver(
+                InboxSlice(src_sorted[start:end], payload_sorted[start:end])
+            )
+            self._dirty.append(context)
 
-    def _record_phase(
+    def complete_phase(
         self, name: str, rounds: int, traffic: PhaseTraffic, link_bits: int
-    ) -> PhaseReport:
-        """Record one phase's cost and per-node delivery tallies."""
+    ) -> DeliveredPhase:
+        """Record one phase, deliver its traffic and enforce the budget.
+
+        The phase report and per-node delivery tallies are recorded first,
+        so an exhausted budget still counts the phase that exhausted it.
+        Object payloads go into inboxes (:meth:`deliver`); the typed
+        channels come back in the :class:`DeliveredPhase`.
+        """
         report = PhaseReport(
             name=name,
             rounds=rounds,
@@ -1111,32 +986,9 @@ class CongestRuntime:
         )
         self.metrics.record_phase(report)
         record_deliveries(self.metrics, traffic)
-        return report
-
-    def complete_phase(
-        self, name: str, rounds: int, traffic: PhaseTraffic, link_bits: int
-    ) -> PhaseReport:
-        """Record one phase's cost, deliver its traffic, enforce the budget."""
-        report = self._record_phase(name, rounds, traffic, link_bits)
         self.deliver(traffic)
         self.enforce_round_limit()
-        return report
-
-    def complete_phase_direct(
-        self, name: str, rounds: int, traffic: PhaseTraffic, link_bits: int
-    ) -> DeliveredPhase:
-        """Direct-exchange twin of :meth:`complete_phase`.
-
-        Identical accounting (phase report, delivery tallies, round-budget
-        enforcement — in the same order, so budget exhaustion surfaces at
-        the same point of the execution), but the typed traffic is returned
-        as a :class:`DeliveredPhase` instead of being fanned out into
-        per-node inboxes.
-        """
-        report = self._record_phase(name, rounds, traffic, link_bits)
-        channels = self.deliver_direct(traffic)
-        self.enforce_round_limit()
-        return DeliveredPhase(report, channels)
+        return DeliveredPhase(report, traffic.channels)
 
     def enforce_round_limit(self) -> None:
         """Raise when the cumulative round count exceeds the budget."""

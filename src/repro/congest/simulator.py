@@ -247,6 +247,10 @@ class CongestSimulator:
     def run_phase(self, name: str = "phase", extra_rounds: int = 0) -> PhaseReport:
         """Deliver everything queued by :meth:`NodeContext.send` and charge rounds.
 
+        Object payloads land in the receivers' inboxes.  Typed traffic
+        staged for this phase is charged like any other, but nothing
+        delivers it: only :meth:`exchange_phase` hands typed channels back.
+
         Parameters
         ----------
         name:
@@ -266,37 +270,34 @@ class CongestSimulator:
         RoundLimitExceededError
             If the cumulative round count would exceed the configured budget.
         """
-        traffic = self._runtime.collect_traffic()
-        rounds, link_bits = self._phase_cost(traffic)
-        return self._runtime.complete_phase(
-            name, rounds + extra_rounds, traffic, link_bits
-        )
+        return self._complete_phase(name, extra_rounds).report
 
     def exchange_phase(
         self, name: str = "phase", extra_rounds: int = 0
     ) -> DeliveredPhase:
-        """Run one phase on the **direct-exchange** path.
+        """Run one phase and hand its typed channels back.
 
-        Same accounting as :meth:`run_phase` (same rounds, link-bit maxima,
-        message/bit totals, per-node delivery tallies, round-budget
-        enforcement), but instead of fanning the typed traffic out into
-        per-node inboxes the phase's channels come back as a
-        :class:`~repro.congest.runtime.DeliveredPhase`: the driving batched
-        kernel consumes the destination-grouped channel arrays in place,
-        and no per-node ``InboxSlice`` objects (nor the
-        receiver dict) are ever materialized.  Object-payload messages, if
-        any were queued, are still delivered as inboxes.
+        Same accounting and inbox delivery as :meth:`run_phase` (same
+        rounds, link-bit maxima, message/bit totals, per-node delivery
+        tallies, round-budget enforcement), but the phase's typed channels
+        come back as a :class:`~repro.congest.runtime.DeliveredPhase`: the
+        driving batched kernel consumes the destination-grouped channel
+        arrays in place, and no per-node ``InboxSlice`` is built for them.
 
         Raises
         ------
         RoundLimitExceededError
             If the cumulative round count would exceed the configured
             budget — after recording the phase, exactly like
-            :meth:`run_phase`, so truncation points match the inbox path.
+            :meth:`run_phase`.
         """
+        return self._complete_phase(name, extra_rounds)
+
+    def _complete_phase(self, name: str, extra_rounds: int) -> DeliveredPhase:
+        """Drain, cost and complete one phase (shared by both phase doors)."""
         traffic = self._runtime.collect_traffic()
         rounds, link_bits = self._phase_cost(traffic)
-        return self._runtime.complete_phase_direct(
+        return self._runtime.complete_phase(
             name, rounds + extra_rounds, traffic, link_bits
         )
 

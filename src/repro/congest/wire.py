@@ -26,12 +26,13 @@ int64 element columns plus a vectorized ``bit_size(lengths, n)``.  Schemas
 are what the columnar payload plane
 (:meth:`repro.congest.runtime.MessagePlane.extend_columns`) carries: a whole
 ``(targets, columns)`` batch is staged and sized with numpy reductions
-instead of one Python ``send``/``default_bit_size`` call per message.  Each
-schema also round-trips between its column layout and the object payload the
-per-node reference closures send (:meth:`WireSchema.encode` /
-:meth:`WireSchema.decode`), which is what keeps the lazy ``(sender,
-payload)`` inbox view consistent across both paths and lets the differential
-tests compare them message for message.
+instead of one Python ``send``/``default_bit_size`` call per message.  A
+schema only names and sizes its columns: typed traffic is never turned back
+into payload objects, and receivers read it as destination-grouped columns
+(:meth:`repro.congest.runtime.DeliveredPhase.channel`).  The per-node
+reference closures send plain object payloads instead, charged the same
+bits, and the differential tests compare the two kernels' outputs and
+costs.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ class WireSchema:
 
     * :attr:`kind` — the registry key and channel identifier,
     * :attr:`columns` — the per-element column names,
-    * :meth:`element_bits` — the on-wire cost of one element row, and
-    * :meth:`encode` / :meth:`decode` — the mapping between one message's
-      column rows and the object payload the reference closures send.
+    * :meth:`element_bits` — the on-wire cost of one element row.
 
     The default :meth:`bit_size` charges ``max(1, length · element_bits)``
     per message — the pattern every protocol in the paper uses (``len(S) ·
@@ -152,67 +151,39 @@ class WireSchema:
         counts = np.asarray(lengths, dtype=np.int64)
         return np.maximum(counts * np.int64(self.element_bits(num_nodes)), 1)
 
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        """Convert one reference-path payload object into column rows."""
-        raise NotImplementedError
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        """Convert one message's column rows back into the payload object."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(kind={self.kind!r}, columns={self.columns!r})"
 
 
 class IdListSchema(WireSchema):
-    """A tagged list of node identifiers (A1 samples, A3's NX/S/V sets,
-    naive's neighbourhoods).
+    """A list of node identifiers (A1 samples, A3's NX/S/V sets, naive's
+    neighbourhoods).
 
-    One element = one node id = ``⌈log2 n⌉`` bits; the constant protocol
-    tag is O(1) and not charged, matching the reference closures' explicit
+    One element = one node id = ``⌈log2 n⌉`` bits; the reference closures'
+    constant protocol tag is O(1) and not charged, matching their explicit
     ``bits=max(1, len · id_bits)`` arguments.
     """
 
     columns = ("member",)
 
-    def __init__(self, kind: str, tag: str) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.tag = tag
 
     def element_bits(self, num_nodes: int) -> int:
         return id_bits(num_nodes)
 
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        tag, members = payload
-        if tag != self.tag:
-            raise SimulationError(f"schema {self.kind!r} cannot encode tag {tag!r}")
-        return {"member": np.asarray(list(members), dtype=np.int64)}
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        return (self.tag, tuple(int(member) for member in data["member"]))
-
 
 class FlagSchema(WireSchema):
-    """A tagged 1-bit announcement (A3's ``in_X`` / ``in_U`` broadcasts)."""
+    """A 1-bit announcement (A3's ``in_X`` / ``in_U`` broadcasts)."""
 
     columns = ("flag",)
     fixed_length = 1
 
-    def __init__(self, kind: str, tag: str) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.tag = tag
 
     def element_bits(self, num_nodes: int) -> int:
         return 1
-
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        tag, flag = payload
-        if tag != self.tag:
-            raise SimulationError(f"schema {self.kind!r} cannot encode tag {tag!r}")
-        return {"flag": np.asarray([int(bool(flag))], dtype=np.int64)}
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        return (self.tag, bool(int(data["flag"][0])))
 
 
 class EdgeListSchema(WireSchema):
@@ -223,31 +194,11 @@ class EdgeListSchema(WireSchema):
 
     columns = ("u", "v")
 
-    def __init__(self, kind: str = "a2-edges", tag: str = "edges") -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.tag = tag
 
     def element_bits(self, num_nodes: int) -> int:
         return edge_bits(num_nodes)
-
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        tag, edges = payload
-        if tag != self.tag:
-            raise SimulationError(f"schema {self.kind!r} cannot encode tag {tag!r}")
-        pairs = list(edges)
-        return {
-            "u": np.asarray([edge[0] for edge in pairs], dtype=np.int64),
-            "v": np.asarray([edge[1] for edge in pairs], dtype=np.int64),
-        }
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        return (
-            self.tag,
-            tuple(
-                (int(u), int(v))
-                for u, v in zip(data["u"].tolist(), data["v"].tolist())
-            ),
-        )
 
 
 class HashDescriptorSchema(WireSchema):
@@ -262,7 +213,6 @@ class HashDescriptorSchema(WireSchema):
 
     kind = "hash-descriptor"
     columns = ("coefficient",)
-    tag = "hash"
 
     def __init__(self, independence: int, prime: int) -> None:
         if independence < 1:
@@ -276,19 +226,6 @@ class HashDescriptorSchema(WireSchema):
     def element_bits(self, num_nodes: int) -> int:
         return max(1, math.ceil(math.log2(self.prime)))
 
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        tag, coefficients = payload
-        if tag != self.tag:
-            raise SimulationError(f"schema {self.kind!r} cannot encode tag {tag!r}")
-        if len(coefficients) != self.independence:
-            raise SimulationError(
-                f"expected {self.independence} coefficients, got {len(coefficients)}"
-            )
-        return {"coefficient": np.asarray(list(coefficients), dtype=np.int64)}
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        return (self.tag, tuple(int(c) for c in data["coefficient"]))
-
 
 class RoutedEdgeSchema(WireSchema):
     """One routed edge of the Dolev clique baseline (edge + group triple).
@@ -300,42 +237,21 @@ class RoutedEdgeSchema(WireSchema):
 
     kind = "routed-edge"
     columns = ("u", "v", "triple")
-    tag = "edge"
     fixed_length = 1
-
-    def __init__(self, triples: Sequence[Tuple[int, int, int]]) -> None:
-        self.triples = tuple(tuple(triple) for triple in triples)
 
     def element_bits(self, num_nodes: int) -> int:
         return edge_bits(num_nodes)
 
-    def encode(self, payload: Any) -> Dict[str, np.ndarray]:
-        tag, edge, triple = payload
-        if tag != self.tag:
-            raise SimulationError(f"schema {self.kind!r} cannot encode tag {tag!r}")
-        return {
-            "u": np.asarray([edge[0]], dtype=np.int64),
-            "v": np.asarray([edge[1]], dtype=np.int64),
-            "triple": np.asarray([self.triples.index(tuple(triple))], dtype=np.int64),
-        }
-
-    def decode(self, data: Dict[str, np.ndarray]) -> Any:
-        return (
-            self.tag,
-            (int(data["u"][0]), int(data["v"][0])),
-            self.triples[int(data["triple"][0])],
-        )
-
 
 #: Singleton schemas for the protocols' unparameterized message kinds.
-A1_SAMPLE_SCHEMA = IdListSchema("a1-sample", "sample")
-A2_EDGE_SCHEMA = EdgeListSchema("a2-edges", "edges")
-A3_NX_SCHEMA = IdListSchema("a3-landmark-neighborhood", "NX")
-A3_S_SCHEMA = IdListSchema("a3-candidate-set", "S")
-A3_V_SCHEMA = IdListSchema("a3-withholding-set", "V")
-A3_IN_X_SCHEMA = FlagSchema("a3-landmark-flag", "in_X")
-A3_IN_U_SCHEMA = FlagSchema("a3-active-flag", "in_U")
-NAIVE_NEIGHBORHOOD_SCHEMA = IdListSchema("naive-neighborhood", "N")
+A1_SAMPLE_SCHEMA = IdListSchema("a1-sample")
+A2_EDGE_SCHEMA = EdgeListSchema("a2-edges")
+A3_NX_SCHEMA = IdListSchema("a3-landmark-neighborhood")
+A3_S_SCHEMA = IdListSchema("a3-candidate-set")
+A3_V_SCHEMA = IdListSchema("a3-withholding-set")
+A3_IN_X_SCHEMA = FlagSchema("a3-landmark-flag")
+A3_IN_U_SCHEMA = FlagSchema("a3-active-flag")
+NAIVE_NEIGHBORHOOD_SCHEMA = IdListSchema("naive-neighborhood")
 
 #: The wire-schema registry: every registered message kind by name.
 WIRE_SCHEMAS: Dict[str, WireSchema] = {}

@@ -287,7 +287,7 @@ class DolevCliqueListing:
                 u_chunks.append(pair_u[routed])
                 v_chunks.append(pair_v[routed])
                 t_list.append(triple_index[triple])
-        schema = RoutedEdgeSchema(triples)
+        schema = RoutedEdgeSchema()
         channel = None
         if src_chunks:
             counts = np.asarray(owner_counts, dtype=np.int64)

@@ -1,9 +1,9 @@
 """Tests for the direct-exchange execution path.
 
-The direct path must (a) charge byte-identical CONGEST costs to the inbox
-path, (b) hand kernels the same destination-grouped data the per-node views
-would have carried, and (c) never materialise per-node delivery objects —
-the last point enforced with the runtime's allocation hook.
+``exchange_phase`` must (a) charge byte-identical CONGEST costs to
+``run_phase``, (b) hand kernels each typed channel as destination-grouped
+arrays, and (c) never materialise per-node delivery objects for typed
+traffic — the last point enforced with the runtime's allocation hook.
 """
 
 import numpy as np
@@ -24,14 +24,16 @@ from repro.graphs import Graph, complete_graph, gnp_random_graph
 
 def stage_demo_traffic(simulator):
     """Queue a small ragged typed batch from two senders to two receivers."""
-    simulator.context(1).send_columns(
+    simulator.stage_columns(
         A3_S_SCHEMA,
+        1,
         np.array([0, 2], dtype=np.int64),
         {"member": np.array([5, 4, 3], dtype=np.int64)},
         lengths=np.array([2, 1], dtype=np.int64),
     )
-    simulator.context(2).send_columns(
+    simulator.stage_columns(
         A3_S_SCHEMA,
+        2,
         np.array([0], dtype=np.int64),
         {"member": np.array([1, 2, 3], dtype=np.int64)},
         lengths=np.array([3], dtype=np.int64),
@@ -98,25 +100,19 @@ class TestExchangePhase:
             == direct_sim.metrics.messages_received_per_node
         )
 
-    def test_grouped_channel_matches_inbox_pairs(self):
-        graph = complete_graph(6)
-        inbox_sim = CongestSimulator(graph, seed=0)
-        direct_sim = CongestSimulator(graph, seed=0)
-        stage_demo_traffic(inbox_sim)
-        stage_demo_traffic(direct_sim)
-        inbox_sim.run_phase("phase")
-        channel = direct_sim.exchange_phase("phase").channel(A3_S_SCHEMA)
+    def test_grouped_channel_matches_staged_messages(self):
+        # Staged: 1 -> 0 [5, 4], 1 -> 2 [3], 2 -> 0 [1, 2, 3].  Grouping
+        # orders them by receiver, ties in staged order.
+        simulator = CongestSimulator(complete_graph(6), seed=0)
+        stage_demo_traffic(simulator)
+        channel = simulator.exchange_phase("phase").channel(A3_S_SCHEMA)
         assert channel.receivers.tolist() == [0, 2]
-        members = channel.data["member"].tolist()
-        offsets = channel.offsets.tolist()
-        for which, receiver in enumerate(channel.receivers.tolist()):
-            start = int(channel.message_bounds[which])
-            end = int(channel.message_bounds[which + 1])
-            expected = [
-                (int(channel.src[i]), ("S", tuple(members[offsets[i] : offsets[i + 1]])))
-                for i in range(start, end)
-            ]
-            assert inbox_sim.context(receiver).received() == expected
+        assert channel.message_bounds.tolist() == [0, 2, 3]
+        assert channel.src.tolist() == [1, 2, 1]
+        assert channel.dst.tolist() == [0, 0, 2]
+        assert channel.offsets.tolist() == [0, 2, 5, 6]
+        assert channel.data["member"].tolist() == [5, 4, 1, 2, 3, 3]
+        assert channel.element_receivers().tolist() == [0, 0, 0, 0, 0, 2]
 
     def test_unknown_kind_yields_empty_channel(self):
         simulator = CongestSimulator(complete_graph(4), seed=0)
@@ -212,27 +208,18 @@ class TestSizesOnlyStaging:
     def test_channel_of_sizes_only_kind_raises(self):
         simulator = CongestSimulator(gnp_random_graph(20, 0.4, seed=2), seed=0)
         stage_link_batch(simulator, sizes_only=True)
-        simulator.context(3).send_columns(
+        simulator.stage_columns(
             A3_V_SCHEMA,
-            np.array(simulator.context(3).sorted_neighbors()[:1], dtype=np.int64),
+            3,
+            simulator.graph.csr().neighbor_slice(3)[:1],
             {"member": np.array([7], dtype=np.int64)},
             lengths=np.array([1], dtype=np.int64),
         )
         delivered = simulator.exchange_phase("phase")
         with pytest.raises(SimulationError, match="sizes only"):
             delivered.channel(A3_S_SCHEMA)
-        with pytest.raises(SimulationError, match="sizes only"):
-            delivered.channel(A3_S_SCHEMA.kind)
         # Kinds staged with their columns stay readable in the same phase.
         assert delivered.channel(A3_V_SCHEMA).data["member"].tolist() == [7]
-
-    def test_inbox_read_of_sizes_only_kind_raises(self):
-        simulator = CongestSimulator(complete_graph(5), seed=0)
-        stage_link_batch(simulator, sizes_only=True)
-        simulator.run_phase("phase")
-        assert len(simulator.context(0)._inbox) == 4
-        with pytest.raises(SimulationError, match="sizes only"):
-            simulator.context(0).received()
 
     def test_one_kind_cannot_mix_doors_in_a_phase(self):
         simulator = CongestSimulator(complete_graph(4), seed=0)
@@ -313,7 +300,6 @@ class TestGroupChannel:
         assert grouped.src.tolist() == [4, 3, 5]
         assert grouped.data["member"].tolist() == [9, 7, 8, 10]
         assert grouped.element_receivers().tolist() == [0, 2, 2, 2]
-        assert grouped.element_senders().tolist() == [4, 3, 3, 5]
 
     def test_empty_channel(self):
         empty = DeliveredChannel.empty(A3_S_SCHEMA)

@@ -18,7 +18,6 @@ from repro.congest import (
 from repro.congest.runtime import (
     EMPTY_INBOX,
     InboxSlice,
-    deliver_traffic,
     max_link_bits,
     record_deliveries,
     repeated_payload,
@@ -319,7 +318,7 @@ class TestDeliverTraffic:
             (3, "third"),
         ]
 
-    def test_deliver_traffic_helper_on_raw_contexts(self):
+    def test_runtime_delivers_raw_traffic(self):
         simulator = CongestSimulator(cycle_graph(3), seed=0)
         payloads = np.empty(1, dtype=object)
         payloads[:] = ["hello"]
@@ -329,7 +328,7 @@ class TestDeliverTraffic:
             bits=np.array([2], dtype=np.int64),
             payloads=payloads,
         )
-        deliver_traffic(simulator.contexts, traffic)
+        simulator.runtime.deliver(traffic)
         assert simulator.context(0).received() == [(1, "hello")]
         assert simulator.context(2).received() == []
 
@@ -387,83 +386,67 @@ class TestColumnarPlane:
         assert traffic.payloads.shape[0] == 1
         assert traffic.src.tolist() == [0, 2, 2]
 
-    def test_typed_delivery_decoded_pairs(self):
-        from repro.congest.wire import A3_S_SCHEMA
-
-        simulator = CongestSimulator(complete_graph(5), seed=0)
-        context = simulator.context(0)
-        context.send_columns(
-            A3_S_SCHEMA,
-            np.array([1, 2], dtype=np.int64),
-            {"member": np.array([3, 4, 2], dtype=np.int64)},
-            lengths=np.array([2, 1], dtype=np.int64),
-        )
-        simulator.run_phase("typed")
-        # The pair list decodes through the schema codec.
-        assert simulator.context(1).received() == [(0, ("S", (3, 4)))]
-        assert simulator.context(2).received() == [(0, ("S", (2,)))]
-        # Nodes without typed traffic see an empty inbox.
-        assert simulator.context(3).received() == []
-
     def test_interleaved_ragged_batches_group_correctly(self):
         from repro.congest.wire import A3_S_SCHEMA
 
         simulator = CongestSimulator(complete_graph(6), seed=0)
         # Two senders target the same receiver with different lengths; the
         # element gather must keep each message's block intact.
-        simulator.context(1).send_columns(
+        simulator.stage_columns(
             A3_S_SCHEMA,
+            1,
             np.array([0, 2], dtype=np.int64),
             {"member": np.array([5, 4, 3], dtype=np.int64)},
             lengths=np.array([2, 1], dtype=np.int64),
         )
-        simulator.context(2).send_columns(
+        simulator.stage_columns(
             A3_S_SCHEMA,
+            2,
             np.array([0], dtype=np.int64),
             {"member": np.array([1, 2, 3], dtype=np.int64)},
             lengths=np.array([3], dtype=np.int64),
         )
-        simulator.run_phase("typed")
-        assert simulator.context(0).received() == [
-            (1, ("S", (5, 4))),
-            (2, ("S", (1, 2, 3))),
-        ]
+        channel = simulator.exchange_phase("typed").channel(A3_S_SCHEMA)
+        assert channel.receivers.tolist() == [0, 2]
+        assert channel.message_bounds.tolist() == [0, 2, 3]
+        assert channel.src.tolist() == [1, 2, 1]
+        assert channel.offsets.tolist() == [0, 2, 5, 6]
+        assert channel.data["member"].tolist() == [5, 4, 1, 2, 3, 3]
 
-    def test_mixed_typed_and_scalar_inbox(self):
+    def test_each_message_form_has_one_reader(self):
+        # One object payload and one typed flag go to node 0.  run_phase
+        # charges both but delivers only the object pair; exchange_phase
+        # also hands the flag back as a channel.  Costs are equal.
         from repro.congest.wire import A3_IN_X_SCHEMA
 
-        simulator = CongestSimulator(complete_graph(4), seed=0)
-        simulator.context(1).send(0, ("tag", 3), bits=7)
-        simulator.context(2).send_columns(
-            A3_IN_X_SCHEMA,
-            np.array([0], dtype=np.int64),
-            {"flag": np.array([1], dtype=np.int64)},
-        )
-        report = simulator.run_phase("mixed")
-        assert report.messages == 2
-        assert report.bits == 8
-        inbox = simulator.context(0).received()
-        assert (1, ("tag", 3)) in inbox
-        assert (2, ("in_X", True)) in inbox
-        assert len(simulator.context(0)._inbox) == 2
-
-    def test_send_columns_validates_topology(self):
-        from repro.congest.wire import A3_IN_X_SCHEMA
-
-        simulator = CongestSimulator(cycle_graph(5), seed=0)
-        context = simulator.context(0)
-        with pytest.raises(TopologyError):
-            context.send_columns(
+        simulators = []
+        for _ in range(2):
+            simulator = CongestSimulator(complete_graph(4), seed=0)
+            simulator.context(1).send(0, ("tag", 3), bits=7)
+            simulator.stage_columns(
                 A3_IN_X_SCHEMA,
-                np.array([2], dtype=np.int64),  # not a cycle neighbour of 0
-                {"flag": np.array([1], dtype=np.int64)},
-            )
-        with pytest.raises(TopologyError):
-            context.send_columns(
-                A3_IN_X_SCHEMA,
+                2,
                 np.array([0], dtype=np.int64),
                 {"flag": np.array([1], dtype=np.int64)},
             )
+            simulators.append(simulator)
+        inbox_sim, exchange_sim = simulators
+        report = inbox_sim.run_phase("mixed")
+        assert inbox_sim.context(0).received() == [(1, ("tag", 3))]
+        assert len(inbox_sim.context(0)._inbox) == 1
+
+        delivered = exchange_sim.exchange_phase("mixed")
+        assert exchange_sim.context(0).received() == [(1, ("tag", 3))]
+        channel = delivered.channel(A3_IN_X_SCHEMA)
+        assert channel.receivers.tolist() == [0]
+        assert channel.src.tolist() == [2]
+        assert channel.data["flag"].tolist() == [1]
+
+        assert (report.messages, report.bits) == (2, 8)
+        assert report == delivered.report
+        assert inbox_sim.metrics == exchange_sim.metrics
+        assert inbox_sim.metrics.bits_received_per_node == {0: 8}
+        assert inbox_sim.metrics.messages_received_per_node == {0: 2}
 
     def test_extend_columns_validates_shapes(self):
         from repro.congest.wire import A3_S_SCHEMA

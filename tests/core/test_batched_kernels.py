@@ -343,8 +343,8 @@ def _record_doors(monkeypatch):
 
     Returns ``(staged, delivered)``: ``(door, kind)`` per staged batch
     (door ``"columns"`` or ``"sizes"``) and, per exchanged phase, the
-    kernel's :class:`~repro.congest.runtime.DeliveredPhase` with the kinds
-    staged for it.
+    kernel's :class:`~repro.congest.runtime.DeliveredPhase` with the
+    schemas staged for it.
     """
     staged = []
     pending = set()
@@ -355,12 +355,12 @@ def _record_doors(monkeypatch):
 
     def columns_spy(self, schema, src, dst, data, lengths=None, bits=None):
         staged.append(("columns", schema.kind))
-        pending.add(schema.kind)
+        pending.add(schema)
         return stage_columns(self, schema, src, dst, data, lengths=lengths, bits=bits)
 
     def sizes_spy(self, schema, src, dst, lengths=None, bits=None):
         staged.append(("sizes", schema.kind))
-        pending.add(schema.kind)
+        pending.add(schema)
         return stage_sizes(self, schema, src, dst, lengths=lengths, bits=bits)
 
     def exchange_spy(self, name="phase", extra_rounds=0):
@@ -377,10 +377,10 @@ def _record_doors(monkeypatch):
 
 def _assert_no_payload_readable(delivered):
     """Every delivered phase refuses to hand out the elements of its kinds."""
-    for phase, kinds in delivered:
-        for kind in kinds:
-            with pytest.raises(SimulationError):
-                phase.channel(kind)
+    for phase, schemas in delivered:
+        for schema in schemas:
+            with pytest.raises(SimulationError, match="sizes only"):
+                phase.channel(schema)
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.6])
