@@ -121,6 +121,16 @@ class TestExchangePhase:
         assert channel.count == 0
         assert channel.receivers.shape[0] == 0
 
+    def test_channel_is_grouped_once_per_phase(self):
+        simulator = CongestSimulator(complete_graph(6), seed=0)
+        stage_demo_traffic(simulator)
+        delivered = simulator.exchange_phase("phase")
+        channel = delivered.channel(A3_S_SCHEMA)
+        assert delivered.channel(A3_S_SCHEMA) is channel
+        empty = delivered.channel(A3_V_SCHEMA)
+        assert delivered.channel(A3_V_SCHEMA) is empty
+        assert empty.count == 0
+
     def test_direct_phase_resets_previous_inboxes(self):
         simulator = CongestSimulator(complete_graph(4), seed=0)
         simulator.context(1).send(0, "stale", bits=1)
@@ -220,6 +230,16 @@ class TestSizesOnlyStaging:
             delivered.channel(A3_S_SCHEMA)
         # Kinds staged with their columns stay readable in the same phase.
         assert delivered.channel(A3_V_SCHEMA).data["member"].tolist() == [7]
+
+    def test_run_phase_charges_sizes_only_kind_without_inbox_entries(self):
+        simulator = CongestSimulator(complete_graph(5), seed=0)
+        stage_link_batch(simulator, sizes_only=True)
+        report = simulator.run_phase("phase")
+        assert report.messages == 20
+        for node in range(5):
+            assert len(simulator.context(node)._inbox) == 0
+            assert simulator.context(node).received() == []
+            assert simulator.metrics.messages_received_per_node[node] == 4
 
     def test_one_kind_cannot_mix_doors_in_a_phase(self):
         simulator = CongestSimulator(complete_graph(4), seed=0)

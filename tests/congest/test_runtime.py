@@ -448,6 +448,56 @@ class TestColumnarPlane:
         assert inbox_sim.metrics.bits_received_per_node == {0: 8}
         assert inbox_sim.metrics.messages_received_per_node == {0: 2}
 
+    def test_typed_only_phase_clears_previous_inboxes(self):
+        # Node 1's inbox holds a phase-1 object payload.  Phase 2 sends it
+        # only a typed list: run_phase charges that list to node 1 but
+        # delivers nothing, so the stale inbox is reset, not kept.
+        from repro.congest.wire import A3_S_SCHEMA
+
+        simulator = CongestSimulator(complete_graph(4), seed=0)
+        simulator.context(0).send(1, "stale", bits=3)
+        simulator.run_phase("objects")
+        assert simulator.context(1).received() == [(0, "stale")]
+        simulator.stage_columns(
+            A3_S_SCHEMA,
+            0,
+            np.array([1], dtype=np.int64),
+            {"member": np.array([2, 3], dtype=np.int64)},
+            lengths=np.array([2], dtype=np.int64),
+        )
+        report = simulator.run_phase("typed")
+        assert simulator.context(1).received() == []
+        assert len(simulator.context(1)._inbox) == 0
+        assert (report.messages, report.bits) == (1, 2 * id_bits(4))
+        assert simulator.metrics.bits_received_per_node == {1: 3 + 2 * id_bits(4)}
+        assert simulator.metrics.messages_received_per_node == {1: 2}
+
+    def test_fixed_width_schema_stages_without_lengths(self):
+        # A hash descriptor is fixed-width: each message carries exactly
+        # ``independence`` coefficients of ceil(log2 p) bits, so no
+        # lengths are passed and the schema supplies them.
+        from repro.congest import HashDescriptorSchema
+
+        schema = HashDescriptorSchema(independence=3, prime=11)
+        plane = MessagePlane(num_nodes=8)
+        plane.extend_columns(
+            schema,
+            0,
+            np.array([1, 2], dtype=np.int64),
+            {"coefficient": np.arange(6, dtype=np.int64)},
+        )
+        traffic = plane.flush()
+        (channel,) = traffic.channels
+        assert channel.lengths.tolist() == [3, 3]
+        assert traffic.bits.tolist() == [3 * 4, 3 * 4]
+        with pytest.raises(SimulationError, match="rows"):
+            plane.extend_columns(
+                schema,
+                0,
+                np.array([1], dtype=np.int64),
+                {"coefficient": np.arange(2, dtype=np.int64)},
+            )
+
     def test_extend_columns_validates_shapes(self):
         from repro.congest.wire import A3_S_SCHEMA
 

@@ -127,6 +127,13 @@ class TestSchemaRegistry:
         with pytest.raises(SimulationError):
             register_schema(IdListSchema("a2-edges"))
 
+    def test_hash_descriptor_schema_rejects_bad_parameters(self):
+        with pytest.raises(SimulationError, match="independence"):
+            HashDescriptorSchema(0, 5)
+        with pytest.raises(SimulationError, match="prime"):
+            HashDescriptorSchema(2, 1)
+        assert HashDescriptorSchema(2, 2).fixed_length == 2
+
     def test_protocol_schemas_registered(self):
         for schema in (
             A1_SAMPLE_SCHEMA,
