@@ -198,13 +198,19 @@ class LenzenRouter:
             )
 
     def _deliver_instance(self, traffic: PhaseTraffic, name: str) -> DeliveredPhase:
-        """Charge Lenzen rounds for ``traffic`` and deliver it.
+        """Charge Lenzen rounds for ``traffic``, deliver it and enforce the budget.
 
         Object payloads go into inboxes; typed channels come back in the
-        :class:`~repro.congest.runtime.DeliveredPhase`.
+        :class:`~repro.congest.runtime.DeliveredPhase`.  As in
+        :meth:`~repro.congest.runtime.CongestRuntime.complete_phase`, the
+        phase is recorded and delivered before the round budget is
+        checked, so an exhausted budget still counts the routing phase that
+        exhausted it.
         """
         report = self._account_instance(traffic, name)
-        self._simulator.runtime.deliver(traffic)
+        runtime = self._simulator.runtime
+        runtime.deliver(traffic)
+        runtime.enforce_round_limit()
         return DeliveredPhase(report, traffic.channels)
 
     def _account_instance(self, traffic: PhaseTraffic, name: str) -> PhaseReport:

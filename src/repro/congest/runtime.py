@@ -817,7 +817,9 @@ def _link_bits_reduction(traffic: PhaseTraffic, num_nodes: int) -> Tuple[str, in
     order, so the keys often already ascend in one of the two orders:
     strictly ascending keys mean every link carries one message
     (``"one-per-link"``: the largest message), and ascending keys with
-    repeats are segmented where they are (``"segment"``).  Otherwise, when
+    repeats are segmented where they are (``"segment"``).  The order is
+    tested on the endpoint columns, neighbour against neighbour, so the
+    test allocates byte masks and never a key column.  Otherwise, when
     the occupied src-major range is small relative to the message count,
     one dense ``np.bincount`` does the whole reduction (``"histogram"``);
     on sparse traffic over a large network, where the histogram would
@@ -827,13 +829,16 @@ def _link_bits_reduction(traffic: PhaseTraffic, num_nodes: int) -> Tuple[str, in
     if traffic.count == 0:
         return "one-per-link", 0
     n = np.int64(num_nodes)
+    for major, minor in ((traffic.src, traffic.dst), (traffic.dst, traffic.src)):
+        if not (major[1:] >= major[:-1]).all():
+            continue
+        tied = major[1:] == major[:-1]
+        if (tied & (minor[1:] < minor[:-1])).any():
+            continue
+        if not (tied & (minor[1:] == minor[:-1])).any():
+            return "one-per-link", int(traffic.bits.max())
+        return "segment", _segment_max(major * n + minor, traffic.bits)
     keys = traffic.src * n + traffic.dst
-    for ordered in (keys, traffic.dst * n + traffic.src):
-        steps = np.diff(ordered)
-        if (steps >= 0).all():
-            if (steps > 0).all():
-                return "one-per-link", int(traffic.bits.max())
-            return "segment", _segment_max(ordered, traffic.bits)
     key_span = int(keys.max()) + 1
     if key_span <= 4 * max(traffic.count, 4096):
         return "histogram", int(np.bincount(keys, weights=traffic.bits).max())
@@ -849,34 +854,39 @@ def _segment_max(sorted_keys: np.ndarray, bits: np.ndarray) -> int:
     return int(np.add.reduceat(bits, starts).max())
 
 
-def spawn_node_rngs(
+def spawn_child_seeds(
     num_nodes: int, seed: Optional[int | np.random.Generator]
-) -> List[np.random.Generator]:
-    """Return one independent, reproducible child generator per node.
+) -> np.ndarray:
+    """The root generator's one child seed per node: the only draw it makes."""
+    root_rng = (
+        seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    )
+    return root_rng.integers(0, 2**63 - 1, size=num_nodes)
 
-    The root generator draws one child seed per node, and node ``v``'s
-    generator draws exactly what ``np.random.default_rng(child_seeds[v])``
-    would.  The child seeds' SeedSequence mixing runs as one batch
+
+def child_generators(child_seeds: np.ndarray) -> List[np.random.Generator]:
+    """One generator per child seed: node ``v``'s draws exactly what
+    ``np.random.default_rng(child_seeds[v])`` would.
+
+    The child seeds' SeedSequence mixing runs as one batch
     (:func:`repro.congest.seeding.seed_sequence_states`) instead of one
     ``default_rng`` call per node.
     """
     # Imported here: the seeding module imports numpy.random, which a bare
     # ``import repro`` does not.
-    from .seeding import generators_from_states, seed_sequence_states
+    from . import seeding
 
-    root_rng = (
-        seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    )
-    child_seeds = root_rng.integers(0, 2**63 - 1, size=num_nodes)
-    return generators_from_states(seed_sequence_states(child_seeds))
+    return seeding.generators_from_states(seeding.seed_sequence_states(child_seeds))
 
 
 class CongestRuntime:
     """The execution kernel a phase simulator drives.
 
     Owns the graph, bandwidth policy, metrics, round budget, the message
-    plane, the per-node generators (:meth:`seed_nodes`) and the contexts,
-    which are built only when something first reads :attr:`contexts`.
+    plane, the per-node generators (:meth:`seed_nodes`) and the contexts.
+    The generators are built only when something first reads
+    :attr:`node_rngs`, and the contexts when something first reads
+    :attr:`contexts`.
     """
 
     __slots__ = (
@@ -885,7 +895,8 @@ class CongestRuntime:
         "round_limit",
         "metrics",
         "plane",
-        "node_rngs",
+        "_child_seeds",
+        "_node_rngs",
         "_factory",
         "_contexts",
         "_dirty",
@@ -904,7 +915,8 @@ class CongestRuntime:
         self.round_limit = round_limit
         self.metrics = ExecutionMetrics()
         self.plane = MessagePlane(graph.num_nodes)
-        self.node_rngs: List[np.random.Generator] = []
+        self._child_seeds: Optional[np.ndarray] = None
+        self._node_rngs: Optional[List[np.random.Generator]] = []
         self._factory: Optional[Callable[[NodeId, np.random.Generator], Any]] = None
         self._contexts: Optional[List[Any]] = None
         # Contexts currently holding a non-empty inbox: the next delivery
@@ -917,13 +929,27 @@ class CongestRuntime:
         seed: Optional[int | np.random.Generator],
         factory: Callable[[NodeId, np.random.Generator], Any],
     ) -> None:
-        """Spawn one child generator per node; ``factory(node, rng)`` builds contexts.
+        """Draw one child seed per node; ``factory(node, rng)`` builds contexts.
 
-        A context gets the very generator in :attr:`node_rngs`, so its stream
-        continues where a kernel left it.
+        The root generator draws the child seeds here, so passes that share
+        one root generator draw the same streams whether or not an earlier
+        pass read its generators.  The generators themselves are built on
+        the first read of :attr:`node_rngs` (a kernel that draws nothing,
+        such as naive's batched one, builds none).  A context gets the very
+        generator in :attr:`node_rngs`, so its stream continues where a
+        kernel left it.
         """
-        self.node_rngs = spawn_node_rngs(self.graph.num_nodes, seed)
+        self._child_seeds = spawn_child_seeds(self.graph.num_nodes, seed)
+        self._node_rngs = None
         self._factory = factory
+
+    @property
+    def node_rngs(self) -> List[np.random.Generator]:
+        """Each node's private generator, built on first read."""
+        if self._node_rngs is None:
+            self._node_rngs = child_generators(self._child_seeds)
+            self._child_seeds = None
+        return self._node_rngs
 
     @property
     def contexts(self) -> List[Any]:

@@ -9,7 +9,7 @@ with uint32 array operations and hands each resulting state row to
 numpy's own ``PCG64``, so every draw still comes from numpy's generator
 and each node's stream is bit-for-bit the one ``default_rng`` gives.
 
-It imports ``numpy.random``, so :func:`repro.congest.runtime.spawn_node_rngs`
+It imports ``numpy.random``, so :func:`repro.congest.runtime.child_generators`
 imports it on first use rather than at package import.
 """
 

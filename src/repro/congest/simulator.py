@@ -28,11 +28,15 @@ drained traffic (the clique variant overrides only
 
 The simulator also enforces the model's knowledge discipline: node programs
 receive only :class:`~repro.congest.node.NodeContext` objects built from the
-input graph's local neighbourhoods.  All n private generators are seeded
-in one vectorized pass (:func:`~repro.congest.runtime.spawn_node_rngs`);
-the contexts are built on the first read of ``contexts``.  The batched
+input graph's local neighbourhoods.  The root generator draws every
+node's child seed when the simulator is built
+(:func:`~repro.congest.runtime.spawn_child_seeds`); the n private
+generators are seeded from them in one vectorized pass on the first read
+of ``node_rngs`` (:func:`~repro.congest.runtime.child_generators`), and the
+contexts are built on the first read of ``contexts``.  The batched
 kernels read only ``node_rngs``, the CSR and ``output_table``, so a batched
-run builds no context at all.
+run builds no context at all, and one that draws nothing (naive's) builds
+no generator either.
 """
 
 from __future__ import annotations

@@ -35,8 +35,11 @@ the upper-bound section.  The algorithm has two layers:
     sizes are counted from each node's landmark neighbourhood packed into
     uint64 words (:func:`_s_sizes`), and ``l ∈ S(j, k) ∩ N(j)`` holds
     exactly when ``{j, k, l}`` is an active triangle, ``S(j, k)`` shipped
-    and ``{j, l} ∈ ∆(X)``, so the revealed triangles come from closing the
-    ∆(X)-disjoint active edges (:func:`_emit_s_revealed`).
+    and ``{j, l} ∈ ∆(X)``, so the revealed triangles are credited along
+    the ∆(X)-disjoint edges of the active triangles
+    (:func:`_emit_s_revealed`).  While every edge is active they come from
+    one forward walk of the triangle oracle, whose completed count
+    verification then reuses.
 
 ``A3`` (Proposition 3)
     Pick ``X`` by including each node independently with probability
@@ -57,6 +60,7 @@ import numpy as np
 from ..congest.backends import (
     FUSED_BYTES_PER_ELEMENT,
     chunk_rows,
+    fused_chunk_rows,
     gather_spans,
     landmark_words,
     shares_landmark,
@@ -74,6 +78,7 @@ from ..congest.wire import (
     id_bits,
 )
 from ..errors import RoundLimitExceededError
+from ..types import triangle_keys
 from .base import TriangleAlgorithm, close_edges, validate_kernel
 from .parameters import (
     a3_goodness_threshold,
@@ -368,14 +373,36 @@ def _emit_s_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld
 
     A receiver ``j`` lists ``{j, k, l}`` for ``l ∈ S(j, k) ∩ N(j)``, which
     holds exactly when ``{j, k, l}`` is a triangle of active nodes,
-    ``S(j, k)`` shipped and ``{j, l} ∈ ∆(X)``.  So every ∆(X)-disjoint
-    active edge ``{u, v}`` is closed over its common active neighbours
-    ``x`` (:func:`~repro.core.base.close_edges` over the active rows), and
-    ``{u, v, x}`` goes to ``u`` when ``S(u, x)`` shipped and to ``v`` when
-    ``S(v, x)`` shipped.  ``withheld`` holds the ascending keys ``j·n + k``
-    of the pairs whose ``S(j, k)`` was withheld; it is probed only when
-    non-empty.  Triangles whose three pairs all share a landmark are never
-    touched.
+    ``S(j, k)`` shipped and ``{j, l} ∈ ∆(X)``.  So each ∆(X)-disjoint
+    active edge ``{u, v}`` of a triangle ``{u, v, x}`` of active nodes
+    credits the triangle to ``u`` when ``S(u, x)`` shipped and to ``v``
+    when ``S(v, x)`` shipped.  ``withheld`` holds the ascending keys
+    ``j·n + k`` of the pairs whose ``S(j, k)`` was withheld; it is probed
+    only when non-empty.  Triangles whose three pairs all share a landmark
+    are credited to no one.
+
+    When every edge is active (the first iteration, and at every size this
+    repository runs the only one) and the graph is off its dense
+    strategy, the triangles come from one forward walk of the oracle
+    (:func:`_emit_forward_revealed`), which leaves the oracle's triangle
+    count memoised for verification.  Otherwise the ∆(X)-disjoint active
+    edges are closed over their common active neighbours
+    (:func:`_emit_closed_revealed`): a later iteration's triangles are only
+    those of its active nodes, and on the dense strategy the forward walk
+    measured slower than the closure, which is bound by its output.
+    """
+    if pair_j.shape[0] == csr.indices.shape[0] and not csr._use_dense():
+        _emit_forward_revealed(output, csr, words, withheld)
+    else:
+        _emit_closed_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld)
+
+
+def _emit_closed_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld):
+    """:func:`_emit_s_revealed` by closing every ∆(X)-disjoint active edge.
+
+    Each edge ``{u, v}`` is closed over its common active neighbours ``x``
+    (:func:`~repro.core.base.close_edges` over the active rows), so each
+    triangle is found once from each of its disjoint edges.
     """
     num_nodes = csr.num_nodes
     canonical = pair_j < pair_k
@@ -390,6 +417,55 @@ def _emit_s_revealed(output, csr, pair_j, pair_k, active_indptr, words, withheld
             shipped = ~sorted_membership(withheld, receivers * np.int64(num_nodes) + senders)
             receivers, keys = receivers[shipped], keys[shipped]
         output.emit_grouped(receivers, keys)
+
+
+def _emit_forward_revealed(output, csr, words, withheld):
+    """:func:`_emit_s_revealed` with every edge active, from the oracle's walk.
+
+    Each triangle ``{a < b < c}`` of
+    :meth:`~repro.graphs.csr.CSRGraph.iter_triangle_chunks` is handed to
+    its three edges ``(p, q)`` with third vertex ``r`` —
+    ``(a, b; c)``, ``(a, c; b)`` and ``(b, c; a)`` — and a ∆(X)-disjoint
+    edge credits it to ``p`` when ``S(p, r)`` shipped and to ``q`` when
+    ``S(q, r)`` shipped: the (receiver, key) multiset that closing the
+    disjoint edges emits, found once per triangle instead of once per
+    edge.  The walk's chunks are regrouped into blocks of at least as
+    many triangles as the chunk bound holds six credits of, and each
+    block is emitted sorted by receiver (a radix sort of the narrowest id
+    type), so the output table keeps about one run per receiver and block
+    instead of one per credit.
+    """
+    num_nodes = csr.num_nodes
+    receiver_type = np.min_scalar_type(num_nodes)
+    for rows in _regrouped(csr.iter_triangle_chunks(), fused_chunk_rows(6)):
+        a, b, c = rows.T
+        keys = triangle_keys(a, b, c, num_nodes)
+        receivers, credited = [], []
+        for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
+            disjoint = ~shares_landmark(words, p, q)
+            for end in (p, q):
+                hit = disjoint
+                if withheld.shape[0]:
+                    hit = hit & ~sorted_membership(withheld, end * np.int64(num_nodes) + r)
+                receivers.append(end[hit])
+                credited.append(keys[hit])
+        receivers = np.concatenate(receivers)
+        order = np.argsort(receivers.astype(receiver_type), kind="stable")
+        output.emit_grouped(receivers[order], np.concatenate(credited)[order])
+
+
+def _regrouped(chunks, rows):
+    """Concatenate consecutive ``chunks`` into blocks of at least ``rows``
+    rows (the last block may hold fewer)."""
+    pending, held = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        held += chunk.shape[0]
+        if held >= rows:
+            yield np.concatenate(pending)
+            pending, held = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 def _run_axr_direct(
@@ -413,8 +489,8 @@ def _run_axr_direct(
     * step 4.1 never lists an S set.  Every ``|S(j, k)|`` is counted from
       the landmark words (:func:`_s_sizes`), which fixes the round charge
       and the withheld pairs of step 4.2, and the triangles the shipped
-      sets reveal are listed from the graph by closing the ∆(X)-disjoint
-      active edges (:func:`_emit_s_revealed`);
+      sets reveal are listed from the graph along the ∆(X)-disjoint edges
+      of the active triangles (:func:`_emit_s_revealed`);
     * the triangles step 4.3's V sets reveal are listed the same way: each
       withheld pair ``(j, l)`` of an r-good ``j`` is closed over its common
       active neighbours, crediting the neighbour

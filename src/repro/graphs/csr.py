@@ -38,7 +38,9 @@ each ``w > v`` of ``v``'s sorted row, and a whole window of wedges is
 closed by one :meth:`CSRGraph.has_edges` call (Chiba–Nishizeki 1985;
 Latapy 2008, "compact-forward").  Windows follow the chunk bound
 of :mod:`repro.congest.backends`, and since edges and rows are sorted the
-closed wedges come out in canonical ``(u < v < w)`` order.
+closed wedges come out in canonical ``(u < v < w)`` order.  A walk that
+runs to its end memoises ``|T(G)|``, so a count after one (A3's
+first-iteration listing walks the whole graph) walks nothing.
 
 All strategies produce identical results (differentially tested against
 the pure-Python reference in :mod:`repro.graphs.triangles`).
@@ -106,6 +108,7 @@ class CSRGraph:
         "_edge_keys",
         "_support",
         "_triangles",
+        "_triangle_count",
         "_dense_bool",
         "_dense_packed",
         "_adjacency_bits",
@@ -127,6 +130,7 @@ class CSRGraph:
         self._edge_keys: Optional[np.ndarray] = None
         self._support: Optional[np.ndarray] = None
         self._triangles: Optional[np.ndarray] = None
+        self._triangle_count: Optional[int] = None
         self._dense_bool: Optional[np.ndarray] = None
         self._dense_packed: Optional[np.ndarray] = None
         self._adjacency_bits: Optional[np.ndarray] = None
@@ -348,15 +352,20 @@ class CSRGraph:
     def count_triangles(self) -> int:
         """Return ``|T(G)|`` without keeping a listing.
 
-        With the supports at hand (cached, or the packed-popcount dense
-        path) each triangle is counted once per edge, so the supports sum
-        to three times the count.  Otherwise the forward enumeration's
-        chunks are counted and dropped: the sparse support reduction lists
-        the same chunks and then scatters three ``np.add.at`` passes over
-        them, which is slower than the count needs.
+        A completed forward walk of :meth:`iter_triangle_chunks` leaves its
+        total behind, so a count after one (A3's first-iteration listing
+        walks the whole graph) costs nothing.  With the supports at hand
+        (cached, or the packed-popcount dense path) each triangle is
+        counted once per edge, so the supports sum to three times the
+        count.  Otherwise the forward walk runs here, its chunks counted
+        and dropped: the sparse support reduction lists the same chunks
+        and then scatters three ``np.add.at`` passes over them, which is
+        slower than the count needs.
         """
         if self.num_edges == 0:
             return 0
+        if self._triangle_count is not None:
+            return self._triangle_count
         if self._support is not None or self._use_dense():
             return int(self.edge_support().sum()) // 3
         return sum(chunk.shape[0] for chunk in self.iter_triangle_chunks())
@@ -390,7 +399,10 @@ class CSRGraph:
         edge-window, so early-exit consumers (e.g. iterating until the
         first hit) never pay for the full enumeration.  When the full array
         has already been materialised by :meth:`triangles`, it is yielded
-        as a single cached chunk.
+        as a single cached chunk.  Off the dense path, a walk that runs to
+        its end memoises the number of triangles it yielded, which
+        :meth:`count_triangles` returns from then on; an abandoned walk
+        memoises nothing.
         """
         if self._triangles is not None:
             if self._triangles.shape[0]:
@@ -420,13 +432,16 @@ class CSRGraph:
             forward = np.bincount(self.edge_u, minlength=self.num_nodes)
             forward_lo = self.indptr[1:] - forward
             chunk = _edge_chunk(64)  # ~8 int64 temporaries per edge
+            total = 0
             for start in range(0, m, chunk):
                 u_chunk = self.edge_u[start : start + chunk]
                 v_chunk = self.edge_v[start : start + chunk]
                 for edge, w in self._closed_pairs(
                     u_chunk, forward_lo[v_chunk], forward[v_chunk]
                 ):
+                    total += edge.shape[0]
                     yield np.column_stack((u_chunk[edge], v_chunk[edge], w))
+            self._triangle_count = total
 
     def triangles(self) -> np.ndarray:
         """Return all triangles as one ``(t, 3)`` int64 array (cached).

@@ -1,9 +1,11 @@
 """Unit tests for the Lenzen routing primitive."""
 
+import numpy as np
 import pytest
 
 from repro.congest import CliqueSimulator, CongestSimulator, LenzenRouter, RoutingRequest
-from repro.errors import SimulationError, TopologyError
+from repro.congest.wire import RoutedEdgeSchema
+from repro.errors import RoundLimitExceededError, SimulationError, TopologyError
 from repro.graphs import Graph, complete_graph
 
 
@@ -87,3 +89,38 @@ class TestRouting:
             [RoutingRequest(0, 1, "big", bits=per_round * 2 * num_nodes)]
         )
         assert report.rounds == 2
+
+
+class TestRoundBudget:
+    """A routed phase is held to the clique simulator's round budget, as
+    every simulated phase is: recorded first, then checked."""
+
+    def budgeted_router(self):
+        simulator = CliqueSimulator(complete_graph(4), seed=0, round_limit=1)
+        return simulator, LenzenRouter(simulator)
+
+    def test_route_past_budget_raises_after_recording(self):
+        simulator, router = self.budgeted_router()
+        with pytest.raises(RoundLimitExceededError):
+            router.route([RoutingRequest(0, 1, "x", bits=1)])
+        assert simulator.total_rounds == 2
+        assert simulator.metrics.total_messages == 1
+        assert simulator.context(1).received() == [(0, "x")]
+
+    def test_columnar_route_past_budget_raises_after_recording(self):
+        simulator, router = self.budgeted_router()
+        one = np.array([1], dtype=np.int64)
+        with pytest.raises(RoundLimitExceededError):
+            router.route_columns_direct(
+                RoutedEdgeSchema(),
+                np.array([0], dtype=np.int64),
+                one,
+                {"u": np.array([0], dtype=np.int64), "v": one, "triple": one},
+                bits=1,
+            )
+        assert simulator.total_rounds == 2
+
+    def test_route_within_budget_passes(self):
+        simulator = CliqueSimulator(complete_graph(4), seed=0, round_limit=2)
+        LenzenRouter(simulator).route([RoutingRequest(0, 1, "x", bits=1)])
+        assert simulator.total_rounds == 2

@@ -20,8 +20,9 @@ from repro.congest.runtime import (
     InboxSlice,
     max_link_bits,
     record_deliveries,
+    child_generators,
     repeated_payload,
-    spawn_node_rngs,
+    spawn_child_seeds,
 )
 from repro.congest.seeding import seed_sequence_states
 from repro.congest.metrics import ExecutionMetrics
@@ -267,7 +268,7 @@ class TestNodeSeeding:
         num_nodes = 40
         seed = np.random.default_rng(17) if as_generator else 17
         child_seeds = np.random.default_rng(17).integers(0, 2**63 - 1, size=num_nodes)
-        rngs = spawn_node_rngs(num_nodes, seed)
+        rngs = child_generators(spawn_child_seeds(num_nodes, seed))
         assert len(rngs) == num_nodes
         for rng, child_seed in zip(rngs, child_seeds.tolist()):
             reference = np.random.default_rng(child_seed)
@@ -275,7 +276,7 @@ class TestNodeSeeding:
             assert rng.integers(0, 2**40) == reference.integers(0, 2**40)
 
     def test_node_generator_pickles_with_its_stream(self):
-        rng = spawn_node_rngs(3, 5)[2]
+        rng = child_generators(spawn_child_seeds(3, 5))[2]
         rng.random(7)
         copy = pickle.loads(pickle.dumps(rng))
         np.testing.assert_array_equal(copy.random(16), rng.random(16))

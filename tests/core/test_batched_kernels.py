@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csr_strategies import pinned_strategy
+from csr_strategies import forced_strategy, membership_strategy, pinned_strategy
 
 from repro.core import (
     DolevCliqueListing,
@@ -28,6 +28,7 @@ from repro.core import (
 from repro.core import a2_heavy, a3_light
 from repro.core.a3_light import run_axr
 from repro.congest import CongestSimulator, NodeContext, OutputTable
+from repro.congest import seeding
 from repro.congest.backends import landmark_words, shares_landmark, use_chunk_bytes
 from repro.congest.wire import (
     A1_SAMPLE_SCHEMA,
@@ -560,6 +561,123 @@ def test_a3_v_sets_match_reference(monkeypatch, regime):
         if phase.name == "A(X,r):4.3-send-V"
     )
     assert emitted.get("A(X,r):4.3-send-V", 0)
+
+
+#: Sparse regimes for A3's first-iteration forward listing:
+#: ``(graph, landmark probability, r)``.  Landmarks dense enough that some
+#: triangles have both ∆(X)-disjoint edges and edges that share a
+#: landmark; and a small r, so that some S sets are withheld in the first
+#: iteration and a second iteration runs on the residual active set.
+FORWARD_REGIMES = {
+    "gnp-shared-landmarks": (lambda: gnp_random_graph(120, 0.1, seed=31), 0.08, None),
+    "gnp-withheld-pairs": (lambda: gnp_random_graph(120, 0.1, seed=31), 0.04, 8.0),
+    "ba-shared-landmarks": (lambda: barabasi_albert_graph(120, 4, seed=32), 0.08, None),
+    "ba-withheld-pairs": (lambda: barabasi_albert_graph(120, 4, seed=32), 0.04, 8.0),
+}
+
+
+def _a3_listing_run(monkeypatch, graph, probability, threshold, kernel, closure=False):
+    """One A3 run; for the batched kernel also the (receiver, key) credits
+    it emitted, sorted, and the S listing each iteration took."""
+    emitted, listings = [], []
+    forward = a3_light._emit_forward_revealed
+    closed = a3_light._emit_closed_revealed
+    emit_grouped = OutputTable.emit_grouped
+
+    def forward_spy(output, csr, words, withheld):
+        listings.append(("forward", words, withheld))
+        return forward(output, csr, words, withheld)
+
+    def closed_spy(output, csr, pair_j, pair_k, active_indptr, words, withheld):
+        listings.append(("closure", words, withheld))
+        return closed(output, csr, pair_j, pair_k, active_indptr, words, withheld)
+
+    def emit_spy(self, receivers, keys):
+        emitted.extend(zip(receivers.tolist(), keys.tolist()))
+        return emit_grouped(self, receivers, keys)
+
+    with monkeypatch.context() as patch:
+        if kernel == "batched":
+            patch.setattr(a3_light, "_emit_forward_revealed", forward_spy)
+            patch.setattr(a3_light, "_emit_closed_revealed", closed_spy)
+            patch.setattr(OutputTable, "emit_grouped", emit_spy)
+            if closure:
+                patch.setattr(a3_light, "_emit_s_revealed", closed_spy)
+        result = LightTrianglesLister(
+            epsilon=0.3,
+            landmark_probability=probability,
+            goodness_threshold=threshold,
+            enforce_budget=False,
+            kernel=kernel,
+        ).run(graph, seed=4)
+    outputs = [result.output.node_output(node) for node in range(graph.num_nodes)]
+    return result, outputs, sorted(emitted), listings
+
+
+@pytest.mark.parametrize("strategy", ["bitset", "sorted-key"])
+@pytest.mark.parametrize("regime", sorted(FORWARD_REGIMES))
+def test_a3_forward_listing_matches_closure_and_reference(monkeypatch, regime, strategy):
+    # Off the dense strategy, the first iteration of A(X, r) credits the
+    # triangles of one forward oracle walk; the closure of every
+    # ∆(X)-disjoint edge and the reference closures must give the same
+    # per-node sets and metrics, and the closure the same credit multiset.
+    make_graph, probability, threshold = FORWARD_REGIMES[regime]
+    graph = make_graph()
+    with forced_strategy(strategy), use_chunk_bytes(64):
+        assert membership_strategy(graph.csr()) == strategy
+        forward, forward_sets, forward_credits, listings = _a3_listing_run(
+            monkeypatch, graph, probability, threshold, "batched"
+        )
+        closure, closure_sets, closure_credits, closure_listings = _a3_listing_run(
+            monkeypatch, graph, probability, threshold, "batched", closure=True
+        )
+        reference, reference_sets, _, _ = _a3_listing_run(
+            monkeypatch, graph, probability, threshold, "reference"
+        )
+    assert forward_sets == closure_sets == reference_sets
+    assert forward.metrics == closure.metrics == reference.metrics
+    assert forward.truncated == closure.truncated == reference.truncated
+    assert forward_credits == closure_credits
+    assert {kind for kind, _, _ in closure_listings} == {"closure"}
+    assert listings[0][0] == "forward"
+    assert all(kind == "closure" for kind, _, _ in listings[1:])
+    # The regime is the one named: triangles with both disjoint and
+    # landmark-sharing edges, or withheld pairs and a second iteration.
+    _, words, withheld = listings[0]
+    a, b, c = graph.csr().triangles().T
+    shared = np.stack(
+        [shares_landmark(words, p, q) for p, q in ((a, b), (a, c), (b, c))]
+    )
+    assert (shared.any(axis=0) & ~shared.all(axis=0)).any()
+    if threshold is not None:
+        assert withheld.shape[0] and len(listings) > 1
+    else:
+        assert not withheld.shape[0]
+
+
+def test_batched_naive_builds_no_generator(monkeypatch):
+    # Naive's batched kernel draws nothing, so its simulator's generators
+    # are never built; the root generator's child-seed draw still happens
+    # when the simulator is built, so a later pass on a shared root
+    # generator draws the same streams either way.
+    built = []
+    generators_from_states = seeding.generators_from_states
+
+    def spy(states):
+        built.append(states.shape[0])
+        return generators_from_states(states)
+
+    monkeypatch.setattr(seeding, "generators_from_states", spy)
+    graph = gnp_random_graph(40, 0.2, seed=3)
+    NaiveTwoHopListing(kernel="batched").run(graph, seed=1)
+    assert built == []
+    unread, read = np.random.default_rng(9), np.random.default_rng(9)
+    CongestSimulator(graph, seed=unread)
+    [rng.random() for rng in CongestSimulator(graph, seed=read).node_rngs]
+    assert built == [graph.num_nodes]
+    after_unread = CongestSimulator(graph, seed=unread).node_rngs
+    after_read = CongestSimulator(graph, seed=read).node_rngs
+    assert [rng.random() for rng in after_unread] == [rng.random() for rng in after_read]
 
 
 #: A2's dense families, plus the Theorem-2 cell graph of the sweep benchmark.

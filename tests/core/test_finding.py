@@ -1,6 +1,11 @@
 """Tests for the Theorem-1 triangle-finding algorithm."""
 
+import hashlib
+import math
+
 import pytest
+
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec, canonical_json
 
 from repro.core import TriangleFinding, finding_epsilon_asymptotic, theorem1_round_bound
 from repro.graphs import (
@@ -117,3 +122,30 @@ class TestConstructorValidation:
     def test_valid_arguments_accepted(self):
         TriangleFinding(repetitions=1, epsilon=0.0)
         TriangleFinding(repetitions=2, epsilon=1.0, budget_constant=0.5)
+
+
+#: sha256 of the canonical record of Theorem 1 (one pass, the asymptotic ε)
+#: on ``gnp(3000, √n/n)`` at each graph seed.  The sparse path (A3's
+#: forward listing off the dense strategy, verification's walked count)
+#: must reproduce them byte for byte.
+SPARSE_RECORD_SHA256 = {
+    1: "2a26960812366be7ecdfaf603cdee13bec309491f42cd9a903c67030af52f6ad",
+    2: "ff9eafe7d06b5f46a816560316cfc79b22d602153a9b251ff3ab190cd1dc5af1",
+    3: "83701424e64797ffd170f782e6a132216055a9fe3f85bb48bde331fd38d53b1e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPARSE_RECORD_SHA256))
+def test_sparse_theorem1_records_are_pinned(seed):
+    num_nodes = 3000
+    spec = RunSpec(
+        algorithm=AlgorithmSpec(
+            "theorem1-finding", {"repetitions": 1, "epsilon": finding_epsilon_asymptotic()}
+        ),
+        workload=WorkloadSpec(
+            "gnp", {"num_nodes": num_nodes, "edge_probability": math.sqrt(num_nodes) / num_nodes}
+        ),
+        seed=seed,
+    )
+    record = canonical_json(spec.run().to_dict()).encode("utf-8")
+    assert hashlib.sha256(record).hexdigest() == SPARSE_RECORD_SHA256[seed]

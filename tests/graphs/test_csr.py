@@ -10,6 +10,8 @@ Barabási–Albert, random-regular and lollipop graphs, on all three
 membership strategies (dense matrix, packed bitset and sorted keys).
 """
 
+import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.graphs.csr as csr_module
+from repro.api import AlgorithmSpec, RunSpec, WorkloadSpec
 from repro.congest.backends import use_chunk_bytes
+from repro.core import finding_epsilon_asymptotic
 from repro.graphs import (
     CSRGraph,
     Graph,
@@ -59,6 +63,9 @@ def workload_graphs():
 
 WORKLOADS = workload_graphs()
 WORKLOAD_IDS = [name for name, _ in WORKLOADS]
+TRIANGLE_WORKLOADS = [
+    (name, graph) for name, graph in WORKLOADS if next(iter_triangles_reference(graph), None)
+]
 
 
 @pytest.fixture(params=STRATEGIES, ids=["dense-path", "bitset-path", "merge-path"])
@@ -260,6 +267,93 @@ class TestTriangleEnumerationCaching:
         light = light_triangles(graph, 0.5)
         assert graph.csr()._triangles is not None
         assert sorted(heavy + light) == list_triangles(graph)
+
+
+class TestTriangleCountMemo:
+    """A completed walk off the dense path memoises ``|T(G)|``, and
+    :meth:`CSRGraph.count_triangles` returns it without walking again."""
+
+    @pytest.mark.parametrize("name,graph", WORKLOADS, ids=WORKLOAD_IDS)
+    def test_count_after_full_walk(self, name, graph, strategy_toggle):
+        expected = len(list(iter_triangles_reference(graph)))
+        view = fresh_view(graph)
+        assert sum(chunk.shape[0] for chunk in view.iter_triangle_chunks()) == expected
+        walked = strategy_toggle != "dense" and graph.num_edges
+        assert view._triangle_count == (expected if walked else None)
+        if walked:
+            with mock.patch.object(
+                CSRGraph, "iter_triangle_chunks", side_effect=AssertionError("walked again")
+            ):
+                assert view.count_triangles() == expected
+        assert view.count_triangles() == expected
+
+    @pytest.mark.parametrize("abandon", ["has_triangle", "one-next"])
+    @pytest.mark.parametrize(
+        "name,graph", TRIANGLE_WORKLOADS, ids=[name for name, _ in TRIANGLE_WORKLOADS]
+    )
+    def test_abandoned_walk_sets_no_memo(self, name, graph, abandon, strategy_toggle):
+        # A triangle-free walk ends at its first step, so only graphs with
+        # triangles can abandon one.
+        expected = len(list(iter_triangles_reference(graph)))
+        view = fresh_view(graph)
+        if abandon == "has_triangle":
+            assert view.has_triangle()
+        else:
+            assert next(view.iter_triangle_chunks()).shape[0]
+        assert view._triangle_count is None
+        assert view.count_triangles() == expected
+
+    @pytest.mark.parametrize("name,graph", WORKLOADS, ids=WORKLOAD_IDS)
+    def test_pickled_walked_view_keeps_count(self, name, graph, strategy_toggle):
+        expected = len(list(iter_triangles_reference(graph)))
+        view = fresh_view(graph)
+        for _ in view.iter_triangle_chunks():
+            pass
+        clone = pickle.loads(pickle.dumps(view))
+        assert clone._triangle_count == view._triangle_count
+        assert clone.count_triangles() == expected
+
+    @pytest.mark.parametrize("strategy", ["bitset", "sorted-key"])
+    def test_theorem1_run_walks_triangles_once(self, monkeypatch, strategy):
+        # A3's first iteration lists what the S sets reveal from one
+        # forward walk, and verification's |T(G)| reuses its count.
+        num_nodes = 300
+        spec = RunSpec(
+            algorithm=AlgorithmSpec(
+                "theorem1-finding",
+                {"repetitions": 1, "epsilon": finding_epsilon_asymptotic()},
+            ),
+            workload=WorkloadSpec(
+                "gnp",
+                {"num_nodes": num_nodes, "edge_probability": math.sqrt(num_nodes) / num_nodes},
+            ),
+            seed=5,
+        )
+        walks, counts = [], []
+        iter_triangle_chunks = CSRGraph.iter_triangle_chunks
+        count_triangles = CSRGraph.count_triangles
+
+        def walk_spy(self):
+            walks.append("started")
+            yield from iter_triangle_chunks(self)
+            walks[-1] = "completed"
+
+        def count_spy(self):
+            counts.append(self._triangle_count)
+            return count_triangles(self)
+
+        monkeypatch.setattr(CSRGraph, "iter_triangle_chunks", walk_spy)
+        monkeypatch.setattr(CSRGraph, "count_triangles", count_spy)
+        with forced_strategy(strategy):
+            record = spec.run()
+        # The walk completed before verification counted, and the count
+        # found its total memoised.
+        assert walks == ["completed"]
+        assert counts == [record.num_triangles]
+        assert record.num_triangles == len(
+            list(iter_triangles_reference(spec.workload.build(seed=spec.seed)))
+        )
+        assert record.num_triangles > 0
 
 
 class TestPublicOracleAPI:

@@ -28,7 +28,10 @@ def _warm_snapshot(graph):
     return csr
 
 
-_ARRAY_SLOTS = [slot for slot in CSRGraph.__slots__ if slot != "num_nodes"]
+#: Every slot but the two integers: ``n`` and the walked triangle count.
+_ARRAY_SLOTS = [
+    slot for slot in CSRGraph.__slots__ if slot not in ("num_nodes", "_triangle_count")
+]
 
 
 class TestCSRRoundTrip:
